@@ -25,17 +25,27 @@ subject to that cell's vacant-capacity term (same form as the interior
 receiving term); the last cell discharges freely (no downstream term).
 Unserved mainstream demand is dropped, so conservation accounting uses the
 *admitted* upstream inflow reported in :class:`FlowVector`.
+
+:func:`step` and :func:`rollout` are the readable reference and the plant.
+:func:`rollout_batch` rolls many plans forward side by side for the
+optimizers and the evaluation block; it performs every float operation of
+:func:`step` in the same order, so its costs equal :func:`rollout`'s bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "STATE_TOL",
     "TopologyError",
     "ModelConsistencyError",
+    "NegativeRateError",
     "CellParams",
     "NetworkParams",
     "NetworkState",
@@ -49,6 +59,7 @@ __all__ = [
     "stage_cost",
     "step",
     "rollout",
+    "rollout_batch",
     "density",
 ]
 
@@ -63,6 +74,10 @@ class TopologyError(ValueError):
 class ModelConsistencyError(RuntimeError):
     """A state update left the physically admissible region, which signals a
     flow-formula bug rather than bad input."""
+
+
+class NegativeRateError(ValueError):
+    """A metering plan holds a negative rate."""
 
 
 @dataclass(frozen=True)
@@ -116,10 +131,11 @@ class NetworkParams:
     lanes: int = 1
     free_flow_mps: float = 28.0   # used to express travelled distance in time units
 
-    # Derived topology indices, filled in __post_init__.
+    # Derived topology indices and coefficient arrays, filled in __post_init__.
     onramp_cells: tuple[int, ...] = field(init=False, repr=False)
     metered_cells: tuple[int, ...] = field(init=False, repr=False)
     offramp_cells: tuple[int, ...] = field(init=False, repr=False)
+    arrays: CellArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -142,10 +158,84 @@ class NetworkParams:
         object.__setattr__(
             self, "offramp_cells", tuple(i for i, c in enumerate(self.cells) if c.has_offramp)
         )
+        object.__setattr__(self, "arrays", CellArrays.build(self))
 
     @property
     def n_cells(self) -> int:
         return len(self.cells)
+
+
+@dataclass(frozen=True, eq=False)
+class CellArrays:
+    """Per-cell coefficients of the flow formulas as arrays, read by
+    :func:`rollout_batch`.
+
+    Each entry is the float expression :func:`step` evaluates for that cell.
+    A term a cell lacks inside a ``min`` is +inf, which leaves the minimum
+    unchanged.
+    """
+
+    nbar: np.ndarray                 # capacity per cell
+    nbar_tol: np.ndarray             # capacity + STATE_TOL, the post-update bound
+    alpha: np.ndarray                # on-ramp blending fraction
+    send: np.ndarray                 # 1 - split_beta
+    eta_moving: np.ndarray
+    eta_idling: np.ndarray
+    obar: np.ndarray                 # mainline saturation flow
+    offramp_bound: np.ndarray        # (1 - beta) / beta * sbar, +inf unless 0 < beta < 1
+    length: np.ndarray
+    onramps: np.ndarray              # cell of each on-ramp
+    onramp_xi: np.ndarray
+    onramp_nbar: np.ndarray
+    metered: np.ndarray              # cell of each metered ramp
+    metered_slots: np.ndarray        # position of each metered ramp among the on-ramps
+    metered_lane_length: np.ndarray  # length * lanes of each metered cell
+    split: np.ndarray                # cells whose off-ramp takes a share beta < 1
+    split_ratio: np.ndarray          # beta / (1 - beta) of those cells
+    split_all: np.ndarray            # cells whose off-ramp takes every moving vehicle
+    split_all_sbar: np.ndarray
+
+    @classmethod
+    def build(cls, params: NetworkParams) -> CellArrays:
+        cells = params.cells
+
+        def per_cell(values) -> np.ndarray:
+            return np.array(list(values), dtype=float)
+
+        def index(values) -> np.ndarray:
+            return np.array(list(values), dtype=np.intp)
+
+        split = [i for i in params.offramp_cells if cells[i].split_beta < 1.0]
+        split_all = [i for i in params.offramp_cells if cells[i].split_beta >= 1.0]
+        return cls(
+            nbar=per_cell(c.capacity_nbar for c in cells),
+            nbar_tol=per_cell(c.capacity_nbar + STATE_TOL for c in cells),
+            alpha=per_cell(c.blend_alpha for c in cells),
+            send=per_cell(1.0 - c.split_beta for c in cells),
+            eta_moving=per_cell(c.eta_moving for c in cells),
+            eta_idling=per_cell(c.eta_idling for c in cells),
+            obar=per_cell(c.sat_mainline_obar for c in cells),
+            offramp_bound=per_cell(
+                (1.0 - c.split_beta) / c.split_beta * c.sat_offramp_sbar
+                if 0.0 < c.split_beta < 1.0 else math.inf
+                for c in cells
+            ),
+            length=per_cell(c.length for c in cells),
+            onramps=index(params.onramp_cells),
+            onramp_xi=per_cell(cells[i].xi for i in params.onramp_cells),
+            onramp_nbar=per_cell(cells[i].capacity_nbar for i in params.onramp_cells),
+            metered=index(params.metered_cells),
+            metered_slots=index(params.onramp_cells.index(i) for i in params.metered_cells),
+            metered_lane_length=per_cell(
+                cells[i].length * params.lanes for i in params.metered_cells
+            ),
+            split=index(split),
+            split_ratio=per_cell(
+                cells[i].split_beta / (1.0 - cells[i].split_beta) for i in split
+            ),
+            split_all=index(split_all),
+            split_all_sbar=per_cell(cells[i].sat_offramp_sbar for i in split_all),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,7 +322,7 @@ def _metering_by_cell(
         )
     for m in metering:
         if m < 0:
-            raise ValueError("metering rates must be nonnegative")
+            raise NegativeRateError("metering rates must be nonnegative")
     return dict(zip(params.metered_cells, metering))
 
 
@@ -418,6 +508,155 @@ def rollout(
     return RolloutResult(
         states=tuple(states), flows=tuple(flows), costs=tuple(costs), total_cost=total
     )
+
+
+def _min(a, b):
+    """Elementwise ``min(a, b)`` as Python evaluates it: ``b`` only where it
+    is strictly smaller (``np.minimum`` differs on NaN and signed zeros)."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """Elementwise ``max(a, b)`` as Python evaluates it."""
+    return np.where(b > a, b, a)
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right from 0.0 like Python's ``sum``."""
+    total = 0.0
+    for i in range(x.shape[-1]):
+        total = total + x[..., i]
+    return total
+
+
+def rollout_batch(
+    state: NetworkState,
+    inputs: Sequence[ExogenousInput],
+    params: NetworkParams,
+    horizon: int,
+    gamma: float = 0.8,
+    *,
+    plans: Optional[np.ndarray] = None,
+    gains: Optional[np.ndarray] = None,
+    mu_prev: Optional[Sequence[float]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total cost of many plans from one initial state, rolled side by side.
+
+    Pass either metering ``plans`` of shape ``[B, horizon, ramps]``, or
+    feedback ``gains`` of shape ``[B, ramps]`` with the rates ``mu_prev``
+    applied before the window; each step then meters at
+    ``max(mu_prev + gain * (rho_crit - rho), 0)`` on the predicted density.
+    ``inputs`` shorter than the horizon hold their last entry.  Returns the
+    costs ``[B]`` and the plans ``[B, horizon, ramps]`` (the derived ones for
+    gains).
+
+    Every float operation is that of :func:`step`, in the same order, so each
+    cost equals ``rollout(...).total_cost`` bit for bit.  Where the scalar
+    model raises for a plan (a negative rate, :class:`NegativeRateError`; a
+    state update out of bounds, :class:`ModelConsistencyError`) that row's
+    cost is +inf instead.  The initial state is validated once.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not inputs:
+        raise ValueError("at least one exogenous input is required")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    if (plans is None) == (gains is None):
+        raise ValueError("pass exactly one of plans and gains")
+    state.validate(params)
+    ca = params.arrays
+    n_ramps = len(params.metered_cells)
+    if plans is not None:
+        plans = np.asarray(plans, dtype=float)
+        if plans.ndim != 3 or plans.shape[1] != horizon:
+            raise ValueError(f"plans must have shape [B, {horizon}, ramps], got {plans.shape}")
+        if plans.shape[2] != n_ramps:
+            raise TopologyError(
+                f"plans have {plans.shape[2]} rates per step, "
+                f"network has {n_ramps} metered ramps"
+            )
+        failed = (plans < 0).any(axis=(1, 2))
+    else:
+        gains = np.asarray(gains, dtype=float)
+        if gains.ndim != 2 or mu_prev is None:
+            raise ValueError("gains must have shape [B, ramps] and need mu_prev")
+        if gains.shape[1] != n_ramps or len(mu_prev) != n_ramps:
+            raise TopologyError(
+                f"gains have {gains.shape[1]} and mu_prev {len(mu_prev)} entries, "
+                f"network has {n_ramps} metered ramps"
+            )
+        mu = np.asarray(mu_prev, dtype=float)
+        plans = np.empty((len(gains), horizon, n_ramps))
+        failed = np.zeros(len(gains), dtype=bool)
+
+    batch = len(plans)
+    n = np.tile(np.asarray(state.n, dtype=float), (batch, 1))
+    q = np.tile(np.asarray(state.q, dtype=float), (batch, 1))
+    # extremes of the unclamped updates, checked against the bounds at the
+    # end; fmin/fmax skip NaN, which the scalar check never flags either
+    n_low, n_high, q_low = n.copy(), n.copy(), q.copy()
+    inflow = np.empty_like(n)
+    cycle_h = params.sample_cycle_s / 3600.0
+    td_scale = params.free_flow_mps * 3600.0
+    total = np.zeros(batch)
+    for k in range(horizon):
+        inp = inputs[k] if k < len(inputs) else inputs[-1]
+        if len(inp.ramp_demands) != len(params.onramp_cells):
+            raise TopologyError(
+                f"input has {len(inp.ramp_demands)} ramp demands, "
+                f"network has {len(params.onramp_cells)} on-ramps"
+            )
+        demand = np.asarray(inp.ramp_demands, dtype=float)
+        if gains is not None:
+            rho = n[:, ca.metered] / ca.metered_lane_length
+            mu = _max(mu + gains * (params.rho_crit - rho), 0.0)
+            plans[:, k] = mu
+        else:
+            mu = plans[:, k]
+
+        # on-ramp inflow
+        e_ramp = _min(q + demand, ca.onramp_xi * (ca.onramp_nbar - n[:, ca.onramps]))
+        rate = np.full_like(e_ramp, math.inf)  # unmetered ramps: no cap
+        rate[:, ca.metered_slots] = mu
+        e_ramp = _max(_min(e_ramp, rate), 0.0)
+        e = np.zeros_like(n)
+        e[:, ca.onramps] = e_ramp
+
+        # mainline outflow: min of sending, saturation, receiving downstream
+        # and the off-ramp-coupled bound, floored at 0
+        blended = ca.alpha * e
+        receiving = (ca.nbar - n - blended) * ca.eta_idling
+        o = _min(ca.send * (n + blended) * ca.eta_moving, ca.obar)
+        o[:, :-1] = _min(o[:, :-1], receiving[:, 1:])
+        o = _max(_min(o, ca.offramp_bound), 0.0)
+
+        # off-ramp outflow
+        s = np.zeros_like(n)
+        s[:, ca.split] = ca.split_ratio * o[:, ca.split]
+        if ca.split_all.size:
+            moving = (n[:, ca.split_all] + blended[:, ca.split_all]) * ca.eta_moving[ca.split_all]
+            s[:, ca.split_all] = _min(ca.split_all_sbar, moving)
+
+        inflow[:, 0] = _max(_min(inp.mainstream_demand, receiving[:, 0]), 0.0)
+        inflow[:, 1:] = o[:, :-1]
+        n_next = n + inflow + e - o - s
+        q_next = q + demand - e_ramp
+        n_low = np.fmin(n_low, n_next)
+        n_high = np.fmax(n_high, n_next)
+        q_low = np.fmin(q_low, q_next)
+
+        # stage cost on the pre-step occupancy
+        tt = cycle_h * (_row_sum(n) + _row_sum(q))
+        td_h = _row_sum((o + s) * ca.length) / td_scale
+        total = total + (tt - gamma * td_h)
+
+        n = _min(_max(n_next, 0.0), ca.nbar)
+        q = _max(q_next, 0.0)
+    failed |= ((n_low < -STATE_TOL) | (n_high > ca.nbar_tol)).any(axis=1)
+    failed |= (q_low < -STATE_TOL).any(axis=1)
+    total[failed] = math.inf
+    return total, plans
 
 
 def density(state: NetworkState, params: NetworkParams) -> tuple[float, ...]:

@@ -22,7 +22,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .actm import ExogenousInput, NetworkParams, NetworkState, rollout
+from .actm import (
+    ExogenousInput,
+    NetworkParams,
+    NetworkState,
+    TopologyError,
+    rollout,
+    rollout_batch,
+)
 from .base_controllers import WarmStart, warm_start_rollout
 from .parallel import (
     CONVENTIONAL,
@@ -142,24 +149,33 @@ def evaluate_candidates(
     """Roll every candidate out on the evaluation model and sum the stage
     costs over the evaluation horizon.
 
-    Candidates shorter than the horizon hold their last rate.  A candidate
-    whose rollout fails is kept with +inf cost so the selector skips it.
+    All candidates are rolled out as one batch; the costs equal
+    :func:`~basepar.actm.rollout`'s bit for bit.  Candidates shorter than the
+    horizon hold their last rate.  A candidate with a negative rate or whose
+    rollout leaves the admissible states is kept with +inf cost so the
+    selector skips it; a plan of the wrong shape raises.
     """
     if not candidates:
         raise ValueError("candidate set must not be empty")
-    costs = []
-    for cand in candidates:
-        try:
-            res = rollout(
-                state, forecast, cand.metering, eval_params, evaluation_horizon, gamma
+    n_ramps = len(eval_params.metered_cells)
+    plans = np.empty((len(candidates), evaluation_horizon, n_ramps))
+    for b, cand in enumerate(candidates):
+        rows = np.asarray(cand.metering, dtype=float)
+        if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] != n_ramps:
+            raise TopologyError(
+                f"candidate {cand.source!r} has a plan of shape {rows.shape}, "
+                f"expected (steps, {n_ramps})"
             )
-            costs.append(res.total_cost)
-        except Exception:
+        plans[b] = rows[np.minimum(np.arange(evaluation_horizon), len(rows) - 1)]
+    costs, _ = rollout_batch(
+        state, forecast, eval_params, evaluation_horizon, gamma, plans=plans
+    )
+    for cand, cost in zip(candidates, costs):
+        if cost == math.inf:
             logger.warning(
                 "evaluation rollout failed for candidate %r; excluding it", cand.source
             )
-            costs.append(math.inf)
-    return EvaluationResult(candidates=tuple(candidates), costs=tuple(costs))
+    return EvaluationResult(candidates=tuple(candidates), costs=tuple(costs.tolist()))
 
 
 def select_best(
@@ -292,7 +308,7 @@ class BaseParallelController:
                 solver_stats.append(
                     (spec.label, res.elapsed_s, res.best.iterations, res.best.converged)
                 )
-                candidates.extend(res.candidates())
+                candidates.extend(res.iterates)
 
         eval_params = cfg.eval_params if cfg.eval_params is not None else cfg.params
         evaluation = evaluate_candidates(

@@ -13,10 +13,16 @@ with its cost, so the solve can be cut off at any time and still return the
 best point seen so far.  Termination within one descent requires both the
 cost change and the step size to fall below their tolerances, mirroring the
 usual NLP solver semantics; the solve as a whole additionally stops when the
-deadline expires (checked before every objective evaluation, so the
-overshoot is bounded by roughly one evaluation) or when the per-start
-iteration cap is reached.  With a zero budget the result degenerates to the
-best starting point by objective value.
+deadline expires or when the per-start iteration cap is reached.  With a
+zero budget the result degenerates to the best starting point by objective
+value.
+
+With the built-in objective, the starts and each finite-difference gradient
+are rolled out as one batch (:func:`~basepar.actm.rollout_batch`), whose
+costs equal the point-by-point ones bit for bit.  The deadline is checked
+before every batch and every line-search evaluation, so the overshoot is
+bounded by one batch.  A substituted ``objective_fn`` is evaluated point by
+point, with the deadline checked before every evaluation.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -35,7 +41,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .actm import ExogenousInput, NetworkParams, NetworkState, rollout, step
+from .actm import (
+    ExogenousInput,
+    ModelConsistencyError,
+    NegativeRateError,
+    NetworkParams,
+    NetworkState,
+    rollout,
+    rollout_batch,
+    step,
+)
 from .base_controllers import WarmStart
 
 __all__ = [
@@ -162,9 +177,6 @@ class BudgetedResult:
     elapsed_s: float
     termination: str
 
-    def candidates(self) -> tuple[CandidateSequence, ...]:
-        return self.iterates
-
 
 # ---------------------------------------------------------------------------
 # Objective
@@ -207,8 +219,10 @@ def _parameterized_trajectory(
 def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
     """Predicted cost of a decision vector over the problem horizon.
 
-    Decisions are clipped into the bounds first.  Model failures surface as
-    +inf (logged) so the solver simply avoids the offending point.
+    Decisions are clipped into the bounds first.  The two failures a plan can
+    cause (a negative rate, a state update out of bounds) surface as +inf
+    (logged) so the solver simply avoids the offending point; any other error
+    propagates.
     """
     x = _clip_decision(problem, decision)
     try:
@@ -225,24 +239,57 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
             value = res.total_cost
         else:
             _, value = _parameterized_trajectory(problem, x)
-    except Exception:
+    except (ModelConsistencyError, NegativeRateError):
         logger.warning("objective evaluation failed for %s; returning +inf", problem.label)
         return math.inf
     return float(value) if math.isfinite(value) else math.inf
+
+
+def _rollout_decisions(
+    problem: MpcProblem, decisions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Costs ``[B]`` and plans ``[B, horizon, ramps]`` of decision rows
+    ``[B, dim]``, clipped into the bounds and rolled out in one batch."""
+    x = np.clip(decisions, problem.bounds_lo, problem.bounds_hi)
+    common = (problem.initial_state, problem.demand_forecast, problem.params,
+              problem.horizon, problem.gamma)
+    if problem.kind == CONVENTIONAL:
+        plans = x.reshape(len(x), problem.horizon, problem.n_ramps)
+        return rollout_batch(*common, plans=plans)
+    return rollout_batch(*common, gains=x, mu_prev=problem.mu_prev)
+
+
+def _objective_batch(problem: MpcProblem, decisions: np.ndarray) -> np.ndarray:
+    """:func:`objective` of every row of ``decisions``, in one batch."""
+    costs, _ = _rollout_decisions(problem, decisions)
+    failed = int(np.count_nonzero(costs == math.inf))
+    if failed:
+        logger.warning(
+            "objective evaluation failed for %s at %d of %d points; returning +inf",
+            problem.label, failed, len(costs),
+        )
+    costs[~np.isfinite(costs)] = math.inf
+    return costs
+
+
+def _plans_batch(
+    problem: MpcProblem, decisions: np.ndarray
+) -> list[tuple[tuple[float, ...], ...]]:
+    """Metering plans of decision rows ``[B, dim]`` (see
+    :func:`decision_to_metering`), derived in one batch."""
+    if problem.kind == CONVENTIONAL:
+        x = np.clip(decisions, problem.bounds_lo, problem.bounds_hi)
+        plans = x.reshape(len(x), problem.horizon, problem.n_ramps)
+    else:
+        _, plans = _rollout_decisions(problem, decisions)
+    return [tuple(tuple(row) for row in plan) for plan in plans.tolist()]
 
 
 def decision_to_metering(
     problem: MpcProblem, decision: Sequence[float]
 ) -> tuple[tuple[float, ...], ...]:
     """Metering plan (horizon x ramps) encoded by a decision vector."""
-    x = _clip_decision(problem, decision)
-    if problem.kind == CONVENTIONAL:
-        return tuple(
-            tuple(float(v) for v in row)
-            for row in x.reshape(problem.horizon, problem.n_ramps)
-        )
-    plan, _ = _parameterized_trajectory(problem, x)
-    return plan
+    return _plans_batch(problem, _clip_decision(problem, decision)[None, :])[0]
 
 
 def fallback_start(problem: MpcProblem) -> np.ndarray:
@@ -347,8 +394,33 @@ def _fd_gradient(
     return g
 
 
+def _fd_gradient_batch(
+    problem: MpcProblem,
+    x: np.ndarray,
+    f0: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    h: float,
+    deadline: Optional[float],
+) -> Optional[np.ndarray]:
+    """:func:`_fd_gradient` of the problem objective with every perturbed
+    point rolled out in one batch; the deadline is checked once, before it."""
+    g = np.zeros_like(x)
+    free = np.flatnonzero(hi - lo != 0.0)
+    if free.size == 0:
+        return g
+    if _expired(deadline):
+        return None
+    steps = np.where(x[free] + h <= hi[free], h, -h)
+    points = np.tile(x, (free.size, 1))
+    points[np.arange(free.size), free] += steps
+    g[free] = (_objective_batch(problem, points) - f0) / steps
+    return g
+
+
 def _descend(
     fun: Callable[[np.ndarray], float],
+    gradient: Callable[[np.ndarray, float], Optional[np.ndarray]],
     x0: np.ndarray,
     f0: float,
     lo: np.ndarray,
@@ -357,7 +429,11 @@ def _descend(
     deadline: Optional[float],
     record: Callable[[np.ndarray, float, int, bool], None],
 ) -> None:
-    """Projected BFGS from one start; every accepted point is recorded."""
+    """Projected BFGS from one start; every accepted point is recorded.
+
+    ``gradient(x, f)`` returns the gradient at ``x`` (whose cost is ``f``),
+    or None when the deadline expired while computing it.
+    """
     n = x0.size
     x, f = x0, f0
     ident = np.eye(n)
@@ -365,7 +441,7 @@ def _descend(
     scaled = False  # curvature-based rescaling applied yet?
     finite = np.isfinite(hi) & np.isfinite(lo)
     box = float(np.max(hi[finite] - lo[finite], initial=1.0))
-    g = _fd_gradient(fun, x, f, lo, hi, cfg.fd_step, deadline)
+    g = gradient(x, f)
     for it in range(1, cfg.max_iterations + 1):
         if g is None or _expired(deadline):
             return
@@ -402,7 +478,7 @@ def _descend(
         record(x_new, f_new, it, converged)
         if converged:
             return
-        g_new = _fd_gradient(fun, x_new, f_new, lo, hi, cfg.fd_step, deadline)
+        g_new = gradient(x_new, f_new)
         if g_new is not None:
             s = step_vec
             y = g_new - g
@@ -436,15 +512,28 @@ def solve_budgeted(
     value) overrides the config budget so several solves can share one
     window.  ``objective_fn`` substitutes the cost function, which the test
     suite uses to drive the solver over closed-form surrogates.
+
+    With the built-in objective the starts and each forward-difference
+    gradient are evaluated as one batched rollout; the line search, whose
+    evaluations depend on each other, calls :func:`objective` point by point.
+    An ``objective_fn`` is called point by point throughout.
     """
     if not starts:
         raise ValueError("at least one starting point is required")
     t0 = time.monotonic()
     if deadline is None and config.budget_s is not None:
         deadline = t0 + config.budget_s
-    fun = objective_fn if objective_fn is not None else (lambda x: objective(problem, x))
     lo = np.asarray(problem.bounds_lo, dtype=float)
     hi = np.asarray(problem.bounds_hi, dtype=float)
+    h = config.fd_step
+    if objective_fn is None:
+        fun = lambda x: objective(problem, x)
+        fun_all = lambda xs: _objective_batch(problem, np.array(xs)).tolist()
+        gradient = lambda x, f: _fd_gradient_batch(problem, x, f, lo, hi, h, deadline)
+    else:
+        fun = objective_fn
+        fun_all = lambda xs: [fun(x) for x in xs]
+        gradient = lambda x, f: _fd_gradient(fun, x, f, lo, hi, h, deadline)
 
     recorded: list[tuple[np.ndarray, float, int, float, bool]] = []
 
@@ -452,7 +541,7 @@ def solve_budgeted(
         recorded.append((x.copy(), f, iterations, time.monotonic() - t0, converged))
 
     xs = [_clip_decision(problem, s) for s in starts]
-    fs = [fun(x) for x in xs]
+    fs = fun_all(xs)
     for x, f in zip(xs, fs):
         record(x, f, 0, False)
 
@@ -461,14 +550,17 @@ def solve_budgeted(
             break
         if not math.isfinite(f):
             continue
-        _descend(fun, x, f, lo, hi, config, deadline, record)
+        _descend(fun, gradient, x, f, lo, hi, config, deadline, record)
 
     best_idx = min(range(len(recorded)), key=lambda i: (recorded[i][1], i))
-
-    def to_candidate(item: tuple) -> CandidateSequence:
-        x, f, iters, elapsed, converged = item
-        return CandidateSequence(
-            metering=decision_to_metering(problem, x),
+    if config.termination == "all":
+        kept = recorded
+    else:
+        kept, best_idx = [recorded[best_idx]], 0
+    plans = _plans_batch(problem, np.array([item[0] for item in kept]))
+    iterates = tuple(
+        CandidateSequence(
+            metering=plan,
             source=problem.label,
             cost=float(f),
             decision=tuple(float(v) for v in x),
@@ -476,14 +568,10 @@ def solve_budgeted(
             elapsed_s=elapsed,
             converged=converged,
         )
-
-    best = to_candidate(recorded[best_idx])
-    if config.termination == "all":
-        iterates = tuple(to_candidate(item) for item in recorded)
-    else:
-        iterates = (best,)
+        for plan, (x, f, iters, elapsed, converged) in zip(plans, kept)
+    )
     return BudgetedResult(
-        best=best,
+        best=iterates[best_idx],
         iterates=iterates,
         cost_trail=tuple(item[1] for item in recorded),
         elapsed_s=time.monotonic() - t0,

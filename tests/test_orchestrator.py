@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NetworkState
+from basepar.actm import ExogenousInput, NetworkState, TopologyError, rollout
 from basepar.base_controllers import ExplicitAlineaController
 from basepar.orchestrator import (
     ArchitectureConfig,
@@ -121,6 +121,25 @@ class TestEvaluateCandidates:
         assert math.isinf(ev.costs[0]) and math.isfinite(ev.costs[1])
         winner, _ = select_best(ev)
         assert winner == 1
+
+    def test_wrong_ramp_count_raises(self):
+        good = CandidateSequence(metering=plan((0.5, 0.2, 0.4)), source="good", cost=0.0)
+        short = CandidateSequence(metering=plan((0.5, 0.2)), source="short", cost=0.0)
+        with pytest.raises(TopologyError):
+            evaluate_candidates([good, short], NET, STATE, (MEASURED,), 2, 0.8)
+
+    def test_costs_equal_scalar_rollout_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        cands = [
+            CandidateSequence(
+                metering=plan(*rng.uniform(0, 8, size=(int(rng.integers(1, 6)), 3))),
+                source=f"c{i}", cost=0.0,
+            )
+            for i in range(12)
+        ]
+        ev = evaluate_candidates(cands, NET, STATE, (MEASURED,), 3, 0.8)
+        want = [rollout(STATE, (MEASURED,), c.metering, NET, 3, 0.8).total_cost for c in cands]
+        assert list(ev.costs) == want
 
     def test_empty_candidate_set_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NetworkState
+from basepar.actm import ExogenousInput, NetworkState, TopologyError
 from basepar.base_controllers import ExplicitAlineaController, warm_start_rollout
 from basepar.parallel import (
     CONVENTIONAL,
@@ -11,6 +12,7 @@ from basepar.parallel import (
     MpcProblem,
     OptimizerConfig,
     _fd_gradient,
+    _fd_gradient_batch,
     base_start_for,
     decision_to_metering,
     fallback_start,
@@ -208,6 +210,46 @@ class TestSolver:
             g_ctr = central_difference(fun, x, h=1e-6)
             scale = max(1e-6, float(np.max(np.abs(g_ctr))))
             assert np.max(np.abs(g_fwd - g_ctr)) / scale < 1e-4
+
+    def test_batched_gradient_equals_scalar_gradient(self):
+        rng = np.random.default_rng(53)
+        for i in range(12):
+            kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
+            problem = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 11)))
+            lo = np.asarray(problem.bounds_lo)
+            hi = np.asarray(problem.bounds_hi).copy()
+            fixed = rng.random(problem.decision_dim) < 0.3
+            fixed[0], fixed[-1] = False, True
+            hi[fixed] = lo[fixed]  # lo == hi: the coordinate cannot move
+            problem = replace(problem, bounds_hi=tuple(hi))
+            fun = lambda x: objective(problem, x)
+            x = rng.uniform(lo, hi)
+            upper = rng.random(x.size) < 0.3
+            upper[0] = True  # on the upper bound: the step goes backward
+            x[upper] = hi[upper]
+            f0 = fun(x)
+            want = _fd_gradient(fun, x, f0, lo, hi, 1e-6, None)
+            got = _fd_gradient_batch(problem, x, f0, lo, hi, 1e-6, None)
+            assert got.tolist() == want.tolist()
+            assert not got[fixed].any()
+
+    def test_batched_gradient_stops_at_deadline(self):
+        rng = np.random.default_rng(59)
+        problem = make_problem(rng, horizon=3)
+        lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
+        x = np.full(problem.decision_dim, 1.0)
+        expired = time.monotonic() - 1.0
+        assert _fd_gradient_batch(problem, x, objective(problem, x), lo, hi, 1e-6, expired) is None
+
+    def test_model_errors_other_than_plan_failures_propagate(self):
+        rng = np.random.default_rng(61)
+        problem = make_problem(rng, horizon=2)
+        bad = replace(problem, initial_state=NetworkState(n=(1.0,) * 5, q=(0.0,) * 3))
+        x = np.ones(problem.decision_dim)
+        with pytest.raises(TopologyError):
+            objective(bad, x)
+        with pytest.raises(TopologyError):
+            solve_budgeted(bad, [x], OptimizerConfig(budget_s=None, max_iterations=2))
 
     def test_budget_compliance_with_slow_objective(self):
         eval_time = 0.02

@@ -7,14 +7,21 @@ inside the consistency envelope ``eta_idling + xi <= 1``, under which the
 receiving term plus the ramp-supply share can never overfill a cell.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from basepar.actm import (
     CellParams,
     ExogenousInput,
+    ModelConsistencyError,
+    NegativeRateError,
     NetworkParams,
     NetworkState,
+    TopologyError,
+    rollout,
+    rollout_batch,
     step,
 )
 from basepar.base_controllers import ExplicitAlineaController, warm_start_rollout
@@ -24,7 +31,15 @@ from basepar.orchestrator import (
     ParallelCell,
     ParallelControllerSpec,
 )
-from basepar.parallel import CONVENTIONAL, MpcProblem, OptimizerConfig, objective, solve_budgeted
+from basepar.parallel import (
+    CONVENTIONAL,
+    PARAMETERIZED,
+    MpcProblem,
+    OptimizerConfig,
+    _parameterized_trajectory,
+    objective,
+    solve_budgeted,
+)
 
 from oracles import oracle_rollout_cost
 
@@ -83,6 +98,16 @@ def random_input(rng, net):
 
 def random_metering(rng, net):
     return tuple(float(rng.uniform(0, 10)) for _ in net.metered_cells)
+
+
+def overfilling(net):
+    """The same topology outside the consistency envelope: the ramp share
+    plus the receiving term can overfill a cell, so rollouts can fail."""
+    cells = tuple(
+        replace(c, xi=1.0, eta_idling=1.0, blend_alpha=0.0, sat_mainline_obar=40.0)
+        for c in net.cells
+    )
+    return replace(net, cells=cells)
 
 
 class TestRandomTopologies:
@@ -249,3 +274,84 @@ class TestRandomTopologies:
             assert len(warm.states) == horizon + 1
             assert all(all(m >= 0.0 for m in row) for row in warm.mu)
             checked += 1
+
+
+class TestBatchedRollout:
+    """``rollout_batch`` against the scalar objective, compared with ``==``."""
+
+    def scalar_failure(self, problem, x):
+        """The exception the scalar model raises for decision ``x``, if any."""
+        x = np.clip(x, problem.bounds_lo, problem.bounds_hi)
+        try:
+            if problem.kind == CONVENTIONAL:
+                rollout(problem.initial_state, problem.demand_forecast,
+                        x.reshape(problem.horizon, -1).tolist(), problem.params,
+                        problem.horizon, problem.gamma)
+            else:
+                _parameterized_trajectory(problem, x)
+        except (ModelConsistencyError, NegativeRateError) as exc:
+            return type(exc)
+        return None
+
+    def test_costs_equal_scalar_objective_bit_for_bit(self):
+        rng = np.random.default_rng(241)
+        rows = {CONVENTIONAL: 0, PARAMETERIZED: 0}
+        failures = {ModelConsistencyError: 0, NegativeRateError: 0}
+        horizons = set()
+        trial = 0
+        while trial < 60:
+            net = random_network(rng, allow_beta_one=True)
+            if not net.metered_cells:
+                continue
+            if trial % 3 == 0:
+                net = overfilling(net)
+            horizon = 1 + trial % 10
+            nr = len(net.metered_cells)
+            state = random_state(rng, net)
+            forecast = tuple(random_input(rng, net) for _ in range(int(rng.integers(1, 4))))
+            mu_prev = tuple(float(v) for v in rng.uniform(0, 3, size=nr))
+            for kind in (CONVENTIONAL, PARAMETERIZED):
+                dim = nr * horizon if kind == CONVENTIONAL else nr
+                lo, hi = (-1.0, 10.0) if kind == CONVENTIONAL else (-2.0, 4.0)
+                problem = MpcProblem(
+                    kind=kind, horizon=horizon, params=net, initial_state=state,
+                    demand_forecast=forecast, mu_prev=mu_prev,
+                    bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim, gamma=0.8, label="R",
+                )
+                xs = rng.uniform(lo, hi, size=(8, dim))
+                if kind == CONVENTIONAL:
+                    got, plans = rollout_batch(
+                        state, forecast, net, horizon, 0.8,
+                        plans=xs.reshape(8, horizon, nr),
+                    )
+                else:
+                    got, plans = rollout_batch(
+                        state, forecast, net, horizon, 0.8, gains=xs, mu_prev=mu_prev,
+                    )
+                    for x, plan in zip(xs, plans.tolist()):
+                        if self.scalar_failure(problem, x) is None:
+                            want_plan, _ = _parameterized_trajectory(problem, x)
+                            assert plan == [list(row) for row in want_plan]
+                assert got.tolist() == [objective(problem, x) for x in xs]
+                for x in xs:
+                    failure = self.scalar_failure(problem, x)
+                    if failure is not None:
+                        failures[failure] += 1
+                rows[kind] += len(xs)
+            horizons.add(horizon)
+            trial += 1
+        assert horizons == set(range(1, 11))
+        assert min(rows.values()) >= 400
+        # rows that must come out +inf, for each reason the scalar model raises
+        assert min(failures.values()) >= 10, failures
+
+    def test_wrong_ramp_count_raises(self):
+        rng = np.random.default_rng(251)
+        net = random_network(rng)
+        while not net.metered_cells:
+            net = random_network(rng)
+        nr = len(net.metered_cells)
+        state = random_state(rng, net)
+        with pytest.raises(TopologyError):
+            rollout_batch(state, (random_input(rng, net),), net, 2, 0.8,
+                          plans=np.ones((3, 2, nr + 1)))
