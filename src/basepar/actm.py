@@ -77,7 +77,7 @@ class ModelConsistencyError(RuntimeError):
 
 
 class NegativeRateError(ValueError):
-    """A metering plan holds a negative rate."""
+    """A metering plan holds a negative or NaN rate."""
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,8 @@ def _metering_by_cell(
             f"network has {len(params.metered_cells)} metered ramps"
         )
     for m in metering:
-        if m < 0:
-            raise NegativeRateError("metering rates must be nonnegative")
+        if not m >= 0:  # NaN fails too: min(inflow, NaN) would leave the ramp unmetered
+            raise NegativeRateError("metering rates must be nonnegative numbers")
     return dict(zip(params.metered_cells, metering))
 
 
@@ -552,9 +552,10 @@ def rollout_batch(
 
     Every float operation is that of :func:`step`, in the same order, so each
     cost equals ``rollout(...).total_cost`` bit for bit.  Where the scalar
-    model raises for a plan (a negative rate, :class:`NegativeRateError`; a
-    state update out of bounds, :class:`ModelConsistencyError`) that row's
-    cost is +inf instead.  The initial state is validated once.
+    model raises for a plan (a negative or NaN rate,
+    :class:`NegativeRateError`; a state update out of bounds,
+    :class:`ModelConsistencyError`) that row's cost is +inf instead.  The
+    initial state is validated once.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -576,7 +577,7 @@ def rollout_batch(
                 f"plans have {plans.shape[2]} rates per step, "
                 f"network has {n_ramps} metered ramps"
             )
-        failed = (plans < 0).any(axis=(1, 2))
+        failed = ~(plans >= 0).all(axis=(1, 2))
     else:
         gains = np.asarray(gains, dtype=float)
         if gains.ndim != 2 or mu_prev is None:
@@ -611,6 +612,7 @@ def rollout_batch(
         if gains is not None:
             rho = n[:, ca.metered] / ca.metered_lane_length
             mu = _max(mu + gains * (params.rho_crit - rho), 0.0)
+            failed |= ~(mu >= 0).all(axis=1)  # NaN rates
             plans[:, k] = mu
         else:
             mu = plans[:, k]

@@ -7,22 +7,26 @@ over the window, from which the rates are derived step by step along the
 predicted trajectory.
 
 The solver is a projected quasi-Newton descent with finite-difference
-gradients and a backtracking line search, run sequentially from every
-supplied starting point.  Every start and every accepted iterate is recorded
-with its cost, so the solve can be cut off at any time and still return the
-best point seen so far.  Termination within one descent requires both the
-cost change and the step size to fall below their tolerances, mirroring the
-usual NLP solver semantics; the solve as a whole additionally stops when the
-deadline expires or when the per-start iteration cap is reached.  With a
-zero budget the result degenerates to the best starting point by objective
-value.
+gradients and a backtracking line search, run from every supplied starting
+point.  Every start and every accepted iterate is recorded with its cost, so
+the solve can be cut off at any time and still return the best point seen so
+far.  Termination within one descent requires both the cost change and the
+step size to fall below their tolerances, mirroring the usual NLP solver
+semantics; the solve as a whole additionally stops when the deadline expires
+or when the per-start iteration cap is reached.  With a zero budget the
+result degenerates to the best starting point by objective value.
 
-With the built-in objective, the starts and each finite-difference gradient
-are rolled out as one batch (:func:`~basepar.actm.rollout_batch`), whose
-costs equal the point-by-point ones bit for bit.  The deadline is checked
-before every batch and every line-search evaluation, so the overshoot is
-bounded by one batch.  A substituted ``objective_fn`` is evaluated point by
-point, with the deadline checked before every evaluation.
+Each descent is a coroutine that requests the decision rows it needs costed:
+one forward-difference gradient, or one whole line search (every step length
+up to the first that does not move, the first passing the Armijo test being
+accepted).  The descents from all starts run in lockstep, and with the
+built-in objective each round's requests are rolled out as one batch
+(:func:`~basepar.actm.rollout_batch`), whose costs equal the point-by-point
+ones bit for bit.  The deadline is checked before every round, so the
+overshoot is bounded by one merged batch.  Records are listed start by start
+as a sequential solver lists them, so results do not depend on the
+interleaving.  A substituted ``objective_fn`` is evaluated point by point,
+with the deadline checked before every point.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -37,7 +41,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Generator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -220,9 +225,9 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
     """Predicted cost of a decision vector over the problem horizon.
 
     Decisions are clipped into the bounds first.  The two failures a plan can
-    cause (a negative rate, a state update out of bounds) surface as +inf
-    (logged) so the solver simply avoids the offending point; any other error
-    propagates.
+    cause (a negative or NaN rate, a state update out of bounds) surface as
+    +inf (logged) so the solver simply avoids the offending point; any other
+    error propagates.
     """
     x = _clip_decision(problem, decision)
     try:
@@ -370,6 +375,81 @@ def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
+# A coroutine that yields decision rows ``[k, dim]`` to be evaluated, is sent
+# their costs ``[k]`` back, and finally returns its result.
+T = TypeVar("T")
+Evaluation = Generator[np.ndarray, np.ndarray, T]
+
+# backtracking step lengths 1, 1/2, ..., exactly as repeated halving gives them
+_STEP_LENGTHS = 0.5 ** np.arange(30)
+
+
+def _lockstep(
+    coroutines: Sequence[Evaluation],
+    evaluate: Callable[[np.ndarray], Optional[np.ndarray]],
+    deadline: Optional[float],
+) -> list:
+    """Run evaluation coroutines side by side and return what each returned.
+
+    Each round concatenates the rows every live coroutine has requested into
+    one ``evaluate`` call and sends each coroutine its share of the costs.
+    The deadline is checked before every round; once it has expired, or
+    ``evaluate`` returns None, the coroutines still running are abandoned
+    and their results are None.
+    """
+    results: list = [None] * len(coroutines)
+    live = []
+
+    def advance(i: int, coroutine: Evaluation, costs: Optional[np.ndarray]) -> None:
+        try:
+            rows = next(coroutine) if costs is None else coroutine.send(costs)
+        except StopIteration as stop:
+            results[i] = stop.value
+        else:
+            live.append((i, coroutine, rows))
+
+    for i, coroutine in enumerate(coroutines):
+        advance(i, coroutine, None)
+    while live and not _expired(deadline):
+        costs = evaluate(np.concatenate([rows for _, _, rows in live]))
+        if costs is None:
+            break
+        pending, live, at = live, [], 0
+        for i, coroutine, rows in pending:
+            advance(i, coroutine, costs[at:at + len(rows)])
+            at += len(rows)
+    return results
+
+
+def _evaluate_each(
+    fun: Callable[[np.ndarray], float], rows: np.ndarray, deadline: Optional[float]
+) -> Optional[np.ndarray]:
+    """``fun`` of every row, the deadline checked before each; None once it
+    has expired."""
+    costs = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        if _expired(deadline):
+            return None
+        costs[i] = fun(row)
+    return costs
+
+
+def _gradient_request(
+    x: np.ndarray, f: float, lo: np.ndarray, hi: np.ndarray, h: float
+) -> Evaluation[np.ndarray]:
+    """Forward-difference gradient at ``x`` (whose cost is ``f``), stepping
+    backward off upper bounds; coordinates with ``lo == hi`` get 0 and no
+    evaluation."""
+    g = np.zeros_like(x)
+    free = np.flatnonzero(hi - lo != 0.0)
+    if free.size:
+        steps = np.where(x[free] + h <= hi[free], h, -h)
+        points = np.tile(x, (free.size, 1))
+        points[np.arange(free.size), free] += steps
+        g[free] = ((yield points) - f) / steps
+    return g
+
+
 def _fd_gradient(
     fun: Callable[[np.ndarray], float],
     x: np.ndarray,
@@ -379,60 +459,52 @@ def _fd_gradient(
     h: float,
     deadline: Optional[float],
 ) -> Optional[np.ndarray]:
-    """Forward differences, stepping backward off upper bounds; None when the
-    deadline expires mid-computation."""
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        if hi[j] - lo[j] == 0.0:
-            continue
-        if _expired(deadline):
-            return None
-        hj = h if x[j] + h <= hi[j] else -h
-        xj = x.copy()
-        xj[j] += hj
-        g[j] = (fun(xj) - f0) / hj
-    return g
+    """The solver's forward-difference gradient of ``fun``, evaluated point
+    by point; None when the deadline expires mid-computation."""
+    evaluate = lambda rows: _evaluate_each(fun, rows, deadline)
+    return _lockstep([_gradient_request(x, f0, lo, hi, h)], evaluate, deadline)[0]
 
 
-def _fd_gradient_batch(
-    problem: MpcProblem,
+def _line_search(
     x: np.ndarray,
-    f0: float,
+    f: float,
+    g: np.ndarray,
+    direction: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    h: float,
-    deadline: Optional[float],
-) -> Optional[np.ndarray]:
-    """:func:`_fd_gradient` of the problem objective with every perturbed
-    point rolled out in one batch; the deadline is checked once, before it."""
-    g = np.zeros_like(x)
-    free = np.flatnonzero(hi - lo != 0.0)
-    if free.size == 0:
-        return g
-    if _expired(deadline):
+) -> Evaluation[Optional[tuple[np.ndarray, float, np.ndarray]]]:
+    """Backtracking projected line search along ``direction``.
+
+    The step lengths ``1, 1/2, ...`` (30 at most) are tried up to the first
+    whose clipped step is zero, all in one request, and the first that
+    passes the Armijo test is accepted.  Returns the accepted point, its cost
+    and the step taken, or None.
+    """
+    points = np.clip(x + _STEP_LENGTHS[:, None] * direction, lo, hi)
+    moves = points - x
+    moving = moves.any(axis=1)
+    tried = len(moving) if moving.all() else int(np.argmin(moving))
+    if tried == 0:
         return None
-    steps = np.where(x[free] + h <= hi[free], h, -h)
-    points = np.tile(x, (free.size, 1))
-    points[np.arange(free.size), free] += steps
-    g[free] = (_objective_batch(problem, points) - f0) / steps
-    return g
+    costs = yield points[:tried]
+    for i, cost in enumerate(costs):
+        if math.isfinite(cost) and cost <= f + 1e-4 * min(0.0, float(g @ moves[i])):
+            return points[i], float(cost), moves[i]
+    return None
 
 
-def _descend(
-    fun: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray, float], Optional[np.ndarray]],
+def _descent(
     x0: np.ndarray,
     f0: float,
     lo: np.ndarray,
     hi: np.ndarray,
     cfg: OptimizerConfig,
-    deadline: Optional[float],
     record: Callable[[np.ndarray, float, int, bool], None],
-) -> None:
+) -> Evaluation[None]:
     """Projected BFGS from one start; every accepted point is recorded.
 
-    ``gradient(x, f)`` returns the gradient at ``x`` (whose cost is ``f``),
-    or None when the deadline expired while computing it.
+    Each request is one forward-difference gradient or one whole line search.
+    An abandoned descent keeps the points it has recorded.
     """
     n = x0.size
     x, f = x0, f0
@@ -441,10 +513,8 @@ def _descend(
     scaled = False  # curvature-based rescaling applied yet?
     finite = np.isfinite(hi) & np.isfinite(lo)
     box = float(np.max(hi[finite] - lo[finite], initial=1.0))
-    g = gradient(x, f)
+    g = yield from _gradient_request(x, f, lo, hi, cfg.fd_step)
     for it in range(1, cfg.max_iterations + 1):
-        if g is None or _expired(deadline):
-            return
         direction = -h_inv @ g
         if float(direction @ g) >= 0.0:
             h_inv = ident.copy()
@@ -456,43 +526,30 @@ def _descend(
             norm = float(np.max(np.abs(direction)))
             if norm > 0.0:
                 direction = direction * (0.1 * box / norm)
-        alpha = 1.0
-        accepted = False
-        for _ in range(30):
-            if _expired(deadline):
-                return
-            x_new = np.clip(x + alpha * direction, lo, hi)
-            step_vec = x_new - x
-            if not step_vec.any():
-                break
-            f_new = fun(x_new)
-            if math.isfinite(f_new) and f_new <= f + 1e-4 * min(0.0, float(g @ step_vec)):
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        accepted = yield from _line_search(x, f, g, direction, lo, hi)
+        if accepted is None:
             return
+        x_new, f_new, step_vec = accepted
         df = f - f_new
         dx = float(np.max(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)
         record(x_new, f_new, it, converged)
-        if converged:
+        if converged or it == cfg.max_iterations:
             return
-        g_new = gradient(x_new, f_new)
-        if g_new is not None:
-            s = step_vec
-            y = g_new - g
-            sy = float(s @ y)
-            if sy > 1e-12:
-                if not scaled:
-                    h_inv = (sy / max(float(y @ y), 1e-300)) * ident
-                    scaled = True
-                rho = 1.0 / sy
-                left = ident - rho * np.outer(s, y)
-                h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
-            else:
-                h_inv = ident.copy()
-                scaled = False
+        g_new = yield from _gradient_request(x_new, f_new, lo, hi, cfg.fd_step)
+        s = step_vec
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12:
+            if not scaled:
+                h_inv = (sy / max(float(y @ y), 1e-300)) * ident
+                scaled = True
+            rho = 1.0 / sy
+            left = ident - rho * np.outer(s, y)
+            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
+        else:
+            h_inv = ident.copy()
+            scaled = False
         x, f, g = x_new, f_new, g_new
 
 
@@ -507,16 +564,22 @@ def solve_budgeted(
 
     All starts are clipped into the bounds and evaluated up front (this
     defines the zero-budget result and guarantees the solver never returns
-    worse than a provided start); the descents then run sequentially until
-    the shared deadline expires.  An explicit ``deadline`` (monotonic-clock
-    value) overrides the config budget so several solves can share one
-    window.  ``objective_fn`` substitutes the cost function, which the test
-    suite uses to drive the solver over closed-form surrogates.
+    worse than a provided start).  The descents from all finite starts then
+    run in lockstep until they finish or the deadline expires: each round
+    evaluates the requests of every live descent together, each request
+    being one forward-difference gradient or one whole line search.  An
+    explicit ``deadline`` (monotonic-clock value) overrides the config budget
+    so several solves can share one window.
 
-    With the built-in objective the starts and each forward-difference
-    gradient are evaluated as one batched rollout; the line search, whose
-    evaluations depend on each other, calls :func:`objective` point by point.
-    An ``objective_fn`` is called point by point throughout.
+    With the built-in objective each round is one batched rollout, and the
+    deadline is checked before every round, so the solve overshoots it by at
+    most one round's batch.  ``objective_fn`` substitutes the cost function,
+    which the test suite uses to drive the solver over closed-form
+    surrogates; it is called point by point with the deadline checked before
+    every point.
+
+    Records are listed as a sequential solver would list them: the starts,
+    then each descent's accepted points, descent by descent in start order.
     """
     if not starts:
         raise ValueError("at least one starting point is required")
@@ -525,32 +588,32 @@ def solve_budgeted(
         deadline = t0 + config.budget_s
     lo = np.asarray(problem.bounds_lo, dtype=float)
     hi = np.asarray(problem.bounds_hi, dtype=float)
-    h = config.fd_step
+    xs = np.array([_clip_decision(problem, s) for s in starts])
     if objective_fn is None:
-        fun = lambda x: objective(problem, x)
-        fun_all = lambda xs: _objective_batch(problem, np.array(xs)).tolist()
-        gradient = lambda x, f: _fd_gradient_batch(problem, x, f, lo, hi, h, deadline)
+        evaluate = partial(_objective_batch, problem)
+        fs = evaluate(xs)
     else:
-        fun = objective_fn
-        fun_all = lambda xs: [fun(x) for x in xs]
-        gradient = lambda x, f: _fd_gradient(fun, x, f, lo, hi, h, deadline)
+        evaluate = lambda rows: _evaluate_each(objective_fn, rows, deadline)
+        fs = _evaluate_each(objective_fn, xs, None)
+
+    def recorder(into: list) -> Callable[[np.ndarray, float, int, bool], None]:
+        return lambda x, f, iterations, converged: into.append(
+            (x.copy(), float(f), iterations, time.monotonic() - t0, converged)
+        )
 
     recorded: list[tuple[np.ndarray, float, int, float, bool]] = []
-
-    def record(x: np.ndarray, f: float, iterations: int, converged: bool) -> None:
-        recorded.append((x.copy(), f, iterations, time.monotonic() - t0, converged))
-
-    xs = [_clip_decision(problem, s) for s in starts]
-    fs = fun_all(xs)
+    record_start = recorder(recorded)
     for x, f in zip(xs, fs):
-        record(x, f, 0, False)
-
+        record_start(x, f, 0, False)
+    trails: list[list] = []
+    descents = []
     for x, f in zip(xs, fs):
-        if _expired(deadline):
-            break
-        if not math.isfinite(f):
-            continue
-        _descend(fun, gradient, x, f, lo, hi, config, deadline, record)
+        if math.isfinite(f):
+            trails.append([])
+            descents.append(_descent(x, float(f), lo, hi, config, recorder(trails[-1])))
+    _lockstep(descents, evaluate, deadline)
+    for trail in trails:
+        recorded.extend(trail)
 
     best_idx = min(range(len(recorded)), key=lambda i: (recorded[i][1], i))
     if config.termination == "all":

@@ -5,6 +5,7 @@ from basepar.actm import (
     CellParams,
     ExogenousInput,
     ModelConsistencyError,
+    NegativeRateError,
     NetworkParams,
     NetworkState,
     TopologyError,
@@ -57,6 +58,12 @@ class TestOnrampInflow:
     def test_metering_dimension_mismatch(self, net, init_state):
         with pytest.raises(TopologyError):
             compute_onramp_inflow(init_state, demand(), (0.5, 0.2), net)
+
+    def test_negative_or_nan_rate_rejected(self, net, init_state):
+        # a NaN rate must not read as "unmetered": min(inflow, NaN) keeps the inflow
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(NegativeRateError):
+                compute_onramp_inflow(init_state, demand(), (0.5, bad, 0.4), net)
 
     def test_monotone_in_metering(self, net, init_state):
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
+import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from basepar.parallel import (
     MpcProblem,
     OptimizerConfig,
     _fd_gradient,
-    _fd_gradient_batch,
+    _gradient_request,
+    _lockstep,
+    _objective_batch,
     base_start_for,
     decision_to_metering,
     fallback_start,
@@ -105,6 +109,22 @@ class TestObjective:
         )
         expected = NET.sample_cycle_s / 3600.0 * (sum(state.n) + sum(state.q))
         assert objective(problem, rng.uniform(0, 8, size=3)) == pytest.approx(expected)
+
+    def test_nan_rate_costs_inf(self):
+        # np.clip keeps NaN, so a NaN decision reaches the model; it must be
+        # rejected like a negative rate rather than leave its ramp unmetered
+        rng = np.random.default_rng(19)
+        for kind in (CONVENTIONAL, PARAMETERIZED):
+            problem = make_problem(rng, kind=kind, horizon=3)
+            x = np.full(problem.decision_dim, 0.5)
+            one_nan = x.copy()
+            one_nan[-1] = math.nan
+            all_nan = np.full(problem.decision_dim, math.nan)
+            assert math.isfinite(objective(problem, x))
+            assert objective(problem, one_nan) == math.inf
+            assert objective(problem, all_nan) == math.inf
+            costs = _objective_batch(problem, np.array([x, one_nan, all_nan]))
+            assert costs.tolist() == [objective(problem, x), math.inf, math.inf]
 
     def test_dimension_check(self):
         rng = np.random.default_rng(1)
@@ -212,7 +232,11 @@ class TestSolver:
             assert np.max(np.abs(g_fwd - g_ctr)) / scale < 1e-4
 
     def test_batched_gradient_equals_scalar_gradient(self):
+        # the solver's gradient request, evaluated point by point and in one
+        # batch, against forward differences built here coordinate by
+        # coordinate (a backward step where a forward one leaves the box)
         rng = np.random.default_rng(53)
+        h = 1e-6
         for i in range(12):
             kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
             problem = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 11)))
@@ -228,10 +252,17 @@ class TestSolver:
             upper[0] = True  # on the upper bound: the step goes backward
             x[upper] = hi[upper]
             f0 = fun(x)
-            want = _fd_gradient(fun, x, f0, lo, hi, 1e-6, None)
-            got = _fd_gradient_batch(problem, x, f0, lo, hi, 1e-6, None)
-            assert got.tolist() == want.tolist()
-            assert not got[fixed].any()
+            want = np.zeros(x.size)
+            for j in np.flatnonzero(~fixed):
+                s = h if x[j] + h <= hi[j] else -h
+                point = x.copy()
+                point[j] += s
+                want[j] = (fun(point) - f0) / s
+            scalar = _fd_gradient(fun, x, f0, lo, hi, h, None)
+            request = _gradient_request(x, f0, lo, hi, h)
+            batched = _lockstep([request], partial(_objective_batch, problem), None)[0]
+            assert scalar.tolist() == want.tolist()
+            assert batched.tolist() == want.tolist()
 
     def test_batched_gradient_stops_at_deadline(self):
         rng = np.random.default_rng(59)
@@ -239,7 +270,30 @@ class TestSolver:
         lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
         x = np.full(problem.decision_dim, 1.0)
         expired = time.monotonic() - 1.0
-        assert _fd_gradient_batch(problem, x, objective(problem, x), lo, hi, 1e-6, expired) is None
+        request = _gradient_request(x, objective(problem, x), lo, hi, 1e-6)
+        assert _lockstep([request], partial(_objective_batch, problem), expired) == [None]
+
+    def test_lockstep_descents_equal_single_start_solves(self):
+        # the descents of a multi-start solve run in lockstep, one merged batch
+        # per round; each must still produce exactly its single-start trail
+        rng = np.random.default_rng(67)
+        for i in range(8):
+            kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
+            problem = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 6)))
+            lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
+            starts = [rng.uniform(lo, hi) for _ in range(int(rng.integers(2, 5)))]
+            cfg = OptimizerConfig(budget_s=None, max_iterations=15, termination="all")
+            multi = solve_budgeted(problem, starts, cfg)
+            singles = [solve_budgeted(problem, [s], cfg) for s in starts]
+            want_trail = [r.cost_trail[0] for r in singles]
+            want_iterates = [r.iterates[0] for r in singles]
+            for r in singles:
+                want_trail.extend(r.cost_trail[1:])
+                want_iterates.extend(r.iterates[1:])
+            assert multi.cost_trail == tuple(want_trail)
+            assert [c.decision for c in multi.iterates] == [c.decision for c in want_iterates]
+            first_best = min(range(len(want_trail)), key=lambda k: (want_trail[k], k))
+            assert multi.best.decision == want_iterates[first_best].decision
 
     def test_model_errors_other_than_plan_failures_propagate(self):
         rng = np.random.default_rng(61)
