@@ -46,6 +46,7 @@ from .parallel import (
     make_shift_warm_starts,
     objective,
     run_parallel_cell,
+    run_parallel_cells,
     solve_budgeted,
 )
 from .scenario import (

@@ -539,23 +539,30 @@ def rollout_batch(
     plans: Optional[np.ndarray] = None,
     gains: Optional[np.ndarray] = None,
     mu_prev: Optional[Sequence[float]] = None,
+    gain_rows: Optional[np.ndarray] = None,
+    horizons: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total cost of many plans from one initial state, rolled side by side.
 
-    Pass either metering ``plans`` of shape ``[B, horizon, ramps]``, or
-    feedback ``gains`` of shape ``[B, ramps]`` with the rates ``mu_prev``
-    applied before the window; each step then meters at
+    A row is either a metering plan, a row of ``plans`` ``[B, horizon,
+    ramps]``, or feedback gains, a row of ``gains`` ``[B, ramps]``: from the
+    rates ``mu_prev`` applied before the window, each step then meters at
     ``max(mu_prev + gain * (rho_crit - rho), 0)`` on the predicted density.
-    ``inputs`` shorter than the horizon hold their last entry.  Returns the
-    costs ``[B]`` and the plans ``[B, horizon, ramps]`` (the derived ones for
-    gains).
+    Pass ``plans`` or ``gains`` alone for rows of one kind, or both with the
+    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  ``horizons``
+    ``[B]`` gives each row its own horizon, at most ``horizon`` (default:
+    ``horizon`` for every row); a row is rolled out over its own horizon
+    only, and whatever a plan holds past it is never read.  ``inputs``
+    shorter than a horizon hold their last entry.  Returns the costs ``[B]``
+    and the plans ``[B, horizon, ramps]``: as given, with the derived rates
+    written into the gain rows over their horizon.
 
     Every float operation is that of :func:`step`, in the same order, so each
-    cost equals ``rollout(...).total_cost`` bit for bit.  Where the scalar
-    model raises for a plan (a negative or NaN rate,
-    :class:`NegativeRateError`; a state update out of bounds,
-    :class:`ModelConsistencyError`) that row's cost is +inf instead.  The
-    initial state is validated once.
+    cost equals ``rollout(...).total_cost`` over the row's horizon bit for
+    bit.  Where the scalar model raises for a plan within that horizon (a
+    negative or NaN rate, :class:`NegativeRateError`; a state update out of
+    bounds, :class:`ModelConsistencyError`) that row's cost is +inf instead.
+    The initial state is validated once.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -563,45 +570,70 @@ def rollout_batch(
         raise ValueError("at least one exogenous input is required")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if (plans is None) == (gains is None):
-        raise ValueError("pass exactly one of plans and gains")
+    if gain_rows is None:
+        if (plans is None) == (gains is None):
+            raise ValueError("pass exactly one of plans and gains, or gain_rows with both")
+        gain_rows = np.full(len(plans if gains is None else gains), gains is not None)
+    elif plans is None or gains is None:
+        raise ValueError("gain_rows needs both plans and gains")
     state.validate(params)
     ca = params.arrays
     n_ramps = len(params.metered_cells)
-    if plans is not None:
-        plans = np.asarray(plans, dtype=float)
-        if plans.ndim != 3 or plans.shape[1] != horizon:
-            raise ValueError(f"plans must have shape [B, {horizon}, ramps], got {plans.shape}")
-        if plans.shape[2] != n_ramps:
-            raise TopologyError(
-                f"plans have {plans.shape[2]} rates per step, "
-                f"network has {n_ramps} metered ramps"
-            )
-        failed = ~(plans >= 0).all(axis=(1, 2))
-    else:
+    batch = len(gain_rows)
+    if plans is None:
+        plans = np.zeros((batch, horizon, n_ramps))
+    plans = np.asarray(plans, dtype=float)
+    if plans.ndim != 3 or plans.shape[:2] != (batch, horizon):
+        raise ValueError(f"plans must have shape [{batch}, {horizon}, ramps], got {plans.shape}")
+    if plans.shape[2] != n_ramps:
+        raise TopologyError(
+            f"plans have {plans.shape[2]} rates per step, network has {n_ramps} metered ramps"
+        )
+    derive = bool(np.any(gain_rows))
+    if derive:
         gains = np.asarray(gains, dtype=float)
-        if gains.ndim != 2 or mu_prev is None:
-            raise ValueError("gains must have shape [B, ramps] and need mu_prev")
+        if gains.shape[:1] != (batch,) or gains.ndim != 2 or mu_prev is None:
+            raise ValueError(f"gains must have shape [{batch}, ramps] and need mu_prev")
         if gains.shape[1] != n_ramps or len(mu_prev) != n_ramps:
             raise TopologyError(
                 f"gains have {gains.shape[1]} and mu_prev {len(mu_prev)} entries, "
                 f"network has {n_ramps} metered ramps"
             )
-        mu = np.asarray(mu_prev, dtype=float)
-        plans = np.empty((len(gains), horizon, n_ramps))
-        failed = np.zeros(len(gains), dtype=bool)
+    ends = np.full(batch, horizon) if horizons is None else np.asarray(horizons)
+    if ends.shape != (batch,) or not ((ends >= 1) & (ends <= horizon)).all():
+        raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
 
-    batch = len(plans)
+    # Rows sorted by horizon, longest first: the rows still rolling at step k
+    # are a prefix, and the arrays below are cut to it as rows finish.
+    order = np.argsort(-ends, kind="stable")
+    ends = ends[order]
+    plans = plans[order]
+    if derive:
+        flags = np.asarray(gain_rows, dtype=bool)[order, None]
+        gains = gains[order]
+        mu = np.tile(np.asarray(mu_prev, dtype=float), (batch, 1))
     n = np.tile(np.asarray(state.n, dtype=float), (batch, 1))
     q = np.tile(np.asarray(state.q, dtype=float), (batch, 1))
-    # extremes of the unclamped updates, checked against the bounds at the
-    # end; fmin/fmax skip NaN, which the scalar check never flags either
+    # extremes of the unclamped updates, checked against the bounds when a
+    # row finishes; fmin/fmax skip NaN, which the scalar check never flags
     n_low, n_high, q_low = n.copy(), n.copy(), q.copy()
-    inflow = np.empty_like(n)
+    failed = np.zeros(batch, dtype=bool)
+    total = np.zeros(batch)
     cycle_h = params.sample_cycle_s / 3600.0
     td_scale = params.free_flow_mps * 3600.0
-    total = np.zeros(batch)
-    for k in range(horizon):
+
+    def settle(rows: slice) -> None:
+        failed[rows] |= ((n_low[rows] < -STATE_TOL) | (n_high[rows] > ca.nbar_tol)).any(axis=1)
+        failed[rows] |= (q_low[rows] < -STATE_TOL).any(axis=1)
+
+    live = batch
+    for k, rolling in enumerate(np.count_nonzero(ends[:, None] > np.arange(horizon), axis=0)):
+        if rolling < live:
+            settle(slice(rolling, live))
+            live = rolling
+            n, q = n[:live], q[:live]
+            if derive:
+                flags, gains, mu = flags[:live], gains[:live], mu[:live]
         inp = inputs[k] if k < len(inputs) else inputs[-1]
         if len(inp.ramp_demands) != len(params.onramp_cells):
             raise TopologyError(
@@ -609,13 +641,13 @@ def rollout_batch(
                 f"network has {len(params.onramp_cells)} on-ramps"
             )
         demand = np.asarray(inp.ramp_demands, dtype=float)
-        if gains is not None:
+        if derive:
             rho = n[:, ca.metered] / ca.metered_lane_length
-            mu = _max(mu + gains * (params.rho_crit - rho), 0.0)
-            failed |= ~(mu >= 0).all(axis=1)  # NaN rates
-            plans[:, k] = mu
+            derived = _max(mu + gains * (params.rho_crit - rho), 0.0)
+            mu = np.where(flags, derived, plans[:live, k])
+            plans[:live, k] = mu
         else:
-            mu = plans[:, k]
+            mu = plans[:live, k]
 
         # on-ramp inflow
         e_ramp = _min(q + demand, ca.onramp_xi * (ca.onramp_nbar - n[:, ca.onramps]))
@@ -640,25 +672,31 @@ def rollout_batch(
             moving = (n[:, ca.split_all] + blended[:, ca.split_all]) * ca.eta_moving[ca.split_all]
             s[:, ca.split_all] = _min(ca.split_all_sbar, moving)
 
+        inflow = np.empty_like(n)
         inflow[:, 0] = _max(_min(inp.mainstream_demand, receiving[:, 0]), 0.0)
         inflow[:, 1:] = o[:, :-1]
         n_next = n + inflow + e - o - s
         q_next = q + demand - e_ramp
-        n_low = np.fmin(n_low, n_next)
-        n_high = np.fmax(n_high, n_next)
-        q_low = np.fmin(q_low, q_next)
+        np.fmin(n_low[:live], n_next, out=n_low[:live])
+        np.fmax(n_high[:live], n_next, out=n_high[:live])
+        np.fmin(q_low[:live], q_next, out=q_low[:live])
 
         # stage cost on the pre-step occupancy
         tt = cycle_h * (_row_sum(n) + _row_sum(q))
         td_h = _row_sum((o + s) * ca.length) / td_scale
-        total = total + (tt - gamma * td_h)
+        total[:live] = total[:live] + (tt - gamma * td_h)
 
         n = _min(_max(n_next, 0.0), ca.nbar)
         q = _max(q_next, 0.0)
-    failed |= ((n_low < -STATE_TOL) | (n_high > ca.nbar_tol)).any(axis=1)
-    failed |= (q_low < -STATE_TOL).any(axis=1)
+    settle(slice(0, live))
+    # negative or NaN rates within a row's horizon, derived ones included
+    within = np.arange(horizon) < ends[:, None]
+    failed |= (~(plans >= 0) & within[:, :, None]).any(axis=(1, 2))
     total[failed] = math.inf
-    return total, plans
+    costs, out = np.empty(batch), np.empty_like(plans)
+    costs[order] = total
+    out[order] = plans
+    return costs, out
 
 
 def density(state: NetworkState, params: NetworkParams) -> tuple[float, ...]:

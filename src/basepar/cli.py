@@ -49,7 +49,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--termination", choices=["best", "all"], default=None,
                      help="candidate handling when the budget cuts a solve short")
     sub.add_argument("--serial", action="store_true",
-                     help="deterministic mode: sequential solves, no deadline")
+                     help="deterministic mode: no deadline, solves run to the iteration cap")
     sub.add_argument("--steps", type=int, default=None,
                      help="override the scenario's run length")
 

@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# ``rollout`` and ``run_parallel_cell`` are not called here; they stay
+# importable from this module because perfbench/layers.py wraps them here.
 from .actm import (
     ExogenousInput,
     NetworkParams,
@@ -34,11 +36,11 @@ from .base_controllers import WarmStart, warm_start_rollout
 from .parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
-    BudgetedResult,
     CandidateSequence,
     MpcProblem,
     OptimizerConfig,
     run_parallel_cell,
+    run_parallel_cells,
 )
 
 __all__ = [
@@ -227,14 +229,29 @@ class BaseParallelController:
             replace(config.optimizer, budget_s=None) if config.serial else config.optimizer
         )
 
-    def _bounds_for(self, spec: ParallelControllerSpec) -> tuple[tuple, tuple]:
+    def _problem(
+        self, spec: ParallelControllerSpec, measurement: NetworkState,
+        forecast: tuple[ExogenousInput, ...],
+    ) -> MpcProblem:
+        """The problem ``spec`` solves at this step."""
         cfg = self.config
         if spec.kind == CONVENTIONAL:
-            return (
-                tuple(cfg.metering_lo) * spec.horizon,
-                tuple(cfg.metering_hi) * spec.horizon,
-            )
-        return tuple(cfg.gain_lo), tuple(cfg.gain_hi)
+            lo = tuple(cfg.metering_lo) * spec.horizon
+            hi = tuple(cfg.metering_hi) * spec.horizon
+        else:
+            lo, hi = tuple(cfg.gain_lo), tuple(cfg.gain_hi)
+        return MpcProblem(
+            kind=spec.kind,
+            horizon=spec.horizon,
+            params=cfg.params,
+            initial_state=measurement,
+            demand_forecast=forecast,
+            mu_prev=self.mu_prev,
+            bounds_lo=lo,
+            bounds_hi=hi,
+            gamma=cfg.gamma,
+            label=spec.label,
+        )
 
     def control_step(
         self,
@@ -276,35 +293,18 @@ class BaseParallelController:
         if self._optimizer.budget_s is not None:
             deadline = time.monotonic() + self._optimizer.budget_s
 
+        # every solve of every cell, in one lockstep against the one deadline
+        results = run_parallel_cells(
+            [
+                ([self._problem(spec, measurement, forecast) for spec in cell.controllers], warm)
+                for cell, warm in zip(cfg.cells, warm_starts)
+            ],
+            self.histories, self._optimizer, deadline,
+        )
         solver_stats: list[tuple[str, float, int, bool]] = []
-        results: dict[str, BudgetedResult] = {}
-        for cell, warm in zip(cfg.cells, warm_starts):
-            if not cell.controllers:
-                continue
-            problems = []
+        for cell in cfg.cells:
             for spec in cell.controllers:
-                lo, hi = self._bounds_for(spec)
-                problems.append(
-                    MpcProblem(
-                        kind=spec.kind,
-                        horizon=spec.horizon,
-                        params=cfg.params,
-                        initial_state=measurement,
-                        demand_forecast=forecast,
-                        mu_prev=self.mu_prev,
-                        bounds_lo=lo,
-                        bounds_hi=hi,
-                        gamma=cfg.gamma,
-                        label=spec.label,
-                    )
-                )
-            cell_results = run_parallel_cell(
-                problems, warm, self.histories, self._optimizer,
-                serial=cfg.serial, deadline=deadline,
-            )
-            results.update(cell_results)
-            for spec in cell.controllers:
-                res = cell_results[spec.label]
+                res = results[spec.label]
                 solver_stats.append(
                     (spec.label, res.elapsed_s, res.best.iterations, res.best.converged)
                 )

@@ -19,14 +19,22 @@ result degenerates to the best starting point by objective value.
 Each descent is a coroutine that requests the decision rows it needs costed:
 one forward-difference gradient, or one whole line search (every step length
 up to the first that does not move, the first passing the Armijo test being
-accepted).  The descents from all starts run in lockstep, and with the
-built-in objective each round's requests are rolled out as one batch
-(:func:`~basepar.actm.rollout_batch`), whose costs equal the point-by-point
-ones bit for bit.  The deadline is checked before every round, so the
-overshoot is bounded by one merged batch.  Records are listed start by start
-as a sequential solver lists them, so results do not depend on the
-interleaving.  A substituted ``objective_fn`` is evaluated point by point,
-with the deadline checked before every point.
+accepted).  One scheduler drives the descents of every solve in lockstep:
+those from all starts of one problem, and through :func:`run_parallel_cells`
+those of every problem of every parallel cell of a control step, whatever
+their kind and horizon.  Each round evaluates the requests of every live
+descent together; with the built-in objective that is one
+:func:`~basepar.actm.rollout_batch` call for all problems that share their
+initial state, and its costs equal the point-by-point ones bit for bit.  The
+starts are evaluated first whatever the deadline; after that the deadline is
+checked before every round, so every live solve takes part in every round
+until it expires and the overshoot is bounded by one merged batch.  There is
+no thread pool: without a deadline (serial mode) the same scheduler runs
+until every descent has finished.  Records are listed start by start as a
+sequential solver lists them, so results depend neither on the interleaving
+nor on which other problems share the rounds.  A substituted
+``objective_fn`` is evaluated point by point, with the deadline checked
+before every point.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -37,11 +45,11 @@ solutions shifted into the current window.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Generator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -71,6 +79,7 @@ __all__ = [
     "make_shift_warm_starts",
     "base_start_for",
     "solve_budgeted",
+    "run_parallel_cells",
     "run_parallel_cell",
 ]
 
@@ -250,51 +259,119 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
     return float(value) if math.isfinite(value) else math.inf
 
 
-def _rollout_decisions(
-    problem: MpcProblem, decisions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Costs ``[B]`` and plans ``[B, horizon, ramps]`` of decision rows
-    ``[B, dim]``, clipped into the bounds and rolled out in one batch."""
-    x = np.clip(decisions, problem.bounds_lo, problem.bounds_hi)
-    common = (problem.initial_state, problem.demand_forecast, problem.params,
-              problem.horizon, problem.gamma)
-    if problem.kind == CONVENTIONAL:
-        plans = x.reshape(len(x), problem.horizon, problem.n_ramps)
-        return rollout_batch(*common, plans=plans)
-    return rollout_batch(*common, gains=x, mu_prev=problem.mu_prev)
+class _MergedRollouts:
+    """Decision rows of several problems, rolled out together.
 
+    Problems that share their initial state, forecast, network, gamma and
+    previous rates (every problem of one control step does) form a group,
+    and all rows of a group go to one :func:`~basepar.actm.rollout_batch`
+    call, whatever their kind and horizon.  Rows are clipped into their
+    problem's bounds first.
+    """
 
-def _objective_batch(problem: MpcProblem, decisions: np.ndarray) -> np.ndarray:
-    """:func:`objective` of every row of ``decisions``, in one batch."""
-    costs, _ = _rollout_decisions(problem, decisions)
-    failed = int(np.count_nonzero(costs == math.inf))
-    if failed:
-        logger.warning(
-            "objective evaluation failed for %s at %d of %d points; returning +inf",
-            problem.label, failed, len(costs),
-        )
-    costs[~np.isfinite(costs)] = math.inf
-    return costs
+    def __init__(self, problems: Sequence[MpcProblem]):
+        self.problems = problems
+        self.group: list[int] = []
+        contexts: list[tuple] = []
+        for p in problems:
+            context = (p.initial_state, tuple(p.demand_forecast), p.params,
+                       tuple(p.mu_prev), p.gamma)
+            if context not in contexts:
+                contexts.append(context)
+            self.group.append(contexts.index(context))
+        self.bounds = [
+            (np.asarray(p.bounds_lo, dtype=float), np.asarray(p.bounds_hi, dtype=float))
+            for p in problems
+        ]
 
+    def __call__(
+        self, requests: Sequence[tuple[int, np.ndarray]]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Costs of every requested row, in request order, and the plans
+        ``[rows, horizon, ramps]`` of each request; a request is a problem
+        index with its decision rows ``[rows, dim]``."""
+        sizes = [len(rows) for _, rows in requests]
+        offsets = [0, *itertools.accumulate(sizes)]
+        costs = np.empty(offsets[-1])
+        plans: list[np.ndarray] = [np.empty(0)] * len(requests)
+        groups: dict[int, list[int]] = {}
+        for r, (i, _) in enumerate(requests):
+            groups.setdefault(self.group[i], []).append(r)
+        for members in groups.values():
+            problems = [self.problems[requests[r][0]] for r in members]
+            first = problems[0]
+            batch = sum(sizes[r] for r in members)
+            horizon = max(p.horizon for p in problems)
+            rates = np.zeros((batch, horizon, first.n_ramps))
+            gains = np.zeros((batch, first.n_ramps))
+            gain_rows = np.zeros(batch, dtype=bool)
+            horizons = np.empty(batch, dtype=int)
+            at = 0
+            for r, problem in zip(members, problems):
+                i, x = requests[r]
+                x = np.clip(x, *self.bounds[i])
+                rows = slice(at, at + sizes[r])
+                if problem.kind == CONVENTIONAL:
+                    rates[rows, : problem.horizon] = x.reshape(sizes[r], problem.horizon, -1)
+                else:
+                    gains[rows] = x
+                    gain_rows[rows] = True
+                horizons[rows] = problem.horizon
+                at = rows.stop
+            group_costs, group_plans = rollout_batch(
+                first.initial_state, first.demand_forecast, first.params, horizon,
+                first.gamma, plans=rates, gains=gains, mu_prev=first.mu_prev,
+                gain_rows=gain_rows, horizons=horizons,
+            )
+            at = 0
+            for r, problem in zip(members, problems):
+                rows = slice(at, at + sizes[r])
+                costs[offsets[r]:offsets[r + 1]] = group_costs[rows]
+                plans[r] = group_plans[rows, : problem.horizon]
+                at = rows.stop
+        return costs, plans
 
-def _plans_batch(
-    problem: MpcProblem, decisions: np.ndarray
-) -> list[tuple[tuple[float, ...], ...]]:
-    """Metering plans of decision rows ``[B, dim]`` (see
-    :func:`decision_to_metering`), derived in one batch."""
-    if problem.kind == CONVENTIONAL:
-        x = np.clip(decisions, problem.bounds_lo, problem.bounds_hi)
-        plans = x.reshape(len(x), problem.horizon, problem.n_ramps)
-    else:
-        _, plans = _rollout_decisions(problem, decisions)
-    return [tuple(tuple(row) for row in plan) for plan in plans.tolist()]
+    def objective(self, requests: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+        """:func:`objective` of every requested row, in request order."""
+        costs, _ = self(requests)
+        failed = costs == math.inf
+        if failed.any():
+            at = 0
+            for i, rows in requests:
+                count = int(np.count_nonzero(failed[at:at + len(rows)]))
+                if count:
+                    logger.warning(
+                        "objective evaluation failed for %s at %d of %d points; "
+                        "returning +inf", self.problems[i].label, count, len(rows),
+                    )
+                at += len(rows)
+        costs[~np.isfinite(costs)] = math.inf
+        return costs
+
+    def plans(
+        self, decisions: Sequence[np.ndarray]
+    ) -> list[list[tuple[tuple[float, ...], ...]]]:
+        """Metering plans of each problem's decision rows (see
+        :func:`decision_to_metering`); the parameterized problems' plans are
+        derived in one merged rollout."""
+        derived = [i for i, p in enumerate(self.problems) if p.kind == PARAMETERIZED]
+        arrays = [np.clip(x, *bounds) for x, bounds in zip(decisions, self.bounds)]
+        for i, problem in enumerate(self.problems):
+            if problem.kind == CONVENTIONAL:
+                arrays[i] = arrays[i].reshape(-1, problem.horizon, problem.n_ramps)
+        if derived:
+            _, rolled = self([(i, decisions[i]) for i in derived])
+            for i, plan in zip(derived, rolled):
+                arrays[i] = plan
+        return [[tuple(tuple(row) for row in plan) for plan in a.tolist()] for a in arrays]
 
 
 def decision_to_metering(
     problem: MpcProblem, decision: Sequence[float]
 ) -> tuple[tuple[float, ...], ...]:
     """Metering plan (horizon x ramps) encoded by a decision vector."""
-    return _plans_batch(problem, _clip_decision(problem, decision)[None, :])[0]
+    x = _clip_decision(problem, decision)[None, :]
+    return _MergedRollouts([problem]).plans([x])[0][0]
 
 
 def fallback_start(problem: MpcProblem) -> np.ndarray:
@@ -310,28 +387,27 @@ def fallback_start(problem: MpcProblem) -> np.ndarray:
 # Shift-based starting points
 # ---------------------------------------------------------------------------
 
-def _shift(solution: np.ndarray, by: int) -> np.ndarray:
-    """Drop ``by`` leading rows and repeat the last row to keep the length."""
-    sol = np.atleast_2d(np.asarray(solution, dtype=float))
-    rows = sol[min(by, len(sol) - 1):]
-    pad = np.repeat(rows[-1:], len(sol) - len(rows), axis=0)
-    return np.vstack([rows, pad]) if len(pad) else rows.copy()
-
-
 def make_shift_warm_starts(history: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Up to three starting plans from previous solutions (oldest first).
 
-    (a) the previous solution shifted once; (b) the average of the previous
-    solution shifted once and the second-previous shifted twice (needs two
-    entries); (c) the average of all previous solutions, each shifted by its
-    age.  Returns an empty list when there is no history.
+    Shifting a solution by ``k`` drops its ``k`` leading rows and repeats
+    the last row to keep the length.  (a) the previous solution shifted
+    once; (b) the average of the previous solution shifted once and the
+    second-previous shifted twice (needs two entries); (c) the average of
+    all previous solutions, each shifted by its age.  Returns an empty list
+    when there is no history.
     """
     if not history:
         return []
-    starts = [_shift(history[-1], 1)]
-    if len(history) >= 2:
-        starts.append(0.5 * (_shift(history[-1], 1) + _shift(history[-2], 2)))
-    shifted = [_shift(sol, age) for age, sol in enumerate(reversed(history), start=1)]
+    stack = np.asarray(history, dtype=float)
+    if stack.ndim == 2:  # one-row solutions given as vectors
+        stack = stack[:, None, :]
+    count, length = stack.shape[:2]
+    ages = np.arange(1, count + 1)[:, None]  # newest first
+    shifted = stack[count - ages, np.minimum(np.arange(length) + ages, length - 1)]
+    starts = [shifted[0]]
+    if count >= 2:
+        starts.append(0.5 * (shifted[0] + shifted[1]))
     starts.append(np.mean(shifted, axis=0))
     return starts
 
@@ -383,55 +459,46 @@ Evaluation = Generator[np.ndarray, np.ndarray, T]
 # backtracking step lengths 1, 1/2, ..., exactly as repeated halving gives them
 _STEP_LENGTHS = 0.5 ** np.arange(30)
 
+# Costs of the requested rows, one ``(key, rows)`` pair per live coroutine,
+# as one array in request order; None to stop.
+Evaluator = Callable[[list[tuple[object, np.ndarray]]], Optional[np.ndarray]]
+
 
 def _lockstep(
-    coroutines: Sequence[Evaluation],
-    evaluate: Callable[[np.ndarray], Optional[np.ndarray]],
+    tasks: Sequence[tuple[object, Evaluation]], evaluate: Evaluator,
     deadline: Optional[float],
 ) -> list:
     """Run evaluation coroutines side by side and return what each returned.
 
-    Each round concatenates the rows every live coroutine has requested into
-    one ``evaluate`` call and sends each coroutine its share of the costs.
-    The deadline is checked before every round; once it has expired, or
-    ``evaluate`` returns None, the coroutines still running are abandoned
-    and their results are None.
+    ``tasks`` pairs each coroutine with a key naming what its rows belong to
+    (a problem).  Each round passes the rows every live coroutine has
+    requested, with its key, to one ``evaluate`` call and sends each
+    coroutine its share of the costs.  The deadline is checked before every
+    round; once it has expired, or ``evaluate`` returns None, the coroutines
+    still running are abandoned and their results are None.
     """
-    results: list = [None] * len(coroutines)
+    results: list = [None] * len(tasks)
     live = []
 
-    def advance(i: int, coroutine: Evaluation, costs: Optional[np.ndarray]) -> None:
+    def advance(t: int, key: object, coroutine: Evaluation, costs) -> None:
         try:
             rows = next(coroutine) if costs is None else coroutine.send(costs)
         except StopIteration as stop:
-            results[i] = stop.value
+            results[t] = stop.value
         else:
-            live.append((i, coroutine, rows))
+            live.append((t, key, coroutine, rows))
 
-    for i, coroutine in enumerate(coroutines):
-        advance(i, coroutine, None)
+    for t, (key, coroutine) in enumerate(tasks):
+        advance(t, key, coroutine, None)
     while live and not _expired(deadline):
-        costs = evaluate(np.concatenate([rows for _, _, rows in live]))
+        costs = evaluate([(key, rows) for _, key, _, rows in live])
         if costs is None:
             break
         pending, live, at = live, [], 0
-        for i, coroutine, rows in pending:
-            advance(i, coroutine, costs[at:at + len(rows)])
+        for t, key, coroutine, rows in pending:
+            advance(t, key, coroutine, costs[at:at + len(rows)])
             at += len(rows)
     return results
-
-
-def _evaluate_each(
-    fun: Callable[[np.ndarray], float], rows: np.ndarray, deadline: Optional[float]
-) -> Optional[np.ndarray]:
-    """``fun`` of every row, the deadline checked before each; None once it
-    has expired."""
-    costs = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        if _expired(deadline):
-            return None
-        costs[i] = fun(row)
-    return costs
 
 
 def _gradient_request(
@@ -450,6 +517,22 @@ def _gradient_request(
     return g
 
 
+def _pointwise(fun: Callable[[np.ndarray], float], deadline: Optional[float]) -> Evaluator:
+    """Evaluator calling ``fun`` row by row, the deadline checked before
+    every row; it returns None once the deadline has expired."""
+
+    def evaluate(requests: list[tuple[object, np.ndarray]]) -> Optional[np.ndarray]:
+        rows = np.concatenate([rows for _, rows in requests])
+        costs = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            if _expired(deadline):
+                return None
+            costs[i] = fun(row)
+        return costs
+
+    return evaluate
+
+
 def _fd_gradient(
     fun: Callable[[np.ndarray], float],
     x: np.ndarray,
@@ -461,8 +544,8 @@ def _fd_gradient(
 ) -> Optional[np.ndarray]:
     """The solver's forward-difference gradient of ``fun``, evaluated point
     by point; None when the deadline expires mid-computation."""
-    evaluate = lambda rows: _evaluate_each(fun, rows, deadline)
-    return _lockstep([_gradient_request(x, f0, lo, hi, h)], evaluate, deadline)[0]
+    request = _gradient_request(x, f0, lo, hi, h)
+    return _lockstep([(None, request)], _pointwise(fun, deadline), deadline)[0]
 
 
 def _line_search(
@@ -553,6 +636,90 @@ def _descent(
         x, f, g = x_new, f_new, g_new
 
 
+def _solve_jointly(
+    problems: Sequence[MpcProblem],
+    starts: Sequence[Sequence[Sequence[float]]],
+    config: OptimizerConfig,
+    deadline: Optional[float],
+    objective_fn: Optional[Callable[[np.ndarray], float]] = None,
+) -> list[BudgetedResult]:
+    """Solve every problem from its starts in one lockstep (see
+    :func:`solve_budgeted`).
+
+    The starts of all problems are evaluated first, whatever the deadline.
+    The descents from every finite start of every problem then run side by
+    side, and each round evaluates all their requests together: with the
+    built-in objective as one merged rollout per group of problems sharing
+    their initial state, with ``objective_fn`` point by point.  Finally the
+    kept points of all problems are converted to plans, the parameterized
+    ones in one merged rollout.
+    """
+    if any(len(s) == 0 for s in starts):
+        raise ValueError("at least one starting point is required")
+    t0 = time.monotonic()
+    rollouts = _MergedRollouts(problems)
+    xs = [np.array([_clip_decision(p, x) for x in s]) for p, s in zip(problems, starts)]
+    if objective_fn is None:
+        evaluate: Evaluator = rollouts.objective
+        fs = evaluate(list(enumerate(xs)))
+    else:
+        evaluate = _pointwise(objective_fn, deadline)
+        fs = _pointwise(objective_fn, None)(list(enumerate(xs)))
+
+    def recorder(into: list) -> Callable[[np.ndarray, float, int, bool], None]:
+        return lambda x, f, iterations, converged: into.append(
+            (x.copy(), float(f), iterations, time.monotonic() - t0, converged)
+        )
+
+    # per problem: the start records, then one trail per descent, in start order
+    logs: list[list[list]] = []
+    tasks = []
+    split = np.cumsum([len(x) for x in xs])[:-1]
+    for i, (x_starts, f_starts) in enumerate(zip(xs, np.split(fs, split))):
+        lo, hi = rollouts.bounds[i]
+        log = [[]]
+        record_start = recorder(log[0])
+        for x, f in zip(x_starts, f_starts):
+            record_start(x, f, 0, False)
+            if math.isfinite(f):
+                log.append([])
+                tasks.append((i, _descent(x, float(f), lo, hi, config, recorder(log[-1]))))
+        logs.append(log)
+    _lockstep(tasks, evaluate, deadline)
+
+    recorded = [[item for part in log for item in part] for log in logs]
+    best = [min(range(len(r)), key=lambda k, r=r: (r[k][1], k)) for r in recorded]
+    if config.termination == "all":
+        kept = recorded
+    else:
+        kept = [[r[k]] for r, k in zip(recorded, best)]
+        best = [0] * len(problems)
+    plans = rollouts.plans([np.array([item[0] for item in items]) for items in kept])
+    elapsed = time.monotonic() - t0
+    results = []
+    for problem, items, plan_list, best_idx, trail in zip(problems, kept, plans, best, recorded):
+        iterates = tuple(
+            CandidateSequence(
+                metering=plan,
+                source=problem.label,
+                cost=float(f),
+                decision=tuple(float(v) for v in x),
+                iterations=iters,
+                elapsed_s=at_s,
+                converged=converged,
+            )
+            for plan, (x, f, iters, at_s, converged) in zip(plan_list, items)
+        )
+        results.append(BudgetedResult(
+            best=iterates[best_idx],
+            iterates=iterates,
+            cost_trail=tuple(item[1] for item in trail),
+            elapsed_s=elapsed,
+            termination=config.termination,
+        ))
+    return results
+
+
 def solve_budgeted(
     problem: MpcProblem,
     starts: Sequence[Sequence[float]],
@@ -568,8 +735,8 @@ def solve_budgeted(
     run in lockstep until they finish or the deadline expires: each round
     evaluates the requests of every live descent together, each request
     being one forward-difference gradient or one whole line search.  An
-    explicit ``deadline`` (monotonic-clock value) overrides the config budget
-    so several solves can share one window.
+    explicit ``deadline`` (monotonic-clock value) overrides the config
+    budget.
 
     With the built-in objective each round is one batched rollout, and the
     deadline is checked before every round, so the solve overshoots it by at
@@ -580,66 +747,48 @@ def solve_budgeted(
 
     Records are listed as a sequential solver would list them: the starts,
     then each descent's accepted points, descent by descent in start order.
+    This is the one-problem case of the scheduler :func:`run_parallel_cells`
+    runs.
     """
-    if not starts:
-        raise ValueError("at least one starting point is required")
-    t0 = time.monotonic()
     if deadline is None and config.budget_s is not None:
-        deadline = t0 + config.budget_s
-    lo = np.asarray(problem.bounds_lo, dtype=float)
-    hi = np.asarray(problem.bounds_hi, dtype=float)
-    xs = np.array([_clip_decision(problem, s) for s in starts])
-    if objective_fn is None:
-        evaluate = partial(_objective_batch, problem)
-        fs = evaluate(xs)
-    else:
-        evaluate = lambda rows: _evaluate_each(objective_fn, rows, deadline)
-        fs = _evaluate_each(objective_fn, xs, None)
+        deadline = time.monotonic() + config.budget_s
+    return _solve_jointly([problem], [starts], config, deadline, objective_fn)[0]
 
-    def recorder(into: list) -> Callable[[np.ndarray, float, int, bool], None]:
-        return lambda x, f, iterations, converged: into.append(
-            (x.copy(), float(f), iterations, time.monotonic() - t0, converged)
-        )
 
-    recorded: list[tuple[np.ndarray, float, int, float, bool]] = []
-    record_start = recorder(recorded)
-    for x, f in zip(xs, fs):
-        record_start(x, f, 0, False)
-    trails: list[list] = []
-    descents = []
-    for x, f in zip(xs, fs):
-        if math.isfinite(f):
-            trails.append([])
-            descents.append(_descent(x, float(f), lo, hi, config, recorder(trails[-1])))
-    _lockstep(descents, evaluate, deadline)
-    for trail in trails:
-        recorded.extend(trail)
+def run_parallel_cells(
+    cells: Sequence[tuple[Sequence[MpcProblem], WarmStart]],
+    histories: dict[str, list[np.ndarray]],
+    config: OptimizerConfig,
+    deadline: Optional[float] = None,
+) -> dict[str, BudgetedResult]:
+    """Solve every problem of several parallel cells together.
 
-    best_idx = min(range(len(recorded)), key=lambda i: (recorded[i][1], i))
-    if config.termination == "all":
-        kept = recorded
-    else:
-        kept, best_idx = [recorded[best_idx]], 0
-    plans = _plans_batch(problem, np.array([item[0] for item in kept]))
-    iterates = tuple(
-        CandidateSequence(
-            metering=plan,
-            source=problem.label,
-            cost=float(f),
-            decision=tuple(float(v) for v in x),
-            iterations=iters,
-            elapsed_s=elapsed,
-            converged=converged,
-        )
-        for plan, (x, f, iters, elapsed, converged) in zip(plans, kept)
-    )
-    return BudgetedResult(
-        best=iterates[best_idx],
-        iterates=iterates,
-        cost_trail=tuple(item[1] for item in recorded),
-        elapsed_s=time.monotonic() - t0,
-        termination=config.termination,
-    )
+    Each cell pairs its problems with its base controller's warm start.
+    Each controller receives the prefix of that warm start that matches its
+    horizon plus the shift starts built from its own solution history.  All
+    solves of all cells run in one lockstep against one deadline (derived
+    from the config budget when none is given), so every solve takes part
+    in every round until it finishes or the deadline expires.  Without a
+    deadline the results equal those of separate :func:`solve_budgeted`
+    calls, except ``elapsed_s``: every result reports the wall time of the
+    whole call, whose rounds its solves shared.  Results are keyed by
+    controller label.
+    """
+    problems: list[MpcProblem] = []
+    starts: list[list[np.ndarray]] = []
+    for cell_problems, base_warm in cells:
+        if cell_problems and len(base_warm.mu) < max(p.horizon for p in cell_problems):
+            raise ValueError("base warm start is shorter than the largest horizon")
+        for problem in cell_problems:
+            problems.append(problem)
+            starts.append([base_start_for(problem, base_warm)])
+            starts[-1].extend(
+                s.ravel() for s in make_shift_warm_starts(histories.get(problem.label, []))
+            )
+    if deadline is None and config.budget_s is not None:
+        deadline = time.monotonic() + config.budget_s
+    results = _solve_jointly(problems, starts, config, deadline) if problems else []
+    return {problem.label: result for problem, result in zip(problems, results)}
 
 
 def run_parallel_cell(
@@ -647,44 +796,8 @@ def run_parallel_cell(
     base_warm: WarmStart,
     histories: dict[str, list[np.ndarray]],
     config: OptimizerConfig,
-    serial: bool = False,
     deadline: Optional[float] = None,
 ) -> dict[str, BudgetedResult]:
-    """Solve every problem of one parallel cell from its warm starts.
-
-    Each controller receives the prefix of the shared base warm start that
-    matches its horizon plus the shift starts built from its own solution
-    history.  In the default mode the solves run concurrently against one
-    shared deadline; serial mode runs them in order (results are keyed by
-    controller label either way, so scheduling cannot reorder them).
-    """
-    if len(base_warm.mu) < max(p.horizon for p in problems):
-        raise ValueError("base warm start is shorter than the largest horizon")
-    if deadline is None and config.budget_s is not None and not serial:
-        deadline = time.monotonic() + config.budget_s
-
-    all_starts = []
-    for problem in problems:
-        starts = [base_start_for(problem, base_warm)]
-        starts.extend(
-            s.ravel() for s in make_shift_warm_starts(histories.get(problem.label, []))
-        )
-        all_starts.append(starts)
-
-    results: dict[str, BudgetedResult] = {}
-    if serial or len(problems) == 1:
-        for problem, starts in zip(problems, all_starts):
-            results[problem.label] = solve_budgeted(
-                problem, starts, config, deadline=deadline
-            )
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(problems)) as pool:
-            futures = [
-                pool.submit(solve_budgeted, problem, starts, config, None, deadline)
-                for problem, starts in zip(problems, all_starts)
-            ]
-            for problem, fut in zip(problems, futures):
-                results[problem.label] = fut.result()
-    return results
+    """Solve every problem of one parallel cell (see
+    :func:`run_parallel_cells`)."""
+    return run_parallel_cells([(problems, base_warm)], histories, config, deadline)

@@ -15,7 +15,8 @@ from basepar.orchestrator import (
     evaluate_candidates,
     select_best,
 )
-from basepar.parallel import CONVENTIONAL, CandidateSequence, OptimizerConfig
+from basepar import actm, orchestrator, parallel
+from basepar.parallel import CONVENTIONAL, PARAMETERIZED, CandidateSequence, OptimizerConfig
 from basepar.scenario import default_scenario
 
 from oracles import oracle_rollout_cost
@@ -311,6 +312,95 @@ class TestControlStep:
         default = evaluate_candidates([cand], NET, STATE, (MEASURED,), 3, 0.8)
         swapped = evaluate_candidates([cand], refined, STATE, (MEASURED,), 3, 0.8)
         assert default.costs != swapped.costs
+
+
+class TestDeadline:
+    """Both cells' solves under one deadline, which a stub check lets expire
+    after a fixed number of solver rounds."""
+
+    ROUNDS = 3
+
+    def build(self, termination="best"):
+        config = ArchitectureConfig(
+            params=NET,
+            cells=[
+                ParallelCell(base=alinea("ALINEA-A"), controllers=(
+                    ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),
+                    ParallelControllerSpec("CMPC(2)", CONVENTIONAL, 10),
+                )),
+                ParallelCell(base=alinea("ALINEA-B"), controllers=(
+                    ParallelControllerSpec("PMPC(1)", PARAMETERIZED, 3),
+                    ParallelControllerSpec("PMPC(2)", PARAMETERIZED, 10),
+                )),
+            ],
+            evaluation_horizon=3,
+            gamma=0.8,
+            optimizer=OptimizerConfig(budget_s=60.0, max_iterations=1000,
+                                      termination=termination),
+            metering_lo=(0.0,) * 3,
+            metering_hi=(8.0,) * 3,
+            gain_lo=(0.0,) * 3,
+            gain_hi=(1.0,) * 3,
+        )
+        return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
+
+    def expire_after_rounds(self, monkeypatch, kernel_calls):
+        """The deadline check passes ROUNDS times, then reports expiry;
+        returns the list that receives the kernel call count at expiry."""
+        checks = []
+        at_expiry = []
+
+        def expired(deadline):
+            assert deadline is not None
+            checks.append(deadline)
+            if len(checks) > self.ROUNDS:
+                at_expiry.append(len(kernel_calls))
+                return True
+            return False
+
+        monkeypatch.setattr(parallel, "_expired", expired)
+        return at_expiry
+
+    def count_kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("gain_rows"))
+            return actm.rollout_batch(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "rollout_batch", counted)
+        monkeypatch.setattr(orchestrator, "rollout_batch", counted)
+        return calls
+
+    def test_every_solve_takes_part_in_every_round(self, monkeypatch):
+        rounds = []
+        objective = parallel._MergedRollouts.objective
+
+        def recorded(self, requests):
+            rounds.append(sorted({self.problems[i].label for i, _ in requests}))
+            return objective(self, requests)
+
+        monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
+        self.expire_after_rounds(monkeypatch, [])
+        record, _ = self.build().control_step(STATE, MEASURED, O_PREV)
+        labels = ["CMPC(1)", "CMPC(2)", "PMPC(1)", "PMPC(2)"]
+        # the starts round, then every round the deadline admitted
+        assert rounds == [labels] * (1 + self.ROUNDS)
+        assert [stat[0] for stat in record.solver_stats] == labels
+
+    def test_bounded_work_after_the_deadline(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        at_expiry = self.expire_after_rounds(monkeypatch, calls)
+        _, evaluation = self.build("all").control_step(STATE, MEASURED, O_PREV)
+        assert len(at_expiry) == 1
+        after = calls[at_expiry[0]:]
+        # one merged plan conversion of every PMPC iterate, then the evaluation
+        assert len(after) == 2
+        conversion, evaluation_call = after
+        assert conversion is not None and conversion.all()
+        assert evaluation_call is None
+        sources = {c.source for c in evaluation.candidates}
+        assert {"PMPC(1)", "PMPC(2)"} <= sources
 
 
 class TestConfigValidation:

@@ -1,7 +1,6 @@
 import math
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -16,13 +15,14 @@ from basepar.parallel import (
     _fd_gradient,
     _gradient_request,
     _lockstep,
-    _objective_batch,
+    _MergedRollouts,
     base_start_for,
     decision_to_metering,
     fallback_start,
     make_shift_warm_starts,
     objective,
     run_parallel_cell,
+    run_parallel_cells,
     solve_budgeted,
 )
 from basepar.scenario import default_scenario
@@ -123,7 +123,8 @@ class TestObjective:
             assert math.isfinite(objective(problem, x))
             assert objective(problem, one_nan) == math.inf
             assert objective(problem, all_nan) == math.inf
-            costs = _objective_batch(problem, np.array([x, one_nan, all_nan]))
+            rows = np.array([x, one_nan, all_nan])
+            costs = _MergedRollouts([problem]).objective([(0, rows)])
             assert costs.tolist() == [objective(problem, x), math.inf, math.inf]
 
     def test_dimension_check(self):
@@ -150,6 +151,32 @@ class TestShiftStarts:
 
     def test_empty_history(self):
         assert make_shift_warm_starts([]) == []
+
+    def test_stacked_starts_equal_list_formula(self):
+        # the list-based formula the stacked one replaced, kept here as the
+        # reference: each solution shifted on its own, then averaged
+        def shift(solution, by):
+            sol = np.atleast_2d(np.asarray(solution, dtype=float))
+            rows = sol[min(by, len(sol) - 1):]
+            pad = np.repeat(rows[-1:], len(sol) - len(rows), axis=0)
+            return np.vstack([rows, pad]) if len(pad) else rows.copy()
+
+        def list_formula(history):
+            starts = [shift(history[-1], 1)]
+            if len(history) >= 2:
+                starts.append(0.5 * (shift(history[-1], 1) + shift(history[-2], 2)))
+            shifted = [shift(sol, age) for age, sol in enumerate(reversed(history), start=1)]
+            starts.append(np.mean(shifted, axis=0))
+            return starts
+
+        rng = np.random.default_rng(71)
+        for shape in ((10, 3), (1, 3)):  # conventional and parameterized solutions
+            history = []
+            for _ in range(200):
+                history.append(rng.uniform(0.0, 8.0, size=shape))
+                got = make_shift_warm_starts(history)
+                want = list_formula(history)
+                assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
     def test_parameterized_solutions_degenerate(self):
         history = [np.array([[0.2, 0.4, 0.6]]), np.array([[0.4, 0.6, 0.8]])]
@@ -260,7 +287,8 @@ class TestSolver:
                 want[j] = (fun(point) - f0) / s
             scalar = _fd_gradient(fun, x, f0, lo, hi, h, None)
             request = _gradient_request(x, f0, lo, hi, h)
-            batched = _lockstep([request], partial(_objective_batch, problem), None)[0]
+            evaluate = _MergedRollouts([problem]).objective
+            batched = _lockstep([(0, request)], evaluate, None)[0]
             assert scalar.tolist() == want.tolist()
             assert batched.tolist() == want.tolist()
 
@@ -271,7 +299,8 @@ class TestSolver:
         x = np.full(problem.decision_dim, 1.0)
         expired = time.monotonic() - 1.0
         request = _gradient_request(x, objective(problem, x), lo, hi, 1e-6)
-        assert _lockstep([request], partial(_objective_batch, problem), expired) == [None]
+        evaluate = _MergedRollouts([problem]).objective
+        assert _lockstep([(0, request)], evaluate, expired) == [None]
 
     def test_lockstep_descents_equal_single_start_solves(self):
         # the descents of a multi-start solve run in lockstep, one merged batch
@@ -395,7 +424,7 @@ class TestParallelCell:
     def test_single_controller_cell_equals_solve_budgeted(self):
         problems, warm = self.setup_cell()
         cfg = OptimizerConfig(budget_s=None, max_iterations=10)
-        cell = run_parallel_cell(problems[:1], warm, {}, cfg, serial=True)
+        cell = run_parallel_cell(problems[:1], warm, {}, cfg)
         direct = solve_budgeted(problems[0], [base_start_for(problems[0], warm)], cfg)
         assert cell["CMPC(1)"].best.decision == direct.best.decision
         assert cell["CMPC(1)"].cost_trail == direct.cost_trail
@@ -404,11 +433,60 @@ class TestParallelCell:
         problems, warm = self.setup_cell()
         cfg = OptimizerConfig(budget_s=None, max_iterations=12)
         hist = {"CMPC(1)": [np.full((3, 3), 0.7)], "CMPC(2)": []}
-        a = run_parallel_cell(problems, warm, hist, cfg, serial=True)
-        b = run_parallel_cell(problems, warm, hist, cfg, serial=True)
+        a = run_parallel_cell(problems, warm, hist, cfg)
+        b = run_parallel_cell(problems, warm, hist, cfg)
         for label in ("CMPC(1)", "CMPC(2)"):
             assert a[label].best.decision == b[label].best.decision
             assert a[label].cost_trail == b[label].cost_trail
+
+    def test_cells_solved_together_equal_separate_solves(self):
+        # conventional and parameterized problems of horizons 3 and 10, from
+        # one state, share every round of one lockstep; without a deadline
+        # each result equals its own solve_budgeted run
+        rng = np.random.default_rng(73)
+        for trial in range(3):
+            state = NetworkState(n=tuple(rng.uniform(0, 60, size=6)),
+                                 q=tuple(rng.uniform(0, 15, size=3)))
+            measured = ExogenousInput(rng.uniform(0, 7), tuple(rng.uniform(0, 3, size=3)))
+            mu_prev = tuple(rng.uniform(0, 2, size=3))
+            cells = []
+            for c, kind in enumerate((CONVENTIONAL, PARAMETERIZED)):
+                base = ExplicitAlineaController(
+                    NET, gains=tuple(rng.uniform(0.005, 0.03, size=3)), mu_init=mu_prev
+                )
+                warm = warm_start_rollout(base, state, (measured,), 10, NET, (3.8, 3.2, 0.6))
+                problems = [
+                    make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")
+                    for h in (3, 10)
+                ]
+                problems = [
+                    replace(p, initial_state=state, demand_forecast=(measured,), mu_prev=mu_prev)
+                    for p in problems
+                ]
+                cells.append((problems, warm))
+            hist = {}
+            for problems, _ in cells:
+                for p in problems:
+                    rows = p.horizon if p.kind == CONVENTIONAL else 1
+                    hist[p.label] = [rng.uniform(0, 1, size=(rows, 3)) for _ in range(trial)]
+            cfg = OptimizerConfig(budget_s=None, max_iterations=12, termination="all")
+            together = run_parallel_cells(cells, hist, cfg)
+            for problems, warm in cells:
+                for p in problems:
+                    starts = [base_start_for(p, warm)]
+                    starts.extend(s.ravel() for s in make_shift_warm_starts(hist[p.label]))
+                    alone = solve_budgeted(p, starts, cfg)
+                    got = together[p.label]
+                    assert got.cost_trail == alone.cost_trail
+                    assert [c.decision for c in got.iterates] == [
+                        c.decision for c in alone.iterates
+                    ]
+                    assert [c.metering for c in got.iterates] == [
+                        c.metering for c in alone.iterates
+                    ]
+                    assert got.best.decision == alone.best.decision
+                    assert got.best.cost == alone.best.cost
+                    assert len(got.cost_trail) > len(starts)  # the descents did work
 
     def test_short_warm_start_rejected(self):
         problems, _ = self.setup_cell()
@@ -418,4 +496,4 @@ class TestParallelCell:
             base, state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3, NET, (3.8, 3.2, 0.6)
         )
         with pytest.raises(ValueError):
-            run_parallel_cell(problems, short, {}, OptimizerConfig(), serial=True)
+            run_parallel_cell(problems, short, {}, OptimizerConfig())

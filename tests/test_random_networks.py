@@ -7,6 +7,7 @@ inside the consistency envelope ``eta_idling + xi <= 1``, under which the
 receiving term plus the ramp-supply share can never overfill a cell.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -355,3 +356,74 @@ class TestBatchedRollout:
         with pytest.raises(TopologyError):
             rollout_batch(state, (random_input(rng, net),), net, 2, 0.8,
                           plans=np.ones((3, 2, nr + 1)))
+
+    def test_mixed_kinds_and_horizons_in_one_batch(self):
+        # plan rows and gain rows of horizons 1-10 share one call; each row is
+        # rolled out over its own horizon only, so a plan's padded tail is
+        # never read and a failure past a row's horizon does not count
+        rng = np.random.default_rng(263)
+        bounds = {CONVENTIONAL: (-1.0, 10.0), PARAMETERIZED: (-2.0, 4.0)}
+        finite_despite_tail = failed_within = rows_checked = 0
+        for trial in range(40):
+            net = random_network(rng, allow_beta_one=True)
+            if not net.metered_cells:
+                continue
+            if trial % 2 == 0:
+                net = overfilling(net)
+            nr = len(net.metered_cells)
+            state = random_state(rng, net)
+            forecast = tuple(random_input(rng, net) for _ in range(int(rng.integers(1, 4))))
+            mu_prev = tuple(float(v) for v in rng.uniform(0, 3, size=nr))
+
+            def problem(kind, horizon):
+                lo, hi = bounds[kind]
+                dim = nr * horizon if kind == CONVENTIONAL else nr
+                return MpcProblem(
+                    kind=kind, horizon=horizon, params=net, initial_state=state,
+                    demand_forecast=forecast, mu_prev=mu_prev,
+                    bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim, gamma=0.8, label="R",
+                )
+
+            # each row: its problem, its decision and its decision over all 10 steps
+            rows = []
+            for horizon in range(1, 11):
+                for kind in (CONVENTIONAL, PARAMETERIZED):
+                    for _ in range(3):
+                        lo, hi = bounds[kind]
+                        if kind == CONVENTIONAL:
+                            full = rng.uniform(lo, hi, size=(10, nr))
+                            x = full[:horizon].ravel()
+                        else:
+                            x = full = rng.uniform(lo, hi, size=nr)
+                        rows.append((problem(kind, horizon), x, full.ravel()))
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+            plans = np.zeros((len(rows), 10, nr))
+            gains = np.zeros((len(rows), nr))
+            for b, (p, x, full) in enumerate(rows):
+                if p.kind == CONVENTIONAL:
+                    plans[b] = full.reshape(10, nr)  # the tail past p.horizon is padding
+                else:
+                    gains[b] = x
+            got, derived = rollout_batch(
+                state, forecast, net, 10, 0.8, plans=plans, gains=gains, mu_prev=mu_prev,
+                gain_rows=np.array([p.kind == PARAMETERIZED for p, _, _ in rows]),
+                horizons=np.array([p.horizon for p, _, _ in rows]),
+            )
+            assert got.tolist() == [objective(p, x) for p, x, _ in rows]
+            for b, (p, x, full) in enumerate(rows):
+                rows_checked += 1
+                if self.scalar_failure(p, x) is not None:
+                    failed_within += 1
+                    assert got[b] == math.inf
+                    continue
+                if p.kind == PARAMETERIZED:
+                    want_plan, _ = _parameterized_trajectory(p, x)
+                    assert derived[b, :p.horizon].tolist() == [list(r) for r in want_plan]
+                else:
+                    assert derived[b].tolist() == plans[b].tolist()
+                if self.scalar_failure(problem(p.kind, 10), full) is ModelConsistencyError:
+                    finite_despite_tail += 1
+                    assert math.isfinite(got[b])
+        assert rows_checked >= 1200
+        assert failed_within >= 10, failed_within
+        assert finite_despite_tail >= 10, finite_despite_tail
