@@ -31,10 +31,34 @@ Unserved mainstream demand is dropped, so conservation accounting uses the
 optimizers and the evaluation block; it performs every float operation of
 :func:`step` in the same order, so its costs equal :func:`rollout`'s bit for
 bit.
+
+BATCHED ROLLOUTS
+----------------
+Python's ``min(a, b)`` returns ``a`` unless ``b < a``, and ``max(a, b)``
+returns ``a`` unless ``b > a``.  ``np.minimum(b, a)`` and ``np.maximum(b,
+a)`` return their second operand on ties and propagate a NaN from either
+operand, so they equal ``min(a, b)`` and ``max(a, b)`` byte for byte, the
+sign of a zero included, whenever ``b`` cannot be NaN (the test suite pins
+this rule).  :func:`rollout_batch` uses the swapped ufunc where ``b`` is a
+constant: the floor 0.0, the saturation flow, the off-ramp bound and the
+capacity, none of which :class:`CellParams` lets be NaN.  Where ``b`` can be
+NaN it keeps the selection ``np.where(b < a, b, a)``: the metering cap
+``min(e, rate)``, which ignores a NaN rate as Python does (the row then costs
++inf), and the vacant-capacity, receiving and moving terms, which carry any
+NaN of the state.
+
+Each call checks the initial state and the inputs once, and every array is
+laid out cells by rows.  Rows are sorted by horizon, so the rows still
+rolling form a prefix; the steps over which that prefix keeps its length
+form a stretch, rolled on arrays allocated for it.  A stretch keeps the
+pre-step state and the flows of every step, sums them over the cells once,
+left to right like Python's ``sum``, and then adds each step's stage cost to
+the row totals in step order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -99,11 +123,13 @@ class CellParams:
     allow_beta_one: bool = False  # opt-in for the split_beta == 1 boundary branch
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
+        # written so that NaN fails too: rollout_batch relies on capacities
+        # and saturation flows being numbers
+        if not self.length > 0:
             raise ValueError("cell length must be positive")
-        if self.capacity_nbar <= 0:
+        if not self.capacity_nbar > 0:
             raise ValueError("capacity_nbar must be positive")
-        if self.sat_mainline_obar < 0 or self.sat_offramp_sbar < 0:
+        if not (self.sat_mainline_obar >= 0 and self.sat_offramp_sbar >= 0):
             raise ValueError("saturation flows must be nonnegative")
         for name in ("split_beta", "blend_alpha", "eta_moving", "eta_idling", "xi"):
             v = getattr(self, name)
@@ -172,7 +198,8 @@ class CellArrays:
 
     Each entry is the float expression :func:`step` evaluates for that cell.
     A term a cell lacks inside a ``min`` is +inf, which leaves the minimum
-    unchanged.
+    unchanged.  Coefficients are columns ``[n, 1]``, which broadcast over a
+    batch laid out cells by rows; indices are flat.
     """
 
     nbar: np.ndarray                 # capacity per cell
@@ -200,7 +227,7 @@ class CellArrays:
         cells = params.cells
 
         def per_cell(values) -> np.ndarray:
-            return np.array(list(values), dtype=float)
+            return np.array(list(values), dtype=float).reshape(-1, 1)
 
         def index(values) -> np.ndarray:
             return np.array(list(values), dtype=np.intp)
@@ -510,22 +537,12 @@ def rollout(
     )
 
 
-def _min(a, b):
-    """Elementwise ``min(a, b)`` as Python evaluates it: ``b`` only where it
-    is strictly smaller (``np.minimum`` differs on NaN and signed zeros)."""
-    return np.where(b < a, b, a)
-
-
-def _max(a, b):
-    """Elementwise ``max(a, b)`` as Python evaluates it."""
-    return np.where(b > a, b, a)
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, left to right from 0.0 like Python's ``sum``."""
+def _cell_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the cell axis (the second to last), left to right from 0.0
+    like Python's ``sum``."""
     total = 0.0
-    for i in range(x.shape[-1]):
-        total = total + x[..., i]
+    for i in range(x.shape[-2]):
+        total = total + x[..., i, :]
     return total
 
 
@@ -559,10 +576,13 @@ def rollout_batch(
 
     Every float operation is that of :func:`step`, in the same order, so each
     cost equals ``rollout(...).total_cost`` over the row's horizon bit for
-    bit.  Where the scalar model raises for a plan within that horizon (a
-    negative or NaN rate, :class:`NegativeRateError`; a state update out of
-    bounds, :class:`ModelConsistencyError`) that row's cost is +inf instead.
-    The initial state is validated once.
+    bit (the module notes say how each ``min`` and ``max`` stays exact).
+    Where the scalar model raises for a plan within that horizon (a negative
+    or NaN rate, :class:`NegativeRateError`; a state update out of bounds,
+    :class:`ModelConsistencyError`) that row's cost is +inf instead.  The
+    initial state and the inputs are checked once per call.  The stage costs
+    are summed over the cells once per stretch of steps, from histories of
+    the state and the flows, and then added up in step order.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -573,13 +593,18 @@ def rollout_batch(
     if gain_rows is None:
         if (plans is None) == (gains is None):
             raise ValueError("pass exactly one of plans and gains, or gain_rows with both")
-        gain_rows = np.full(len(plans if gains is None else gains), gains is not None)
+        batch = len(plans if gains is None else gains)
+        derive = gains is not None
+        flags = None  # every row of one kind
     elif plans is None or gains is None:
         raise ValueError("gain_rows needs both plans and gains")
+    else:
+        flags = np.asarray(gain_rows, dtype=bool)
+        batch = len(flags)
+        derive = bool(flags.any())
     state.validate(params)
     ca = params.arrays
     n_ramps = len(params.metered_cells)
-    batch = len(gain_rows)
     if plans is None:
         plans = np.zeros((batch, horizon, n_ramps))
     plans = np.asarray(plans, dtype=float)
@@ -589,7 +614,6 @@ def rollout_batch(
         raise TopologyError(
             f"plans have {plans.shape[2]} rates per step, network has {n_ramps} metered ramps"
         )
-    derive = bool(np.any(gain_rows))
     if derive:
         gains = np.asarray(gains, dtype=float)
         if gains.shape[:1] != (batch,) or gains.ndim != 2 or mu_prev is None:
@@ -599,103 +623,161 @@ def rollout_batch(
                 f"gains have {gains.shape[1]} and mu_prev {len(mu_prev)} entries, "
                 f"network has {n_ramps} metered ramps"
             )
-    ends = np.full(batch, horizon) if horizons is None else np.asarray(horizons)
-    if ends.shape != (batch,) or not ((ends >= 1) & (ends <= horizon)).all():
-        raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
-
-    # Rows sorted by horizon, longest first: the rows still rolling at step k
-    # are a prefix, and the arrays below are cut to it as rows finish.
-    order = np.argsort(-ends, kind="stable")
-    ends = ends[order]
-    plans = plans[order]
-    if derive:
-        flags = np.asarray(gain_rows, dtype=bool)[order, None]
-        gains = gains[order]
-        mu = np.tile(np.asarray(mu_prev, dtype=float), (batch, 1))
-    n = np.tile(np.asarray(state.n, dtype=float), (batch, 1))
-    q = np.tile(np.asarray(state.q, dtype=float), (batch, 1))
-    # extremes of the unclamped updates, checked against the bounds when a
-    # row finishes; fmin/fmax skip NaN, which the scalar check never flags
-    n_low, n_high, q_low = n.copy(), n.copy(), q.copy()
-    failed = np.zeros(batch, dtype=bool)
-    total = np.zeros(batch)
-    cycle_h = params.sample_cycle_s / 3600.0
-    td_scale = params.free_flow_mps * 3600.0
-
-    def settle(rows: slice) -> None:
-        failed[rows] |= ((n_low[rows] < -STATE_TOL) | (n_high[rows] > ca.nbar_tol)).any(axis=1)
-        failed[rows] |= (q_low[rows] < -STATE_TOL).any(axis=1)
-
-    live = batch
-    for k, rolling in enumerate(np.count_nonzero(ends[:, None] > np.arange(horizon), axis=0)):
-        if rolling < live:
-            settle(slice(rolling, live))
-            live = rolling
-            n, q = n[:live], q[:live]
-            if derive:
-                flags, gains, mu = flags[:live], gains[:live], mu[:live]
-        inp = inputs[k] if k < len(inputs) else inputs[-1]
-        if len(inp.ramp_demands) != len(params.onramp_cells):
+        mu_prev = np.asarray(mu_prev, dtype=float)[:, None]
+    if horizons is not None:
+        ends = np.asarray(horizons)
+        if ends.shape != (batch,) or not ((ends >= 1) & (ends <= horizon)).all():
+            raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
+    # the inputs the horizon reads, each once; step k reads entry min(k, last)
+    last = min(horizon, len(inputs)) - 1
+    read = [inputs[k] for k in range(last + 1)]
+    n_onramps = len(params.onramp_cells)
+    for inp in read:
+        if len(inp.ramp_demands) != n_onramps:
             raise TopologyError(
                 f"input has {len(inp.ramp_demands)} ramp demands, "
-                f"network has {len(params.onramp_cells)} on-ramps"
+                f"network has {n_onramps} on-ramps"
             )
-        demand = np.asarray(inp.ramp_demands, dtype=float)
+    demands = np.array([inp.ramp_demands for inp in read], dtype=float)[:, :, None]
+    mainstream = [inp.mainstream_demand for inp in read]
+
+    # Rows sorted by horizon, longest first, so that the rows still rolling
+    # at step k are a prefix, lives[k] long.  Every array is laid out cells
+    # (or ramps) by rows, and the rates as [horizon, ramps, rows].
+    if horizons is None:
+        order = None
+        lives = [batch] * horizon if batch else []
+        rates = plans.transpose(1, 2, 0).copy()
+    else:
+        order = np.argsort(-ends, kind="stable")
+        ends = ends[order]
+        lives = [rows for rows in np.searchsorted(-ends, -np.arange(horizon)).tolist() if rows]
+        rates = plans[order].transpose(1, 2, 0).copy()
         if derive:
-            rho = n[:, ca.metered] / ca.metered_lane_length
-            derived = _max(mu + gains * (params.rho_crit - rho), 0.0)
-            mu = np.where(flags, derived, plans[:live, k])
-            plans[:live, k] = mu
-        else:
-            mu = plans[:live, k]
+            gains = gains[order]
+            flags = None if flags is None else flags[order]
 
-        # on-ramp inflow
-        e_ramp = _min(q + demand, ca.onramp_xi * (ca.onramp_nbar - n[:, ca.onramps]))
-        rate = np.full_like(e_ramp, math.inf)  # unmetered ramps: no cap
-        rate[:, ca.metered_slots] = mu
-        e_ramp = _max(_min(e_ramp, rate), 0.0)
-        e = np.zeros_like(n)
-        e[:, ca.onramps] = e_ramp
+    cells = params.n_cells
+    all_metered = n_ramps == n_onramps
+    cycle_h = params.sample_cycle_s / 3600.0
+    td_scale = params.free_flow_mps * 3600.0
+    total = np.zeros(batch)
+    failed = np.zeros(batch, dtype=bool)
+    start = np.zeros((2, cells, batch))  # n, then q padded with zeros to the cell count
+    start[0] = np.asarray(state.n, dtype=float)[:, None]
+    start[1, :n_onramps] = np.asarray(state.q, dtype=float)[:, None]
+    first = 0
+    for rows, group in itertools.groupby(lives):
+        # A stretch of steps over which the same rows roll, on contiguous
+        # arrays cut to them.  Its histories hold the state before each step
+        # (n, q), the flow o + s leaving each cell and the update before
+        # clamping; the stage costs are summed and the bounds checked on them
+        # once per stretch.
+        count = len(list(group))
+        hist = np.zeros((3, count + 1, cells, rows))
+        raw = np.zeros((2, count, cells, rows))
+        hist[:2, 0] = start[:, :, :rows]
+        # work arrays of one step; e and s stay 0 in cells without that ramp
+        e = np.zeros((cells, rows))
+        s = np.zeros((cells, rows))
+        # the admitted mainstream inflow, then the mainline outflow o of each
+        # cell: row i is the inflow of cell i, bounded by its receiving term
+        flow = np.empty((cells + 1, rows))
+        admitted, inflow, o = flow[0], flow[:-1], flow[1:]
+        blended = np.empty((cells, rows))
+        receiving = np.empty((cells, rows))
+        below = np.empty((cells, rows), dtype=bool)
+        if derive:
+            live_gains = np.ascontiguousarray(gains[:rows].T)
+            live_flags = None if flags is None else flags[:rows]
+        for j in range(count):
+            k = first + j
+            n, q = hist[0, j], hist[1, j, :n_onramps]
+            mu = rates[k, :, :rows]
+            if derive:
+                prev = mu_prev if k == 0 else rates[k - 1, :, :rows]
+                rho = n.take(ca.metered, axis=0) / ca.metered_lane_length
+                derived = prev + live_gains * (params.rho_crit - rho)
+                if live_flags is None:
+                    np.maximum(0.0, derived, out=mu)
+                else:
+                    np.copyto(mu, np.maximum(0.0, derived), where=live_flags)
 
-        # mainline outflow: min of sending, saturation, receiving downstream
-        # and the off-ramp-coupled bound, floored at 0
-        blended = ca.alpha * e
-        receiving = (ca.nbar - n - blended) * ca.eta_idling
-        o = _min(ca.send * (n + blended) * ca.eta_moving, ca.obar)
-        o[:, :-1] = _min(o[:, :-1], receiving[:, 1:])
-        o = _max(_min(o, ca.offramp_bound), 0.0)
+            # on-ramp inflow
+            at = min(k, last)
+            supply = q + demands[at]
+            space = ca.onramp_xi * (ca.onramp_nbar - n.take(ca.onramps, axis=0))
+            e_ramp = np.where(space < supply, space, supply)
+            if all_metered:
+                e_ramp = np.where(mu < e_ramp, mu, e_ramp)
+            else:
+                capped = e_ramp[ca.metered_slots]
+                e_ramp[ca.metered_slots] = np.where(mu < capped, mu, capped)
+            np.maximum(0.0, e_ramp, out=e_ramp)
+            e[ca.onramps] = e_ramp
 
-        # off-ramp outflow
-        s = np.zeros_like(n)
-        s[:, ca.split] = ca.split_ratio * o[:, ca.split]
-        if ca.split_all.size:
-            moving = (n[:, ca.split_all] + blended[:, ca.split_all]) * ca.eta_moving[ca.split_all]
-            s[:, ca.split_all] = _min(ca.split_all_sbar, moving)
+            # mainline outflow: min of sending, saturation, receiving
+            # downstream and the off-ramp-coupled bound, floored at 0; the
+            # admitted mainstream inflow: min of demand and receiving, floored
+            # at 0
+            np.multiply(ca.alpha, e, out=blended)
+            np.subtract(ca.nbar, n, out=receiving)
+            np.subtract(receiving, blended, out=receiving)
+            np.multiply(receiving, ca.eta_idling, out=receiving)
+            admitted.fill(mainstream[at])
+            np.add(n, blended, out=o)
+            np.multiply(ca.send, o, out=o)
+            np.multiply(o, ca.eta_moving, out=o)
+            np.minimum(ca.obar, o, out=o)
+            np.less(receiving, inflow, out=below)
+            np.copyto(inflow, receiving, where=below)
+            np.minimum(ca.offramp_bound, o, out=o)
+            np.maximum(0.0, flow, out=flow)
 
-        inflow = np.empty_like(n)
-        inflow[:, 0] = _max(_min(inp.mainstream_demand, receiving[:, 0]), 0.0)
-        inflow[:, 1:] = o[:, :-1]
-        n_next = n + inflow + e - o - s
-        q_next = q + demand - e_ramp
-        np.fmin(n_low[:live], n_next, out=n_low[:live])
-        np.fmax(n_high[:live], n_next, out=n_high[:live])
-        np.fmin(q_low[:live], q_next, out=q_low[:live])
+            # off-ramp outflow
+            s[ca.split] = ca.split_ratio * o.take(ca.split, axis=0)
+            if ca.split_all.size:
+                moving = (n[ca.split_all] + blended[ca.split_all]) * ca.eta_moving[ca.split_all]
+                s[ca.split_all] = np.where(moving < ca.split_all_sbar, moving, ca.split_all_sbar)
 
-        # stage cost on the pre-step occupancy
-        tt = cycle_h * (_row_sum(n) + _row_sum(q))
-        td_h = _row_sum((o + s) * ca.length) / td_scale
-        total[:live] = total[:live] + (tt - gamma * td_h)
+            # the update, then the next state: clamped into bounds
+            np.add(o, s, out=hist[2, j])
+            n_next = raw[0, j]
+            np.add(n, inflow, out=n_next)
+            np.add(n_next, e, out=n_next)
+            np.subtract(n_next, o, out=n_next)
+            np.subtract(n_next, s, out=n_next)
+            np.subtract(supply, e_ramp, out=raw[1, j, :n_onramps])
+            np.maximum(0.0, raw[:, j], out=hist[:2, j + 1])
+            np.minimum(ca.nbar, hist[0, j + 1], out=hist[0, j + 1])
 
-        n = _min(_max(n_next, 0.0), ca.nbar)
-        q = _max(q_next, 0.0)
-    settle(slice(0, live))
+        # stage costs on the pre-step occupancy (the zero padding of q leaves
+        # its sums unchanged), added up in step order
+        np.multiply(hist[2], ca.length, out=hist[2])
+        n_sum, q_sum, dist = _cell_sum(hist[:, :count])
+        stage = cycle_h * (n_sum + q_sum) - gamma * (dist / td_scale)
+        part = total[:rows]
+        for cost in stage:
+            np.add(part, cost, out=part)
+        # updates out of bounds; a NaN is never flagged, as in step
+        low, high = raw < -STATE_TOL, raw[0] > ca.nbar_tol
+        if low.any() or high.any():
+            failed[:rows] |= low.any(axis=(0, 1, 2)) | high.any(axis=(0, 1))
+        start = hist[:2, count]
+        first += count
+
     # negative or NaN rates within a row's horizon, derived ones included
-    within = np.arange(horizon) < ends[:, None]
-    failed |= (~(plans >= 0) & within[:, :, None]).any(axis=(1, 2))
+    bad_rates = ~(rates >= 0)
+    if bad_rates.any():
+        if order is not None:
+            bad_rates &= np.arange(horizon)[:, None, None] < ends
+        failed |= bad_rates.any(axis=(0, 1))
     total[failed] = math.inf
+    if order is None:
+        return total, np.ascontiguousarray(rates.transpose(2, 0, 1))
     costs, out = np.empty(batch), np.empty_like(plans)
     costs[order] = total
-    out[order] = plans
+    out[order] = rates.transpose(2, 0, 1)
     return costs, out
 
 

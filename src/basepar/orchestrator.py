@@ -93,7 +93,6 @@ class ArchitectureConfig:
     metering_hi: tuple[float, ...]
     gain_lo: tuple[float, ...]
     gain_hi: tuple[float, ...]
-    eval_params: Optional[NetworkParams] = None  # refined evaluation model hook
     serial: bool = False
 
     def __post_init__(self) -> None:
@@ -310,9 +309,8 @@ class BaseParallelController:
                 )
                 candidates.extend(res.iterates)
 
-        eval_params = cfg.eval_params if cfg.eval_params is not None else cfg.params
         evaluation = evaluate_candidates(
-            candidates, eval_params, measurement, forecast,
+            candidates, cfg.params, measurement, forecast,
             cfg.evaluation_horizon, cfg.gamma,
         )
         winner_index, applied = select_best(evaluation, fallback_index)

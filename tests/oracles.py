@@ -127,6 +127,31 @@ def oracle_rollout_cost(params, state, inputs, plan, horizon, gamma):
     return total
 
 
+def oracle_gain_plan(params, state, inputs, mu_prev, theta, horizon):
+    """Rates the feedback law ``max(mu_prev + theta * (rho_crit - rho), 0)``
+    sets over the horizon, each on the density the oracle step predicts.  A
+    state update out of bounds is clamped back into them, so the plan stays
+    defined past a step the package model rejects."""
+    n = list(state.n)
+    q = list(state.q)
+    prev = list(mu_prev)
+    plan = []
+    for k in range(horizon):
+        inp = inputs[k] if k < len(inputs) else inputs[-1]
+        mu = []
+        for j, i in enumerate(params.metered_cells):
+            rho = n[i] / (params.cells[i].length * params.lanes)
+            mu.append(max(prev[j] + theta[j] * (params.rho_crit - rho), 0.0))
+        out = oracle_step(params, n, q, inp.mainstream_demand,
+                          dict(zip(params.onramp_cells, inp.ramp_demands)),
+                          dict(zip(params.metered_cells, mu)), 0.0)
+        n = [min(max(v, 0.0), c.capacity_nbar) for v, c in zip(out["n"], params.cells)]
+        q = [max(v, 0.0) for v in out["q"]]
+        plan.append(mu)
+        prev = mu
+    return plan
+
+
 def central_difference(fun, x, h=1e-6):
     """Central-difference gradient oracle."""
     import numpy as np

@@ -6,6 +6,7 @@ to see them).  The heavyweight closed-loop comparison is computed once per
 session and shared.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -38,6 +39,7 @@ from basepar.scenario import (
     load_scenario,
     run_experiment,
     train_networks,
+    write_runlog,
 )
 
 from oracles import central_difference, grid_search_gain, oracle_step
@@ -378,3 +380,19 @@ def test_criterion_8_serial_determinism(tmp_path):
         payloads.append((out / "run_architecture.jsonl").read_bytes())
     assert payloads[0] == payloads[1]
     _report(8, f"two serial runs wrote identical logs ({len(payloads[0])} bytes)")
+
+
+# The shipped serial architecture run, pinned: criterion 8 compares two runs
+# of the same code, so only fixed values catch an edit that moves one bit.
+GOLDEN_J_TOTAL = 178.3011820035886
+GOLDEN_LOG_SHA256 = "45b3fe2d0c6db97ec410987dbef291ba555deec1439f97d9786e00c5c0306daa"
+
+
+def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
+    """The 180-step serial architecture run keeps its exact J_total and the
+    bytes of its run log."""
+    log = compare_runs[0]["architecture"]
+    path = tmp_path / "run_architecture.jsonl"
+    write_runlog(log, str(path))
+    assert log.summary.j_total == GOLDEN_J_TOTAL
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256

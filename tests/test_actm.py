@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -321,6 +324,69 @@ class TestValidation:
                 sat_offramp_sbar=6.0, xi=1.5,
             )
 
+    @pytest.mark.parametrize(
+        "name", ["length", "capacity_nbar", "sat_mainline_obar", "sat_offramp_sbar"]
+    )
+    def test_nan_parameter_rejected(self, name):
+        values = dict(length=560.0, capacity_nbar=80.0, sat_mainline_obar=8.0,
+                      sat_offramp_sbar=6.0)
+        values[name] = math.nan
+        with pytest.raises(ValueError):
+            CellParams(**values)
+
     def test_state_topology(self, net):
         with pytest.raises(TopologyError):
             NetworkState(n=(0.0,) * 5, q=(0.0,) * 3).validate(net)
+
+
+class TestSwappedOperandRule:
+    """``np.minimum(b, a)`` and ``np.maximum(b, a)`` equal Python's ``min(a,
+    b)`` and ``max(a, b)`` byte for byte whenever ``b`` is not NaN: numpy
+    returns its second operand on ties (so ``-0.0`` and ``0.0`` come out as
+    Python picks them) and propagates a NaN in ``a``.  ``rollout_batch``
+    relies on this wherever :func:`step` takes a ``min``/``max`` against a
+    constant; a numpy release that breaks ties differently fails here."""
+
+    A = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
+    B = A[:-1]
+    RULES = [(np.minimum, min), (np.maximum, max)]
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("ufunc, builtin", RULES)
+    def test_array_array(self, ufunc, builtin):
+        # repeated so the vectorized inner loops run, not only their tails
+        pairs = list(itertools.product(self.A, self.B)) * 5
+        a = np.array([x for x, _ in pairs])
+        b = np.array([y for _, y in pairs])
+        want = self.bits([builtin(x, y) for x, y in pairs])
+        assert ufunc(b, a).tobytes() == want
+        out = a.copy()
+        ufunc(b, out, out=out)
+        assert out.tobytes() == want
+        # strided columns, as the kernel's cell slices are
+        wide_a, wide_b = np.repeat(a[:, None], 3, axis=1), np.repeat(b[:, None], 3, axis=1)
+        assert ufunc(wide_b[:, 1], wide_a[:, 1]).tobytes() == want
+
+    @pytest.mark.parametrize("ufunc, builtin", RULES)
+    def test_array_scalar(self, ufunc, builtin):
+        a = np.array(self.A * 5)
+        for y in self.B:
+            want = self.bits([builtin(x, y) for x in a.tolist()])
+            assert ufunc(y, a).tobytes() == want
+            assert ufunc(np.float64(y), a).tobytes() == want
+
+    @pytest.mark.parametrize("ufunc, builtin", RULES)
+    def test_broadcast_2d(self, ufunc, builtin):
+        # a per-cell constant row against a [rows, cells] matrix
+        rows = np.array(list(itertools.product(self.A, repeat=2)))
+        a = np.repeat(rows, 3, axis=1)              # [49, 6]
+        b = np.array(self.B)                        # [6]
+        want = self.bits([[builtin(x, y) for x, y in zip(row, self.B)] for row in a.tolist()])
+        assert ufunc(b, a).tobytes() == want
+        assert ufunc(b[None, :], a).tobytes() == want
+        out = a.copy()
+        ufunc(b, out, out=out)
+        assert out.tobytes() == want

@@ -42,7 +42,7 @@ from basepar.parallel import (
     solve_budgeted,
 )
 
-from oracles import oracle_rollout_cost
+from oracles import oracle_gain_plan, oracle_rollout_cost
 
 
 def random_network(rng, allow_beta_one=False):
@@ -278,7 +278,8 @@ class TestRandomTopologies:
 
 
 class TestBatchedRollout:
-    """``rollout_batch`` against the scalar objective, compared with ``==``."""
+    """``rollout_batch`` against the scalar objective, compared byte for byte
+    so that the sign of a zero counts too."""
 
     def scalar_failure(self, problem, x):
         """The exception the scalar model raises for decision ``x``, if any."""
@@ -293,6 +294,18 @@ class TestBatchedRollout:
         except (ModelConsistencyError, NegativeRateError) as exc:
             return type(exc)
         return None
+
+    def assert_gain_plan(self, problem, theta, plan):
+        """The rates ``rollout_batch`` derived for gains ``theta``, byte for
+        byte: against the scalar path where it completes, and against the
+        clamping oracle everywhere, rows that fail included."""
+        want = oracle_gain_plan(problem.params, problem.initial_state,
+                                problem.demand_forecast, problem.mu_prev, theta,
+                                problem.horizon)
+        assert plan.tobytes() == np.array(want, dtype=float).tobytes()
+        if self.scalar_failure(problem, theta) is None:
+            scalar, _ = _parameterized_trajectory(problem, theta)
+            assert plan.tobytes() == np.array(scalar, dtype=float).tobytes()
 
     def test_costs_equal_scalar_objective_bit_for_bit(self):
         rng = np.random.default_rng(241)
@@ -325,15 +338,15 @@ class TestBatchedRollout:
                         state, forecast, net, horizon, 0.8,
                         plans=xs.reshape(8, horizon, nr),
                     )
+                    assert plans.tobytes() == xs.reshape(8, horizon, nr).tobytes()
                 else:
                     got, plans = rollout_batch(
                         state, forecast, net, horizon, 0.8, gains=xs, mu_prev=mu_prev,
                     )
-                    for x, plan in zip(xs, plans.tolist()):
-                        if self.scalar_failure(problem, x) is None:
-                            want_plan, _ = _parameterized_trajectory(problem, x)
-                            assert plan == [list(row) for row in want_plan]
-                assert got.tolist() == [objective(problem, x) for x in xs]
+                    for x, plan in zip(xs, plans):
+                        self.assert_gain_plan(problem, x, plan)
+                want = np.array([objective(problem, x) for x in xs])
+                assert got.tobytes() == want.tobytes()
                 for x in xs:
                     failure = self.scalar_failure(problem, x)
                     if failure is not None:
@@ -346,6 +359,35 @@ class TestBatchedRollout:
         # rows that must come out +inf, for each reason the scalar model raises
         assert min(failures.values()) >= 10, failures
 
+    def test_signed_zero_rates_keep_their_sign(self):
+        # previous rates of -0.0 and zero gains of either sign: the feedback
+        # law yields -0.0 or 0.0 depending on the sign of rho_crit - rho, and
+        # Python's max(-0.0, 0.0) keeps -0.0, so the derived plans must too
+        rng = np.random.default_rng(269)
+        negative_zeros = 0
+        for _ in range(20):
+            net = random_network(rng)
+            if not net.metered_cells:
+                continue
+            nr = len(net.metered_cells)
+            state = random_state(rng, net)
+            forecast = (random_input(rng, net),)
+            mu_prev = (-0.0,) * nr
+            gains = np.array([[0.0] * nr, [-0.0] * nr])
+            costs, plans = rollout_batch(state, forecast, net, 4, 0.8,
+                                         gains=gains, mu_prev=mu_prev)
+            problem = MpcProblem(
+                kind=PARAMETERIZED, horizon=4, params=net, initial_state=state,
+                demand_forecast=forecast, mu_prev=mu_prev,
+                bounds_lo=(-1.0,) * nr, bounds_hi=(1.0,) * nr, gamma=0.8, label="R",
+            )
+            want = np.array([objective(problem, g) for g in gains])
+            assert costs.tobytes() == want.tobytes()
+            for g, plan in zip(gains, plans):
+                self.assert_gain_plan(problem, g, plan)
+            negative_zeros += int(np.count_nonzero(np.signbit(plans)))
+        assert negative_zeros >= 50, negative_zeros
+
     def test_wrong_ramp_count_raises(self):
         rng = np.random.default_rng(251)
         net = random_network(rng)
@@ -356,6 +398,29 @@ class TestBatchedRollout:
         with pytest.raises(TopologyError):
             rollout_batch(state, (random_input(rng, net),), net, 2, 0.8,
                           plans=np.ones((3, 2, nr + 1)))
+
+    def test_wrong_ramp_demand_count_inside_the_horizon_raises(self):
+        rng = np.random.default_rng(257)
+        net = random_network(rng)
+        while not net.metered_cells:
+            net = random_network(rng)
+        nr = len(net.metered_cells)
+        state = random_state(rng, net)
+        good = random_input(rng, net)
+        bad = ExogenousInput(1.0, good.ramp_demands + (1.0,))
+
+        def run(forecast, horizon):
+            return rollout_batch(state, forecast, net, horizon, 0.8,
+                                 plans=np.ones((2, horizon, nr)))
+
+        with pytest.raises(TopologyError, match="ramp demands"):
+            run((good, bad, good), 3)
+        # a short forecast holds its last entry, which is then read
+        with pytest.raises(TopologyError, match="ramp demands"):
+            run((good, bad), 4)
+        # an entry past the horizon is never read
+        costs, _ = run((good, good, bad), 2)
+        assert costs.shape == (2,)
 
     def test_mixed_kinds_and_horizons_in_one_batch(self):
         # plan rows and gain rows of horizons 1-10 share one call; each row is
@@ -409,18 +474,18 @@ class TestBatchedRollout:
                 gain_rows=np.array([p.kind == PARAMETERIZED for p, _, _ in rows]),
                 horizons=np.array([p.horizon for p, _, _ in rows]),
             )
-            assert got.tolist() == [objective(p, x) for p, x, _ in rows]
+            want = np.array([objective(p, x) for p, x, _ in rows])
+            assert got.tobytes() == want.tobytes()
             for b, (p, x, full) in enumerate(rows):
                 rows_checked += 1
+                if p.kind == PARAMETERIZED:
+                    self.assert_gain_plan(p, x, derived[b, :p.horizon])
+                else:
+                    assert derived[b].tobytes() == plans[b].tobytes()
                 if self.scalar_failure(p, x) is not None:
                     failed_within += 1
                     assert got[b] == math.inf
                     continue
-                if p.kind == PARAMETERIZED:
-                    want_plan, _ = _parameterized_trajectory(p, x)
-                    assert derived[b, :p.horizon].tolist() == [list(r) for r in want_plan]
-                else:
-                    assert derived[b].tolist() == plans[b].tolist()
                 if self.scalar_failure(problem(p.kind, 10), full) is ModelConsistencyError:
                     finite_despite_tail += 1
                     assert math.isfinite(got[b])
