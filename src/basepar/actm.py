@@ -166,13 +166,13 @@ class NetworkParams:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("network needs at least one cell")
-        if self.sample_cycle_s <= 0:
+        if not self.sample_cycle_s > 0:
             raise ValueError("sample_cycle_s must be positive")
-        if self.rho_crit <= 0:
+        if not self.rho_crit > 0:
             raise ValueError("rho_crit must be positive")
         if self.lanes < 1:
             raise ValueError("lanes must be at least 1")
-        if self.free_flow_mps <= 0:
+        if not self.free_flow_mps > 0:
             raise ValueError("free_flow_mps must be positive")
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(
@@ -282,12 +282,13 @@ class NetworkState:
             raise TopologyError(
                 f"state has {len(self.q)} queues, network has {len(params.onramp_cells)} on-ramps"
             )
+        # written so that NaN fails too
         for i, (ni, cell) in enumerate(zip(self.n, params.cells)):
-            if ni < -tol or ni > cell.capacity_nbar + tol:
+            if not -tol <= ni <= cell.capacity_nbar + tol:
                 raise ValueError(f"n[{i}]={ni} outside [0, {cell.capacity_nbar}]")
         for j, qj in enumerate(self.q):
-            if qj < -tol:
-                raise ValueError(f"q[{j}]={qj} negative")
+            if not qj >= -tol:
+                raise ValueError(f"q[{j}]={qj} negative or NaN")
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,8 +299,8 @@ class ExogenousInput:
     ramp_demands: tuple[float, ...]  # aligned with params.onramp_cells
 
     def __post_init__(self) -> None:
-        if self.mainstream_demand < 0 or any(d < 0 for d in self.ramp_demands):
-            raise ValueError("demands must be nonnegative")
+        if not (self.mainstream_demand >= 0 and all(d >= 0 for d in self.ramp_demands)):
+            raise ValueError("demands must be nonnegative numbers")
 
 
 @dataclass(frozen=True, slots=True)

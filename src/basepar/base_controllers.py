@@ -101,16 +101,14 @@ def alinea_step(
 # Implicit controller: gain-emitting network
 # ---------------------------------------------------------------------------
 
-_ACTIVATIONS = {"tanh": math.tanh}
-
-
 @dataclass(frozen=True)
 class MlpParams:
     """Weights of a 4-3-1 feedforward net plus its input scaling.
 
     Weights are stored row-major (``hidden_weights[j][k]`` connects input k
     to hidden unit j).  Inputs are scaled to [0, 1] by the recorded
-    generation-range bounds before the forward pass; the output is linear.
+    generation-range bounds before the forward pass; the hidden units are
+    tanh and the output is linear.
     """
 
     hidden_weights: tuple[tuple[float, ...], ...]  # 3 x 4
@@ -119,7 +117,6 @@ class MlpParams:
     output_bias: float
     input_lo: tuple[float, ...]                    # 4, per-feature scaling offsets
     input_hi: tuple[float, ...]                    # 4
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if len(self.hidden_weights) != 3 or any(len(r) != 4 for r in self.hidden_weights):
@@ -132,8 +129,6 @@ class MlpParams:
             span = hi - lo
             if not math.isfinite(span) or span == 0.0:
                 raise ValueError("input scaling spans must be finite and nonzero")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 def mlp_forward(params: MlpParams, inputs: Sequence[float]) -> float:
@@ -142,7 +137,6 @@ def mlp_forward(params: MlpParams, inputs: Sequence[float]) -> float:
         raise ValueError("expected 4 inputs")
     if not all(math.isfinite(v) for v in inputs):
         raise ValueError("inputs must be finite")
-    act = _ACTIVATIONS[params.activation]
     xs = [
         (inputs[k] - params.input_lo[k]) / (params.input_hi[k] - params.input_lo[k])
         for k in range(4)
@@ -153,7 +147,7 @@ def mlp_forward(params: MlpParams, inputs: Sequence[float]) -> float:
         row = params.hidden_weights[j]
         for k in range(4):
             pre += row[k] * xs[k]
-        y += params.output_weights[j] * act(pre)
+        y += params.output_weights[j] * math.tanh(pre)
     return y
 
 
@@ -169,7 +163,7 @@ def save_mlp_params(path, nets: dict[int, MlpParams]) -> None:
         "shape": [4, 3, 1],
         "cells": {
             str(cell): {
-                "activation": p.activation,
+                "activation": "tanh",
                 "hidden_weights": [list(r) for r in p.hidden_weights],
                 "hidden_bias": list(p.hidden_bias),
                 "output_weights": list(p.output_weights),
@@ -194,6 +188,8 @@ def load_mlp_params(path) -> dict[int, MlpParams]:
         raise ValueError(f"unsupported network shape: {payload.get('shape')!r}")
     nets = {}
     for cell, p in payload["cells"].items():
+        if p.get("activation") != "tanh":
+            raise ValueError(f"unsupported activation in cell {cell}: {p.get('activation')!r}")
         nets[int(cell)] = MlpParams(
             hidden_weights=tuple(tuple(r) for r in p["hidden_weights"]),
             hidden_bias=tuple(p["hidden_bias"]),
@@ -201,7 +197,6 @@ def load_mlp_params(path) -> dict[int, MlpParams]:
             output_bias=p["output_bias"],
             input_lo=tuple(p["input_scale_lo"]),
             input_hi=tuple(p["input_scale_hi"]),
-            activation=p["activation"],
         )
     return nets
 

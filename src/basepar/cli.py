@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (sc.ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (sc.ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

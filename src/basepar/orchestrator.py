@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,7 +93,6 @@ class ArchitectureConfig:
     metering_hi: tuple[float, ...]
     gain_lo: tuple[float, ...]
     gain_hi: tuple[float, ...]
-    serial: bool = False
 
     def __post_init__(self) -> None:
         if self.evaluation_horizon < 1:
@@ -222,11 +221,6 @@ class BaseParallelController:
             for cell in config.cells
             for spec in cell.controllers
         }
-        # Serial mode trades the wall-clock deadline for the iteration cap so
-        # repeated runs terminate identically.
-        self._optimizer = (
-            replace(config.optimizer, budget_s=None) if config.serial else config.optimizer
-        )
 
     def _problem(
         self, spec: ParallelControllerSpec, measurement: NetworkState,
@@ -289,8 +283,8 @@ class BaseParallelController:
             fallback_index = 0
 
         deadline = None
-        if self._optimizer.budget_s is not None:
-            deadline = time.monotonic() + self._optimizer.budget_s
+        if self.config.optimizer.budget_s is not None:
+            deadline = time.monotonic() + self.config.optimizer.budget_s
 
         # every solve of every cell, in one lockstep against the one deadline
         results = run_parallel_cells(
@@ -298,7 +292,7 @@ class BaseParallelController:
                 ([self._problem(spec, measurement, forecast) for spec in cell.controllers], warm)
                 for cell, warm in zip(cfg.cells, warm_starts)
             ],
-            self.histories, self._optimizer, deadline,
+            self.histories, self.config.optimizer, deadline,
         )
         solver_stats: list[tuple[str, float, int, bool]] = []
         for cell in cfg.cells:

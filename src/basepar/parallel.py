@@ -145,15 +145,16 @@ class OptimizerConfig:
     fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.function_tolerance <= 0 or self.step_tolerance <= 0:
+        # written so that NaN fails too: a NaN budget would never expire
+        if not (self.function_tolerance > 0 and self.step_tolerance > 0):
             raise ValueError("tolerances must be positive")
-        if self.budget_s is not None and self.budget_s < 0:
+        if self.budget_s is not None and not self.budget_s >= 0:
             raise ValueError("budget must be nonnegative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if self.termination not in ("best", "all"):
             raise ValueError("termination must be 'best' or 'all'")
-        if self.fd_step <= 0:
+        if not self.fd_step > 0:
             raise ValueError("fd_step must be positive")
 
 

@@ -2,9 +2,12 @@
 
 A scenario bundles the network, its initial condition, piecewise-linear
 demand profiles, the demand-measurement noise, the control settings and a
-seed.  Scenario files are YAML (schema documented in the README); any
-omitted section falls back to the shipped single-lane six-cell case with
-three metered on-ramps.
+seed.  Scenario files are YAML (schema documented in the README), read
+through the dataclasses they fill: every section rejects unknown fields and
+ill-typed values, naming the field.  ``scenarios/default.yaml`` is the one
+definition of the shipped single-lane six-cell case with three metered
+on-ramps; :func:`default_scenario` reads it, and :func:`load_scenario` fills
+whatever a file omits from it.
 
 The closed loop is driven step by step: the plant advances under the true
 demands while every controller sees a noisy measurement of them (one
@@ -19,18 +22,19 @@ and a trailing summary; plot data is emitted as plain CSV tables.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .actm import (
-    CellParams,
     ExogenousInput,
     NetworkParams,
     NetworkState,
@@ -120,10 +124,11 @@ class DemandProfile:
     def __post_init__(self) -> None:
         if not self.breakpoints:
             raise ValueError("a demand profile needs at least one breakpoint")
+        # written so that NaN fails too: a NaN time fails `<=` even against +inf
         times = [t for t, _ in self.breakpoints]
-        if any(b > a for a, b in zip(times[1:], times)):
-            raise ValueError("breakpoints must be time-sorted")
-        if any(v < 0 for _, v in self.breakpoints):
+        if not all(a <= b for a, b in zip(times, times[1:] + [math.inf])):
+            raise ValueError("breakpoints must be time-sorted numbers")
+        if not all(v >= 0 for _, v in self.breakpoints):
             raise ValueError("demand values must be nonnegative")
 
     def value(self, step_index: float) -> float:
@@ -137,14 +142,11 @@ class NoiseModel:
     """Symmetric-uniform multiplicative demand-measurement noise."""
 
     fraction: float = 0.10
-    distribution: str = "uniform"
     seed: Optional[int] = None  # defaults to the scenario seed
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
             raise ValueError("noise fraction must lie in [0, 1)")
-        if self.distribution != "uniform":
-            raise ValueError("only the uniform distribution is supported")
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,9 @@ class ControlSettings:
     metering_upper: float = 8.0                  # per-ramp rate bound, veh/cycle
     gain_upper: float = 1.0
     alinea_gain: float = 0.016                   # SI units
+
+    def __post_init__(self) -> None:
+        self.optimizer()  # rejects bad solver settings here, not at the first solve
 
     def optimizer(
         self,
@@ -209,7 +214,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
         nr = len(self.network.metered_cells)
         if len(self.mu_prev_init) != nr or len(self.o_prev_init) != nr:
@@ -226,65 +231,164 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Default scenario: single-lane stretch, six cells, three metered on-ramps
+# Scenario files
 # ---------------------------------------------------------------------------
 
-def _default_cells() -> tuple[CellParams, ...]:
-    plain = dict(
-        length=560.0, capacity_nbar=80.0, sat_mainline_obar=8.0, sat_offramp_sbar=6.0,
-        eta_moving=1.0, eta_idling=0.3, xi=0.4,
-    )
-    ramp = dict(length=560.0, capacity_nbar=80.0, sat_mainline_obar=8.0,
-                sat_offramp_sbar=6.0, eta_idling=0.3, xi=0.4,
-                has_onramp=True, has_offramp=True, metered=True)
-    return (
-        CellParams(**plain),
-        CellParams(split_beta=0.35, blend_alpha=0.6, eta_moving=0.8, **ramp),
-        CellParams(**plain),
-        CellParams(split_beta=0.62, blend_alpha=0.8, eta_moving=0.65, **ramp),
-        CellParams(split_beta=0.43, blend_alpha=0.7, eta_moving=0.8, **ramp),
-        CellParams(**plain),
-    )
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_type_hints = functools.cache(get_type_hints)  # resolving annotations cost a third of a parse
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def default_scenario(seed: int = 20260810) -> ScenarioConfig:
-    """The shipped case: six 560 m cells, metered on-ramps at cells 2, 4, 5.
+def _key(section: str, name) -> str:
+    return f"{section}.{name}" if section else str(name)
 
-    The demand profiles are editable stand-ins: a sustained mainstream peak
-    with staggered ramp peaks, sized so the off-ramp-heavy fourth cell
-    becomes a genuine bottleneck during the rush.  The sixth cell starts
-    empty (no initial count is specified for it).
+
+def _mapping(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"field '{name}' must be a mapping, got {raw!r}")
+    return raw
+
+
+def _reject_unknown(raw: dict, known, name: str) -> None:
+    unknown = sorted(set(raw) - set(known), key=str)
+    if unknown:
+        listed = ", ".join(f"'{_key(name, k)}'" for k in unknown)
+        raise ScenarioError(f"unknown field(s) {listed}")
+
+
+def _value(hint, v, key: str, base=None):
+    """``v`` checked against the field type ``hint``; ``key`` names it in errors.
+
+    A bool is not a number and a float is not an integer; numbers become
+    floats.  Dataclass-typed values are sections of their own.
     """
-    network = NetworkParams(
-        cells=_default_cells(),
-        sample_cycle_s=20.0,
-        rho_crit=0.0335,
-        lanes=1,
-        free_flow_mps=28.0,
+    if is_dataclass(hint):
+        return _section(hint, v, key, base)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[...]
+        return None if v is None else _value(args[0], v, key)
+    if origin is tuple:
+        size = None if args[-1] is Ellipsis else len(args)
+        if isinstance(v, list) and (len(v) == size if size else v):
+            types = args if size else args[:1] * len(v)
+            return tuple(_value(t, x, f"{key}[{i}]") for i, (t, x) in enumerate(zip(types, v)))
+        expected = f"a list of {size}" if size else "a non-empty list"
+    elif type(v) is hint or (hint is float and type(v) is int):
+        return float(v) if hint is float else v
+    else:
+        expected = _KINDS[hint]
+    raise ScenarioError(f"field '{key}' must be {expected}, got {v!r}")
+
+
+def _section(cls, raw, name: str, base=None, **given):
+    """One ``cls`` from the mapping ``raw`` of section ``name``.
+
+    ``given`` holds fields parsed elsewhere because their YAML layout
+    differs; every other init field is read from ``raw`` and checked against
+    its type.  An omitted field takes ``base``'s value, then its default.
+    """
+    raw = _mapping(raw, name)
+    hints = _type_hints(cls)
+    read = [f for f in fields(cls) if f.init and f.name not in given]
+    _reject_unknown(raw, [f.name for f in read], name)
+    values = dict(given)
+    for f in read:
+        key = _key(name, f.name)
+        if f.name in raw:
+            values[f.name] = _value(hints[f.name], raw[f.name], key, getattr(base, f.name, None))
+        elif base is not None:
+            values[f.name] = getattr(base, f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"missing required field '{key}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid '{name}': {exc}" if name else str(exc)) from exc
+
+
+def _entries(raw, name: str, keys) -> list:
+    """The values of ``keys`` in the mapping ``raw``: all required, no others."""
+    _reject_unknown(_mapping(raw, name), keys, name)
+    for k in keys:
+        if k not in raw:
+            raise ScenarioError(f"missing required field '{name}.{k}'")
+    return [raw[k] for k in keys]
+
+
+def _cell_keyed(hint, raw, cells: Sequence[int], name: str) -> tuple:
+    """A ``{1-based cell number: value}`` mapping as a tuple aligned with ``cells``."""
+    raw = {str(k): v for k, v in _mapping(raw, name).items()}
+    keys = [str(i + 1) for i in cells]
+    return tuple(_value(hint, v, f"{name}.{k}") for k, v in zip(keys, _entries(raw, name, keys)))
+
+
+def _initial_state(raw, network: NetworkParams) -> tuple[NetworkState]:
+    n, q = _entries(raw, "initial_state", ("n", "q"))
+    state = NetworkState(
+        n=_value(tuple[float, ...], n, "initial_state.n"),
+        q=_cell_keyed(float, q, network.onramp_cells, "initial_state.q"),
     )
-    return ScenarioConfig(
-        name="default-6cell",
-        seed=seed,
-        steps=180,
-        gamma=0.8,
-        network=network,
-        initial_state=NetworkState(
-            n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6), step=0
-        ),
-        mu_prev_init=(0.5, 0.2, 0.4),
-        o_prev_init=(3.8, 3.2, 0.6),
-        mainstream_profile=DemandProfile(
-            breakpoints=((0, 5.0), (10, 8.0), (120, 8.0), (150, 1.5), (180, 1.5))
-        ),
-        ramp_profiles=(
-            DemandProfile(breakpoints=((0, 1.0), (20, 4.5), (110, 4.5), (140, 0.5), (180, 0.5))),
-            DemandProfile(breakpoints=((0, 0.8), (30, 4.5), (115, 4.5), (145, 0.5), (180, 0.5))),
-            DemandProfile(breakpoints=((0, 0.6), (40, 3.0), (120, 3.0), (150, 0.4), (180, 0.4))),
-        ),
-        noise=NoiseModel(),
-        control=ControlSettings(),
-        ann=AnnSettings(),
+    try:
+        state.validate(network)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid 'initial_state': {exc}") from exc
+    return (state,)
+
+
+def _initial_flows(raw, network: NetworkParams) -> tuple[tuple[float, ...], ...]:
+    mu_prev, o_prev = _entries(raw, "initial_flows", ("mu_prev", "o_prev"))
+    return (
+        _cell_keyed(float, mu_prev, network.metered_cells, "initial_flows.mu_prev"),
+        _cell_keyed(float, o_prev, network.metered_cells, "initial_flows.o_prev"),
     )
+
+
+def _demand(raw, network: NetworkParams) -> tuple:
+    mainstream, onramps = _entries(raw, "demand", ("mainstream", "onramps"))
+    return (
+        _section(DemandProfile, mainstream, "demand.mainstream"),
+        _cell_keyed(DemandProfile, onramps, network.onramp_cells, "demand.onramps"),
+    )
+
+
+def _scenario(raw: dict, base: Optional[ScenarioConfig]) -> ScenarioConfig:
+    """The scenario of a parsed file; omitted parts come from ``base``, and
+    without a base every part is required."""
+    raw = dict(raw)
+    schema = raw.pop("schema", SCENARIO_SCHEMA)
+    if schema != SCENARIO_SCHEMA:
+        raise ScenarioError(f"unsupported schema {schema!r}, expected {SCENARIO_SCHEMA!r}")
+    given: dict = {}
+
+    def part(key: str, names: tuple[str, ...], parse) -> None:
+        # the network comes first: the other parts follow its cells
+        if key in raw:
+            given.update(zip(names, parse(raw.pop(key))))
+        elif base is None:
+            raise ScenarioError(f"missing required field '{key}'")
+        else:
+            given.update((n, getattr(base, n)) for n in names)
+
+    part("network", ("network",),
+         lambda v: (_section(NetworkParams, v, "network", base and base.network),))
+    part("initial_state", ("initial_state",), lambda v: _initial_state(v, given["network"]))
+    part("initial_flows", ("mu_prev_init", "o_prev_init"),
+         lambda v: _initial_flows(v, given["network"]))
+    part("demand", ("mainstream_profile", "ramp_profiles"), lambda v: _demand(v, given["network"]))
+    return _section(ScenarioConfig, raw, "", base, **given)
+
+
+def _parse(path, base: Optional[ScenarioConfig]) -> ScenarioConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"cannot parse {path}: {exc}") from exc
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario file must hold a mapping at the top level")
+    return _scenario(raw, base)
 
 
 def default_scenario_path() -> str:
@@ -292,255 +396,18 @@ def default_scenario_path() -> str:
     return os.path.join(os.path.dirname(__file__), "scenarios", "default.yaml")
 
 
-# ---------------------------------------------------------------------------
-# Scenario loading
-# ---------------------------------------------------------------------------
-
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"missing required field '{context}{key}'")
-    return mapping[key]
-
-
-def _get_num(mapping: dict, key: str, context: str, default=None) -> float:
-    if key not in mapping:
-        if default is None:
-            raise ScenarioError(f"missing required field '{context}{key}'")
-        return default
-    v = mapping[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"field '{context}{key}' must be a number, got {v!r}")
-    return float(v)
-
-
-def _parse_cells(raw_cells, context: str) -> tuple[CellParams, ...]:
-    if not isinstance(raw_cells, list) or not raw_cells:
-        raise ScenarioError(f"field '{context}cells' must be a non-empty list")
-    cells = []
-    for i, raw in enumerate(raw_cells):
-        ctx = f"{context}cells[{i}]."
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"field '{context}cells[{i}]' must be a mapping")
-        known = {
-            "length", "capacity_nbar", "sat_mainline_obar", "sat_offramp_sbar",
-            "split_beta", "blend_alpha", "eta_moving", "eta_idling", "xi",
-            "has_onramp", "has_offramp", "metered", "allow_beta_one",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ScenarioError(f"unknown field(s) {sorted(unknown)} in '{context}cells[{i}]'")
-        try:
-            cells.append(CellParams(
-                length=_get_num(raw, "length", ctx),
-                capacity_nbar=_get_num(raw, "capacity_nbar", ctx),
-                sat_mainline_obar=_get_num(raw, "sat_mainline_obar", ctx),
-                sat_offramp_sbar=_get_num(raw, "sat_offramp_sbar", ctx),
-                split_beta=_get_num(raw, "split_beta", ctx, 0.0),
-                blend_alpha=_get_num(raw, "blend_alpha", ctx, 0.0),
-                eta_moving=_get_num(raw, "eta_moving", ctx, 1.0),
-                eta_idling=_get_num(raw, "eta_idling", ctx, 1.0),
-                xi=_get_num(raw, "xi", ctx, 1.0),
-                has_onramp=bool(raw.get("has_onramp", False)),
-                has_offramp=bool(raw.get("has_offramp", False)),
-                metered=bool(raw.get("metered", False)),
-                allow_beta_one=bool(raw.get("allow_beta_one", False)),
-            ))
-        except ValueError as exc:
-            raise ScenarioError(f"invalid cell '{context}cells[{i}]': {exc}") from exc
-    return tuple(cells)
-
-
-def _cell_keyed_vector(
-    raw: dict, metered_or_onramp: Sequence[int], context: str
-) -> tuple[float, ...]:
-    """Read a {1-based cell number: value} mapping aligned to given cells."""
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"field '{context}' must map cell numbers to values")
-    values = []
-    for i in metered_or_onramp:
-        key = i + 1
-        if key not in raw and str(key) not in raw:
-            raise ScenarioError(f"missing entry for cell {key} in '{context}'")
-        values.append(float(raw.get(key, raw.get(str(key)))))
-    extra = {int(k) for k in raw} - {i + 1 for i in metered_or_onramp}
-    if extra:
-        raise ScenarioError(f"entries for non-matching cells {sorted(extra)} in '{context}'")
-    return tuple(values)
-
-
-def _parse_profile(raw, context: str) -> DemandProfile:
-    if not isinstance(raw, dict) or "breakpoints" not in raw:
-        raise ScenarioError(f"field '{context}' must carry a 'breakpoints' list")
-    bps = raw["breakpoints"]
-    if not isinstance(bps, list) or any(
-        not isinstance(p, (list, tuple)) or len(p) != 2 for p in bps
-    ):
-        raise ScenarioError(f"field '{context}.breakpoints' must be a list of [step, value] pairs")
-    try:
-        return DemandProfile(breakpoints=tuple((float(t), float(v)) for t, v in bps))
-    except ValueError as exc:
-        raise ScenarioError(f"invalid '{context}.breakpoints': {exc}") from exc
+def default_scenario(seed: Optional[int] = None) -> ScenarioConfig:
+    """The shipped case, read from ``default.yaml`` with every field
+    required: six 560 m cells, metered on-ramps at cells 2, 4 and 5.
+    ``seed`` replaces the file's seed when given."""
+    cfg = _parse(default_scenario_path(), None)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file, filling omitted sections from the
-    shipped default."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"cannot parse {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must hold a mapping at the top level")
-    schema = raw.get("schema", SCENARIO_SCHEMA)
-    if schema != SCENARIO_SCHEMA:
-        raise ScenarioError(f"unsupported schema {schema!r}, expected {SCENARIO_SCHEMA!r}")
-
-    base = default_scenario()
-    name = raw.get("name", base.name)
-    seed = int(raw.get("seed", base.seed))
-    steps = int(raw.get("steps", base.steps))
-    gamma = _get_num(raw, "gamma", "", base.gamma)
-
-    if "network" in raw:
-        net_raw = raw["network"]
-        if not isinstance(net_raw, dict):
-            raise ScenarioError("field 'network' must be a mapping")
-        cells = (
-            _parse_cells(net_raw["cells"], "network.")
-            if "cells" in net_raw
-            else base.network.cells
-        )
-        try:
-            network = NetworkParams(
-                cells=cells,
-                sample_cycle_s=_get_num(net_raw, "sample_cycle_s", "network.",
-                                        base.network.sample_cycle_s),
-                rho_crit=_get_num(net_raw, "rho_crit", "network.", base.network.rho_crit),
-                lanes=int(net_raw.get("lanes", base.network.lanes)),
-                free_flow_mps=_get_num(net_raw, "free_flow_mps", "network.",
-                                       base.network.free_flow_mps),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"invalid 'network': {exc}") from exc
-    else:
-        network = base.network
-
-    if "initial_state" in raw:
-        st = raw["initial_state"]
-        n = _require(st, "n", "initial_state.")
-        if not isinstance(n, list) or len(n) != network.n_cells:
-            raise ScenarioError(
-                f"field 'initial_state.n' must list {network.n_cells} cell counts"
-            )
-        q = _cell_keyed_vector(
-            _require(st, "q", "initial_state."), network.onramp_cells, "initial_state.q"
-        )
-        initial_state = NetworkState(n=tuple(float(v) for v in n), q=q, step=0)
-    else:
-        initial_state = base.initial_state
-
-    if "initial_flows" in raw:
-        fl = raw["initial_flows"]
-        mu_prev = _cell_keyed_vector(
-            _require(fl, "mu_prev", "initial_flows."),
-            network.metered_cells, "initial_flows.mu_prev",
-        )
-        o_prev = _cell_keyed_vector(
-            _require(fl, "o_prev", "initial_flows."),
-            network.metered_cells, "initial_flows.o_prev",
-        )
-    else:
-        mu_prev, o_prev = base.mu_prev_init, base.o_prev_init
-
-    if "demand" in raw:
-        dm = raw["demand"]
-        mainstream = _parse_profile(_require(dm, "mainstream", "demand."), "demand.mainstream")
-        ramps_raw = _require(dm, "onramps", "demand.")
-        profiles = []
-        for i in network.onramp_cells:
-            key = i + 1
-            if key not in ramps_raw and str(key) not in ramps_raw:
-                raise ScenarioError(f"missing profile for on-ramp cell {key} in 'demand.onramps'")
-            profiles.append(
-                _parse_profile(
-                    ramps_raw.get(key, ramps_raw.get(str(key))), f"demand.onramps.{key}"
-                )
-            )
-        ramp_profiles = tuple(profiles)
-    else:
-        mainstream, ramp_profiles = base.mainstream_profile, base.ramp_profiles
-
-    if "noise" in raw:
-        nz = raw["noise"]
-        try:
-            noise = NoiseModel(
-                fraction=_get_num(nz, "fraction", "noise.", base.noise.fraction),
-                seed=None if nz.get("seed") is None else int(nz["seed"]),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"invalid 'noise': {exc}") from exc
-    else:
-        noise = base.noise
-
-    if "control" in raw:
-        ct = raw["control"]
-        horizons = ct.get("horizons", list(base.control.horizons))
-        if not isinstance(horizons, list) or len(horizons) != 2:
-            raise ScenarioError("field 'control.horizons' must list two horizons")
-        try:
-            control = ControlSettings(
-                evaluation_horizon=int(ct.get("evaluation_horizon",
-                                              base.control.evaluation_horizon)),
-                horizons=(int(horizons[0]), int(horizons[1])),
-                budget_s=_get_num(ct, "budget_s", "control.", base.control.budget_s),
-                function_tolerance=_get_num(ct, "function_tolerance", "control.",
-                                            base.control.function_tolerance),
-                step_tolerance=_get_num(ct, "step_tolerance", "control.",
-                                        base.control.step_tolerance),
-                max_iterations=int(ct.get("max_iterations", base.control.max_iterations)),
-                fd_step=_get_num(ct, "fd_step", "control.", base.control.fd_step),
-                termination=str(ct.get("termination", base.control.termination)),
-                metering_upper=_get_num(ct, "metering_upper", "control.",
-                                        base.control.metering_upper),
-                gain_upper=_get_num(ct, "gain_upper", "control.", base.control.gain_upper),
-                alinea_gain=_get_num(ct, "alinea_gain", "control.", base.control.alinea_gain),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"invalid 'control': {exc}") from exc
-    else:
-        control = base.control
-
-    if "ann" in raw:
-        an = raw["ann"]
-        ann = AnnSettings(
-            params_file=an.get("params_file"),
-            sample_count=int(an.get("sample_count", base.ann.sample_count)),
-            validation_count=int(an.get("validation_count", base.ann.validation_count)),
-            train_seed=None if an.get("train_seed") is None else int(an["train_seed"]),
-        )
-    else:
-        ann = base.ann
-
-    known_top = {
-        "schema", "name", "seed", "steps", "gamma", "network", "initial_state",
-        "initial_flows", "demand", "noise", "control", "ann",
-    }
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ScenarioError(f"unknown top-level field(s): {sorted(unknown)}")
-
-    try:
-        return ScenarioConfig(
-            name=name, seed=seed, steps=steps, gamma=gamma, network=network,
-            initial_state=initial_state, mu_prev_init=mu_prev, o_prev_init=o_prev,
-            mainstream_profile=mainstream, ramp_profiles=ramp_profiles,
-            noise=noise, control=control, ann=ann,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    """Parse and validate a scenario file, filling omitted sections and
+    fields from the shipped default."""
+    return _parse(path, default_scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +536,6 @@ def build_architecture(
         metering_hi=(ctl.metering_upper,) * nr,
         gain_lo=(0.0,) * nr,
         gain_hi=(ctl.gain_upper,) * nr,
-        serial=serial,
     )
     return BaseParallelController(config, mu_init=scenario.mu_prev_init)
 

@@ -326,7 +326,6 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
             optimizer=OptimizerConfig(budget_s=None, max_iterations=8),
             metering_lo=(0.0,) * 3, metering_hi=(8.0,) * 3,
             gain_lo=(0.0,) * 3, gain_hi=(1.0,) * 3,
-            serial=True,
         )
         return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 

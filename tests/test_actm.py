@@ -338,6 +338,27 @@ class TestValidation:
         with pytest.raises(TopologyError):
             NetworkState(n=(0.0,) * 5, q=(0.0,) * 3).validate(net)
 
+    @pytest.mark.parametrize("where", ["n", "q"])
+    def test_nan_state_rejected(self, net, where):
+        n, q = [1.0] * 6, [1.0] * 3
+        (n if where == "n" else q)[1] = math.nan
+        with pytest.raises(ValueError):
+            NetworkState(n=tuple(n), q=tuple(q)).validate(net)
+
+    @pytest.mark.parametrize("mainstream, ramps", [
+        (math.nan, (1.0, 1.0, 1.0)), (1.0, (1.0, math.nan, 1.0)), (-1.0, (1.0, 1.0, 1.0)),
+    ])
+    def test_nan_or_negative_demand_rejected(self, mainstream, ramps):
+        with pytest.raises(ValueError):
+            ExogenousInput(mainstream, ramps)
+
+    @pytest.mark.parametrize("name", ["sample_cycle_s", "rho_crit", "free_flow_mps"])
+    def test_nan_network_constant_rejected(self, net, name):
+        values = dict(cells=net.cells, sample_cycle_s=20.0, rho_crit=0.0335, free_flow_mps=28.0)
+        values[name] = math.nan
+        with pytest.raises(ValueError):
+            NetworkParams(**values)
+
 
 class TestSwappedOperandRule:
     """``np.minimum(b, a)`` and ``np.maximum(b, a)`` equal Python's ``min(a,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -156,6 +157,21 @@ class TestParameterFile:
         save_mlp_params(path, nets)
         loaded = load_mlp_params(path)
         assert loaded == nets
+
+    def test_file_records_tanh(self, tmp_path):
+        nets = {2: MlpParams(
+            hidden_weights=((0.0,) * 4,) * 3, hidden_bias=(0.0,) * 3,
+            output_weights=(0.0,) * 3, output_bias=0.0,
+            input_lo=(0.0,) * 4, input_hi=(1.0,) * 4,
+        )}
+        path = tmp_path / "nets.json"
+        save_mlp_params(path, nets)
+        payload = json.loads(path.read_text())
+        assert payload["cells"]["2"]["activation"] == "tanh"
+        payload["cells"]["2"]["activation"] = "relu"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="relu"):
+            load_mlp_params(path)
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

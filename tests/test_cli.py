@@ -34,6 +34,21 @@ class TestValidate:
         assert main(["validate-scenario", "--scenario", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "noise: [1]", "control: [1]", "ann: 3", "network: [1]", "network: {cells: [3]}",
+        "initial_state: 1", "initial_flows: [1]", "demand: x",
+        "demand: {mainstream: 1, onramps: 2}", "[1, 2]",
+    ])
+    def test_malformed_section_fails_cleanly(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text + "\n")
+        assert main(["validate-scenario", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_scenario_fails_cleanly(self, tmp_path, capsys):
+        assert main(["validate-scenario", "--scenario", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--controller", "nonsense"])

@@ -42,7 +42,6 @@ def make_arch(cells, evaluation_horizon=3, max_iterations=8):
         metering_hi=(8.0,) * 3,
         gain_lo=(0.0,) * 3,
         gain_hi=(1.0,) * 3,
-        serial=True,
     )
     return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 
@@ -278,7 +277,6 @@ class TestControlStep:
                 metering_hi=(8.0,) * 3,
                 gain_lo=(0.0,) * 3,
                 gain_hi=(1.0,) * 3,
-                serial=True,
             )
             return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 

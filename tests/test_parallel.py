@@ -186,6 +186,16 @@ class TestShiftStarts:
         np.testing.assert_allclose(starts[2], [[0.3, 0.5, 0.7]])
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "name", ["function_tolerance", "step_tolerance", "budget_s", "fd_step"]
+    )
+    def test_nan_setting_rejected(self, name):
+        # a NaN budget would give a deadline that never expires
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{name: math.nan})
+
+
 class TestSolver:
     def quadratic(self, dim, seed=0):
         rng = np.random.default_rng(seed)

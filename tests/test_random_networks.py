@@ -242,7 +242,6 @@ class TestRandomTopologies:
             metering_hi=(10.0,) * nr,
             gain_lo=(0.0,) * nr,
             gain_hi=(1.0,) * nr,
-            serial=True,
         )
         arch = BaseParallelController(config, mu_init=(0.5,) * nr)
         state = random_state(rng, net)

@@ -80,6 +80,87 @@ class TestDefaultScenario:
         with pytest.raises(ValueError):
             DemandProfile(breakpoints=((10.0, 1.0), (0.0, 2.0)))
 
+    @pytest.mark.parametrize("field", ["value", "time"])
+    def test_nan_breakpoint_rejected(self, field):
+        point = (0.0, float("nan")) if field == "value" else (float("nan"), 1.0)
+        with pytest.raises(ValueError):
+            DemandProfile(breakpoints=(point,))
+        with pytest.raises(ValueError):
+            DemandProfile(breakpoints=((0.0, 1.0), point))
+
+
+N6 = "n: [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]"
+P = "{breakpoints: [[0, 1.0]]}"
+RAMPS = f"onramps: {{2: {P}, 4: {P}, 5: {P}}}"
+FLOWS = "o_prev: {2: 1.0, 4: 1.0, 5: 1.0}"
+CELL = "length: 560.0, capacity_nbar: 80.0, sat_mainline_obar: 8.0, sat_offramp_sbar: 6.0"
+
+# (scenario file, text the ScenarioError message must contain)
+ERROR_CONTRACT = {
+    "missing-q": (f"initial_state: {{{N6}}}", "initial_state.q"),
+    "missing-o_prev": ("initial_flows: {mu_prev: {2: 0.5, 4: 0.2, 5: 0.4}}",
+                       "initial_flows.o_prev"),
+    "missing-mainstream": (f"demand: {{{RAMPS}}}", "demand.mainstream"),
+    "missing-onramps": (f"demand: {{mainstream: {P}}}", "demand.onramps"),
+    "missing-cell-entry": (f"initial_flows: {{mu_prev: {{2: 0.5, 4: 0.2}}, {FLOWS}}}",
+                           "initial_flows.mu_prev"),
+    "extra-cell-entry": (f"initial_state: {{{N6}, q: {{2: 1, 4: 1, 5: 1, 6: 1}}}}",
+                         "initial_state.q"),
+    "empty-cells": ("network: {cells: []}", "network.cells"),
+    "non-mapping-cell": ("network: {cells: [3]}", "network.cells[0]"),
+    "unknown-cell-key": (f"network: {{cells: [{{{CELL}, colour: 1}}]}}", "network.cells[0]"),
+    "unsorted-breakpoints": (
+        f"demand: {{mainstream: {{breakpoints: [[10, 1.0], [0, 2.0]]}}, {RAMPS}}}",
+        "demand.mainstream"),
+    "wrong-schema": ("schema: scenario/2", "schema"),
+    "yaml-syntax": ("a: 1\nb: : 2", "line 2"),
+}
+
+# Inputs the scenario parser also rejects, naming the field.
+ERROR_CONTRACT_STRICT = {
+    "unknown-network": ("network: {lanez: 2}", "network.lanez"),
+    "unknown-initial_state": (f"initial_state: {{{N6}, q: {{2: 1, 4: 1, 5: 1}}, step: 3}}",
+                              "initial_state.step"),
+    "unknown-initial_flows": (f"initial_flows: {{mu_prev: {{2: 1, 4: 1, 5: 1}}, {FLOWS}, mu: 1}}",
+                              "initial_flows.mu"),
+    "unknown-demand": (f"demand: {{mainstream: {P}, {RAMPS}, peak: 1}}", "demand.peak"),
+    "unknown-noise": ("noise: {fractoin: 0.2}", "noise.fractoin"),
+    "unknown-control": ("control: {budgett_s: 0.5}", "control.budgett_s"),
+    "unknown-ann": ("ann: {sample_cont: 3}", "ann.sample_cont"),
+    "extra-onramp": (f"demand: {{mainstream: {P}, onramps: {{2: {P}, 3: {P}, 4: {P}, 5: {P}}}}}",
+                     "demand.onramps.3"),
+    "unknown-profile-key": (
+        f"demand: {{mainstream: {{breakpoints: [[0, 1.0]], shape: flat}}, {RAMPS}}}",
+        "demand.mainstream.shape"),
+    "noise-not-mapping": ("noise: [1]", "noise"),
+    "control-not-mapping": ("control: [1]", "control"),
+    "ann-not-mapping": ("ann: 3", "ann"),
+    "metered-string": (f"network: {{cells: [{{{CELL}, has_onramp: true, metered: 'no'}}]}}",
+                       "network.cells[0].metered"),
+    "steps-float": ("steps: 10.7", "steps"),
+    "seed-bool": ("seed: true", "seed"),
+    "name-int": ("name: 5", "name"),
+    "horizon-float": ("control: {horizons: [3, 10.5]}", "control.horizons[1]"),
+    "noise-seed-float": ("noise: {seed: 1.5}", "noise.seed"),
+    "nan-count": ("initial_state: {n: [.nan, 1, 1, 1, 1, 0], q: {2: 1, 4: 1, 5: 1}}",
+                  "initial_state"),
+    "nan-breakpoint": (f"demand: {{mainstream: {{breakpoints: [[0, .nan]]}}, {RAMPS}}}",
+                       "demand.mainstream"),
+    "nan-budget": ("control: {budget_s: .nan}", "control"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, field", [*ERROR_CONTRACT.values(), *ERROR_CONTRACT_STRICT.values()],
+    ids=[*ERROR_CONTRACT, *ERROR_CONTRACT_STRICT],
+)
+def test_scenario_error_names_the_field(tmp_path, text, field):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text + "\n")
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert field in str(exc.value)
+
 
 class TestNoise:
     def test_zero_fraction_is_identity(self):
