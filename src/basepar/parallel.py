@@ -17,24 +17,29 @@ or when the per-start iteration cap is reached.  With a zero budget the
 result degenerates to the best starting point by objective value.
 
 Each descent is a coroutine that requests the decision rows it needs costed:
-one forward-difference gradient, or one whole line search (every step length
-up to the first that does not move, the first passing the Armijo test being
-accepted).  One scheduler drives the descents of every solve in lockstep:
-those from all starts of one problem, and through :func:`run_parallel_cells`
-those of every problem of every parallel cell of a control step, whatever
-their kind and horizon.  Each round evaluates the requests of every live
-descent together; with the built-in objective that is one
-:func:`~basepar.actm.rollout_batch` call for all problems that share their
-initial state, and its costs equal the point-by-point ones bit for bit.  The
-starts are evaluated first whatever the deadline; after that the deadline is
-checked before every round, so every live solve takes part in every round
+one whole line search (every step length up to the first that does not
+move, the first passing the Armijo test being accepted), which also carries
+the forward-difference points around its full step, or one forward-difference
+gradient where a shorter step was accepted.  One scheduler drives the
+descents of every solve in lockstep: those from all starts of one problem,
+and through :func:`run_parallel_cells` those of every problem of every
+parallel cell of a control step, whatever their kind and horizon.  The starts
+round comes first whatever the deadline; it evaluates every distinct start
+together with the forward-difference points around it, so each descent
+begins with its gradient, and a start repeated bit for bit lists its twin's
+records instead of descending again.  Each later round evaluates the
+requests of every live descent together; with the built-in objective that is
+one :func:`~basepar.actm.rollout_batch` call for all problems that share
+their initial state, and its costs equal the point-by-point ones bit for bit,
+whatever other rows share the call.  The deadline is checked before every
+round after the starts round, so every live solve takes part in every round
 until it expires and the overshoot is bounded by one merged batch.  There is
 no thread pool: without a deadline (serial mode) the same scheduler runs
 until every descent has finished.  Records are listed start by start as a
 sequential solver lists them, so results depend neither on the interleaving
 nor on which other problems share the rounds.  A substituted
 ``objective_fn`` is evaluated point by point, with the deadline checked
-before every point.
+before every point after the starts round.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -474,7 +479,7 @@ def _lockstep(
     ``tasks`` pairs each coroutine with a key naming what its rows belong to
     (a problem).  Each round passes the rows every live coroutine has
     requested, with its key, to one ``evaluate`` call and sends each
-    coroutine its share of the costs.  The deadline is checked before every
+    coroutine its share of the costs.  A deadline is checked before every
     round; once it has expired, or ``evaluate`` returns None, the coroutines
     still running are abandoned and their results are None.
     """
@@ -491,7 +496,7 @@ def _lockstep(
 
     for t, (key, coroutine) in enumerate(tasks):
         advance(t, key, coroutine, None)
-    while live and not _expired(deadline):
+    while live and (deadline is None or not _expired(deadline)):
         costs = evaluate([(key, rows) for _, key, _, rows in live])
         if costs is None:
             break
@@ -502,20 +507,50 @@ def _lockstep(
     return results
 
 
+class _Differences:
+    """The forward-difference points around ``x``, stepping backward off
+    upper bounds; coordinates with ``lo == hi`` get no point."""
+
+    def __init__(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float):
+        self.x = x
+        self.free = np.flatnonzero(hi - lo != 0.0)
+        self.steps = np.where(x[self.free] + h <= hi[self.free], h, -h)
+        self.points = np.tile(x, (self.free.size, 1))
+        self.points[np.arange(self.free.size), self.free] += self.steps
+
+    def gradient(self, f: float, costs: np.ndarray) -> np.ndarray:
+        """The gradient at ``x`` (whose cost is ``f``) from the costs of
+        :attr:`points`; 0 in the coordinates with ``lo == hi``."""
+        g = np.zeros_like(self.x)
+        g[self.free] = (costs - f) / self.steps
+        return g
+
+
 def _gradient_request(
     x: np.ndarray, f: float, lo: np.ndarray, hi: np.ndarray, h: float
 ) -> Evaluation[np.ndarray]:
     """Forward-difference gradient at ``x`` (whose cost is ``f``), stepping
     backward off upper bounds; coordinates with ``lo == hi`` get 0 and no
     evaluation."""
-    g = np.zeros_like(x)
-    free = np.flatnonzero(hi - lo != 0.0)
-    if free.size:
-        steps = np.where(x[free] + h <= hi[free], h, -h)
-        points = np.tile(x, (free.size, 1))
-        points[np.arange(free.size), free] += steps
-        g[free] = ((yield points) - f) / steps
-    return g
+    differences = _Differences(x, lo, hi, h)
+    costs = (yield differences.points) if differences.free.size else np.empty(0)
+    return differences.gradient(f, costs)
+
+
+def _starts_request(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: Optional[float]
+) -> Evaluation[tuple[np.ndarray, list[Optional[np.ndarray]]]]:
+    """Costs of the starts ``x`` ``[k, dim]`` and, given a difference step
+    ``h``, the gradient at each finite one, all in one request; a start
+    without a gradient gets None."""
+    differences = [] if h is None else [_Differences(row, lo, hi, h) for row in x]
+    costs = yield np.vstack([x, *(d.points for d in differences)])
+    fs, gradients, at = costs[:len(x)], [None] * len(x), len(x)
+    for j, d in enumerate(differences):
+        if math.isfinite(fs[j]):
+            gradients[j] = d.gradient(float(fs[j]), costs[at:at + len(d.points)])
+        at += len(d.points)
+    return fs, gradients
 
 
 def _pointwise(fun: Callable[[np.ndarray], float], deadline: Optional[float]) -> Evaluator:
@@ -556,13 +591,17 @@ def _line_search(
     direction: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-) -> Evaluation[Optional[tuple[np.ndarray, float, np.ndarray]]]:
+    h: Optional[float],
+) -> Evaluation[Optional[tuple[np.ndarray, float, np.ndarray, Optional[np.ndarray]]]]:
     """Backtracking projected line search along ``direction``.
 
     The step lengths ``1, 1/2, ...`` (30 at most) are tried up to the first
     whose clipped step is zero, all in one request, and the first that
-    passes the Armijo test is accepted.  Returns the accepted point, its cost
-    and the step taken, or None.
+    passes the Armijo test is accepted.  With a difference step ``h`` the
+    request also carries the forward-difference points around the full-step
+    point, so that a full step comes with its gradient.  Returns the
+    accepted point, its cost, the step taken and the gradient there (None
+    unless the full step was accepted), or None.
     """
     points = np.clip(x + _STEP_LENGTHS[:, None] * direction, lo, hi)
     moves = points - x
@@ -570,34 +609,39 @@ def _line_search(
     tried = len(moving) if moving.all() else int(np.argmin(moving))
     if tried == 0:
         return None
-    costs = yield points[:tried]
-    for i, cost in enumerate(costs):
+    ahead = None if h is None else _Differences(points[0], lo, hi, h)
+    costs = yield points[:tried] if ahead is None else np.vstack([points[:tried], ahead.points])
+    for i, cost in enumerate(costs[:tried]):
         if math.isfinite(cost) and cost <= f + 1e-4 * min(0.0, float(g @ moves[i])):
-            return points[i], float(cost), moves[i]
+            g_new = None if i or ahead is None else ahead.gradient(float(cost), costs[tried:])
+            return points[i], float(cost), moves[i], g_new
     return None
 
 
 def _descent(
     x0: np.ndarray,
     f0: float,
+    g0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     cfg: OptimizerConfig,
     record: Callable[[np.ndarray, float, int, bool], None],
 ) -> Evaluation[None]:
-    """Projected BFGS from one start; every accepted point is recorded.
+    """Projected BFGS from one start whose gradient ``g0`` is known; every
+    accepted point is recorded.
 
-    Each request is one forward-difference gradient or one whole line search.
-    An abandoned descent keeps the points it has recorded.
+    Each request is one whole line search, carrying the gradient points of
+    its full step unless the iteration cap ends the descent there, or one
+    forward-difference gradient at a point reached by a shorter step.  An
+    abandoned descent keeps the points it has recorded.
     """
     n = x0.size
-    x, f = x0, f0
+    x, f, g = x0, f0, g0
     ident = np.eye(n)
     h_inv = ident.copy()
     scaled = False  # curvature-based rescaling applied yet?
     finite = np.isfinite(hi) & np.isfinite(lo)
     box = float(np.max(hi[finite] - lo[finite], initial=1.0))
-    g = yield from _gradient_request(x, f, lo, hi, cfg.fd_step)
     for it in range(1, cfg.max_iterations + 1):
         direction = -h_inv @ g
         if float(direction @ g) >= 0.0:
@@ -610,17 +654,19 @@ def _descent(
             norm = float(np.max(np.abs(direction)))
             if norm > 0.0:
                 direction = direction * (0.1 * box / norm)
-        accepted = yield from _line_search(x, f, g, direction, lo, hi)
+        h = cfg.fd_step if it < cfg.max_iterations else None
+        accepted = yield from _line_search(x, f, g, direction, lo, hi, h)
         if accepted is None:
             return
-        x_new, f_new, step_vec = accepted
+        x_new, f_new, step_vec, g_new = accepted
         df = f - f_new
         dx = float(np.max(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)
         record(x_new, f_new, it, converged)
         if converged or it == cfg.max_iterations:
             return
-        g_new = yield from _gradient_request(x_new, f_new, lo, hi, cfg.fd_step)
+        if g_new is None:
+            g_new = yield from _gradient_request(x_new, f_new, lo, hi, cfg.fd_step)
         s = step_vec
         y = g_new - g
         sy = float(s @ y)
@@ -647,44 +693,65 @@ def _solve_jointly(
     """Solve every problem from its starts in one lockstep (see
     :func:`solve_budgeted`).
 
-    The starts of all problems are evaluated first, whatever the deadline.
-    The descents from every finite start of every problem then run side by
-    side, and each round evaluates all their requests together: with the
-    built-in objective as one merged rollout per group of problems sharing
-    their initial state, with ``objective_fn`` point by point.  Finally the
-    kept points of all problems are converted to plans, the parameterized
-    ones in one merged rollout.
+    The starts round comes first, whatever the deadline: it evaluates each
+    distinct clipped start of every problem together with the
+    forward-difference points around it, so every descent begins with its
+    gradient.  One descent then runs from every distinct finite start of
+    every problem, side by side, and each round evaluates all their requests
+    together: with the built-in objective as one merged rollout per group of
+    problems sharing their initial state, with ``objective_fn`` point by
+    point.  A start repeated bit for bit lists its twin's records again.
+    Finally the kept points of all problems are converted to plans, the
+    parameterized ones in one merged rollout.
     """
     if any(len(s) == 0 for s in starts):
         raise ValueError("at least one starting point is required")
     t0 = time.monotonic()
     rollouts = _MergedRollouts(problems)
-    xs = [np.array([_clip_decision(p, x) for x in s]) for p, s in zip(problems, starts)]
     if objective_fn is None:
         evaluate: Evaluator = rollouts.objective
-        fs = evaluate(list(enumerate(xs)))
+        evaluate_starts = evaluate
     else:
         evaluate = _pointwise(objective_fn, deadline)
-        fs = _pointwise(objective_fn, None)(list(enumerate(xs)))
+        evaluate_starts = _pointwise(objective_fn, None)
+
+    # per problem: the clipped starts, and for each the position of its
+    # first copy among the distinct ones
+    xs, twins, requests = [], [], []
+    h = config.fd_step if config.max_iterations else None
+    for i, (problem, s) in enumerate(zip(problems, starts)):
+        x = np.array([_clip_decision(problem, row) for row in s])
+        first: dict[bytes, int] = {}
+        twin = [first.setdefault(row.tobytes(), len(first)) for row in x]
+        distinct = x[[twin.index(j) for j in range(len(first))]]
+        requests.append((i, _starts_request(distinct, *rollouts.bounds[i], h)))
+        xs.append(x)
+        twins.append(twin)
+    opened = _lockstep(requests, evaluate_starts, None)
 
     def recorder(into: list) -> Callable[[np.ndarray, float, int, bool], None]:
         return lambda x, f, iterations, converged: into.append(
             (x.copy(), float(f), iterations, time.monotonic() - t0, converged)
         )
 
-    # per problem: the start records, then one trail per descent, in start order
+    # per problem: the start records, then one trail per descent in start
+    # order, a repeated start listing its twin's trail again
     logs: list[list[list]] = []
     tasks = []
-    split = np.cumsum([len(x) for x in xs])[:-1]
-    for i, (x_starts, f_starts) in enumerate(zip(xs, np.split(fs, split))):
+    for i, (x, twin, (fs, gradients)) in enumerate(zip(xs, twins, opened)):
         lo, hi = rollouts.bounds[i]
         log = [[]]
         record_start = recorder(log[0])
-        for x, f in zip(x_starts, f_starts):
-            record_start(x, f, 0, False)
-            if math.isfinite(f):
-                log.append([])
-                tasks.append((i, _descent(x, float(f), lo, hi, config, recorder(log[-1]))))
+        trails: dict[int, list] = {}
+        for k, j in enumerate(twin):
+            record_start(x[k], fs[j], 0, False)
+            if gradients[j] is None:
+                continue
+            if j not in trails:
+                trails[j] = []
+                tasks.append((i, _descent(x[k], float(fs[j]), gradients[j], lo, hi, config,
+                                          recorder(trails[j]))))
+            log.append(trails[j])
         logs.append(log)
     _lockstep(tasks, evaluate, deadline)
 
@@ -730,12 +797,13 @@ def solve_budgeted(
 ) -> BudgetedResult:
     """Minimize the problem objective from every start within the budget.
 
-    All starts are clipped into the bounds and evaluated up front (this
-    defines the zero-budget result and guarantees the solver never returns
-    worse than a provided start).  The descents from all finite starts then
-    run in lockstep until they finish or the deadline expires: each round
-    evaluates the requests of every live descent together, each request
-    being one forward-difference gradient or one whole line search.  An
+    All starts are clipped into the bounds and evaluated up front, with the
+    gradient at each (this defines the zero-budget result and guarantees the
+    solver never returns worse than a provided start).  The descents from
+    all distinct finite starts then run in lockstep until they finish or the
+    deadline expires: each round evaluates the requests of every live
+    descent together, each request being one whole line search (with the
+    gradient points of its full step) or one forward-difference gradient.  An
     explicit ``deadline`` (monotonic-clock value) overrides the config
     budget.
 

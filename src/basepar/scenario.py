@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -166,6 +167,14 @@ class ControlSettings:
     alinea_gain: float = 0.016                   # SI units
 
     def __post_init__(self) -> None:
+        # written so that NaN fails too
+        for name in ("metering_upper", "gain_upper"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a nonnegative number")
+        if min(self.horizons) < 1:
+            raise ValueError("horizons must be at least 1")
+        if not 1 <= self.evaluation_horizon <= min(self.horizons):
+            raise ValueError("evaluation_horizon must be between 1 and the shortest MPC horizon")
         self.optimizer()  # rejects bad solver settings here, not at the first solve
 
     def optimizer(
@@ -274,6 +283,11 @@ def _value(hint, v, key: str, base=None):
             return tuple(_value(t, x, f"{key}[{i}]") for i, (t, x) in enumerate(zip(types, v)))
         expected = f"a list of {size}" if size else "a non-empty list"
     elif type(v) is hint or (hint is float and type(v) is int):
+        if type(v) is int and abs(v) > sys.float_info.max:
+            # the model computes in floats, which such an integer overflows
+            raise ScenarioError(
+                f"field '{key}' must fit in a float, got an integer of {len(str(abs(v)))} digits"
+            )
         return float(v) if hint is float else v
     else:
         expected = _KINDS[hint]

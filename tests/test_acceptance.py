@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NetworkState, step
+from basepar import orchestrator, parallel
+from basepar.actm import ExogenousInput, NetworkState, rollout_batch, step
 from basepar.base_controllers import (
     AlineaState,
     ExplicitAlineaController,
@@ -395,3 +396,20 @@ def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
     write_runlog(log, str(path))
     assert log.summary.j_total == GOLDEN_J_TOTAL
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
+
+
+def test_serial_work_counters_are_pinned(scenario, trained, monkeypatch):
+    """The first 20 steps of the serial architecture run make an exact number
+    of kernel calls and model steps: one per solver round, plan conversion
+    and candidate evaluation, so extra rounds show here."""
+    calls = []
+
+    def counted(state, inputs, params, horizon, *args, **kwargs):
+        calls.append(horizon)
+        return rollout_batch(state, inputs, params, horizon, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "rollout_batch", counted)
+    monkeypatch.setattr(orchestrator, "rollout_batch", counted)
+    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    assert len(calls) == 502
+    assert sum(calls) == 4229

@@ -45,6 +45,17 @@ class TestValidate:
         assert main(["validate-scenario", "--scenario", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text, field", [
+        (f"gamma: {'9' * 400}", "'gamma'"),
+        (f"network: {{lanes: {'9' * 400}}}", "'network.lanes'"),
+    ], ids=["gamma", "lanes"])
+    def test_integer_beyond_float_range_fails_cleanly(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text + "\n")
+        assert main(["validate-scenario", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_unreadable_scenario_fails_cleanly(self, tmp_path, capsys):
         assert main(["validate-scenario", "--scenario", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

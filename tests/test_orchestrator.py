@@ -314,9 +314,11 @@ class TestControlStep:
 
 class TestDeadline:
     """Both cells' solves under one deadline, which a stub check lets expire
-    after a fixed number of solver rounds."""
+    after a fixed number of solver rounds, while every solve still has a
+    request pending."""
 
-    ROUNDS = 3
+    ROUNDS = 1
+    LABELS = ["CMPC(1)", "CMPC(2)", "PMPC(1)", "PMPC(2)"]
 
     def build(self, termination="best"):
         config = ArchitectureConfig(
@@ -342,8 +344,8 @@ class TestDeadline:
         )
         return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 
-    def expire_after_rounds(self, monkeypatch, kernel_calls):
-        """The deadline check passes ROUNDS times, then reports expiry;
+    def expire_after_rounds(self, monkeypatch, kernel_calls, rounds=ROUNDS):
+        """The deadline check passes ``rounds`` times, then reports expiry;
         returns the list that receives the kernel call count at expiry."""
         checks = []
         at_expiry = []
@@ -351,7 +353,7 @@ class TestDeadline:
         def expired(deadline):
             assert deadline is not None
             checks.append(deadline)
-            if len(checks) > self.ROUNDS:
+            if len(checks) > rounds:
                 at_expiry.append(len(kernel_calls))
                 return True
             return False
@@ -370,7 +372,8 @@ class TestDeadline:
         monkeypatch.setattr(orchestrator, "rollout_batch", counted)
         return calls
 
-    def test_every_solve_takes_part_in_every_round(self, monkeypatch):
+    def record_rounds(self, monkeypatch):
+        """Returns the list that receives the labels of each solver round."""
         rounds = []
         objective = parallel._MergedRollouts.objective
 
@@ -379,14 +382,30 @@ class TestDeadline:
             return objective(self, requests)
 
         monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
-        self.expire_after_rounds(monkeypatch, [])
+        return rounds
+
+    def assert_every_solve_pending_at_expiry(self, termination):
+        """The round the deadline cuts off, admitted in a run of its own,
+        holds a request of every solve."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rounds = self.record_rounds(monkeypatch)
+            self.expire_after_rounds(monkeypatch, [], rounds=self.ROUNDS + 1)
+            self.build(termination).control_step(STATE, MEASURED, O_PREV)
+        # the starts round, the admitted rounds, then the one cut off
+        assert rounds[1 + self.ROUNDS:] == [self.LABELS]
+
+    def test_every_solve_takes_part_in_every_round(self, monkeypatch):
+        self.assert_every_solve_pending_at_expiry("best")
+        rounds = self.record_rounds(monkeypatch)
+        at_expiry = self.expire_after_rounds(monkeypatch, [])
         record, _ = self.build().control_step(STATE, MEASURED, O_PREV)
-        labels = ["CMPC(1)", "CMPC(2)", "PMPC(1)", "PMPC(2)"]
+        assert len(at_expiry) == 1
         # the starts round, then every round the deadline admitted
-        assert rounds == [labels] * (1 + self.ROUNDS)
-        assert [stat[0] for stat in record.solver_stats] == labels
+        assert rounds == [self.LABELS] * (1 + self.ROUNDS)
+        assert [stat[0] for stat in record.solver_stats] == self.LABELS
 
     def test_bounded_work_after_the_deadline(self, monkeypatch):
+        self.assert_every_solve_pending_at_expiry("all")
         calls = self.count_kernel_calls(monkeypatch)
         at_expiry = self.expire_after_rounds(monkeypatch, calls)
         _, evaluation = self.build("all").control_step(STATE, MEASURED, O_PREV)

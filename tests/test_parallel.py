@@ -1,19 +1,23 @@
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from basepar import parallel
 from basepar.actm import ExogenousInput, NetworkState, TopologyError
 from basepar.base_controllers import ExplicitAlineaController, warm_start_rollout
 from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
+    BudgetedResult,
     MpcProblem,
     OptimizerConfig,
     _fd_gradient,
     _gradient_request,
+    _line_search,
     _lockstep,
     _MergedRollouts,
     base_start_for,
@@ -301,6 +305,134 @@ class TestSolver:
             batched = _lockstep([(0, request)], evaluate, None)[0]
             assert scalar.tolist() == want.tolist()
             assert batched.tolist() == want.tolist()
+
+    @staticmethod
+    def boxed_problem(rng, kind, horizon):
+        """A problem with some ``lo == hi`` coordinates and a point on the
+        upper bound in others, where the difference step goes backward."""
+        problem = make_problem(rng, kind=kind, horizon=horizon)
+        lo = np.asarray(problem.bounds_lo)
+        hi = np.asarray(problem.bounds_hi).copy()
+        fixed = rng.random(problem.decision_dim) < 0.3
+        fixed[0], fixed[-1] = False, True
+        hi[fixed] = lo[fixed]
+        return replace(problem, bounds_hi=tuple(hi)), lo, hi
+
+    def test_full_step_carries_its_gradient(self):
+        # with f = +inf every finite cost passes the Armijo test, so the full
+        # step is accepted; its gradient, costed in the line-search round,
+        # must equal the one a gradient round there would give
+        rng = np.random.default_rng(79)
+        h = 1e-6
+        for i in range(12):
+            kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
+            problem, lo, hi = self.boxed_problem(rng, kind, int(rng.integers(1, 11)))
+            evaluate = _MergedRollouts([problem]).objective
+            x = rng.uniform(lo, hi)
+            direction = rng.normal(size=x.size) * (hi - lo)
+            direction[0] = 10.0 * (hi[0] - lo[0])  # clipped onto the upper bound
+            g = rng.normal(size=x.size)
+            search = _line_search(x, math.inf, g, direction, lo, hi, h)
+            x_new, f_new, step_vec, g_new = _lockstep([(0, search)], evaluate, None)[0]
+            assert x_new[0] == hi[0]
+            assert x_new.tolist() == np.clip(x + direction, lo, hi).tolist()
+            request = _gradient_request(x_new, f_new, lo, hi, h)
+            want = _lockstep([(0, request)], evaluate, None)[0]
+            assert g_new.tolist() == want.tolist()
+            # without a difference step nothing extra is costed or returned
+            search = _line_search(x, math.inf, g, direction, lo, hi, None)
+            assert _lockstep([(0, search)], evaluate, None)[0][3] is None
+
+    def test_shorter_step_carries_no_gradient(self):
+        sizes = []
+
+        def evaluate(requests):
+            (_, rows), = requests
+            sizes.append(len(rows))
+            costs = np.full(len(rows), 5.0)
+            costs[:2] = 2.0, 0.5  # the full step fails the Armijo test, the half passes
+            return costs
+
+        lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+        search = _line_search(np.zeros(3), 1.0, np.zeros(3), np.ones(3), lo, hi, 1e-6)
+        x_new, f_new, _, g_new = _lockstep([(0, search)], evaluate, None)[0]
+        assert (x_new.tolist(), f_new, g_new) == ([0.5] * 3, 0.5, None)
+        assert sizes == [30 + 3]  # every step length, then the full step's gradient points
+
+    def test_starts_round_gradients(self, monkeypatch):
+        # every descent begins with the gradient the starts round costed at
+        # its start; it must equal a gradient round there
+        rng = np.random.default_rng(89)
+        h = 1e-6
+        begun = []
+        descent = parallel._descent
+
+        def recorded(x0, f0, g0, lo, hi, cfg, record):
+            begun.append((x0, f0, g0, lo, hi))
+            return descent(x0, f0, g0, lo, hi, cfg, record)
+
+        monkeypatch.setattr(parallel, "_descent", recorded)
+        problems, starts = [], []
+        for kind, horizon in ((CONVENTIONAL, 4), (PARAMETERIZED, 3), (CONVENTIONAL, 1)):
+            problem, lo, hi = self.boxed_problem(rng, kind, horizon)
+            problems.append(problem)
+            x = [rng.uniform(lo, hi) for _ in range(3)]
+            x[0][0] = hi[0]  # on the upper bound
+            x[1][:] = hi     # on the upper bound everywhere
+            starts.append(x)
+        cfg = OptimizerConfig(budget_s=None, max_iterations=2)
+        parallel._solve_jointly(problems, starts, cfg, None)
+        assert len(begun) == 9
+        for problem, problem_starts in zip(problems, starts):
+            evaluate = _MergedRollouts([problem]).objective
+            for x in problem_starts:
+                x0, f0, g0, lo, hi = begun.pop(0)
+                assert x0.tolist() == x.tolist()
+                assert f0 == objective(problem, x)
+                request = _gradient_request(x, f0, lo, hi, h)
+                assert g0.tolist() == _lockstep([(0, request)], evaluate, None)[0].tolist()
+
+    def test_repeated_starts_descend_once(self, monkeypatch):
+        # a start repeated bit for bit (here also after clipping) lists its
+        # twin's records again instead of replaying its descent
+        monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        rng = np.random.default_rng(97)
+        for kind in (CONVENTIONAL, PARAMETERIZED):
+            problem = make_problem(rng, kind=kind, horizon=3)
+            lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
+            a, b, c = (rng.uniform(lo, hi) for _ in range(3))
+            above = hi + 1.0  # clips onto hi
+            starts = [a, b, a.copy(), hi, c, b, above]
+            for termination in ("all", "best"):
+                cfg = OptimizerConfig(budget_s=None, max_iterations=8, termination=termination)
+                singles = [solve_budgeted(problem, [s], cfg) for s in starts]
+                begun = []
+                descent = parallel._descent
+                monkeypatch.setattr(
+                    parallel, "_descent", lambda *args: begun.append(1) or descent(*args)
+                )
+                got = solve_budgeted(problem, starts, cfg)
+                monkeypatch.setattr(parallel, "_descent", descent)
+                assert len(begun) == 4
+
+                every = singles if termination == "all" else [
+                    solve_budgeted(problem, [s], replace(cfg, termination="all"))
+                    for s in starts
+                ]
+                trail = [r.cost_trail[0] for r in every]
+                iterates = [r.iterates[0] for r in every]
+                for r in every:
+                    trail.extend(r.cost_trail[1:])
+                    iterates.extend(r.iterates[1:])
+                best = iterates[min(range(len(trail)), key=lambda k: (trail[k], k))]
+                want = BudgetedResult(
+                    best=best,
+                    iterates=tuple(iterates) if termination == "all" else (best,),
+                    cost_trail=tuple(trail),
+                    elapsed_s=0.0,
+                    termination=termination,
+                )
+                assert got == want
 
     def test_batched_gradient_stops_at_deadline(self):
         rng = np.random.default_rng(59)

@@ -147,6 +147,14 @@ ERROR_CONTRACT_STRICT = {
     "nan-breakpoint": (f"demand: {{mainstream: {{breakpoints: [[0, .nan]]}}, {RAMPS}}}",
                        "demand.mainstream"),
     "nan-budget": ("control: {budget_s: .nan}", "control"),
+    "negative-metering-upper": ("control: {metering_upper: -1.0}", "metering_upper"),
+    "nan-gain-upper": ("control: {gain_upper: .nan}", "gain_upper"),
+    "horizon-below-one": ("control: {horizons: [0, -3]}", "horizons"),
+    "evaluation-horizon-zero": ("control: {evaluation_horizon: 0}", "evaluation_horizon"),
+    "evaluation-horizon-above-horizons": ("control: {evaluation_horizon: 4}",
+                                          "evaluation_horizon"),
+    "huge-gamma": (f"gamma: {'9' * 400}", "gamma"),
+    "huge-lanes": (f"network: {{lanes: {'9' * 400}}}", "network.lanes"),
 }
 
 
