@@ -382,20 +382,31 @@ def test_criterion_8_serial_determinism(tmp_path):
     _report(8, f"two serial runs wrote identical logs ({len(payloads[0])} bytes)")
 
 
-# The shipped serial architecture run, pinned: criterion 8 compares two runs
-# of the same code, so only fixed values catch an edit that moves one bit.
+# The shipped serial runs, pinned: criterion 8 compares two runs of the same
+# code, so only fixed values catch an edit that moves one bit.
 GOLDEN_J_TOTAL = 178.3011820035886
-GOLDEN_LOG_SHA256 = "45b3fe2d0c6db97ec410987dbef291ba555deec1439f97d9786e00c5c0306daa"
+GOLDEN_LOG_SHA256 = {
+    "alinea": "7b74a4945c40986b5b0a6e8008460fa3ed12f05b0b17a72913f9fbd2a701dd6c",
+    "ann": "fdf83a640964f57d5f8546d488981882ecf52486c546b6c371c11053de3b81dd",
+    "cmpc1": "060d1803dac0eebd3af0fc4a58c9ae201445e5229089d357ec86f890b49af9e3",
+    "cmpc2": "538ef2b2048901d102c3e74028978adcd13713da21b84f870f526216f43eb60b",
+    "pmpc1": "6977fd2843a22dd5c1bf6c5256fb0fac0bec9b9d0047e364928eb86b25564389",
+    "pmpc2": "2c3413545ef1f32c08ad606942c154089ec5e7efac5ebbe0d75397ba41b7cf4f",
+    "architecture": "45b3fe2d0c6db97ec410987dbef291ba555deec1439f97d9786e00c5c0306daa",
+}
 
 
 def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
-    """The 180-step serial architecture run keeps its exact J_total and the
-    bytes of its run log."""
-    log = compare_runs[0]["architecture"]
-    path = tmp_path / "run_architecture.jsonl"
-    write_runlog(log, str(path))
-    assert log.summary.j_total == GOLDEN_J_TOTAL
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
+    """The 180-step serial architecture run keeps its exact J_total, and the
+    serial run of every control approach keeps the bytes of its run log."""
+    logs = compare_runs[0]
+    assert logs["architecture"].summary.j_total == GOLDEN_J_TOTAL
+    digests = {}
+    for key, log in logs.items():
+        path = tmp_path / f"run_{key}.jsonl"
+        write_runlog(log, str(path))
+        digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_LOG_SHA256
 
 
 def test_serial_work_counters_are_pinned(scenario, trained, monkeypatch):
