@@ -20,12 +20,12 @@ from .actm import (
 )
 from .base_controllers import (
     AlineaState,
-    ExplicitAlineaController,
-    ImplicitAnnController,
+    FeedbackController,
     MlpParams,
     WarmStart,
     alinea_step,
     mlp_forward,
+    network_gains,
     warm_start_rollout,
 )
 from .orchestrator import (

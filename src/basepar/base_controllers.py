@@ -1,12 +1,13 @@
 """Offline-tuned ramp-metering controllers and their horizon extension.
 
-Two base controllers are provided.  The explicit one is the classical
-integral feedback law that nudges the metering rate proportionally to the
-gap between a critical density and the measured density downstream of the
-ramp.  The implicit one is a tiny feedforward network (4 inputs, one hidden
-layer of 3 units, 1 output) trained per metered cell to emit the feedback
-gain itself; the gain is then converted to a metering rate through the same
-feedback law.
+Every base controller is one integral feedback law that nudges the metering
+rate proportionally to the gap between a critical density and the measured
+density downstream of the ramp (:class:`FeedbackController`); only the
+source of its gains differs.  ALINEA keeps them constant.  The implicit
+controller asks a tiny feedforward network (4 inputs, one hidden layer of 3
+units, 1 output), trained per metered cell, for the gain at every step
+(:func:`network_gains`).  Zero gains hold the previous rates, which is how a
+standalone online controller is seeded.
 
 Training data for the network is generated by treating each metered cell in
 isolation with unrestricted leaving flows and solving, per sampled operating
@@ -15,19 +16,19 @@ cell's expected density closest to the critical density.  That problem is
 piecewise linear and monotone in the gain, so it is solved in closed form;
 tests audit it against a brute-force grid search.
 
-Both controllers produce a rate for the current step only.  To seed the
-online optimizers they are rolled forward through the plant model for the
-largest prediction horizon of their cell (:func:`warm_start_rollout`),
-yielding a full metering sequence (and, for the implicit controller, the
-matching gain sequence).
+A base controller produces a rate for the current step only.  To seed the
+online optimizers it is rolled forward through the plant model for the
+largest prediction horizon of its cell (:func:`warm_start_rollout`),
+yielding a full metering sequence and the matching gain sequence.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,15 +49,15 @@ __all__ = [
     "TrainResult",
     "TrainingDivergedError",
     "train_mlp",
-    "ExplicitAlineaController",
-    "ImplicitAnnController",
+    "FeedbackController",
+    "network_gains",
     "WarmStart",
     "warm_start_rollout",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Explicit feedback law
+# Feedback law
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -98,7 +99,7 @@ def alinea_step(
 
 
 # ---------------------------------------------------------------------------
-# Implicit controller: gain-emitting network
+# Gain-emitting network
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -469,80 +470,33 @@ def train_mlp(
 # Base-controller objects and the warm-start loop
 # ---------------------------------------------------------------------------
 
-class ExplicitAlineaController:
-    """Constant-gain feedback metering; emits rates directly."""
+# A gain source: one feedback gain per metered ramp from the current state,
+# the measured inputs and the upstream mainline inflows.
+GainFn = Callable[[NetworkState, ExogenousInput, Sequence[float]], Sequence[float]]
+
+
+class FeedbackController:
+    """Feedback metering ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``
+    with the gains ``theta`` drawn from ``gains`` at every step: constant for
+    ALINEA, a network's output for the implicit controller, zero to hold
+    the previous rates."""
 
     def __init__(
         self,
         params: NetworkParams,
-        gains: Sequence[float],
+        gains: GainFn,
         mu_init: Sequence[float],
-        label: str = "ALINEA",
+        label: str,
     ):
         self.params = params
+        self.gains = gains
         self.label = label
-        self.state = AlineaState(gains_theta=tuple(gains), mu_prev=list(mu_init))
-
-    def clone(self) -> "ExplicitAlineaController":
-        other = ExplicitAlineaController.__new__(ExplicitAlineaController)
-        other.params = self.params
-        other.label = self.label
-        other.state = self.state.clone()
-        return other
-
-    def advance(
-        self,
-        state: NetworkState,
-        measured: ExogenousInput,
-        o_prev: Sequence[float],
-    ) -> tuple[tuple[float, ...], Optional[tuple[float, ...]]]:
-        """Emit the metering rates for this step and update mu_prev."""
-        rho = density(state, self.params)
-        rho_metered = [rho[i] for i in self.params.metered_cells]
-        mu = alinea_step(self.state, rho_metered, self.params.rho_crit)
-        return mu, None
-
-    def set_previous_metering(self, mu: Sequence[float]) -> None:
-        if any(m < 0 for m in mu):
-            raise ValueError("applied metering must be nonnegative")
-        self.state.mu_prev[:] = mu
-
-
-class ImplicitAnnController:
-    """Gain-emitting network controller; converts gains to rates through the
-    same feedback law the explicit controller uses.
-
-    Emitted gains are clipped into ``gain_range``: network extrapolation
-    outside the range its targets were generated on is meaningless, and the
-    clip keeps the controller inside the same gain family the parameterized
-    online controllers search.
-    """
-
-    def __init__(
-        self,
-        params: NetworkParams,
-        nets: dict[int, MlpParams],
-        mu_init: Sequence[float],
-        label: str = "ANN",
-        gain_range: tuple[float, float] = (0.0, 1.0),
-    ):
-        missing = [i for i in params.metered_cells if i not in nets]
-        if missing:
-            raise ValueError(f"missing networks for metered cells {missing}")
-        self.params = params
-        self.nets = nets
-        self.label = label
-        self.gain_range = gain_range
         self.state = AlineaState(
             gains_theta=tuple(0.0 for _ in params.metered_cells), mu_prev=list(mu_init)
         )
 
-    def clone(self) -> "ImplicitAnnController":
-        other = ImplicitAnnController.__new__(ImplicitAnnController)
-        other.params = self.params
-        other.nets = self.nets
-        other.label = self.label
-        other.gain_range = self.gain_range
+    def clone(self) -> "FeedbackController":
+        other = copy.copy(self)
         other.state = self.state.clone()
         return other
 
@@ -553,18 +507,11 @@ class ImplicitAnnController:
         o_prev: Sequence[float],
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Emit (metering rates, gains) for this step and update mu_prev."""
-        demands = dict(zip(self.params.onramp_cells, measured.ramp_demands))
+        thetas = tuple(self.gains(state, measured, o_prev))
+        self.state = replace(self.state, gains_theta=thetas)
         rho = density(state, self.params)
-        lo, hi = self.gain_range
-        thetas = []
-        for j, i in enumerate(self.params.metered_cells):
-            qi = state.q[self.params.onramp_cells.index(i)]
-            raw = mlp_forward(self.nets[i], (state.n[i], qi, demands[i], o_prev[j]))
-            thetas.append(min(max(raw, lo), hi))
-        self.state = replace(self.state, gains_theta=tuple(thetas))
         rho_metered = [rho[i] for i in self.params.metered_cells]
-        mu = alinea_step(self.state, rho_metered, self.params.rho_crit)
-        return mu, tuple(thetas)
+        return alinea_step(self.state, rho_metered, self.params.rho_crit), thetas
 
     def set_previous_metering(self, mu: Sequence[float]) -> None:
         if any(m < 0 for m in mu):
@@ -572,18 +519,45 @@ class ImplicitAnnController:
         self.state.mu_prev[:] = mu
 
 
+def network_gains(
+    params: NetworkParams, nets: dict[int, MlpParams], gain_range: tuple[float, float]
+) -> GainFn:
+    """The gain source of the implicit controller: each metered cell's
+    network output, clipped into ``gain_range``.
+
+    Network extrapolation outside the range its targets were generated on is
+    meaningless, and the clip keeps the controller inside the same gain
+    family the parameterized online controllers search.
+    """
+    missing = [i for i in params.metered_cells if i not in nets]
+    if missing:
+        raise ValueError(f"missing networks for metered cells {missing}")
+    lo, hi = gain_range
+
+    def gains(state: NetworkState, measured: ExogenousInput, o_prev: Sequence[float]):
+        demands = dict(zip(params.onramp_cells, measured.ramp_demands))
+        thetas = []
+        for j, i in enumerate(params.metered_cells):
+            qi = state.q[params.onramp_cells.index(i)]
+            raw = mlp_forward(nets[i], (state.n[i], qi, demands[i], o_prev[j]))
+            thetas.append(min(max(raw, lo), hi))
+        return thetas
+
+    return gains
+
+
 @dataclass(frozen=True)
 class WarmStart:
     """Metering plan produced by rolling a base controller through the model."""
 
     mu: tuple[tuple[float, ...], ...]              # horizon x metered ramps
-    theta: Optional[tuple[tuple[float, ...], ...]]  # gain trail for implicit bases
+    theta: tuple[tuple[float, ...], ...]           # gain trail, horizon x metered ramps
     states: tuple[NetworkState, ...]               # predicted states, horizon + 1
     total_cost: float                              # summed stage cost along the rollout
 
 
 def warm_start_rollout(
-    base,
+    base: FeedbackController,
     state: NetworkState,
     predicted_inputs: Sequence[ExogenousInput],
     horizon_max: int,
@@ -619,5 +593,4 @@ def warm_start_rollout(
         mus.append(mu)
         thetas.append(theta)
         states.append(cur)
-    theta_seq = None if thetas[0] is None else tuple(thetas)
-    return WarmStart(mu=tuple(mus), theta=theta_seq, states=tuple(states), total_cost=total)
+    return WarmStart(mu=tuple(mus), theta=tuple(thetas), states=tuple(states), total_cost=total)

@@ -24,9 +24,12 @@ ENV_SEED = "BASEPAR_SEED"
 def _load(args) -> sc.ScenarioConfig:
     path = args.scenario if args.scenario else sc.default_scenario_path()
     cfg = sc.load_scenario(path)
-    seed = args.seed
-    if seed is None and os.environ.get(ENV_SEED):
-        seed = int(os.environ[ENV_SEED])
+    seed, env_seed = args.seed, os.environ.get(ENV_SEED)
+    if seed is None and env_seed:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
     if seed is not None:
         cfg = sc.ScenarioConfig(**{**cfg.__dict__, "seed": seed})
     return cfg

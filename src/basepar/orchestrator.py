@@ -1,15 +1,24 @@
 """One control step of the base-parallel architecture.
 
-Each step: every base controller emits its candidate and is rolled forward
-into a warm-start sequence; the parallel cells solve their budgeted problems
-seeded by that sequence plus the shift starts from their own history; the
-evaluation block scores every candidate by rolling it out on the evaluation
-model over a short horizon; the selector applies the first element of the
-candidate with the least realized cost.
+Each step: every base controller is rolled forward into a warm-start
+sequence, which is also its candidate; the parallel cells solve their
+budgeted problems seeded by that sequence plus the shift starts from their
+own history (:meth:`BaseParallelController.propose`); the evaluation block
+scores every candidate by rolling it out on the evaluation model over a
+short horizon; the selector applies the first element of the candidate with
+the least realized cost, or the first cell's base candidate when every
+rollout failed; and the applied rates and each solve's best decision are
+committed (:meth:`BaseParallelController.commit`).
 
-Base controllers keep per-instance feedback state (their previous metering
-rate).  After selection that state is synchronized to the *applied* rates,
-so every controller's feedback law sees what actually reached the plant.
+The architecture changes by adding or removing cells and controllers.  A
+standalone online controller is the one-cell case: a base that holds the
+previous rates seeds it, and it applies its own best plan through
+``propose`` and ``commit`` without the evaluation block.
+
+Every base is a :class:`~basepar.base_controllers.FeedbackController`, whose
+feedback state (its previous metering rate) is synchronized to the
+*applied* rates at commit, so every feedback law sees what actually reached
+the plant.
 """
 
 from __future__ import annotations
@@ -32,10 +41,11 @@ from .actm import (
     rollout,
     rollout_batch,
 )
-from .base_controllers import WarmStart, warm_start_rollout
+from .base_controllers import FeedbackController, warm_start_rollout
 from .parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
+    BudgetedResult,
     CandidateSequence,
     MpcProblem,
     OptimizerConfig,
@@ -76,7 +86,7 @@ class ParallelControllerSpec:
 class ParallelCell:
     """A base controller with the online controllers it seeds."""
 
-    base: object    # ExplicitAlineaController or ImplicitAnnController
+    base: FeedbackController
     controllers: tuple[ParallelControllerSpec, ...] = ()
 
 
@@ -185,7 +195,7 @@ def select_best(
 
     Ties break toward the lowest candidate index (candidates are ordered
     bases first, then parallel controllers).  If every cost is +inf the
-    explicit-base fallback candidate is applied instead, with a prominent
+    candidate at ``fallback_index`` is applied instead, with a prominent
     warning.  Fills the evaluation's winner and margin fields and returns
     ``(winner_index, applied_rates)``.
     """
@@ -217,9 +227,7 @@ class BaseParallelController:
             raise ValueError("mu_init must have one entry per metered ramp")
         self.mu_prev: tuple[float, ...] = tuple(float(m) for m in mu_init)
         self.histories: dict[str, list[np.ndarray]] = {
-            spec.label: []
-            for cell in config.cells
-            for spec in cell.controllers
+            spec.label: [] for cell in config.cells for spec in cell.controllers
         }
 
     def _problem(
@@ -246,92 +254,78 @@ class BaseParallelController:
             label=spec.label,
         )
 
+    def propose(
+        self,
+        measurement: NetworkState,
+        measured: ExogenousInput,
+        o_prev: Sequence[float],
+    ) -> tuple[list[CandidateSequence], dict[str, BudgetedResult]]:
+        """Roll every base forward and solve every cell's problems together.
+
+        Returns the base candidates, one per cell in cell order, and the
+        result of every solve keyed by controller label, in cell order.
+        ``o_prev`` carries the realized upstream mainline inflow per metered
+        ramp from the previous plant step (the network gains and the
+        warm-start loop consume it).
+        """
+        cfg = self.config
+        forecast = (measured,)  # persistence forecast, shared by every block
+        bases: list[CandidateSequence] = []
+        cells = []
+        for cell in cfg.cells:
+            length = max([spec.horizon for spec in cell.controllers] + [cfg.evaluation_horizon])
+            warm = warm_start_rollout(
+                cell.base, measurement, forecast, length, cfg.params, o_prev, cfg.gamma
+            )
+            bases.append(CandidateSequence(warm.mu, cell.base.label, warm.total_cost))
+            cells.append(([self._problem(spec, measurement, forecast) for spec in cell.controllers],
+                          warm))
+        # every solve of every cell, in one lockstep against the one deadline
+        return bases, run_parallel_cells(cells, self.histories, cfg.optimizer)
+
+    def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
+        """Make ``applied`` the previous rates of the problems and of every
+        base's feedback law, and add each solve's best decision to its
+        shift-start history."""
+        self.mu_prev = applied
+        for cell in self.config.cells:
+            cell.base.set_previous_metering(applied)
+        n_ramps = len(self.mu_prev)
+        for label, result in results.items():
+            decision = np.asarray(result.best.decision, dtype=float)
+            self.histories[label].append(decision.reshape(-1, n_ramps))
+
     def control_step(
         self,
         measurement: NetworkState,
         measured: ExogenousInput,
         o_prev: Sequence[float],
     ) -> tuple[SelectionRecord, EvaluationResult]:
-        """Run one full architecture step from the measured plant state.
-
-        ``o_prev`` carries the realized upstream mainline inflow per metered
-        ramp from the previous plant step (the implicit base controller and
-        the warm-start loop consume it).
-        """
+        """Run one full architecture step from the measured plant state:
+        :meth:`propose`, evaluate every candidate, apply the best and
+        :meth:`commit` it.  If the evaluation excludes every candidate, the
+        first cell's base candidate is applied."""
         cfg = self.config
         t0 = time.monotonic()
-        forecast = (measured,)  # persistence forecast, shared by every block
-
-        warm_starts: list[WarmStart] = []
-        candidates: list[CandidateSequence] = []
-        fallback_index: Optional[int] = None
-        for idx, cell in enumerate(cfg.cells):
-            horizons = [spec.horizon for spec in cell.controllers]
-            length = max(horizons + [cfg.evaluation_horizon])
-            warm = warm_start_rollout(
-                cell.base, measurement, forecast, length, cfg.params, o_prev, cfg.gamma
-            )
-            warm_starts.append(warm)
-            if warm.theta is None and fallback_index is None:
-                fallback_index = idx  # first explicit base, used as safety default
-            candidates.append(
-                CandidateSequence(
-                    metering=warm.mu, source=cell.base.label, cost=warm.total_cost
-                )
-            )
-        if fallback_index is None:
-            fallback_index = 0
-
-        deadline = None
-        if self.config.optimizer.budget_s is not None:
-            deadline = time.monotonic() + self.config.optimizer.budget_s
-
-        # every solve of every cell, in one lockstep against the one deadline
-        results = run_parallel_cells(
-            [
-                ([self._problem(spec, measurement, forecast) for spec in cell.controllers], warm)
-                for cell, warm in zip(cfg.cells, warm_starts)
-            ],
-            self.histories, self.config.optimizer, deadline,
-        )
-        solver_stats: list[tuple[str, float, int, bool]] = []
-        for cell in cfg.cells:
-            for spec in cell.controllers:
-                res = results[spec.label]
-                solver_stats.append(
-                    (spec.label, res.elapsed_s, res.best.iterations, res.best.converged)
-                )
-                candidates.extend(res.iterates)
-
+        candidates, results = self.propose(measurement, measured, o_prev)
+        for result in results.values():
+            candidates.extend(result.iterates)
         evaluation = evaluate_candidates(
-            candidates, cfg.params, measurement, forecast,
+            candidates, cfg.params, measurement, (measured,),
             cfg.evaluation_horizon, cfg.gamma,
         )
-        winner_index, applied = select_best(evaluation, fallback_index)
-
-        # Commit: feedback states track the applied rates; each controller's
-        # best solution enters its shift-start history.
-        self.mu_prev = applied
-        for cell in cfg.cells:
-            cell.base.set_previous_metering(applied)
-        for cell in cfg.cells:
-            for spec in cell.controllers:
-                best = results[spec.label].best
-                if spec.kind == CONVENTIONAL:
-                    plan = np.asarray(best.decision, dtype=float).reshape(
-                        spec.horizon, -1
-                    )
-                else:
-                    plan = np.asarray(best.decision, dtype=float).reshape(1, -1)
-                self.histories[spec.label].append(plan)
-
+        winner_index, applied = select_best(evaluation)
+        self.commit(applied, results)
         record = SelectionRecord(
             step=measurement.step,
             applied=applied,
             winner=evaluation.candidates[winner_index].source,
             candidate_labels=tuple(c.source for c in evaluation.candidates),
             candidate_costs=evaluation.costs,
-            solver_stats=tuple(solver_stats),
+            solver_stats=tuple(
+                (label, r.elapsed_s, r.best.iterations, r.best.converged)
+                for label, r in results.items()
+            ),
             elapsed_s=time.monotonic() - t0,
         )
         return record, evaluation

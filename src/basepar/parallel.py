@@ -80,7 +80,6 @@ __all__ = [
     "BudgetedResult",
     "objective",
     "decision_to_metering",
-    "fallback_start",
     "make_shift_warm_starts",
     "base_start_for",
     "solve_budgeted",
@@ -380,15 +379,6 @@ def decision_to_metering(
     return _MergedRollouts([problem]).plans([x])[0][0]
 
 
-def fallback_start(problem: MpcProblem) -> np.ndarray:
-    """Start used when no history and no base warm start exist: hold the
-    previously applied rates (conventional) or leave them unchanged via zero
-    gains (parameterized)."""
-    if problem.kind == CONVENTIONAL:
-        return np.tile(np.asarray(problem.mu_prev, dtype=float), problem.horizon)
-    return np.zeros(problem.n_ramps)
-
-
 # ---------------------------------------------------------------------------
 # Shift-based starting points
 # ---------------------------------------------------------------------------
@@ -419,34 +409,16 @@ def make_shift_warm_starts(history: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def base_start_for(problem: MpcProblem, warm: WarmStart) -> np.ndarray:
-    """Starting decision derived from a base controller's warm-start rollout.
-
-    Conventional problems take the first ``horizon`` metering rows directly.
-    Parameterized problems need constant gains: the implicit base's own gain
-    trail is averaged over the window; for an explicit base the gains are
-    recovered by inverting the feedback law along the predicted states
-    (steps where the density error vanishes contribute nothing).
-    """
+    """Starting decision derived from a base controller's warm-start rollout:
+    its first ``horizon`` metering rows for a conventional problem, its gain
+    trail averaged over the window for a parameterized one."""
     if len(warm.mu) < problem.horizon:
         raise ValueError(
             f"warm start has {len(warm.mu)} steps, problem horizon is {problem.horizon}"
         )
     if problem.kind == CONVENTIONAL:
         return np.asarray(warm.mu[: problem.horizon], dtype=float).ravel()
-    if warm.theta is not None:
-        return np.mean(np.asarray(warm.theta[: problem.horizon], dtype=float), axis=0)
-    p = problem.params
-    thetas = np.zeros((problem.horizon, problem.n_ramps))
-    mu_prev = np.asarray(problem.mu_prev, dtype=float)
-    for k in range(problem.horizon):
-        state = warm.states[k]
-        mu = np.asarray(warm.mu[k], dtype=float)
-        for j, i in enumerate(p.metered_cells):
-            err = p.rho_crit - state.n[i] / (p.cells[i].length * p.lanes)
-            if abs(err) > 1e-12:
-                thetas[k, j] = (mu[j] - mu_prev[j]) / err
-        mu_prev = mu
-    return np.mean(thetas, axis=0)
+    return np.mean(np.asarray(warm.theta[: problem.horizon], dtype=float), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -828,17 +800,16 @@ def run_parallel_cells(
     cells: Sequence[tuple[Sequence[MpcProblem], WarmStart]],
     histories: dict[str, list[np.ndarray]],
     config: OptimizerConfig,
-    deadline: Optional[float] = None,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of several parallel cells together.
 
     Each cell pairs its problems with its base controller's warm start.
     Each controller receives the prefix of that warm start that matches its
     horizon plus the shift starts built from its own solution history.  All
-    solves of all cells run in one lockstep against one deadline (derived
-    from the config budget when none is given), so every solve takes part
-    in every round until it finishes or the deadline expires.  Without a
-    deadline the results equal those of separate :func:`solve_budgeted`
+    solves of all cells run in one lockstep against one deadline, the config
+    budget from when the starts are built, so every solve takes part in
+    every round until it finishes or the deadline expires.  Without a budget the
+    results equal those of separate :func:`solve_budgeted`
     calls, except ``elapsed_s``: every result reports the wall time of the
     whole call, whose rounds its solves shared.  Results are keyed by
     controller label.
@@ -854,8 +825,7 @@ def run_parallel_cells(
             starts[-1].extend(
                 s.ravel() for s in make_shift_warm_starts(histories.get(problem.label, []))
             )
-    if deadline is None and config.budget_s is not None:
-        deadline = time.monotonic() + config.budget_s
+    deadline = None if config.budget_s is None else time.monotonic() + config.budget_s
     results = _solve_jointly(problems, starts, config, deadline) if problems else []
     return {problem.label: result for problem, result in zip(problems, results)}
 
@@ -865,8 +835,7 @@ def run_parallel_cell(
     base_warm: WarmStart,
     histories: dict[str, list[np.ndarray]],
     config: OptimizerConfig,
-    deadline: Optional[float] = None,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of one parallel cell (see
     :func:`run_parallel_cells`)."""
-    return run_parallel_cells([(problems, base_warm)], histories, config, deadline)
+    return run_parallel_cells([(problems, base_warm)], histories, config)

@@ -42,14 +42,14 @@ from .actm import (
     step,
 )
 from .base_controllers import (
-    ExplicitAlineaController,
+    FeedbackController,
     GenerationRanges,
-    ImplicitAnnController,
     MlpParams,
     TrainConfig,
     TrainResult,
     generate_training_data,
     load_mlp_params,
+    network_gains,
     train_mlp,
 )
 from .orchestrator import (
@@ -58,15 +58,7 @@ from .orchestrator import (
     ParallelCell,
     ParallelControllerSpec,
 )
-from .parallel import (
-    CONVENTIONAL,
-    PARAMETERIZED,
-    MpcProblem,
-    OptimizerConfig,
-    fallback_start,
-    make_shift_warm_starts,
-    solve_budgeted,
-)
+from .parallel import CONVENTIONAL, PARAMETERIZED, OptimizerConfig
 
 __all__ = [
     "ScenarioError",
@@ -495,54 +487,25 @@ def _networks_for(scenario: ScenarioConfig, nets: Optional[dict[int, MlpParams]]
 # Controllers wired for the closed loop
 # ---------------------------------------------------------------------------
 
-def _alinea_controller(scenario: ScenarioConfig) -> ExplicitAlineaController:
-    nr = len(scenario.network.metered_cells)
-    return ExplicitAlineaController(
-        scenario.network,
-        gains=(scenario.control.alinea_gain,) * nr,
-        mu_init=scenario.mu_prev_init,
-        label="ALINEA",
-    )
+def _alinea_controller(scenario: ScenarioConfig) -> FeedbackController:
+    gains = (scenario.control.alinea_gain,) * len(scenario.network.metered_cells)
+    return FeedbackController(scenario.network, lambda *_: gains, scenario.mu_prev_init, "ALINEA")
 
 
-def _ann_controller(scenario, nets) -> ImplicitAnnController:
-    return ImplicitAnnController(
-        scenario.network, nets, mu_init=scenario.mu_prev_init, label="ANN",
-        gain_range=(0.0, scenario.control.gain_upper),
-    )
+def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
+    gains = network_gains(scenario.network, nets, (0.0, scenario.control.gain_upper))
+    return FeedbackController(scenario.network, gains, scenario.mu_prev_init, "ANN")
 
 
-def build_architecture(
-    scenario: ScenarioConfig,
-    nets: Optional[dict[int, MlpParams]] = None,
-    serial: bool = False,
-    budget_override: Optional[float] = None,
-    termination: Optional[str] = None,
-) -> BaseParallelController:
-    """Full case-study architecture: the explicit base seeds two conventional
-    MPC controllers, the implicit base seeds two parameterized ones."""
-    nets = _networks_for(scenario, nets)
+def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: bool,
+                  budget_override: Optional[float],
+                  termination: Optional[str]) -> BaseParallelController:
+    """The architecture of ``cells`` under the scenario's control settings."""
     ctl = scenario.control
     nr = len(scenario.network.metered_cells)
-    h1, h2 = ctl.horizons
     config = ArchitectureConfig(
         params=scenario.network,
-        cells=[
-            ParallelCell(
-                base=_alinea_controller(scenario),
-                controllers=(
-                    ParallelControllerSpec("CMPC(1)", CONVENTIONAL, h1),
-                    ParallelControllerSpec("CMPC(2)", CONVENTIONAL, h2),
-                ),
-            ),
-            ParallelCell(
-                base=_ann_controller(scenario, nets),
-                controllers=(
-                    ParallelControllerSpec("PMPC(1)", PARAMETERIZED, h1),
-                    ParallelControllerSpec("PMPC(2)", PARAMETERIZED, h2),
-                ),
-            ),
-        ],
+        cells=cells,
         evaluation_horizon=ctl.evaluation_horizon,
         gamma=scenario.gamma,
         optimizer=ctl.optimizer(budget_override, termination, serial=serial),
@@ -552,6 +515,36 @@ def build_architecture(
         gain_hi=(ctl.gain_upper,) * nr,
     )
     return BaseParallelController(config, mu_init=scenario.mu_prev_init)
+
+
+def build_architecture(
+    scenario: ScenarioConfig,
+    nets: Optional[dict[int, MlpParams]] = None,
+    serial: bool = False,
+    budget_override: Optional[float] = None,
+    termination: Optional[str] = None,
+) -> BaseParallelController:
+    """Full case-study architecture: ALINEA seeds two conventional MPC
+    controllers, the gain network seeds two parameterized ones."""
+    nets = _networks_for(scenario, nets)
+    h1, h2 = scenario.control.horizons
+    cells = [
+        ParallelCell(
+            base=_alinea_controller(scenario),
+            controllers=(
+                ParallelControllerSpec("CMPC(1)", CONVENTIONAL, h1),
+                ParallelControllerSpec("CMPC(2)", CONVENTIONAL, h2),
+            ),
+        ),
+        ParallelCell(
+            base=_ann_controller(scenario, nets),
+            controllers=(
+                ParallelControllerSpec("PMPC(1)", PARAMETERIZED, h1),
+                ParallelControllerSpec("PMPC(2)", PARAMETERIZED, h2),
+            ),
+        ),
+    ]
+    return _architecture(scenario, cells, serial, budget_override, termination)
 
 
 class _BaseOnlyDriver:
@@ -567,44 +560,20 @@ class _BaseOnlyDriver:
 
 
 class _StandaloneMpcDriver:
-    """One budgeted MPC controller in closed loop.
+    """One budgeted MPC controller in closed loop: the architecture with one
+    cell, whose base holds the previous rates; the controller's own best
+    plan is applied, with no evaluation block."""
 
-    Starting points are the hold-previous-rates fallback plus the shift
-    starts built from this controller's own solution history.
-    """
-
-    def __init__(self, scenario: ScenarioConfig, label: str, kind: str,
-                 horizon: int, optimizer: OptimizerConfig):
-        self.scenario = scenario
-        self.label = label
-        self.kind = kind
-        self.horizon = horizon
-        self.optimizer = optimizer
-        self.mu_prev = tuple(scenario.mu_prev_init)
-        self.history: list[np.ndarray] = []
-        nr = len(scenario.network.metered_cells)
-        if kind == CONVENTIONAL:
-            self.lo = (0.0,) * (nr * horizon)
-            self.hi = (scenario.control.metering_upper,) * (nr * horizon)
-        else:
-            self.lo = (0.0,) * nr
-            self.hi = (scenario.control.gain_upper,) * nr
+    def __init__(self, arch: BaseParallelController):
+        self.arch = arch
+        self.label = arch.config.cells[0].controllers[0].label
 
     def decide(self, state, measured, o_prev):
-        problem = MpcProblem(
-            kind=self.kind, horizon=self.horizon, params=self.scenario.network,
-            initial_state=state, demand_forecast=(measured,), mu_prev=self.mu_prev,
-            bounds_lo=self.lo, bounds_hi=self.hi, gamma=self.scenario.gamma,
-            label=self.label,
-        )
-        starts = [fallback_start(problem)]
-        starts.extend(s.ravel() for s in make_shift_warm_starts(self.history))
-        result = solve_budgeted(problem, starts, self.optimizer)
+        _, results = self.arch.propose(state, measured, o_prev)
+        result = results[self.label]
         best = result.best
         applied = tuple(best.metering[0])
-        self.mu_prev = applied
-        shape = (self.horizon, -1) if self.kind == CONVENTIONAL else (1, -1)
-        self.history.append(np.asarray(best.decision, dtype=float).reshape(shape))
+        self.arch.commit(applied, results)
         stats = ((self.label, result.elapsed_s, best.iterations, best.converged),)
         return applied, self.label, (self.label,), (best.cost,), stats
 
@@ -641,14 +610,20 @@ def _build_driver(scenario, controller_choice, serial, nets,
             build_architecture(scenario, nets, serial, budget_override, termination)
         )
     h1, h2 = scenario.control.horizons
-    spec = {
+    kind, horizon = {
         "cmpc1": (CONVENTIONAL, h1),
         "cmpc2": (CONVENTIONAL, h2),
         "pmpc1": (PARAMETERIZED, h1),
         "pmpc2": (PARAMETERIZED, h2),
     }[key]
-    optimizer = scenario.control.optimizer(budget_override, termination, serial=serial)
-    return _StandaloneMpcDriver(scenario, CONTROLLER_LABELS[key], spec[0], spec[1], optimizer)
+    zero = (0.0,) * len(scenario.network.metered_cells)
+    cell = ParallelCell(
+        base=FeedbackController(scenario.network, lambda *_: zero, scenario.mu_prev_init, "hold"),
+        controllers=(ParallelControllerSpec(CONTROLLER_LABELS[key], kind, horizon),),
+    )
+    return _StandaloneMpcDriver(
+        _architecture(scenario, [cell], serial, budget_override, termination)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -804,20 +779,17 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+# the run-log header's fields, as written and as read
+_HEADER_FIELDS = ("schema", "scenario", "controller", "seed", "sample_cycle_s",
+                  "cell_lengths_m", "lanes", "onramp_cells", "steps")
+
+
 def write_runlog(log: RunLog, path) -> None:
     """Line-delimited JSON: a header, one record per step, and the summary."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_line({
-            "schema": log.schema,
-            "scenario": log.scenario_name,
-            "controller": log.controller,
-            "seed": log.seed,
-            "sample_cycle_s": log.sample_cycle_s,
-            "cell_lengths_m": list(log.cell_lengths_m),
-            "lanes": log.lanes,
-            "onramp_cells": list(log.onramp_cells),
-            "steps": len(log.records),
-        }) + "\n")
+        head = (log.schema, log.scenario_name, log.controller, log.seed, log.sample_cycle_s,
+                list(log.cell_lengths_m), log.lanes, list(log.onramp_cells), len(log.records))
+        fh.write(_json_line(dict(zip(_HEADER_FIELDS, head))) + "\n")
         for r in log.records:
             fh.write(_json_line({"record": asdict(r)}) + "\n")
         if log.summary is not None:
@@ -830,30 +802,50 @@ def _tuplify(v):
     return v
 
 
+def _entry(raw, names, what: str, lineno: int) -> dict:
+    """The fields ``names`` of the mapping ``raw`` on line ``lineno``: all
+    required, no others."""
+    try:
+        return {n: _tuplify(v) for n, v in zip(names, _entries(raw, what, names))}
+    except ScenarioError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def read_runlog(path) -> RunLog:
+    """The run log :func:`write_runlog` wrote; a malformed file raises a
+    ``ValueError`` naming the line and the field at fault."""
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or "schema" not in lines[0]:
+        for lineno, text in enumerate(fh, start=1):
+            if text.strip():
+                try:
+                    lines.append((lineno, json.loads(text)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {lineno}: not JSON: {exc}") from None
+    if not lines or not isinstance(lines[0][1], dict) or "schema" not in lines[0][1]:
         raise ValueError(f"{path} is not a run log (missing header)")
-    head = lines[0]
+    lineno, head = lines[0]
     if head["schema"] != RUNLOG_SCHEMA:
         raise ValueError(f"unsupported run-log schema {head['schema']!r}")
+    head = _entry(head, _HEADER_FIELDS, "header", lineno)
     log = RunLog(
         scenario_name=head["scenario"],
         controller=head["controller"],
         seed=head["seed"],
         sample_cycle_s=head["sample_cycle_s"],
-        cell_lengths_m=tuple(head["cell_lengths_m"]),
+        cell_lengths_m=head["cell_lengths_m"],
         lanes=head["lanes"],
-        onramp_cells=tuple(head["onramp_cells"]),
+        onramp_cells=head["onramp_cells"],
     )
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
+        if not (isinstance(line, dict) and len(line) == 1 and set(line) <= {"record", "summary"}):
+            raise ValueError(f"line {lineno}: expected a 'record' or a 'summary' entry")
         if "record" in line:
-            fields = {k: _tuplify(v) for k, v in line["record"].items()}
-            log.records.append(StepRecord(**fields))
-        elif "summary" in line:
-            fields = {k: _tuplify(v) for k, v in line["summary"].items()}
-            log.summary = MetricsSummary(**fields)
+            names = [f.name for f in fields(StepRecord)]
+            log.records.append(StepRecord(**_entry(line["record"], names, "record", lineno)))
+        else:
+            names = [f.name for f in fields(MetricsSummary)]
+            log.summary = MetricsSummary(**_entry(line["summary"], names, "summary", lineno))
     if len(log.records) != head["steps"]:
         raise ValueError(
             f"run log holds {len(log.records)} records, header says {head['steps']}"

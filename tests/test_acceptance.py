@@ -16,7 +16,7 @@ from basepar import orchestrator, parallel
 from basepar.actm import ExogenousInput, NetworkState, rollout_batch, step
 from basepar.base_controllers import (
     AlineaState,
-    ExplicitAlineaController,
+    FeedbackController,
     GenerationRanges,
     alinea_step,
     generate_training_data,
@@ -317,8 +317,8 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
         config = ArchitectureConfig(
             params=scenario.network,
             cells=[ParallelCell(
-                base=ExplicitAlineaController(
-                    scenario.network, gains=(0.016,) * 3, mu_init=(0.5, 0.2, 0.4)
+                base=FeedbackController(
+                    scenario.network, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA"
                 ),
                 controllers=controllers,
             )],

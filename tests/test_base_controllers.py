@@ -7,9 +7,8 @@ import pytest
 from basepar.actm import ExogenousInput, NetworkState, density, step
 from basepar.base_controllers import (
     AlineaState,
-    ExplicitAlineaController,
+    FeedbackController,
     GenerationRanges,
-    ImplicitAnnController,
     MlpParams,
     TrainConfig,
     TrainingDivergedError,
@@ -18,6 +17,7 @@ from basepar.base_controllers import (
     generate_training_data,
     load_mlp_params,
     mlp_forward,
+    network_gains,
     optimal_gain_for_sample,
     save_mlp_params,
     train_mlp,
@@ -277,7 +277,7 @@ class TestTraining:
 
 class TestWarmStartRollout:
     def controller(self, net):
-        return ExplicitAlineaController(net, gains=(0.016,) * 3, mu_init=(0.5, 0.2, 0.4))
+        return FeedbackController(net, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA")
 
     def measured(self):
         return ExogenousInput(4.0, (1.0, 0.8, 0.6))
@@ -309,7 +309,7 @@ class TestWarmStartRollout:
             state, _, _ = step(state, self.measured(), mu, net)
 
     def test_zero_gain_rollout_constant(self, net):
-        ctrl = ExplicitAlineaController(net, gains=(0.0,) * 3, mu_init=(0.5, 0.2, 0.4))
+        ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, (0.5, 0.2, 0.4), "hold")
         warm = warm_start_rollout(
             ctrl, self.state(), (self.measured(),), 5, net, (3.8, 3.2, 0.6)
         )
@@ -335,7 +335,7 @@ class TestWarmStartRollout:
             )
             for i in net.metered_cells
         }
-        ctrl = ImplicitAnnController(net, nets, mu_init=(0.5, 0.2, 0.4))
+        ctrl = FeedbackController(net, network_gains(net, nets, (0.0, 1.0)), (0.5, 0.2, 0.4), "ANN")
         warm = warm_start_rollout(
             ctrl, self.state(), (self.measured(),), 4, net, (3.8, 3.2, 0.6)
         )

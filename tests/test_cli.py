@@ -113,6 +113,13 @@ class TestRun:
         log = read_runlog(out / "run_alinea.jsonl")
         assert log.seed == 99
 
+    def test_non_integer_seed_variable_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BASEPAR_SEED", "abc")
+        assert main(["run", "--controller", "alinea", "--serial", "--steps", "2",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "BASEPAR_SEED" in err and "'abc'" in err
+
 
 class TestCompare:
     def test_seven_rows_with_reference_labels(self, tmp_path, small_scenario, capsys):
@@ -177,3 +184,47 @@ class TestEmitPlots:
 
     def test_missing_log_fails(self, tmp_path):
         assert main(["emit-plots", str(tmp_path / "none.jsonl")]) == 1
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: ["5"] + lines[1:], "missing header"),
+        (lambda lines: [_without(lines[0], None, "scenario")] + lines[1:],
+         "line 1: missing required field 'header.scenario'"),
+        (lambda lines: [lines[0], _without(lines[1], "record", "winner")] + lines[2:],
+         "line 2: missing required field 'record.winner'"),
+        (lambda lines: lines[:3] + [_without(lines[3], "summary", "n_total")],
+         "line 4: missing required field 'summary.n_total'"),
+        (lambda lines: [lines[0], _with(lines[1], "record", "extra")] + lines[2:],
+         "line 2: unknown field(s) 'record.extra'"),
+        (lambda lines: [_with(lines[0], None, "extra")] + lines[1:],
+         "line 1: unknown field(s) 'header.extra'"),
+        (lambda lines: lines[:2] + ["[1]"] + lines[3:],
+         "line 3: expected a 'record' or a 'summary' entry"),
+        (lambda lines: lines[:2] + ['{"record": 5}'] + lines[3:],
+         "line 3: field 'record' must be a mapping"),
+        (lambda lines: lines[:2] + ["{"] + lines[3:], "line 3: not JSON"),
+    ], ids=["number-header", "header-field-missing", "record-field-missing",
+            "summary-field-missing", "record-field-unknown", "header-field-unknown",
+            "list-line", "number-record", "not-json"])
+    def test_malformed_log_fails_cleanly(self, tmp_path, capsys, edit, named):
+        out = tmp_path / "out"
+        main(["run", "--controller", "alinea", "--serial", "--steps", "2", "--out", str(out)])
+        lines = (out / "run_alinea.jsonl").read_text().splitlines()
+        assert len(lines) == 4  # header, two records, summary
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        assert main(["emit-plots", str(bad), "--out", str(tmp_path / "plots")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
+def _without(line: str, entry, name: str) -> str:
+    payload = json.loads(line)
+    del (payload[entry] if entry else payload)[name]
+    return json.dumps(payload)
+
+
+def _with(line: str, entry, name: str) -> str:
+    payload = json.loads(line)
+    (payload[entry] if entry else payload)[name] = 1
+    return json.dumps(payload)

@@ -1,11 +1,12 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from basepar.actm import ExogenousInput, NetworkState, TopologyError, rollout
-from basepar.base_controllers import ExplicitAlineaController
+from basepar.base_controllers import FeedbackController, MlpParams
 from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
@@ -17,7 +18,7 @@ from basepar.orchestrator import (
 )
 from basepar import actm, orchestrator, parallel
 from basepar.parallel import CONVENTIONAL, PARAMETERIZED, CandidateSequence, OptimizerConfig
-from basepar.scenario import default_scenario
+from basepar.scenario import build_architecture, default_scenario
 
 from oracles import oracle_rollout_cost
 
@@ -28,7 +29,7 @@ O_PREV = (3.8, 3.2, 0.6)
 
 
 def alinea(label="ALINEA"):
-    return ExplicitAlineaController(NET, gains=(0.016,) * 3, mu_init=(0.5, 0.2, 0.4), label=label)
+    return FeedbackController(NET, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), label)
 
 
 def make_arch(cells, evaluation_horizon=3, max_iterations=8):
@@ -153,6 +154,36 @@ class TestControlStep:
         expected, _ = alinea().advance(STATE, MEASURED, O_PREV)
         assert record.applied == pytest.approx(expected, abs=1e-15)
         assert record.winner == "ALINEA"
+
+    def test_all_infinite_applies_the_first_base(self, monkeypatch, caplog):
+        # every evaluation rollout fails: the shipped architecture applies its
+        # first cell's base candidate, ALINEA's rate
+        scenario = default_scenario()
+        scenario = replace(scenario, control=replace(scenario.control, max_iterations=2))
+        nets = {
+            i: MlpParams(hidden_weights=((0.0,) * 4,) * 3, hidden_bias=(0.0,) * 3,
+                         output_weights=(0.0,) * 3, output_bias=0.5, input_lo=(0.0,) * 4,
+                         input_hi=(80.0, 30.0, 4.0, 8.0))
+            for i in NET.metered_cells
+        }
+        arch = build_architecture(scenario, nets=nets, serial=True)
+
+        def failing(*args, **kwargs):
+            costs, plans = actm.rollout_batch(*args, **kwargs)
+            return np.full_like(costs, math.inf), plans
+
+        monkeypatch.setattr(orchestrator, "rollout_batch", failing)
+        with caplog.at_level(logging.WARNING):
+            record, evaluation = arch.control_step(STATE, MEASURED, O_PREV)
+        assert record.candidate_labels[:2] == ("ALINEA", "ANN")
+        assert len(record.candidate_labels) > 2 and all(map(math.isinf, evaluation.costs))
+        assert record.winner == "ALINEA" and evaluation.winner_index == 0
+        gains = (scenario.control.alinea_gain,) * 3
+        alinea_rate, _ = FeedbackController(
+            NET, lambda *_: gains, scenario.mu_prev_init, "ALINEA"
+        ).advance(STATE, MEASURED, O_PREV)
+        assert record.applied == alinea_rate
+        assert any("falling back" in r.message for r in caplog.records)
 
     def test_identical_bases_tie_break_to_first(self):
         arch = make_arch([

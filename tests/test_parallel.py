@@ -8,7 +8,7 @@ import pytest
 
 from basepar import parallel
 from basepar.actm import ExogenousInput, NetworkState, TopologyError
-from basepar.base_controllers import ExplicitAlineaController, warm_start_rollout
+from basepar.base_controllers import FeedbackController, warm_start_rollout
 from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
@@ -22,7 +22,6 @@ from basepar.parallel import (
     _MergedRollouts,
     base_start_for,
     decision_to_metering,
-    fallback_start,
     make_shift_warm_starts,
     objective,
     run_parallel_cell,
@@ -237,7 +236,8 @@ class TestSolver:
         rng = np.random.default_rng(31)
         problem = make_problem(rng, horizon=3)
         cfg = OptimizerConfig(budget_s=None, max_iterations=40, termination="all")
-        starts = [fallback_start(problem), rng.uniform(0, 8, size=problem.decision_dim)]
+        hold = np.tile(problem.mu_prev, problem.horizon)  # the previous rates, held
+        starts = [hold, rng.uniform(0, 8, size=problem.decision_dim)]
         result = solve_budgeted(problem, starts, cfg)
         best_so_far = np.minimum.accumulate(result.cost_trail)
         assert all(b <= a + 1e-15 for a, b in zip(best_so_far, best_so_far[1:]))
@@ -536,12 +536,38 @@ class TestSolver:
             solve_budgeted(make_problem(rng), [], OptimizerConfig())
 
 
+class TestHoldBase:
+    """A zero-gain feedback law holds the previous rates: the start it gives
+    is the previous rates held over the horizon (conventional) or zero gains
+    (parameterized), byte for byte."""
+
+    @pytest.mark.parametrize("kind", [CONVENTIONAL, PARAMETERIZED])
+    @pytest.mark.parametrize("horizon", [3, 10])
+    def test_start_holds_the_previous_rates(self, kind, horizon):
+        rng = np.random.default_rng(79 + horizon)
+        zeros = 0
+        for _ in range(100):
+            problem = make_problem(rng, kind=kind, horizon=horizon)
+            mu_prev = np.where(rng.uniform(size=3) < 0.3, 0.0, problem.mu_prev)
+            problem = replace(problem, mu_prev=tuple(mu_prev.tolist()))
+            zeros += int(np.count_nonzero(mu_prev == 0.0))
+            hold = FeedbackController(NET, lambda *_: (0.0,) * 3, problem.mu_prev, "hold")
+            warm = warm_start_rollout(hold, problem.initial_state, problem.demand_forecast,
+                                      horizon, NET, tuple(rng.uniform(0, 8, size=3)))
+            if kind == CONVENTIONAL:
+                want = np.tile(np.asarray(problem.mu_prev, dtype=float), horizon)
+            else:
+                want = np.zeros(3)
+            assert base_start_for(problem, warm).tobytes() == want.tobytes()
+        assert zeros >= 50  # rates of exactly 0.0 are covered
+
+
 class TestParallelCell:
     def setup_cell(self, seed=47):
         rng = np.random.default_rng(seed)
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         measured = ExogenousInput(5.0, (1.5, 1.0, 0.8))
-        base = ExplicitAlineaController(NET, gains=(0.016,) * 3, mu_init=(0.5, 0.2, 0.4))
+        base = FeedbackController(NET, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA")
         warm = warm_start_rollout(base, state, (measured,), 10, NET, (3.8, 3.2, 0.6))
         problems = [
             MpcProblem(
@@ -593,9 +619,8 @@ class TestParallelCell:
             mu_prev = tuple(rng.uniform(0, 2, size=3))
             cells = []
             for c, kind in enumerate((CONVENTIONAL, PARAMETERIZED)):
-                base = ExplicitAlineaController(
-                    NET, gains=tuple(rng.uniform(0.005, 0.03, size=3)), mu_init=mu_prev
-                )
+                gains = tuple(rng.uniform(0.005, 0.03, size=3))
+                base = FeedbackController(NET, lambda *_, g=gains: g, mu_prev, "ALINEA")
                 warm = warm_start_rollout(base, state, (measured,), 10, NET, (3.8, 3.2, 0.6))
                 problems = [
                     make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")
@@ -632,7 +657,7 @@ class TestParallelCell:
 
     def test_short_warm_start_rejected(self):
         problems, _ = self.setup_cell()
-        base = ExplicitAlineaController(NET, gains=(0.016,) * 3, mu_init=(0.5, 0.2, 0.4))
+        base = FeedbackController(NET, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
             base, state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3, NET, (3.8, 3.2, 0.6)

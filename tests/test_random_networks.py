@@ -25,7 +25,7 @@ from basepar.actm import (
     rollout_batch,
     step,
 )
-from basepar.base_controllers import ExplicitAlineaController, warm_start_rollout
+from basepar.base_controllers import FeedbackController, warm_start_rollout
 from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
@@ -228,7 +228,7 @@ class TestRandomTopologies:
                 break
             assert attempts < 100
         nr = len(net.metered_cells)
-        base = ExplicitAlineaController(net, gains=(0.02,) * nr, mu_init=(0.5,) * nr)
+        base = FeedbackController(net, lambda *_: (0.02,) * nr, (0.5,) * nr, "ALINEA")
         config = ArchitectureConfig(
             params=net,
             cells=[ParallelCell(
@@ -264,7 +264,7 @@ class TestRandomTopologies:
             if not net.metered_cells:
                 continue
             nr = len(net.metered_cells)
-            base = ExplicitAlineaController(net, gains=(0.02,) * nr, mu_init=(0.3,) * nr)
+            base = FeedbackController(net, lambda *_: (0.02,) * nr, (0.3,) * nr, "ALINEA")
             horizon = int(rng.integers(1, 7))
             warm = warm_start_rollout(
                 base, random_state(rng, net), (random_input(rng, net),),
