@@ -19,7 +19,6 @@ from .actm import (
     step,
 )
 from .base_controllers import (
-    AlineaState,
     FeedbackController,
     MlpParams,
     WarmStart,

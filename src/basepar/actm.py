@@ -75,6 +75,7 @@ __all__ = [
     "NetworkState",
     "ExogenousInput",
     "FlowVector",
+    "upstream_inflows",
     "StageCost",
     "RolloutResult",
     "compute_onramp_inflow",
@@ -315,6 +316,15 @@ class FlowVector:
     o: tuple[float, ...]
     s: tuple[float, ...]
     mainstream_in: float
+
+
+def upstream_inflows(flows: FlowVector, params: NetworkParams) -> tuple[float, ...]:
+    """Mainline inflow into each metered cell this step, in metered-cell
+    order: the admitted upstream inflow for the first cell, the outflow of
+    the cell before it otherwise.  The gain network reads it as ``o_prev``."""
+    return tuple(
+        flows.mainstream_in if i == 0 else flows.o[i - 1] for i in params.metered_cells
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,26 +16,32 @@ cell's expected density closest to the critical density.  That problem is
 piecewise linear and monotone in the gain, so it is solved in closed form;
 tests audit it against a brute-force grid search.
 
-A base controller produces a rate for the current step only.  To seed the
-online optimizers it is rolled forward through the plant model for the
-largest prediction horizon of its cell (:func:`warm_start_rollout`),
-yielding a full metering sequence and the matching gain sequence.
+A base controller produces a rate for the current step only, from the
+previous rates its caller passes in; it keeps no state.  To seed the online
+optimizers it is rolled forward through the plant model for the largest
+prediction horizon of its cell (:func:`warm_start_rollout`), yielding a
+full metering sequence and the matching gain sequence.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .actm import ExogenousInput, NetworkParams, NetworkState, density, step
+from .actm import (
+    ExogenousInput,
+    NetworkParams,
+    NetworkState,
+    density,
+    step,
+    upstream_inflows,
+)
 
 __all__ = [
-    "AlineaState",
     "alinea_step",
     "MlpParams",
     "mlp_forward",
@@ -60,42 +66,24 @@ __all__ = [
 # Feedback law
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlineaState:
-    """Per-ramp gains and the previous metering rates (veh/cycle)."""
-
-    gains_theta: tuple[float, ...]
-    mu_prev: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.gains_theta) != len(self.mu_prev):
-            raise ValueError("gains and mu_prev must have the same length")
-        if any(m < 0 for m in self.mu_prev):
-            raise ValueError("mu_prev must be nonnegative")
-
-    def clone(self) -> "AlineaState":
-        return AlineaState(gains_theta=self.gains_theta, mu_prev=list(self.mu_prev))
-
-
 def alinea_step(
-    state: AlineaState, rho: Sequence[float], rho_crit: float
+    mu_prev: Sequence[float],
+    theta: Sequence[float],
+    rho: Sequence[float],
+    rho_crit: float,
 ) -> tuple[float, ...]:
     """One metering update: ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``.
 
     ``rho`` holds the measured density downstream of each metered ramp, in
-    the same order as the state vectors.  The state's ``mu_prev`` is updated
-    to the returned rates.
+    the same order as the previous rates ``mu_prev`` and the gains ``theta``.
     """
-    if len(rho) != len(state.mu_prev):
-        raise ValueError("density vector length does not match the ramp count")
+    if not len(mu_prev) == len(theta) == len(rho):
+        raise ValueError("mu_prev, gains and densities must have one entry per metered ramp")
+    if any(m < 0 for m in mu_prev):
+        raise ValueError("mu_prev must be nonnegative")
     if any(r < 0 for r in rho):
         raise ValueError("densities must be nonnegative")
-    mu = tuple(
-        max(state.mu_prev[i] + state.gains_theta[i] * (rho_crit - rho[i]), 0.0)
-        for i in range(len(rho))
-    )
-    state.mu_prev[:] = mu
-    return mu
+    return tuple(max(m + t * (rho_crit - r), 0.0) for m, t, r in zip(mu_prev, theta, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -479,44 +467,26 @@ class FeedbackController:
     """Feedback metering ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``
     with the gains ``theta`` drawn from ``gains`` at every step: constant for
     ALINEA, a network's output for the implicit controller, zero to hold
-    the previous rates."""
+    the previous rates.  The law keeps no state; the caller passes the
+    previous rates in."""
 
-    def __init__(
-        self,
-        params: NetworkParams,
-        gains: GainFn,
-        mu_init: Sequence[float],
-        label: str,
-    ):
+    def __init__(self, params: NetworkParams, gains: GainFn, label: str):
         self.params = params
         self.gains = gains
         self.label = label
-        self.state = AlineaState(
-            gains_theta=tuple(0.0 for _ in params.metered_cells), mu_prev=list(mu_init)
-        )
-
-    def clone(self) -> "FeedbackController":
-        other = copy.copy(self)
-        other.state = self.state.clone()
-        return other
 
     def advance(
         self,
+        mu_prev: Sequence[float],
         state: NetworkState,
         measured: ExogenousInput,
         o_prev: Sequence[float],
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Emit (metering rates, gains) for this step and update mu_prev."""
+        """Emit (metering rates, gains) for this step after ``mu_prev``."""
         thetas = tuple(self.gains(state, measured, o_prev))
-        self.state = replace(self.state, gains_theta=thetas)
         rho = density(state, self.params)
         rho_metered = [rho[i] for i in self.params.metered_cells]
-        return alinea_step(self.state, rho_metered, self.params.rho_crit), thetas
-
-    def set_previous_metering(self, mu: Sequence[float]) -> None:
-        if any(m < 0 for m in mu):
-            raise ValueError("applied metering must be nonnegative")
-        self.state.mu_prev[:] = mu
+        return alinea_step(mu_prev, thetas, rho_metered, self.params.rho_crit), thetas
 
 
 def network_gains(
@@ -552,12 +522,12 @@ class WarmStart:
 
     mu: tuple[tuple[float, ...], ...]              # horizon x metered ramps
     theta: tuple[tuple[float, ...], ...]           # gain trail, horizon x metered ramps
-    states: tuple[NetworkState, ...]               # predicted states, horizon + 1
     total_cost: float                              # summed stage cost along the rollout
 
 
 def warm_start_rollout(
     base: FeedbackController,
+    mu_prev: Sequence[float],
     state: NetworkState,
     predicted_inputs: Sequence[ExogenousInput],
     horizon_max: int,
@@ -567,8 +537,8 @@ def warm_start_rollout(
 ) -> WarmStart:
     """Extend a base controller's single-step output into a full sequence.
 
-    The controller (cloned, so the caller's instance is untouched) and the
-    plant model alternate for ``horizon_max`` steps: the controller emits the
+    The controller and the plant model alternate for ``horizon_max`` steps,
+    starting after the applied rates ``mu_prev``: the controller emits the
     rates for the current predicted state, the model advances under those
     rates, and the updated state feeds the next emission.  ``o_prev`` carries
     the latest realized upstream mainline inflow per metered ramp, refreshed
@@ -576,21 +546,16 @@ def warm_start_rollout(
     """
     if horizon_max < 1:
         raise ValueError("horizon_max must be at least 1")
-    ctrl = base.clone()
     cur = state
-    o_cur = list(o_prev)
+    mu, o_cur = mu_prev, o_prev
     total = 0.0
-    mus, thetas, states = [], [], [state]
+    mus, thetas = [], []
     for k in range(horizon_max):
         inp = predicted_inputs[k] if k < len(predicted_inputs) else predicted_inputs[-1]
-        mu, theta = ctrl.advance(cur, inp, o_cur)
+        mu, theta = base.advance(mu, cur, inp, o_cur)
         cur, flows, cost = step(cur, inp, mu, params, gamma)
-        o_cur = [
-            flows.mainstream_in if i == 0 else flows.o[i - 1]
-            for i in params.metered_cells
-        ]
+        o_cur = upstream_inflows(flows, params)
         total += cost.j
         mus.append(mu)
         thetas.append(theta)
-        states.append(cur)
-    return WarmStart(mu=tuple(mus), theta=tuple(thetas), states=tuple(states), total_cost=total)
+    return WarmStart(mu=tuple(mus), theta=tuple(thetas), total_cost=total)

@@ -11,14 +11,17 @@ rollout failed; and the applied rates and each solve's best decision are
 committed (:meth:`BaseParallelController.commit`).
 
 The architecture changes by adding or removing cells and controllers.  A
-standalone online controller is the one-cell case: a base that holds the
-previous rates seeds it, and it applies its own best plan through
-``propose`` and ``commit`` without the evaluation block.
+standalone approach is the one-cell case, which applies its own plan
+through ``propose`` and ``commit`` without the evaluation block: a
+standalone online controller is seeded by a base that holds the previous
+rates and applies its best plan, a standalone base controller has no online
+controller and applies its own rates.
 
-Every base is a :class:`~basepar.base_controllers.FeedbackController`, whose
-feedback state (its previous metering rate) is synchronized to the
-*applied* rates at commit, so every feedback law sees what actually reached
-the plant.
+Every base is a stateless
+:class:`~basepar.base_controllers.FeedbackController`.  The architecture
+owns the previous rates (:attr:`BaseParallelController.mu_prev`), the
+*applied* ones, and every feedback law and every problem starts from them,
+so each sees what actually reached the plant.
 """
 
 from __future__ import annotations
@@ -99,10 +102,8 @@ class ArchitectureConfig:
     evaluation_horizon: int
     gamma: float
     optimizer: OptimizerConfig
-    metering_lo: tuple[float, ...]   # per metered ramp
-    metering_hi: tuple[float, ...]
-    gain_lo: tuple[float, ...]
-    gain_hi: tuple[float, ...]
+    metering_upper: float   # every rate lies in [0, metering_upper]
+    gain_upper: float       # every parameterized gain lies in [0, gain_upper]
 
     def __post_init__(self) -> None:
         if self.evaluation_horizon < 1:
@@ -118,10 +119,10 @@ class ArchitectureConfig:
         labels += [cell.base.label for cell in self.cells]
         if len(set(labels)) != len(labels):
             raise ValueError("controller labels must be unique")
-        nr = len(self.params.metered_cells)
-        for name in ("metering_lo", "metering_hi", "gain_lo", "gain_hi"):
-            if len(getattr(self, name)) != nr:
-                raise ValueError(f"{name} must have one entry per metered ramp")
+        # written so that NaN fails too
+        for name in ("metering_upper", "gain_upper"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a nonnegative number")
 
 
 @dataclass
@@ -188,16 +189,14 @@ def evaluate_candidates(
     return EvaluationResult(candidates=tuple(candidates), costs=tuple(costs.tolist()))
 
 
-def select_best(
-    evaluation: EvaluationResult, fallback_index: int = 0
-) -> tuple[int, tuple[float, ...]]:
+def select_best(evaluation: EvaluationResult) -> tuple[int, tuple[float, ...]]:
     """Pick the candidate with the least realized cost.
 
     Ties break toward the lowest candidate index (candidates are ordered
     bases first, then parallel controllers).  If every cost is +inf the
-    candidate at ``fallback_index`` is applied instead, with a prominent
-    warning.  Fills the evaluation's winner and margin fields and returns
-    ``(winner_index, applied_rates)``.
+    first candidate, the first cell's base, is applied instead, with a
+    prominent warning.  Fills the evaluation's winner and margin fields and
+    returns ``(winner_index, applied_rates)``.
     """
     costs = evaluation.costs
     finite = [c for c in costs if math.isfinite(c)]
@@ -205,9 +204,9 @@ def select_best(
         logger.warning(
             "every candidate was excluded by the evaluation block; "
             "falling back to the base candidate %r",
-            evaluation.candidates[fallback_index].source,
+            evaluation.candidates[0].source,
         )
-        winner = fallback_index
+        winner = 0
         margins = tuple(0.0 if i == winner else math.inf for i in range(len(costs)))
     else:
         winner = min(range(len(costs)), key=lambda i: (costs[i], i))
@@ -237,10 +236,9 @@ class BaseParallelController:
         """The problem ``spec`` solves at this step."""
         cfg = self.config
         if spec.kind == CONVENTIONAL:
-            lo = tuple(cfg.metering_lo) * spec.horizon
-            hi = tuple(cfg.metering_hi) * spec.horizon
+            dim, upper = len(self.mu_prev) * spec.horizon, cfg.metering_upper
         else:
-            lo, hi = tuple(cfg.gain_lo), tuple(cfg.gain_hi)
+            dim, upper = len(self.mu_prev), cfg.gain_upper
         return MpcProblem(
             kind=spec.kind,
             horizon=spec.horizon,
@@ -248,8 +246,8 @@ class BaseParallelController:
             initial_state=measurement,
             demand_forecast=forecast,
             mu_prev=self.mu_prev,
-            bounds_lo=lo,
-            bounds_hi=hi,
+            bounds_lo=(0.0,) * dim,
+            bounds_hi=(upper,) * dim,
             gamma=cfg.gamma,
             label=spec.label,
         )
@@ -275,7 +273,8 @@ class BaseParallelController:
         for cell in cfg.cells:
             length = max([spec.horizon for spec in cell.controllers] + [cfg.evaluation_horizon])
             warm = warm_start_rollout(
-                cell.base, measurement, forecast, length, cfg.params, o_prev, cfg.gamma
+                cell.base, self.mu_prev, measurement, forecast, length, cfg.params, o_prev,
+                cfg.gamma,
             )
             bases.append(CandidateSequence(warm.mu, cell.base.label, warm.total_cost))
             cells.append(([self._problem(spec, measurement, forecast) for spec in cell.controllers],
@@ -284,12 +283,9 @@ class BaseParallelController:
         return bases, run_parallel_cells(cells, self.histories, cfg.optimizer)
 
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
-        """Make ``applied`` the previous rates of the problems and of every
-        base's feedback law, and add each solve's best decision to its
-        shift-start history."""
+        """Make ``applied`` the previous rates of every base and problem, and
+        add each solve's best decision to its shift-start history."""
         self.mu_prev = applied
-        for cell in self.config.cells:
-            cell.base.set_previous_metering(applied)
         n_ramps = len(self.mu_prev)
         for label, result in results.items():
             decision = np.asarray(result.best.decision, dtype=float)

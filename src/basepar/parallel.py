@@ -59,6 +59,8 @@ from typing import Callable, Generator, Optional, Sequence, TypeVar
 
 import numpy as np
 
+# ``step`` is not called here; it stays importable from this module because
+# perfbench/layers.py wraps it here.
 from .actm import (
     ExogenousInput,
     ModelConsistencyError,
@@ -69,7 +71,7 @@ from .actm import (
     rollout_batch,
     step,
 )
-from .base_controllers import WarmStart
+from .base_controllers import FeedbackController, WarmStart, warm_start_rollout
 
 __all__ = [
     "CONVENTIONAL",
@@ -210,31 +212,6 @@ def _clip_decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray
     return np.clip(x, problem.bounds_lo, problem.bounds_hi)
 
 
-def _parameterized_trajectory(
-    problem: MpcProblem, theta: Sequence[float]
-) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """Derive the metering plan implied by constant gains and its cost."""
-    p = problem.params
-    state = problem.initial_state
-    mu_prev = list(problem.mu_prev)
-    plan: list[tuple[float, ...]] = []
-    total = 0.0
-    for k in range(problem.horizon):
-        mu = tuple(
-            max(
-                float(mu_prev[j])
-                + float(theta[j]) * (p.rho_crit - state.n[i] / (p.cells[i].length * p.lanes)),
-                0.0,
-            )
-            for j, i in enumerate(p.metered_cells)
-        )
-        state, _, cost = step(state, problem.forecast_at(k), mu, p, problem.gamma)
-        total += cost.j
-        plan.append(mu)
-        mu_prev = list(mu)
-    return tuple(plan), total
-
-
 def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
     """Predicted cost of a decision vector over the problem horizon.
 
@@ -257,7 +234,13 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
             )
             value = res.total_cost
         else:
-            _, value = _parameterized_trajectory(problem, x)
+            # constant gains read no upstream inflows
+            gains = tuple(float(t) for t in x)
+            base = FeedbackController(problem.params, lambda *_: gains, problem.label)
+            value = warm_start_rollout(
+                base, problem.mu_prev, problem.initial_state, problem.demand_forecast,
+                problem.horizon, problem.params, (), problem.gamma,
+            ).total_cost
     except (ModelConsistencyError, NegativeRateError):
         logger.warning("objective evaluation failed for %s; returning +inf", problem.label)
         return math.inf

@@ -40,6 +40,7 @@ from .actm import (
     NetworkParams,
     NetworkState,
     step,
+    upstream_inflows,
 )
 from .base_controllers import (
     FeedbackController,
@@ -487,14 +488,20 @@ def _networks_for(scenario: ScenarioConfig, nets: Optional[dict[int, MlpParams]]
 # Controllers wired for the closed loop
 # ---------------------------------------------------------------------------
 
-def _alinea_controller(scenario: ScenarioConfig) -> FeedbackController:
+def _alinea_controller(scenario: ScenarioConfig, nets=None) -> FeedbackController:
     gains = (scenario.control.alinea_gain,) * len(scenario.network.metered_cells)
-    return FeedbackController(scenario.network, lambda *_: gains, scenario.mu_prev_init, "ALINEA")
+    return FeedbackController(scenario.network, lambda *_: gains, "ALINEA")
 
 
 def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
+    nets = _networks_for(scenario, nets)
     gains = network_gains(scenario.network, nets, (0.0, scenario.control.gain_upper))
-    return FeedbackController(scenario.network, gains, scenario.mu_prev_init, "ANN")
+    return FeedbackController(scenario.network, gains, "ANN")
+
+
+def _hold_controller(scenario: ScenarioConfig, nets=None) -> FeedbackController:
+    zero = (0.0,) * len(scenario.network.metered_cells)
+    return FeedbackController(scenario.network, lambda *_: zero, "hold")
 
 
 def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: bool,
@@ -502,17 +509,14 @@ def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: b
                   termination: Optional[str]) -> BaseParallelController:
     """The architecture of ``cells`` under the scenario's control settings."""
     ctl = scenario.control
-    nr = len(scenario.network.metered_cells)
     config = ArchitectureConfig(
         params=scenario.network,
         cells=cells,
         evaluation_horizon=ctl.evaluation_horizon,
         gamma=scenario.gamma,
         optimizer=ctl.optimizer(budget_override, termination, serial=serial),
-        metering_lo=(0.0,) * nr,
-        metering_hi=(ctl.metering_upper,) * nr,
-        gain_lo=(0.0,) * nr,
-        gain_hi=(ctl.gain_upper,) * nr,
+        metering_upper=ctl.metering_upper,
+        gain_upper=ctl.gain_upper,
     )
     return BaseParallelController(config, mu_init=scenario.mu_prev_init)
 
@@ -526,7 +530,6 @@ def build_architecture(
 ) -> BaseParallelController:
     """Full case-study architecture: ALINEA seeds two conventional MPC
     controllers, the gain network seeds two parameterized ones."""
-    nets = _networks_for(scenario, nets)
     h1, h2 = scenario.control.horizons
     cells = [
         ParallelCell(
@@ -547,33 +550,25 @@ def build_architecture(
     return _architecture(scenario, cells, serial, budget_override, termination)
 
 
-class _BaseOnlyDriver:
-    """Standalone base controller: its own output is applied every step."""
-
-    def __init__(self, ctrl):
-        self.ctrl = ctrl
-        self.label = ctrl.label
-
-    def decide(self, state, measured, o_prev):
-        mu, _ = self.ctrl.advance(state, measured, o_prev)
-        return mu, self.label, (), (), ()
-
-
-class _StandaloneMpcDriver:
-    """One budgeted MPC controller in closed loop: the architecture with one
-    cell, whose base holds the previous rates; the controller's own best
-    plan is applied, with no evaluation block."""
+class _OwnPlanDriver:
+    """One control approach in closed loop: the architecture with one cell,
+    which applies its own plan with no evaluation block.  A cell with an
+    online controller applies the controller's best plan (its base holds
+    the previous rates); a cell without one applies its base's rates."""
 
     def __init__(self, arch: BaseParallelController):
         self.arch = arch
-        self.label = arch.config.cells[0].controllers[0].label
+        cell = arch.config.cells[0]
+        self.label = (cell.controllers[0] if cell.controllers else cell.base).label
 
     def decide(self, state, measured, o_prev):
-        _, results = self.arch.propose(state, measured, o_prev)
-        result = results[self.label]
-        best = result.best
+        bases, results = self.arch.propose(state, measured, o_prev)
+        result = results.get(self.label)
+        best = bases[0] if result is None else result.best
         applied = tuple(best.metering[0])
         self.arch.commit(applied, results)
+        if result is None:
+            return applied, self.label, (), (), ()
         stats = ((self.label, result.elapsed_s, best.iterations, best.converged),)
         return applied, self.label, (self.label,), (best.cost,), stats
 
@@ -601,29 +596,22 @@ def _build_driver(scenario, controller_choice, serial, nets,
         raise ValueError(
             f"unknown controller {controller_choice!r}; pick one of {CONTROLLER_KEYS}"
         )
-    if key == "alinea":
-        return _BaseOnlyDriver(_alinea_controller(scenario))
-    if key == "ann":
-        return _BaseOnlyDriver(_ann_controller(scenario, _networks_for(scenario, nets)))
     if key == "architecture":
         return _ArchitectureDriver(
             build_architecture(scenario, nets, serial, budget_override, termination)
         )
     h1, h2 = scenario.control.horizons
-    kind, horizon = {
-        "cmpc1": (CONVENTIONAL, h1),
-        "cmpc2": (CONVENTIONAL, h2),
-        "pmpc1": (PARAMETERIZED, h1),
-        "pmpc2": (PARAMETERIZED, h2),
+    base, controller = {
+        "alinea": (_alinea_controller, None),
+        "ann": (_ann_controller, None),
+        "cmpc1": (_hold_controller, (CONVENTIONAL, h1)),
+        "cmpc2": (_hold_controller, (CONVENTIONAL, h2)),
+        "pmpc1": (_hold_controller, (PARAMETERIZED, h1)),
+        "pmpc2": (_hold_controller, (PARAMETERIZED, h2)),
     }[key]
-    zero = (0.0,) * len(scenario.network.metered_cells)
-    cell = ParallelCell(
-        base=FeedbackController(scenario.network, lambda *_: zero, scenario.mu_prev_init, "hold"),
-        controllers=(ParallelControllerSpec(CONTROLLER_LABELS[key], kind, horizon),),
-    )
-    return _StandaloneMpcDriver(
-        _architecture(scenario, [cell], serial, budget_override, termination)
-    )
+    specs = (ParallelControllerSpec(CONTROLLER_LABELS[key], *controller),) if controller else ()
+    cell = ParallelCell(base=base(scenario, nets), controllers=specs)
+    return _OwnPlanDriver(_architecture(scenario, [cell], serial, budget_override, termination))
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +733,7 @@ def run_experiment(
             solver_stats=tuple(stats),
             control_elapsed_s=elapsed,
         ))
-        o_prev = tuple(
-            flows.mainstream_in if i == 0 else flows.o[i - 1]
-            for i in params.metered_cells
-        )
+        o_prev = upstream_inflows(flows, params)
         state = nxt
     log.summary = summarize(log)
     return log

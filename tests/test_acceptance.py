@@ -15,7 +15,6 @@ import pytest
 from basepar import orchestrator, parallel
 from basepar.actm import ExogenousInput, NetworkState, rollout_batch, step
 from basepar.base_controllers import (
-    AlineaState,
     FeedbackController,
     GenerationRanges,
     alinea_step,
@@ -133,14 +132,11 @@ def test_criterion_1_actm_oracle_equivalence(scenario):
 def test_criterion_2_alinea_unit_values():
     """Feedback-law fixed point, zero clamp, and the documented numeric value
     to 1e-6."""
-    st = AlineaState(gains_theta=(0.016,), mu_prev=[0.7])
-    assert alinea_step(st, [0.0335], 0.0335)[0] == 0.7
+    assert alinea_step([0.7], (0.016,), [0.0335], 0.0335)[0] == 0.7
 
-    st = AlineaState(gains_theta=(0.016,), mu_prev=[0.0])
-    assert alinea_step(st, [0.1], 0.0335)[0] == 0.0
+    assert alinea_step([0.0], (0.016,), [0.1], 0.0335)[0] == 0.0
 
-    st = AlineaState(gains_theta=(0.016,), mu_prev=[0.5])
-    mu = alinea_step(st, [36.2 / 560.0], 0.0335)[0]
+    mu = alinea_step([0.5], (0.016,), [36.2 / 560.0], 0.0335)[0]
     assert mu == pytest.approx(0.499502, abs=1e-6)
     _report(2, f"fixed point, clamp, and rate {mu:.6f} == 0.499502 within 1e-6")
 
@@ -317,16 +313,13 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
         config = ArchitectureConfig(
             params=scenario.network,
             cells=[ParallelCell(
-                base=FeedbackController(
-                    scenario.network, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA"
-                ),
+                base=FeedbackController(scenario.network, lambda *_: (0.016,) * 3, "ALINEA"),
                 controllers=controllers,
             )],
             evaluation_horizon=3,
             gamma=scenario.gamma,
             optimizer=OptimizerConfig(budget_s=None, max_iterations=8),
-            metering_lo=(0.0,) * 3, metering_hi=(8.0,) * 3,
-            gain_lo=(0.0,) * 3, gain_hi=(1.0,) * 3,
+            metering_upper=8.0, gain_upper=1.0,
         )
         return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 

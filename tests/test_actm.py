@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from basepar.actm import (
     ModelConsistencyError,
     NegativeRateError,
     NetworkParams,
+    FlowVector,
     NetworkState,
     TopologyError,
     compute_mainline_outflow,
@@ -19,6 +21,7 @@ from basepar.actm import (
     rollout,
     stage_cost,
     step,
+    upstream_inflows,
 )
 from basepar.scenario import default_scenario
 
@@ -300,6 +303,20 @@ class TestDensityAndCost:
         flows = FlowVector(e=(0.0,) * 6, o=(0.0,) * 6, s=(0.0,) * 6, mainstream_in=0.0)
         cost = stage_cost(flows, state, net, 0.8)
         assert cost.tt == cost.td_h == cost.j == 0.0
+
+
+class TestUpstreamInflows:
+    def test_first_cell_reads_the_admitted_inflow(self, net):
+        flows = FlowVector(e=(0.0,) * 6, o=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                           s=(0.0,) * 6, mainstream_in=9.0)
+        # the shipped case meters cells 1, 3 and 4 (0-based): each reads the
+        # outflow of the cell before it
+        assert net.metered_cells == (1, 3, 4)
+        assert upstream_inflows(flows, net) == (1.0, 3.0, 4.0)
+        cells = list(net.cells)
+        cells[0] = replace(cells[0], has_onramp=True, metered=True)
+        first_metered = replace(net, cells=tuple(cells))
+        assert upstream_inflows(flows, first_metered)[0] == 9.0
 
 
 class TestValidation:

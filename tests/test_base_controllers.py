@@ -6,7 +6,6 @@ import pytest
 
 from basepar.actm import ExogenousInput, NetworkState, density, step
 from basepar.base_controllers import (
-    AlineaState,
     FeedbackController,
     GenerationRanges,
     MlpParams,
@@ -35,41 +34,44 @@ def net():
 
 class TestAlinea:
     def test_hand_value(self):
-        state = AlineaState(gains_theta=(0.016,), mu_prev=[0.5])
-        mu = alinea_step(state, [36.2 / 560.0], 0.0335)
+        mu_prev = [0.5]
+        mu = alinea_step(mu_prev, (0.016,), [36.2 / 560.0], 0.0335)
         assert mu[0] == pytest.approx(0.499502, abs=1e-6)
-        assert state.mu_prev[0] == mu[0]
+        # the law is pure: the caller's previous rates are untouched
+        assert mu_prev == [0.5]
 
     def test_fixed_point_at_critical_density(self):
-        state = AlineaState(gains_theta=(0.016,), mu_prev=[0.7])
-        mu = alinea_step(state, [0.0335], 0.0335)
+        mu = alinea_step([0.7], (0.016,), [0.0335], 0.0335)
         assert mu[0] == 0.7
 
     def test_clamped_at_zero(self):
-        state = AlineaState(gains_theta=(0.016,), mu_prev=[0.0])
-        mu = alinea_step(state, [0.1], 0.0335)
+        mu = alinea_step([0.0], (0.016,), [0.1], 0.0335)
         assert mu[0] == 0.0
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            state = AlineaState(
-                gains_theta=tuple(rng.uniform(0, 2, size=3)),
-                mu_prev=list(rng.uniform(0, 1, size=3)),
-            )
-            mu = alinea_step(state, list(rng.uniform(0, 0.2, size=3)), 0.0335)
+            theta = tuple(rng.uniform(0, 2, size=3))
+            mu_prev = list(rng.uniform(0, 1, size=3))
+            mu = alinea_step(mu_prev, theta, list(rng.uniform(0, 0.2, size=3)), 0.0335)
             assert all(m >= 0.0 for m in mu)
 
     def test_gain_scaling_preserves_increment_sign(self):
         rho, rho_crit = 0.05, 0.0335
         for scale in (0.5, 2.0, 10.0):
-            a = AlineaState(gains_theta=(0.016,), mu_prev=[5.0])
-            b = AlineaState(gains_theta=(0.016 * scale,), mu_prev=[5.0])
-            mu_a = alinea_step(a, [rho], rho_crit)[0]
-            mu_b = alinea_step(b, [rho], rho_crit)[0]
+            mu_a = alinea_step([5.0], (0.016,), [rho], rho_crit)[0]
+            mu_b = alinea_step([5.0], (0.016 * scale,), [rho], rho_crit)[0]
             # pre-clamp increments scale linearly; sign of the change agrees
             assert (mu_b - 5.0) == pytest.approx(scale * (mu_a - 5.0), rel=1e-12)
             assert math.copysign(1, mu_a - 5.0) == math.copysign(1, mu_b - 5.0)
+
+    def test_mismatched_lengths_and_negative_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            alinea_step([0.5, 0.5], (0.016,), [0.03, 0.03], 0.0335)
+        with pytest.raises(ValueError):
+            alinea_step([-0.1], (0.016,), [0.03], 0.0335)
+        with pytest.raises(ValueError):
+            alinea_step([0.5], (0.016,), [-0.03], 0.0335)
 
 
 class TestMlpForward:
@@ -275,9 +277,12 @@ class TestTraining:
         assert a.validation_rmse == b.validation_rmse
 
 
+MU_PREV = (0.5, 0.2, 0.4)
+
+
 class TestWarmStartRollout:
     def controller(self, net):
-        return FeedbackController(net, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA")
+        return FeedbackController(net, lambda *_: (0.016,) * 3, "ALINEA")
 
     def measured(self):
         return ExogenousInput(4.0, (1.0, 0.8, 0.6))
@@ -286,42 +291,45 @@ class TestWarmStartRollout:
         return NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
 
     def test_single_step_equals_controller_output(self, net):
-        ctrl = self.controller(net)
+        mu_prev = [0.5, 0.2, 0.4]
         warm = warm_start_rollout(
-            ctrl, self.state(), (self.measured(),), 1, net, (3.8, 3.2, 0.6)
+            self.controller(net), mu_prev, self.state(), (self.measured(),), 1, net,
+            (3.8, 3.2, 0.6),
         )
-        expected, _ = self.controller(net).advance(self.state(), self.measured(), (3.8, 3.2, 0.6))
+        expected, _ = self.controller(net).advance(
+            MU_PREV, self.state(), self.measured(), (3.8, 3.2, 0.6)
+        )
         assert warm.mu == (expected,)
-        # the caller's controller state is untouched
-        assert ctrl.state.mu_prev == [0.5, 0.2, 0.4]
+        # the caller's previous rates are untouched
+        assert mu_prev == [0.5, 0.2, 0.4]
 
     def test_explicit_rollout_is_elementwise_feedback(self, net):
         warm = warm_start_rollout(
-            self.controller(net), self.state(), (self.measured(),), 6, net, (3.8, 3.2, 0.6)
+            self.controller(net), MU_PREV, self.state(), (self.measured(),), 6, net,
+            (3.8, 3.2, 0.6),
         )
         # re-derive by hand: alternate the feedback law and the plant model
-        state = self.state()
-        alinea = AlineaState(gains_theta=(0.016,) * 3, mu_prev=[0.5, 0.2, 0.4])
+        state, mu = self.state(), MU_PREV
         for k in range(6):
             rho = density(state, net)
-            mu = alinea_step(alinea, [rho[i] for i in net.metered_cells], net.rho_crit)
+            mu = alinea_step(mu, (0.016,) * 3, [rho[i] for i in net.metered_cells], net.rho_crit)
             assert warm.mu[k] == pytest.approx(mu, abs=1e-15)
             state, _, _ = step(state, self.measured(), mu, net)
 
     def test_zero_gain_rollout_constant(self, net):
-        ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, (0.5, 0.2, 0.4), "hold")
+        ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, "hold")
         warm = warm_start_rollout(
-            ctrl, self.state(), (self.measured(),), 5, net, (3.8, 3.2, 0.6)
+            ctrl, MU_PREV, self.state(), (self.measured(),), 5, net, (3.8, 3.2, 0.6)
         )
         assert all(row == (0.5, 0.2, 0.4) for row in warm.mu)
 
     def test_length_covers_largest_horizon(self, net):
         warm = warm_start_rollout(
-            self.controller(net), self.state(), (self.measured(),),
+            self.controller(net), MU_PREV, self.state(), (self.measured(),),
             max(3, 10), net, (3.8, 3.2, 0.6),
         )
         assert len(warm.mu) == 10
-        assert len(warm.states) == 11
+        assert len(warm.theta) == 10
 
     def test_implicit_rollout_gain_trail(self, net):
         nets = {
@@ -335,9 +343,9 @@ class TestWarmStartRollout:
             )
             for i in net.metered_cells
         }
-        ctrl = FeedbackController(net, network_gains(net, nets, (0.0, 1.0)), (0.5, 0.2, 0.4), "ANN")
+        ctrl = FeedbackController(net, network_gains(net, nets, (0.0, 1.0)), "ANN")
         warm = warm_start_rollout(
-            ctrl, self.state(), (self.measured(),), 4, net, (3.8, 3.2, 0.6)
+            ctrl, MU_PREV, self.state(), (self.measured(),), 4, net, (3.8, 3.2, 0.6)
         )
         assert warm.theta is not None
         assert all(row == (0.5, 0.5, 0.5) for row in warm.theta)

@@ -26,10 +26,11 @@ NET = default_scenario().network
 STATE = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
 MEASURED = ExogenousInput(5.0, (1.5, 1.0, 0.8))
 O_PREV = (3.8, 3.2, 0.6)
+MU_INIT = (0.5, 0.2, 0.4)
 
 
 def alinea(label="ALINEA"):
-    return FeedbackController(NET, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), label)
+    return FeedbackController(NET, lambda *_: (0.016,) * 3, label)
 
 
 def make_arch(cells, evaluation_horizon=3, max_iterations=8):
@@ -39,12 +40,10 @@ def make_arch(cells, evaluation_horizon=3, max_iterations=8):
         evaluation_horizon=evaluation_horizon,
         gamma=0.8,
         optimizer=OptimizerConfig(budget_s=None, max_iterations=max_iterations),
-        metering_lo=(0.0,) * 3,
-        metering_hi=(8.0,) * 3,
-        gain_lo=(0.0,) * 3,
-        gain_hi=(1.0,) * 3,
+        metering_upper=8.0,
+        gain_upper=1.0,
     )
-    return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
+    return BaseParallelController(config, mu_init=MU_INIT)
 
 
 def plan(*rows):
@@ -78,8 +77,9 @@ class TestSelectBest:
     def test_all_infinite_falls_back(self, caplog):
         ev = self.evaluation([math.inf, math.inf, math.inf])
         with caplog.at_level(logging.WARNING):
-            winner, _ = select_best(ev, fallback_index=1)
-        assert winner == 1
+            winner, applied = select_best(ev)
+        assert winner == 0
+        assert applied == ev.candidates[0].metering[0]
         assert any("falling back" in r.message for r in caplog.records)
 
     def test_margins_and_winner_recorded(self):
@@ -151,7 +151,7 @@ class TestControlStep:
     def test_base_only_architecture_applies_base_output(self):
         arch = make_arch([ParallelCell(base=alinea())])
         record, _ = arch.control_step(STATE, MEASURED, O_PREV)
-        expected, _ = alinea().advance(STATE, MEASURED, O_PREV)
+        expected, _ = alinea().advance(MU_INIT, STATE, MEASURED, O_PREV)
         assert record.applied == pytest.approx(expected, abs=1e-15)
         assert record.winner == "ALINEA"
 
@@ -179,9 +179,9 @@ class TestControlStep:
         assert len(record.candidate_labels) > 2 and all(map(math.isinf, evaluation.costs))
         assert record.winner == "ALINEA" and evaluation.winner_index == 0
         gains = (scenario.control.alinea_gain,) * 3
-        alinea_rate, _ = FeedbackController(
-            NET, lambda *_: gains, scenario.mu_prev_init, "ALINEA"
-        ).advance(STATE, MEASURED, O_PREV)
+        alinea_rate, _ = FeedbackController(NET, lambda *_: gains, "ALINEA").advance(
+            scenario.mu_prev_init, STATE, MEASURED, O_PREV
+        )
         assert record.applied == alinea_rate
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -274,9 +274,42 @@ class TestControlStep:
         ])
         record, _ = arch.control_step(STATE, MEASURED, O_PREV)
         assert arch.mu_prev == record.applied
-        assert arch.config.cells[0].base.state.mu_prev == list(record.applied)
+        # the next step's base starts from the applied rates
+        bases, _ = arch.propose(STATE, MEASURED, O_PREV)
+        expected, _ = alinea().advance(record.applied, STATE, MEASURED, O_PREV)
+        assert bases[0].metering[0] == expected
         assert len(arch.histories["CMPC(1)"]) == 1
         assert arch.histories["CMPC(1)"][0].shape == (3, 3)
+
+    def test_shared_base_keeps_architectures_apart(self):
+        # one feedback law shared by two architectures stepped alternately
+        # from different states: each gives the records it gives alone
+        rng = np.random.default_rng(29)
+        states = {
+            side: [
+                NetworkState(n=tuple(rng.uniform(0, 60, size=6)),
+                             q=tuple(rng.uniform(0, 12, size=3)))
+                for _ in range(3)
+            ]
+            for side in "ab"
+        }
+
+        def build(base):
+            return make_arch([ParallelCell(
+                base=base,
+                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+            )])
+
+        def records(arch, side, k):
+            record, _ = arch.control_step(states[side][k], MEASURED, O_PREV)
+            return record.applied, record.winner, record.candidate_costs
+
+        shared = alinea()
+        together = {"a": build(shared), "b": build(shared)}
+        alone = {"a": build(alinea()), "b": build(alinea())}
+        for k in range(3):
+            for side in "ab":
+                assert records(together[side], side, k) == records(alone[side], side, k)
 
     def test_serial_determinism(self):
         def build():
@@ -304,12 +337,10 @@ class TestControlStep:
                 gamma=0.8,
                 optimizer=OptimizerConfig(budget_s=None, max_iterations=8,
                                           termination=termination),
-                metering_lo=(0.0,) * 3,
-                metering_hi=(8.0,) * 3,
-                gain_lo=(0.0,) * 3,
-                gain_hi=(1.0,) * 3,
+                metering_upper=8.0,
+                gain_upper=1.0,
             )
-            return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
+            return BaseParallelController(config, mu_init=MU_INIT)
 
         _, ev_best = build("best").control_step(STATE, MEASURED, O_PREV)
         record, ev_all = build("all").control_step(STATE, MEASURED, O_PREV)
@@ -368,12 +399,10 @@ class TestDeadline:
             gamma=0.8,
             optimizer=OptimizerConfig(budget_s=60.0, max_iterations=1000,
                                       termination=termination),
-            metering_lo=(0.0,) * 3,
-            metering_hi=(8.0,) * 3,
-            gain_lo=(0.0,) * 3,
-            gain_hi=(1.0,) * 3,
+            metering_upper=8.0,
+            gain_upper=1.0,
         )
-        return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
+        return BaseParallelController(config, mu_init=MU_INIT)
 
     def expire_after_rounds(self, monkeypatch, kernel_calls, rounds=ROUNDS):
         """The deadline check passes ``rounds`` times, then reports expiry;
@@ -452,6 +481,20 @@ class TestDeadline:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["metering_upper", "gain_upper"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_or_nan_upper_bound_rejected(self, name, value):
+        bounds = {"metering_upper": 8.0, "gain_upper": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            ArchitectureConfig(
+                params=NET,
+                cells=[ParallelCell(base=alinea())],
+                evaluation_horizon=1,
+                gamma=0.8,
+                optimizer=OptimizerConfig(),
+                **bounds,
+            )
+
     def test_evaluation_horizon_capped_by_min_horizon(self):
         with pytest.raises(ValueError):
             ArchitectureConfig(
@@ -463,10 +506,8 @@ class TestConfigValidation:
                 evaluation_horizon=4,
                 gamma=0.8,
                 optimizer=OptimizerConfig(),
-                metering_lo=(0.0,) * 3,
-                metering_hi=(8.0,) * 3,
-                gain_lo=(0.0,) * 3,
-                gain_hi=(1.0,) * 3,
+                metering_upper=8.0,
+                gain_upper=1.0,
             )
 
     def test_duplicate_labels_rejected(self):
@@ -480,8 +521,6 @@ class TestConfigValidation:
                 evaluation_horizon=1,
                 gamma=0.8,
                 optimizer=OptimizerConfig(),
-                metering_lo=(0.0,) * 3,
-                metering_hi=(8.0,) * 3,
-                gain_lo=(0.0,) * 3,
-                gain_hi=(1.0,) * 3,
+                metering_upper=8.0,
+                gain_upper=1.0,
             )

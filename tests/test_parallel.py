@@ -551,9 +551,10 @@ class TestHoldBase:
             mu_prev = np.where(rng.uniform(size=3) < 0.3, 0.0, problem.mu_prev)
             problem = replace(problem, mu_prev=tuple(mu_prev.tolist()))
             zeros += int(np.count_nonzero(mu_prev == 0.0))
-            hold = FeedbackController(NET, lambda *_: (0.0,) * 3, problem.mu_prev, "hold")
-            warm = warm_start_rollout(hold, problem.initial_state, problem.demand_forecast,
-                                      horizon, NET, tuple(rng.uniform(0, 8, size=3)))
+            hold = FeedbackController(NET, lambda *_: (0.0,) * 3, "hold")
+            warm = warm_start_rollout(hold, problem.mu_prev, problem.initial_state,
+                                      problem.demand_forecast, horizon, NET,
+                                      tuple(rng.uniform(0, 8, size=3)))
             if kind == CONVENTIONAL:
                 want = np.tile(np.asarray(problem.mu_prev, dtype=float), horizon)
             else:
@@ -567,8 +568,10 @@ class TestParallelCell:
         rng = np.random.default_rng(seed)
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         measured = ExogenousInput(5.0, (1.5, 1.0, 0.8))
-        base = FeedbackController(NET, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA")
-        warm = warm_start_rollout(base, state, (measured,), 10, NET, (3.8, 3.2, 0.6))
+        base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
+        warm = warm_start_rollout(
+            base, (0.5, 0.2, 0.4), state, (measured,), 10, NET, (3.8, 3.2, 0.6)
+        )
         problems = [
             MpcProblem(
                 kind=CONVENTIONAL, horizon=h, params=NET, initial_state=state,
@@ -620,8 +623,10 @@ class TestParallelCell:
             cells = []
             for c, kind in enumerate((CONVENTIONAL, PARAMETERIZED)):
                 gains = tuple(rng.uniform(0.005, 0.03, size=3))
-                base = FeedbackController(NET, lambda *_, g=gains: g, mu_prev, "ALINEA")
-                warm = warm_start_rollout(base, state, (measured,), 10, NET, (3.8, 3.2, 0.6))
+                base = FeedbackController(NET, lambda *_, g=gains: g, "ALINEA")
+                warm = warm_start_rollout(
+                    base, mu_prev, state, (measured,), 10, NET, (3.8, 3.2, 0.6)
+                )
                 problems = [
                     make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")
                     for h in (3, 10)
@@ -657,10 +662,11 @@ class TestParallelCell:
 
     def test_short_warm_start_rejected(self):
         problems, _ = self.setup_cell()
-        base = FeedbackController(NET, lambda *_: (0.016,) * 3, (0.5, 0.2, 0.4), "ALINEA")
+        base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
-            base, state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3, NET, (3.8, 3.2, 0.6)
+            base, (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3, NET,
+            (3.8, 3.2, 0.6),
         )
         with pytest.raises(ValueError):
             run_parallel_cell(problems, short, {}, OptimizerConfig())

@@ -37,7 +37,6 @@ from basepar.parallel import (
     PARAMETERIZED,
     MpcProblem,
     OptimizerConfig,
-    _parameterized_trajectory,
     objective,
     solve_budgeted,
 )
@@ -228,7 +227,7 @@ class TestRandomTopologies:
                 break
             assert attempts < 100
         nr = len(net.metered_cells)
-        base = FeedbackController(net, lambda *_: (0.02,) * nr, (0.5,) * nr, "ALINEA")
+        base = FeedbackController(net, lambda *_: (0.02,) * nr, "ALINEA")
         config = ArchitectureConfig(
             params=net,
             cells=[ParallelCell(
@@ -238,10 +237,8 @@ class TestRandomTopologies:
             evaluation_horizon=2,
             gamma=0.8,
             optimizer=OptimizerConfig(budget_s=None, max_iterations=6),
-            metering_lo=(0.0,) * nr,
-            metering_hi=(10.0,) * nr,
-            gain_lo=(0.0,) * nr,
-            gain_hi=(1.0,) * nr,
+            metering_upper=10.0,
+            gain_upper=1.0,
         )
         arch = BaseParallelController(config, mu_init=(0.5,) * nr)
         state = random_state(rng, net)
@@ -264,14 +261,14 @@ class TestRandomTopologies:
             if not net.metered_cells:
                 continue
             nr = len(net.metered_cells)
-            base = FeedbackController(net, lambda *_: (0.02,) * nr, (0.3,) * nr, "ALINEA")
+            base = FeedbackController(net, lambda *_: (0.02,) * nr, "ALINEA")
             horizon = int(rng.integers(1, 7))
             warm = warm_start_rollout(
-                base, random_state(rng, net), (random_input(rng, net),),
+                base, (0.3,) * nr, random_state(rng, net), (random_input(rng, net),),
                 horizon, net, (0.5,) * nr,
             )
             assert len(warm.mu) == horizon
-            assert len(warm.states) == horizon + 1
+            assert len(warm.theta) == horizon
             assert all(all(m >= 0.0 for m in row) for row in warm.mu)
             checked += 1
 
@@ -279,6 +276,15 @@ class TestRandomTopologies:
 class TestBatchedRollout:
     """``rollout_batch`` against the scalar objective, compared byte for byte
     so that the sign of a zero counts too."""
+
+    def gain_rollout(self, problem, theta):
+        """The scalar rollout of the constant gains ``theta``: the feedback
+        law of a base whose gains never change."""
+        gains = tuple(float(t) for t in theta)
+        base = FeedbackController(problem.params, lambda *_: gains, "gains")
+        return warm_start_rollout(base, problem.mu_prev, problem.initial_state,
+                                  problem.demand_forecast, problem.horizon,
+                                  problem.params, (), problem.gamma)
 
     def scalar_failure(self, problem, x):
         """The exception the scalar model raises for decision ``x``, if any."""
@@ -289,7 +295,7 @@ class TestBatchedRollout:
                         x.reshape(problem.horizon, -1).tolist(), problem.params,
                         problem.horizon, problem.gamma)
             else:
-                _parameterized_trajectory(problem, x)
+                self.gain_rollout(problem, x)
         except (ModelConsistencyError, NegativeRateError) as exc:
             return type(exc)
         return None
@@ -303,7 +309,7 @@ class TestBatchedRollout:
                                 problem.horizon)
         assert plan.tobytes() == np.array(want, dtype=float).tobytes()
         if self.scalar_failure(problem, theta) is None:
-            scalar, _ = _parameterized_trajectory(problem, theta)
+            scalar = self.gain_rollout(problem, theta).mu
             assert plan.tobytes() == np.array(scalar, dtype=float).tobytes()
 
     def test_costs_equal_scalar_objective_bit_for_bit(self):
