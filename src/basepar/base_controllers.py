@@ -503,13 +503,14 @@ def network_gains(
     if missing:
         raise ValueError(f"missing networks for metered cells {missing}")
     lo, hi = gain_range
+    # each metered cell with its network and its position among the on-ramps
+    ramps = [(i, nets[i], params.onramp_cells.index(i)) for i in params.metered_cells]
 
     def gains(state: NetworkState, measured: ExogenousInput, o_prev: Sequence[float]):
-        demands = dict(zip(params.onramp_cells, measured.ramp_demands))
         thetas = []
-        for j, i in enumerate(params.metered_cells):
-            qi = state.q[params.onramp_cells.index(i)]
-            raw = mlp_forward(nets[i], (state.n[i], qi, demands[i], o_prev[j]))
+        for j, (i, net, slot) in enumerate(ramps):
+            raw = mlp_forward(net, (state.n[i], state.q[slot], measured.ramp_demands[slot],
+                                    o_prev[j]))
             thetas.append(min(max(raw, lo), hi))
         return thetas
 
@@ -531,21 +532,22 @@ def warm_start_rollout(
     state: NetworkState,
     predicted_inputs: Sequence[ExogenousInput],
     horizon_max: int,
-    params: NetworkParams,
     o_prev: Sequence[float],
     gamma: float = 0.8,
 ) -> WarmStart:
     """Extend a base controller's single-step output into a full sequence.
 
-    The controller and the plant model alternate for ``horizon_max`` steps,
-    starting after the applied rates ``mu_prev``: the controller emits the
-    rates for the current predicted state, the model advances under those
-    rates, and the updated state feeds the next emission.  ``o_prev`` carries
-    the latest realized upstream mainline inflow per metered ramp, refreshed
-    from the model's flows inside the loop.
+    The controller and the plant model of its own network (``base.params``)
+    alternate for ``horizon_max`` steps, starting after the applied rates
+    ``mu_prev``: the controller emits the rates for the current predicted
+    state, the model advances under those rates, and the updated state feeds
+    the next emission.  ``o_prev`` carries the latest realized upstream
+    mainline inflow per metered ramp, refreshed from the model's flows
+    inside the loop.
     """
     if horizon_max < 1:
         raise ValueError("horizon_max must be at least 1")
+    params = base.params
     cur = state
     mu, o_cur = mu_prev, o_prev
     total = 0.0

@@ -273,8 +273,7 @@ class BaseParallelController:
         for cell in cfg.cells:
             length = max([spec.horizon for spec in cell.controllers] + [cfg.evaluation_horizon])
             warm = warm_start_rollout(
-                cell.base, self.mu_prev, measurement, forecast, length, cfg.params, o_prev,
-                cfg.gamma,
+                cell.base, self.mu_prev, measurement, forecast, length, o_prev, cfg.gamma,
             )
             bases.append(CandidateSequence(warm.mu, cell.base.label, warm.total_cost))
             cells.append(([self._problem(spec, measurement, forecast) for spec in cell.controllers],

@@ -39,7 +39,10 @@ until every descent has finished.  Records are listed start by start as a
 sequential solver lists them, so results depend neither on the interleaving
 nor on which other problems share the rounds.  A substituted
 ``objective_fn`` is evaluated point by point, with the deadline checked
-before every point after the starts round.
+before every point after the starts round.  What the solver derives from a
+problem's bounds (the coordinates with ``lo != hi``, where their difference
+steps go, the width of the box) is derived once per solve, not once per
+gradient.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -203,13 +206,17 @@ class BudgetedResult:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _clip_decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
+def _decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
     x = np.asarray(decision, dtype=float).ravel()
     if x.size != problem.decision_dim:
         raise ValueError(
             f"decision has {x.size} entries, problem expects {problem.decision_dim}"
         )
-    return np.clip(x, problem.bounds_lo, problem.bounds_hi)
+    return x
+
+
+def _clip_decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
+    return np.clip(_decision(problem, decision), problem.bounds_lo, problem.bounds_hi)
 
 
 def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
@@ -239,7 +246,7 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
             base = FeedbackController(problem.params, lambda *_: gains, problem.label)
             value = warm_start_rollout(
                 base, problem.mu_prev, problem.initial_state, problem.demand_forecast,
-                problem.horizon, problem.params, (), problem.gamma,
+                problem.horizon, (), problem.gamma,
             ).total_cost
     except (ModelConsistencyError, NegativeRateError):
         logger.warning("objective evaluation failed for %s; returning +inf", problem.label)
@@ -267,10 +274,7 @@ class _MergedRollouts:
             if context not in contexts:
                 contexts.append(context)
             self.group.append(contexts.index(context))
-        self.bounds = [
-            (np.asarray(p.bounds_lo, dtype=float), np.asarray(p.bounds_hi, dtype=float))
-            for p in problems
-        ]
+        self.bounds = [_Bounds(p.bounds_lo, p.bounds_hi) for p in problems]
 
     def __call__(
         self, requests: Sequence[tuple[int, np.ndarray]]
@@ -278,52 +282,63 @@ class _MergedRollouts:
         """Costs of every requested row, in request order, and the plans
         ``[rows, horizon, ramps]`` of each request; a request is a problem
         index with its decision rows ``[rows, dim]``."""
-        sizes = [len(rows) for _, rows in requests]
-        offsets = [0, *itertools.accumulate(sizes)]
+        offsets = [0, *itertools.accumulate(len(rows) for _, rows in requests)]
         costs = np.empty(offsets[-1])
         plans: list[np.ndarray] = [np.empty(0)] * len(requests)
-        groups: dict[int, list[int]] = {}
-        for r, (i, _) in enumerate(requests):
-            groups.setdefault(self.group[i], []).append(r)
-        for members in groups.values():
-            problems = [self.problems[requests[r][0]] for r in members]
+        # runs of consecutive requests of one problem, by group, each run
+        # clipped and placed as one block
+        groups: dict[int, list[tuple[int, int]]] = {}
+        start = 0
+        for r in range(1, len(requests) + 1):
+            if r == len(requests) or requests[r][0] != requests[start][0]:
+                groups.setdefault(self.group[requests[start][0]], []).append((start, r))
+                start = r
+        for runs in groups.values():
+            # longest horizon first: the kernel then finds its rows sorted
+            runs.sort(key=lambda run: -self.problems[requests[run[0]][0]].horizon)
+            problems = [self.problems[requests[a][0]] for a, _ in runs]
             first = problems[0]
-            batch = sum(sizes[r] for r in members)
-            horizon = max(p.horizon for p in problems)
-            rates = np.zeros((batch, horizon, first.n_ramps))
-            gains = np.zeros((batch, first.n_ramps))
-            gain_rows = np.zeros(batch, dtype=bool)
+            batch = sum(offsets[b] - offsets[a] for a, b in runs)
+            rates = np.zeros((batch, first.horizon, first.n_ramps))
+            gains = gain_rows = None
+            if any(p.kind == PARAMETERIZED for p in problems):
+                gains = np.zeros((batch, first.n_ramps))
+                gain_rows = np.zeros(batch, dtype=bool)
             horizons = np.empty(batch, dtype=int)
             at = 0
-            for r, problem in zip(members, problems):
-                i, x = requests[r]
-                x = np.clip(x, *self.bounds[i])
-                rows = slice(at, at + sizes[r])
+            for (a, b), problem in zip(runs, problems):
+                x = np.concatenate([rows for _, rows in requests[a:b]]) if b > a + 1 \
+                    else requests[a][1]
+                x = self.bounds[requests[a][0]].clip(x)
+                rows = slice(at, at + len(x))
                 if problem.kind == CONVENTIONAL:
-                    rates[rows, : problem.horizon] = x.reshape(sizes[r], problem.horizon, -1)
+                    rates[rows, : problem.horizon] = x.reshape(len(x), problem.horizon, -1)
                 else:
                     gains[rows] = x
                     gain_rows[rows] = True
                 horizons[rows] = problem.horizon
                 at = rows.stop
             group_costs, group_plans = rollout_batch(
-                first.initial_state, first.demand_forecast, first.params, horizon,
+                first.initial_state, first.demand_forecast, first.params, first.horizon,
                 first.gamma, plans=rates, gains=gains, mu_prev=first.mu_prev,
                 gain_rows=gain_rows, horizons=horizons,
             )
             at = 0
-            for r, problem in zip(members, problems):
-                rows = slice(at, at + sizes[r])
-                costs[offsets[r]:offsets[r + 1]] = group_costs[rows]
-                plans[r] = group_plans[rows, : problem.horizon]
-                at = rows.stop
+            for (a, b), problem in zip(runs, problems):
+                shift = at - offsets[a]
+                costs[offsets[a]:offsets[b]] = group_costs[offsets[a] + shift:offsets[b] + shift]
+                for r in range(a, b):
+                    plans[r] = group_plans[offsets[r] + shift:offsets[r + 1] + shift,
+                                           : problem.horizon]
+                at += offsets[b] - offsets[a]
         return costs, plans
 
     def objective(self, requests: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
         """:func:`objective` of every requested row, in request order."""
         costs, _ = self(requests)
-        failed = costs == math.inf
-        if failed.any():
+        finite = np.isfinite(costs)
+        if not finite.all():
+            failed = costs == math.inf
             at = 0
             for i, rows in requests:
                 count = int(np.count_nonzero(failed[at:at + len(rows)]))
@@ -333,7 +348,7 @@ class _MergedRollouts:
                         "returning +inf", self.problems[i].label, count, len(rows),
                     )
                 at += len(rows)
-        costs[~np.isfinite(costs)] = math.inf
+            costs[~finite] = math.inf
         return costs
 
     def plans(
@@ -343,7 +358,7 @@ class _MergedRollouts:
         :func:`decision_to_metering`); the parameterized problems' plans are
         derived in one merged rollout."""
         derived = [i for i, p in enumerate(self.problems) if p.kind == PARAMETERIZED]
-        arrays = [np.clip(x, *bounds) for x, bounds in zip(decisions, self.bounds)]
+        arrays = [bounds.clip(x) for x, bounds in zip(decisions, self.bounds)]
         for i, problem in enumerate(self.problems):
             if problem.kind == CONVENTIONAL:
                 arrays[i] = arrays[i].reshape(-1, problem.horizon, problem.n_ramps)
@@ -417,8 +432,9 @@ def _expired(deadline: Optional[float]) -> bool:
 T = TypeVar("T")
 Evaluation = Generator[np.ndarray, np.ndarray, T]
 
-# backtracking step lengths 1, 1/2, ..., exactly as repeated halving gives them
-_STEP_LENGTHS = 0.5 ** np.arange(30)
+# backtracking step lengths 1, 1/2, ..., exactly as repeated halving gives
+# them, as a column
+_STEP_LENGTHS = (0.5 ** np.arange(30))[:, None]
 
 # Costs of the requested rows, one ``(key, rows)`` pair per live coroutine,
 # as one array in request order; None to stop.
@@ -462,44 +478,72 @@ def _lockstep(
     return results
 
 
+class _Bounds:
+    """A problem's box ``[lo, hi]`` with what the solver derives from it,
+    once per solve: the coordinates with ``lo != hi``, where each one's
+    difference step goes among the flattened difference points, the width
+    of the finite box and the identity of its dimension."""
+
+    def __init__(self, lo: Sequence[float], hi: Sequence[float]):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        free = np.flatnonzero(self.hi - self.lo != 0.0)
+        dim, self.n_free = self.lo.size, free.size
+        if self.n_free == dim:  # every coordinate free: slices, not indices
+            self.free, self.diagonal = slice(None), slice(None, None, dim + 1)
+        else:
+            self.free, self.diagonal = free, np.arange(self.n_free) * dim + free
+        finite = np.isfinite(self.hi) & np.isfinite(self.lo)
+        self.width = float(np.max(self.hi[finite] - self.lo[finite], initial=1.0))
+        self.eye = np.eye(dim)
+        self.eye.flags.writeable = False
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        """``np.clip(x, lo, hi)`` bit for bit: numpy's maximum and minimum
+        return their second operand, here the bound, on ties, as clip does."""
+        return np.minimum(np.maximum(x, self.lo), self.hi)
+
+
 class _Differences:
     """The forward-difference points around ``x``, stepping backward off
     upper bounds; coordinates with ``lo == hi`` get no point."""
 
-    def __init__(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float):
-        self.x = x
-        self.free = np.flatnonzero(hi - lo != 0.0)
-        self.steps = np.where(x[self.free] + h <= hi[self.free], h, -h)
-        self.points = np.tile(x, (self.free.size, 1))
-        self.points[np.arange(self.free.size), self.free] += self.steps
+    def __init__(self, x: np.ndarray, bounds: _Bounds, h: float):
+        self.x, self.free = x, bounds.free
+        self.steps = np.where(x[self.free] + h <= bounds.hi[self.free], h, -h)
+        self.points = np.empty((bounds.n_free, x.size))
+        self.points[...] = x
+        self.points.reshape(-1)[bounds.diagonal] += self.steps
 
     def gradient(self, f: float, costs: np.ndarray) -> np.ndarray:
         """The gradient at ``x`` (whose cost is ``f``) from the costs of
         :attr:`points`; 0 in the coordinates with ``lo == hi``."""
+        if self.steps.size == self.x.size:
+            return (costs - f) / self.steps
         g = np.zeros_like(self.x)
         g[self.free] = (costs - f) / self.steps
         return g
 
 
 def _gradient_request(
-    x: np.ndarray, f: float, lo: np.ndarray, hi: np.ndarray, h: float
+    x: np.ndarray, f: float, bounds: _Bounds, h: float
 ) -> Evaluation[np.ndarray]:
     """Forward-difference gradient at ``x`` (whose cost is ``f``), stepping
     backward off upper bounds; coordinates with ``lo == hi`` get 0 and no
     evaluation."""
-    differences = _Differences(x, lo, hi, h)
-    costs = (yield differences.points) if differences.free.size else np.empty(0)
+    differences = _Differences(x, bounds, h)
+    costs = (yield differences.points) if bounds.n_free else np.empty(0)
     return differences.gradient(f, costs)
 
 
 def _starts_request(
-    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: Optional[float]
+    x: np.ndarray, bounds: _Bounds, h: Optional[float]
 ) -> Evaluation[tuple[np.ndarray, list[Optional[np.ndarray]]]]:
     """Costs of the starts ``x`` ``[k, dim]`` and, given a difference step
     ``h``, the gradient at each finite one, all in one request; a start
     without a gradient gets None."""
-    differences = [] if h is None else [_Differences(row, lo, hi, h) for row in x]
-    costs = yield np.vstack([x, *(d.points for d in differences)])
+    differences = [] if h is None else [_Differences(row, bounds, h) for row in x]
+    costs = yield np.concatenate([x, *(d.points for d in differences)])
     fs, gradients, at = costs[:len(x)], [None] * len(x), len(x)
     for j, d in enumerate(differences):
         if math.isfinite(fs[j]):
@@ -528,14 +572,13 @@ def _fd_gradient(
     fun: Callable[[np.ndarray], float],
     x: np.ndarray,
     f0: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    bounds: _Bounds,
     h: float,
     deadline: Optional[float],
 ) -> Optional[np.ndarray]:
     """The solver's forward-difference gradient of ``fun``, evaluated point
     by point; None when the deadline expires mid-computation."""
-    request = _gradient_request(x, f0, lo, hi, h)
+    request = _gradient_request(x, f0, bounds, h)
     return _lockstep([(None, request)], _pointwise(fun, deadline), deadline)[0]
 
 
@@ -544,8 +587,7 @@ def _line_search(
     f: float,
     g: np.ndarray,
     direction: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    bounds: _Bounds,
     h: Optional[float],
 ) -> Evaluation[Optional[tuple[np.ndarray, float, np.ndarray, Optional[np.ndarray]]]]:
     """Backtracking projected line search along ``direction``.
@@ -558,14 +600,14 @@ def _line_search(
     accepted point, its cost, the step taken and the gradient there (None
     unless the full step was accepted), or None.
     """
-    points = np.clip(x + _STEP_LENGTHS[:, None] * direction, lo, hi)
+    points = bounds.clip(x + _STEP_LENGTHS * direction)
     moves = points - x
     moving = moves.any(axis=1)
     tried = len(moving) if moving.all() else int(np.argmin(moving))
     if tried == 0:
         return None
-    ahead = None if h is None else _Differences(points[0], lo, hi, h)
-    costs = yield points[:tried] if ahead is None else np.vstack([points[:tried], ahead.points])
+    ahead = None if h is None else _Differences(points[0], bounds, h)
+    costs = yield points[:tried] if ahead is None else np.concatenate([points[:tried], ahead.points])
     for i, cost in enumerate(costs[:tried]):
         if math.isfinite(cost) and cost <= f + 1e-4 * min(0.0, float(g @ moves[i])):
             g_new = None if i or ahead is None else ahead.gradient(float(cost), costs[tried:])
@@ -577,8 +619,7 @@ def _descent(
     x0: np.ndarray,
     f0: float,
     g0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    bounds: _Bounds,
     cfg: OptimizerConfig,
     record: Callable[[np.ndarray, float, int, bool], None],
 ) -> Evaluation[None]:
@@ -590,13 +631,11 @@ def _descent(
     forward-difference gradient at a point reached by a shorter step.  An
     abandoned descent keeps the points it has recorded.
     """
-    n = x0.size
     x, f, g = x0, f0, g0
-    ident = np.eye(n)
+    ident = bounds.eye
     h_inv = ident.copy()
     scaled = False  # curvature-based rescaling applied yet?
-    finite = np.isfinite(hi) & np.isfinite(lo)
-    box = float(np.max(hi[finite] - lo[finite], initial=1.0))
+    box = bounds.width
     for it in range(1, cfg.max_iterations + 1):
         direction = -h_inv @ g
         if float(direction @ g) >= 0.0:
@@ -606,22 +645,22 @@ def _descent(
         if not scaled:
             # no curvature information yet: size the step relative to the box
             # instead of trusting the raw gradient magnitude
-            norm = float(np.max(np.abs(direction)))
+            norm = float(np.maximum.reduce(np.abs(direction)))
             if norm > 0.0:
                 direction = direction * (0.1 * box / norm)
         h = cfg.fd_step if it < cfg.max_iterations else None
-        accepted = yield from _line_search(x, f, g, direction, lo, hi, h)
+        accepted = yield from _line_search(x, f, g, direction, bounds, h)
         if accepted is None:
             return
         x_new, f_new, step_vec, g_new = accepted
         df = f - f_new
-        dx = float(np.max(np.abs(step_vec)))
+        dx = float(np.maximum.reduce(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)
         record(x_new, f_new, it, converged)
         if converged or it == cfg.max_iterations:
             return
         if g_new is None:
-            g_new = yield from _gradient_request(x_new, f_new, lo, hi, cfg.fd_step)
+            g_new = yield from _gradient_request(x_new, f_new, bounds, cfg.fd_step)
         s = step_vec
         y = g_new - g
         sy = float(s @ y)
@@ -630,8 +669,8 @@ def _descent(
                 h_inv = (sy / max(float(y @ y), 1e-300)) * ident
                 scaled = True
             rho = 1.0 / sy
-            left = ident - rho * np.outer(s, y)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
+            left = ident - rho * (s[:, None] * y)
+            h_inv = left @ h_inv @ left.T + rho * (s[:, None] * s)
         else:
             h_inv = ident.copy()
             scaled = False
@@ -675,11 +714,11 @@ def _solve_jointly(
     xs, twins, requests = [], [], []
     h = config.fd_step if config.max_iterations else None
     for i, (problem, s) in enumerate(zip(problems, starts)):
-        x = np.array([_clip_decision(problem, row) for row in s])
+        x = rollouts.bounds[i].clip(np.array([_decision(problem, row) for row in s]))
         first: dict[bytes, int] = {}
         twin = [first.setdefault(row.tobytes(), len(first)) for row in x]
         distinct = x[[twin.index(j) for j in range(len(first))]]
-        requests.append((i, _starts_request(distinct, *rollouts.bounds[i], h)))
+        requests.append((i, _starts_request(distinct, rollouts.bounds[i], h)))
         xs.append(x)
         twins.append(twin)
     opened = _lockstep(requests, evaluate_starts, None)
@@ -694,7 +733,6 @@ def _solve_jointly(
     logs: list[list[list]] = []
     tasks = []
     for i, (x, twin, (fs, gradients)) in enumerate(zip(xs, twins, opened)):
-        lo, hi = rollouts.bounds[i]
         log = [[]]
         record_start = recorder(log[0])
         trails: dict[int, list] = {}
@@ -704,8 +742,8 @@ def _solve_jointly(
                 continue
             if j not in trails:
                 trails[j] = []
-                tasks.append((i, _descent(x[k], float(fs[j]), gradients[j], lo, hi, config,
-                                          recorder(trails[j]))))
+                tasks.append((i, _descent(x[k], float(fs[j]), gradients[j], rollouts.bounds[i],
+                                          config, recorder(trails[j]))))
             log.append(trails[j])
         logs.append(log)
     _lockstep(tasks, evaluate, deadline)

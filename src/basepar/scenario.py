@@ -505,14 +505,16 @@ def _hold_controller(scenario: ScenarioConfig, nets=None) -> FeedbackController:
 
 
 def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: bool,
-                  budget_override: Optional[float],
-                  termination: Optional[str]) -> BaseParallelController:
-    """The architecture of ``cells`` under the scenario's control settings."""
+                  budget_override: Optional[float], termination: Optional[str],
+                  evaluation_horizon: Optional[int] = None) -> BaseParallelController:
+    """The architecture of ``cells`` under the scenario's control settings,
+    by default with the scenario's evaluation horizon."""
     ctl = scenario.control
     config = ArchitectureConfig(
         params=scenario.network,
         cells=cells,
-        evaluation_horizon=ctl.evaluation_horizon,
+        evaluation_horizon=ctl.evaluation_horizon if evaluation_horizon is None
+        else evaluation_horizon,
         gamma=scenario.gamma,
         optimizer=ctl.optimizer(budget_override, termination, serial=serial),
         metering_upper=ctl.metering_upper,
@@ -554,7 +556,10 @@ class _OwnPlanDriver:
     """One control approach in closed loop: the architecture with one cell,
     which applies its own plan with no evaluation block.  A cell with an
     online controller applies the controller's best plan (its base holds
-    the previous rates); a cell without one applies its base's rates."""
+    the previous rates); a cell without one applies its base's rates.  The
+    architecture has evaluation horizon 1, since nothing is evaluated, so
+    its base rolls only as far as its controllers need: one step without
+    one."""
 
     def __init__(self, arch: BaseParallelController):
         self.arch = arch
@@ -611,7 +616,8 @@ def _build_driver(scenario, controller_choice, serial, nets,
     }[key]
     specs = (ParallelControllerSpec(CONTROLLER_LABELS[key], *controller),) if controller else ()
     cell = ParallelCell(base=base(scenario, nets), controllers=specs)
-    return _OwnPlanDriver(_architecture(scenario, [cell], serial, budget_override, termination))
+    return _OwnPlanDriver(_architecture(scenario, [cell], serial, budget_override, termination,
+                                        evaluation_horizon=1))
 
 
 # ---------------------------------------------------------------------------

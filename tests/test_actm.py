@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,13 +21,14 @@ from basepar.actm import (
     compute_onramp_inflow,
     density,
     rollout,
+    rollout_batch,
     stage_cost,
     step,
     upstream_inflows,
 )
 from basepar.scenario import default_scenario
 
-from oracles import oracle_step
+from oracles import oracle_gain_plan, oracle_step
 
 
 @pytest.fixture
@@ -351,6 +354,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             CellParams(**values)
 
+    def test_infinite_capacity_rejected(self):
+        # the batched kernel takes the vacant-capacity and receiving terms as
+        # numbers, which an infinite capacity would make inf or NaN
+        with pytest.raises(ValueError):
+            CellParams(length=560.0, capacity_nbar=math.inf, sat_mainline_obar=8.0,
+                       sat_offramp_sbar=6.0)
+
     def test_state_topology(self, net):
         with pytest.raises(TopologyError):
             NetworkState(n=(0.0,) * 5, q=(0.0,) * 3).validate(net)
@@ -428,3 +438,53 @@ class TestSwappedOperandRule:
         out = a.copy()
         ufunc(b, out, out=out)
         assert out.tobytes() == want
+
+
+def test_rollout_batch_keeps_nothing_per_batch_size(net, init_state):
+    # one call per batch size, 200 sizes, of mixed kinds and horizons: what
+    # the kernel allocates goes with the call, so traced memory comes back
+    inputs = (demand(),)
+    rng = np.random.default_rng(5)
+
+    def call(rows):
+        flags = np.arange(rows) % 3 == 0
+        rollout_batch(init_state, inputs, net, 10, 0.8,
+                      plans=rng.uniform(0.0, 8.0, size=(rows, 10, 3)),
+                      gains=rng.uniform(0.0, 1.0, size=(rows, 3)), mu_prev=(0.5, 0.2, 0.4),
+                      gain_rows=flags, horizons=np.where(np.arange(rows) % 2 == 0, 10, 3))
+
+    call(7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for rows in range(1, 201):
+            call(rows)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 256 * 1024
+
+
+@pytest.mark.parametrize("gain_rows", [None, [True, True, False], [True, False, True]])
+def test_a_nan_rate_leaves_the_other_ramps_derived_rates(net, init_state, gain_rows):
+    # a NaN previous rate makes its ramp's derived rates NaN, which the cap
+    # ignores as step does, so the other ramps' rates are derived from a
+    # state that stays a number: byte for byte the oracle's, whether every
+    # row derives its rates or only some, side by side or apart
+    gains = np.array([[0.3, 0.5, 0.2], [0.0, 1.0, 0.7], [0.2, 0.2, 0.2]])
+    mu_prev = (math.nan, 0.5, 0.4)
+    inputs = (demand(),)
+    kinds = {} if gain_rows is None else dict(plans=np.full((3, 6, 3), 2.0),
+                                              gain_rows=np.array(gain_rows))
+    costs, plans = rollout_batch(init_state, inputs, net, 6, 0.8, gains=gains,
+                                 mu_prev=mu_prev, **kinds)
+    flags = [True] * 3 if gain_rows is None else gain_rows
+    for theta, plan, cost, derived in zip(gains, plans, costs, flags):
+        if derived:
+            assert cost == math.inf
+            want = oracle_gain_plan(net, init_state, inputs, mu_prev, theta, 6)
+            assert plan.tobytes() == np.array(want).tobytes()
+        else:
+            assert math.isfinite(cost)

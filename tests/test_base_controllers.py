@@ -293,7 +293,7 @@ class TestWarmStartRollout:
     def test_single_step_equals_controller_output(self, net):
         mu_prev = [0.5, 0.2, 0.4]
         warm = warm_start_rollout(
-            self.controller(net), mu_prev, self.state(), (self.measured(),), 1, net,
+            self.controller(net), mu_prev, self.state(), (self.measured(),), 1,
             (3.8, 3.2, 0.6),
         )
         expected, _ = self.controller(net).advance(
@@ -305,7 +305,7 @@ class TestWarmStartRollout:
 
     def test_explicit_rollout_is_elementwise_feedback(self, net):
         warm = warm_start_rollout(
-            self.controller(net), MU_PREV, self.state(), (self.measured(),), 6, net,
+            self.controller(net), MU_PREV, self.state(), (self.measured(),), 6,
             (3.8, 3.2, 0.6),
         )
         # re-derive by hand: alternate the feedback law and the plant model
@@ -319,14 +319,14 @@ class TestWarmStartRollout:
     def test_zero_gain_rollout_constant(self, net):
         ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, "hold")
         warm = warm_start_rollout(
-            ctrl, MU_PREV, self.state(), (self.measured(),), 5, net, (3.8, 3.2, 0.6)
+            ctrl, MU_PREV, self.state(), (self.measured(),), 5, (3.8, 3.2, 0.6)
         )
         assert all(row == (0.5, 0.2, 0.4) for row in warm.mu)
 
     def test_length_covers_largest_horizon(self, net):
         warm = warm_start_rollout(
             self.controller(net), MU_PREV, self.state(), (self.measured(),),
-            max(3, 10), net, (3.8, 3.2, 0.6),
+            max(3, 10), (3.8, 3.2, 0.6),
         )
         assert len(warm.mu) == 10
         assert len(warm.theta) == 10
@@ -345,7 +345,7 @@ class TestWarmStartRollout:
         }
         ctrl = FeedbackController(net, network_gains(net, nets, (0.0, 1.0)), "ANN")
         warm = warm_start_rollout(
-            ctrl, MU_PREV, self.state(), (self.measured(),), 4, net, (3.8, 3.2, 0.6)
+            ctrl, MU_PREV, self.state(), (self.measured(),), 4, (3.8, 3.2, 0.6)
         )
         assert warm.theta is not None
         assert all(row == (0.5, 0.5, 0.5) for row in warm.theta)

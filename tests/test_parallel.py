@@ -15,6 +15,7 @@ from basepar.parallel import (
     BudgetedResult,
     MpcProblem,
     OptimizerConfig,
+    _Bounds,
     _fd_gradient,
     _gradient_request,
     _line_search,
@@ -267,7 +268,7 @@ class TestSolver:
         hi = np.asarray(problem.bounds_hi)
         for _ in range(10):
             x = rng.uniform(0.5, 7.5, size=problem.decision_dim)
-            g_fwd = _fd_gradient(fun, x, fun(x), lo, hi, 1e-6, None)
+            g_fwd = _fd_gradient(fun, x, fun(x), _Bounds(lo, hi), 1e-6, None)
             g_ctr = central_difference(fun, x, h=1e-6)
             scale = max(1e-6, float(np.max(np.abs(g_ctr))))
             assert np.max(np.abs(g_fwd - g_ctr)) / scale < 1e-4
@@ -299,8 +300,8 @@ class TestSolver:
                 point = x.copy()
                 point[j] += s
                 want[j] = (fun(point) - f0) / s
-            scalar = _fd_gradient(fun, x, f0, lo, hi, h, None)
-            request = _gradient_request(x, f0, lo, hi, h)
+            scalar = _fd_gradient(fun, x, f0, _Bounds(lo, hi), h, None)
+            request = _gradient_request(x, f0, _Bounds(lo, hi), h)
             evaluate = _MergedRollouts([problem]).objective
             batched = _lockstep([(0, request)], evaluate, None)[0]
             assert scalar.tolist() == want.tolist()
@@ -332,15 +333,15 @@ class TestSolver:
             direction = rng.normal(size=x.size) * (hi - lo)
             direction[0] = 10.0 * (hi[0] - lo[0])  # clipped onto the upper bound
             g = rng.normal(size=x.size)
-            search = _line_search(x, math.inf, g, direction, lo, hi, h)
+            search = _line_search(x, math.inf, g, direction, _Bounds(lo, hi), h)
             x_new, f_new, step_vec, g_new = _lockstep([(0, search)], evaluate, None)[0]
             assert x_new[0] == hi[0]
             assert x_new.tolist() == np.clip(x + direction, lo, hi).tolist()
-            request = _gradient_request(x_new, f_new, lo, hi, h)
+            request = _gradient_request(x_new, f_new, _Bounds(lo, hi), h)
             want = _lockstep([(0, request)], evaluate, None)[0]
             assert g_new.tolist() == want.tolist()
             # without a difference step nothing extra is costed or returned
-            search = _line_search(x, math.inf, g, direction, lo, hi, None)
+            search = _line_search(x, math.inf, g, direction, _Bounds(lo, hi), None)
             assert _lockstep([(0, search)], evaluate, None)[0][3] is None
 
     def test_shorter_step_carries_no_gradient(self):
@@ -354,7 +355,7 @@ class TestSolver:
             return costs
 
         lo, hi = np.full(3, -10.0), np.full(3, 10.0)
-        search = _line_search(np.zeros(3), 1.0, np.zeros(3), np.ones(3), lo, hi, 1e-6)
+        search = _line_search(np.zeros(3), 1.0, np.zeros(3), np.ones(3), _Bounds(lo, hi), 1e-6)
         x_new, f_new, _, g_new = _lockstep([(0, search)], evaluate, None)[0]
         assert (x_new.tolist(), f_new, g_new) == ([0.5] * 3, 0.5, None)
         assert sizes == [30 + 3]  # every step length, then the full step's gradient points
@@ -367,9 +368,9 @@ class TestSolver:
         begun = []
         descent = parallel._descent
 
-        def recorded(x0, f0, g0, lo, hi, cfg, record):
-            begun.append((x0, f0, g0, lo, hi))
-            return descent(x0, f0, g0, lo, hi, cfg, record)
+        def recorded(x0, f0, g0, bounds, cfg, record):
+            begun.append((x0, f0, g0, bounds))
+            return descent(x0, f0, g0, bounds, cfg, record)
 
         monkeypatch.setattr(parallel, "_descent", recorded)
         problems, starts = [], []
@@ -386,11 +387,80 @@ class TestSolver:
         for problem, problem_starts in zip(problems, starts):
             evaluate = _MergedRollouts([problem]).objective
             for x in problem_starts:
-                x0, f0, g0, lo, hi = begun.pop(0)
+                x0, f0, g0, bounds = begun.pop(0)
                 assert x0.tolist() == x.tolist()
                 assert f0 == objective(problem, x)
-                request = _gradient_request(x, f0, lo, hi, h)
+                request = _gradient_request(x, f0, bounds, h)
                 assert g0.tolist() == _lockstep([(0, request)], evaluate, None)[0].tolist()
+
+    @staticmethod
+    def fresh_differences(x, lo, hi, h):
+        """The forward-difference points and steps around ``x``, built from
+        the bounds on every call, as before the solver derived them once
+        per problem."""
+        free = np.flatnonzero(hi - lo != 0.0)
+        steps = np.where(x[free] + h <= hi[free], h, -h)
+        points = np.tile(x, (free.size, 1))
+        points[np.arange(free.size), free] += steps
+        return free, steps, points
+
+    def test_bounds_derived_once_match_a_fresh_construction(self, monkeypatch):
+        # two problems of one dimension fixed (lo == hi) in different
+        # coordinates, solved in one lockstep and then one after the other:
+        # every starts round must request the difference points a fresh
+        # construction from that problem's own bounds gives, and every
+        # descent must begin with the gradient they yield, byte for byte
+        rng = np.random.default_rng(97)
+        h = 1e-6
+        problems, starts = [], []
+        for label, fixed, value in (("A", 1, 3.0), ("B", 4, 5.0)):
+            problem = make_problem(rng, kind=CONVENTIONAL, horizon=2, label=label)
+            lo, hi = list(problem.bounds_lo), list(problem.bounds_hi)
+            lo[fixed] = hi[fixed] = value
+            problem = replace(problem, bounds_lo=tuple(lo), bounds_hi=tuple(hi))
+            x = [np.clip(rng.uniform(0.0, 8.0, size=6), lo, hi) for _ in range(3)]
+            x[1][:] = hi  # on the upper bound, where the steps go backward
+            problems.append(problem)
+            starts.append(x)
+        rounds, begun = [], []
+        objective_of = parallel._MergedRollouts.objective
+        descent = parallel._descent
+
+        def recorded(self, requests):
+            costs = objective_of(self, requests)
+            rounds.append(([(self.problems[i], rows.copy()) for i, rows in requests],
+                           costs.copy()))
+            return costs
+
+        def recorded_descent(x0, f0, g0, bounds, cfg, record):
+            begun.append(g0.copy())
+            return descent(x0, f0, g0, bounds, cfg, record)
+
+        monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
+        monkeypatch.setattr(parallel, "_descent", recorded_descent)
+        cfg = OptimizerConfig(budget_s=None, max_iterations=3)
+        for together in ([0, 1], [0], [1]):
+            rounds.clear()
+            begun.clear()
+            parallel._solve_jointly([problems[i] for i in together],
+                                    [starts[i] for i in together], cfg, None)
+            requests, costs = rounds[0]  # the starts round
+            gradients, at = [], 0
+            for problem, rows in requests:
+                lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
+                x = np.array(starts[problems.index(problem)])
+                built = [self.fresh_differences(row, lo, hi, h) for row in x]
+                assert rows.tobytes() == np.vstack([x, *(p for _, _, p in built)]).tobytes()
+                fs, at_points = costs[at:at + len(x)], at + len(x)
+                for row, f, (free, steps, points) in zip(x, fs, built):
+                    g = np.zeros_like(row)
+                    g[free] = (costs[at_points:at_points + len(points)] - f) / steps
+                    gradients.append(g)
+                    at_points += len(points)
+                at += len(rows)
+            assert len(begun) == len(gradients)
+            for got, want in zip(begun, gradients):
+                assert got.tobytes() == want.tobytes()
 
     def test_repeated_starts_descend_once(self, monkeypatch):
         # a start repeated bit for bit (here also after clipping) lists its
@@ -440,7 +510,7 @@ class TestSolver:
         lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
         x = np.full(problem.decision_dim, 1.0)
         expired = time.monotonic() - 1.0
-        request = _gradient_request(x, objective(problem, x), lo, hi, 1e-6)
+        request = _gradient_request(x, objective(problem, x), _Bounds(lo, hi), 1e-6)
         evaluate = _MergedRollouts([problem]).objective
         assert _lockstep([(0, request)], evaluate, expired) == [None]
 
@@ -536,6 +606,22 @@ class TestSolver:
             solve_budgeted(make_problem(rng), [], OptimizerConfig())
 
 
+class TestBoundsClip:
+    def test_clip_equals_numpy_clip_bit_for_bit(self):
+        # signed zeros, NaN and infinities against bounds with signed zeros,
+        # lo == hi and infinite ends: numpy's clip returns the bound on
+        # ties, and so must the maximum and minimum that replace it
+        rng = np.random.default_rng(113)
+        values = np.array([-0.0, 0.0, math.nan, 1.0, -1.0, 2.5, math.inf, -math.inf])
+        ends = [(-0.0, 2.5), (0.0, 2.5), (0.0, 0.0), (-0.0, -0.0), (1.0, 1.0),
+                (-math.inf, 0.0), (0.0, math.inf), (-1.0, -0.0)]
+        for _ in range(200):
+            lo, hi = np.array([ends[k] for k in rng.integers(0, len(ends), size=5)]).T
+            x = rng.choice(values, size=(4, 5))
+            assert _Bounds(lo, hi).clip(x).tobytes() == np.clip(x, lo, hi).tobytes()
+            assert _Bounds(lo, hi).clip(x[0]).tobytes() == np.clip(x[0], lo, hi).tobytes()
+
+
 class TestHoldBase:
     """A zero-gain feedback law holds the previous rates: the start it gives
     is the previous rates held over the horizon (conventional) or zero gains
@@ -553,7 +639,7 @@ class TestHoldBase:
             zeros += int(np.count_nonzero(mu_prev == 0.0))
             hold = FeedbackController(NET, lambda *_: (0.0,) * 3, "hold")
             warm = warm_start_rollout(hold, problem.mu_prev, problem.initial_state,
-                                      problem.demand_forecast, horizon, NET,
+                                      problem.demand_forecast, horizon,
                                       tuple(rng.uniform(0, 8, size=3)))
             if kind == CONVENTIONAL:
                 want = np.tile(np.asarray(problem.mu_prev, dtype=float), horizon)
@@ -570,7 +656,7 @@ class TestParallelCell:
         measured = ExogenousInput(5.0, (1.5, 1.0, 0.8))
         base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
         warm = warm_start_rollout(
-            base, (0.5, 0.2, 0.4), state, (measured,), 10, NET, (3.8, 3.2, 0.6)
+            base, (0.5, 0.2, 0.4), state, (measured,), 10, (3.8, 3.2, 0.6)
         )
         problems = [
             MpcProblem(
@@ -625,7 +711,7 @@ class TestParallelCell:
                 gains = tuple(rng.uniform(0.005, 0.03, size=3))
                 base = FeedbackController(NET, lambda *_, g=gains: g, "ALINEA")
                 warm = warm_start_rollout(
-                    base, mu_prev, state, (measured,), 10, NET, (3.8, 3.2, 0.6)
+                    base, mu_prev, state, (measured,), 10, (3.8, 3.2, 0.6)
                 )
                 problems = [
                     make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")
@@ -665,7 +751,7 @@ class TestParallelCell:
         base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
-            base, (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3, NET,
+            base, (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3,
             (3.8, 3.2, 0.6),
         )
         with pytest.raises(ValueError):

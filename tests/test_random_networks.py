@@ -265,7 +265,7 @@ class TestRandomTopologies:
             horizon = int(rng.integers(1, 7))
             warm = warm_start_rollout(
                 base, (0.3,) * nr, random_state(rng, net), (random_input(rng, net),),
-                horizon, net, (0.5,) * nr,
+                horizon, (0.5,) * nr,
             )
             assert len(warm.mu) == horizon
             assert len(warm.theta) == horizon
@@ -283,8 +283,8 @@ class TestBatchedRollout:
         gains = tuple(float(t) for t in theta)
         base = FeedbackController(problem.params, lambda *_: gains, "gains")
         return warm_start_rollout(base, problem.mu_prev, problem.initial_state,
-                                  problem.demand_forecast, problem.horizon,
-                                  problem.params, (), problem.gamma)
+                                  problem.demand_forecast, problem.horizon, (),
+                                  problem.gamma)
 
     def scalar_failure(self, problem, x):
         """The exception the scalar model raises for decision ``x``, if any."""

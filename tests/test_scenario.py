@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from basepar import actm, base_controllers
 from basepar.actm import ExogenousInput, rollout
 from basepar.scenario import (
     CONTROLLER_LABELS,
@@ -259,6 +260,20 @@ class TestRunExperiment:
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(default_scenario(), "prophet")
+
+    def test_standalone_base_rolls_one_model_step_per_control_step(self, monkeypatch):
+        # a standalone base applies only its first rate and nothing is
+        # evaluated, so its warm start rolls the model one step, not as far
+        # as the evaluation horizon
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return actm.step(*args, **kwargs)
+
+        monkeypatch.setattr(base_controllers, "step", counted)
+        run_experiment(default_scenario(seed=5), "alinea", serial=True, steps_override=7)
+        assert len(calls) == 7
 
     def test_standalone_mpc_reports_solver_stats(self):
         cfg = default_scenario(seed=9)
