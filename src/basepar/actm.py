@@ -46,13 +46,9 @@ off-ramp bound and the capacity are numbers by :class:`CellParams`.  The
 vacant-capacity and receiving terms are numbers too: the initial state is
 checked, the capacities are finite, and no flow of a step can be NaN or
 infinite, so neither can the next state.  A metering rate can be NaN, which
-Python's ``min(e, rate)`` ignores and ``np.minimum`` does not.  A NaN rate in
-a plan makes its row +inf whatever its rollout gives, so where no row derives
-its rates the cap is ``np.minimum`` too; where one does, a NaN rate of one
-ramp must not reach the state the other ramps' rates are derived from, and
-the cap stays the selection ``np.where(rate < e, rate, e)``, done as
-``np.less`` and ``np.copyto``.  So does the split-everything off-ramp, a rare
-case.
+Python's ``min(e, rate)`` ignores and ``np.minimum`` does not, so the cap is
+the selection ``np.where(rate < e, rate, e)``, done as ``np.less`` and
+``np.copyto``.  So is the split-everything off-ramp, a rare case.
 
 Every array is laid out cells by rows over all cells, so that no step takes
 or puts a subset of cells.  Cells without an on-ramp hold queue 0.0, demand
@@ -77,11 +73,13 @@ the flows of every step, sums them over the cells once, and checks its
 updates for bounds once; the stage costs of the call are then added up in
 step order by one ``np.add.accumulate``.
 
-On the shipped network (6 cells, 3 metered ramps), a model step costs about
-10 us on a few rows and 16 us on 100, against 22 and 30 us for the earlier
-layout that took and put the ramp cells at every step; a call costs about
-31 to 34 us before its first step, against 26 to 27 us (2 vCPUs, one
-process, the two versions alternating).
+On the shipped network (6 cells, 3 metered ramps), replaying the 2,416
+calls of a 180-step serial architecture run, the two versions alternating
+in one process on 2 shared vCPUs, a least-squares fit puts a model step at
+17.5 us against 43.1 us for the earlier layout that took and put the ramp
+cells at every step, a call at 86 us before its first step against 65 us,
+and a row-step at 0.19 us against 0.17 us: the steps got cheaper and the
+set-up per call dearer, and the replay takes 28% less time.
 """
 
 from __future__ import annotations
@@ -639,15 +637,14 @@ def rollout_batch(
                 f"network has {n_ramps} metered ramps"
             )
     order = None
-    if horizons is not None:
-        ends = np.asarray(horizons)
-        if ends.shape != (batch,) or ends.dtype.kind not in "iu":
-            raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
-        if (ends[:-1] < ends[1:]).any():
-            order = np.argsort(-ends, kind="stable")
-            ends = ends[order]
-        if batch and not (ends[-1] >= 1 and ends[0] <= horizon):
-            raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
+    ends = np.full(batch, horizon) if horizons is None else np.asarray(horizons)
+    if ends.shape != (batch,) or ends.dtype.kind not in "iu":
+        raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
+    if (ends[:-1] < ends[1:]).any():
+        order = np.argsort(-ends, kind="stable")
+        ends = ends[order]
+    if batch and not (ends[-1] >= 1 and ends[0] <= horizon):
+        raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
     # the inputs the horizon reads, each once; step k reads entry min(k, last)
     last = min(horizon, len(inputs)) - 1
     read = inputs[:last + 1]
@@ -679,13 +676,8 @@ def rollout_batch(
         if derive:
             gains = gains[order]
             flags = None if flags is None else flags[order]
-    # every row over one horizon: one stretch
-    one_horizon = horizons is None or not batch or ends[0] == ends[-1]
-    if one_horizon:
-        lives = [batch] * (horizon if horizons is None else int(ends[0])) if batch else []
-    else:
-        lives = (batch - np.searchsorted(ends[::-1], np.arange(horizon), side="right")).tolist()
-        lives = [rows for rows in lives if rows]
+    lives = (batch - np.searchsorted(ends[::-1], np.arange(horizon), side="right")).tolist()
+    lives = [rows for rows in lives if rows]
     rates = np.empty((horizon, cells, batch))
     rates.fill(math.inf)
     rates[:, ca.metered] = plans.transpose(1, 2, 0)
@@ -764,11 +756,8 @@ def rollout_batch(
             subtract(nbar, n, out=vacant)
             multiply(xi, vacant, out=space)
             minimum(space, supply, out=e)
-            if not deriving:
-                minimum(mu, e, out=e)
-            else:
-                less(mu, e, out=below)
-                copyto(e, mu, where=below)
+            less(mu, e, out=below)
+            copyto(e, mu, where=below)
             maximum(zero, e, out=e)
 
             # mainline outflow: min of sending, saturation, receiving
@@ -835,18 +824,13 @@ def rollout_batch(
     multiply(gamma, dist_sum, out=dist_sum)
     subtract(stage, dist_sum, out=stage)
     add.accumulate(costs, out=costs)
-    if one_horizon:
-        total = costs[len(lives)]
-    else:
-        total = costs[ends, np.arange(batch)]
+    total = costs[ends, np.arange(batch)]
     if failed is not None:
         total[failed] = math.inf
     # negative or NaN rates within a row's horizon, derived ones included
     metered = rates[:, ca.metered] if derive else plans.transpose(1, 2, 0)
     if not np.minimum.reduce(metered, axis=None, initial=0.0) >= 0:
-        bad_rates = ~(metered >= 0)
-        if horizons is not None:
-            bad_rates &= np.arange(horizon)[:, None, None] < ends
+        bad_rates = ~(metered >= 0) & (np.arange(horizon)[:, None, None] < ends)
         total[bad_rates.any(axis=(0, 1))] = math.inf
     if order is not None:
         total[order] = total.copy()

@@ -487,12 +487,9 @@ class _Bounds:
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        free = np.flatnonzero(self.hi - self.lo != 0.0)
-        dim, self.n_free = self.lo.size, free.size
-        if self.n_free == dim:  # every coordinate free: slices, not indices
-            self.free, self.diagonal = slice(None), slice(None, None, dim + 1)
-        else:
-            self.free, self.diagonal = free, np.arange(self.n_free) * dim + free
+        self.free = np.flatnonzero(self.hi - self.lo != 0.0)
+        dim, self.n_free = self.lo.size, self.free.size
+        self.diagonal = np.arange(self.n_free) * dim + self.free
         finite = np.isfinite(self.hi) & np.isfinite(self.lo)
         self.width = float(np.max(self.hi[finite] - self.lo[finite], initial=1.0))
         self.eye = np.eye(dim)
@@ -518,8 +515,6 @@ class _Differences:
     def gradient(self, f: float, costs: np.ndarray) -> np.ndarray:
         """The gradient at ``x`` (whose cost is ``f``) from the costs of
         :attr:`points`; 0 in the coordinates with ``lo == hi``."""
-        if self.steps.size == self.x.size:
-            return (costs - f) / self.steps
         g = np.zeros_like(self.x)
         g[self.free] = (costs - f) / self.steps
         return g
