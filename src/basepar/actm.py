@@ -63,28 +63,26 @@ cells run left to right from +0.0 like Python's ``sum``, so the zeros of the
 queues off the on-ramp cells change nothing: adding +0.0 to a partial sum
 that started at +0.0 leaves it as it is.
 
-Each call checks the initial state and the inputs once.  Rows are sorted by
-horizon, so the rows still rolling form a prefix; the steps over which that
-prefix keeps its length form a stretch, rolled on contiguous arrays of one
-shape ``[cells, rows]``, the per-cell coefficients copied out once per
-stretch because an operand of that shape costs numpy less than a
-``[cells, 1]`` one to broadcast.  A stretch keeps the pre-step state and
-the flows of every step, sums them over the cells once, and checks its
-updates for bounds once; the stage costs of the call are then added up in
-step order by one ``np.add.accumulate``.
+Each call checks the initial state and the inputs once, then rolls every
+row over the call's horizon on one set of arrays of shape ``[cells, rows]``,
+allocated once, the per-cell coefficients copied out to that shape because
+such an operand costs numpy less than a ``[cells, 1]`` one to broadcast.
+The call keeps the pre-step state and the flows of every step, sums them
+over the cells once, and checks the updates for bounds once; the stage
+costs are then added up in step order by one ``np.add.accumulate``.  A row
+with a shorter horizon of its own keeps rolling past it: its cost is read
+at its own end, and the bounds and rate checks look only at its steps
+within it, so nothing it rolls past its end reaches its cost.
 
 On the shipped network (6 cells, 3 metered ramps), replaying the 2,416
-calls of a 180-step serial architecture run, the two versions alternating
-in one process on 2 shared vCPUs, a least-squares fit puts a model step at
-17.5 us against 43.1 us for the earlier layout that took and put the ramp
-cells at every step, a call at 86 us before its first step against 65 us,
-and a row-step at 0.19 us against 0.17 us: the steps got cheaper and the
-set-up per call dearer, and the replay takes 28% less time.
+calls of a 180-step serial architecture run on 2 shared vCPUs, a
+least-squares fit puts a call at 104 us before its first step, a model
+step at 21 us and a row-step at 0.27 us, so the set-up outweighs the
+steps in the calls of a few rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -581,11 +579,12 @@ def rollout_batch(
     Pass ``plans`` or ``gains`` alone for rows of one kind, or both with the
     boolean ``gain_rows`` ``[B]`` flagging the gain rows.  ``horizons``
     ``[B]`` gives each row its own horizon, at most ``horizon`` (default:
-    ``horizon`` for every row); a row is rolled out over its own horizon
-    only, and whatever a plan holds past it is never read.  ``inputs``
-    shorter than a horizon hold their last entry.  Returns the costs ``[B]``
-    and the plans ``[B, horizon, ramps]``: as given, with the derived rates
-    written into the gain rows over their horizon.
+    ``horizon`` for every row).  Every row is rolled over ``horizon``;
+    whatever a plan holds past the row's own horizon is rolled, but it
+    never reaches that row's cost, failure flag or in-horizon plan.
+    ``inputs`` shorter than a horizon hold their last entry.  Returns the
+    costs ``[B]`` and the plans ``[B, horizon, ramps]``: as given, with the
+    derived rates written into the gain rows over the whole ``horizon``.
 
     Every float operation is that of :func:`step`, in the same order, so each
     cost equals ``rollout(...).total_cost`` over the row's horizon bit for
@@ -636,14 +635,9 @@ def rollout_batch(
                 f"gains have {gains.shape[1]} and mu_prev {len(mu_prev)} entries, "
                 f"network has {n_ramps} metered ramps"
             )
-    order = None
     ends = np.full(batch, horizon) if horizons is None else np.asarray(horizons)
-    if ends.shape != (batch,) or ends.dtype.kind not in "iu":
-        raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
-    if (ends[:-1] < ends[1:]).any():
-        order = np.argsort(-ends, kind="stable")
-        ends = ends[order]
-    if batch and not (ends[-1] >= 1 and ends[0] <= horizon):
+    if (ends.shape != (batch,) or ends.dtype.kind not in "iu"
+            or ((ends < 1) | (ends > horizon)).any()):
         raise ValueError(f"horizons must be {batch} integers in [1, {horizon}]")
     # the inputs the horizon reads, each once; step k reads entry min(k, last)
     last = min(horizon, len(inputs)) - 1
@@ -656,166 +650,125 @@ def rollout_batch(
                 f"network has {n_onramps} on-ramps"
             )
     mainstream = [inp.mainstream_demand for inp in read]
-    # the constants of a stretch: the coefficients, two rows of zeros, the
-    # initial state (n, then q at the on-ramp cells and 0 elsewhere) and the
-    # ramp demands of each input read, at their cells and 0 elsewhere
-    c = len(_COEFS)
-    consts = np.zeros((c + 4 + last + 1, cells, 1))
-    consts[:c] = ca.coef
-    consts[c + 2, :, 0] = state.n
-    consts[c + 3, ca.onramps, 0] = state.q
-    consts[c + 4:, ca.onramps, 0] = [inp.ramp_demands for inp in read]
 
-    # Rows sorted by horizon, longest first, so that the rows still rolling
-    # at step k are a prefix, lives[k] long.  Every array is laid out cells
-    # by rows, the rates as [horizon, cells, rows] with +inf off the metered
-    # cells, which never caps an inflow.
-    given = plans
-    if order is not None:
-        plans = plans[order]
-        if derive:
-            gains = gains[order]
-            flags = None if flags is None else flags[order]
-    lives = (batch - np.searchsorted(ends[::-1], np.arange(horizon), side="right")).tolist()
-    lives = [rows for rows in lives if rows]
+    # Every array is laid out cells by rows, the constants included: the
+    # coefficients, two rows of zeros and the ramp demands of each input
+    # read, at their cells and 0 elsewhere.  The rates are [horizon, cells,
+    # rows] with +inf off the metered cells, which never caps an inflow.
+    c = len(_COEFS)
+    block = np.zeros((c + 2 + last + 1, cells, batch))
+    block[:c] = ca.coef
+    block[c + 2:, ca.onramps] = np.array([inp.ramp_demands for inp in read])[:, :, None]
+    (alpha, nbar, xi, eta_idling, send, eta_moving, obar, offramp_bound,
+     split_ratio, split_pad, lane_length, rho_crit, zero, _, *demand) = block
+    zeros = block[c:c + 2]
+    zero_flow = zeros.reshape(-1)[:(cells + 1) * batch].reshape(cells + 1, batch)
     rates = np.empty((horizon, cells, batch))
     rates.fill(math.inf)
     rates[:, ca.metered] = plans.transpose(1, 2, 0)
     if derive:
-        # the previous rates and the gains at their cells, +inf and 0 elsewhere
-        prev_rates = np.full((cells, 1), math.inf)
-        prev_rates[ca.metered, 0] = mu_prev
+        # the previous rates and the gains at their cells, +inf and 0
+        # elsewhere; the mask flags the rows that derive when not all do
+        prev = np.full((cells, 1), math.inf)
+        prev[ca.metered, 0] = mu_prev
         cell_gains = np.zeros((cells, batch))
         cell_gains[ca.metered] = gains.T
+        mask = None if flags is None or flags.all() else flags
 
-    # the sums over the cells of n, q and (o + s) * length before each step,
-    # 0 where a row has stopped rolling
-    sums = np.zeros((horizon, 3, batch))
-    failed = None  # rows whose update left the bounds
-    start = consts[c + 2:c + 4]
+    # the histories: the state before each step (n, q) with the flow o + s
+    # leaving each cell, and the update before clamping (n, then q); they
+    # are summed over the cells and checked for bounds once per call; the
+    # initial state is n, then q at the on-ramp cells and 0 elsewhere
+    h = np.empty((horizon + 1, 3, cells, batch))
+    h[0, 0] = np.array(state.n)[:, None]
+    h[0, 1] = 0.0
+    h[0, 1, ca.onramps] = np.array(state.q)[:, None]
+    r = np.empty((horizon, 2, cells, batch))
+    vacant, space, e, s, blended, receiving, derived = np.empty((7, cells, batch))
+    below = np.empty((cells, batch), dtype=bool)
+    # the admitted mainstream inflow, then the mainline outflow o of each
+    # cell: row i is the inflow of cell i, bounded by its receiving term
+    flow = np.empty((cells + 1, batch))
+    admitted, inflow, o = flow[0], flow[:-1], flow[1:]
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     minimum, maximum, less, copyto = np.minimum, np.maximum, np.less, np.copyto
     split_all = ca.split_all if ca.split_all.size else None
-    first = 0
-    for rows, group in itertools.groupby(lives):
-        # A stretch of steps over which the same rows roll, on contiguous
-        # arrays of one shape [cells, rows], the constants included.  Its
-        # histories hold the state before each step (n, q), the flow o + s
-        # leaving each cell and the update before clamping; they are summed
-        # over the cells and checked for bounds once per stretch.
-        count = len(list(group))
-        block = np.empty((len(consts), cells, rows))
-        block[...] = consts
-        (alpha, nbar, xi, eta_idling, send, eta_moving, obar, offramp_bound,
-         split_ratio, split_pad, lane_length, rho_crit, zero, _, _, _, *demand) = block
-        zeros = block[c:c + 2]
-        zero_flow = zeros.reshape(-1)[:(cells + 1) * rows].reshape(cells + 1, rows)
-        h = np.empty((count + 1, 3, cells, rows))
-        h[0, :2] = start[..., :rows]
-        r = np.empty((count, 2, cells, rows))
-        vacant, space, e, s, blended, receiving, derived = np.empty((7, cells, rows))
-        below = np.empty((cells, rows), dtype=bool)
-        # the admitted mainstream inflow, then the mainline outflow o of each
-        # cell: row i is the inflow of cell i, bounded by its receiving term
-        flow = np.empty((cells + 1, rows))
-        admitted, inflow, o = flow[0], flow[:-1], flow[1:]
-        # the stretch's rates, contiguous; whether a row derives its rates
-        # (the mask flags which when not all do), their gains and the rates
-        # of the step before
-        steps = slice(first, first + count)
-        mus = rates[steps] if rows == batch else rates[steps, :, :rows].copy()
-        deriving = derive and (flags is None or flags[:rows].any())
-        if deriving:
-            mask = None if flags is None or flags[:rows].all() else flags[:rows]
-            live_gains = cell_gains if rows == batch else cell_gains[:, :rows].copy()
-            prev = prev_rates if first == 0 else rates[first - 1, :, :rows]
-        # each step's views: the state before it (n, q and the flows leaving
-        # the cells), its update before clamping (n, then q), the state after
-        # it and its rates
-        for k, (n, q, flows), update, after, mu in zip(
-                range(first, first + count), h, r, h[1:], mus):
-            at = min(k, last)
-            n_next, supply = update
-            if deriving:
-                # the feedback law on the predicted density at every cell:
-                # +inf + 0 * (rho_crit - rho) stays +inf off the metered cells
-                divide(n, lane_length, out=derived)
-                subtract(rho_crit, derived, out=derived)
-                multiply(live_gains, derived, out=derived)
-                add(prev, derived, out=derived)
-                if mask is None:
-                    maximum(zero, derived, out=mu)
-                else:
-                    maximum(zero, derived, out=derived)
-                    copyto(mu, derived, where=mask)
-                prev = mu
+    # each step's views: the state before it (n, q and the flows leaving the
+    # cells), its update before clamping (n, then q), the state after it and
+    # its rates
+    for k, (n, q, flows), update, after, mu in zip(range(horizon), h, r, h[1:], rates):
+        at = min(k, last)
+        n_next, supply = update
+        if derive:
+            # the feedback law on the predicted density at every cell:
+            # +inf + 0 * (rho_crit - rho) stays +inf off the metered cells
+            divide(n, lane_length, out=derived)
+            subtract(rho_crit, derived, out=derived)
+            multiply(cell_gains, derived, out=derived)
+            add(prev, derived, out=derived)
+            if mask is None:
+                maximum(zero, derived, out=mu)
+            else:
+                maximum(zero, derived, out=derived)
+                copyto(mu, derived, where=mask)
+            prev = mu
 
-            # on-ramp inflow: min of supply and space, capped at the rate and
-            # floored at 0; the supply becomes the queue update
-            add(q, demand[at], out=supply)
-            subtract(nbar, n, out=vacant)
-            multiply(xi, vacant, out=space)
-            minimum(space, supply, out=e)
-            less(mu, e, out=below)
-            copyto(e, mu, where=below)
-            maximum(zero, e, out=e)
+        # on-ramp inflow: min of supply and space, capped at the rate and
+        # floored at 0; the supply becomes the queue update
+        add(q, demand[at], out=supply)
+        subtract(nbar, n, out=vacant)
+        multiply(xi, vacant, out=space)
+        minimum(space, supply, out=e)
+        less(mu, e, out=below)
+        copyto(e, mu, where=below)
+        maximum(zero, e, out=e)
 
-            # mainline outflow: min of sending, saturation, receiving
-            # downstream and the off-ramp-coupled bound, floored at 0; the
-            # admitted mainstream inflow: min of demand and receiving, floored
-            # at 0
-            multiply(alpha, e, out=blended)
-            subtract(vacant, blended, out=receiving)
-            multiply(receiving, eta_idling, out=receiving)
-            admitted.fill(mainstream[at])
-            add(n, blended, out=o)
-            multiply(send, o, out=o)
-            multiply(o, eta_moving, out=o)
-            minimum(obar, o, out=o)
-            minimum(receiving, inflow, out=inflow)
-            minimum(offramp_bound, o, out=o)
-            maximum(zero_flow, flow, out=flow)
+        # mainline outflow: min of sending, saturation, receiving downstream
+        # and the off-ramp-coupled bound, floored at 0; the admitted
+        # mainstream inflow: min of demand and receiving, floored at 0
+        multiply(alpha, e, out=blended)
+        subtract(vacant, blended, out=receiving)
+        multiply(receiving, eta_idling, out=receiving)
+        admitted.fill(mainstream[at])
+        add(n, blended, out=o)
+        multiply(send, o, out=o)
+        multiply(o, eta_moving, out=o)
+        minimum(obar, o, out=o)
+        minimum(receiving, inflow, out=inflow)
+        minimum(offramp_bound, o, out=o)
+        maximum(zero_flow, flow, out=flow)
 
-            # off-ramp outflow; 0 * o plus the pad +0.0 is 0.0 itself where
-            # no share beta < 1 leaves, and the pad -0.0 leaves s unchanged
-            multiply(split_ratio, o, out=s)
-            add(s, split_pad, out=s)
-            if split_all is not None:
-                moving = (n[split_all] + blended[split_all]) * eta_moving[split_all]
-                s[split_all] = np.where(moving < ca.split_all_sbar, moving, ca.split_all_sbar)
+        # off-ramp outflow; 0 * o plus the pad +0.0 is 0.0 itself where no
+        # share beta < 1 leaves, and the pad -0.0 leaves s unchanged
+        multiply(split_ratio, o, out=s)
+        add(s, split_pad, out=s)
+        if split_all is not None:
+            moving = (n[split_all] + blended[split_all]) * eta_moving[split_all]
+            s[split_all] = np.where(moving < ca.split_all_sbar, moving, ca.split_all_sbar)
 
-            # the update, then the next state: clamped into bounds
-            add(o, s, out=flows)
-            add(n, inflow, out=n_next)
-            add(n_next, e, out=n_next)
-            subtract(n_next, o, out=n_next)
-            subtract(n_next, s, out=n_next)
-            subtract(supply, e, out=supply)
-            maximum(zeros, update, out=after[:2])
-            minimum(nbar, after[0], out=after[0])
-        if rows < batch and deriving:
-            rates[steps, :, :rows] = mus
+        # the update, then the next state: clamped into bounds
+        add(o, s, out=flows)
+        add(n, inflow, out=n_next)
+        add(n_next, e, out=n_next)
+        subtract(n_next, o, out=n_next)
+        subtract(n_next, s, out=n_next)
+        subtract(supply, e, out=supply)
+        maximum(zeros, update, out=after[:2])
+        minimum(nbar, after[0], out=after[0])
 
-        # the flows leaving the cells times their lengths, the travelled
-        # distance; then the sums over the cells, left to right from 0.0 like
-        # Python's sum (the zeros of q off the on-ramp cells leave its sums
-        # unchanged)
-        multiply(h[:count, 2], ca.length, out=h[:count, 2])
-        part = sums[steps, :, :rows]
-        add(0.0, h[:count, :, 0], out=part)
-        for i in range(1, cells):
-            add(part, h[:count, :, i], out=part)
-        # updates out of bounds; a NaN is never flagged, as in step
-        if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
-            if failed is None:
-                failed = np.zeros(batch, dtype=bool)
-            failed[:rows] |= ((r < -STATE_TOL).any(axis=(0, 1, 2))
-                              | (r[:, 0] > ca.nbar_tol).any(axis=(0, 1)))
-        start = h[count, :2]
-        first += count
+    # the flows leaving the cells times their lengths, the travelled
+    # distance; then the sums over the cells of n, q and (o + s) * length
+    # before each step, left to right from 0.0 like Python's sum (the zeros
+    # of q off the on-ramp cells leave its sums unchanged)
+    multiply(h[:horizon, 2], ca.length, out=h[:horizon, 2])
+    sums = np.empty((3, horizon, batch))
+    add(0.0, h[:horizon, :, 0].transpose(1, 0, 2), out=sums)
+    for i in range(1, cells):
+        add(sums, h[:horizon, :, i].transpose(1, 0, 2), out=sums)
 
-    # stage costs on the pre-step occupancy, added up in step order from 0.0
-    n_sum, q_sum, dist_sum = sums.transpose(1, 0, 2)
+    # stage costs on the pre-step occupancy, added up in step order from
+    # 0.0; each row's cost is read at its own end
+    n_sum, q_sum, dist_sum = sums
     costs = np.zeros((horizon + 1, batch))
     stage = costs[1:]
     add(n_sum, q_sum, out=stage)
@@ -825,22 +778,19 @@ def rollout_batch(
     subtract(stage, dist_sum, out=stage)
     add.accumulate(costs, out=costs)
     total = costs[ends, np.arange(batch)]
-    if failed is not None:
-        total[failed] = math.inf
+    # updates out of bounds within a row's horizon; a NaN is never flagged,
+    # as in step
+    if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
+        out_of_bounds = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
+        total[(out_of_bounds & (np.arange(horizon)[:, None] < ends)).any(axis=0)] = math.inf
     # negative or NaN rates within a row's horizon, derived ones included
     metered = rates[:, ca.metered] if derive else plans.transpose(1, 2, 0)
     if not np.minimum.reduce(metered, axis=None, initial=0.0) >= 0:
         bad_rates = ~(metered >= 0) & (np.arange(horizon)[:, None, None] < ends)
         total[bad_rates.any(axis=(0, 1))] = math.inf
-    if order is not None:
-        total[order] = total.copy()
     if not derive:
-        return total, given.copy()
-    if order is None:
-        return total, np.ascontiguousarray(metered.transpose(2, 0, 1))
-    out = np.empty_like(given)
-    out[order] = metered.transpose(2, 0, 1)
-    return total, out
+        return total, plans.copy()
+    return total, np.ascontiguousarray(metered.transpose(2, 0, 1))
 
 
 def density(state: NetworkState, params: NetworkParams) -> tuple[float, ...]:

@@ -137,10 +137,6 @@ class MpcProblem:
     def decision_dim(self) -> int:
         return self.n_ramps * self.horizon if self.kind == CONVENTIONAL else self.n_ramps
 
-    def forecast_at(self, k: int) -> ExogenousInput:
-        fc = self.demand_forecast
-        return fc[k] if k < len(fc) else fc[-1]
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -260,8 +256,9 @@ class _MergedRollouts:
     Problems that share their initial state, forecast, network, gamma and
     previous rates (every problem of one control step does) form a group,
     and all rows of a group go to one :func:`~basepar.actm.rollout_batch`
-    call, whatever their kind and horizon.  Rows are clipped into their
-    problem's bounds first.
+    call, whatever their kind and horizon: in request order, rolled over
+    the group's longest horizon, each row costed over its own problem's
+    horizon.  Rows are clipped into their problem's bounds first.
     """
 
     def __init__(self, problems: Sequence[MpcProblem]):
@@ -285,31 +282,26 @@ class _MergedRollouts:
         offsets = [0, *itertools.accumulate(len(rows) for _, rows in requests)]
         costs = np.empty(offsets[-1])
         plans: list[np.ndarray] = [np.empty(0)] * len(requests)
-        # runs of consecutive requests of one problem, by group, each run
-        # clipped and placed as one block
-        groups: dict[int, list[tuple[int, int]]] = {}
-        start = 0
-        for r in range(1, len(requests) + 1):
-            if r == len(requests) or requests[r][0] != requests[start][0]:
-                groups.setdefault(self.group[requests[start][0]], []).append((start, r))
-                start = r
-        for runs in groups.values():
-            # longest horizon first: the kernel then finds its rows sorted
-            runs.sort(key=lambda run: -self.problems[requests[run[0]][0]].horizon)
-            problems = [self.problems[requests[a][0]] for a, _ in runs]
+        groups: dict[int, list[int]] = {}
+        for r, (i, _) in enumerate(requests):
+            groups.setdefault(self.group[i], []).append(r)
+        for members in groups.values():
+            # the group's rows in request order, rolled over its longest horizon
+            problems = [self.problems[requests[r][0]] for r in members]
             first = problems[0]
-            batch = sum(offsets[b] - offsets[a] for a, b in runs)
-            rates = np.zeros((batch, first.horizon, first.n_ramps))
+            horizon = max(p.horizon for p in problems)
+            batch = sum(offsets[r + 1] - offsets[r] for r in members)
+            rates = np.zeros((batch, horizon, first.n_ramps))
             gains = gain_rows = None
             if any(p.kind == PARAMETERIZED for p in problems):
                 gains = np.zeros((batch, first.n_ramps))
                 gain_rows = np.zeros(batch, dtype=bool)
             horizons = np.empty(batch, dtype=int)
+            places = []
             at = 0
-            for (a, b), problem in zip(runs, problems):
-                x = np.concatenate([rows for _, rows in requests[a:b]]) if b > a + 1 \
-                    else requests[a][1]
-                x = self.bounds[requests[a][0]].clip(x)
+            for r, problem in zip(members, problems):
+                i, x = requests[r]
+                x = self.bounds[i].clip(x)
                 rows = slice(at, at + len(x))
                 if problem.kind == CONVENTIONAL:
                     rates[rows, : problem.horizon] = x.reshape(len(x), problem.horizon, -1)
@@ -317,20 +309,16 @@ class _MergedRollouts:
                     gains[rows] = x
                     gain_rows[rows] = True
                 horizons[rows] = problem.horizon
+                places.append(rows)
                 at = rows.stop
             group_costs, group_plans = rollout_batch(
-                first.initial_state, first.demand_forecast, first.params, first.horizon,
+                first.initial_state, first.demand_forecast, first.params, horizon,
                 first.gamma, plans=rates, gains=gains, mu_prev=first.mu_prev,
                 gain_rows=gain_rows, horizons=horizons,
             )
-            at = 0
-            for (a, b), problem in zip(runs, problems):
-                shift = at - offsets[a]
-                costs[offsets[a]:offsets[b]] = group_costs[offsets[a] + shift:offsets[b] + shift]
-                for r in range(a, b):
-                    plans[r] = group_plans[offsets[r] + shift:offsets[r + 1] + shift,
-                                           : problem.horizon]
-                at += offsets[b] - offsets[a]
+            for r, problem, rows in zip(members, problems, places):
+                costs[offsets[r]:offsets[r + 1]] = group_costs[rows]
+                plans[r] = group_plans[rows, : problem.horizon]
         return costs, plans
 
     def objective(self, requests: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:

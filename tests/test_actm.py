@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -488,3 +489,35 @@ def test_a_nan_rate_leaves_the_other_ramps_derived_rates(net, init_state, gain_r
             assert plan.tobytes() == np.array(want).tobytes()
         else:
             assert math.isfinite(cost)
+
+
+def test_a_rows_cost_ignores_its_plan_past_its_horizon(net, init_state):
+    # rows of horizon 3 share a call of horizon 10 with rows of horizon 10;
+    # every row is rolled over the call's horizon, and a plan padded with
+    # NaN, a negative rate or a huge one past step 3 still costs exactly
+    # its first 3 steps, warning about nothing
+    inputs = (demand(), demand(5.0, (1.5, 1.0, 0.4)))
+    mu_prev = (3.0, 2.5, 1.0)
+    rng = np.random.default_rng(41)
+    pads = (math.nan, -1.0, 1e300)
+    plans = rng.uniform(0.0, 8.0, size=(8, 10, 3))
+    for b, pad in enumerate(pads):
+        plans[b, 3:] = pad
+        plans[3 + b, 3:] = pad  # gain rows: their rates are derived anyway
+    gains = rng.uniform(0.0, 60.0, size=(8, 3))
+    flags = np.array([False, False, False, True, True, True, False, True])
+    horizons = np.array([3, 3, 3, 3, 3, 3, 10, 10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs, rolled = rollout_batch(init_state, inputs, net, 10, 0.8, plans=plans,
+                                      gains=gains, mu_prev=mu_prev, gain_rows=flags,
+                                      horizons=horizons)
+    for b, (derived, end) in enumerate(zip(flags, horizons)):
+        if derived:
+            plan = oracle_gain_plan(net, init_state, inputs, mu_prev, gains[b], end)
+            assert rolled[b, :end].tobytes() == np.array(plan).tobytes()
+        else:
+            plan = plans[b, :end].tolist()
+            assert rolled[b].tobytes() == plans[b].tobytes()
+        want = rollout(init_state, inputs, plan, net, int(end)).total_cost
+        assert np.float64(want).tobytes() == costs[b].tobytes()
