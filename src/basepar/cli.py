@@ -46,7 +46,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-s", type=float, default=None,
-                     help="wall-clock budget per control step, seconds")
+                     help="wall-clock budget per control step, seconds (not with --serial)")
     sub.add_argument("--ftol", type=float, default=None, help="function tolerance")
     sub.add_argument("--xtol", type=float, default=None, help="step tolerance")
     sub.add_argument("--termination", choices=["best", "all"], default=None,
@@ -192,6 +192,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "serial", False) and args.budget_s is not None:
+        # serial mode has no deadline, so a budget would be silently ignored
+        parser.error("--budget-s cannot be combined with --serial")
     try:
         return args.func(args)
     except (sc.ScenarioError, OSError, ValueError) as exc:

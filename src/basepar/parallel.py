@@ -8,13 +8,17 @@ predicted trajectory.
 
 The solver is a projected quasi-Newton descent with finite-difference
 gradients and a backtracking line search, run from every supplied starting
-point.  Every start and every accepted iterate is recorded with its cost, so
-the solve can be cut off at any time and still return the best point seen so
-far.  Termination within one descent requires both the cost change and the
-step size to fall below their tolerances, mirroring the usual NLP solver
-semantics; the solve as a whole additionally stops when the deadline expires
-or when the per-start iteration cap is reached.  With a zero budget the
-result degenerates to the best starting point by objective value.
+point.  Every start and every point a descent moves to is recorded with its
+cost, so the solve can be cut off at any time and still return the best
+point seen so far.  A descent ends at its first accepted step whose cost is
+not strictly below the current one, without recording that point, so each
+recorded point of a descent costs less than the one before it.  It also
+ends when no step length passes the line search, or when both the cost
+change and the step size fall below their tolerances, mirroring the usual
+NLP solver semantics.  The solve as a whole additionally stops when the
+deadline expires or when the per-start iteration cap is reached.  With a
+zero budget the result degenerates to the best starting point by objective
+value.
 
 Each descent is a coroutine that requests the decision rows it needs costed:
 one whole line search (every step length up to the first that does not
@@ -581,7 +585,9 @@ def _line_search(
     request also carries the forward-difference points around the full-step
     point, so that a full step comes with its gradient.  Returns the
     accepted point, its cost, the step taken and the gradient there (None
-    unless the full step was accepted), or None.
+    unless the full step was accepted), or None.  The accepted cost may
+    equal ``f``: the test admits equality where the predicted decrease is
+    zero or lost to rounding, and :func:`_descent` ends there.
     """
     points = bounds.clip(x + _STEP_LENGTHS * direction)
     moves = points - x
@@ -607,12 +613,17 @@ def _descent(
     record: Callable[[np.ndarray, float, int, bool], None],
 ) -> Evaluation[None]:
     """Projected BFGS from one start whose gradient ``g0`` is known; every
-    accepted point is recorded.
+    point it moves to is recorded, and each costs strictly less than the
+    one before it.
 
-    Each request is one whole line search, carrying the gradient points of
-    its full step unless the iteration cap ends the descent there, or one
-    forward-difference gradient at a point reached by a shorter step.  An
-    abandoned descent keeps the points it has recorded.
+    The descent ends when the line search accepts no step, or accepts one
+    whose cost is not strictly below the current cost (that point is not
+    recorded, so a plateau of equal cost is never walked), on the
+    tolerances, or at the iteration cap.  Each request is one whole line
+    search, carrying the gradient points of its full step unless the
+    iteration cap ends the descent there, or one forward-difference
+    gradient at a point reached by a shorter step.  An abandoned descent
+    keeps the points it has recorded.
     """
     x, f, g = x0, f0, g0
     ident = bounds.eye
@@ -636,6 +647,8 @@ def _descent(
         if accepted is None:
             return
         x_new, f_new, step_vec, g_new = accepted
+        if f_new >= f:  # no decrease: end here, without recording the point
+            return
         df = f - f_new
         dx = float(np.maximum.reduce(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)

@@ -64,15 +64,34 @@ def trained(scenario):
     return nets, results, time.monotonic() - t0
 
 
+def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Record the horizon and row count of every ``rollout_batch`` call the
+    solver and the orchestrator make from here on."""
+    calls = []
+
+    def counted(state, inputs, params, horizon, *args, **kwargs):
+        costs, plans = rollout_batch(state, inputs, params, horizon, *args, **kwargs)
+        calls.append((horizon, len(costs)))
+        return costs, plans
+
+    monkeypatch.setattr(parallel, "rollout_batch", counted)
+    monkeypatch.setattr(orchestrator, "rollout_batch", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def compare_runs(scenario, trained):
+    """The serial run of every control approach, the comparison's wall time,
+    and the kernel calls ``(horizon, rows)`` of the architecture's run."""
     nets, _, _ = trained
     t0 = time.monotonic()
-    logs = {
-        key: run_experiment(scenario, key, serial=True, nets=nets)
-        for key in CONTROLLER_KEYS
-    }
-    return logs, time.monotonic() - t0
+    logs, calls = {}, []
+    for key in CONTROLLER_KEYS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if key == "architecture":
+                calls = _count_kernel_calls(monkeypatch)
+            logs[key] = run_experiment(scenario, key, serial=True, nets=nets)
+    return logs, time.monotonic() - t0, calls
 
 
 def test_criterion_1_actm_oracle_equivalence(scenario):
@@ -298,7 +317,7 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
     """The applied candidate attains the minimum evaluated cost at every one
     of the 180 steps, and adding a controller never worsens the selected
     cost at a fixed state."""
-    logs, _ = compare_runs
+    logs = compare_runs[0]
     arch_log = logs["architecture"]
     assert len(arch_log.records) == scenario.steps
     for r in arch_log.records:
@@ -345,7 +364,7 @@ def test_criterion_7_qualitative_ordering(compare_runs):
     """Average cost per vehicle: frozen-gain feedback >= gain network >= every
     online MPC variant; the architecture's total cost is within 0.5% of the
     best standalone controller; the whole comparison stays under 10 min."""
-    logs, elapsed = compare_runs
+    logs, elapsed, _ = compare_runs
     avg = {k: logs[k].summary.avg_cost_per_vehicle for k in logs}
     j = {k: logs[k].summary.j_total for k in logs}
     assert avg["alinea"] >= avg["ann"]
@@ -378,15 +397,15 @@ def test_criterion_8_serial_determinism(tmp_path):
 
 # The shipped serial runs, pinned: criterion 8 compares two runs of the same
 # code, so only fixed values catch an edit that moves one bit.
-GOLDEN_J_TOTAL = 178.3011820035886
+GOLDEN_J_TOTAL = 178.37464701685087
 GOLDEN_LOG_SHA256 = {
     "alinea": "7b74a4945c40986b5b0a6e8008460fa3ed12f05b0b17a72913f9fbd2a701dd6c",
     "ann": "fdf83a640964f57d5f8546d488981882ecf52486c546b6c371c11053de3b81dd",
     "cmpc1": "060d1803dac0eebd3af0fc4a58c9ae201445e5229089d357ec86f890b49af9e3",
-    "cmpc2": "538ef2b2048901d102c3e74028978adcd13713da21b84f870f526216f43eb60b",
+    "cmpc2": "6f463fd041fccdc824b82e55bcbf4bc5ecb6537fd275f142a0156cef662b4b46",
     "pmpc1": "6977fd2843a22dd5c1bf6c5256fb0fac0bec9b9d0047e364928eb86b25564389",
     "pmpc2": "2c3413545ef1f32c08ad606942c154089ec5e7efac5ebbe0d75397ba41b7cf4f",
-    "architecture": "45b3fe2d0c6db97ec410987dbef291ba555deec1439f97d9786e00c5c0306daa",
+    "architecture": "874413f7ac80705cd399775ab8df9073237b04c0af50cbe4da51a568884024a2",
 }
 
 
@@ -403,18 +422,41 @@ def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
     assert digests == GOLDEN_LOG_SHA256
 
 
-def test_serial_work_counters_are_pinned(scenario, trained, monkeypatch):
-    """The first 20 steps of the serial architecture run make an exact number
-    of kernel calls and model steps: one per solver round, plan conversion
-    and candidate evaluation, so extra rounds show here."""
-    calls = []
-
-    def counted(state, inputs, params, horizon, *args, **kwargs):
-        calls.append(horizon)
-        return rollout_batch(state, inputs, params, horizon, *args, **kwargs)
-
-    monkeypatch.setattr(parallel, "rollout_batch", counted)
-    monkeypatch.setattr(orchestrator, "rollout_batch", counted)
+def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkeypatch):
+    """The serial architecture run makes an exact number of kernel calls,
+    model steps and rows, over its first 20 steps and over all 180: one call
+    per solver round, plan conversion and candidate evaluation, so extra
+    rounds show here."""
+    calls = _count_kernel_calls(monkeypatch)
     run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
-    assert len(calls) == 502
-    assert sum(calls) == 4229
+    assert len(calls) == 220
+    assert sum(h for h, _ in calls) == 2039
+    calls = compare_runs[2]
+    assert len(calls) == 1241
+    assert sum(h for h, _ in calls) == 10926
+    assert sum(rows for _, rows in calls) == 119396
+
+
+def test_serial_descents_strictly_decrease(scenario, trained, monkeypatch):
+    """Over the first 20 serial architecture steps, every point a descent
+    records costs strictly less than the one before it, its start first: a
+    descent ends at its first line-search step that does not lower the
+    cost instead of walking a plateau."""
+    trails = []
+    descent = parallel._descent
+
+    def traced(x0, f0, g0, bounds, cfg, record):
+        trail = [f0]
+        trails.append(trail)
+
+        def record_cost(x, f, iterations, converged):
+            trail.append(f)
+            record(x, f, iterations, converged)
+
+        return descent(x0, f0, g0, bounds, cfg, record_cost)
+
+    monkeypatch.setattr(parallel, "_descent", traced)
+    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    assert sum(len(trail) > 1 for trail in trails) > 20
+    for trail in trails:
+        assert all(b < a for a, b in zip(trail, trail[1:])), trail

@@ -65,6 +65,15 @@ class TestValidate:
             main(["run", "--controller", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_budget_with_serial_exit_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--serial", "--budget-s", "0.1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--budget-s" in err and "--serial" in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
