@@ -79,9 +79,10 @@ def alinea_step(
     """
     if not len(mu_prev) == len(theta) == len(rho):
         raise ValueError("mu_prev, gains and densities must have one entry per metered ramp")
-    if any(m < 0 for m in mu_prev):
+    # written so that NaN fails too
+    if not all(m >= 0 for m in mu_prev):
         raise ValueError("mu_prev must be nonnegative")
-    if any(r < 0 for r in rho):
+    if not all(r >= 0 for r in rho):
         raise ValueError("densities must be nonnegative")
     return tuple(max(m + t * (rho_crit - r), 0.0) for m, t, r in zip(mu_prev, theta, rho))
 
@@ -313,7 +314,6 @@ class TrainConfig:
     restarts: int = 10
     seed: int = 0
     validation_count: int = 100
-    output_resolve_every: int = 200  # exact output-layer refit cadence, 0 disables
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,9 @@ def _solve_output_layer(w1, b1, xs, ts):
     return sol[:3], float(sol[3])
 
 
+_OUTPUT_RESOLVE_EVERY = 200  # epochs between exact refits of the output layer
+
+
 def _train_once(xs, ts, cfg: TrainConfig, rng: np.random.Generator):
     # Stump-style init: each hidden unit starts as a steep detector on one
     # randomly chosen input coordinate, centered on a random training point
@@ -374,7 +377,7 @@ def _train_once(xs, ts, cfg: TrainConfig, rng: np.random.Generator):
     for epoch in range(cfg.epochs):
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at epoch {epoch}")
-        if cfg.output_resolve_every and epoch and epoch % cfg.output_resolve_every == 0:
+        if epoch and epoch % _OUTPUT_RESOLVE_EVERY == 0:
             w2c, b2c = _solve_output_layer(w1, b1, xs, ts)
             new_loss, new_grads = _net_loss_and_grad(w1, b1, w2c, b2c, xs, ts)
             if math.isfinite(new_loss) and new_loss <= loss:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -140,13 +139,11 @@ class EvaluationResult:
 class SelectionRecord:
     """Everything the architecture decided at one control step."""
 
-    step: int
     applied: tuple[float, ...]
     winner: str
     candidate_labels: tuple[str, ...]
     candidate_costs: tuple[float, ...]
     solver_stats: tuple[tuple[str, float, int, bool], ...]  # label, elapsed, iters, converged
-    elapsed_s: float
 
 
 def evaluate_candidates(
@@ -301,7 +298,6 @@ class BaseParallelController:
         :meth:`commit` it.  If the evaluation excludes every candidate, the
         first cell's base candidate is applied."""
         cfg = self.config
-        t0 = time.monotonic()
         candidates, results = self.propose(measurement, measured, o_prev)
         for result in results.values():
             candidates.extend(result.iterates)
@@ -312,7 +308,6 @@ class BaseParallelController:
         winner_index, applied = select_best(evaluation)
         self.commit(applied, results)
         record = SelectionRecord(
-            step=measurement.step,
             applied=applied,
             winner=evaluation.candidates[winner_index].source,
             candidate_labels=tuple(c.source for c in evaluation.candidates),
@@ -321,6 +316,5 @@ class BaseParallelController:
                 (label, r.elapsed_s, r.best.iterations, r.best.converged)
                 for label, r in results.items()
             ),
-            elapsed_s=time.monotonic() - t0,
         )
         return record, evaluation

@@ -27,26 +27,27 @@ the forward-difference points around its full step, or one forward-difference
 gradient where a shorter step was accepted.  One scheduler drives the
 descents of every solve in lockstep: those from all starts of one problem,
 and through :func:`run_parallel_cells` those of every problem of every
-parallel cell of a control step, whatever their kind and horizon.  The starts
-round comes first whatever the deadline; it evaluates every distinct start
+parallel cell of a control step, whatever their kind and horizon.  The
+problems of one joint solve share one context: the measured state, the
+forecast, the network, gamma and the previous rates.  The starts round
+comes first whatever the deadline; it evaluates every distinct start
 together with the forward-difference points around it, so each descent
 begins with its gradient, and a start repeated bit for bit lists its twin's
 records instead of descending again.  Each later round evaluates the
 requests of every live descent together; with the built-in objective that is
-one :func:`~basepar.actm.rollout_batch` call for all problems that share
-their initial state, and its costs equal the point-by-point ones bit for bit,
-whatever other rows share the call.  The deadline is checked before every
-round after the starts round, so every live solve takes part in every round
-until it expires and the overshoot is bounded by one merged batch.  There is
-no thread pool: without a deadline (serial mode) the same scheduler runs
-until every descent has finished.  Records are listed start by start as a
-sequential solver lists them, so results depend neither on the interleaving
-nor on which other problems share the rounds.  A substituted
-``objective_fn`` is evaluated point by point, with the deadline checked
-before every point after the starts round.  What the solver derives from a
-problem's bounds (the coordinates with ``lo != hi``, where their difference
-steps go, the width of the box) is derived once per solve, not once per
-gradient.
+one :func:`~basepar.actm.rollout_batch` call per round, and its costs equal
+the point-by-point ones bit for bit, whatever other rows share the call.
+The deadline is checked before every round after the starts round, so every
+live solve takes part in every round until it expires and the overshoot is
+bounded by one merged batch.  There is no thread pool: without a deadline
+(serial mode) the same scheduler runs until every descent has finished.
+Records are listed start by start as a sequential solver lists them, so
+results depend neither on the interleaving nor on which other problems share
+the rounds.  A substituted ``objective_fn`` is evaluated point by point,
+with the deadline checked before every point after the starts round.  What
+the solver derives from a problem's bounds (the coordinates with
+``lo != hi``, where their difference steps go, the width of the box) is
+derived once per solve, not once per gradient.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -57,7 +58,6 @@ solutions shifted into the current window.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -130,7 +130,8 @@ class MpcProblem:
             raise ValueError(
                 f"bounds must have {self.decision_dim} entries for kind {self.kind!r}"
             )
-        if any(lo > hi for lo, hi in zip(self.bounds_lo, self.bounds_hi)):
+        # written so that NaN fails too
+        if not all(lo <= hi for lo, hi in zip(self.bounds_lo, self.bounds_hi)):
             raise ValueError("lower bounds must not exceed upper bounds")
 
     @property
@@ -181,7 +182,6 @@ class CandidateSequence:
     cost: float
     decision: tuple[float, ...] = ()
     iterations: int = 0
-    elapsed_s: float = 0.0
     converged: bool = False
 
 
@@ -199,7 +199,6 @@ class BudgetedResult:
     iterates: tuple[CandidateSequence, ...]
     cost_trail: tuple[float, ...]
     elapsed_s: float
-    termination: str
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +254,23 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
 
 
 class _MergedRollouts:
-    """Decision rows of several problems, rolled out together.
+    """Decision rows of several problems that share one context, rolled out
+    together.
 
-    Problems that share their initial state, forecast, network, gamma and
-    previous rates (every problem of one control step does) form a group,
-    and all rows of a group go to one :func:`~basepar.actm.rollout_batch`
-    call, whatever their kind and horizon: in request order, rolled over
-    the group's longest horizon, each row costed over its own problem's
-    horizon.  Rows are clipped into their problem's bounds first.
+    Every problem must share its initial state, forecast, network, gamma and
+    previous rates with the others, as every problem of one control step
+    does.  Each call is one :func:`~basepar.actm.rollout_batch` call,
+    whatever the problems' kinds and horizons: the rows in request order,
+    rolled over the longest requested horizon, each row costed over its own
+    problem's horizon.  Rows are clipped into their problem's bounds first.
     """
 
     def __init__(self, problems: Sequence[MpcProblem]):
+        contexts = [(p.initial_state, tuple(p.demand_forecast), p.params,
+                     tuple(p.mu_prev), p.gamma) for p in problems]
+        if any(context != contexts[0] for context in contexts):
+            raise ValueError("problems solved jointly must share one context")
         self.problems = problems
-        self.group: list[int] = []
-        contexts: list[tuple] = []
-        for p in problems:
-            context = (p.initial_state, tuple(p.demand_forecast), p.params,
-                       tuple(p.mu_prev), p.gamma)
-            if context not in contexts:
-                contexts.append(context)
-            self.group.append(contexts.index(context))
         self.bounds = [_Bounds(p.bounds_lo, p.bounds_hi) for p in problems]
 
     def __call__(
@@ -283,47 +279,35 @@ class _MergedRollouts:
         """Costs of every requested row, in request order, and the plans
         ``[rows, horizon, ramps]`` of each request; a request is a problem
         index with its decision rows ``[rows, dim]``."""
-        offsets = [0, *itertools.accumulate(len(rows) for _, rows in requests)]
-        costs = np.empty(offsets[-1])
-        plans: list[np.ndarray] = [np.empty(0)] * len(requests)
-        groups: dict[int, list[int]] = {}
-        for r, (i, _) in enumerate(requests):
-            groups.setdefault(self.group[i], []).append(r)
-        for members in groups.values():
-            # the group's rows in request order, rolled over its longest horizon
-            problems = [self.problems[requests[r][0]] for r in members]
-            first = problems[0]
-            horizon = max(p.horizon for p in problems)
-            batch = sum(offsets[r + 1] - offsets[r] for r in members)
-            rates = np.zeros((batch, horizon, first.n_ramps))
-            gains = gain_rows = None
-            if any(p.kind == PARAMETERIZED for p in problems):
-                gains = np.zeros((batch, first.n_ramps))
-                gain_rows = np.zeros(batch, dtype=bool)
-            horizons = np.empty(batch, dtype=int)
-            places = []
-            at = 0
-            for r, problem in zip(members, problems):
-                i, x = requests[r]
-                x = self.bounds[i].clip(x)
-                rows = slice(at, at + len(x))
-                if problem.kind == CONVENTIONAL:
-                    rates[rows, : problem.horizon] = x.reshape(len(x), problem.horizon, -1)
-                else:
-                    gains[rows] = x
-                    gain_rows[rows] = True
-                horizons[rows] = problem.horizon
-                places.append(rows)
-                at = rows.stop
-            group_costs, group_plans = rollout_batch(
-                first.initial_state, first.demand_forecast, first.params, horizon,
-                first.gamma, plans=rates, gains=gains, mu_prev=first.mu_prev,
-                gain_rows=gain_rows, horizons=horizons,
-            )
-            for r, problem, rows in zip(members, problems, places):
-                costs[offsets[r]:offsets[r + 1]] = group_costs[rows]
-                plans[r] = group_plans[rows, : problem.horizon]
-        return costs, plans
+        problems = [self.problems[i] for i, _ in requests]
+        first = problems[0]
+        horizon = max(p.horizon for p in problems)
+        batch = sum(len(rows) for _, rows in requests)
+        rates = np.zeros((batch, horizon, first.n_ramps))
+        gains = gain_rows = None
+        if any(p.kind == PARAMETERIZED for p in problems):
+            gains = np.zeros((batch, first.n_ramps))
+            gain_rows = np.zeros(batch, dtype=bool)
+        horizons = np.empty(batch, dtype=int)
+        places = []
+        at = 0
+        for (i, x), problem in zip(requests, problems):
+            x = self.bounds[i].clip(x)
+            rows = slice(at, at + len(x))
+            if problem.kind == CONVENTIONAL:
+                rates[rows, : problem.horizon] = x.reshape(len(x), problem.horizon, -1)
+            else:
+                gains[rows] = x
+                gain_rows[rows] = True
+            horizons[rows] = problem.horizon
+            places.append(rows)
+            at = rows.stop
+        costs, plans = rollout_batch(
+            first.initial_state, first.demand_forecast, first.params, horizon,
+            first.gamma, plans=rates, gains=gains, mu_prev=first.mu_prev,
+            gain_rows=gain_rows, horizons=horizons,
+        )
+        return costs, [plans[rows, : p.horizon] for rows, p in zip(places, problems)]
 
     def objective(self, requests: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
         """:func:`objective` of every requested row, in request order."""
@@ -386,8 +370,6 @@ def make_shift_warm_starts(history: Sequence[np.ndarray]) -> list[np.ndarray]:
     if not history:
         return []
     stack = np.asarray(history, dtype=float)
-    if stack.ndim == 2:  # one-row solutions given as vectors
-        stack = stack[:, None, :]
     count, length = stack.shape[:2]
     ages = np.arange(1, count + 1)[:, None]  # newest first
     shifted = stack[count - ages, np.minimum(np.arange(length) + ages, length - 1)]
@@ -561,12 +543,11 @@ def _fd_gradient(
     f0: float,
     bounds: _Bounds,
     h: float,
-    deadline: Optional[float],
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """The solver's forward-difference gradient of ``fun``, evaluated point
-    by point; None when the deadline expires mid-computation."""
+    by point."""
     request = _gradient_request(x, f0, bounds, h)
-    return _lockstep([(None, request)], _pointwise(fun, deadline), deadline)[0]
+    return _lockstep([(None, request)], _pointwise(fun, None), None)[0]
 
 
 def _line_search(
@@ -688,10 +669,9 @@ def _solve_jointly(
     forward-difference points around it, so every descent begins with its
     gradient.  One descent then runs from every distinct finite start of
     every problem, side by side, and each round evaluates all their requests
-    together: with the built-in objective as one merged rollout per group of
-    problems sharing their initial state, with ``objective_fn`` point by
-    point.  A start repeated bit for bit lists its twin's records again.
-    Finally the kept points of all problems are converted to plans, the
+    together: with the built-in objective as one merged rollout, with
+    ``objective_fn`` point by point.  A start repeated bit for bit lists its
+    twin's records again.  Finally the kept points of all problems are converted to plans, the
     parameterized ones in one merged rollout.
     """
     if any(len(s) == 0 for s in starts):
@@ -721,7 +701,7 @@ def _solve_jointly(
 
     def recorder(into: list) -> Callable[[np.ndarray, float, int, bool], None]:
         return lambda x, f, iterations, converged: into.append(
-            (x.copy(), float(f), iterations, time.monotonic() - t0, converged)
+            (x.copy(), float(f), iterations, converged)
         )
 
     # per problem: the start records, then one trail per descent in start
@@ -762,17 +742,15 @@ def _solve_jointly(
                 cost=float(f),
                 decision=tuple(float(v) for v in x),
                 iterations=iters,
-                elapsed_s=at_s,
                 converged=converged,
             )
-            for plan, (x, f, iters, at_s, converged) in zip(plan_list, items)
+            for plan, (x, f, iters, converged) in zip(plan_list, items)
         )
         results.append(BudgetedResult(
             best=iterates[best_idx],
             iterates=iterates,
             cost_trail=tuple(item[1] for item in trail),
             elapsed_s=elapsed,
-            termination=config.termination,
         ))
     return results
 
@@ -782,7 +760,6 @@ def solve_budgeted(
     starts: Sequence[Sequence[float]],
     config: OptimizerConfig,
     objective_fn: Optional[Callable[[np.ndarray], float]] = None,
-    deadline: Optional[float] = None,
 ) -> BudgetedResult:
     """Minimize the problem objective from every start within the budget.
 
@@ -792,9 +769,7 @@ def solve_budgeted(
     all distinct finite starts then run in lockstep until they finish or the
     deadline expires: each round evaluates the requests of every live
     descent together, each request being one whole line search (with the
-    gradient points of its full step) or one forward-difference gradient.  An
-    explicit ``deadline`` (monotonic-clock value) overrides the config
-    budget.
+    gradient points of its full step) or one forward-difference gradient.
 
     With the built-in objective each round is one batched rollout, and the
     deadline is checked before every round, so the solve overshoots it by at
@@ -808,8 +783,7 @@ def solve_budgeted(
     This is the one-problem case of the scheduler :func:`run_parallel_cells`
     runs.
     """
-    if deadline is None and config.budget_s is not None:
-        deadline = time.monotonic() + config.budget_s
+    deadline = None if config.budget_s is None else time.monotonic() + config.budget_s
     return _solve_jointly([problem], [starts], config, deadline, objective_fn)[0]
 
 
@@ -820,16 +794,18 @@ def run_parallel_cells(
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of several parallel cells together.
 
-    Each cell pairs its problems with its base controller's warm start.
-    Each controller receives the prefix of that warm start that matches its
-    horizon plus the shift starts built from its own solution history.  All
-    solves of all cells run in one lockstep against one deadline, the config
-    budget from when the starts are built, so every solve takes part in
-    every round until it finishes or the deadline expires.  Without a budget the
-    results equal those of separate :func:`solve_budgeted`
-    calls, except ``elapsed_s``: every result reports the wall time of the
-    whole call, whose rounds its solves shared.  Results are keyed by
-    controller label.
+    Each cell pairs its problems with its base controller's warm start.  All
+    problems must share one context (initial state, forecast, network, gamma
+    and previous rates), as those of one control step do; ``ValueError``
+    otherwise.  Each controller receives the prefix of that warm start that
+    matches its horizon plus the shift starts built from its own solution
+    history.  All solves of all cells run in one lockstep against one
+    deadline, the config budget from when the starts are built, so every
+    solve takes part in every round until it finishes or the deadline
+    expires.  Without a budget the results equal those of separate
+    :func:`solve_budgeted` calls, except ``elapsed_s``: every result reports
+    the wall time of the whole call, whose rounds its solves shared.
+    Results are keyed by controller label.
     """
     problems: list[MpcProblem] = []
     starts: list[list[np.ndarray]] = []

@@ -58,6 +58,7 @@ from .orchestrator import (
     BaseParallelController,
     ParallelCell,
     ParallelControllerSpec,
+    SelectionRecord,
 )
 from .parallel import CONVENTIONAL, PARAMETERIZED, OptimizerConfig
 
@@ -573,9 +574,9 @@ class _OwnPlanDriver:
         applied = tuple(best.metering[0])
         self.arch.commit(applied, results)
         if result is None:
-            return applied, self.label, (), (), ()
+            return SelectionRecord(applied, self.label, (), (), ())
         stats = ((self.label, result.elapsed_s, best.iterations, best.converged),)
-        return applied, self.label, (self.label,), (best.cost,), stats
+        return SelectionRecord(applied, self.label, (self.label,), (best.cost,), stats)
 
 
 class _ArchitectureDriver:
@@ -584,14 +585,7 @@ class _ArchitectureDriver:
         self.label = CONTROLLER_LABELS["architecture"]
 
     def decide(self, state, measured, o_prev):
-        record, evaluation = self.arch.control_step(state, measured, o_prev)
-        return (
-            record.applied,
-            record.winner,
-            record.candidate_labels,
-            record.candidate_costs,
-            record.solver_stats,
-        )
+        return self.arch.control_step(state, measured, o_prev)[0]
 
 
 def _build_driver(scenario, controller_choice, serial, nets,
@@ -715,28 +709,29 @@ def run_experiment(
         measured = ExogenousInput(float(d_meas[0]), tuple(float(v) for v in d_meas[1:]))
 
         t0 = time.monotonic()
-        applied, winner, labels, costs, stats = driver.decide(state, measured, o_prev)
+        selection = driver.decide(state, measured, o_prev)
         elapsed = time.monotonic() - t0
+        stats = selection.solver_stats
         if serial:
             # reproducible logs: wall-clock observations are not recorded
             elapsed = 0.0
             stats = tuple((lbl, 0.0, iters, conv) for lbl, _, iters, conv in stats)
 
-        nxt, flows, cost = step(state, true_inp, applied, params, scenario.gamma)
+        nxt, flows, cost = step(state, true_inp, selection.applied, params, scenario.gamma)
         log.records.append(StepRecord(
             step=k,
             n=state.n, q=state.q,
             true_demand=tuple(float(v) for v in d_true),
             measured_demand=tuple(float(v) for v in d_meas),
-            applied=tuple(applied),
+            applied=selection.applied,
             flow_e=flows.e, flow_o=flows.o, flow_s=flows.s,
             mainstream_in=flows.mainstream_in,
             cost_tt=cost.tt, cost_td_h=cost.td_h, cost_j=cost.j,
             throughput=cost.throughput,
-            winner=winner,
-            candidate_labels=tuple(labels),
-            candidate_costs=tuple(costs),
-            solver_stats=tuple(stats),
+            winner=selection.winner,
+            candidate_labels=selection.candidate_labels,
+            candidate_costs=selection.candidate_costs,
+            solver_stats=stats,
             control_elapsed_s=elapsed,
         ))
         o_prev = upstream_inflows(flows, params)

@@ -266,7 +266,7 @@ def test_criterion_4_solver_correctness(scenario):
     worst = 0.0
     for _ in range(10):
         x = rng.uniform(0.5, 7.5, size=problem.decision_dim)
-        g_fwd = _fd_gradient(fun2, x, fun2(x), _Bounds(lo, hi), 1e-6, None)
+        g_fwd = _fd_gradient(fun2, x, fun2(x), _Bounds(lo, hi), 1e-6)
         g_ctr = central_difference(fun2, x, h=1e-6)
         scale = max(1e-6, float(np.max(np.abs(g_ctr))))
         worst = max(worst, float(np.max(np.abs(g_fwd - g_ctr))) / scale)

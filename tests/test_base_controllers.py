@@ -73,6 +73,12 @@ class TestAlinea:
         with pytest.raises(ValueError):
             alinea_step([0.5], (0.016,), [-0.03], 0.0335)
 
+    @pytest.mark.parametrize("mu_prev, rho", [((math.nan, 0.5), (0.02, 0.02)),
+                                              ((0.5, 0.5), (0.02, math.nan))])
+    def test_nan_inputs_rejected(self, mu_prev, rho):
+        with pytest.raises(ValueError):
+            alinea_step(mu_prev, (0.01, 0.01), rho, 0.0335)
+
 
 class TestMlpForward:
     def zero_params(self):

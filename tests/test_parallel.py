@@ -62,6 +62,13 @@ def make_problem(rng, kind=CONVENTIONAL, horizon=3, label="MPC"):
     )
 
 
+def sharing_context(problem, first):
+    """``problem`` from ``first``'s initial state, forecast and previous
+    rates, so that the two can be solved jointly."""
+    return replace(problem, initial_state=first.initial_state,
+                   demand_forecast=first.demand_forecast, mu_prev=first.mu_prev)
+
+
 def dummy_problem(dim, lo=-10.0, hi=10.0):
     """Conventional-shaped carrier for surrogate objectives (3 ramps)."""
     assert dim % 3 == 0
@@ -190,6 +197,13 @@ class TestShiftStarts:
         np.testing.assert_allclose(starts[2], [[0.3, 0.5, 0.7]])
 
 
+class TestProblem:
+    def test_nan_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            replace(dummy_problem(3), bounds_lo=(0.0, math.nan, 0.0),
+                    bounds_hi=(8.0, 8.0, math.nan))
+
+
 class TestOptimizerConfig:
     @pytest.mark.parametrize(
         "name", ["function_tolerance", "step_tolerance", "budget_s", "fd_step"]
@@ -268,7 +282,7 @@ class TestSolver:
         hi = np.asarray(problem.bounds_hi)
         for _ in range(10):
             x = rng.uniform(0.5, 7.5, size=problem.decision_dim)
-            g_fwd = _fd_gradient(fun, x, fun(x), _Bounds(lo, hi), 1e-6, None)
+            g_fwd = _fd_gradient(fun, x, fun(x), _Bounds(lo, hi), 1e-6)
             g_ctr = central_difference(fun, x, h=1e-6)
             scale = max(1e-6, float(np.max(np.abs(g_ctr))))
             assert np.max(np.abs(g_fwd - g_ctr)) / scale < 1e-4
@@ -300,7 +314,7 @@ class TestSolver:
                 point = x.copy()
                 point[j] += s
                 want[j] = (fun(point) - f0) / s
-            scalar = _fd_gradient(fun, x, f0, _Bounds(lo, hi), h, None)
+            scalar = _fd_gradient(fun, x, f0, _Bounds(lo, hi), h)
             request = _gradient_request(x, f0, _Bounds(lo, hi), h)
             evaluate = _MergedRollouts([problem]).objective
             batched = _lockstep([(0, request)], evaluate, None)[0]
@@ -376,6 +390,8 @@ class TestSolver:
         problems, starts = [], []
         for kind, horizon in ((CONVENTIONAL, 4), (PARAMETERIZED, 3), (CONVENTIONAL, 1)):
             problem, lo, hi = self.boxed_problem(rng, kind, horizon)
+            if problems:
+                problem = sharing_context(problem, problems[0])
             problems.append(problem)
             x = [rng.uniform(lo, hi) for _ in range(3)]
             x[0][0] = hi[0]  # on the upper bound
@@ -418,6 +434,8 @@ class TestSolver:
             lo, hi = list(problem.bounds_lo), list(problem.bounds_hi)
             lo[fixed] = hi[fixed] = value
             problem = replace(problem, bounds_lo=tuple(lo), bounds_hi=tuple(hi))
+            if problems:
+                problem = sharing_context(problem, problems[0])
             x = [np.clip(rng.uniform(0.0, 8.0, size=6), lo, hi) for _ in range(3)]
             x[1][:] = hi  # on the upper bound, where the steps go backward
             problems.append(problem)
@@ -500,7 +518,6 @@ class TestSolver:
                     iterates=tuple(iterates) if termination == "all" else (best,),
                     cost_trail=tuple(trail),
                     elapsed_s=0.0,
-                    termination=termination,
                 )
                 assert got == want
 
@@ -745,6 +762,14 @@ class TestParallelCell:
                     assert got.best.decision == alone.best.decision
                     assert got.best.cost == alone.best.cost
                     assert len(got.cost_trail) > len(starts)  # the descents did work
+
+    def test_cells_at_different_states_rejected(self):
+        # the problems of one joint solve share one context
+        problems, warm = self.setup_cell()
+        moved = replace(problems[1], initial_state=NetworkState(n=(30.0,) * 6, q=(5.0,) * 3))
+        cfg = OptimizerConfig(budget_s=None, max_iterations=2)
+        with pytest.raises(ValueError):
+            run_parallel_cells([(problems[:1], warm), ([moved], warm)], {}, cfg)
 
     def test_short_warm_start_rejected(self):
         problems, _ = self.setup_cell()
