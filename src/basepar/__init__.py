@@ -13,7 +13,6 @@ from .actm import (
     NetworkState,
     RolloutResult,
     StageCost,
-    density,
     rollout,
     stage_cost,
     step,

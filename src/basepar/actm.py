@@ -27,11 +27,11 @@ Unserved mainstream demand is dropped, so conservation accounting uses the
 *admitted* upstream inflow reported in :class:`FlowVector`.
 
 :func:`step` and :func:`rollout` are the readable reference and the plant.
-:func:`rollout_batch` rolls many plans forward side by side for the
-optimizers and the evaluation block; it performs every float operation of
-:func:`step` in the same order, and in the cells a term does not apply to,
-operations that give :func:`step`'s value there exactly, so its costs equal
-:func:`rollout`'s bit for bit.
+:func:`rollout_batch`, the one prediction model, rolls many plans forward
+side by side for the warm starts, optimizers and evaluation block; it
+performs every float operation of :func:`step` in the same order, and in
+the cells a term does not apply to, operations that give :func:`step`'s
+value there exactly, so its costs equal :func:`rollout`'s bit for bit.
 
 BATCHED ROLLOUTS
 ----------------
@@ -63,6 +63,10 @@ cells run left to right from +0.0 like Python's ``sum``, so the zeros of the
 queues off the on-ramp cells change nothing: adding +0.0 to a partial sum
 that started at +0.0 leaves it as it is.
 
+A callable gain source reads the metered cells as Python floats, so a gain
+network keeps ``math.tanh``'s bits; when it is called, the flow array still
+holds the inflows of the step before.
+
 Each call checks the initial state and the inputs once, then rolls every
 row over the call's horizon on one set of arrays of shape ``[cells, rows]``,
 allocated once, the per-cell coefficients copied out to that shape because
@@ -85,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,7 +113,6 @@ __all__ = [
     "step",
     "rollout",
     "rollout_batch",
-    "density",
 ]
 
 # Absolute per-component tolerance for post-step state checks.
@@ -565,7 +568,7 @@ def rollout_batch(
     gamma: float = 0.8,
     *,
     plans: Optional[np.ndarray] = None,
-    gains: Optional[np.ndarray] = None,
+    gains: Union[np.ndarray, Callable[..., Sequence[float]], None] = None,
     mu_prev: Optional[Sequence[float]] = None,
     gain_rows: Optional[np.ndarray] = None,
     horizons: Optional[np.ndarray] = None,
@@ -577,7 +580,10 @@ def rollout_batch(
     rates ``mu_prev`` applied before the window, each step then meters at
     ``max(mu_prev + gain * (rho_crit - rho), 0)`` on the predicted density.
     Pass ``plans`` or ``gains`` alone for rows of one kind, or both with the
-    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  ``horizons``
+    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  A callable
+    ``gains``, alone, sets one row's gains before each step from the metered
+    cells' counts, queues, ramp demands and :func:`upstream_inflows` of the
+    step before (None at the first), each a list over them.  ``horizons``
     ``[B]`` gives each row its own horizon, at most ``horizon`` (default:
     ``horizon`` for every row).  Every row is rolled over ``horizon``;
     whatever a plan holds past the row's own horizon is rolled, but it
@@ -601,6 +607,11 @@ def rollout_batch(
         raise ValueError("at least one exogenous input is required")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    source = gains if callable(gains) else None
+    if source is not None:
+        if plans is not None or gain_rows is not None:
+            raise ValueError("a callable gains rolls one row of its own: no plans or gain_rows")
+        gains = np.zeros((1, len(params.metered_cells)))  # set at every step
     if gain_rows is None:
         if (plans is None) == (gains is None):
             raise ValueError("pass exactly one of plans and gains, or gain_rows with both")
@@ -700,6 +711,13 @@ def rollout_batch(
         at = min(k, last)
         n_next, supply = update
         if derive:
+            if source is not None:  # one row, so a flat index is a cell
+                theta = source(n.take(ca.metered).tolist(), q.take(ca.metered).tolist(),
+                               demand[at].take(ca.metered).tolist(),
+                               inflow.take(ca.metered).tolist() if k else None)
+                if len(theta) != n_ramps:
+                    raise TopologyError(f"{len(theta)} gains for {n_ramps} metered ramps")
+                cell_gains.put(ca.metered, theta)
             # the feedback law on the predicted density at every cell:
             # +inf + 0 * (rho_crit - rho) stays +inf off the metered cells
             divide(n, lane_length, out=derived)
@@ -792,9 +810,3 @@ def rollout_batch(
         return total, plans.copy()
     return total, np.ascontiguousarray(metered.transpose(2, 0, 1))
 
-
-def density(state: NetworkState, params: NetworkParams) -> tuple[float, ...]:
-    """Per-cell density in veh/m/lane."""
-    return tuple(
-        state.n[i] / (cell.length * params.lanes) for i, cell in enumerate(params.cells)
-    )

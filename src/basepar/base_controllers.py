@@ -16,11 +16,11 @@ cell's expected density closest to the critical density.  That problem is
 piecewise linear and monotone in the gain, so it is solved in closed form;
 tests audit it against a brute-force grid search.
 
-A base controller produces a rate for the current step only, from the
-previous rates its caller passes in; it keeps no state.  To seed the online
-optimizers it is rolled forward through the plant model for the largest
-prediction horizon of its cell (:func:`warm_start_rollout`), yielding a
-full metering sequence and the matching gain sequence.
+A base controller keeps no state: its caller passes the previous rates in.
+To seed the online optimizers it is rolled forward on the prediction model,
+:func:`~basepar.actm.rollout_batch`, for the largest horizon of its cell
+(:func:`warm_start_rollout`); :func:`alinea_step` is the same law written
+out scalar by scalar, the reference the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# ``step`` is not called here; it stays importable from this module because
+# perfbench/layers.py wraps it here.
 from .actm import (
     ExogenousInput,
+    ModelConsistencyError,
+    NegativeRateError,
     NetworkParams,
     NetworkState,
-    density,
+    rollout_batch,
     step,
-    upstream_inflows,
 )
 
 __all__ = [
@@ -82,6 +85,8 @@ def alinea_step(
     # written so that NaN fails too
     if not all(m >= 0 for m in mu_prev):
         raise ValueError("mu_prev must be nonnegative")
+    if not all(math.isfinite(t) for t in theta):
+        raise ValueError("gains must be finite")
     if not all(r >= 0 for r in rho):
         raise ValueError("densities must be nonnegative")
     return tuple(max(m + t * (rho_crit - r), 0.0) for m, t, r in zip(mu_prev, theta, rho))
@@ -458,12 +463,12 @@ def train_mlp(
 
 
 # ---------------------------------------------------------------------------
-# Base-controller objects and the warm-start loop
+# Base-controller objects and their warm starts
 # ---------------------------------------------------------------------------
 
-# A gain source: one feedback gain per metered ramp from the current state,
-# the measured inputs and the upstream mainline inflows.
-GainFn = Callable[[NetworkState, ExogenousInput, Sequence[float]], Sequence[float]]
+# A gain source: one feedback gain per metered ramp from the metered cells'
+# counts, queues, ramp demands and upstream inflows, each a list over them.
+GainFn = Callable[[list, list, list, Sequence[float]], Sequence[float]]
 
 
 class FeedbackController:
@@ -477,19 +482,6 @@ class FeedbackController:
         self.params = params
         self.gains = gains
         self.label = label
-
-    def advance(
-        self,
-        mu_prev: Sequence[float],
-        state: NetworkState,
-        measured: ExogenousInput,
-        o_prev: Sequence[float],
-    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Emit (metering rates, gains) for this step after ``mu_prev``."""
-        thetas = tuple(self.gains(state, measured, o_prev))
-        rho = density(state, self.params)
-        rho_metered = [rho[i] for i in self.params.metered_cells]
-        return alinea_step(mu_prev, thetas, rho_metered, self.params.rho_crit), thetas
 
 
 def network_gains(
@@ -506,16 +498,11 @@ def network_gains(
     if missing:
         raise ValueError(f"missing networks for metered cells {missing}")
     lo, hi = gain_range
-    # each metered cell with its network and its position among the on-ramps
-    ramps = [(i, nets[i], params.onramp_cells.index(i)) for i in params.metered_cells]
+    ramp_nets = [nets[i] for i in params.metered_cells]
 
-    def gains(state: NetworkState, measured: ExogenousInput, o_prev: Sequence[float]):
-        thetas = []
-        for j, (i, net, slot) in enumerate(ramps):
-            raw = mlp_forward(net, (state.n[i], state.q[slot], measured.ramp_demands[slot],
-                                    o_prev[j]))
-            thetas.append(min(max(raw, lo), hi))
-        return thetas
+    def gains(n, q, d, o_prev):  # element by element: np.tanh changes bits
+        return [min(max(mlp_forward(net, inputs), lo), hi)
+                for net, *inputs in zip(ramp_nets, n, q, d, o_prev)]
 
     return gains
 
@@ -540,27 +527,32 @@ def warm_start_rollout(
 ) -> WarmStart:
     """Extend a base controller's single-step output into a full sequence.
 
-    The controller and the plant model of its own network (``base.params``)
-    alternate for ``horizon_max`` steps, starting after the applied rates
-    ``mu_prev``: the controller emits the rates for the current predicted
-    state, the model advances under those rates, and the updated state feeds
-    the next emission.  ``o_prev`` carries the latest realized upstream
-    mainline inflow per metered ramp, refreshed from the model's flows
-    inside the loop.
+    The controller and the model of its own network, one
+    :func:`~basepar.actm.rollout_batch` row, alternate for ``horizon_max``
+    steps from the applied rates ``mu_prev``, each emission on the predicted
+    state.  ``o_prev`` carries the latest realized upstream mainline inflow
+    per metered ramp, replaced by the model's flows after the first step.
+    A NaN rate raises :class:`~basepar.actm.NegativeRateError`, an update out
+    of bounds :class:`~basepar.actm.ModelConsistencyError`, as in the model.
     """
     if horizon_max < 1:
         raise ValueError("horizon_max must be at least 1")
-    params = base.params
-    cur = state
-    mu, o_cur = mu_prev, o_prev
-    total = 0.0
-    mus, thetas = [], []
-    for k in range(horizon_max):
-        inp = predicted_inputs[k] if k < len(predicted_inputs) else predicted_inputs[-1]
-        mu, theta = base.advance(mu, cur, inp, o_cur)
-        cur, flows, cost = step(cur, inp, mu, params, gamma)
-        o_cur = upstream_inflows(flows, params)
-        total += cost.j
-        mus.append(mu)
-        thetas.append(theta)
-    return WarmStart(mu=tuple(mus), theta=tuple(thetas), total_cost=total)
+    # alinea_step's checks, which only the first state can fail; NaN fails too
+    if not all(m >= 0 for m in mu_prev):
+        raise ValueError("mu_prev must be nonnegative")
+    if not all(state.n[i] >= 0 for i in base.params.metered_cells):
+        raise ValueError("densities must be nonnegative")
+    thetas = []
+
+    def gains(n, q, d, o):
+        thetas.append(tuple(base.gains(n, q, d, o_prev if o is None else o)))
+        return thetas[-1]
+
+    (cost,), (plan,) = rollout_batch(state, predicted_inputs, base.params, horizon_max,
+                                     gamma, gains=gains, mu_prev=mu_prev)
+    if not math.isfinite(cost):
+        if not (plan >= 0).all():
+            raise NegativeRateError(f"{base.label} set a negative or NaN metering rate")
+        raise ModelConsistencyError(f"{base.label}'s rollout left the admissible states")
+    return WarmStart(mu=tuple(map(tuple, plan.tolist())), theta=tuple(thetas),
+                     total_cost=float(cost))

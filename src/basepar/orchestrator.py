@@ -260,8 +260,8 @@ class BaseParallelController:
         Returns the base candidates, one per cell in cell order, and the
         result of every solve keyed by controller label, in cell order.
         ``o_prev`` carries the realized upstream mainline inflow per metered
-        ramp from the previous plant step (the network gains and the
-        warm-start loop consume it).
+        ramp from the previous plant step (the network gains read it at the
+        first step of a warm start).
         """
         cfg = self.config
         forecast = (measured,)  # persistence forecast, shared by every block

@@ -66,19 +66,17 @@ from typing import Callable, Generator, Optional, Sequence, TypeVar
 
 import numpy as np
 
-# ``step`` is not called here; it stays importable from this module because
-# perfbench/layers.py wraps it here.
+# ``step`` and ``rollout`` are not called here; they stay importable from
+# this module because perfbench/layers.py wraps them here.
 from .actm import (
     ExogenousInput,
-    ModelConsistencyError,
-    NegativeRateError,
     NetworkParams,
     NetworkState,
     rollout,
     rollout_batch,
     step,
 )
-from .base_controllers import FeedbackController, WarmStart, warm_start_rollout
+from .base_controllers import WarmStart
 
 __all__ = [
     "CONVENTIONAL",
@@ -214,43 +212,16 @@ def _decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
     return x
 
 
-def _clip_decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
-    return np.clip(_decision(problem, decision), problem.bounds_lo, problem.bounds_hi)
-
-
 def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
     """Predicted cost of a decision vector over the problem horizon.
 
-    Decisions are clipped into the bounds first.  The two failures a plan can
+    One merged rollout of one row, clipped into the bounds.  The two failures a plan can
     cause (a negative or NaN rate, a state update out of bounds) surface as
     +inf (logged) so the solver simply avoids the offending point; any other
     error propagates.
     """
-    x = _clip_decision(problem, decision)
-    try:
-        if problem.kind == CONVENTIONAL:
-            plan = [tuple(row) for row in x.reshape(problem.horizon, problem.n_ramps)]
-            res = rollout(
-                problem.initial_state,
-                problem.demand_forecast,
-                plan,
-                problem.params,
-                problem.horizon,
-                problem.gamma,
-            )
-            value = res.total_cost
-        else:
-            # constant gains read no upstream inflows
-            gains = tuple(float(t) for t in x)
-            base = FeedbackController(problem.params, lambda *_: gains, problem.label)
-            value = warm_start_rollout(
-                base, problem.mu_prev, problem.initial_state, problem.demand_forecast,
-                problem.horizon, (), problem.gamma,
-            ).total_cost
-    except (ModelConsistencyError, NegativeRateError):
-        logger.warning("objective evaluation failed for %s; returning +inf", problem.label)
-        return math.inf
-    return float(value) if math.isfinite(value) else math.inf
+    x = _decision(problem, decision)[None, :]
+    return float(_MergedRollouts([problem]).objective([(0, x)])[0])
 
 
 class _MergedRollouts:
@@ -349,7 +320,7 @@ def decision_to_metering(
     problem: MpcProblem, decision: Sequence[float]
 ) -> tuple[tuple[float, ...], ...]:
     """Metering plan (horizon x ramps) encoded by a decision vector."""
-    x = _clip_decision(problem, decision)[None, :]
+    x = _decision(problem, decision)[None, :]
     return _MergedRollouts([problem]).plans([x])[0][0]
 
 

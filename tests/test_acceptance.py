@@ -8,11 +8,12 @@ session and shared.
 
 import hashlib
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from basepar import orchestrator, parallel
+from basepar import actm, base_controllers, orchestrator, parallel, scenario as scenario_module
 from basepar.actm import ExogenousInput, NetworkState, rollout_batch, step
 from basepar.base_controllers import (
     FeedbackController,
@@ -66,7 +67,7 @@ def trained(scenario):
 
 def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
     """Record the horizon and row count of every ``rollout_batch`` call the
-    solver and the orchestrator make from here on."""
+    solver, the orchestrator and the warm starts make from here on."""
     calls = []
 
     def counted(state, inputs, params, horizon, *args, **kwargs):
@@ -74,24 +75,45 @@ def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
         calls.append((horizon, len(costs)))
         return costs, plans
 
-    monkeypatch.setattr(parallel, "rollout_batch", counted)
-    monkeypatch.setattr(orchestrator, "rollout_batch", counted)
+    for module in (parallel, orchestrator, base_controllers):
+        monkeypatch.setattr(module, "rollout_batch", counted)
+    return calls
+
+
+def _count_scalar_model_calls(monkeypatch) -> Counter:
+    """Count the scalar model's ``step`` and ``rollout`` calls from here on,
+    keyed by the module whose global was called."""
+    calls = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (actm, base_controllers, parallel, orchestrator, scenario_module):
+        for name in ("step", "rollout"):
+            if hasattr(module, name):
+                key = f"{module.__name__}.{name}"
+                monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     return calls
 
 
 @pytest.fixture(scope="session")
 def compare_runs(scenario, trained):
     """The serial run of every control approach, the comparison's wall time,
-    and the kernel calls ``(horizon, rows)`` of the architecture's run."""
+    and the kernel calls ``(horizon, rows)`` and the scalar model calls of
+    the architecture's run."""
     nets, _, _ = trained
     t0 = time.monotonic()
-    logs, calls = {}, []
+    logs, calls, scalar_calls = {}, [], Counter()
     for key in CONTROLLER_KEYS:
         with pytest.MonkeyPatch.context() as monkeypatch:
             if key == "architecture":
                 calls = _count_kernel_calls(monkeypatch)
+                scalar_calls = _count_scalar_model_calls(monkeypatch)
             logs[key] = run_experiment(scenario, key, serial=True, nets=nets)
-    return logs, time.monotonic() - t0, calls
+    return logs, time.monotonic() - t0, calls, scalar_calls
 
 
 def test_criterion_1_actm_oracle_equivalence(scenario):
@@ -364,7 +386,7 @@ def test_criterion_7_qualitative_ordering(compare_runs):
     """Average cost per vehicle: frozen-gain feedback >= gain network >= every
     online MPC variant; the architecture's total cost is within 0.5% of the
     best standalone controller; the whole comparison stays under 10 min."""
-    logs, elapsed, _ = compare_runs
+    logs, elapsed = compare_runs[:2]
     avg = {k: logs[k].summary.avg_cost_per_vehicle for k in logs}
     j = {k: logs[k].summary.j_total for k in logs}
     assert avg["alinea"] >= avg["ann"]
@@ -425,16 +447,22 @@ def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
 def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkeypatch):
     """The serial architecture run makes an exact number of kernel calls,
     model steps and rows, over its first 20 steps and over all 180: one call
-    per solver round, plan conversion and candidate evaluation, so extra
-    rounds show here."""
+    per warm start, solver round, plan conversion and candidate evaluation,
+    so extra rounds show here."""
     calls = _count_kernel_calls(monkeypatch)
     run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
-    assert len(calls) == 220
-    assert sum(h for h, _ in calls) == 2039
+    assert len(calls) == 260
+    assert sum(h for h, _ in calls) == 2439
     calls = compare_runs[2]
-    assert len(calls) == 1241
-    assert sum(h for h, _ in calls) == 10926
-    assert sum(rows for _, rows in calls) == 119396
+    assert len(calls) == 1601
+    assert sum(h for h, _ in calls) == 14526
+    assert sum(rows for _, rows in calls) == 119756
+
+
+def test_serial_architecture_steps_the_scalar_model_for_the_plant_only(compare_runs):
+    """The kernel is the one prediction model: over a 180-step serial
+    architecture run only the plant steps the scalar model, once a step."""
+    assert compare_runs[3] == Counter({"basepar.scenario.step": 180})
 
 
 def test_serial_descents_strictly_decrease(scenario, trained, monkeypatch):

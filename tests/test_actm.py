@@ -20,7 +20,6 @@ from basepar.actm import (
     compute_mainline_outflow,
     compute_offramp_outflow,
     compute_onramp_inflow,
-    density,
     rollout,
     rollout_batch,
     stage_cost,
@@ -278,13 +277,6 @@ class TestRollout:
 
 
 class TestDensityAndCost:
-    def test_density_values(self, net, init_state):
-        rho = density(init_state, net)
-        assert rho[1] == pytest.approx(36.2 / 560.0, abs=1e-9)
-        assert rho[5] == 0.0
-        full = NetworkState(n=(80.0,) * 6, q=(0.0,) * 3)
-        assert density(full, net)[0] == pytest.approx(80.0 / 560.0, abs=1e-9)
-
     def test_travel_time_hand_value(self, net):
         # occupancy 90 veh over a 20 s cycle -> 0.5 veh-hours
         state = NetworkState(n=(30.0, 30.0, 10.0, 5.0, 5.0, 0.0), q=(5.0, 3.0, 2.0))
@@ -521,3 +513,24 @@ def test_a_rows_cost_ignores_its_plan_past_its_horizon(net, init_state):
             assert rolled[b].tobytes() == plans[b].tobytes()
         want = rollout(init_state, inputs, plan, net, int(end)).total_cost
         assert np.float64(want).tobytes() == costs[b].tobytes()
+
+
+def test_a_callable_gains_rolls_one_row_alone(net, init_state):
+    # a gain source sets the gains of one row of its own: next to plans or
+    # gain rows there would be rows it does not set
+    inputs = (demand(),)
+    mu_prev = (0.5, 0.2, 0.4)
+
+    def source(*_):
+        return (0.016,) * 3
+
+    for kinds in (dict(plans=np.ones((1, 3, 3))), dict(gain_rows=np.array([True])),
+                  dict(plans=np.ones((1, 3, 3)), gain_rows=np.array([True]))):
+        with pytest.raises(ValueError, match="callable gains"):
+            rollout_batch(init_state, inputs, net, 3, 0.8, gains=source, mu_prev=mu_prev,
+                          **kinds)
+    costs, plans = rollout_batch(init_state, inputs, net, 3, 0.8, gains=source, mu_prev=mu_prev)
+    assert costs.shape == (1,) and plans.shape == (1, 3, 3)
+    with pytest.raises(TopologyError):
+        rollout_batch(init_state, inputs, net, 3, 0.8, gains=lambda *_: (0.016,) * 2,
+                      mu_prev=mu_prev)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NetworkState, density, step
+from basepar.actm import ExogenousInput, NegativeRateError, NetworkState, step
 from basepar.base_controllers import (
     FeedbackController,
     GenerationRanges,
@@ -25,6 +25,7 @@ from basepar.base_controllers import (
 from basepar.scenario import default_scenario
 
 from oracles import grid_search_gain
+from scalar_reference import metered_density, scalar_gain_rollout
 
 
 @pytest.fixture
@@ -78,6 +79,13 @@ class TestAlinea:
     def test_nan_inputs_rejected(self, mu_prev, rho):
         with pytest.raises(ValueError):
             alinea_step(mu_prev, (0.01, 0.01), rho, 0.0335)
+
+    @pytest.mark.parametrize("theta, rho", [(math.nan, 0.02), (math.inf, 0.0335),
+                                            (-math.inf, 0.02)])
+    def test_non_finite_gains_rejected(self, theta, rho):
+        # the first two would give a NaN rate, the last a silent 0.0
+        with pytest.raises(ValueError, match="gains"):
+            alinea_step((0.5,), (theta,), (rho,), 0.0335)
 
 
 class TestMlpForward:
@@ -302,9 +310,8 @@ class TestWarmStartRollout:
             self.controller(net), mu_prev, self.state(), (self.measured(),), 1,
             (3.8, 3.2, 0.6),
         )
-        expected, _ = self.controller(net).advance(
-            MU_PREV, self.state(), self.measured(), (3.8, 3.2, 0.6)
-        )
+        expected = alinea_step(MU_PREV, (0.016,) * 3, metered_density(self.state(), net),
+                               net.rho_crit)
         assert warm.mu == (expected,)
         # the caller's previous rates are untouched
         assert mu_prev == [0.5, 0.2, 0.4]
@@ -317,8 +324,7 @@ class TestWarmStartRollout:
         # re-derive by hand: alternate the feedback law and the plant model
         state, mu = self.state(), MU_PREV
         for k in range(6):
-            rho = density(state, net)
-            mu = alinea_step(mu, (0.016,) * 3, [rho[i] for i in net.metered_cells], net.rho_crit)
+            mu = alinea_step(mu, (0.016,) * 3, metered_density(state, net), net.rho_crit)
             assert warm.mu[k] == pytest.approx(mu, abs=1e-15)
             state, _, _ = step(state, self.measured(), mu, net)
 
@@ -356,3 +362,59 @@ class TestWarmStartRollout:
         assert warm.theta is not None
         assert all(row == (0.5, 0.5, 0.5) for row in warm.theta)
         assert len(warm.mu) == 4
+
+    def test_network_rollout_equals_the_scalar_loop_byte_for_byte(self, net):
+        # the gain network on the kernel against the scalar loop of network
+        # gains, feedback law, model step and upstream inflows: rates, gains
+        # and cost byte for byte, from random states with random nonzero
+        # weights; the step-0 inflows are the caller's, unlike any later ones
+        rng = np.random.default_rng(43)
+        lo, hi = GenerationRanges().as_bounds()
+        clipped = moved = 0
+        for trial in range(40):
+            nets = {
+                i: MlpParams(
+                    hidden_weights=tuple(tuple(rng.normal(0.0, 2.0, size=4)) for _ in range(3)),
+                    hidden_bias=tuple(rng.normal(0.0, 1.0, size=3)),
+                    output_weights=tuple(rng.normal(0.0, 0.01, size=3)),
+                    output_bias=float(rng.uniform(0.0, 0.04)),
+                    input_lo=lo, input_hi=hi,
+                )
+                for i in net.metered_cells
+            }
+            gains = network_gains(net, nets, (0.0, 0.04))
+            state = NetworkState(n=tuple(rng.uniform(0.0, 80.0, size=6)),
+                                 q=tuple(rng.uniform(0.0, 15.0, size=3)))
+            forecast = tuple(ExogenousInput(float(rng.uniform(0, 7)),
+                                            tuple(rng.uniform(0, 3, size=3)))
+                             for _ in range(int(rng.integers(1, 4))))
+            mu_prev = tuple(rng.uniform(0.0, 3.0, size=3))
+            o_prev = tuple(rng.uniform(0.0, 8.0, size=3))
+            horizon = 1 + trial % 10
+            warm = warm_start_rollout(FeedbackController(net, gains, "ANN"), mu_prev, state,
+                                      forecast, horizon, o_prev)
+            rates, trail, cost = scalar_gain_rollout(net, gains, mu_prev, state, forecast,
+                                                     horizon, o_prev)
+            assert np.array(warm.mu).tobytes() == np.array(rates).tobytes()
+            assert np.array(warm.theta).tobytes() == np.array(trail).tobytes()
+            assert np.float64(warm.total_cost).tobytes() == np.float64(cost).tobytes()
+            # the caller's inflows reach the network at step 0
+            other = scalar_gain_rollout(net, gains, mu_prev, state, forecast, 1,
+                                        tuple(v + 1.0 for v in o_prev))[1]
+            moved += other[0] != trail[0]
+            clipped += sum(t in (0.0, 0.04) for row in trail for t in row)
+        assert moved >= 30, moved
+        assert clipped >= 20, clipped  # the clip is covered, not only the interior
+
+    def test_nan_gains_raise_negative_rate_error(self, net):
+        # a gain source that turns NaN at its third step: the rate it derives
+        # is NaN there, which the model rejects
+        calls = []
+
+        def gains(*_):
+            calls.append(1)
+            return (0.016,) * 3 if len(calls) < 3 else (0.016, math.nan, 0.016)
+
+        with pytest.raises(NegativeRateError):
+            warm_start_rollout(FeedbackController(net, gains, "NaN"), MU_PREV, self.state(),
+                               (self.measured(),), 5, (3.8, 3.2, 0.6))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from basepar.actm import ExogenousInput, NetworkState, TopologyError, rollout
-from basepar.base_controllers import FeedbackController, MlpParams
+from basepar.base_controllers import FeedbackController, MlpParams, alinea_step
 from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
@@ -21,6 +21,7 @@ from basepar.parallel import CONVENTIONAL, PARAMETERIZED, CandidateSequence, Opt
 from basepar.scenario import build_architecture, default_scenario
 
 from oracles import oracle_rollout_cost
+from scalar_reference import metered_density
 
 NET = default_scenario().network
 STATE = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
@@ -151,7 +152,7 @@ class TestControlStep:
     def test_base_only_architecture_applies_base_output(self):
         arch = make_arch([ParallelCell(base=alinea())])
         record, _ = arch.control_step(STATE, MEASURED, O_PREV)
-        expected, _ = alinea().advance(MU_INIT, STATE, MEASURED, O_PREV)
+        expected = alinea_step(MU_INIT, (0.016,) * 3, metered_density(STATE, NET), NET.rho_crit)
         assert record.applied == pytest.approx(expected, abs=1e-15)
         assert record.winner == "ALINEA"
 
@@ -179,9 +180,8 @@ class TestControlStep:
         assert len(record.candidate_labels) > 2 and all(map(math.isinf, evaluation.costs))
         assert record.winner == "ALINEA" and evaluation.winner_index == 0
         gains = (scenario.control.alinea_gain,) * 3
-        alinea_rate, _ = FeedbackController(NET, lambda *_: gains, "ALINEA").advance(
-            scenario.mu_prev_init, STATE, MEASURED, O_PREV
-        )
+        alinea_rate = alinea_step(scenario.mu_prev_init, gains, metered_density(STATE, NET),
+                                  NET.rho_crit)
         assert record.applied == alinea_rate
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -276,7 +276,8 @@ class TestControlStep:
         assert arch.mu_prev == record.applied
         # the next step's base starts from the applied rates
         bases, _ = arch.propose(STATE, MEASURED, O_PREV)
-        expected, _ = alinea().advance(record.applied, STATE, MEASURED, O_PREV)
+        expected = alinea_step(record.applied, (0.016,) * 3, metered_density(STATE, NET),
+                               NET.rho_crit)
         assert bases[0].metering[0] == expected
         assert len(arch.histories["CMPC(1)"]) == 1
         assert arch.histories["CMPC(1)"][0].shape == (3, 3)

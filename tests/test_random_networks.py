@@ -42,6 +42,7 @@ from basepar.parallel import (
 )
 
 from oracles import oracle_gain_plan, oracle_rollout_cost
+from scalar_reference import scalar_gain_rollout
 
 
 def random_network(rng, allow_beta_one=False):
@@ -272,33 +273,70 @@ class TestRandomTopologies:
             assert all(all(m >= 0.0 for m in row) for row in warm.mu)
             checked += 1
 
+    def test_warm_start_raises_where_the_scalar_loop_raises(self):
+        # on overfilling networks a rollout can leave the admissible states:
+        # a warm start raises ModelConsistencyError where the scalar loop
+        # does, and otherwise gives the loop's rates and cost byte for byte
+        rng = np.random.default_rng(271)
+        raised = finished = 0
+        for trial in range(80):
+            net = random_network(rng)
+            if not net.metered_cells:
+                continue
+            net = overfilling(net)
+            nr = len(net.metered_cells)
+            theta = tuple(rng.uniform(0.0, 2.0, size=nr).tolist())
+            mu_prev = tuple(rng.uniform(0.0, 5.0, size=nr).tolist())
+            state, forecast = random_state(rng, net), (random_input(rng, net),)
+            horizon = int(rng.integers(1, 11))
+            base = FeedbackController(net, lambda *_, t=theta: t, "R")
+            try:
+                rates, _, cost = scalar_gain_rollout(net, base.gains, mu_prev, state, forecast,
+                                                     horizon, ())
+            except ModelConsistencyError:
+                with pytest.raises(ModelConsistencyError):
+                    warm_start_rollout(base, mu_prev, state, forecast, horizon, ())
+                raised += 1
+                continue
+            warm = warm_start_rollout(base, mu_prev, state, forecast, horizon, ())
+            assert np.array(warm.mu).tobytes() == np.array(rates).tobytes()
+            assert np.float64(warm.total_cost).tobytes() == np.float64(cost).tobytes()
+            finished += 1
+        assert raised >= 10 and finished >= 10, (raised, finished)
+
 
 class TestBatchedRollout:
-    """``rollout_batch`` against the scalar objective, compared byte for byte
-    so that the sign of a zero counts too."""
+    """``rollout_batch`` against the scalar model and feedback law, compared
+    byte for byte so that the sign of a zero counts too."""
 
     def gain_rollout(self, problem, theta):
-        """The scalar rollout of the constant gains ``theta``: the feedback
-        law of a base whose gains never change."""
+        """The scalar rollout of the constant gains ``theta``: rates, gains
+        and cost."""
         gains = tuple(float(t) for t in theta)
-        base = FeedbackController(problem.params, lambda *_: gains, "gains")
-        return warm_start_rollout(base, problem.mu_prev, problem.initial_state,
-                                  problem.demand_forecast, problem.horizon, (),
-                                  problem.gamma)
+        return scalar_gain_rollout(problem.params, lambda *_: gains, problem.mu_prev,
+                                   problem.initial_state, problem.demand_forecast,
+                                   problem.horizon, (), problem.gamma)
 
-    def scalar_failure(self, problem, x):
-        """The exception the scalar model raises for decision ``x``, if any."""
+    def scalar(self, problem, x):
+        """The scalar model's cost of decision ``x``, clipped into the
+        bounds, and the exception it raises, if any, with cost +inf."""
         x = np.clip(x, problem.bounds_lo, problem.bounds_hi)
         try:
             if problem.kind == CONVENTIONAL:
-                rollout(problem.initial_state, problem.demand_forecast,
-                        x.reshape(problem.horizon, -1).tolist(), problem.params,
-                        problem.horizon, problem.gamma)
+                cost = rollout(problem.initial_state, problem.demand_forecast,
+                               x.reshape(problem.horizon, -1).tolist(), problem.params,
+                               problem.horizon, problem.gamma).total_cost
             else:
-                self.gain_rollout(problem, x)
+                cost = self.gain_rollout(problem, x)[2]
         except (ModelConsistencyError, NegativeRateError) as exc:
-            return type(exc)
-        return None
+            return math.inf, type(exc)
+        return cost, None
+
+    def scalar_cost(self, problem, x):
+        return self.scalar(problem, x)[0]
+
+    def scalar_failure(self, problem, x):
+        return self.scalar(problem, x)[1]
 
     def assert_gain_plan(self, problem, theta, plan):
         """The rates ``rollout_batch`` derived for gains ``theta``, byte for
@@ -309,10 +347,11 @@ class TestBatchedRollout:
                                 problem.horizon)
         assert plan.tobytes() == np.array(want, dtype=float).tobytes()
         if self.scalar_failure(problem, theta) is None:
-            scalar = self.gain_rollout(problem, theta).mu
+            scalar = self.gain_rollout(problem, theta)[0]
             assert plan.tobytes() == np.array(scalar, dtype=float).tobytes()
 
     def test_costs_equal_scalar_objective_bit_for_bit(self):
+        # the scalar objective: the scalar model's cost, +inf where it raises
         rng = np.random.default_rng(241)
         rows = {CONVENTIONAL: 0, PARAMETERIZED: 0}
         failures = {ModelConsistencyError: 0, NegativeRateError: 0}
@@ -350,7 +389,7 @@ class TestBatchedRollout:
                     )
                     for x, plan in zip(xs, plans):
                         self.assert_gain_plan(problem, x, plan)
-                want = np.array([objective(problem, x) for x in xs])
+                want = np.array([self.scalar_cost(problem, x) for x in xs])
                 assert got.tobytes() == want.tobytes()
                 for x in xs:
                     failure = self.scalar_failure(problem, x)
@@ -386,7 +425,7 @@ class TestBatchedRollout:
                 demand_forecast=forecast, mu_prev=mu_prev,
                 bounds_lo=(-1.0,) * nr, bounds_hi=(1.0,) * nr, gamma=0.8, label="R",
             )
-            want = np.array([objective(problem, g) for g in gains])
+            want = np.array([self.scalar_cost(problem, g) for g in gains])
             assert costs.tobytes() == want.tobytes()
             for g, plan in zip(gains, plans):
                 self.assert_gain_plan(problem, g, plan)
@@ -479,7 +518,7 @@ class TestBatchedRollout:
                 gain_rows=np.array([p.kind == PARAMETERIZED for p, _, _ in rows]),
                 horizons=np.array([p.horizon for p, _, _ in rows]),
             )
-            want = np.array([objective(p, x) for p, x, _ in rows])
+            want = np.array([self.scalar_cost(p, x) for p, x, _ in rows])
             assert got.tobytes() == want.tobytes()
             for b, (p, x, full) in enumerate(rows):
                 rows_checked += 1

@@ -263,17 +263,17 @@ class TestRunExperiment:
 
     def test_standalone_base_rolls_one_model_step_per_control_step(self, monkeypatch):
         # a standalone base applies only its first rate and nothing is
-        # evaluated, so its warm start rolls the model one step, not as far
-        # as the evaluation horizon
+        # evaluated, so its warm start is a one-step kernel call, not one as
+        # long as the evaluation horizon
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return actm.step(*args, **kwargs)
+        def counted(state, inputs, params, horizon, *args, **kwargs):
+            calls.append(horizon)
+            return actm.rollout_batch(state, inputs, params, horizon, *args, **kwargs)
 
-        monkeypatch.setattr(base_controllers, "step", counted)
+        monkeypatch.setattr(base_controllers, "rollout_batch", counted)
         run_experiment(default_scenario(seed=5), "alinea", serial=True, steps_override=7)
-        assert len(calls) == 7
+        assert calls == [1] * 7
 
     def test_standalone_mpc_reports_solver_stats(self):
         cfg = default_scenario(seed=9)
