@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -174,25 +175,49 @@ def save_mlp_params(path, nets: dict[int, MlpParams]) -> None:
         fh.write("\n")
 
 
+# a parameter file's fields of one cell, in :class:`MlpParams` order, with
+# how deeply each nests lists of numbers
+_MLP_FIELDS = {"hidden_weights": 2, "hidden_bias": 1, "output_weights": 1,
+               "output_bias": 0, "input_scale_lo": 1, "input_scale_hi": 1}
+
+
+def _numbers(value, depth: int, where: str):
+    """``value``, lists nested ``depth`` deep of finite numbers (not
+    booleans), as tuples of floats."""
+    if depth and isinstance(value, list):
+        return tuple(_numbers(v, depth - 1, where) for v in value)
+    if not depth and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{where} must be {'a list' if depth else 'a finite number'}, got {value!r}")
+
+
 def load_mlp_params(path) -> dict[int, MlpParams]:
+    """The networks :func:`save_mlp_params` wrote; a malformed file raises
+    ``ValueError`` naming the cell and the field at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("parameter file must hold a JSON object")
     if payload.get("schema") != "gain-net/1":
         raise ValueError(f"unsupported parameter file schema: {payload.get('schema')!r}")
     if payload.get("shape") != [4, 3, 1]:
         raise ValueError(f"unsupported network shape: {payload.get('shape')!r}")
+    if not isinstance(payload.get("cells"), dict):
+        raise ValueError(f"field 'cells' must be a mapping, got {payload.get('cells')!r}")
     nets = {}
     for cell, p in payload["cells"].items():
+        if not isinstance(p, dict):
+            raise ValueError(f"cell {cell} must be a mapping, got {p!r}")
         if p.get("activation") != "tanh":
             raise ValueError(f"unsupported activation in cell {cell}: {p.get('activation')!r}")
-        nets[int(cell)] = MlpParams(
-            hidden_weights=tuple(tuple(r) for r in p["hidden_weights"]),
-            hidden_bias=tuple(p["hidden_bias"]),
-            output_weights=tuple(p["output_weights"]),
-            output_bias=p["output_bias"],
-            input_lo=tuple(p["input_scale_lo"]),
-            input_hi=tuple(p["input_scale_hi"]),
-        )
+        for key in _MLP_FIELDS:
+            if key not in p:
+                raise ValueError(f"cell {cell}: missing field '{key}'")
+        try:
+            nets[int(cell)] = MlpParams(*(_numbers(p[key], depth, f"field '{key}'")
+                                          for key, depth in _MLP_FIELDS.items()))
+        except ValueError as exc:
+            raise ValueError(f"cell {cell}: {exc}") from None
     return nets
 
 

@@ -20,34 +20,32 @@ deadline expires or when the per-start iteration cap is reached.  With a
 zero budget the result degenerates to the best starting point by objective
 value.
 
-Each descent is a coroutine that requests the decision rows it needs costed:
-one whole line search (every step length up to the first that does not
-move, the first passing the Armijo test being accepted), which also carries
-the forward-difference points around its full step, or one forward-difference
-gradient where a shorter step was accepted.  One scheduler drives the
-descents of every solve in lockstep: those from all starts of one problem,
-and through :func:`run_parallel_cells` those of every problem of every
-parallel cell of a control step, whatever their kind and horizon.  The
-problems of one joint solve share one context: the measured state, the
-forecast, the network, gamma and the previous rates.  The starts round
-comes first whatever the deadline; it evaluates every distinct start
-together with the forward-difference points around it, so each descent
-begins with its gradient, and a start repeated bit for bit lists its twin's
-records instead of descending again.  Each later round evaluates the
-requests of every live descent together; with the built-in objective that is
-one :func:`~basepar.actm.rollout_batch` call per round, and its costs equal
-the point-by-point ones bit for bit, whatever other rows share the call.
-The deadline is checked before every round after the starts round, so every
-live solve takes part in every round until it expires and the overshoot is
-bounded by one merged batch.  There is no thread pool: without a deadline
-(serial mode) the same scheduler runs until every descent has finished.
+Each start is one coroutine, from its first cost to its last descent step.
+Its first request is its own cost with the forward-difference points around
+it, so its descent begins with its gradient.  Each later request is one
+whole line search (every step length up to the first that does not move,
+the first passing the Armijo test being accepted), which also carries the
+forward-difference points around its full step, or one forward-difference
+gradient where a shorter step was accepted.  One scheduler pass drives the
+starts of every solve in lockstep: those of one problem, and through
+:func:`run_parallel_cells` those of every problem of every parallel cell of
+a control step, whatever their kind and horizon, which share one context
+(the measured state, the forecast, the network, gamma and the previous
+rates).  A start repeated bit for bit lists its first copy's records
+instead of descending again.  Each round evaluates the requests of every
+live start together: with the built-in objective in one
+:func:`~basepar.actm.rollout_batch` call, whose costs equal the
+point-by-point ones bit for bit whatever other rows share it; a substituted
+``objective_fn`` point by point.  The first round runs whatever the
+deadline.  The deadline is checked before every later round, and before
+every point of a substituted ``objective_fn``, so every live solve takes
+part in every round until it expires.  There is no thread pool: without a
+deadline (serial mode) the same pass runs until every start has finished.
 Records are listed start by start as a sequential solver lists them, so
-results depend neither on the interleaving nor on which other problems share
-the rounds.  A substituted ``objective_fn`` is evaluated point by point,
-with the deadline checked before every point after the starts round.  What
-the solver derives from a problem's bounds (the coordinates with
-``lo != hi``, where their difference steps go, the width of the box) is
-derived once per solve, not once per gradient.
+results depend neither on the interleaving nor on which other problems
+share the rounds.  What the solver derives from a problem's bounds (the
+coordinates with ``lo != hi``, where their difference steps go, the width
+of the box) is derived once per solve, not once per gradient.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -280,8 +278,11 @@ class _MergedRollouts:
         )
         return costs, [plans[rows, : p.horizon] for rows, p in zip(places, problems)]
 
-    def objective(self, requests: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-        """:func:`objective` of every requested row, in request order."""
+    def objective(
+        self, requests: Sequence[tuple[int, np.ndarray]], deadline: Optional[float] = None
+    ) -> np.ndarray:
+        """:func:`objective` of every requested row, in request order; one
+        kernel call, which no ``deadline`` cuts short."""
         costs, _ = self(requests)
         finite = np.isfinite(costs)
         if not finite.all():
@@ -368,8 +369,8 @@ def base_start_for(problem: MpcProblem, warm: WarmStart) -> np.ndarray:
 # Budgeted projected quasi-Newton solver
 # ---------------------------------------------------------------------------
 
-def _expired(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
+def _expired(deadline: float) -> bool:
+    return time.monotonic() >= deadline
 
 
 # A coroutine that yields decision rows ``[k, dim]`` to be evaluated, is sent
@@ -382,8 +383,9 @@ Evaluation = Generator[np.ndarray, np.ndarray, T]
 _STEP_LENGTHS = (0.5 ** np.arange(30))[:, None]
 
 # Costs of the requested rows, one ``(key, rows)`` pair per live coroutine,
-# as one array in request order; None to stop.
-Evaluator = Callable[[list[tuple[object, np.ndarray]]], Optional[np.ndarray]]
+# as one array in request order, given the deadline the evaluation may stop
+# at (None for none); None to stop.
+Evaluator = Callable[[list[tuple[object, np.ndarray]], Optional[float]], Optional[np.ndarray]]
 
 
 def _lockstep(
@@ -395,9 +397,11 @@ def _lockstep(
     ``tasks`` pairs each coroutine with a key naming what its rows belong to
     (a problem).  Each round passes the rows every live coroutine has
     requested, with its key, to one ``evaluate`` call and sends each
-    coroutine its share of the costs.  A deadline is checked before every
-    round; once it has expired, or ``evaluate`` returns None, the coroutines
-    still running are abandoned and their results are None.
+    coroutine its share of the costs.  The first round runs whatever the
+    deadline, and its evaluation is given none.  The deadline is checked
+    before every later round and passed to its evaluation; once it has
+    expired, or ``evaluate`` returns None, the coroutines still running are
+    abandoned and their results are None.
     """
     results: list = [None] * len(tasks)
     live = []
@@ -412,14 +416,16 @@ def _lockstep(
 
     for t, (key, coroutine) in enumerate(tasks):
         advance(t, key, coroutine, None)
-    while live and (deadline is None or not _expired(deadline)):
-        costs = evaluate([(key, rows) for _, key, _, rows in live])
+    limit = None  # the first round's
+    while live and (limit is None or not _expired(limit)):
+        costs = evaluate([(key, rows) for _, key, _, rows in live], limit)
         if costs is None:
             break
         pending, live, at = live, [], 0
         for t, key, coroutine, rows in pending:
             advance(t, key, coroutine, costs[at:at + len(rows)])
             at += len(rows)
+        limit = deadline
     return results
 
 
@@ -476,49 +482,22 @@ def _gradient_request(
     return differences.gradient(f, costs)
 
 
-def _starts_request(
-    x: np.ndarray, bounds: _Bounds, h: Optional[float]
-) -> Evaluation[tuple[np.ndarray, list[Optional[np.ndarray]]]]:
-    """Costs of the starts ``x`` ``[k, dim]`` and, given a difference step
-    ``h``, the gradient at each finite one, all in one request; a start
-    without a gradient gets None."""
-    differences = [] if h is None else [_Differences(row, bounds, h) for row in x]
-    costs = yield np.concatenate([x, *(d.points for d in differences)])
-    fs, gradients, at = costs[:len(x)], [None] * len(x), len(x)
-    for j, d in enumerate(differences):
-        if math.isfinite(fs[j]):
-            gradients[j] = d.gradient(float(fs[j]), costs[at:at + len(d.points)])
-        at += len(d.points)
-    return fs, gradients
-
-
-def _pointwise(fun: Callable[[np.ndarray], float], deadline: Optional[float]) -> Evaluator:
+def _pointwise(fun: Callable[[np.ndarray], float]) -> Evaluator:
     """Evaluator calling ``fun`` row by row, the deadline checked before
     every row; it returns None once the deadline has expired."""
 
-    def evaluate(requests: list[tuple[object, np.ndarray]]) -> Optional[np.ndarray]:
+    def evaluate(
+        requests: list[tuple[object, np.ndarray]], deadline: Optional[float]
+    ) -> Optional[np.ndarray]:
         rows = np.concatenate([rows for _, rows in requests])
         costs = np.empty(len(rows))
         for i, row in enumerate(rows):
-            if _expired(deadline):
+            if deadline is not None and _expired(deadline):
                 return None
             costs[i] = fun(row)
         return costs
 
     return evaluate
-
-
-def _fd_gradient(
-    fun: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    f0: float,
-    bounds: _Bounds,
-    h: float,
-) -> np.ndarray:
-    """The solver's forward-difference gradient of ``fun``, evaluated point
-    by point."""
-    request = _gradient_request(x, f0, bounds, h)
-    return _lockstep([(None, request)], _pointwise(fun, None), None)[0]
 
 
 def _line_search(
@@ -562,11 +541,11 @@ def _descent(
     g0: np.ndarray,
     bounds: _Bounds,
     cfg: OptimizerConfig,
-    record: Callable[[np.ndarray, float, int, bool], None],
+    trail: list,
 ) -> Evaluation[None]:
     """Projected BFGS from one start whose gradient ``g0`` is known; every
-    point it moves to is recorded, and each costs strictly less than the
-    one before it.
+    point it moves to is recorded onto ``trail`` as ``(x, cost, iterations,
+    converged)``, and each costs strictly less than the one before it.
 
     The descent ends when the line search accepts no step, or accepts one
     whose cost is not strictly below the current cost (that point is not
@@ -604,7 +583,7 @@ def _descent(
         df = f - f_new
         dx = float(np.maximum.reduce(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)
-        record(x_new, f_new, it, converged)
+        trail.append((x_new.copy(), f_new, it, converged))
         if converged or it == cfg.max_iterations:
             return
         if g_new is None:
@@ -625,100 +604,76 @@ def _descent(
         x, f, g = x_new, f_new, g_new
 
 
+def _opening(
+    x: np.ndarray, bounds: _Bounds, cfg: OptimizerConfig, trail: list
+) -> Evaluation[None]:
+    """One start, from its first cost to its last descent step.
+
+    The start's cost is requested together with the forward-difference
+    points around it (none under a zero iteration cap), and the start is
+    recorded onto ``trail`` first; from a finite cost the descent follows,
+    beginning with that gradient (see :func:`_descent`).
+    """
+    ahead = _Differences(x, bounds, cfg.fd_step) if cfg.max_iterations else None
+    costs = yield x[None] if ahead is None else np.vstack([x, ahead.points])
+    f = float(costs[0])
+    trail.append((x.copy(), f, 0, False))
+    if ahead is not None and math.isfinite(f):
+        yield from _descent(x, f, ahead.gradient(f, costs[1:]), bounds, cfg, trail)
+
+
 def _solve_jointly(
     problems: Sequence[MpcProblem],
     starts: Sequence[Sequence[Sequence[float]]],
     config: OptimizerConfig,
-    deadline: Optional[float],
     objective_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> list[BudgetedResult]:
     """Solve every problem from its starts in one lockstep (see
-    :func:`solve_budgeted`).
+    :func:`solve_budgeted`), against the config budget from the call.
 
-    The starts round comes first, whatever the deadline: it evaluates each
-    distinct clipped start of every problem together with the
-    forward-difference points around it, so every descent begins with its
-    gradient.  One descent then runs from every distinct finite start of
-    every problem, side by side, and each round evaluates all their requests
+    One :func:`_opening` runs from every distinct clipped start of every
+    problem, side by side, and each round evaluates all their requests
     together: with the built-in objective as one merged rollout, with
-    ``objective_fn`` point by point.  A start repeated bit for bit lists its
-    twin's records again.  Finally the kept points of all problems are converted to plans, the
-    parameterized ones in one merged rollout.
+    ``objective_fn`` point by point.  The first round, which costs every
+    start with the forward-difference points around it, runs whatever the
+    deadline.  A start repeated bit for bit lists its first copy's records
+    again.  Finally the kept points of all problems are converted to plans,
+    the parameterized ones in one merged rollout.
     """
     if any(len(s) == 0 for s in starts):
         raise ValueError("at least one starting point is required")
     t0 = time.monotonic()
+    deadline = None if config.budget_s is None else t0 + config.budget_s
     rollouts = _MergedRollouts(problems)
-    if objective_fn is None:
-        evaluate: Evaluator = rollouts.objective
-        evaluate_starts = evaluate
-    else:
-        evaluate = _pointwise(objective_fn, deadline)
-        evaluate_starts = _pointwise(objective_fn, None)
+    evaluate = rollouts.objective if objective_fn is None else _pointwise(objective_fn)
 
-    # per problem: the clipped starts, and for each the position of its
-    # first copy among the distinct ones
-    xs, twins, requests = [], [], []
-    h = config.fd_step if config.max_iterations else None
+    # per problem: each clipped start's trail, a start repeated bit for bit
+    # sharing its first copy's
+    openings, trails = [], []
     for i, (problem, s) in enumerate(zip(problems, starts)):
         x = rollouts.bounds[i].clip(np.array([_decision(problem, row) for row in s]))
-        first: dict[bytes, int] = {}
-        twin = [first.setdefault(row.tobytes(), len(first)) for row in x]
-        distinct = x[[twin.index(j) for j in range(len(first))]]
-        requests.append((i, _starts_request(distinct, rollouts.bounds[i], h)))
-        xs.append(x)
-        twins.append(twin)
-    opened = _lockstep(requests, evaluate_starts, None)
+        distinct = {row.tobytes(): (row, []) for row in x}
+        openings.extend((i, _opening(row, rollouts.bounds[i], config, trail))
+                        for row, trail in distinct.values())
+        trails.append([distinct[row.tobytes()][1] for row in x])
+    _lockstep(openings, evaluate, deadline)
 
-    def recorder(into: list) -> Callable[[np.ndarray, float, int, bool], None]:
-        return lambda x, f, iterations, converged: into.append(
-            (x.copy(), float(f), iterations, converged)
-        )
-
-    # per problem: the start records, then one trail per descent in start
-    # order, a repeated start listing its twin's trail again
-    logs: list[list[list]] = []
-    tasks = []
-    for i, (x, twin, (fs, gradients)) in enumerate(zip(xs, twins, opened)):
-        log = [[]]
-        record_start = recorder(log[0])
-        trails: dict[int, list] = {}
-        for k, j in enumerate(twin):
-            record_start(x[k], fs[j], 0, False)
-            if gradients[j] is None:
-                continue
-            if j not in trails:
-                trails[j] = []
-                tasks.append((i, _descent(x[k], float(fs[j]), gradients[j], rollouts.bounds[i],
-                                          config, recorder(trails[j]))))
-            log.append(trails[j])
-        logs.append(log)
-    _lockstep(tasks, evaluate, deadline)
-
-    recorded = [[item for part in log for item in part] for log in logs]
-    best = [min(range(len(r)), key=lambda k, r=r: (r[k][1], k)) for r in recorded]
+    # the starts, then each start's descent in start order
+    recorded = [[t[0] for t in ts] + [item for t in ts for item in t[1:]] for ts in trails]
     if config.termination == "all":
         kept = recorded
-    else:
-        kept = [[r[k]] for r, k in zip(recorded, best)]
-        best = [0] * len(problems)
+    else:  # the first point of least cost
+        kept = [[min(r, key=lambda item: item[1])] for r in recorded]
     plans = rollouts.plans([np.array([item[0] for item in items]) for items in kept])
     elapsed = time.monotonic() - t0
     results = []
-    for problem, items, plan_list, best_idx, trail in zip(problems, kept, plans, best, recorded):
+    for problem, items, plan_list, trail in zip(problems, kept, plans, recorded):
         iterates = tuple(
-            CandidateSequence(
-                metering=plan,
-                source=problem.label,
-                cost=float(f),
-                decision=tuple(float(v) for v in x),
-                iterations=iters,
-                converged=converged,
-            )
-            for plan, (x, f, iters, converged) in zip(plan_list, items)
+            CandidateSequence(plan, problem.label, f, tuple(x.tolist()), iterations, converged)
+            for plan, (x, f, iterations, converged) in zip(plan_list, items)
         )
         results.append(BudgetedResult(
-            best=iterates[best_idx],
+            best=min(iterates, key=lambda c: c.cost),
             iterates=iterates,
             cost_trail=tuple(item[1] for item in trail),
             elapsed_s=elapsed,
@@ -735,27 +690,28 @@ def solve_budgeted(
     """Minimize the problem objective from every start within the budget.
 
     All starts are clipped into the bounds and evaluated up front, with the
-    gradient at each (this defines the zero-budget result and guarantees the
-    solver never returns worse than a provided start).  The descents from
-    all distinct finite starts then run in lockstep until they finish or the
-    deadline expires: each round evaluates the requests of every live
-    descent together, each request being one whole line search (with the
-    gradient points of its full step) or one forward-difference gradient.
+    gradient at each, in the first round, which runs whatever the deadline
+    (this defines the zero-budget result and guarantees the solver never
+    returns worse than a provided start).  The descents from all distinct
+    finite starts then go on in the same lockstep until they finish or the
+    deadline, the config budget from the call, expires: each round
+    evaluates the requests of every live descent together, each request
+    being one whole line search (with the gradient points of its full step)
+    or one forward-difference gradient.
 
     With the built-in objective each round is one batched rollout, and the
-    deadline is checked before every round, so the solve overshoots it by at
-    most one round's batch.  ``objective_fn`` substitutes the cost function,
-    which the test suite uses to drive the solver over closed-form
-    surrogates; it is called point by point with the deadline checked before
-    every point.
+    deadline is checked before every round after the first, so the solve
+    overshoots it by at most one round's batch.  ``objective_fn``
+    substitutes the cost function, which the test suite uses to drive the
+    solver over closed-form surrogates; it is called point by point with
+    the deadline checked before every point after the first round.
 
     Records are listed as a sequential solver would list them: the starts,
     then each descent's accepted points, descent by descent in start order.
     This is the one-problem case of the scheduler :func:`run_parallel_cells`
     runs.
     """
-    deadline = None if config.budget_s is None else time.monotonic() + config.budget_s
-    return _solve_jointly([problem], [starts], config, deadline, objective_fn)[0]
+    return _solve_jointly([problem], [starts], config, objective_fn)[0]
 
 
 def run_parallel_cells(
@@ -781,16 +737,13 @@ def run_parallel_cells(
     problems: list[MpcProblem] = []
     starts: list[list[np.ndarray]] = []
     for cell_problems, base_warm in cells:
-        if cell_problems and len(base_warm.mu) < max(p.horizon for p in cell_problems):
-            raise ValueError("base warm start is shorter than the largest horizon")
         for problem in cell_problems:
             problems.append(problem)
             starts.append([base_start_for(problem, base_warm)])
             starts[-1].extend(
                 s.ravel() for s in make_shift_warm_starts(histories.get(problem.label, []))
             )
-    deadline = None if config.budget_s is None else time.monotonic() + config.budget_s
-    results = _solve_jointly(problems, starts, config, deadline) if problems else []
+    results = _solve_jointly(problems, starts, config) if problems else []
     return {problem.label: result for problem, result in zip(problems, results)}
 
 

@@ -259,11 +259,12 @@ def _reject_unknown(raw: dict, known, name: str) -> None:
         raise ScenarioError(f"unknown field(s) {listed}")
 
 
-def _value(hint, v, key: str, base=None):
+def _value(hint, v, key: str, base=None, empty=False):
     """``v`` checked against the field type ``hint``; ``key`` names it in errors.
 
     A bool is not a number and a float is not an integer; numbers become
-    floats.  Dataclass-typed values are sections of their own.
+    floats.  Dataclass-typed values are sections of their own.  A field's
+    list of any length must be non-empty unless ``empty``.
     """
     if is_dataclass(hint):
         return _section(hint, v, key, base)
@@ -272,10 +273,10 @@ def _value(hint, v, key: str, base=None):
         return None if v is None else _value(args[0], v, key)
     if origin is tuple:
         size = None if args[-1] is Ellipsis else len(args)
-        if isinstance(v, list) and (len(v) == size if size else v):
+        if isinstance(v, list) and (len(v) == size if size else v or empty):
             types = args if size else args[:1] * len(v)
             return tuple(_value(t, x, f"{key}[{i}]") for i, (t, x) in enumerate(zip(types, v)))
-        expected = f"a list of {size}" if size else "a non-empty list"
+        expected = f"a list of {size}" if size else "a list" if empty else "a non-empty list"
     elif type(v) is hint or (hint is float and type(v) is int):
         if type(v) is int and abs(v) > sys.float_info.max:
             # the model computes in floats, which such an integer overflows
@@ -765,9 +766,10 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# the run-log header's fields, as written and as read
-_HEADER_FIELDS = ("schema", "scenario", "controller", "seed", "sample_cycle_s",
-                  "cell_lengths_m", "lanes", "onramp_cells", "steps")
+# the run-log header's fields with their types, as written and as read
+_HEADER_FIELDS = {"schema": str, "scenario": str, "controller": str, "seed": int,
+                  "sample_cycle_s": float, "cell_lengths_m": tuple[float, ...], "lanes": int,
+                  "onramp_cells": tuple[int, ...], "steps": int}
 
 
 def write_runlog(log: RunLog, path) -> None:
@@ -782,17 +784,13 @@ def write_runlog(log: RunLog, path) -> None:
             fh.write(_json_line({"summary": asdict(log.summary)}) + "\n")
 
 
-def _tuplify(v):
-    if isinstance(v, list):
-        return tuple(_tuplify(x) for x in v)
-    return v
-
-
-def _entry(raw, names, what: str, lineno: int) -> dict:
-    """The fields ``names`` of the mapping ``raw`` on line ``lineno``: all
-    required, no others."""
+def _entry(raw, hints: dict, what: str, lineno: int) -> dict:
+    """The fields of the mapping ``raw`` on line ``lineno``, each checked
+    against its type in ``hints``: all required, no others.  A list may be
+    empty: a standalone base logs no candidates."""
     try:
-        return {n: _tuplify(v) for n, v in zip(names, _entries(raw, what, names))}
+        return {n: _value(h, v, f"{what}.{n}", empty=True)
+                for (n, h), v in zip(hints.items(), _entries(raw, what, hints))}
     except ScenarioError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 
@@ -827,11 +825,11 @@ def read_runlog(path) -> RunLog:
         if not (isinstance(line, dict) and len(line) == 1 and set(line) <= {"record", "summary"}):
             raise ValueError(f"line {lineno}: expected a 'record' or a 'summary' entry")
         if "record" in line:
-            names = [f.name for f in fields(StepRecord)]
-            log.records.append(StepRecord(**_entry(line["record"], names, "record", lineno)))
+            hints = _type_hints(StepRecord)
+            log.records.append(StepRecord(**_entry(line["record"], hints, "record", lineno)))
         else:
-            names = [f.name for f in fields(MetricsSummary)]
-            log.summary = MetricsSummary(**_entry(line["summary"], names, "summary", lineno))
+            hints = _type_hints(MetricsSummary)
+            log.summary = MetricsSummary(**_entry(line["summary"], hints, "summary", lineno))
     if len(log.records) != head["steps"]:
         raise ValueError(
             f"run log holds {len(log.records)} records, header says {head['steps']}"

@@ -1,4 +1,5 @@
-"""The package's scalar model and feedback law, alternated step by step.
+"""The package's scalar model and feedback law, alternated step by step,
+and the solver's gradient evaluated point by point.
 
 ``actm.step`` and ``base_controllers.alinea_step`` perform every float
 operation of the batched kernel's gain rows in the same order, so the
@@ -8,6 +9,14 @@ byte.
 
 from basepar.actm import step, upstream_inflows
 from basepar.base_controllers import alinea_step
+from basepar.parallel import _gradient_request, _lockstep, _pointwise
+
+
+def fd_gradient(fun, x, f0, bounds, h):
+    """The solver's forward-difference gradient of ``fun`` at ``x`` (whose
+    cost is ``f0``) within ``bounds``, evaluated point by point."""
+    request = _gradient_request(x, f0, bounds, h)
+    return _lockstep([(None, request)], _pointwise(fun), None)[0]
 
 
 def metered_density(state, params):

@@ -30,7 +30,6 @@ from basepar.parallel import (
     MpcProblem,
     OptimizerConfig,
     _Bounds,
-    _fd_gradient,
     objective,
     solve_budgeted,
 )
@@ -45,6 +44,7 @@ from basepar.scenario import (
 )
 
 from oracles import central_difference, grid_search_gain, oracle_step
+from scalar_reference import fd_gradient
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -288,7 +288,7 @@ def test_criterion_4_solver_correctness(scenario):
     worst = 0.0
     for _ in range(10):
         x = rng.uniform(0.5, 7.5, size=problem.decision_dim)
-        g_fwd = _fd_gradient(fun2, x, fun2(x), _Bounds(lo, hi), 1e-6)
+        g_fwd = fd_gradient(fun2, x, fun2(x), _Bounds(lo, hi), 1e-6)
         g_ctr = central_difference(fun2, x, h=1e-6)
         scale = max(1e-6, float(np.max(np.abs(g_ctr))))
         worst = max(worst, float(np.max(np.abs(g_fwd - g_ctr))) / scale)
@@ -473,18 +473,14 @@ def test_serial_descents_strictly_decrease(scenario, trained, monkeypatch):
     trails = []
     descent = parallel._descent
 
-    def traced(x0, f0, g0, bounds, cfg, record):
-        trail = [f0]
+    def traced(x0, f0, g0, bounds, cfg, trail):
+        assert [f for _, f, _, _ in trail] == [f0]  # the start is recorded first
         trails.append(trail)
-
-        def record_cost(x, f, iterations, converged):
-            trail.append(f)
-            record(x, f, iterations, converged)
-
-        return descent(x0, f0, g0, bounds, cfg, record_cost)
+        return descent(x0, f0, g0, bounds, cfg, trail)
 
     monkeypatch.setattr(parallel, "_descent", traced)
     run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    trails = [[f for _, f, _, _ in trail] for trail in trails]
     assert sum(len(trail) > 1 for trail in trails) > 20
     for trail in trails:
         assert all(b < a for a, b in zip(trail, trail[1:])), trail

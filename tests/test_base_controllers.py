@@ -196,6 +196,48 @@ class TestParameterFile:
             load_mlp_params(path)
 
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("hidden_weights", ["abcd"] * 3, "field 'hidden_weights' must be a list, got 'abcd'"),
+        ("hidden_weights", [0.0] * 12, "field 'hidden_weights' must be a list, got 0.0"),
+        ("hidden_bias", [0.0, True, 0.0], "field 'hidden_bias' must be a finite number"),
+        ("output_weights", [0.0, None, 0.0], "field 'output_weights' must be a finite"),
+        ("output_bias", [0.0], "field 'output_bias' must be a finite number"),
+        ("output_bias", math.inf, "field 'output_bias' must be a finite number"),
+        ("input_scale_lo", [0.0, 0.0, 0.0, "0"], "field 'input_scale_lo' must be a finite"),
+        ("input_scale_hi", 10 ** 400, "field 'input_scale_hi' must be a list"),
+        ("output_bias", 10 ** 400, "field 'output_bias' must be a finite number"),
+        ("hidden_bias", [0.0], "cell 2: hidden bias and output weights must have 3"),
+        ("hidden_weights", None, "cell 2: missing field 'hidden_weights'"),
+    ], ids=["string-rows", "flat-rows", "bool", "null", "list-for-number", "inf",
+            "string", "huge-integer-for-list", "huge-integer", "short", "missing"])
+    def test_malformed_cell_names_cell_and_field(self, tmp_path, field, value, named):
+        nets = {2: MlpParams(
+            hidden_weights=((0.0,) * 4,) * 3, hidden_bias=(0.0,) * 3,
+            output_weights=(0.0,) * 3, output_bias=0.0,
+            input_lo=(0.0,) * 4, input_hi=(1.0,) * 4,
+        )}
+        path = tmp_path / "nets.json"
+        save_mlp_params(path, nets)
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload["cells"]["2"][field]
+        else:
+            payload["cells"]["2"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="^cell 2") as raised:
+            load_mlp_params(path)
+        assert named in str(raised.value)
+
+    @pytest.mark.parametrize("text", [
+        "[1]", '"gain-net/1"', '{"schema": "gain-net/1", "shape": [4, 3, 1], "cells": [1]}',
+    ], ids=["list", "string", "list-cells"])
+    def test_malformed_payload_rejected(self, tmp_path, text):
+        path = tmp_path / "nets.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_mlp_params(path)
+
+
 class TestGainSolve:
     def test_zero_error_case_gives_zero_gain(self, net):
         # density exactly critical and inflow = outflow: nothing to correct

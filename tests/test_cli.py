@@ -180,6 +180,25 @@ class TestTrainAnn:
         assert a == b
 
 
+class TestMalformedParameterFile:
+    @pytest.mark.parametrize("cells, named", [
+        ('{"2": {"activation": "tanh"}}', "cell 2: missing field 'hidden_weights'"),
+        ('{"2": [1]}', "cell 2 must be a mapping"),
+        (None, "parameter file must hold a JSON object"),
+    ], ids=["missing-field", "list-cell", "list-payload"])
+    def test_run_fails_cleanly(self, tmp_path, capsys, cells, named):
+        params = tmp_path / "nets.json"
+        params.write_text("[1]" if cells is None else
+                          '{"schema": "gain-net/1", "shape": [4, 3, 1], "cells": %s}' % cells)
+        scenario = tmp_path / "with_params.yaml"
+        scenario.write_text(SMALL_SCENARIO + f"  params_file: {params}\n")
+        code = main(["run", "--controller", "ann", "--serial", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
 class TestEmitPlots:
     def test_emit_from_run_log(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -211,9 +230,22 @@ class TestEmitPlots:
         (lambda lines: lines[:2] + ['{"record": 5}'] + lines[3:],
          "line 3: field 'record' must be a mapping"),
         (lambda lines: lines[:2] + ["{"] + lines[3:], "line 3: not JSON"),
+        (lambda lines: [lines[0], _with(lines[1], "record", "n", 5)] + lines[2:],
+         "line 2: field 'record.n' must be a list, got 5"),
+        (lambda lines: [lines[0], _with(lines[1], "record", "step", True)] + lines[2:],
+         "line 2: field 'record.step' must be an integer, got True"),
+        (lambda lines: lines[:2] + [_with(lines[2], "record", "winner", 3)] + lines[3:],
+         "line 3: field 'record.winner' must be a string, got 3"),
+        (lambda lines: lines[:2] + [_with(lines[2], "record", "applied", [1.0, "x", 1.0])]
+         + lines[3:], "line 3: field 'record.applied[1]' must be a number, got 'x'"),
+        (lambda lines: lines[:3] + [_with(lines[3], "summary", "win_counts", [["ALINEA", 1.5]])],
+         "line 4: field 'summary.win_counts[0][1]' must be an integer, got 1.5"),
+        (lambda lines: [_with(lines[0], None, "lanes", "2")] + lines[1:],
+         "line 1: field 'header.lanes' must be an integer, got '2'"),
     ], ids=["number-header", "header-field-missing", "record-field-missing",
             "summary-field-missing", "record-field-unknown", "header-field-unknown",
-            "list-line", "number-record", "not-json"])
+            "list-line", "number-record", "not-json", "number-for-list", "bool-for-integer",
+            "number-for-string", "string-in-list", "float-for-integer", "string-header"])
     def test_malformed_log_fails_cleanly(self, tmp_path, capsys, edit, named):
         out = tmp_path / "out"
         main(["run", "--controller", "alinea", "--serial", "--steps", "2", "--out", str(out)])
@@ -233,7 +265,7 @@ def _without(line: str, entry, name: str) -> str:
     return json.dumps(payload)
 
 
-def _with(line: str, entry, name: str) -> str:
+def _with(line: str, entry, name: str, value=1) -> str:
     payload = json.loads(line)
-    (payload[entry] if entry else payload)[name] = 1
+    (payload[entry] if entry else payload)[name] = value
     return json.dumps(payload)

@@ -438,9 +438,9 @@ class TestDeadline:
         rounds = []
         objective = parallel._MergedRollouts.objective
 
-        def recorded(self, requests):
+        def recorded(self, requests, deadline=None):
             rounds.append(sorted({self.problems[i].label for i, _ in requests}))
-            return objective(self, requests)
+            return objective(self, requests, deadline)
 
         monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
         return rounds

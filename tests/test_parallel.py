@@ -16,7 +16,6 @@ from basepar.parallel import (
     MpcProblem,
     OptimizerConfig,
     _Bounds,
-    _fd_gradient,
     _gradient_request,
     _line_search,
     _lockstep,
@@ -32,6 +31,7 @@ from basepar.parallel import (
 from basepar.scenario import default_scenario
 
 from oracles import central_difference, oracle_rollout_cost
+from scalar_reference import fd_gradient
 
 
 NET = default_scenario().network
@@ -282,7 +282,7 @@ class TestSolver:
         hi = np.asarray(problem.bounds_hi)
         for _ in range(10):
             x = rng.uniform(0.5, 7.5, size=problem.decision_dim)
-            g_fwd = _fd_gradient(fun, x, fun(x), _Bounds(lo, hi), 1e-6)
+            g_fwd = fd_gradient(fun, x, fun(x), _Bounds(lo, hi), 1e-6)
             g_ctr = central_difference(fun, x, h=1e-6)
             scale = max(1e-6, float(np.max(np.abs(g_ctr))))
             assert np.max(np.abs(g_fwd - g_ctr)) / scale < 1e-4
@@ -314,7 +314,7 @@ class TestSolver:
                 point = x.copy()
                 point[j] += s
                 want[j] = (fun(point) - f0) / s
-            scalar = _fd_gradient(fun, x, f0, _Bounds(lo, hi), h)
+            scalar = fd_gradient(fun, x, f0, _Bounds(lo, hi), h)
             request = _gradient_request(x, f0, _Bounds(lo, hi), h)
             evaluate = _MergedRollouts([problem]).objective
             batched = _lockstep([(0, request)], evaluate, None)[0]
@@ -361,7 +361,7 @@ class TestSolver:
     def test_shorter_step_carries_no_gradient(self):
         sizes = []
 
-        def evaluate(requests):
+        def evaluate(requests, deadline):
             (_, rows), = requests
             sizes.append(len(rows))
             costs = np.full(len(rows), 5.0)
@@ -382,9 +382,9 @@ class TestSolver:
         begun = []
         descent = parallel._descent
 
-        def recorded(x0, f0, g0, bounds, cfg, record):
+        def recorded(x0, f0, g0, bounds, cfg, trail):
             begun.append((x0, f0, g0, bounds))
-            return descent(x0, f0, g0, bounds, cfg, record)
+            return descent(x0, f0, g0, bounds, cfg, trail)
 
         monkeypatch.setattr(parallel, "_descent", recorded)
         problems, starts = [], []
@@ -398,7 +398,7 @@ class TestSolver:
             x[1][:] = hi     # on the upper bound everywhere
             starts.append(x)
         cfg = OptimizerConfig(budget_s=None, max_iterations=2)
-        parallel._solve_jointly(problems, starts, cfg, None)
+        parallel._solve_jointly(problems, starts, cfg)
         assert len(begun) == 9
         for problem, problem_starts in zip(problems, starts):
             evaluate = _MergedRollouts([problem]).objective
@@ -423,9 +423,10 @@ class TestSolver:
     def test_bounds_derived_once_match_a_fresh_construction(self, monkeypatch):
         # two problems of one dimension fixed (lo == hi) in different
         # coordinates, solved in one lockstep and then one after the other:
-        # every starts round must request the difference points a fresh
-        # construction from that problem's own bounds gives, and every
-        # descent must begin with the gradient they yield, byte for byte
+        # in the first round every start must request itself and the
+        # difference points a fresh construction from its problem's own
+        # bounds gives, and every descent must begin with the gradient they
+        # yield, byte for byte
         rng = np.random.default_rng(97)
         h = 1e-6
         problems, starts = [], []
@@ -444,15 +445,15 @@ class TestSolver:
         objective_of = parallel._MergedRollouts.objective
         descent = parallel._descent
 
-        def recorded(self, requests):
-            costs = objective_of(self, requests)
+        def recorded(self, requests, deadline=None):
+            costs = objective_of(self, requests, deadline)
             rounds.append(([(self.problems[i], rows.copy()) for i, rows in requests],
                            costs.copy()))
             return costs
 
-        def recorded_descent(x0, f0, g0, bounds, cfg, record):
+        def recorded_descent(x0, f0, g0, bounds, cfg, trail):
             begun.append(g0.copy())
-            return descent(x0, f0, g0, bounds, cfg, record)
+            return descent(x0, f0, g0, bounds, cfg, trail)
 
         monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
         monkeypatch.setattr(parallel, "_descent", recorded_descent)
@@ -461,20 +462,19 @@ class TestSolver:
             rounds.clear()
             begun.clear()
             parallel._solve_jointly([problems[i] for i in together],
-                                    [starts[i] for i in together], cfg, None)
-            requests, costs = rounds[0]  # the starts round
+                                    [starts[i] for i in together], cfg)
+            requests, costs = rounds[0]  # the first round
+            owners = [(problems[i], x) for i in together for x in starts[i]]
+            assert len(requests) == len(owners)  # one request per start
             gradients, at = [], 0
-            for problem, rows in requests:
+            for (problem, rows), (owner, x) in zip(requests, owners):
+                assert problem is owner
                 lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
-                x = np.array(starts[problems.index(problem)])
-                built = [self.fresh_differences(row, lo, hi, h) for row in x]
-                assert rows.tobytes() == np.vstack([x, *(p for _, _, p in built)]).tobytes()
-                fs, at_points = costs[at:at + len(x)], at + len(x)
-                for row, f, (free, steps, points) in zip(x, fs, built):
-                    g = np.zeros_like(row)
-                    g[free] = (costs[at_points:at_points + len(points)] - f) / steps
-                    gradients.append(g)
-                    at_points += len(points)
+                free, steps, points = self.fresh_differences(x, lo, hi, h)
+                assert rows.tobytes() == np.vstack([x, points]).tobytes()
+                g = np.zeros_like(x)
+                g[free] = (costs[at + 1:at + len(rows)] - costs[at]) / steps
+                gradients.append(g)
                 at += len(rows)
             assert len(begun) == len(gradients)
             for got, want in zip(begun, gradients):
@@ -522,14 +522,63 @@ class TestSolver:
                 assert got == want
 
     def test_batched_gradient_stops_at_deadline(self):
+        # the first round runs whatever the deadline and its evaluation is
+        # given none: a coroutine with two requests gets its first round
+        # under an expired deadline, and is then cut off
         rng = np.random.default_rng(59)
         problem = make_problem(rng, horizon=3)
-        lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
+        bounds = _Bounds(problem.bounds_lo, problem.bounds_hi)
         x = np.full(problem.decision_dim, 1.0)
+        f0 = objective(problem, x)
+        seen = []
+
+        def two_gradients():
+            seen.append((yield from _gradient_request(x, f0, bounds, 1e-6)))
+            return (yield from _gradient_request(x, f0, bounds, 1e-6))
+
+        def evaluate(requests, deadline):
+            seen.append(deadline)
+            return _MergedRollouts([problem]).objective(requests, deadline)
+
         expired = time.monotonic() - 1.0
-        request = _gradient_request(x, objective(problem, x), _Bounds(lo, hi), 1e-6)
-        evaluate = _MergedRollouts([problem]).objective
-        assert _lockstep([(0, request)], evaluate, expired) == [None]
+        assert _lockstep([(0, two_gradients())], evaluate, expired) == [None]
+        assert seen[0] is None and len(seen) == 2
+        want = fd_gradient(lambda y: objective(problem, y), x, f0, bounds, 1e-6)
+        assert seen[1].tobytes() == want.tobytes()
+
+    def test_expired_joint_solve_returns_its_zero_budget_result(self, monkeypatch):
+        # a conventional and a parameterized problem under a deadline that
+        # has expired before the solve: each result is its zero-budget one
+        # (the best start, the starts' costs alone), from two kernel calls,
+        # the first round and the plan round
+        rng = np.random.default_rng(131)
+        conventional = make_problem(rng, kind=CONVENTIONAL, horizon=3, label="C")
+        parameterized = sharing_context(
+            make_problem(rng, kind=PARAMETERIZED, horizon=4, label="P"), conventional)
+        problems = [conventional, parameterized]
+        starts = []
+        for problem in problems:
+            lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
+            a = rng.uniform(lo, hi)
+            starts.append([a, rng.uniform(lo, hi), a.copy(), hi + 1.0])
+        calls = []
+        counted = parallel.rollout_batch
+        monkeypatch.setattr(parallel, "rollout_batch",
+                            lambda *args, **kw: calls.append(1) or counted(*args, **kw))
+        for termination in ("all", "best"):
+            cfg = OptimizerConfig(budget_s=0.0, max_iterations=40, termination=termination)
+            calls.clear()
+            expired = parallel._solve_jointly(problems, starts, cfg)
+            assert len(calls) == 2
+            zero = parallel._solve_jointly(problems, starts, replace(cfg, max_iterations=0))
+            for problem, s, got, want in zip(problems, starts, expired, zero):
+                costs = tuple(objective(problem, x) for x in s)
+                assert got.cost_trail == want.cost_trail == costs
+                assert got.iterates == want.iterates
+                assert got.best == want.best
+                assert got.best.cost == min(costs)
+                first = costs.index(min(costs))
+                assert got.best.metering == decision_to_metering(problem, s[first])
 
     def test_lockstep_descents_equal_single_start_solves(self):
         # the descents of a multi-start solve run in lockstep, one merged batch
