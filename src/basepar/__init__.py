@@ -14,7 +14,6 @@ from .actm import (
     RolloutResult,
     StageCost,
     rollout,
-    stage_cost,
     step,
 )
 from .base_controllers import (

@@ -26,12 +26,14 @@ receiving term); the last cell discharges freely (no downstream term).
 Unserved mainstream demand is dropped, so conservation accounting uses the
 *admitted* upstream inflow reported in :class:`FlowVector`.
 
-:func:`step` and :func:`rollout` are the readable reference and the plant.
-:func:`rollout_batch`, the one prediction model, rolls many plans forward
-side by side for the warm starts, optimizers and evaluation block; it
-performs every float operation of :func:`step` in the same order, and in
-the cells a term does not apply to, operations that give :func:`step`'s
-value there exactly, so its costs equal :func:`rollout`'s bit for bit.
+:func:`rollout_batch`, the one model, rolls many plans forward side by
+side for the warm starts, optimizers and evaluation block; the plant
+:func:`step` is one of its rows rolled one step, and :func:`rollout` loops
+over :func:`step`.  The kernel performs every float operation of the
+scalar model the test suite keeps as its reference, in the same order, and
+in the cells a term does not apply to, operations that give the scalar
+value there exactly, so its states, flows and costs equal that model's bit
+for bit.
 
 BATCHED ROLLOUTS
 ----------------
@@ -41,7 +43,7 @@ a)`` return their second operand on ties and propagate a NaN from either
 operand, so they equal ``min(a, b)`` and ``max(a, b)`` byte for byte, the
 sign of a zero included, whenever ``b`` cannot be NaN (the test suite pins
 this rule).  :func:`rollout_batch` uses the swapped ufunc for every ``min``
-and ``max`` of :func:`step`.  The floor 0.0, the saturation flow, the
+and ``max`` of the scalar model.  The floor 0.0, the saturation flow, the
 off-ramp bound and the capacity are numbers by :class:`CellParams`.  The
 vacant-capacity and receiving terms are numbers too: the initial state is
 checked, the capacities are finite, and no flow of a step can be NaN or
@@ -54,8 +56,8 @@ Every array is laid out cells by rows over all cells, so that no step takes
 or puts a subset of cells.  Cells without an on-ramp hold queue 0.0, demand
 0.0 and on-ramp share ``xi`` 0: their supply is +0.0 and their space
 ``0 * (capacity - n)`` is never below it, so their inflow is +0.0 as in
-:func:`step`.  Cells without a metered ramp meter at +inf, which never caps
-an inflow; a gain row derives +inf there too, from gain 0 on finite
+the scalar model.  Cells without a metered ramp meter at +inf, which never
+caps an inflow; a gain row derives +inf there too, from gain 0 on finite
 densities.  A cell whose off-ramp takes no share ``beta < 1`` gets ratio 0
 and pad +0.0, so ``0 * o + 0.0`` is +0.0 (``o`` is finite); the other cells
 get pad -0.0, and ``x + -0.0`` is ``x`` for every ``x``.  The sums over the
@@ -106,10 +108,6 @@ __all__ = [
     "upstream_inflows",
     "StageCost",
     "RolloutResult",
-    "compute_onramp_inflow",
-    "compute_mainline_outflow",
-    "compute_offramp_outflow",
-    "stage_cost",
     "step",
     "rollout",
     "rollout_batch",
@@ -229,7 +227,7 @@ class CellArrays:
     """Per-cell coefficients of the flow formulas as arrays, read by
     :func:`rollout_batch`.
 
-    Each entry of :attr:`coef` is the float expression :func:`step`
+    Each entry of :attr:`coef` is the float expression the scalar model
     evaluates for that cell, one row per name in ``_COEFS``, every cell
     present.  A term a cell lacks inside a ``min`` is +inf, which leaves the
     minimum unchanged.  The on-ramp share ``xi`` is 0 where there is no
@@ -363,119 +361,6 @@ class RolloutResult:
     total_cost: float                  # sum of per-step j
 
 
-def _metering_by_cell(
-    metering: Optional[Sequence[float]], params: NetworkParams
-) -> dict[int, float]:
-    """Map a per-metered-ramp metering vector onto cell indices."""
-    if metering is None:
-        return {}
-    if len(metering) != len(params.metered_cells):
-        raise TopologyError(
-            f"metering vector has {len(metering)} entries, "
-            f"network has {len(params.metered_cells)} metered ramps"
-        )
-    for m in metering:
-        if not m >= 0:  # NaN fails too: min(inflow, NaN) would leave the ramp unmetered
-            raise NegativeRateError("metering rates must be nonnegative numbers")
-    return dict(zip(params.metered_cells, metering))
-
-
-def compute_onramp_inflow(
-    state: NetworkState,
-    inp: ExogenousInput,
-    metering: Optional[Sequence[float]],
-    params: NetworkParams,
-) -> tuple[float, ...]:
-    """On-ramp inflow per cell.
-
-    Unmetered ramps admit ``min(queue + demand, xi * vacant capacity)``; a
-    metered ramp additionally caps the inflow at its metering rate.  Cells
-    without an on-ramp get 0.  ``metering`` is ordered like
-    ``params.metered_cells`` (pass None to leave every ramp unmetered).
-    """
-    mu = _metering_by_cell(metering, params)
-    e = [0.0] * params.n_cells
-    for j, i in enumerate(params.onramp_cells):
-        cell = params.cells[i]
-        supply = state.q[j] + inp.ramp_demands[j]
-        space = cell.xi * (cell.capacity_nbar - state.n[i])
-        ei = min(supply, space)
-        if i in mu:
-            ei = min(ei, mu[i])
-        e[i] = max(ei, 0.0)
-    return tuple(e)
-
-
-def compute_mainline_outflow(
-    state: NetworkState, e: Sequence[float], params: NetworkParams
-) -> tuple[float, ...]:
-    """Mainline outflow per cell: minimum of the sending term, the downstream
-    receiving term (skipped for the last cell), the saturation flow and the
-    off-ramp-coupled bound (skipped when the cell has no off-ramp)."""
-    o = []
-    last = params.n_cells - 1
-    for i, cell in enumerate(params.cells):
-        terms = [
-            (1.0 - cell.split_beta) * (state.n[i] + cell.blend_alpha * e[i]) * cell.eta_moving,
-            cell.sat_mainline_obar,
-        ]
-        if i < last:
-            nxt = params.cells[i + 1]
-            terms.append(
-                (nxt.capacity_nbar - state.n[i + 1] - nxt.blend_alpha * e[i + 1])
-                * nxt.eta_idling
-            )
-        if 0.0 < cell.split_beta < 1.0:
-            terms.append((1.0 - cell.split_beta) / cell.split_beta * cell.sat_offramp_sbar)
-        o.append(max(min(terms), 0.0))
-    return tuple(o)
-
-
-def compute_offramp_outflow(
-    o: Sequence[float],
-    params: NetworkParams,
-    state: NetworkState,
-    e: Sequence[float],
-) -> tuple[float, ...]:
-    """Off-ramp outflow per cell, proportional to the mainline outflow; the
-    split-everything boundary case discharges the moving flow directly,
-    capped at the off-ramp saturation."""
-    s = []
-    for i, cell in enumerate(params.cells):
-        if not cell.has_offramp:
-            s.append(0.0)
-        elif cell.split_beta < 1.0:
-            s.append(cell.split_beta / (1.0 - cell.split_beta) * o[i])
-        else:
-            moving = (state.n[i] + cell.blend_alpha * e[i]) * cell.eta_moving
-            s.append(min(cell.sat_offramp_sbar, moving))
-    return tuple(s)
-
-
-def stage_cost(
-    flows: FlowVector,
-    state: NetworkState,
-    params: NetworkParams,
-    gamma: float,
-) -> StageCost:
-    """Stage cost of one step evaluated on the pre-step occupancy.
-
-    Travel time is occupancy over the cycle; travelled distance counts each
-    exiting flow across its cell length, converted to vehicle-hours at free
-    flow so the weight ``gamma`` stays dimensionless.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    cycle_h = params.sample_cycle_s / 3600.0
-    tt = cycle_h * (sum(state.n) + sum(state.q))
-    dist = sum(
-        (flows.o[i] + flows.s[i]) * cell.length for i, cell in enumerate(params.cells)
-    )
-    td_h = dist / (params.free_flow_mps * 3600.0)
-    throughput = flows.o[-1] + sum(flows.s)
-    return StageCost(tt=tt, td_h=td_h, j=tt - gamma * td_h, throughput=throughput)
-
-
 def step(
     state: NetworkState,
     inp: ExogenousInput,
@@ -483,43 +368,29 @@ def step(
     params: NetworkParams,
     gamma: float = 0.8,
 ) -> tuple[NetworkState, FlowVector, StageCost]:
-    """Advance the network by one cycle.
+    """Advance the network by one cycle: one row of :func:`rollout_batch`'s
+    kernel, rolled one step.
 
-    Returns the successor state, the realized flows and the stage cost of the
-    step (computed from the pre-step occupancy).  Raises
+    ``metering`` is ordered like ``params.metered_cells`` (None leaves every
+    ramp unmetered).  Returns the successor state, the realized flows and the
+    stage cost of the step (computed from the pre-step occupancy).  Raises
+    :class:`NegativeRateError` for a negative or NaN rate and
     :class:`ModelConsistencyError` if the update leaves the admissible state
     region by more than ``STATE_TOL``.
     """
-    state.validate(params)
-    e = compute_onramp_inflow(state, inp, metering, params)
-    o = compute_mainline_outflow(state, e, params)
-    s = compute_offramp_outflow(o, params, state, e)
-
-    first = params.cells[0]
-    space0 = (first.capacity_nbar - state.n[0] - first.blend_alpha * e[0]) * first.eta_idling
-    mainstream_in = max(min(inp.mainstream_demand, space0), 0.0)
-
-    n_next = []
-    for i, cell in enumerate(params.cells):
-        inflow = mainstream_in if i == 0 else o[i - 1]
-        ni = state.n[i] + inflow + e[i] - o[i] - s[i]
-        if ni < -STATE_TOL or ni > cell.capacity_nbar + STATE_TOL:
-            raise ModelConsistencyError(
-                f"cell {i}: n={ni} outside [0, {cell.capacity_nbar}] after update"
-            )
-        n_next.append(min(max(ni, 0.0), cell.capacity_nbar))
-
-    q_next = []
-    for j, i in enumerate(params.onramp_cells):
-        qi = state.q[j] + inp.ramp_demands[j] - e[i]
-        if qi < -STATE_TOL:
-            raise ModelConsistencyError(f"on-ramp {i}: queue {qi} negative after update")
-        q_next.append(max(qi, 0.0))
-
-    flows = FlowVector(e=e, o=o, s=s, mainstream_in=mainstream_in)
-    cost = stage_cost(flows, state, params, gamma)
-    nxt = NetworkState(n=tuple(n_next), q=tuple(q_next), step=state.step + 1)
-    return nxt, flows, cost
+    if metering is None:
+        plan = np.full((1, 1, len(params.metered_cells)), math.inf)
+    else:
+        plan = np.array(metering, dtype=float).reshape(1, 1, -1)
+    _, _, (after, flow, e, s, cost) = _roll(state, (inp,), params, 1, gamma, plan, strict=True)
+    admitted, *o = flow[:, 0].tolist()
+    s = s[:, 0].tolist()
+    tt, td_h = cost[:, 0].tolist()
+    nxt = NetworkState(n=tuple(after[0, :, 0].tolist()),
+                       q=tuple(after[1, params.arrays.onramps, 0].tolist()), step=state.step + 1)
+    flows = FlowVector(e=tuple(e[:, 0].tolist()), o=tuple(o), s=tuple(s), mainstream_in=admitted)
+    return nxt, flows, StageCost(tt=tt, td_h=td_h, j=tt - gamma * td_h,
+                                 throughput=o[-1] + sum(s))
 
 
 def rollout(
@@ -592,14 +463,26 @@ def rollout_batch(
     costs ``[B]`` and the plans ``[B, horizon, ramps]``: as given, with the
     derived rates written into the gain rows over the whole ``horizon``.
 
-    Every float operation is that of :func:`step`, in the same order, so each
-    cost equals ``rollout(...).total_cost`` over the row's horizon bit for
-    bit (the module notes say how each ``min`` and ``max`` stays exact, and
-    why the full-cell layout adds nothing).  Where the scalar model raises
-    for a plan within that horizon (a negative or NaN rate,
-    :class:`NegativeRateError`; a state update out of bounds,
+    Each cost equals ``rollout(...).total_cost`` over the row's horizon, and
+    the scalar model's, bit for bit (the module notes say how each ``min``
+    and ``max`` stays exact, and why the full-cell layout adds nothing).
+    Where :func:`step` raises for a plan within that horizon (a negative or
+    NaN rate, :class:`NegativeRateError`; a state update out of bounds,
     :class:`ModelConsistencyError`) that row's cost is +inf instead.  The
     initial state and the inputs are checked once per call.
+    """
+    total, plans, _ = _roll(state, inputs, params, horizon, gamma, plans, gains, mu_prev,
+                            gain_rows, horizons)
+    return total, plans
+
+
+def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev=None,
+          gain_rows=None, horizons=None, strict=False):
+    """:func:`rollout_batch`'s costs and plans, then the state after the
+    last step ``[2, cells, rows]`` (n, then q at every cell), the admitted
+    inflow and the outflows ``[cells + 1, rows]``, the flows ``e`` and ``s``
+    ``[cells, rows]`` and the last step's ``tt`` and ``td_h`` ``[2, rows]``.
+    ``strict`` raises what :func:`step` raises where a row would cost +inf.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -784,29 +667,34 @@ def rollout_batch(
     for i in range(1, cells):
         add(sums, h[:horizon, :, i].transpose(1, 0, 2), out=sums)
 
-    # stage costs on the pre-step occupancy, added up in step order from
-    # 0.0; each row's cost is read at its own end
-    n_sum, q_sum, dist_sum = sums
+    # stage costs on the pre-step occupancy: tt (in place of the sums of q)
+    # minus gamma times td_h (in place of the distances), added up in step
+    # order from 0.0; each row's cost is read at its own end
+    n_sum, tt, td_h = sums
+    add(n_sum, tt, out=tt)
+    multiply(params.sample_cycle_s / 3600.0, tt, out=tt)
+    divide(td_h, params.free_flow_mps * 3600.0, out=td_h)
+    multiply(gamma, td_h, out=n_sum)
     costs = np.zeros((horizon + 1, batch))
-    stage = costs[1:]
-    add(n_sum, q_sum, out=stage)
-    multiply(params.sample_cycle_s / 3600.0, stage, out=stage)
-    divide(dist_sum, params.free_flow_mps * 3600.0, out=dist_sum)
-    multiply(gamma, dist_sum, out=dist_sum)
-    subtract(stage, dist_sum, out=stage)
+    subtract(tt, n_sum, out=costs[1:])
     add.accumulate(costs, out=costs)
     total = costs[ends, np.arange(batch)]
-    # updates out of bounds within a row's horizon; a NaN is never flagged,
-    # as in step
-    if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
-        out_of_bounds = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
-        total[(out_of_bounds & (np.arange(horizon)[:, None] < ends)).any(axis=0)] = math.inf
     # negative or NaN rates within a row's horizon, derived ones included
     metered = rates[:, ca.metered] if derive else plans.transpose(1, 2, 0)
     if not np.minimum.reduce(metered, axis=None, initial=0.0) >= 0:
+        if strict:
+            raise NegativeRateError("metering rates must be nonnegative numbers")
         bad_rates = ~(metered >= 0) & (np.arange(horizon)[:, None, None] < ends)
         total[bad_rates.any(axis=(0, 1))] = math.inf
+    # updates out of bounds within a row's horizon; a NaN is never flagged
+    if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
+        if strict:
+            _, i, _ = np.argwhere((r < -STATE_TOL).any(axis=1) | (r[:, 0] > ca.nbar_tol))[0]
+            raise ModelConsistencyError(f"cell {i}: state update out of bounds")
+        out_of_bounds = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
+        total[(out_of_bounds & (np.arange(horizon)[:, None] < ends)).any(axis=0)] = math.inf
+    last = (h[horizon], flow, e, s, sums[1:, horizon - 1])
     if not derive:
-        return total, plans.copy()
-    return total, np.ascontiguousarray(metered.transpose(2, 0, 1))
+        return total, plans.copy(), last
+    return total, np.ascontiguousarray(metered.transpose(2, 0, 1)), last
 

@@ -14,6 +14,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import scenario as sc
 from .base_controllers import save_mlp_params
@@ -31,7 +32,7 @@ def _load(args) -> sc.ScenarioConfig:
         except ValueError:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
     if seed is not None:
-        cfg = sc.ScenarioConfig(**{**cfg.__dict__, "seed": seed})
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 
@@ -60,14 +61,12 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
 def _apply_tolerances(cfg: sc.ScenarioConfig, args) -> sc.ScenarioConfig:
     if args.ftol is None and args.xtol is None:
         return cfg
-    control = cfg.control
     updates = {}
     if args.ftol is not None:
         updates["function_tolerance"] = args.ftol
     if args.xtol is not None:
         updates["step_tolerance"] = args.xtol
-    control = sc.ControlSettings(**{**control.__dict__, **updates})
-    return sc.ScenarioConfig(**{**cfg.__dict__, "control": control})
+    return replace(cfg, control=replace(cfg.control, **updates))
 
 
 def _cmd_run(args) -> int:

@@ -165,6 +165,8 @@ class ControlSettings:
         for name in ("metering_upper", "gain_upper"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be a nonnegative number")
+        if not math.isfinite(self.alinea_gain):
+            raise ValueError("alinea_gain must be a finite number")
         if min(self.horizons) < 1:
             raise ValueError("horizons must be at least 1")
         if not 1 <= self.evaluation_horizon <= min(self.horizons):
@@ -196,6 +198,14 @@ class AnnSettings:
     sample_count: int = 500
     validation_count: int = 100
     train_seed: Optional[int] = None    # defaults to the scenario seed
+
+    def __post_init__(self) -> None:
+        # checked even with a parameter file, which train-ann and compare
+        # do not read
+        if self.sample_count < 2:
+            raise ValueError("sample_count must be at least 2")
+        if not 0 < self.validation_count < self.sample_count:
+            raise ValueError("validation_count must lie between 0 and sample_count, exclusive")
 
 
 @dataclass(frozen=True)

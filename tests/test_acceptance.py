@@ -81,8 +81,8 @@ def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
 
 
 def _count_scalar_model_calls(monkeypatch) -> Counter:
-    """Count the scalar model's ``step`` and ``rollout`` calls from here on,
-    keyed by the module whose global was called."""
+    """Count the ``step`` and ``rollout`` calls from here on, keyed by the
+    module whose global was called."""
     calls = Counter()
 
     def counting(key, fn):
@@ -102,8 +102,8 @@ def _count_scalar_model_calls(monkeypatch) -> Counter:
 @pytest.fixture(scope="session")
 def compare_runs(scenario, trained):
     """The serial run of every control approach, the comparison's wall time,
-    and the kernel calls ``(horizon, rows)`` and the scalar model calls of
-    the architecture's run."""
+    and the kernel calls ``(horizon, rows)`` and the ``step`` and ``rollout``
+    calls of the architecture's run."""
     nets, _, _ = trained
     t0 = time.monotonic()
     logs, calls, scalar_calls = {}, [], Counter()
@@ -461,7 +461,8 @@ def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkey
 
 def test_serial_architecture_steps_the_scalar_model_for_the_plant_only(compare_runs):
     """The kernel is the one prediction model: over a 180-step serial
-    architecture run only the plant steps the scalar model, once a step."""
+    architecture run ``step``, one kernel row, is called only for the
+    plant, once a step."""
     assert compare_runs[3] == Counter({"basepar.scenario.step": 180})
 
 

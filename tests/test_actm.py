@@ -17,18 +17,21 @@ from basepar.actm import (
     FlowVector,
     NetworkState,
     TopologyError,
-    compute_mainline_outflow,
-    compute_offramp_outflow,
-    compute_onramp_inflow,
     rollout,
     rollout_batch,
-    stage_cost,
     step,
     upstream_inflows,
 )
 from basepar.scenario import default_scenario
 
 from oracles import oracle_gain_plan, oracle_step
+from scalar_reference import (
+    compute_mainline_outflow,
+    compute_offramp_outflow,
+    compute_onramp_inflow,
+    rollout as scalar_rollout,
+    stage_cost,
+)
 
 
 @pytest.fixture
@@ -511,7 +514,7 @@ def test_a_rows_cost_ignores_its_plan_past_its_horizon(net, init_state):
         else:
             plan = plans[b, :end].tolist()
             assert rolled[b].tobytes() == plans[b].tobytes()
-        want = rollout(init_state, inputs, plan, net, int(end)).total_cost
+        want = scalar_rollout(init_state, inputs, plan, net, int(end)).total_cost
         assert np.float64(want).tobytes() == costs[b].tobytes()
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NegativeRateError, NetworkState, step
+from basepar.actm import ExogenousInput, NegativeRateError, NetworkState
 from basepar.base_controllers import (
     FeedbackController,
     GenerationRanges,
@@ -26,6 +26,7 @@ from basepar.scenario import default_scenario
 
 from oracles import grid_search_gain
 from scalar_reference import metered_density, scalar_gain_rollout
+from scalar_reference import step as scalar_step
 
 
 @pytest.fixture
@@ -368,7 +369,7 @@ class TestWarmStartRollout:
         for k in range(6):
             mu = alinea_step(mu, (0.016,) * 3, metered_density(state, net), net.rho_crit)
             assert warm.mu[k] == pytest.approx(mu, abs=1e-15)
-            state, _, _ = step(state, self.measured(), mu, net)
+            state, _, _ = scalar_step(state, self.measured(), mu, net)
 
     def test_zero_gain_rollout_constant(self, net):
         ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, "hold")

@@ -56,6 +56,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("text, field", [
+        ("ann: {sample_count: 1, validation_count: 5}", "sample_count"),
+        ("ann: {validation_count: 0}", "validation_count"),
+        ("ann: {params_file: nets.json, validation_count: 500}", "validation_count"),
+        ("control: {alinea_gain: .nan}", "alinea_gain"),
+    ], ids=["one-sample", "no-validation", "no-training-with-file", "nan-alinea-gain"])
+    def test_settings_a_run_rejects_fail_validation(self, tmp_path, capsys, text, field):
+        # each of these would pass validation and only fail the run
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text + "\n")
+        assert main(["validate-scenario", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_unreadable_scenario_fails_cleanly(self, tmp_path, capsys):
         assert main(["validate-scenario", "--scenario", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NetworkState, TopologyError, rollout
+from basepar.actm import ExogenousInput, NetworkState, TopologyError
 from basepar.base_controllers import FeedbackController, MlpParams, alinea_step
 from basepar.orchestrator import (
     ArchitectureConfig,
@@ -22,6 +22,7 @@ from basepar.scenario import build_architecture, default_scenario
 
 from oracles import oracle_rollout_cost
 from scalar_reference import metered_density
+from scalar_reference import rollout as scalar_rollout
 
 NET = default_scenario().network
 STATE = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
@@ -140,7 +141,8 @@ class TestEvaluateCandidates:
             for i in range(12)
         ]
         ev = evaluate_candidates(cands, NET, STATE, (MEASURED,), 3, 0.8)
-        want = [rollout(STATE, (MEASURED,), c.metering, NET, 3, 0.8).total_cost for c in cands]
+        want = [scalar_rollout(STATE, (MEASURED,), c.metering, NET, 3, 0.8).total_cost
+                for c in cands]
         assert list(ev.costs) == want
 
     def test_empty_candidate_set_rejected(self):

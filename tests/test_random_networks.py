@@ -21,7 +21,6 @@ from basepar.actm import (
     NetworkParams,
     NetworkState,
     TopologyError,
-    rollout,
     rollout_batch,
     step,
 )
@@ -42,7 +41,9 @@ from basepar.parallel import (
 )
 
 from oracles import oracle_gain_plan, oracle_rollout_cost
+from scalar_reference import rollout as scalar_rollout
 from scalar_reference import scalar_gain_rollout
+from scalar_reference import step as scalar_step
 
 
 def random_network(rng, allow_beta_one=False):
@@ -305,6 +306,53 @@ class TestRandomTopologies:
         assert raised >= 10 and finished >= 10, (raised, finished)
 
 
+class TestStepIsTheReferenceStep:
+    """``actm.step``, one kernel row, against the scalar reference step,
+    compared byte for byte so that the sign of a zero counts too."""
+
+    @staticmethod
+    def bits(result):
+        state, flows, cost = result
+        values = (state.n, state.q, flows.e, flows.o, flows.s, flows.mainstream_in,
+                  cost.tt, cost.td_h, cost.j, cost.throughput)
+        return [np.array(v, dtype=float).tobytes() for v in values], state.step
+
+    def test_step_equals_the_reference_step_byte_for_byte(self):
+        rng = np.random.default_rng(277)
+        compared = raised = unmetered = split_all = 0
+        for trial in range(300):
+            net = random_network(rng, allow_beta_one=True)
+            if trial % 3 == 0:
+                net = overfilling(net)
+            state, inp = random_state(rng, net), random_input(rng, net)
+            mu = None if trial % 4 == 0 else random_metering(rng, net)
+            try:
+                want = scalar_step(state, inp, mu, net)
+            except ModelConsistencyError:
+                with pytest.raises(ModelConsistencyError):
+                    step(state, inp, mu, net)
+                raised += 1
+                continue
+            assert self.bits(step(state, inp, mu, net)) == self.bits(want)
+            compared += 1
+            unmetered += mu is None
+            split_all += any(c.split_beta == 1.0 for c in net.cells)
+        assert compared >= 150 and raised >= 10 and unmetered >= 30 and split_all >= 10, (
+            compared, raised, unmetered, split_all)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_a_nan_or_negative_rate_raises_as_in_the_reference(self, bad):
+        rng = np.random.default_rng(281)
+        net = random_network(rng)
+        while not net.metered_cells:
+            net = random_network(rng)
+        state, inp = random_state(rng, net), random_input(rng, net)
+        mu = random_metering(rng, net)[:-1] + (bad,)
+        for model in (scalar_step, step):
+            with pytest.raises(NegativeRateError):
+                model(state, inp, mu, net)
+
+
 class TestBatchedRollout:
     """``rollout_batch`` against the scalar model and feedback law, compared
     byte for byte so that the sign of a zero counts too."""
@@ -323,7 +371,7 @@ class TestBatchedRollout:
         x = np.clip(x, problem.bounds_lo, problem.bounds_hi)
         try:
             if problem.kind == CONVENTIONAL:
-                cost = rollout(problem.initial_state, problem.demand_forecast,
+                cost = scalar_rollout(problem.initial_state, problem.demand_forecast,
                                x.reshape(problem.horizon, -1).tolist(), problem.params,
                                problem.horizon, problem.gamma).total_cost
             else:
