@@ -30,7 +30,6 @@ from .orchestrator import (
     BaseParallelController,
     EvaluationResult,
     ParallelCell,
-    ParallelControllerSpec,
     SelectionRecord,
     evaluate_candidates,
     select_best,
@@ -40,6 +39,7 @@ from .parallel import (
     CandidateSequence,
     MpcProblem,
     OptimizerConfig,
+    StepContext,
     make_shift_warm_starts,
     objective,
     run_parallel_cell,

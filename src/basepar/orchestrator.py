@@ -18,10 +18,13 @@ rates and applies its best plan, a standalone base controller has no online
 controller and applies its own rates.
 
 Every base is a stateless
-:class:`~basepar.base_controllers.FeedbackController`.  The architecture
-owns the previous rates (:attr:`BaseParallelController.mu_prev`), the
-*applied* ones, and every feedback law and every problem starts from them,
-so each sees what actually reached the plant.
+:class:`~basepar.base_controllers.FeedbackController`, and every online
+controller is the :class:`~basepar.parallel.MpcProblem` it solves, built
+once per run.  The architecture owns the previous rates
+(:attr:`BaseParallelController.mu_prev`), the *applied* ones.  Every
+feedback law starts from them, and every problem from the step's one
+:class:`~basepar.parallel.StepContext`, which holds them with the measured
+state, so each sees what actually reached the plant.
 """
 
 from __future__ import annotations
@@ -45,18 +48,16 @@ from .actm import (
 )
 from .base_controllers import FeedbackController, warm_start_rollout
 from .parallel import (
-    CONVENTIONAL,
-    PARAMETERIZED,
     BudgetedResult,
     CandidateSequence,
     MpcProblem,
     OptimizerConfig,
+    StepContext,
     run_parallel_cell,
     run_parallel_cells,
 )
 
 __all__ = [
-    "ParallelControllerSpec",
     "ParallelCell",
     "ArchitectureConfig",
     "EvaluationResult",
@@ -69,27 +70,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ParallelControllerSpec:
-    """One online controller inside a parallel cell."""
-
-    label: str
-    kind: str      # "conventional" or "parameterized"
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (CONVENTIONAL, PARAMETERIZED):
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-
-
 @dataclass
 class ParallelCell:
     """A base controller with the online controllers it seeds."""
 
     base: FeedbackController
-    controllers: tuple[ParallelControllerSpec, ...] = ()
+    controllers: tuple[MpcProblem, ...] = ()
 
 
 @dataclass
@@ -101,8 +87,6 @@ class ArchitectureConfig:
     evaluation_horizon: int
     gamma: float
     optimizer: OptimizerConfig
-    metering_upper: float   # every rate lies in [0, metering_upper]
-    gain_upper: float       # every parameterized gain lies in [0, gain_upper]
 
     def __post_init__(self) -> None:
         if self.evaluation_horizon < 1:
@@ -118,10 +102,6 @@ class ArchitectureConfig:
         labels += [cell.base.label for cell in self.cells]
         if len(set(labels)) != len(labels):
             raise ValueError("controller labels must be unique")
-        # written so that NaN fails too
-        for name in ("metering_upper", "gain_upper"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be a nonnegative number")
 
 
 @dataclass
@@ -223,31 +203,8 @@ class BaseParallelController:
             raise ValueError("mu_init must have one entry per metered ramp")
         self.mu_prev: tuple[float, ...] = tuple(float(m) for m in mu_init)
         self.histories: dict[str, list[np.ndarray]] = {
-            spec.label: [] for cell in config.cells for spec in cell.controllers
+            problem.label: [] for cell in config.cells for problem in cell.controllers
         }
-
-    def _problem(
-        self, spec: ParallelControllerSpec, measurement: NetworkState,
-        forecast: tuple[ExogenousInput, ...],
-    ) -> MpcProblem:
-        """The problem ``spec`` solves at this step."""
-        cfg = self.config
-        if spec.kind == CONVENTIONAL:
-            dim, upper = len(self.mu_prev) * spec.horizon, cfg.metering_upper
-        else:
-            dim, upper = len(self.mu_prev), cfg.gain_upper
-        return MpcProblem(
-            kind=spec.kind,
-            horizon=spec.horizon,
-            params=cfg.params,
-            initial_state=measurement,
-            demand_forecast=forecast,
-            mu_prev=self.mu_prev,
-            bounds_lo=(0.0,) * dim,
-            bounds_hi=(upper,) * dim,
-            gamma=cfg.gamma,
-            label=spec.label,
-        )
 
     def propose(
         self,
@@ -268,15 +225,15 @@ class BaseParallelController:
         bases: list[CandidateSequence] = []
         cells = []
         for cell in cfg.cells:
-            length = max([spec.horizon for spec in cell.controllers] + [cfg.evaluation_horizon])
+            length = max([p.horizon for p in cell.controllers] + [cfg.evaluation_horizon])
             warm = warm_start_rollout(
                 cell.base, self.mu_prev, measurement, forecast, length, o_prev, cfg.gamma,
             )
             bases.append(CandidateSequence(warm.mu, cell.base.label, warm.total_cost))
-            cells.append(([self._problem(spec, measurement, forecast) for spec in cell.controllers],
-                          warm))
+            cells.append((cell.controllers, warm))
+        context = StepContext(cfg.params, measurement, forecast, self.mu_prev, cfg.gamma)
         # every solve of every cell, in one lockstep against the one deadline
-        return bases, run_parallel_cells(cells, self.histories, cfg.optimizer)
+        return bases, run_parallel_cells(cells, context, self.histories, cfg.optimizer)
 
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
         """Make ``applied`` the previous rates of every base and problem, and

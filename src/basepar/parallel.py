@@ -29,11 +29,11 @@ forward-difference points around its full step, or one forward-difference
 gradient where a shorter step was accepted.  One scheduler pass drives the
 starts of every solve in lockstep: those of one problem, and through
 :func:`run_parallel_cells` those of every problem of every parallel cell of
-a control step, whatever their kind and horizon, which share one context
-(the measured state, the forecast, the network, gamma and the previous
-rates).  A start repeated bit for bit lists its first copy's records
-instead of descending again.  Each round evaluates the requests of every
-live start together: with the built-in objective in one
+a control step, whatever their kind and horizon, from the step's one
+:class:`StepContext` (the measured state, the forecast, the network, gamma
+and the previous rates).  A start repeated bit for bit lists its first
+copy's records instead of descending again.  Each round evaluates the
+requests of every live start together: with the built-in objective in one
 :func:`~basepar.actm.rollout_batch` call, whose costs equal the
 point-by-point ones bit for bit whatever other rows share it; a substituted
 ``objective_fn`` point by point.  The first round runs whatever the
@@ -43,9 +43,10 @@ part in every round until it expires.  There is no thread pool: without a
 deadline (serial mode) the same pass runs until every start has finished.
 Records are listed start by start as a sequential solver lists them, so
 results depend neither on the interleaving nor on which other problems
-share the rounds.  What the solver derives from a problem's bounds (the
-coordinates with ``lo != hi``, where their difference steps go, the width
-of the box) is derived once per solve, not once per gradient.
+share the rounds.  An :class:`MpcProblem` is fixed for a run, and what the
+solver derives from its bounds (the coordinates with ``lo != hi``, where
+their difference steps go, the width of the box) is derived once, when the
+problem is built.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -59,7 +60,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -80,6 +81,7 @@ __all__ = [
     "CONVENTIONAL",
     "PARAMETERIZED",
     "MpcProblem",
+    "StepContext",
     "OptimizerConfig",
     "CandidateSequence",
     "BudgetedResult",
@@ -100,43 +102,51 @@ PARAMETERIZED = "parameterized"
 
 @dataclass(frozen=True)
 class MpcProblem:
-    """One receding-horizon problem frozen at a control step."""
+    """One online controller's receding-horizon problem, fixed for a run;
+    the solver's view of its box, :attr:`bounds`, is derived once, here."""
 
+    label: str
     kind: str
     horizon: int
-    params: NetworkParams
-    initial_state: NetworkState
-    demand_forecast: tuple[ExogenousInput, ...]  # held at the last entry if short
-    mu_prev: tuple[float, ...]                   # applied rates at the previous step
-    bounds_lo: tuple[float, ...]
+    bounds_lo: tuple[float, ...]  # ramps x horizon entries if conventional, one per ramp if not
     bounds_hi: tuple[float, ...]
-    gamma: float
-    label: str = ""
+    bounds: _Bounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (CONVENTIONAL, PARAMETERIZED):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if not self.demand_forecast:
-            raise ValueError("demand forecast must be non-empty")
-        if len(self.mu_prev) != len(self.params.metered_cells):
-            raise ValueError("mu_prev length does not match the metered ramp count")
-        if len(self.bounds_lo) != self.decision_dim or len(self.bounds_hi) != self.decision_dim:
-            raise ValueError(
-                f"bounds must have {self.decision_dim} entries for kind {self.kind!r}"
-            )
+        dim = len(self.bounds_lo)
+        if len(self.bounds_hi) != dim or (self.kind == CONVENTIONAL and dim % self.horizon):
+            raise ValueError("bounds must have one entry per ramp, and per step if conventional")
         # written so that NaN fails too
         if not all(lo <= hi for lo, hi in zip(self.bounds_lo, self.bounds_hi)):
             raise ValueError("lower bounds must not exceed upper bounds")
+        object.__setattr__(self, "bounds", _Bounds(self.bounds_lo, self.bounds_hi))
 
     @property
     def n_ramps(self) -> int:
-        return len(self.params.metered_cells)
+        return self.decision_dim // (self.horizon if self.kind == CONVENTIONAL else 1)
 
     @property
     def decision_dim(self) -> int:
-        return self.n_ramps * self.horizon if self.kind == CONVENTIONAL else self.n_ramps
+        return len(self.bounds_lo)
+
+
+@dataclass(frozen=True)
+class StepContext:
+    """What every problem of one control step is solved from."""
+
+    params: NetworkParams
+    initial_state: NetworkState
+    demand_forecast: tuple[ExogenousInput, ...]  # held at the last entry if short
+    mu_prev: tuple[float, ...]                   # applied rates at the previous step
+    gamma: float
+
+    def __post_init__(self) -> None:
+        if len(self.mu_prev) != len(self.params.metered_cells):
+            raise ValueError("mu_prev length does not match the metered ramp count")
 
 
 @dataclass(frozen=True)
@@ -210,8 +220,9 @@ def _decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
     return x
 
 
-def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
-    """Predicted cost of a decision vector over the problem horizon.
+def objective(problem: MpcProblem, context: StepContext, decision: Sequence[float]) -> float:
+    """Predicted cost of a decision vector over the problem horizon, from
+    the step's context.
 
     One merged rollout of one row, clipped into the bounds.  The two failures a plan can
     cause (a negative or NaN rate, a state update out of bounds) surface as
@@ -219,28 +230,28 @@ def objective(problem: MpcProblem, decision: Sequence[float]) -> float:
     error propagates.
     """
     x = _decision(problem, decision)[None, :]
-    return float(_MergedRollouts([problem]).objective([(0, x)])[0])
+    return float(_MergedRollouts([problem], context).objective([(0, x)])[0])
 
 
 class _MergedRollouts:
-    """Decision rows of several problems that share one context, rolled out
-    together.
+    """Decision rows of several problems rolled out together from one
+    step's context.
 
-    Every problem must share its initial state, forecast, network, gamma and
-    previous rates with the others, as every problem of one control step
-    does.  Each call is one :func:`~basepar.actm.rollout_batch` call,
-    whatever the problems' kinds and horizons: the rows in request order,
-    rolled over the longest requested horizon, each row costed over its own
-    problem's horizon.  Rows are clipped into their problem's bounds first.
+    Each call is one :func:`~basepar.actm.rollout_batch` call, whatever the
+    problems' kinds and horizons: the rows in request order, rolled over the
+    longest requested horizon, each row costed over its own problem's
+    horizon.  Rows are clipped into their problem's bounds first.  Every
+    problem must have as many ramps as the context's network;
+    ``ValueError`` otherwise.
     """
 
-    def __init__(self, problems: Sequence[MpcProblem]):
-        contexts = [(p.initial_state, tuple(p.demand_forecast), p.params,
-                     tuple(p.mu_prev), p.gamma) for p in problems]
-        if any(context != contexts[0] for context in contexts):
-            raise ValueError("problems solved jointly must share one context")
+    def __init__(self, problems: Sequence[MpcProblem], context: StepContext):
+        n_ramps = len(context.params.metered_cells)
+        for p in problems:
+            if p.n_ramps != n_ramps:
+                raise ValueError(f"problem {p.label!r} has {p.n_ramps} ramps, network {n_ramps}")
         self.problems = problems
-        self.bounds = [_Bounds(p.bounds_lo, p.bounds_hi) for p in problems]
+        self.context = context
 
     def __call__(
         self, requests: Sequence[tuple[int, np.ndarray]]
@@ -249,19 +260,20 @@ class _MergedRollouts:
         ``[rows, horizon, ramps]`` of each request; a request is a problem
         index with its decision rows ``[rows, dim]``."""
         problems = [self.problems[i] for i, _ in requests]
-        first = problems[0]
+        ctx = self.context
+        n_ramps = len(ctx.mu_prev)
         horizon = max(p.horizon for p in problems)
         batch = sum(len(rows) for _, rows in requests)
-        rates = np.zeros((batch, horizon, first.n_ramps))
+        rates = np.zeros((batch, horizon, n_ramps))
         gains = gain_rows = None
         if any(p.kind == PARAMETERIZED for p in problems):
-            gains = np.zeros((batch, first.n_ramps))
+            gains = np.zeros((batch, n_ramps))
             gain_rows = np.zeros(batch, dtype=bool)
         horizons = np.empty(batch, dtype=int)
         places = []
         at = 0
         for (i, x), problem in zip(requests, problems):
-            x = self.bounds[i].clip(x)
+            x = problem.bounds.clip(x)
             rows = slice(at, at + len(x))
             if problem.kind == CONVENTIONAL:
                 rates[rows, : problem.horizon] = x.reshape(len(x), problem.horizon, -1)
@@ -272,8 +284,8 @@ class _MergedRollouts:
             places.append(rows)
             at = rows.stop
         costs, plans = rollout_batch(
-            first.initial_state, first.demand_forecast, first.params, horizon,
-            first.gamma, plans=rates, gains=gains, mu_prev=first.mu_prev,
+            ctx.initial_state, ctx.demand_forecast, ctx.params, horizon,
+            ctx.gamma, plans=rates, gains=gains, mu_prev=ctx.mu_prev,
             gain_rows=gain_rows, horizons=horizons,
         )
         return costs, [plans[rows, : p.horizon] for rows, p in zip(places, problems)]
@@ -306,7 +318,7 @@ class _MergedRollouts:
         :func:`decision_to_metering`); the parameterized problems' plans are
         derived in one merged rollout."""
         derived = [i for i, p in enumerate(self.problems) if p.kind == PARAMETERIZED]
-        arrays = [bounds.clip(x) for x, bounds in zip(decisions, self.bounds)]
+        arrays = [p.bounds.clip(x) for x, p in zip(decisions, self.problems)]
         for i, problem in enumerate(self.problems):
             if problem.kind == CONVENTIONAL:
                 arrays[i] = arrays[i].reshape(-1, problem.horizon, problem.n_ramps)
@@ -318,11 +330,12 @@ class _MergedRollouts:
 
 
 def decision_to_metering(
-    problem: MpcProblem, decision: Sequence[float]
+    problem: MpcProblem, context: StepContext, decision: Sequence[float]
 ) -> tuple[tuple[float, ...], ...]:
-    """Metering plan (horizon x ramps) encoded by a decision vector."""
+    """Metering plan (horizon x ramps) encoded by a decision vector from the
+    step's context."""
     x = _decision(problem, decision)[None, :]
-    return _MergedRollouts([problem]).plans([x])[0][0]
+    return _MergedRollouts([problem], context).plans([x])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +443,23 @@ def _lockstep(
 
 
 class _Bounds:
-    """A problem's box ``[lo, hi]`` with what the solver derives from it,
-    once per solve: the coordinates with ``lo != hi``, where each one's
-    difference step goes among the flattened difference points, the width
-    of the finite box and the identity of its dimension."""
+    """A problem's box ``[lo, hi]`` and what the solver derives from it
+    once per problem, read-only since every solve shares them: the
+    coordinates with ``lo != hi``, where each one's difference step goes
+    among the flattened difference points, the width of the finite box and
+    its identity matrix."""
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
+        self.lo = np.array(lo, dtype=float)
+        self.hi = np.array(hi, dtype=float)
         self.free = np.flatnonzero(self.hi - self.lo != 0.0)
         dim, self.n_free = self.lo.size, self.free.size
         self.diagonal = np.arange(self.n_free) * dim + self.free
         finite = np.isfinite(self.hi) & np.isfinite(self.lo)
         self.width = float(np.max(self.hi[finite] - self.lo[finite], initial=1.0))
         self.eye = np.eye(dim)
-        self.eye.flags.writeable = False
+        for array in (self.lo, self.hi, self.free, self.diagonal, self.eye):
+            array.flags.writeable = False
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """``np.clip(x, lo, hi)`` bit for bit: numpy's maximum and minimum
@@ -624,6 +639,7 @@ def _opening(
 
 def _solve_jointly(
     problems: Sequence[MpcProblem],
+    context: StepContext,
     starts: Sequence[Sequence[Sequence[float]]],
     config: OptimizerConfig,
     objective_fn: Optional[Callable[[np.ndarray], float]] = None,
@@ -644,16 +660,16 @@ def _solve_jointly(
         raise ValueError("at least one starting point is required")
     t0 = time.monotonic()
     deadline = None if config.budget_s is None else t0 + config.budget_s
-    rollouts = _MergedRollouts(problems)
+    rollouts = _MergedRollouts(problems, context)
     evaluate = rollouts.objective if objective_fn is None else _pointwise(objective_fn)
 
     # per problem: each clipped start's trail, a start repeated bit for bit
     # sharing its first copy's
     openings, trails = [], []
     for i, (problem, s) in enumerate(zip(problems, starts)):
-        x = rollouts.bounds[i].clip(np.array([_decision(problem, row) for row in s]))
+        x = problem.bounds.clip(np.array([_decision(problem, row) for row in s]))
         distinct = {row.tobytes(): (row, []) for row in x}
-        openings.extend((i, _opening(row, rollouts.bounds[i], config, trail))
+        openings.extend((i, _opening(row, problem.bounds, config, trail))
                         for row, trail in distinct.values())
         trails.append([distinct[row.tobytes()][1] for row in x])
     _lockstep(openings, evaluate, deadline)
@@ -683,11 +699,13 @@ def _solve_jointly(
 
 def solve_budgeted(
     problem: MpcProblem,
+    context: StepContext,
     starts: Sequence[Sequence[float]],
     config: OptimizerConfig,
     objective_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> BudgetedResult:
-    """Minimize the problem objective from every start within the budget.
+    """Minimize the problem objective from the context and every start
+    within the budget.
 
     All starts are clipped into the bounds and evaluated up front, with the
     gradient at each, in the first round, which runs whatever the deadline
@@ -711,28 +729,27 @@ def solve_budgeted(
     This is the one-problem case of the scheduler :func:`run_parallel_cells`
     runs.
     """
-    return _solve_jointly([problem], [starts], config, objective_fn)[0]
+    return _solve_jointly([problem], context, [starts], config, objective_fn)[0]
 
 
 def run_parallel_cells(
     cells: Sequence[tuple[Sequence[MpcProblem], WarmStart]],
+    context: StepContext,
     histories: dict[str, list[np.ndarray]],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
-    """Solve every problem of several parallel cells together.
+    """Solve every problem of several parallel cells together, from the one
+    context of the control step.
 
-    Each cell pairs its problems with its base controller's warm start.  All
-    problems must share one context (initial state, forecast, network, gamma
-    and previous rates), as those of one control step do; ``ValueError``
-    otherwise.  Each controller receives the prefix of that warm start that
-    matches its horizon plus the shift starts built from its own solution
-    history.  All solves of all cells run in one lockstep against one
-    deadline, the config budget from when the starts are built, so every
-    solve takes part in every round until it finishes or the deadline
-    expires.  Without a budget the results equal those of separate
-    :func:`solve_budgeted` calls, except ``elapsed_s``: every result reports
-    the wall time of the whole call, whose rounds its solves shared.
-    Results are keyed by controller label.
+    Each cell pairs its problems with its base controller's warm start.
+    Each controller receives the prefix of that warm start that matches its
+    horizon plus the shift starts built from its own solution history.  All
+    solves of all cells run in one lockstep against one deadline, the config
+    budget from when the starts are built, so every solve takes part in
+    every round until it finishes or the deadline expires.  Without a budget
+    the results equal those of separate :func:`solve_budgeted` calls, except
+    ``elapsed_s``: every result reports the wall time of the whole call,
+    whose rounds its solves shared.  Results are keyed by controller label.
     """
     problems: list[MpcProblem] = []
     starts: list[list[np.ndarray]] = []
@@ -743,16 +760,17 @@ def run_parallel_cells(
             starts[-1].extend(
                 s.ravel() for s in make_shift_warm_starts(histories.get(problem.label, []))
             )
-    results = _solve_jointly(problems, starts, config) if problems else []
+    results = _solve_jointly(problems, context, starts, config) if problems else []
     return {problem.label: result for problem, result in zip(problems, results)}
 
 
 def run_parallel_cell(
     problems: Sequence[MpcProblem],
     base_warm: WarmStart,
+    context: StepContext,
     histories: dict[str, list[np.ndarray]],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of one parallel cell (see
     :func:`run_parallel_cells`)."""
-    return run_parallel_cells([(problems, base_warm)], histories, config)
+    return run_parallel_cells([(problems, base_warm)], context, histories, config)

@@ -57,10 +57,9 @@ from .orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
     ParallelCell,
-    ParallelControllerSpec,
     SelectionRecord,
 )
-from .parallel import CONVENTIONAL, PARAMETERIZED, OptimizerConfig
+from .parallel import CONVENTIONAL, PARAMETERIZED, MpcProblem, OptimizerConfig
 
 __all__ = [
     "ScenarioError",
@@ -142,6 +141,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
             raise ValueError("noise fraction must lie in [0, 1)")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,8 @@ class AnnSettings:
             raise ValueError("sample_count must be at least 2")
         if not 0 < self.validation_count < self.sample_count:
             raise ValueError("validation_count must lie between 0 and sample_count, exclusive")
+        if self.train_seed is not None and self.train_seed < 0:
+            raise ValueError("train_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,8 @@ class ScenarioConfig:
     ann: AnnSettings
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if not self.gamma >= 0:
@@ -232,6 +237,10 @@ class ScenarioConfig:
         nr = len(self.network.metered_cells)
         if len(self.mu_prev_init) != nr or len(self.o_prev_init) != nr:
             raise ValueError("initial flow vectors must match the metered ramp count")
+        # written so that NaN fails too
+        for name in ("mu_prev_init", "o_prev_init"):
+            if not all(v >= 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be nonnegative numbers")
         if len(self.ramp_profiles) != len(self.network.onramp_cells):
             raise ValueError("one demand profile per on-ramp is required")
         self.initial_state.validate(self.network)
@@ -500,7 +509,7 @@ def _networks_for(scenario: ScenarioConfig, nets: Optional[dict[int, MlpParams]]
 # Controllers wired for the closed loop
 # ---------------------------------------------------------------------------
 
-def _alinea_controller(scenario: ScenarioConfig, nets=None) -> FeedbackController:
+def _alinea_controller(scenario: ScenarioConfig) -> FeedbackController:
     gains = (scenario.control.alinea_gain,) * len(scenario.network.metered_cells)
     return FeedbackController(scenario.network, lambda *_: gains, "ALINEA")
 
@@ -511,9 +520,23 @@ def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
     return FeedbackController(scenario.network, gains, "ANN")
 
 
-def _hold_controller(scenario: ScenarioConfig, nets=None) -> FeedbackController:
+def _hold_controller(scenario: ScenarioConfig) -> FeedbackController:
     zero = (0.0,) * len(scenario.network.metered_cells)
     return FeedbackController(scenario.network, lambda *_: zero, "hold")
+
+
+def _online_controller(scenario: ScenarioConfig, key: str) -> MpcProblem:
+    """The problem of online controller ``key`` (``cmpc1`` ... ``pmpc2``),
+    built once per run: the rates over the short or long horizon in
+    ``[0, metering_upper]``, or one gain per ramp in ``[0, gain_upper]``."""
+    ctl = scenario.control
+    horizon = ctl.horizons[int(key[-1]) - 1]
+    n_ramps = len(scenario.network.metered_cells)
+    if key.startswith("cmpc"):
+        kind, dim, upper = CONVENTIONAL, n_ramps * horizon, ctl.metering_upper
+    else:
+        kind, dim, upper = PARAMETERIZED, n_ramps, ctl.gain_upper
+    return MpcProblem(CONTROLLER_LABELS[key], kind, horizon, (0.0,) * dim, (upper,) * dim)
 
 
 def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: bool,
@@ -529,8 +552,6 @@ def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: b
         else evaluation_horizon,
         gamma=scenario.gamma,
         optimizer=ctl.optimizer(budget_override, termination, serial=serial),
-        metering_upper=ctl.metering_upper,
-        gain_upper=ctl.gain_upper,
     )
     return BaseParallelController(config, mu_init=scenario.mu_prev_init)
 
@@ -544,22 +565,11 @@ def build_architecture(
 ) -> BaseParallelController:
     """Full case-study architecture: ALINEA seeds two conventional MPC
     controllers, the gain network seeds two parameterized ones."""
-    h1, h2 = scenario.control.horizons
     cells = [
-        ParallelCell(
-            base=_alinea_controller(scenario),
-            controllers=(
-                ParallelControllerSpec("CMPC(1)", CONVENTIONAL, h1),
-                ParallelControllerSpec("CMPC(2)", CONVENTIONAL, h2),
-            ),
-        ),
-        ParallelCell(
-            base=_ann_controller(scenario, nets),
-            controllers=(
-                ParallelControllerSpec("PMPC(1)", PARAMETERIZED, h1),
-                ParallelControllerSpec("PMPC(2)", PARAMETERIZED, h2),
-            ),
-        ),
+        ParallelCell(_alinea_controller(scenario),
+                     tuple(_online_controller(scenario, k) for k in ("cmpc1", "cmpc2"))),
+        ParallelCell(_ann_controller(scenario, nets),
+                     tuple(_online_controller(scenario, k) for k in ("pmpc1", "pmpc2"))),
     ]
     return _architecture(scenario, cells, serial, budget_override, termination)
 
@@ -610,17 +620,12 @@ def _build_driver(scenario, controller_choice, serial, nets,
         return _ArchitectureDriver(
             build_architecture(scenario, nets, serial, budget_override, termination)
         )
-    h1, h2 = scenario.control.horizons
-    base, controller = {
-        "alinea": (_alinea_controller, None),
-        "ann": (_ann_controller, None),
-        "cmpc1": (_hold_controller, (CONVENTIONAL, h1)),
-        "cmpc2": (_hold_controller, (CONVENTIONAL, h2)),
-        "pmpc1": (_hold_controller, (PARAMETERIZED, h1)),
-        "pmpc2": (_hold_controller, (PARAMETERIZED, h2)),
-    }[key]
-    specs = (ParallelControllerSpec(CONTROLLER_LABELS[key], *controller),) if controller else ()
-    cell = ParallelCell(base=base(scenario, nets), controllers=specs)
+    if key == "alinea":
+        cell = ParallelCell(_alinea_controller(scenario))
+    elif key == "ann":
+        cell = ParallelCell(_ann_controller(scenario, nets))
+    else:
+        cell = ParallelCell(_hold_controller(scenario), (_online_controller(scenario, key),))
     return _OwnPlanDriver(_architecture(scenario, [cell], serial, budget_override, termination,
                                         evaluation_horizon=1))
 

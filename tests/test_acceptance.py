@@ -23,12 +23,13 @@ from basepar.base_controllers import (
     optimal_gain_for_sample,
 )
 from basepar.cli import main as cli_main
-from basepar.orchestrator import ParallelCell, ParallelControllerSpec
+from basepar.orchestrator import ParallelCell
 from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
     MpcProblem,
     OptimizerConfig,
+    StepContext,
     _Bounds,
     objective,
     solve_budgeted,
@@ -229,14 +230,15 @@ def test_criterion_4_solver_correctness(scenario):
     gradient against a central-difference oracle at relative 1e-4."""
     net = scenario.network
 
+    surrogate = StepContext(
+        params=net, initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
+        demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),), mu_prev=(0.5, 0.5, 0.5),
+        gamma=0.8,
+    )
+
     def dummy(dim, lo, hi):
-        return MpcProblem(
-            kind=CONVENTIONAL, horizon=dim // 3, params=net,
-            initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
-            demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),),
-            mu_prev=(0.5, 0.5, 0.5),
-            bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim, gamma=0.8, label="t",
-        )
+        return MpcProblem(label="t", kind=CONVENTIONAL, horizon=dim // 3,
+                          bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim)
 
     rng = np.random.default_rng(104)
     a = rng.uniform(-3, 3, size=6)
@@ -244,45 +246,48 @@ def test_criterion_4_solver_correctness(scenario):
     qmat = m.T @ m + np.eye(6)
     fun = lambda x: float((x - a) @ qmat @ (x - a))
     cfg = OptimizerConfig(budget_s=None, max_iterations=300)
-    res = solve_budgeted(dummy(6, -10.0, 10.0), [np.zeros(6)], cfg, objective_fn=fun)
+    res = solve_budgeted(dummy(6, -10.0, 10.0), surrogate, [np.zeros(6)], cfg, objective_fn=fun)
     gap = float(np.max(np.abs(np.asarray(res.best.decision) - a)))
     assert gap < 1e-5
 
     def random_problem(k):
+        """A problem and a random context to solve it from."""
         kind = CONVENTIONAL if k % 2 == 0 else PARAMETERIZED
         horizon = int(rng.integers(1, 5))
         nr = 3
         lo, hi = ((0.0,) * (nr * horizon), (8.0,) * (nr * horizon)) \
             if kind == CONVENTIONAL else ((0.0,) * nr, (1.0,) * nr)
-        return MpcProblem(
-            kind=kind, horizon=horizon, params=net,
+        problem = MpcProblem(label="MPC", kind=kind, horizon=horizon, bounds_lo=lo, bounds_hi=hi)
+        context = StepContext(
+            params=net,
             initial_state=NetworkState(
                 n=tuple(rng.uniform(0, 60, size=6)), q=tuple(rng.uniform(0, 15, size=3))
             ),
             demand_forecast=(ExogenousInput(rng.uniform(0, 7),
                                             tuple(rng.uniform(0, 3, size=3))),),
             mu_prev=tuple(rng.uniform(0, 2, size=3)),
-            bounds_lo=lo, bounds_hi=hi, gamma=0.8, label="MPC",
+            gamma=0.8,
         )
+        return problem, context
 
     dominated = 0
     for k in range(20):
-        problem = random_problem(k)
+        problem, context = random_problem(k)
         width = problem.bounds_hi[0]
         starts = [rng.uniform(0, width, size=problem.decision_dim)
                   for _ in range(int(rng.integers(1, 5)))]
-        result = solve_budgeted(problem, starts,
+        result = solve_budgeted(problem, context, starts,
                                 OptimizerConfig(budget_s=None, max_iterations=15))
         trail_best = np.minimum.accumulate(result.cost_trail)
         assert all(b <= c + 1e-15 for c, b in zip(trail_best, trail_best[1:]))
         assert result.best.cost == min(result.cost_trail)
         for s in starts:
-            assert result.best.cost <= objective(problem, s) + 1e-12
+            assert result.best.cost <= objective(problem, context, s) + 1e-12
         dominated += 1
     assert dominated == 20
 
-    problem = random_problem(0)
-    fun2 = lambda x: objective(problem, x)
+    problem, context = random_problem(0)
+    fun2 = lambda x: objective(problem, context, x)
     lo = np.asarray(problem.bounds_lo)
     hi = np.asarray(problem.bounds_hi)
     worst = 0.0
@@ -308,16 +313,16 @@ def test_criterion_5_budget_compliance(scenario, trained):
         time.sleep(eval_time)
         return float(np.sum(np.sin(x * 37.0)) + 1e-6 * np.sum(x**2))
 
-    problem = MpcProblem(
-        kind=CONVENTIONAL, horizon=1, params=net,
-        initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
-        demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),),
-        mu_prev=(0.5, 0.5, 0.5),
-        bounds_lo=(-10.0,) * 3, bounds_hi=(10.0,) * 3, gamma=0.8, label="slow",
+    problem = MpcProblem(label="slow", kind=CONVENTIONAL, horizon=1,
+                         bounds_lo=(-10.0,) * 3, bounds_hi=(10.0,) * 3)
+    context = StepContext(
+        params=net, initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
+        demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),), mu_prev=(0.5, 0.5, 0.5),
+        gamma=0.8,
     )
     budget = 2.0
     t0 = time.monotonic()
-    solve_budgeted(problem, [np.zeros(3)],
+    solve_budgeted(problem, context, [np.zeros(3)],
                    OptimizerConfig(budget_s=budget, max_iterations=10_000),
                    objective_fn=slow)
     solve_elapsed = time.monotonic() - t0
@@ -349,6 +354,10 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
         assert r.winner == r.candidate_labels[first_argmin]
         assert costs[first_argmin] <= min(costs)
 
+    def cmpc(label, horizon):
+        return MpcProblem(label, CONVENTIONAL, horizon, (0.0,) * (3 * horizon),
+                          (8.0,) * (3 * horizon))
+
     def mini_arch(controllers):
         from basepar.orchestrator import ArchitectureConfig, BaseParallelController
 
@@ -361,7 +370,6 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
             evaluation_horizon=3,
             gamma=scenario.gamma,
             optimizer=OptimizerConfig(budget_s=None, max_iterations=8),
-            metering_upper=8.0, gain_upper=1.0,
         )
         return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 
@@ -370,11 +378,8 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
         st = NetworkState(n=tuple(rng.uniform(0, 60, size=6)),
                           q=tuple(rng.uniform(0, 12, size=3)))
         measured = ExogenousInput(rng.uniform(0, 7), tuple(rng.uniform(0, 2.5, size=3)))
-        small = mini_arch((ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),))
-        large = mini_arch((
-            ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),
-            ParallelControllerSpec("CMPC(2)", CONVENTIONAL, 10),
-        ))
+        small = mini_arch((cmpc("CMPC(1)", 3),))
+        large = mini_arch((cmpc("CMPC(1)", 3), cmpc("CMPC(2)", 10)))
         _, ev_s = small.control_step(st, measured, (3.8, 3.2, 0.6))
         _, ev_l = large.control_step(st, measured, (3.8, 3.2, 0.6))
         assert ev_l.costs[ev_l.winner_index] <= ev_s.costs[ev_s.winner_index] + 1e-12
@@ -420,6 +425,10 @@ def test_criterion_8_serial_determinism(tmp_path):
 # The shipped serial runs, pinned: criterion 8 compares two runs of the same
 # code, so only fixed values catch an edit that moves one bit.
 GOLDEN_J_TOTAL = 178.37464701685087
+# The serial end of the paper's claim: standalone CMPC(2) beats the
+# architecture by 0.04% on the shipped seed, so the strict ordering fails
+# here and criterion 7 states it only within 0.5%.
+GOLDEN_CMPC2_J_TOTAL = 178.2991014128293
 GOLDEN_LOG_SHA256 = {
     "alinea": "7b74a4945c40986b5b0a6e8008460fa3ed12f05b0b17a72913f9fbd2a701dd6c",
     "ann": "fdf83a640964f57d5f8546d488981882ecf52486c546b6c371c11053de3b81dd",
@@ -436,6 +445,7 @@ def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
     serial run of every control approach keeps the bytes of its run log."""
     logs = compare_runs[0]
     assert logs["architecture"].summary.j_total == GOLDEN_J_TOTAL
+    assert logs["cmpc2"].summary.j_total == GOLDEN_CMPC2_J_TOTAL
     digests = {}
     for key, log in logs.items():
         path = tmp_path / f"run_{key}.jsonl"
@@ -457,6 +467,24 @@ def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkey
     assert len(calls) == 1601
     assert sum(h for h, _ in calls) == 14526
     assert sum(rows for _, rows in calls) == 119756
+
+
+def test_serial_run_builds_each_problem_once(scenario, trained, monkeypatch):
+    """A serial architecture run builds its four problems, and the solver's
+    view of each box, once per run, not once per step."""
+    built = Counter()
+
+    def counting(key, fn):
+        def counted(self, *args, **kwargs):
+            built[key] += 1
+            return fn(self, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(MpcProblem, "__post_init__",
+                        counting("MpcProblem", MpcProblem.__post_init__))
+    monkeypatch.setattr(_Bounds, "__init__", counting("_Bounds", _Bounds.__init__))
+    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    assert built == Counter({"MpcProblem": 4, "_Bounds": 4})
 
 
 def test_serial_architecture_steps_the_scalar_model_for_the_plant_only(compare_runs):
@@ -485,3 +513,28 @@ def test_serial_descents_strictly_decrease(scenario, trained, monkeypatch):
     assert sum(len(trail) > 1 for trail in trails) > 20
     for trail in trails:
         assert all(b < a for a, b in zip(trail, trail[1:])), trail
+
+
+# The budget-0 end of the paper's claim.  The first solver round runs
+# whatever the deadline and is the whole solve, so these values do not
+# depend on the host's speed.  Every standalone MPC applies its hold base's
+# rates, the initial ones, at every step.
+GOLDEN_BUDGET_ZERO_J_TOTAL = {
+    "architecture": 518.7042776134633,
+    "cmpc1": 798.7386348017402,
+    "cmpc2": 798.7386348017402,
+    "pmpc1": 798.7386348017402,
+    "pmpc2": 798.7386348017402,
+    "ann": 525.7692460129822,
+    "alinea": 793.9090855545682,
+}
+
+
+def test_budget_zero_ordering_is_pinned(scenario, trained):
+    """At a zero wall budget every approach keeps its exact J_total, and the
+    architecture's is strictly below every standalone approach's."""
+    nets = trained[0]
+    j = {key: run_experiment(scenario, key, budget_override=0.0, nets=nets).summary.j_total
+         for key in GOLDEN_BUDGET_ZERO_J_TOTAL}
+    assert j == GOLDEN_BUDGET_ZERO_J_TOTAL
+    assert all(j["architecture"] < j[key] for key in j if key != "architecture")

@@ -143,6 +143,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "BASEPAR_SEED" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+    def test_negative_seed_fails_at_load(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("BASEPAR_SEED", env)
+        assert main(["run", "--controller", "alinea", "--serial", "--steps", "2",
+                     "--out", str(tmp_path), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestCompare:
     def test_seven_rows_with_reference_labels(self, tmp_path, small_scenario, capsys):

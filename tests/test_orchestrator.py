@@ -12,12 +12,17 @@ from basepar.orchestrator import (
     BaseParallelController,
     EvaluationResult,
     ParallelCell,
-    ParallelControllerSpec,
     evaluate_candidates,
     select_best,
 )
 from basepar import actm, orchestrator, parallel
-from basepar.parallel import CONVENTIONAL, PARAMETERIZED, CandidateSequence, OptimizerConfig
+from basepar.parallel import (
+    CONVENTIONAL,
+    PARAMETERIZED,
+    CandidateSequence,
+    MpcProblem,
+    OptimizerConfig,
+)
 from basepar.scenario import build_architecture, default_scenario
 
 from oracles import oracle_rollout_cost
@@ -35,6 +40,13 @@ def alinea(label="ALINEA"):
     return FeedbackController(NET, lambda *_: (0.016,) * 3, label)
 
 
+def mpc(label, kind, horizon):
+    """Online controller ``label`` with the case study's box: rates in
+    [0, 8] or gains in [0, 1]."""
+    dim, upper = (3 * horizon, 8.0) if kind == CONVENTIONAL else (3, 1.0)
+    return MpcProblem(label, kind, horizon, (0.0,) * dim, (upper,) * dim)
+
+
 def make_arch(cells, evaluation_horizon=3, max_iterations=8):
     config = ArchitectureConfig(
         params=NET,
@@ -42,8 +54,6 @@ def make_arch(cells, evaluation_horizon=3, max_iterations=8):
         evaluation_horizon=evaluation_horizon,
         gamma=0.8,
         optimizer=OptimizerConfig(budget_s=None, max_iterations=max_iterations),
-        metering_upper=8.0,
-        gain_upper=1.0,
     )
     return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -200,7 +210,7 @@ class TestControlStep:
         arch = make_arch([
             ParallelCell(
                 base=alinea(),
-                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
             )
         ])
         record, evaluation = arch.control_step(STATE, MEASURED, O_PREV)
@@ -212,7 +222,7 @@ class TestControlStep:
         arch = make_arch([
             ParallelCell(
                 base=alinea(),
-                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
             )
         ])
         record, evaluation = arch.control_step(STATE, MEASURED, O_PREV)
@@ -231,7 +241,7 @@ class TestControlStep:
         arch = make_arch([
             ParallelCell(
                 base=alinea(),
-                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
             )
         ])
         _, evaluation = arch.control_step(STATE, MEASURED, O_PREV)
@@ -249,15 +259,15 @@ class TestControlStep:
             small = make_arch([
                 ParallelCell(
                     base=alinea(),
-                    controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                    controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
                 )
             ])
             large = make_arch([
                 ParallelCell(
                     base=alinea(),
                     controllers=(
-                        ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),
-                        ParallelControllerSpec("CMPC(2)", CONVENTIONAL, 10),
+                        mpc("CMPC(1)", CONVENTIONAL, 3),
+                        mpc("CMPC(2)", CONVENTIONAL, 10),
                     ),
                 )
             ])
@@ -271,7 +281,7 @@ class TestControlStep:
         arch = make_arch([
             ParallelCell(
                 base=alinea(),
-                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
             )
         ])
         record, _ = arch.control_step(STATE, MEASURED, O_PREV)
@@ -300,7 +310,7 @@ class TestControlStep:
         def build(base):
             return make_arch([ParallelCell(
                 base=base,
-                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
             )])
 
         def records(arch, side, k):
@@ -319,7 +329,7 @@ class TestControlStep:
             return make_arch([
                 ParallelCell(
                     base=alinea(),
-                    controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                    controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
                 )
             ])
 
@@ -334,14 +344,12 @@ class TestControlStep:
                 params=NET,
                 cells=[ParallelCell(
                     base=alinea(),
-                    controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                    controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
                 )],
                 evaluation_horizon=3,
                 gamma=0.8,
                 optimizer=OptimizerConfig(budget_s=None, max_iterations=8,
                                           termination=termination),
-                metering_upper=8.0,
-                gain_upper=1.0,
             )
             return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -390,20 +398,18 @@ class TestDeadline:
             params=NET,
             cells=[
                 ParallelCell(base=alinea("ALINEA-A"), controllers=(
-                    ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),
-                    ParallelControllerSpec("CMPC(2)", CONVENTIONAL, 10),
+                    mpc("CMPC(1)", CONVENTIONAL, 3),
+                    mpc("CMPC(2)", CONVENTIONAL, 10),
                 )),
                 ParallelCell(base=alinea("ALINEA-B"), controllers=(
-                    ParallelControllerSpec("PMPC(1)", PARAMETERIZED, 3),
-                    ParallelControllerSpec("PMPC(2)", PARAMETERIZED, 10),
+                    mpc("PMPC(1)", PARAMETERIZED, 3),
+                    mpc("PMPC(2)", PARAMETERIZED, 10),
                 )),
             ],
             evaluation_horizon=3,
             gamma=0.8,
             optimizer=OptimizerConfig(budget_s=60.0, max_iterations=1000,
                                       termination=termination),
-            metering_upper=8.0,
-            gain_upper=1.0,
         )
         return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -487,16 +493,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["metering_upper", "gain_upper"])
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_negative_or_nan_upper_bound_rejected(self, name, value):
-        bounds = {"metering_upper": 8.0, "gain_upper": 1.0, name: value}
-        with pytest.raises(ValueError, match=name):
-            ArchitectureConfig(
-                params=NET,
-                cells=[ParallelCell(base=alinea())],
-                evaluation_horizon=1,
-                gamma=0.8,
-                optimizer=OptimizerConfig(),
-                **bounds,
-            )
+        # the upper end of a conventional controller's box is metering_upper,
+        # that of a parameterized one gain_upper; the problem checks its box
+        kind, dim = {"metering_upper": (CONVENTIONAL, 9), "gain_upper": (PARAMETERIZED, 3)}[name]
+        with pytest.raises(ValueError, match="lower bounds must not exceed upper bounds"):
+            MpcProblem("CMPC(1)", kind, 3, (0.0,) * dim, (value,) * dim)
 
     def test_evaluation_horizon_capped_by_min_horizon(self):
         with pytest.raises(ValueError):
@@ -504,13 +505,11 @@ class TestConfigValidation:
                 params=NET,
                 cells=[ParallelCell(
                     base=alinea(),
-                    controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 3),),
+                    controllers=(mpc("CMPC(1)", CONVENTIONAL, 3),),
                 )],
                 evaluation_horizon=4,
                 gamma=0.8,
                 optimizer=OptimizerConfig(),
-                metering_upper=8.0,
-                gain_upper=1.0,
             )
 
     def test_duplicate_labels_rejected(self):
@@ -524,6 +523,4 @@ class TestConfigValidation:
                 evaluation_horizon=1,
                 gamma=0.8,
                 optimizer=OptimizerConfig(),
-                metering_upper=8.0,
-                gain_upper=1.0,
             )

@@ -15,6 +15,7 @@ from basepar.parallel import (
     BudgetedResult,
     MpcProblem,
     OptimizerConfig,
+    StepContext,
     _Bounds,
     _gradient_request,
     _line_search,
@@ -48,101 +49,96 @@ def random_input(rng):
 
 
 def make_problem(rng, kind=CONVENTIONAL, horizon=3, label="MPC"):
+    """A problem with the case study's box, and a random context to solve
+    it from."""
     nr = 3
     if kind == CONVENTIONAL:
         lo, hi = (0.0,) * (nr * horizon), (8.0,) * (nr * horizon)
     else:
         lo, hi = (0.0,) * nr, (1.0,) * nr
-    return MpcProblem(
-        kind=kind, horizon=horizon, params=NET,
-        initial_state=random_state(rng),
-        demand_forecast=(random_input(rng),),
-        mu_prev=tuple(rng.uniform(0, 2, size=nr)),
-        bounds_lo=lo, bounds_hi=hi, gamma=0.8, label=label,
+    problem = MpcProblem(label=label, kind=kind, horizon=horizon, bounds_lo=lo, bounds_hi=hi)
+    context = StepContext(
+        params=NET, initial_state=random_state(rng), demand_forecast=(random_input(rng),),
+        mu_prev=tuple(rng.uniform(0, 2, size=nr)), gamma=0.8,
     )
+    return problem, context
 
 
-def sharing_context(problem, first):
-    """``problem`` from ``first``'s initial state, forecast and previous
-    rates, so that the two can be solved jointly."""
-    return replace(problem, initial_state=first.initial_state,
-                   demand_forecast=first.demand_forecast, mu_prev=first.mu_prev)
+# the context of every surrogate objective's problem
+SURROGATE = StepContext(
+    params=NET, initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
+    demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),), mu_prev=(0.5, 0.5, 0.5), gamma=0.8,
+)
 
 
 def dummy_problem(dim, lo=-10.0, hi=10.0):
     """Conventional-shaped carrier for surrogate objectives (3 ramps)."""
     assert dim % 3 == 0
-    horizon = dim // 3
-    return MpcProblem(
-        kind=CONVENTIONAL, horizon=horizon, params=NET,
-        initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
-        demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),),
-        mu_prev=(0.5, 0.5, 0.5),
-        bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim, gamma=0.8, label="surrogate",
-    )
+    return MpcProblem(label="surrogate", kind=CONVENTIONAL, horizon=dim // 3,
+                      bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim)
 
 
 class TestObjective:
     def test_matches_independent_rollout_cost(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            problem = make_problem(rng, horizon=4)
+            problem, context = make_problem(rng, horizon=4)
             for _ in range(10):
                 x = rng.uniform(0, 8, size=problem.decision_dim)
-                got = objective(problem, x)
+                got = objective(problem, context, x)
                 plan = [tuple(r) for r in x.reshape(4, 3)]
                 want = oracle_rollout_cost(
-                    NET, problem.initial_state, problem.demand_forecast, plan, 4, 0.8
+                    NET, context.initial_state, context.demand_forecast, plan, 4, 0.8
                 )
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_parameterized_zero_gain_zero_prev_is_no_admission(self):
         rng = np.random.default_rng(23)
         state = random_state(rng)
-        problem = MpcProblem(
-            kind=PARAMETERIZED, horizon=5, params=NET, initial_state=state,
-            demand_forecast=(random_input(rng),), mu_prev=(0.0, 0.0, 0.0),
-            bounds_lo=(0.0,) * 3, bounds_hi=(1.0,) * 3, gamma=0.8, label="PMPC",
-        )
-        got = objective(problem, np.zeros(3))
+        problem = MpcProblem(label="PMPC", kind=PARAMETERIZED, horizon=5,
+                             bounds_lo=(0.0,) * 3, bounds_hi=(1.0,) * 3)
+        context = StepContext(params=NET, initial_state=state,
+                              demand_forecast=(random_input(rng),), mu_prev=(0.0, 0.0, 0.0),
+                              gamma=0.8)
+        got = objective(problem, context, np.zeros(3))
         plan = [(0.0, 0.0, 0.0)] * 5
-        want = oracle_rollout_cost(NET, state, problem.demand_forecast, plan, 5, 0.8)
-        assert decision_to_metering(problem, np.zeros(3)) == ((0.0, 0.0, 0.0),) * 5
+        want = oracle_rollout_cost(NET, state, context.demand_forecast, plan, 5, 0.8)
+        assert decision_to_metering(problem, context, np.zeros(3)) == ((0.0, 0.0, 0.0),) * 5
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_horizon_one_gamma_zero_is_occupancy_time(self):
         rng = np.random.default_rng(29)
         state = random_state(rng)
-        problem = MpcProblem(
-            kind=CONVENTIONAL, horizon=1, params=NET, initial_state=state,
-            demand_forecast=(random_input(rng),), mu_prev=(0.0, 0.0, 0.0),
-            bounds_lo=(0.0,) * 3, bounds_hi=(8.0,) * 3, gamma=0.0, label="CMPC",
-        )
+        problem = MpcProblem(label="CMPC", kind=CONVENTIONAL, horizon=1,
+                             bounds_lo=(0.0,) * 3, bounds_hi=(8.0,) * 3)
+        context = StepContext(params=NET, initial_state=state,
+                              demand_forecast=(random_input(rng),), mu_prev=(0.0, 0.0, 0.0),
+                              gamma=0.0)
         expected = NET.sample_cycle_s / 3600.0 * (sum(state.n) + sum(state.q))
-        assert objective(problem, rng.uniform(0, 8, size=3)) == pytest.approx(expected)
+        assert objective(problem, context, rng.uniform(0, 8, size=3)) == pytest.approx(expected)
 
     def test_nan_rate_costs_inf(self):
         # np.clip keeps NaN, so a NaN decision reaches the model; it must be
         # rejected like a negative rate rather than leave its ramp unmetered
         rng = np.random.default_rng(19)
         for kind in (CONVENTIONAL, PARAMETERIZED):
-            problem = make_problem(rng, kind=kind, horizon=3)
+            problem, context = make_problem(rng, kind=kind, horizon=3)
             x = np.full(problem.decision_dim, 0.5)
             one_nan = x.copy()
             one_nan[-1] = math.nan
             all_nan = np.full(problem.decision_dim, math.nan)
-            assert math.isfinite(objective(problem, x))
-            assert objective(problem, one_nan) == math.inf
-            assert objective(problem, all_nan) == math.inf
+            assert math.isfinite(objective(problem, context, x))
+            assert objective(problem, context, one_nan) == math.inf
+            assert objective(problem, context, all_nan) == math.inf
             rows = np.array([x, one_nan, all_nan])
-            costs = _MergedRollouts([problem]).objective([(0, rows)])
-            assert costs.tolist() == [objective(problem, x), math.inf, math.inf]
+            costs = _MergedRollouts([problem], context).objective([(0, rows)])
+            assert costs.tolist() == [objective(problem, context, x), math.inf, math.inf]
 
     def test_dimension_check(self):
         rng = np.random.default_rng(1)
-        problem = make_problem(rng)
+        problem, context = make_problem(rng)
         with pytest.raises(ValueError):
-            objective(problem, np.zeros(problem.decision_dim + 1))
+            objective(problem, context, np.zeros(problem.decision_dim + 1))
 
 
 class TestShiftStarts:
@@ -203,6 +199,24 @@ class TestProblem:
             replace(dummy_problem(3), bounds_lo=(0.0, math.nan, 0.0),
                     bounds_hi=(8.0, 8.0, math.nan))
 
+    def test_box_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="one entry per ramp"):
+            MpcProblem(label="C", kind=CONVENTIONAL, horizon=3, bounds_lo=(0.0,) * 8,
+                       bounds_hi=(8.0,) * 8)
+        with pytest.raises(ValueError, match="one entry per ramp"):
+            MpcProblem(label="C", kind=CONVENTIONAL, horizon=3, bounds_lo=(0.0,) * 9,
+                       bounds_hi=(8.0,) * 6)
+
+    def test_derived_bounds_are_read_only(self):
+        # every step's solve shares them
+        problem, _ = make_problem(np.random.default_rng(3), horizon=2)
+        bounds = problem.bounds
+        for array in (bounds.lo, bounds.hi, bounds.free, bounds.eye):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        assert bounds.lo.tolist() == list(problem.bounds_lo)
+        assert bounds.hi.tolist() == list(problem.bounds_hi)
+
 
 class TestOptimizerConfig:
     @pytest.mark.parametrize(
@@ -226,7 +240,7 @@ class TestSolver:
         fun, a = self.quadratic(6, seed=3)
         problem = dummy_problem(6)
         cfg = OptimizerConfig(budget_s=None, max_iterations=300)
-        result = solve_budgeted(problem, [np.zeros(6)], cfg, objective_fn=fun)
+        result = solve_budgeted(problem, SURROGATE, [np.zeros(6)], cfg, objective_fn=fun)
         x = np.asarray(result.best.decision)
         assert np.max(np.abs(x - a)) < 1e-5
 
@@ -234,7 +248,7 @@ class TestSolver:
         problem = dummy_problem(3, lo=0.0, hi=2.0)
         fun = lambda x: float(np.sum((x - 5.0) ** 2))
         cfg = OptimizerConfig(budget_s=None, max_iterations=100)
-        result = solve_budgeted(problem, [np.ones(3)], cfg, objective_fn=fun)
+        result = solve_budgeted(problem, SURROGATE, [np.ones(3)], cfg, objective_fn=fun)
         np.testing.assert_allclose(result.best.decision, [2.0, 2.0, 2.0], atol=1e-9)
 
     def test_zero_budget_returns_best_start(self):
@@ -242,18 +256,18 @@ class TestSolver:
         problem = dummy_problem(3)
         starts = [np.zeros(3), np.ones(3), np.full(3, -1.0)]
         cfg = OptimizerConfig(budget_s=0.0, max_iterations=100)
-        result = solve_budgeted(problem, starts, cfg, objective_fn=fun)
+        result = solve_budgeted(problem, SURROGATE, starts, cfg, objective_fn=fun)
         start_costs = [fun(np.clip(s, -10, 10)) for s in starts]
         assert result.best.cost == min(start_costs)
         assert len(result.cost_trail) == 3
 
     def test_anytime_best_so_far_non_increasing(self):
         rng = np.random.default_rng(31)
-        problem = make_problem(rng, horizon=3)
+        problem, context = make_problem(rng, horizon=3)
         cfg = OptimizerConfig(budget_s=None, max_iterations=40, termination="all")
-        hold = np.tile(problem.mu_prev, problem.horizon)  # the previous rates, held
+        hold = np.tile(context.mu_prev, problem.horizon)  # the previous rates, held
         starts = [hold, rng.uniform(0, 8, size=problem.decision_dim)]
-        result = solve_budgeted(problem, starts, cfg)
+        result = solve_budgeted(problem, context, starts, cfg)
         best_so_far = np.minimum.accumulate(result.cost_trail)
         assert all(b <= a + 1e-15 for a, b in zip(best_so_far, best_so_far[1:]))
         assert result.best.cost == min(result.cost_trail)
@@ -263,21 +277,21 @@ class TestSolver:
         rng = np.random.default_rng(37)
         for i in range(20):
             kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
-            problem = make_problem(rng, kind=kind, horizon=rng.integers(1, 5))
+            problem, context = make_problem(rng, kind=kind, horizon=rng.integers(1, 5))
             k = int(rng.integers(1, 5))
             if kind == CONVENTIONAL:
                 starts = [rng.uniform(0, 8, size=problem.decision_dim) for _ in range(k)]
             else:
                 starts = [rng.uniform(0, 1, size=problem.decision_dim) for _ in range(k)]
             cfg = OptimizerConfig(budget_s=None, max_iterations=15)
-            result = solve_budgeted(problem, starts, cfg)
+            result = solve_budgeted(problem, context, starts, cfg)
             for s in starts:
-                assert result.best.cost <= objective(problem, s) + 1e-12
+                assert result.best.cost <= objective(problem, context, s) + 1e-12
 
     def test_gradient_matches_central_difference_oracle(self):
         rng = np.random.default_rng(41)
-        problem = make_problem(rng, horizon=3)
-        fun = lambda x: objective(problem, x)
+        problem, context = make_problem(rng, horizon=3)
+        fun = lambda x: objective(problem, context, x)
         lo = np.asarray(problem.bounds_lo)
         hi = np.asarray(problem.bounds_hi)
         for _ in range(10):
@@ -295,14 +309,14 @@ class TestSolver:
         h = 1e-6
         for i in range(12):
             kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
-            problem = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 11)))
+            problem, context = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 11)))
             lo = np.asarray(problem.bounds_lo)
             hi = np.asarray(problem.bounds_hi).copy()
             fixed = rng.random(problem.decision_dim) < 0.3
             fixed[0], fixed[-1] = False, True
             hi[fixed] = lo[fixed]  # lo == hi: the coordinate cannot move
             problem = replace(problem, bounds_hi=tuple(hi))
-            fun = lambda x: objective(problem, x)
+            fun = lambda x: objective(problem, context, x)
             x = rng.uniform(lo, hi)
             upper = rng.random(x.size) < 0.3
             upper[0] = True  # on the upper bound: the step goes backward
@@ -316,7 +330,7 @@ class TestSolver:
                 want[j] = (fun(point) - f0) / s
             scalar = fd_gradient(fun, x, f0, _Bounds(lo, hi), h)
             request = _gradient_request(x, f0, _Bounds(lo, hi), h)
-            evaluate = _MergedRollouts([problem]).objective
+            evaluate = _MergedRollouts([problem], context).objective
             batched = _lockstep([(0, request)], evaluate, None)[0]
             assert scalar.tolist() == want.tolist()
             assert batched.tolist() == want.tolist()
@@ -324,14 +338,15 @@ class TestSolver:
     @staticmethod
     def boxed_problem(rng, kind, horizon):
         """A problem with some ``lo == hi`` coordinates and a point on the
-        upper bound in others, where the difference step goes backward."""
-        problem = make_problem(rng, kind=kind, horizon=horizon)
+        upper bound in others, where the difference step goes backward, and
+        its context."""
+        problem, context = make_problem(rng, kind=kind, horizon=horizon)
         lo = np.asarray(problem.bounds_lo)
         hi = np.asarray(problem.bounds_hi).copy()
         fixed = rng.random(problem.decision_dim) < 0.3
         fixed[0], fixed[-1] = False, True
         hi[fixed] = lo[fixed]
-        return replace(problem, bounds_hi=tuple(hi)), lo, hi
+        return replace(problem, bounds_hi=tuple(hi)), context, lo, hi
 
     def test_full_step_carries_its_gradient(self):
         # with f = +inf every finite cost passes the Armijo test, so the full
@@ -341,8 +356,8 @@ class TestSolver:
         h = 1e-6
         for i in range(12):
             kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
-            problem, lo, hi = self.boxed_problem(rng, kind, int(rng.integers(1, 11)))
-            evaluate = _MergedRollouts([problem]).objective
+            problem, context, lo, hi = self.boxed_problem(rng, kind, int(rng.integers(1, 11)))
+            evaluate = _MergedRollouts([problem], context).objective
             x = rng.uniform(lo, hi)
             direction = rng.normal(size=x.size) * (hi - lo)
             direction[0] = 10.0 * (hi[0] - lo[0])  # clipped onto the upper bound
@@ -387,25 +402,25 @@ class TestSolver:
             return descent(x0, f0, g0, bounds, cfg, trail)
 
         monkeypatch.setattr(parallel, "_descent", recorded)
-        problems, starts = [], []
+        problems, contexts, starts = [], [], []
         for kind, horizon in ((CONVENTIONAL, 4), (PARAMETERIZED, 3), (CONVENTIONAL, 1)):
-            problem, lo, hi = self.boxed_problem(rng, kind, horizon)
-            if problems:
-                problem = sharing_context(problem, problems[0])
+            problem, context, lo, hi = self.boxed_problem(rng, kind, horizon)
             problems.append(problem)
+            contexts.append(context)
             x = [rng.uniform(lo, hi) for _ in range(3)]
             x[0][0] = hi[0]  # on the upper bound
             x[1][:] = hi     # on the upper bound everywhere
             starts.append(x)
         cfg = OptimizerConfig(budget_s=None, max_iterations=2)
-        parallel._solve_jointly(problems, starts, cfg)
+        context = contexts[0]  # one context for the joint solve
+        parallel._solve_jointly(problems, context, starts, cfg)
         assert len(begun) == 9
         for problem, problem_starts in zip(problems, starts):
-            evaluate = _MergedRollouts([problem]).objective
+            evaluate = _MergedRollouts([problem], context).objective
             for x in problem_starts:
                 x0, f0, g0, bounds = begun.pop(0)
                 assert x0.tolist() == x.tolist()
-                assert f0 == objective(problem, x)
+                assert f0 == objective(problem, context, x)
                 request = _gradient_request(x, f0, bounds, h)
                 assert g0.tolist() == _lockstep([(0, request)], evaluate, None)[0].tolist()
 
@@ -429,14 +444,13 @@ class TestSolver:
         # yield, byte for byte
         rng = np.random.default_rng(97)
         h = 1e-6
-        problems, starts = [], []
+        problems, contexts, starts = [], [], []
         for label, fixed, value in (("A", 1, 3.0), ("B", 4, 5.0)):
-            problem = make_problem(rng, kind=CONVENTIONAL, horizon=2, label=label)
+            problem, context = make_problem(rng, kind=CONVENTIONAL, horizon=2, label=label)
             lo, hi = list(problem.bounds_lo), list(problem.bounds_hi)
             lo[fixed] = hi[fixed] = value
             problem = replace(problem, bounds_lo=tuple(lo), bounds_hi=tuple(hi))
-            if problems:
-                problem = sharing_context(problem, problems[0])
+            contexts.append(context)
             x = [np.clip(rng.uniform(0.0, 8.0, size=6), lo, hi) for _ in range(3)]
             x[1][:] = hi  # on the upper bound, where the steps go backward
             problems.append(problem)
@@ -461,7 +475,7 @@ class TestSolver:
         for together in ([0, 1], [0], [1]):
             rounds.clear()
             begun.clear()
-            parallel._solve_jointly([problems[i] for i in together],
+            parallel._solve_jointly([problems[i] for i in together], contexts[0],
                                     [starts[i] for i in together], cfg)
             requests, costs = rounds[0]  # the first round
             owners = [(problems[i], x) for i in together for x in starts[i]]
@@ -486,25 +500,25 @@ class TestSolver:
         monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=lambda: 0.0))
         rng = np.random.default_rng(97)
         for kind in (CONVENTIONAL, PARAMETERIZED):
-            problem = make_problem(rng, kind=kind, horizon=3)
+            problem, context = make_problem(rng, kind=kind, horizon=3)
             lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
             a, b, c = (rng.uniform(lo, hi) for _ in range(3))
             above = hi + 1.0  # clips onto hi
             starts = [a, b, a.copy(), hi, c, b, above]
             for termination in ("all", "best"):
                 cfg = OptimizerConfig(budget_s=None, max_iterations=8, termination=termination)
-                singles = [solve_budgeted(problem, [s], cfg) for s in starts]
+                singles = [solve_budgeted(problem, context, [s], cfg) for s in starts]
                 begun = []
                 descent = parallel._descent
                 monkeypatch.setattr(
                     parallel, "_descent", lambda *args: begun.append(1) or descent(*args)
                 )
-                got = solve_budgeted(problem, starts, cfg)
+                got = solve_budgeted(problem, context, starts, cfg)
                 monkeypatch.setattr(parallel, "_descent", descent)
                 assert len(begun) == 4
 
                 every = singles if termination == "all" else [
-                    solve_budgeted(problem, [s], replace(cfg, termination="all"))
+                    solve_budgeted(problem, context, [s], replace(cfg, termination="all"))
                     for s in starts
                 ]
                 trail = [r.cost_trail[0] for r in every]
@@ -526,10 +540,10 @@ class TestSolver:
         # given none: a coroutine with two requests gets its first round
         # under an expired deadline, and is then cut off
         rng = np.random.default_rng(59)
-        problem = make_problem(rng, horizon=3)
+        problem, context = make_problem(rng, horizon=3)
         bounds = _Bounds(problem.bounds_lo, problem.bounds_hi)
         x = np.full(problem.decision_dim, 1.0)
-        f0 = objective(problem, x)
+        f0 = objective(problem, context, x)
         seen = []
 
         def two_gradients():
@@ -538,12 +552,12 @@ class TestSolver:
 
         def evaluate(requests, deadline):
             seen.append(deadline)
-            return _MergedRollouts([problem]).objective(requests, deadline)
+            return _MergedRollouts([problem], context).objective(requests, deadline)
 
         expired = time.monotonic() - 1.0
         assert _lockstep([(0, two_gradients())], evaluate, expired) == [None]
         assert seen[0] is None and len(seen) == 2
-        want = fd_gradient(lambda y: objective(problem, y), x, f0, bounds, 1e-6)
+        want = fd_gradient(lambda y: objective(problem, context, y), x, f0, bounds, 1e-6)
         assert seen[1].tobytes() == want.tobytes()
 
     def test_expired_joint_solve_returns_its_zero_budget_result(self, monkeypatch):
@@ -552,9 +566,8 @@ class TestSolver:
         # (the best start, the starts' costs alone), from two kernel calls,
         # the first round and the plan round
         rng = np.random.default_rng(131)
-        conventional = make_problem(rng, kind=CONVENTIONAL, horizon=3, label="C")
-        parameterized = sharing_context(
-            make_problem(rng, kind=PARAMETERIZED, horizon=4, label="P"), conventional)
+        conventional, context = make_problem(rng, kind=CONVENTIONAL, horizon=3, label="C")
+        parameterized, _ = make_problem(rng, kind=PARAMETERIZED, horizon=4, label="P")
         problems = [conventional, parameterized]
         starts = []
         for problem in problems:
@@ -568,17 +581,18 @@ class TestSolver:
         for termination in ("all", "best"):
             cfg = OptimizerConfig(budget_s=0.0, max_iterations=40, termination=termination)
             calls.clear()
-            expired = parallel._solve_jointly(problems, starts, cfg)
+            expired = parallel._solve_jointly(problems, context, starts, cfg)
             assert len(calls) == 2
-            zero = parallel._solve_jointly(problems, starts, replace(cfg, max_iterations=0))
+            zero = parallel._solve_jointly(problems, context, starts,
+                                           replace(cfg, max_iterations=0))
             for problem, s, got, want in zip(problems, starts, expired, zero):
-                costs = tuple(objective(problem, x) for x in s)
+                costs = tuple(objective(problem, context, x) for x in s)
                 assert got.cost_trail == want.cost_trail == costs
                 assert got.iterates == want.iterates
                 assert got.best == want.best
                 assert got.best.cost == min(costs)
                 first = costs.index(min(costs))
-                assert got.best.metering == decision_to_metering(problem, s[first])
+                assert got.best.metering == decision_to_metering(problem, context, s[first])
 
     def test_lockstep_descents_equal_single_start_solves(self):
         # the descents of a multi-start solve run in lockstep, one merged batch
@@ -586,12 +600,12 @@ class TestSolver:
         rng = np.random.default_rng(67)
         for i in range(8):
             kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
-            problem = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 6)))
+            problem, context = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 6)))
             lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
             starts = [rng.uniform(lo, hi) for _ in range(int(rng.integers(2, 5)))]
             cfg = OptimizerConfig(budget_s=None, max_iterations=15, termination="all")
-            multi = solve_budgeted(problem, starts, cfg)
-            singles = [solve_budgeted(problem, [s], cfg) for s in starts]
+            multi = solve_budgeted(problem, context, starts, cfg)
+            singles = [solve_budgeted(problem, context, [s], cfg) for s in starts]
             want_trail = [r.cost_trail[0] for r in singles]
             want_iterates = [r.iterates[0] for r in singles]
             for r in singles:
@@ -604,13 +618,13 @@ class TestSolver:
 
     def test_model_errors_other_than_plan_failures_propagate(self):
         rng = np.random.default_rng(61)
-        problem = make_problem(rng, horizon=2)
-        bad = replace(problem, initial_state=NetworkState(n=(1.0,) * 5, q=(0.0,) * 3))
+        problem, context = make_problem(rng, horizon=2)
+        bad = replace(context, initial_state=NetworkState(n=(1.0,) * 5, q=(0.0,) * 3))
         x = np.ones(problem.decision_dim)
         with pytest.raises(TopologyError):
-            objective(bad, x)
+            objective(problem, bad, x)
         with pytest.raises(TopologyError):
-            solve_budgeted(bad, [x], OptimizerConfig(budget_s=None, max_iterations=2))
+            solve_budgeted(problem, bad, [x], OptimizerConfig(budget_s=None, max_iterations=2))
 
     def test_budget_compliance_with_slow_objective(self):
         eval_time = 0.02
@@ -625,7 +639,7 @@ class TestSolver:
         budget = 0.5
         cfg = OptimizerConfig(budget_s=budget, max_iterations=10_000)
         t0 = time.monotonic()
-        solve_budgeted(problem, [np.zeros(3)], cfg, objective_fn=slow)
+        solve_budgeted(problem, SURROGATE, [np.zeros(3)], cfg, objective_fn=slow)
         elapsed = time.monotonic() - t0
         assert elapsed <= (budget + eval_time) * 1.10 + 0.05
         assert len(calls) >= 2  # it did work inside the window
@@ -637,11 +651,10 @@ class TestSolver:
             state = random_state(rng)
             inp = random_input(rng)
             mu_prev = tuple(rng.uniform(0.5, 3, size=3))
-            conv = MpcProblem(
-                kind=CONVENTIONAL, horizon=1, params=NET, initial_state=state,
-                demand_forecast=(inp,), mu_prev=mu_prev,
-                bounds_lo=(0.0,) * 3, bounds_hi=(8.0,) * 3, gamma=0.8, label="C",
-            )
+            context = StepContext(params=NET, initial_state=state, demand_forecast=(inp,),
+                                  mu_prev=mu_prev, gamma=0.8)
+            conv = MpcProblem(label="C", kind=CONVENTIONAL, horizon=1,
+                              bounds_lo=(0.0,) * 3, bounds_hi=(8.0,) * 3)
             rho = [state.n[i] / (NET.cells[i].length) for i in NET.metered_cells]
             delta = [NET.rho_crit - r for r in rho]
             if any(abs(d) < 1e-6 for d in delta):
@@ -652,16 +665,13 @@ class TestSolver:
                 b = (8.0 - mu_prev[j]) / delta[j]
                 lo.append(min(a, b))
                 hi.append(max(a, b))
-            par = MpcProblem(
-                kind=PARAMETERIZED, horizon=1, params=NET, initial_state=state,
-                demand_forecast=(inp,), mu_prev=mu_prev,
-                bounds_lo=tuple(lo), bounds_hi=tuple(hi), gamma=0.8, label="P",
-            )
+            par = MpcProblem(label="P", kind=PARAMETERIZED, horizon=1,
+                             bounds_lo=tuple(lo), bounds_hi=tuple(hi))
             cfg = OptimizerConfig(budget_s=None, max_iterations=150)
             c_starts = [np.zeros(3), np.full(3, 8.0), np.asarray(mu_prev)]
             p_starts = [np.asarray(lo), np.asarray(hi), np.zeros(3)]
-            jc = solve_budgeted(conv, c_starts, cfg).best.cost
-            jp = solve_budgeted(par, p_starts, cfg).best.cost
+            jc = solve_budgeted(conv, context, c_starts, cfg).best.cost
+            jp = solve_budgeted(par, context, p_starts, cfg).best.cost
             assert abs(jc - jp) <= cfg.function_tolerance
             consistent += 1
         assert consistent >= 8  # almost every random draw is usable
@@ -669,7 +679,7 @@ class TestSolver:
     def test_requires_a_start(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            solve_budgeted(make_problem(rng), [], OptimizerConfig())
+            solve_budgeted(*make_problem(rng), [], OptimizerConfig())
 
 
 class TestBoundsClip:
@@ -699,16 +709,16 @@ class TestHoldBase:
         rng = np.random.default_rng(79 + horizon)
         zeros = 0
         for _ in range(100):
-            problem = make_problem(rng, kind=kind, horizon=horizon)
-            mu_prev = np.where(rng.uniform(size=3) < 0.3, 0.0, problem.mu_prev)
-            problem = replace(problem, mu_prev=tuple(mu_prev.tolist()))
+            problem, context = make_problem(rng, kind=kind, horizon=horizon)
+            mu_prev = np.where(rng.uniform(size=3) < 0.3, 0.0, context.mu_prev)
+            context = replace(context, mu_prev=tuple(mu_prev.tolist()))
             zeros += int(np.count_nonzero(mu_prev == 0.0))
             hold = FeedbackController(NET, lambda *_: (0.0,) * 3, "hold")
-            warm = warm_start_rollout(hold, problem.mu_prev, problem.initial_state,
-                                      problem.demand_forecast, horizon,
+            warm = warm_start_rollout(hold, context.mu_prev, context.initial_state,
+                                      context.demand_forecast, horizon,
                                       tuple(rng.uniform(0, 8, size=3)))
             if kind == CONVENTIONAL:
-                want = np.tile(np.asarray(problem.mu_prev, dtype=float), horizon)
+                want = np.tile(np.asarray(context.mu_prev, dtype=float), horizon)
             else:
                 want = np.zeros(3)
             assert base_start_for(problem, warm).tobytes() == want.tobytes()
@@ -725,18 +735,16 @@ class TestParallelCell:
             base, (0.5, 0.2, 0.4), state, (measured,), 10, (3.8, 3.2, 0.6)
         )
         problems = [
-            MpcProblem(
-                kind=CONVENTIONAL, horizon=h, params=NET, initial_state=state,
-                demand_forecast=(measured,), mu_prev=(0.5, 0.2, 0.4),
-                bounds_lo=(0.0,) * (3 * h), bounds_hi=(8.0,) * (3 * h),
-                gamma=0.8, label=f"CMPC({i})",
-            )
+            MpcProblem(label=f"CMPC({i})", kind=CONVENTIONAL, horizon=h,
+                       bounds_lo=(0.0,) * (3 * h), bounds_hi=(8.0,) * (3 * h))
             for i, h in enumerate((3, 10), start=1)
         ]
-        return problems, warm
+        context = StepContext(params=NET, initial_state=state, demand_forecast=(measured,),
+                              mu_prev=(0.5, 0.2, 0.4), gamma=0.8)
+        return problems, warm, context
 
     def test_warm_start_prefix_truncation(self):
-        problems, warm = self.setup_cell()
+        problems, warm, _ = self.setup_cell()
         start = base_start_for(problems[0], warm)
         np.testing.assert_allclose(
             start, np.asarray(warm.mu[:3], dtype=float).ravel()
@@ -745,19 +753,19 @@ class TestParallelCell:
         assert base_start_for(problems[1], warm).size == 30
 
     def test_single_controller_cell_equals_solve_budgeted(self):
-        problems, warm = self.setup_cell()
+        problems, warm, context = self.setup_cell()
         cfg = OptimizerConfig(budget_s=None, max_iterations=10)
-        cell = run_parallel_cell(problems[:1], warm, {}, cfg)
-        direct = solve_budgeted(problems[0], [base_start_for(problems[0], warm)], cfg)
+        cell = run_parallel_cell(problems[:1], warm, context, {}, cfg)
+        direct = solve_budgeted(problems[0], context, [base_start_for(problems[0], warm)], cfg)
         assert cell["CMPC(1)"].best.decision == direct.best.decision
         assert cell["CMPC(1)"].cost_trail == direct.cost_trail
 
     def test_serial_determinism_bitwise(self):
-        problems, warm = self.setup_cell()
+        problems, warm, context = self.setup_cell()
         cfg = OptimizerConfig(budget_s=None, max_iterations=12)
         hist = {"CMPC(1)": [np.full((3, 3), 0.7)], "CMPC(2)": []}
-        a = run_parallel_cell(problems, warm, hist, cfg)
-        b = run_parallel_cell(problems, warm, hist, cfg)
+        a = run_parallel_cell(problems, warm, context, hist, cfg)
+        b = run_parallel_cell(problems, warm, context, hist, cfg)
         for label in ("CMPC(1)", "CMPC(2)"):
             assert a[label].best.decision == b[label].best.decision
             assert a[label].cost_trail == b[label].cost_trail
@@ -772,6 +780,8 @@ class TestParallelCell:
                                  q=tuple(rng.uniform(0, 15, size=3)))
             measured = ExogenousInput(rng.uniform(0, 7), tuple(rng.uniform(0, 3, size=3)))
             mu_prev = tuple(rng.uniform(0, 2, size=3))
+            context = StepContext(params=NET, initial_state=state, demand_forecast=(measured,),
+                                  mu_prev=mu_prev, gamma=0.8)
             cells = []
             for c, kind in enumerate((CONVENTIONAL, PARAMETERIZED)):
                 gains = tuple(rng.uniform(0.005, 0.03, size=3))
@@ -780,12 +790,8 @@ class TestParallelCell:
                     base, mu_prev, state, (measured,), 10, (3.8, 3.2, 0.6)
                 )
                 problems = [
-                    make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")
+                    make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")[0]
                     for h in (3, 10)
-                ]
-                problems = [
-                    replace(p, initial_state=state, demand_forecast=(measured,), mu_prev=mu_prev)
-                    for p in problems
                 ]
                 cells.append((problems, warm))
             hist = {}
@@ -794,12 +800,12 @@ class TestParallelCell:
                     rows = p.horizon if p.kind == CONVENTIONAL else 1
                     hist[p.label] = [rng.uniform(0, 1, size=(rows, 3)) for _ in range(trial)]
             cfg = OptimizerConfig(budget_s=None, max_iterations=12, termination="all")
-            together = run_parallel_cells(cells, hist, cfg)
+            together = run_parallel_cells(cells, context, hist, cfg)
             for problems, warm in cells:
                 for p in problems:
                     starts = [base_start_for(p, warm)]
                     starts.extend(s.ravel() for s in make_shift_warm_starts(hist[p.label]))
-                    alone = solve_budgeted(p, starts, cfg)
+                    alone = solve_budgeted(p, context, starts, cfg)
                     got = together[p.label]
                     assert got.cost_trail == alone.cost_trail
                     assert [c.decision for c in got.iterates] == [
@@ -812,16 +818,19 @@ class TestParallelCell:
                     assert got.best.cost == alone.best.cost
                     assert len(got.cost_trail) > len(starts)  # the descents did work
 
-    def test_cells_at_different_states_rejected(self):
-        # the problems of one joint solve share one context
-        problems, warm = self.setup_cell()
-        moved = replace(problems[1], initial_state=NetworkState(n=(30.0,) * 6, q=(5.0,) * 3))
+    def test_problem_of_another_ramp_count_rejected(self):
+        # a box of two ramps per step against the network's three
+        problems, warm, context = self.setup_cell()
+        two_ramps = MpcProblem(label="two", kind=CONVENTIONAL, horizon=3,
+                               bounds_lo=(0.0,) * 6, bounds_hi=(8.0,) * 6)
         cfg = OptimizerConfig(budget_s=None, max_iterations=2)
-        with pytest.raises(ValueError):
-            run_parallel_cells([(problems[:1], warm), ([moved], warm)], {}, cfg)
+        with pytest.raises(ValueError, match="'two' has 2 ramps"):
+            run_parallel_cells([(problems, warm), ([two_ramps], warm)], context, {}, cfg)
+        with pytest.raises(ValueError, match="'two' has 2 ramps"):
+            objective(two_ramps, context, np.zeros(6))
 
     def test_short_warm_start_rejected(self):
-        problems, _ = self.setup_cell()
+        problems, _, context = self.setup_cell()
         base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
@@ -829,4 +838,4 @@ class TestParallelCell:
             (3.8, 3.2, 0.6),
         )
         with pytest.raises(ValueError):
-            run_parallel_cell(problems, short, {}, OptimizerConfig())
+            run_parallel_cell(problems, short, context, {}, OptimizerConfig())

@@ -29,13 +29,13 @@ from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
     ParallelCell,
-    ParallelControllerSpec,
 )
 from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
     MpcProblem,
     OptimizerConfig,
+    StepContext,
     objective,
     solve_budgeted,
 )
@@ -177,21 +177,20 @@ class TestRandomTopologies:
                 continue
             horizon = int(rng.integers(1, 5))
             nr = len(net.metered_cells)
-            problem = MpcProblem(
-                kind=CONVENTIONAL, horizon=horizon, params=net,
-                initial_state=random_state(rng, net),
+            problem = MpcProblem(label="R", kind=CONVENTIONAL, horizon=horizon,
+                                 bounds_lo=(0.0,) * (nr * horizon),
+                                 bounds_hi=(10.0,) * (nr * horizon))
+            context = StepContext(
+                params=net, initial_state=random_state(rng, net),
                 demand_forecast=(random_input(rng, net),),
-                mu_prev=tuple(rng.uniform(0, 2, size=nr)),
-                bounds_lo=(0.0,) * (nr * horizon),
-                bounds_hi=(10.0,) * (nr * horizon),
-                gamma=0.8, label="R",
+                mu_prev=tuple(rng.uniform(0, 2, size=nr)), gamma=0.8,
             )
             x = rng.uniform(0, 10, size=problem.decision_dim)
             plan = [tuple(float(v) for v in row) for row in x.reshape(horizon, nr)]
             want = oracle_rollout_cost(
-                net, problem.initial_state, problem.demand_forecast, plan, horizon, 0.8
+                net, context.initial_state, context.demand_forecast, plan, horizon, 0.8
             )
-            assert objective(problem, x) == pytest.approx(want, abs=1e-9)
+            assert objective(problem, context, x) == pytest.approx(want, abs=1e-9)
             checked += 1
 
     def test_solver_dominance_on_random_networks(self):
@@ -202,21 +201,19 @@ class TestRandomTopologies:
             if not net.metered_cells:
                 continue
             nr = len(net.metered_cells)
-            problem = MpcProblem(
-                kind=CONVENTIONAL, horizon=2, params=net,
-                initial_state=random_state(rng, net),
+            problem = MpcProblem(label="R", kind=CONVENTIONAL, horizon=2,
+                                 bounds_lo=(0.0,) * (nr * 2), bounds_hi=(10.0,) * (nr * 2))
+            context = StepContext(
+                params=net, initial_state=random_state(rng, net),
                 demand_forecast=(random_input(rng, net),),
-                mu_prev=tuple(rng.uniform(0, 2, size=nr)),
-                bounds_lo=(0.0,) * (nr * 2),
-                bounds_hi=(10.0,) * (nr * 2),
-                gamma=0.8, label="R",
+                mu_prev=tuple(rng.uniform(0, 2, size=nr)), gamma=0.8,
             )
             starts = [rng.uniform(0, 10, size=problem.decision_dim) for _ in range(3)]
             result = solve_budgeted(
-                problem, starts, OptimizerConfig(budget_s=None, max_iterations=12)
+                problem, context, starts, OptimizerConfig(budget_s=None, max_iterations=12)
             )
             for s in starts:
-                assert result.best.cost <= objective(problem, s) + 1e-12
+                assert result.best.cost <= objective(problem, context, s) + 1e-12
             checked += 1
 
     def test_architecture_on_random_network(self):
@@ -234,13 +231,12 @@ class TestRandomTopologies:
             params=net,
             cells=[ParallelCell(
                 base=base,
-                controllers=(ParallelControllerSpec("CMPC(1)", CONVENTIONAL, 2),),
+                controllers=(MpcProblem("CMPC(1)", CONVENTIONAL, 2,
+                                        (0.0,) * (nr * 2), (10.0,) * (nr * 2)),),
             )],
             evaluation_horizon=2,
             gamma=0.8,
             optimizer=OptimizerConfig(budget_s=None, max_iterations=6),
-            metering_upper=10.0,
-            gain_upper=1.0,
         )
         arch = BaseParallelController(config, mu_init=(0.5,) * nr)
         state = random_state(rng, net)
@@ -357,45 +353,45 @@ class TestBatchedRollout:
     """``rollout_batch`` against the scalar model and feedback law, compared
     byte for byte so that the sign of a zero counts too."""
 
-    def gain_rollout(self, problem, theta):
+    def gain_rollout(self, problem, context, theta):
         """The scalar rollout of the constant gains ``theta``: rates, gains
         and cost."""
         gains = tuple(float(t) for t in theta)
-        return scalar_gain_rollout(problem.params, lambda *_: gains, problem.mu_prev,
-                                   problem.initial_state, problem.demand_forecast,
-                                   problem.horizon, (), problem.gamma)
+        return scalar_gain_rollout(context.params, lambda *_: gains, context.mu_prev,
+                                   context.initial_state, context.demand_forecast,
+                                   problem.horizon, (), context.gamma)
 
-    def scalar(self, problem, x):
+    def scalar(self, problem, context, x):
         """The scalar model's cost of decision ``x``, clipped into the
         bounds, and the exception it raises, if any, with cost +inf."""
         x = np.clip(x, problem.bounds_lo, problem.bounds_hi)
         try:
             if problem.kind == CONVENTIONAL:
-                cost = scalar_rollout(problem.initial_state, problem.demand_forecast,
-                               x.reshape(problem.horizon, -1).tolist(), problem.params,
-                               problem.horizon, problem.gamma).total_cost
+                cost = scalar_rollout(context.initial_state, context.demand_forecast,
+                               x.reshape(problem.horizon, -1).tolist(), context.params,
+                               problem.horizon, context.gamma).total_cost
             else:
-                cost = self.gain_rollout(problem, x)[2]
+                cost = self.gain_rollout(problem, context, x)[2]
         except (ModelConsistencyError, NegativeRateError) as exc:
             return math.inf, type(exc)
         return cost, None
 
-    def scalar_cost(self, problem, x):
-        return self.scalar(problem, x)[0]
+    def scalar_cost(self, problem, context, x):
+        return self.scalar(problem, context, x)[0]
 
-    def scalar_failure(self, problem, x):
-        return self.scalar(problem, x)[1]
+    def scalar_failure(self, problem, context, x):
+        return self.scalar(problem, context, x)[1]
 
-    def assert_gain_plan(self, problem, theta, plan):
+    def assert_gain_plan(self, problem, context, theta, plan):
         """The rates ``rollout_batch`` derived for gains ``theta``, byte for
         byte: against the scalar path where it completes, and against the
         clamping oracle everywhere, rows that fail included."""
-        want = oracle_gain_plan(problem.params, problem.initial_state,
-                                problem.demand_forecast, problem.mu_prev, theta,
+        want = oracle_gain_plan(context.params, context.initial_state,
+                                context.demand_forecast, context.mu_prev, theta,
                                 problem.horizon)
         assert plan.tobytes() == np.array(want, dtype=float).tobytes()
-        if self.scalar_failure(problem, theta) is None:
-            scalar = self.gain_rollout(problem, theta)[0]
+        if self.scalar_failure(problem, context, theta) is None:
+            scalar = self.gain_rollout(problem, context, theta)[0]
             assert plan.tobytes() == np.array(scalar, dtype=float).tobytes()
 
     def test_costs_equal_scalar_objective_bit_for_bit(self):
@@ -416,14 +412,13 @@ class TestBatchedRollout:
             state = random_state(rng, net)
             forecast = tuple(random_input(rng, net) for _ in range(int(rng.integers(1, 4))))
             mu_prev = tuple(float(v) for v in rng.uniform(0, 3, size=nr))
+            context = StepContext(params=net, initial_state=state, demand_forecast=forecast,
+                                  mu_prev=mu_prev, gamma=0.8)
             for kind in (CONVENTIONAL, PARAMETERIZED):
                 dim = nr * horizon if kind == CONVENTIONAL else nr
                 lo, hi = (-1.0, 10.0) if kind == CONVENTIONAL else (-2.0, 4.0)
-                problem = MpcProblem(
-                    kind=kind, horizon=horizon, params=net, initial_state=state,
-                    demand_forecast=forecast, mu_prev=mu_prev,
-                    bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim, gamma=0.8, label="R",
-                )
+                problem = MpcProblem(label="R", kind=kind, horizon=horizon,
+                                     bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim)
                 xs = rng.uniform(lo, hi, size=(8, dim))
                 if kind == CONVENTIONAL:
                     got, plans = rollout_batch(
@@ -436,11 +431,11 @@ class TestBatchedRollout:
                         state, forecast, net, horizon, 0.8, gains=xs, mu_prev=mu_prev,
                     )
                     for x, plan in zip(xs, plans):
-                        self.assert_gain_plan(problem, x, plan)
-                want = np.array([self.scalar_cost(problem, x) for x in xs])
+                        self.assert_gain_plan(problem, context, x, plan)
+                want = np.array([self.scalar_cost(problem, context, x) for x in xs])
                 assert got.tobytes() == want.tobytes()
                 for x in xs:
-                    failure = self.scalar_failure(problem, x)
+                    failure = self.scalar_failure(problem, context, x)
                     if failure is not None:
                         failures[failure] += 1
                 rows[kind] += len(xs)
@@ -468,15 +463,14 @@ class TestBatchedRollout:
             gains = np.array([[0.0] * nr, [-0.0] * nr])
             costs, plans = rollout_batch(state, forecast, net, 4, 0.8,
                                          gains=gains, mu_prev=mu_prev)
-            problem = MpcProblem(
-                kind=PARAMETERIZED, horizon=4, params=net, initial_state=state,
-                demand_forecast=forecast, mu_prev=mu_prev,
-                bounds_lo=(-1.0,) * nr, bounds_hi=(1.0,) * nr, gamma=0.8, label="R",
-            )
-            want = np.array([self.scalar_cost(problem, g) for g in gains])
+            problem = MpcProblem(label="R", kind=PARAMETERIZED, horizon=4,
+                                 bounds_lo=(-1.0,) * nr, bounds_hi=(1.0,) * nr)
+            context = StepContext(params=net, initial_state=state, demand_forecast=forecast,
+                                  mu_prev=mu_prev, gamma=0.8)
+            want = np.array([self.scalar_cost(problem, context, g) for g in gains])
             assert costs.tobytes() == want.tobytes()
             for g, plan in zip(gains, plans):
-                self.assert_gain_plan(problem, g, plan)
+                self.assert_gain_plan(problem, context, g, plan)
             negative_zeros += int(np.count_nonzero(np.signbit(plans)))
         assert negative_zeros >= 50, negative_zeros
 
@@ -531,15 +525,14 @@ class TestBatchedRollout:
             state = random_state(rng, net)
             forecast = tuple(random_input(rng, net) for _ in range(int(rng.integers(1, 4))))
             mu_prev = tuple(float(v) for v in rng.uniform(0, 3, size=nr))
+            context = StepContext(params=net, initial_state=state, demand_forecast=forecast,
+                                  mu_prev=mu_prev, gamma=0.8)
 
             def problem(kind, horizon):
                 lo, hi = bounds[kind]
                 dim = nr * horizon if kind == CONVENTIONAL else nr
-                return MpcProblem(
-                    kind=kind, horizon=horizon, params=net, initial_state=state,
-                    demand_forecast=forecast, mu_prev=mu_prev,
-                    bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim, gamma=0.8, label="R",
-                )
+                return MpcProblem(label="R", kind=kind, horizon=horizon,
+                                  bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim)
 
             # each row: its problem, its decision and its decision over all 10 steps
             rows = []
@@ -566,19 +559,19 @@ class TestBatchedRollout:
                 gain_rows=np.array([p.kind == PARAMETERIZED for p, _, _ in rows]),
                 horizons=np.array([p.horizon for p, _, _ in rows]),
             )
-            want = np.array([self.scalar_cost(p, x) for p, x, _ in rows])
+            want = np.array([self.scalar_cost(p, context, x) for p, x, _ in rows])
             assert got.tobytes() == want.tobytes()
             for b, (p, x, full) in enumerate(rows):
                 rows_checked += 1
                 if p.kind == PARAMETERIZED:
-                    self.assert_gain_plan(p, x, derived[b, :p.horizon])
+                    self.assert_gain_plan(p, context, x, derived[b, :p.horizon])
                 else:
                     assert derived[b].tobytes() == plans[b].tobytes()
-                if self.scalar_failure(p, x) is not None:
+                if self.scalar_failure(p, context, x) is not None:
                     failed_within += 1
                     assert got[b] == math.inf
                     continue
-                if self.scalar_failure(problem(p.kind, 10), full) is ModelConsistencyError:
+                if self.scalar_failure(problem(p.kind, 10), context, full) is ModelConsistencyError:
                     finite_despite_tail += 1
                     assert math.isfinite(got[b])
         assert rows_checked >= 1200

@@ -156,6 +156,17 @@ ERROR_CONTRACT_STRICT = {
                                           "evaluation_horizon"),
     "huge-gamma": (f"gamma: {'9' * 400}", "gamma"),
     "huge-lanes": (f"network: {{lanes: {'9' * 400}}}", "network.lanes"),
+    "negative-seed": ("seed: -1", "seed"),
+    "negative-noise-seed": ("noise: {seed: -3}", "noise"),
+    "negative-train-seed": ("ann: {train_seed: -2}", "train_seed"),
+    "negative-mu_prev": ("initial_flows: {mu_prev: {2: -1.0, 4: 0.2, 5: 0.4}, "
+                         "o_prev: {2: 3.8, 4: 3.2, 5: 0.6}}", "mu_prev_init"),
+    "nan-mu_prev": ("initial_flows: {mu_prev: {2: .nan, 4: 0.2, 5: 0.4}, "
+                    "o_prev: {2: 3.8, 4: 3.2, 5: 0.6}}", "mu_prev_init"),
+    "negative-o_prev": ("initial_flows: {mu_prev: {2: 0.5, 4: 0.2, 5: 0.4}, "
+                        "o_prev: {2: -5.0, 4: 3.2, 5: 0.6}}", "o_prev_init"),
+    "nan-o_prev": ("initial_flows: {mu_prev: {2: 0.5, 4: 0.2, 5: 0.4}, "
+                   "o_prev: {2: .nan, 4: 3.2, 5: 0.6}}", "o_prev_init"),
 }
 
 
