@@ -65,9 +65,10 @@ cells run left to right from +0.0 like Python's ``sum``, so the zeros of the
 queues off the on-ramp cells change nothing: adding +0.0 to a partial sum
 that started at +0.0 leaves it as it is.
 
-A callable gain source reads the metered cells as Python floats, so a gain
-network keeps ``math.tanh``'s bits; when it is called, the flow array still
-holds the inflows of the step before.
+A callable gain source sets the gains of one gain row among any others.
+It reads that row's metered cells as Python floats, so a gain network keeps
+``math.tanh``'s bits; when it is called, the flow array still holds the
+inflows of the step before.  It is called only within its row's horizon.
 
 Each call checks the initial state and the inputs once, then rolls every
 row over the call's horizon on one set of arrays of shape ``[cells, rows]``,
@@ -75,10 +76,13 @@ allocated once, the per-cell coefficients copied out to that shape because
 such an operand costs numpy less than a ``[cells, 1]`` one to broadcast.
 The call keeps the pre-step state and the flows of every step, sums them
 over the cells once, and checks the updates for bounds once; the stage
-costs are then added up in step order by one ``np.add.accumulate``.  A row
-with a shorter horizon of its own keeps rolling past it: its cost is read
-at its own end, and the bounds and rate checks look only at its steps
-within it, so nothing it rolls past its end reaches its cost.
+costs are then added up in step order by one ``np.add.accumulate``, which
+keeps every row's cost after every step, and each row's first failing step
+is found once.  A row with a shorter horizon of its own keeps rolling past
+it: its cost is read at its own end, and only a failure within it counts,
+so nothing it rolls past its end reaches its cost.  The cost of any prefix
+of a row's horizon is read off the same call, bit for bit what a call of
+that horizon would give; the evaluation block's costs are such prefixes.
 
 On the shipped network (6 cells, 3 metered ramps), replaying the 2,416
 calls of a 180-step serial architecture run on 2 shared vCPUs, a
@@ -150,9 +154,10 @@ class CellParams:
 
     def __post_init__(self) -> None:
         # written so that NaN fails too: rollout_batch relies on capacities
-        # and saturation flows being numbers, and on finite capacities
-        if not self.length > 0:
-            raise ValueError("cell length must be positive")
+        # and saturation flows being numbers, and on finite capacities and
+        # lengths
+        if not 0 < self.length < math.inf:
+            raise ValueError("cell length must be positive and finite")
         if not 0 < self.capacity_nbar < math.inf:
             raise ValueError("capacity_nbar must be positive and finite")
         if not (self.sat_mainline_obar >= 0 and self.sat_offramp_sbar >= 0):
@@ -192,14 +197,12 @@ class NetworkParams:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("network needs at least one cell")
-        if not self.sample_cycle_s > 0:
-            raise ValueError("sample_cycle_s must be positive")
-        if not self.rho_crit > 0:
-            raise ValueError("rho_crit must be positive")
+        # written so that NaN fails too
+        for name in ("sample_cycle_s", "rho_crit", "free_flow_mps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.lanes < 1:
             raise ValueError("lanes must be at least 1")
-        if not self.free_flow_mps > 0:
-            raise ValueError("free_flow_mps must be positive")
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(
             self, "onramp_cells", tuple(i for i, c in enumerate(self.cells) if c.has_onramp)
@@ -382,7 +385,7 @@ def step(
         plan = np.full((1, 1, len(params.metered_cells)), math.inf)
     else:
         plan = np.array(metering, dtype=float).reshape(1, 1, -1)
-    _, _, (after, flow, e, s, cost) = _roll(state, (inp,), params, 1, gamma, plan, strict=True)
+    *_, (after, flow, e, s, cost) = _roll(state, (inp,), params, 1, gamma, plan, strict=True)
     admitted, *o = flow[:, 0].tolist()
     s = s[:, 0].tolist()
     tt, td_h = cost[:, 0].tolist()
@@ -439,7 +442,7 @@ def rollout_batch(
     gamma: float = 0.8,
     *,
     plans: Optional[np.ndarray] = None,
-    gains: Union[np.ndarray, Callable[..., Sequence[float]], None] = None,
+    gains: Union[np.ndarray, Sequence, Callable[..., Sequence[float]], None] = None,
     mu_prev: Optional[Sequence[float]] = None,
     gain_rows: Optional[np.ndarray] = None,
     horizons: Optional[np.ndarray] = None,
@@ -451,14 +454,16 @@ def rollout_batch(
     rates ``mu_prev`` applied before the window, each step then meters at
     ``max(mu_prev + gain * (rho_crit - rho), 0)`` on the predicted density.
     Pass ``plans`` or ``gains`` alone for rows of one kind, or both with the
-    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  A callable
-    ``gains``, alone, sets one row's gains before each step from the metered
+    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  A row of
+    ``gains`` may instead be a callable gain source, which sets that row's
+    gains before each step within the row's horizon from the row's metered
     cells' counts, queues, ramp demands and :func:`upstream_inflows` of the
-    step before (None at the first), each a list over them.  ``horizons``
-    ``[B]`` gives each row its own horizon, at most ``horizon`` (default:
-    ``horizon`` for every row).  Every row is rolled over ``horizon``;
-    whatever a plan holds past the row's own horizon is rolled, but it
-    never reaches that row's cost, failure flag or in-horizon plan.
+    step before (None at the first), each a list over them; a callable
+    ``gains`` alone is one such row.  ``horizons`` ``[B]`` gives each row
+    its own horizon, at most ``horizon`` (default: ``horizon`` for every
+    row).  Every row is rolled over ``horizon``; whatever a plan holds past
+    the row's own horizon is rolled, but it never reaches that row's cost,
+    failure flag or in-horizon plan.
     ``inputs`` shorter than a horizon hold their last entry.  Returns the
     costs ``[B]`` and the plans ``[B, horizon, ramps]``: as given, with the
     derived rates written into the gain rows over the whole ``horizon``.
@@ -471,17 +476,21 @@ def rollout_batch(
     :class:`ModelConsistencyError`) that row's cost is +inf instead.  The
     initial state and the inputs are checked once per call.
     """
-    total, plans, _ = _roll(state, inputs, params, horizon, gamma, plans, gains, mu_prev,
-                            gain_rows, horizons)
+    total, plans, *_ = _roll(state, inputs, params, horizon, gamma, plans, gains, mu_prev,
+                             gain_rows, horizons)
     return total, plans
 
 
 def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev=None,
           gain_rows=None, horizons=None, strict=False):
-    """:func:`rollout_batch`'s costs and plans, then the state after the
-    last step ``[2, cells, rows]`` (n, then q at every cell), the admitted
-    inflow and the outflows ``[cells + 1, rows]``, the flows ``e`` and ``s``
-    ``[cells, rows]`` and the last step's ``tt`` and ``td_h`` ``[2, rows]``.
+    """:func:`rollout_batch`'s costs and plans, then each row's cost summed
+    over its first ``k`` steps ``[horizon + 1, rows]`` (``k = 0 ...
+    horizon``, whatever the row's own horizon), each row's first failing
+    step ``[rows]`` (the first with a negative or NaN rate or an update out
+    of bounds; ``horizon`` if none), and the state after the last step
+    ``[2, cells, rows]`` (n, then q at every cell), the admitted inflow and
+    the outflows ``[cells + 1, rows]``, the flows ``e`` and ``s`` ``[cells,
+    rows]`` and the last step's ``tt`` and ``td_h`` ``[2, rows]``.
     ``strict`` raises what :func:`step` raises where a row would cost +inf.
     """
     if horizon < 1:
@@ -490,11 +499,15 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         raise ValueError("at least one exogenous input is required")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    source = gains if callable(gains) else None
-    if source is not None:
+    if callable(gains):
         if plans is not None or gain_rows is not None:
             raise ValueError("a callable gains rolls one row of its own: no plans or gain_rows")
-        gains = np.zeros((1, len(params.metered_cells)))  # set at every step
+        gains = [gains]
+    sources = []
+    if gains is not None and not isinstance(gains, np.ndarray):
+        sources = [(b, g) for b, g in enumerate(gains) if callable(g)]
+        if sources:  # their gains are set at every step
+            gains = [np.zeros(len(params.metered_cells)) if callable(g) else g for g in gains]
     if gain_rows is None:
         if (plans is None) == (gains is None):
             raise ValueError("pass exactly one of plans and gains, or gain_rows with both")
@@ -507,6 +520,8 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         flags = np.asarray(gain_rows, dtype=bool)
         batch = len(flags)
         derive = bool(flags.any())
+        if not all(flags[b] for b, _ in sources):
+            raise ValueError("a callable gains entry must be a gain row")
     state.validate(params)
     ca = params.arrays
     cells = params.n_cells
@@ -568,6 +583,9 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         cell_gains = np.zeros((cells, batch))
         cell_gains[ca.metered] = gains.T
         mask = None if flags is None or flags.all() else flags
+        # each gain source with its row's metered cells as flat indices
+        # into a [cells, rows] array, and the row's horizon
+        feeds = [(fn, ca.metered * batch + b, int(ends[b])) for b, fn in sources]
 
     # the histories: the state before each step (n, q) with the flow o + s
     # leaving each cell, and the update before clamping (n, then q); they
@@ -594,13 +612,14 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         at = min(k, last)
         n_next, supply = update
         if derive:
-            if source is not None:  # one row, so a flat index is a cell
-                theta = source(n.take(ca.metered).tolist(), q.take(ca.metered).tolist(),
-                               demand[at].take(ca.metered).tolist(),
-                               inflow.take(ca.metered).tolist() if k else None)
-                if len(theta) != n_ramps:
-                    raise TopologyError(f"{len(theta)} gains for {n_ramps} metered ramps")
-                cell_gains.put(ca.metered, theta)
+            for source, row, end in feeds:
+                if k < end:
+                    theta = source(n.take(row).tolist(), q.take(row).tolist(),
+                                   demand[at].take(row).tolist(),
+                                   inflow.take(row).tolist() if k else None)
+                    if len(theta) != n_ramps:
+                        raise TopologyError(f"{len(theta)} gains for {n_ramps} metered ramps")
+                    cell_gains.put(row, theta)
             # the feedback law on the predicted density at every cell:
             # +inf + 0 * (rho_crit - rho) stays +inf off the metered cells
             divide(n, lane_length, out=derived)
@@ -678,23 +697,26 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
     costs = np.zeros((horizon + 1, batch))
     subtract(tt, n_sum, out=costs[1:])
     add.accumulate(costs, out=costs)
-    total = costs[ends, np.arange(batch)]
-    # negative or NaN rates within a row's horizon, derived ones included
+    # each row's first step with a negative or NaN rate, derived ones
+    # included, or with an update out of bounds (a NaN is never flagged);
+    # a row costs +inf if it fails within its own horizon
+    fail = np.full(batch, horizon)
     metered = rates[:, ca.metered] if derive else plans.transpose(1, 2, 0)
     if not np.minimum.reduce(metered, axis=None, initial=0.0) >= 0:
         if strict:
             raise NegativeRateError("metering rates must be nonnegative numbers")
-        bad_rates = ~(metered >= 0) & (np.arange(horizon)[:, None, None] < ends)
-        total[bad_rates.any(axis=(0, 1))] = math.inf
-    # updates out of bounds within a row's horizon; a NaN is never flagged
+        bad = ~(metered >= 0).all(axis=1)
+        fail = np.where(bad.any(axis=0), bad.argmax(axis=0), fail)
     if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
         if strict:
             _, i, _ = np.argwhere((r < -STATE_TOL).any(axis=1) | (r[:, 0] > ca.nbar_tol))[0]
             raise ModelConsistencyError(f"cell {i}: state update out of bounds")
-        out_of_bounds = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
-        total[(out_of_bounds & (np.arange(horizon)[:, None] < ends)).any(axis=0)] = math.inf
+        bad = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
+        fail = np.minimum(fail, np.where(bad.any(axis=0), bad.argmax(axis=0), horizon))
+    total = costs[ends, np.arange(batch)]
+    total[fail < ends] = math.inf
     last = (h[horizon], flow, e, s, sums[1:, horizon - 1])
     if not derive:
-        return total, plans.copy(), last
-    return total, np.ascontiguousarray(metered.transpose(2, 0, 1)), last
+        return total, plans.copy(), costs, fail, last
+    return total, np.ascontiguousarray(metered.transpose(2, 0, 1)), costs, fail, last
 

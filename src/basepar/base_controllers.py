@@ -17,9 +17,11 @@ piecewise linear and monotone in the gain, so it is solved in closed form;
 tests audit it against a brute-force grid search.
 
 A base controller keeps no state: its caller passes the previous rates in.
-To seed the online optimizers it is rolled forward on the prediction model,
-:func:`~basepar.actm.rollout_batch`, for the largest horizon of its cell
-(:func:`warm_start_rollout`); :func:`alinea_step` is the same law written
+To seed the online optimizers every base is rolled forward on the
+prediction model for the largest horizon of its cell, each as one row of
+one :func:`~basepar.actm.rollout_batch` call (:func:`warm_start_rollout`):
+constant gains as a gain row, a gain network as a gain row whose callable
+sets its gains at every step.  :func:`alinea_step` is the same law written
 out scalar by scalar, the reference the tests compare the kernel against.
 """
 
@@ -29,10 +31,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import actm
 # ``step`` is not called here; it stays importable from this module because
 # perfbench/layers.py wraps it here.
 from .actm import (
@@ -41,7 +44,7 @@ from .actm import (
     NegativeRateError,
     NetworkParams,
     NetworkState,
-    rollout_batch,
+    TopologyError,
     step,
 )
 
@@ -498,12 +501,19 @@ GainFn = Callable[[list, list, list, Sequence[float]], Sequence[float]]
 
 class FeedbackController:
     """Feedback metering ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``
-    with the gains ``theta`` drawn from ``gains`` at every step: constant for
-    ALINEA, a network's output for the implicit controller, zero to hold
-    the previous rates.  The law keeps no state; the caller passes the
-    previous rates in."""
+    with the gains ``theta``, one per metered ramp: constant for ALINEA,
+    zero to hold the previous rates, or drawn from a gain source at every
+    step, a network's output for the implicit controller.  The law keeps no
+    state; the caller passes the previous rates in."""
 
-    def __init__(self, params: NetworkParams, gains: GainFn, label: str):
+    def __init__(self, params: NetworkParams, gains: Union[Sequence[float], GainFn],
+                 label: str):
+        if not callable(gains):
+            gains = tuple(float(g) for g in gains)
+            if len(gains) != len(params.metered_cells):
+                raise TopologyError(
+                    f"{len(gains)} gains for {len(params.metered_cells)} metered ramps"
+                )
         self.params = params
         self.gains = gains
         self.label = label
@@ -539,45 +549,67 @@ class WarmStart:
     mu: tuple[tuple[float, ...], ...]              # horizon x metered ramps
     theta: tuple[tuple[float, ...], ...]           # gain trail, horizon x metered ramps
     total_cost: float                              # summed stage cost along the rollout
+    running_cost: tuple[float, ...]                # over the first k steps, k = 0 ... horizon
 
 
 def warm_start_rollout(
-    base: FeedbackController,
+    bases: Sequence[FeedbackController],
     mu_prev: Sequence[float],
     state: NetworkState,
     predicted_inputs: Sequence[ExogenousInput],
-    horizon_max: int,
+    horizons: Sequence[int],
     o_prev: Sequence[float],
     gamma: float = 0.8,
-) -> WarmStart:
-    """Extend a base controller's single-step output into a full sequence.
+) -> list[WarmStart]:
+    """Extend every base controller's single-step output into a full
+    sequence, base ``i`` over ``horizons[i]`` steps, in one kernel call.
 
-    The controller and the model of its own network, one
-    :func:`~basepar.actm.rollout_batch` row, alternate for ``horizon_max``
-    steps from the applied rates ``mu_prev``, each emission on the predicted
-    state.  ``o_prev`` carries the latest realized upstream mainline inflow
-    per metered ramp, replaced by the model's flows after the first step.
-    A NaN rate raises :class:`~basepar.actm.NegativeRateError`, an update out
+    Each base and the model of its network, one gain row of one
+    :func:`~basepar.actm.rollout_batch` call, alternate from the applied
+    rates ``mu_prev``, each emission on the predicted state; the bases must
+    share their network.  Constant gains are a plain gain row, a gain
+    source a callable row.  ``o_prev`` carries the latest realized upstream
+    mainline inflow per metered ramp, replaced by the model's flows after
+    the first step.  For the first base, in order, whose rollout fails, a
+    NaN rate raises :class:`~basepar.actm.NegativeRateError`, an update out
     of bounds :class:`~basepar.actm.ModelConsistencyError`, as in the model.
     """
-    if horizon_max < 1:
-        raise ValueError("horizon_max must be at least 1")
+    if len(horizons) != len(bases) or not bases:
+        raise ValueError("every base needs one horizon")
+    if min(horizons) < 1:
+        raise ValueError("horizons must be at least 1")
+    params = bases[0].params
+    if any(base.params != params for base in bases):
+        raise ValueError("bases rolled together must share their network")
     # alinea_step's checks, which only the first state can fail; NaN fails too
     if not all(m >= 0 for m in mu_prev):
         raise ValueError("mu_prev must be nonnegative")
-    if not all(state.n[i] >= 0 for i in base.params.metered_cells):
+    if not all(state.n[i] >= 0 for i in params.metered_cells):
         raise ValueError("densities must be nonnegative")
-    thetas = []
+    trails = [[] for _ in bases]
 
-    def gains(n, q, d, o):
-        thetas.append(tuple(base.gains(n, q, d, o_prev if o is None else o)))
-        return thetas[-1]
+    def source(gains, trail):
+        def recorded(n, q, d, o):
+            trail.append(tuple(gains(n, q, d, o_prev if o is None else o)))
+            return trail[-1]
+        return recorded
 
-    (cost,), (plan,) = rollout_batch(state, predicted_inputs, base.params, horizon_max,
-                                     gamma, gains=gains, mu_prev=mu_prev)
-    if not math.isfinite(cost):
-        if not (plan >= 0).all():
-            raise NegativeRateError(f"{base.label} set a negative or NaN metering rate")
-        raise ModelConsistencyError(f"{base.label}'s rollout left the admissible states")
-    return WarmStart(mu=tuple(map(tuple, plan.tolist())), theta=tuple(thetas),
-                     total_cost=float(cost))
+    rows = [source(base.gains, trail) if callable(base.gains) else base.gains
+            for base, trail in zip(bases, trails)]
+    costs, plans, running, *_ = actm._roll(state, predicted_inputs, params, max(horizons),
+                                           gamma, gains=rows, mu_prev=mu_prev,
+                                           horizons=np.array(horizons))
+    warm = []
+    for b, (base, length, trail) in enumerate(zip(bases, horizons, trails)):
+        plan = plans[b, :length]
+        if not math.isfinite(costs[b]):
+            if not (plan >= 0).all():
+                raise NegativeRateError(f"{base.label} set a negative or NaN metering rate")
+            raise ModelConsistencyError(f"{base.label}'s rollout left the admissible states")
+        warm.append(WarmStart(
+            mu=tuple(map(tuple, plan.tolist())),
+            theta=tuple(trail) if callable(base.gains) else (base.gains,) * length,
+            total_cost=float(costs[b]),
+            running_cost=tuple(running[:length + 1, b].tolist()),
+        ))
+    return warm

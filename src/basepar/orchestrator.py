@@ -1,14 +1,19 @@
 """One control step of the base-parallel architecture.
 
 Each step: every base controller is rolled forward into a warm-start
-sequence, which is also its candidate; the parallel cells solve their
-budgeted problems seeded by that sequence plus the shift starts from their
-own history (:meth:`BaseParallelController.propose`); the evaluation block
-scores every candidate by rolling it out on the evaluation model over a
-short horizon; the selector applies the first element of the candidate with
-the least realized cost, or the first cell's base candidate when every
-rollout failed; and the applied rates and each solve's best decision are
-committed (:meth:`BaseParallelController.commit`).
+sequence, which is also its candidate, all bases in one kernel call; the
+parallel cells solve their budgeted problems seeded by that sequence plus
+the shift starts from their own history
+(:meth:`BaseParallelController.propose`); the evaluation block scores every
+candidate by its cost over a short horizon on the evaluation model, which
+is the plant model, read off the rollout that costed the candidate (the
+warm-start call or the solver round that recorded it), a prefix of that
+rollout bit for bit; the selector applies the first element of the
+candidate with the least realized cost, or the first cell's base candidate
+when every rollout failed; and the applied rates and each solve's best
+decision are committed (:meth:`BaseParallelController.commit`).
+:func:`evaluate_candidates` rolls candidates out afresh, for a different
+evaluation model or as the reference the tests check those costs against.
 
 The architecture changes by adding or removing cells and controllers.  A
 standalone approach is the one-cell case, which applies its own plan
@@ -158,12 +163,18 @@ def evaluate_candidates(
     costs, _ = rollout_batch(
         state, forecast, eval_params, evaluation_horizon, gamma, plans=plans
     )
+    return _evaluation(candidates, tuple(costs.tolist()))
+
+
+def _evaluation(candidates: Sequence[CandidateSequence], costs: tuple[float, ...]):
+    """The evaluation of ``candidates`` at ``costs``, each failed one
+    (+inf) logged as excluded."""
     for cand, cost in zip(candidates, costs):
         if cost == math.inf:
             logger.warning(
                 "evaluation rollout failed for candidate %r; excluding it", cand.source
             )
-    return EvaluationResult(candidates=tuple(candidates), costs=tuple(costs.tolist()))
+    return EvaluationResult(candidates=tuple(candidates), costs=costs)
 
 
 def select_best(evaluation: EvaluationResult) -> tuple[int, tuple[float, ...]]:
@@ -202,9 +213,16 @@ class BaseParallelController:
         if len(mu_init) != nr:
             raise ValueError("mu_init must have one entry per metered ramp")
         self.mu_prev: tuple[float, ...] = tuple(float(m) for m in mu_init)
-        self.histories: dict[str, list[np.ndarray]] = {
-            problem.label: [] for cell in config.cells for problem in cell.controllers
+        # each cell's warm-start length: its longest horizon, at least the
+        # evaluation horizon
+        self._lengths = [max([p.horizon for p in cell.controllers] + [config.evaluation_horizon])
+                        for cell in config.cells]
+        # each controller's best decisions, oldest first: a view of the
+        # first entries of an array whose capacity doubles when it is full
+        self.histories: dict[str, np.ndarray] = {
+            problem.label: np.empty((0,)) for cell in config.cells for problem in cell.controllers
         }
+        self._kept: dict[str, np.ndarray] = {}
 
     def propose(
         self,
@@ -222,17 +240,15 @@ class BaseParallelController:
         """
         cfg = self.config
         forecast = (measured,)  # persistence forecast, shared by every block
-        bases: list[CandidateSequence] = []
-        cells = []
-        for cell in cfg.cells:
-            length = max([p.horizon for p in cell.controllers] + [cfg.evaluation_horizon])
-            warm = warm_start_rollout(
-                cell.base, self.mu_prev, measurement, forecast, length, o_prev, cfg.gamma,
-            )
-            bases.append(CandidateSequence(warm.mu, cell.base.label, warm.total_cost))
-            cells.append((cell.controllers, warm))
-        context = StepContext(cfg.params, measurement, forecast, self.mu_prev, cfg.gamma)
+        warm = warm_start_rollout([cell.base for cell in cfg.cells], self.mu_prev, measurement,
+                                  forecast, self._lengths, o_prev, cfg.gamma)
+        e = cfg.evaluation_horizon
+        bases = [CandidateSequence(w.mu, cell.base.label, w.total_cost,
+                                   evaluation_cost=w.running_cost[e])
+                 for cell, w in zip(cfg.cells, warm)]
+        context = StepContext(cfg.params, measurement, forecast, self.mu_prev, cfg.gamma, e)
         # every solve of every cell, in one lockstep against the one deadline
+        cells = [(cell.controllers, w) for cell, w in zip(cfg.cells, warm)]
         return bases, run_parallel_cells(cells, context, self.histories, cfg.optimizer)
 
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
@@ -241,8 +257,16 @@ class BaseParallelController:
         self.mu_prev = applied
         n_ramps = len(self.mu_prev)
         for label, result in results.items():
-            decision = np.asarray(result.best.decision, dtype=float)
-            self.histories[label].append(decision.reshape(-1, n_ramps))
+            decision = np.asarray(result.best.decision, dtype=float).reshape(-1, n_ramps)
+            count = len(self.histories[label])
+            kept = self._kept.get(label)
+            if kept is None or count == len(kept):
+                grown = np.empty((max(2 * count, 1), *decision.shape))
+                if kept is not None:
+                    grown[:count] = kept
+                self._kept[label] = kept = grown
+            kept[count] = decision
+            self.histories[label] = kept[:count + 1]
 
     def control_step(
         self,
@@ -251,17 +275,16 @@ class BaseParallelController:
         o_prev: Sequence[float],
     ) -> tuple[SelectionRecord, EvaluationResult]:
         """Run one full architecture step from the measured plant state:
-        :meth:`propose`, evaluate every candidate, apply the best and
-        :meth:`commit` it.  If the evaluation excludes every candidate, the
-        first cell's base candidate is applied."""
-        cfg = self.config
+        :meth:`propose`, evaluate every candidate (each
+        :attr:`~basepar.parallel.CandidateSequence.evaluation_cost`, which
+        equals :func:`evaluate_candidates` on the architecture's model bit for
+        bit), apply the best and :meth:`commit` it.  If the evaluation
+        excludes every candidate, the first cell's base candidate is
+        applied."""
         candidates, results = self.propose(measurement, measured, o_prev)
         for result in results.values():
             candidates.extend(result.iterates)
-        evaluation = evaluate_candidates(
-            candidates, cfg.params, measurement, (measured,),
-            cfg.evaluation_horizon, cfg.gamma,
-        )
+        evaluation = _evaluation(candidates, tuple(c.evaluation_cost for c in candidates))
         winner_index, applied = select_best(evaluation)
         self.commit(applied, results)
         record = SelectionRecord(

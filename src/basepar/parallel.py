@@ -24,29 +24,32 @@ Each start is one coroutine, from its first cost to its last descent step.
 Its first request is its own cost with the forward-difference points around
 it, so its descent begins with its gradient.  Each later request is one
 whole line search (every step length up to the first that does not move,
-the first passing the Armijo test being accepted), which also carries the
-forward-difference points around its full step, or one forward-difference
-gradient where a shorter step was accepted.  One scheduler pass drives the
-starts of every solve in lockstep: those of one problem, and through
-:func:`run_parallel_cells` those of every problem of every parallel cell of
-a control step, whatever their kind and horizon, from the step's one
-:class:`StepContext` (the measured state, the forecast, the network, gamma
-and the previous rates).  A start repeated bit for bit lists its first
-copy's records instead of descending again.  Each round evaluates the
-requests of every live start together: with the built-in objective in one
-:func:`~basepar.actm.rollout_batch` call, whose costs equal the
-point-by-point ones bit for bit whatever other rows share it; a substituted
-``objective_fn`` point by point.  The first round runs whatever the
-deadline.  The deadline is checked before every later round, and before
-every point of a substituted ``objective_fn``, so every live solve takes
-part in every round until it expires.  There is no thread pool: without a
-deadline (serial mode) the same pass runs until every start has finished.
-Records are listed start by start as a sequential solver lists them, so
-results depend neither on the interleaving nor on which other problems
-share the rounds.  An :class:`MpcProblem` is fixed for a run, and what the
-solver derives from its bounds (the coordinates with ``lo != hi``, where
-their difference steps go, the width of the box) is derived once, when the
-problem is built.
+the first passing the Armijo test being accepted; none if the full step
+does not move), which also carries the forward-difference points around its
+full step, or one forward-difference gradient where a shorter step was
+accepted.  One scheduler pass drives the starts of every solve in lockstep:
+those of one problem, and through :func:`run_parallel_cells` those of every
+problem of every parallel cell of a control step, whatever their kind and
+horizon, from the step's one :class:`StepContext` (the measured state, the
+forecast, the network, gamma and the previous rates).  A start repeated bit
+for bit lists its first copy's records instead of descending again.  Each
+round evaluates the requests of every live start together: with the
+built-in objective in one kernel call, whose costs equal the point-by-point
+ones bit for bit whatever other rows share it; a substituted
+``objective_fn`` point by point.  Every recorded point keeps the plan its
+round rolled and, when the context has an evaluation horizon, its cost over
+that prefix of its horizon (+inf if it fails within it): the evaluation
+block's score, so no kept point is rolled again.  The first round runs
+whatever the deadline.  The deadline is checked before every later round,
+and before every point of a substituted ``objective_fn``, so every live
+solve takes part in every round until it expires.  There is no thread pool:
+without a deadline (serial mode) the same pass runs until every start has
+finished.  Records are listed start by start as a sequential solver lists
+them, so results depend neither on the interleaving nor on which other
+problems share the rounds.  An :class:`MpcProblem` is fixed for a run, and
+what the solver derives from its bounds (the coordinates with ``lo != hi``,
+where their difference steps go, the width of the box) is derived once,
+when the problem is built.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -65,6 +68,7 @@ from typing import Callable, Generator, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from . import actm
 # ``step`` and ``rollout`` are not called here; they stay importable from
 # this module because perfbench/layers.py wraps them here.
 from .actm import (
@@ -72,7 +76,6 @@ from .actm import (
     NetworkParams,
     NetworkState,
     rollout,
-    rollout_batch,
     step,
 )
 from .base_controllers import WarmStart
@@ -136,17 +139,21 @@ class MpcProblem:
 
 @dataclass(frozen=True)
 class StepContext:
-    """What every problem of one control step is solved from."""
+    """What every problem of one control step is solved from, and the
+    horizon its candidates are evaluated over (None for no evaluation)."""
 
     params: NetworkParams
     initial_state: NetworkState
     demand_forecast: tuple[ExogenousInput, ...]  # held at the last entry if short
     mu_prev: tuple[float, ...]                   # applied rates at the previous step
     gamma: float
+    evaluation_horizon: Optional[int] = None
 
     def __post_init__(self) -> None:
         if len(self.mu_prev) != len(self.params.metered_cells):
             raise ValueError("mu_prev length does not match the metered ramp count")
+        if self.evaluation_horizon is not None and self.evaluation_horizon < 1:
+            raise ValueError("evaluation horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,9 @@ class CandidateSequence:
     ``decision`` keeps the raw optimizer variables (equal to the flattened
     plan for conventional problems, the gains for parameterized ones) so the
     plan can be shifted into the next step's starting points.
+    ``evaluation_cost`` is the plan's cost over the evaluation horizon of
+    the step's context, +inf if it fails within it, read off the rollout
+    that costed the plan (None without an evaluation horizon).
     """
 
     metering: tuple[tuple[float, ...], ...]  # horizon x ramps
@@ -189,6 +199,7 @@ class CandidateSequence:
     decision: tuple[float, ...] = ()
     iterations: int = 0
     converged: bool = False
+    evaluation_cost: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -237,12 +248,13 @@ class _MergedRollouts:
     """Decision rows of several problems rolled out together from one
     step's context.
 
-    Each call is one :func:`~basepar.actm.rollout_batch` call, whatever the
-    problems' kinds and horizons: the rows in request order, rolled over the
-    longest requested horizon, each row costed over its own problem's
-    horizon.  Rows are clipped into their problem's bounds first.  Every
-    problem must have as many ramps as the context's network;
-    ``ValueError`` otherwise.
+    Each call is one kernel call, whatever the problems' kinds and
+    horizons: the rows in request order, rolled over the longest requested
+    horizon, each row costed over its own problem's horizon and, if the
+    context has one, over the evaluation horizon, a prefix of its own.
+    Rows are clipped into their problem's bounds first.  Every problem must
+    have as many ramps as the context's network, and a horizon no shorter
+    than the evaluation horizon; ``ValueError`` otherwise.
     """
 
     def __init__(self, problems: Sequence[MpcProblem], context: StepContext):
@@ -250,15 +262,22 @@ class _MergedRollouts:
         for p in problems:
             if p.n_ramps != n_ramps:
                 raise ValueError(f"problem {p.label!r} has {p.n_ramps} ramps, network {n_ramps}")
+            if p.horizon < (context.evaluation_horizon or 0):
+                raise ValueError(f"problem {p.label!r} is shorter than the evaluation horizon")
         self.problems = problems
         self.context = context
+        # the latest round :meth:`objective` costed: where each request's
+        # rows start, by the request's id, the evaluation costs and the plans
+        self.latest: tuple = ({}, None, None)
 
     def __call__(
         self, requests: Sequence[tuple[int, np.ndarray]]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Costs of every requested row, in request order, and the plans
-        ``[rows, horizon, ramps]`` of each request; a request is a problem
-        index with its decision rows ``[rows, dim]``."""
+    ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """Costs of every requested row, in request order, over its
+        problem's horizon and over the evaluation horizon (None without
+        one), and the plans ``[rows, horizon, ramps]`` over the longest
+        requested horizon; a request is a problem index with its decision
+        rows ``[rows, dim]``."""
         problems = [self.problems[i] for i, _ in requests]
         ctx = self.context
         n_ramps = len(ctx.mu_prev)
@@ -270,7 +289,6 @@ class _MergedRollouts:
             gains = np.zeros((batch, n_ramps))
             gain_rows = np.zeros(batch, dtype=bool)
         horizons = np.empty(batch, dtype=int)
-        places = []
         at = 0
         for (i, x), problem in zip(requests, problems):
             x = problem.bounds.clip(x)
@@ -281,21 +299,28 @@ class _MergedRollouts:
                 gains[rows] = x
                 gain_rows[rows] = True
             horizons[rows] = problem.horizon
-            places.append(rows)
             at = rows.stop
-        costs, plans = rollout_batch(
+        costs, plans, running, fail, _ = actm._roll(
             ctx.initial_state, ctx.demand_forecast, ctx.params, horizon,
             ctx.gamma, plans=rates, gains=gains, mu_prev=ctx.mu_prev,
             gain_rows=gain_rows, horizons=horizons,
         )
-        return costs, [plans[rows, : p.horizon] for rows, p in zip(places, problems)]
+        e = ctx.evaluation_horizon
+        evaluation = None if e is None else np.where(fail < e, math.inf, running[e])
+        return costs, evaluation, plans
 
     def objective(
         self, requests: Sequence[tuple[int, np.ndarray]], deadline: Optional[float] = None
     ) -> np.ndarray:
         """:func:`objective` of every requested row, in request order; one
-        kernel call, which no ``deadline`` cuts short."""
-        costs, _ = self(requests)
+        kernel call, which no ``deadline`` cuts short; the round is kept for
+        :meth:`price` until the next."""
+        costs, evaluation, plans = self(requests)
+        starts, at = {}, 0
+        for _, rows in requests:
+            starts[id(rows)] = at
+            at += len(rows)
+        self.latest = (starts, evaluation, plans)
         finite = np.isfinite(costs)
         if not finite.all():
             failed = costs == math.inf
@@ -311,6 +336,14 @@ class _MergedRollouts:
             costs[~finite] = math.inf
         return costs
 
+    def price(self, request: np.ndarray, i: int) -> tuple[np.ndarray, Optional[float]]:
+        """The plan ``[horizon, ramps]`` over the round's longest horizon
+        and the evaluation cost of row ``i`` of ``request``, a request of
+        the latest round, as that round rolled them."""
+        starts, evaluation, plans = self.latest
+        row = starts[id(request)] + i
+        return plans[row].copy(), None if evaluation is None else float(evaluation[row])
+
     def plans(
         self, decisions: Sequence[np.ndarray]
     ) -> list[list[tuple[tuple[float, ...], ...]]]:
@@ -323,9 +356,11 @@ class _MergedRollouts:
             if problem.kind == CONVENTIONAL:
                 arrays[i] = arrays[i].reshape(-1, problem.horizon, problem.n_ramps)
         if derived:
-            _, rolled = self([(i, decisions[i]) for i in derived])
-            for i, plan in zip(derived, rolled):
-                arrays[i] = plan
+            _, _, rolled = self([(i, decisions[i]) for i in derived])
+            at = 0
+            for i in derived:
+                arrays[i] = rolled[at:at + len(decisions[i]), :self.problems[i].horizon]
+                at += len(decisions[i])
         return [[tuple(tuple(row) for row in plan) for plan in a.tolist()] for a in arrays]
 
 
@@ -343,7 +378,9 @@ def decision_to_metering(
 # ---------------------------------------------------------------------------
 
 def make_shift_warm_starts(history: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Up to three starting plans from previous solutions (oldest first).
+    """Up to three starting plans from previous solutions (oldest first),
+    a sequence of equal-shape arrays or one array ``[solutions, rows,
+    ramps]``, which is read in place.
 
     Shifting a solution by ``k`` drops its ``k`` leading rows and repeats
     the last row to keep the length.  (a) the previous solution shifted
@@ -352,7 +389,7 @@ def make_shift_warm_starts(history: Sequence[np.ndarray]) -> list[np.ndarray]:
     all previous solutions, each shifted by its age.  Returns an empty list
     when there is no history.
     """
-    if not history:
+    if len(history) == 0:
         return []
     stack = np.asarray(history, dtype=float)
     count, length = stack.shape[:2]
@@ -522,31 +559,34 @@ def _line_search(
     direction: np.ndarray,
     bounds: _Bounds,
     h: Optional[float],
-) -> Evaluation[Optional[tuple[np.ndarray, float, np.ndarray, Optional[np.ndarray]]]]:
+) -> Evaluation[Optional[tuple[np.ndarray, float, np.ndarray, Optional[np.ndarray], tuple]]]:
     """Backtracking projected line search along ``direction``.
 
     The step lengths ``1, 1/2, ...`` (30 at most) are tried up to the first
     whose clipped step is zero, all in one request, and the first that
-    passes the Armijo test is accepted.  With a difference step ``h`` the
+    passes the Armijo test is accepted; a full step that does not move
+    ends the search before any is built.  With a difference step ``h`` the
     request also carries the forward-difference points around the full-step
     point, so that a full step comes with its gradient.  Returns the
-    accepted point, its cost, the step taken and the gradient there (None
-    unless the full step was accepted), or None.  The accepted cost may
-    equal ``f``: the test admits equality where the predicted decrease is
-    zero or lost to rounding, and :func:`_descent` ends there.
+    accepted point, its cost, the step taken, the gradient there (None
+    unless the full step was accepted) and where it was costed (the request
+    and its row), or None.  The accepted cost may equal ``f``: the test
+    admits equality where the predicted decrease is zero or lost to
+    rounding, and :func:`_descent` ends there.
     """
+    if not (bounds.clip(x + direction) - x).any():
+        return None
     points = bounds.clip(x + _STEP_LENGTHS * direction)
     moves = points - x
     moving = moves.any(axis=1)
     tried = len(moving) if moving.all() else int(np.argmin(moving))
-    if tried == 0:
-        return None
     ahead = None if h is None else _Differences(points[0], bounds, h)
-    costs = yield points[:tried] if ahead is None else np.concatenate([points[:tried], ahead.points])
+    request = points[:tried] if ahead is None else np.concatenate([points[:tried], ahead.points])
+    costs = yield request
     for i, cost in enumerate(costs[:tried]):
         if math.isfinite(cost) and cost <= f + 1e-4 * min(0.0, float(g @ moves[i])):
             g_new = None if i or ahead is None else ahead.gradient(float(cost), costs[tried:])
-            return points[i], float(cost), moves[i], g_new
+            return points[i], float(cost), moves[i], g_new, (request, i)
     return None
 
 
@@ -560,7 +600,8 @@ def _descent(
 ) -> Evaluation[None]:
     """Projected BFGS from one start whose gradient ``g0`` is known; every
     point it moves to is recorded onto ``trail`` as ``(x, cost, iterations,
-    converged)``, and each costs strictly less than the one before it.
+    converged, where it was costed)`` (the request and its row), and each
+    costs strictly less than the one before it.
 
     The descent ends when the line search accepts no step, or accepts one
     whose cost is not strictly below the current cost (that point is not
@@ -592,13 +633,13 @@ def _descent(
         accepted = yield from _line_search(x, f, g, direction, bounds, h)
         if accepted is None:
             return
-        x_new, f_new, step_vec, g_new = accepted
+        x_new, f_new, step_vec, g_new, where = accepted
         if f_new >= f:  # no decrease: end here, without recording the point
             return
         df = f - f_new
         dx = float(np.maximum.reduce(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)
-        trail.append((x_new.copy(), f_new, it, converged))
+        trail.append((x_new.copy(), f_new, it, converged, where))
         if converged or it == cfg.max_iterations:
             return
         if g_new is None:
@@ -626,15 +667,31 @@ def _opening(
 
     The start's cost is requested together with the forward-difference
     points around it (none under a zero iteration cap), and the start is
-    recorded onto ``trail`` first; from a finite cost the descent follows,
-    beginning with that gradient (see :func:`_descent`).
+    recorded onto ``trail`` first, as :func:`_descent` records its points;
+    from a finite cost the descent follows, beginning with that gradient.
     """
     ahead = _Differences(x, bounds, cfg.fd_step) if cfg.max_iterations else None
-    costs = yield x[None] if ahead is None else np.vstack([x, ahead.points])
+    request = x[None] if ahead is None else np.vstack([x, ahead.points])
+    costs = yield request
     f = float(costs[0])
-    trail.append((x.copy(), f, 0, False))
+    trail.append((x.copy(), f, 0, False, (request, 0)))
     if ahead is not None and math.isfinite(f):
         yield from _descent(x, f, ahead.gradient(f, costs[1:]), bounds, cfg, trail)
+
+
+class _Trail(list):
+    """One start's records, each priced as it is recorded: ``where it was
+    costed`` becomes its plan and evaluation cost (see
+    :meth:`_MergedRollouts.price`), read off the round that has just costed
+    it, so no round outlives the next."""
+
+    def __init__(self, price: Callable[[np.ndarray, int], tuple]):
+        super().__init__()
+        self.price = price
+
+    def append(self, record: tuple) -> None:
+        *point, (request, i) = record
+        super().append((*point, self.price(request, i)))
 
 
 def _solve_jointly(
@@ -653,22 +710,27 @@ def _solve_jointly(
     ``objective_fn`` point by point.  The first round, which costs every
     start with the forward-difference points around it, runs whatever the
     deadline.  A start repeated bit for bit lists its first copy's records
-    again.  Finally the kept points of all problems are converted to plans,
-    the parameterized ones in one merged rollout.
+    again.  Each recorded point keeps its plan, and its evaluation cost,
+    from the round that costed it (a :class:`_Trail`); only under
+    ``objective_fn``, which rolls nothing, are the kept points converted to
+    plans, the parameterized ones in one merged rollout.
     """
     if any(len(s) == 0 for s in starts):
         raise ValueError("at least one starting point is required")
     t0 = time.monotonic()
     deadline = None if config.budget_s is None else t0 + config.budget_s
     rollouts = _MergedRollouts(problems, context)
-    evaluate = rollouts.objective if objective_fn is None else _pointwise(objective_fn)
+    if objective_fn is None:
+        evaluate, new_trail = rollouts.objective, lambda: _Trail(rollouts.price)
+    else:
+        evaluate, new_trail = _pointwise(objective_fn), list
 
     # per problem: each clipped start's trail, a start repeated bit for bit
     # sharing its first copy's
     openings, trails = [], []
     for i, (problem, s) in enumerate(zip(problems, starts)):
         x = problem.bounds.clip(np.array([_decision(problem, row) for row in s]))
-        distinct = {row.tobytes(): (row, []) for row in x}
+        distinct = {row.tobytes(): (row, new_trail()) for row in x}
         openings.extend((i, _opening(row, problem.bounds, config, trail))
                         for row, trail in distinct.values())
         trails.append([distinct[row.tobytes()][1] for row in x])
@@ -680,13 +742,20 @@ def _solve_jointly(
         kept = recorded
     else:  # the first point of least cost
         kept = [[min(r, key=lambda item: item[1])] for r in recorded]
-    plans = rollouts.plans([np.array([item[0] for item in items]) for items in kept])
+    if objective_fn is None:
+        priced = [[(tuple(map(tuple, plan[:problem.horizon].tolist())), evaluation)
+                   for *_, (plan, evaluation) in items]
+                  for problem, items in zip(problems, kept)]
+    else:
+        plans = rollouts.plans([np.array([item[0] for item in items]) for items in kept])
+        priced = [[(plan, None) for plan in plan_list] for plan_list in plans]
     elapsed = time.monotonic() - t0
     results = []
-    for problem, items, plan_list, trail in zip(problems, kept, plans, recorded):
+    for problem, items, plan_list, trail in zip(problems, kept, priced, recorded):
         iterates = tuple(
-            CandidateSequence(plan, problem.label, f, tuple(x.tolist()), iterations, converged)
-            for plan, (x, f, iterations, converged) in zip(plan_list, items)
+            CandidateSequence(plan, problem.label, f, tuple(x.tolist()), iterations, converged,
+                              evaluation)
+            for (plan, evaluation), (x, f, iterations, converged, _) in zip(plan_list, items)
         )
         results.append(BudgetedResult(
             best=min(iterates, key=lambda c: c.cost),
@@ -735,7 +804,7 @@ def solve_budgeted(
 def run_parallel_cells(
     cells: Sequence[tuple[Sequence[MpcProblem], WarmStart]],
     context: StepContext,
-    histories: dict[str, list[np.ndarray]],
+    histories: dict[str, Sequence[np.ndarray]],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of several parallel cells together, from the one
@@ -768,7 +837,7 @@ def run_parallel_cell(
     problems: Sequence[MpcProblem],
     base_warm: WarmStart,
     context: StepContext,
-    histories: dict[str, list[np.ndarray]],
+    histories: dict[str, Sequence[np.ndarray]],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of one parallel cell (see

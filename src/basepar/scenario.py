@@ -232,8 +232,8 @@ class ScenarioConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 <= self.gamma < math.inf:  # NaN fails too
+            raise ValueError("gamma must be nonnegative and finite")
         nr = len(self.network.metered_cells)
         if len(self.mu_prev_init) != nr or len(self.o_prev_init) != nr:
             raise ValueError("initial flow vectors must match the metered ramp count")
@@ -511,7 +511,7 @@ def _networks_for(scenario: ScenarioConfig, nets: Optional[dict[int, MlpParams]]
 
 def _alinea_controller(scenario: ScenarioConfig) -> FeedbackController:
     gains = (scenario.control.alinea_gain,) * len(scenario.network.metered_cells)
-    return FeedbackController(scenario.network, lambda *_: gains, "ALINEA")
+    return FeedbackController(scenario.network, gains, "ALINEA")
 
 
 def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
@@ -522,7 +522,7 @@ def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
 
 def _hold_controller(scenario: ScenarioConfig) -> FeedbackController:
     zero = (0.0,) * len(scenario.network.metered_cells)
-    return FeedbackController(scenario.network, lambda *_: zero, "hold")
+    return FeedbackController(scenario.network, zero, "hold")
 
 
 def _online_controller(scenario: ScenarioConfig, key: str) -> MpcProblem:

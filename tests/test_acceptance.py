@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from basepar import actm, base_controllers, orchestrator, parallel, scenario as scenario_module
-from basepar.actm import ExogenousInput, NetworkState, rollout_batch, step
+from basepar.actm import ExogenousInput, NetworkState, step
 from basepar.base_controllers import (
     FeedbackController,
     GenerationRanges,
@@ -67,18 +67,33 @@ def trained(scenario):
 
 
 def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
-    """Record the horizon and row count of every ``rollout_batch`` call the
-    solver, the orchestrator and the warm starts make from here on."""
+    """Record the horizon and row count of every kernel call from here on,
+    wherever it is made: the plant, the warm starts, the solver rounds and
+    any evaluation."""
     calls = []
+    roll = actm._roll
 
     def counted(state, inputs, params, horizon, *args, **kwargs):
-        costs, plans = rollout_batch(state, inputs, params, horizon, *args, **kwargs)
-        calls.append((horizon, len(costs)))
-        return costs, plans
+        result = roll(state, inputs, params, horizon, *args, **kwargs)
+        calls.append((horizon, len(result[0])))
+        return result
 
-    for module in (parallel, orchestrator, base_controllers):
-        monkeypatch.setattr(module, "rollout_batch", counted)
+    monkeypatch.setattr(actm, "_roll", counted)
     return calls
+
+
+def _count_solver_rounds(monkeypatch) -> list[int]:
+    """Record the row count of every solver round from here on."""
+    rounds = []
+    objective = parallel._MergedRollouts.objective
+
+    def counted(self, requests, deadline=None):
+        costs = objective(self, requests, deadline)
+        rounds.append(len(costs))
+        return costs
+
+    monkeypatch.setattr(parallel._MergedRollouts, "objective", counted)
+    return rounds
 
 
 def _count_scalar_model_calls(monkeypatch) -> Counter:
@@ -103,18 +118,19 @@ def _count_scalar_model_calls(monkeypatch) -> Counter:
 @pytest.fixture(scope="session")
 def compare_runs(scenario, trained):
     """The serial run of every control approach, the comparison's wall time,
-    and the kernel calls ``(horizon, rows)`` and the ``step`` and ``rollout``
-    calls of the architecture's run."""
+    and the kernel calls ``(horizon, rows)``, the ``step`` and ``rollout``
+    calls and the solver rounds' rows of the architecture's run."""
     nets, _, _ = trained
     t0 = time.monotonic()
-    logs, calls, scalar_calls = {}, [], Counter()
+    logs, calls, scalar_calls, rounds = {}, [], Counter(), []
     for key in CONTROLLER_KEYS:
         with pytest.MonkeyPatch.context() as monkeypatch:
             if key == "architecture":
                 calls = _count_kernel_calls(monkeypatch)
                 scalar_calls = _count_scalar_model_calls(monkeypatch)
+                rounds = _count_solver_rounds(monkeypatch)
             logs[key] = run_experiment(scenario, key, serial=True, nets=nets)
-    return logs, time.monotonic() - t0, calls, scalar_calls
+    return logs, time.monotonic() - t0, calls, scalar_calls, rounds
 
 
 def test_criterion_1_actm_oracle_equivalence(scenario):
@@ -457,16 +473,18 @@ def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
 def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkeypatch):
     """The serial architecture run makes an exact number of kernel calls,
     model steps and rows, over its first 20 steps and over all 180: one call
-    per warm start, solver round, plan conversion and candidate evaluation,
-    so extra rounds show here."""
+    per plant step, per step's warm starts and per solver round, and none
+    to convert plans or evaluate candidates, so extra rounds show here, and
+    the solver rounds alone show that the solver does the same work."""
     calls = _count_kernel_calls(monkeypatch)
     run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
-    assert len(calls) == 260
-    assert sum(h for h, _ in calls) == 2439
-    calls = compare_runs[2]
-    assert len(calls) == 1601
-    assert sum(h for h, _ in calls) == 14526
-    assert sum(rows for _, rows in calls) == 119756
+    assert len(calls) == 220
+    assert sum(h for h, _ in calls) == 1999
+    calls, rounds = compare_runs[2], compare_runs[4]
+    assert len(calls) == 1241
+    assert sum(h for h, _ in calls) == 10566
+    assert sum(rows for _, rows in calls) == 118496
+    assert len(rounds) == 881
 
 
 def test_serial_run_builds_each_problem_once(scenario, trained, monkeypatch):
@@ -503,13 +521,13 @@ def test_serial_descents_strictly_decrease(scenario, trained, monkeypatch):
     descent = parallel._descent
 
     def traced(x0, f0, g0, bounds, cfg, trail):
-        assert [f for _, f, _, _ in trail] == [f0]  # the start is recorded first
+        assert [f for _, f, *_ in trail] == [f0]  # the start is recorded first
         trails.append(trail)
         return descent(x0, f0, g0, bounds, cfg, trail)
 
     monkeypatch.setattr(parallel, "_descent", traced)
     run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
-    trails = [[f for _, f, _, _ in trail] for trail in trails]
+    trails = [[f for _, f, *_ in trail] for trail in trails]
     assert sum(len(trail) > 1 for trail in trails) > 20
     for trail in trails:
         assert all(b < a for a, b in zip(trail, trail[1:])), trail

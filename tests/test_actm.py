@@ -537,3 +537,32 @@ def test_a_callable_gains_rolls_one_row_alone(net, init_state):
     with pytest.raises(TopologyError):
         rollout_batch(init_state, inputs, net, 3, 0.8, gains=lambda *_: (0.016,) * 2,
                       mu_prev=mu_prev)
+
+
+def test_a_callable_gain_row_among_other_rows(net, init_state):
+    # a callable row next to a plan row and a constant gain row, over a
+    # shorter horizon of its own, gives the rates and cost of its row rolled
+    # alone and is called only within its horizon; a callable is refused
+    # at a plan row
+    inputs = (demand(),)
+    mu_prev = (0.5, 0.2, 0.4)
+    seen = []
+
+    def source(n, q, d, o):
+        seen.append(n)
+        return [0.01 + 1e-4 * v for v in n]
+
+    plans = np.full((3, 5, 3), 0.7)
+    gains = [(0.0,) * 3, source, (0.016,) * 3]
+    costs, rolled = rollout_batch(init_state, inputs, net, 5, 0.8, plans=plans, gains=gains,
+                                  mu_prev=mu_prev, gain_rows=np.array([False, True, True]),
+                                  horizons=np.array([5, 3, 5]))
+    calls = len(seen)
+    alone, alone_plan = rollout_batch(init_state, inputs, net, 3, 0.8, gains=source,
+                                      mu_prev=mu_prev)
+    assert calls == 3 and seen[:3] == seen[3:]
+    assert costs[1:2].tobytes() == alone.tobytes()
+    assert rolled[1:2, :3].tobytes() == alone_plan.tobytes()
+    with pytest.raises(ValueError, match="must be a gain row"):
+        rollout_batch(init_state, inputs, net, 5, 0.8, plans=plans, gains=gains,
+                      mu_prev=mu_prev, gain_rows=np.array([True, False, True]))

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NegativeRateError, NetworkState
+from basepar.actm import ExogenousInput, NegativeRateError, NetworkState, TopologyError
 from basepar.base_controllers import (
     FeedbackController,
     GenerationRanges,
@@ -350,9 +351,9 @@ class TestWarmStartRollout:
     def test_single_step_equals_controller_output(self, net):
         mu_prev = [0.5, 0.2, 0.4]
         warm = warm_start_rollout(
-            self.controller(net), mu_prev, self.state(), (self.measured(),), 1,
+            [self.controller(net)], mu_prev, self.state(), (self.measured(),), [1],
             (3.8, 3.2, 0.6),
-        )
+        )[0]
         expected = alinea_step(MU_PREV, (0.016,) * 3, metered_density(self.state(), net),
                                net.rho_crit)
         assert warm.mu == (expected,)
@@ -361,9 +362,9 @@ class TestWarmStartRollout:
 
     def test_explicit_rollout_is_elementwise_feedback(self, net):
         warm = warm_start_rollout(
-            self.controller(net), MU_PREV, self.state(), (self.measured(),), 6,
+            [self.controller(net)], MU_PREV, self.state(), (self.measured(),), [6],
             (3.8, 3.2, 0.6),
-        )
+        )[0]
         # re-derive by hand: alternate the feedback law and the plant model
         state, mu = self.state(), MU_PREV
         for k in range(6):
@@ -374,15 +375,15 @@ class TestWarmStartRollout:
     def test_zero_gain_rollout_constant(self, net):
         ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, "hold")
         warm = warm_start_rollout(
-            ctrl, MU_PREV, self.state(), (self.measured(),), 5, (3.8, 3.2, 0.6)
-        )
+            [ctrl], MU_PREV, self.state(), (self.measured(),), [5], (3.8, 3.2, 0.6)
+        )[0]
         assert all(row == (0.5, 0.2, 0.4) for row in warm.mu)
 
     def test_length_covers_largest_horizon(self, net):
         warm = warm_start_rollout(
-            self.controller(net), MU_PREV, self.state(), (self.measured(),),
-            max(3, 10), (3.8, 3.2, 0.6),
-        )
+            [self.controller(net)], MU_PREV, self.state(), (self.measured(),),
+            [max(3, 10)], (3.8, 3.2, 0.6),
+        )[0]
         assert len(warm.mu) == 10
         assert len(warm.theta) == 10
 
@@ -400,8 +401,8 @@ class TestWarmStartRollout:
         }
         ctrl = FeedbackController(net, network_gains(net, nets, (0.0, 1.0)), "ANN")
         warm = warm_start_rollout(
-            ctrl, MU_PREV, self.state(), (self.measured(),), 4, (3.8, 3.2, 0.6)
-        )
+            [ctrl], MU_PREV, self.state(), (self.measured(),), [4], (3.8, 3.2, 0.6)
+        )[0]
         assert warm.theta is not None
         assert all(row == (0.5, 0.5, 0.5) for row in warm.theta)
         assert len(warm.mu) == 4
@@ -434,8 +435,8 @@ class TestWarmStartRollout:
             mu_prev = tuple(rng.uniform(0.0, 3.0, size=3))
             o_prev = tuple(rng.uniform(0.0, 8.0, size=3))
             horizon = 1 + trial % 10
-            warm = warm_start_rollout(FeedbackController(net, gains, "ANN"), mu_prev, state,
-                                      forecast, horizon, o_prev)
+            warm = warm_start_rollout([FeedbackController(net, gains, "ANN")], mu_prev, state,
+                                      forecast, [horizon], o_prev)[0]
             rates, trail, cost = scalar_gain_rollout(net, gains, mu_prev, state, forecast,
                                                      horizon, o_prev)
             assert np.array(warm.mu).tobytes() == np.array(rates).tobytes()
@@ -459,5 +460,18 @@ class TestWarmStartRollout:
             return (0.016,) * 3 if len(calls) < 3 else (0.016, math.nan, 0.016)
 
         with pytest.raises(NegativeRateError):
-            warm_start_rollout(FeedbackController(net, gains, "NaN"), MU_PREV, self.state(),
-                               (self.measured(),), 5, (3.8, 3.2, 0.6))
+            warm_start_rollout([FeedbackController(net, gains, "NaN")], MU_PREV, self.state(),
+                               (self.measured(),), [5], (3.8, 3.2, 0.6))
+
+    def test_bases_rolled_together_must_match_their_horizons_and_network(self, net):
+        ctrl = FeedbackController(net, (0.016,) * 3, "ALINEA")
+        args = (MU_PREV, self.state(), (self.measured(),))
+        with pytest.raises(ValueError, match="one horizon"):
+            warm_start_rollout([ctrl, ctrl], *args, [3], (3.8, 3.2, 0.6))
+        with pytest.raises(ValueError, match="at least 1"):
+            warm_start_rollout([ctrl, ctrl], *args, [3, 0], (3.8, 3.2, 0.6))
+        other = FeedbackController(replace(net, rho_crit=2.0 * net.rho_crit), (0.016,) * 3, "B")
+        with pytest.raises(ValueError, match="share their network"):
+            warm_start_rollout([ctrl, other], *args, [3, 3], (3.8, 3.2, 0.6))
+        with pytest.raises(TopologyError):
+            FeedbackController(net, (0.016,) * 2, "short")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from basepar.actm import ExogenousInput, NetworkState, TopologyError
-from basepar.base_controllers import FeedbackController, MlpParams, alinea_step
+from basepar.base_controllers import FeedbackController, MlpParams, alinea_step, network_gains
 from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
@@ -19,9 +19,13 @@ from basepar import actm, orchestrator, parallel
 from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
+    BudgetedResult,
     CandidateSequence,
     MpcProblem,
     OptimizerConfig,
+    StepContext,
+    decision_to_metering,
+    make_shift_warm_starts,
 )
 from basepar.scenario import build_architecture, default_scenario
 
@@ -181,11 +185,12 @@ class TestControlStep:
         }
         arch = build_architecture(scenario, nets=nets, serial=True)
 
-        def failing(*args, **kwargs):
-            costs, plans = actm.rollout_batch(*args, **kwargs)
-            return np.full_like(costs, math.inf), plans
+        evaluation = orchestrator._evaluation
 
-        monkeypatch.setattr(orchestrator, "rollout_batch", failing)
+        def failing(candidates, costs):
+            return evaluation(candidates, (math.inf,) * len(costs))
+
+        monkeypatch.setattr(orchestrator, "_evaluation", failing)
         with caplog.at_level(logging.WARNING):
             record, evaluation = arch.control_step(STATE, MEASURED, O_PREV)
         assert record.candidate_labels[:2] == ("ALINEA", "ANN")
@@ -385,6 +390,107 @@ class TestControlStep:
         assert default.costs != swapped.costs
 
 
+class TestEvaluationFromTheRollouts:
+    """The costs ``control_step`` reads off the rollouts that costed each
+    candidate equal :func:`evaluate_candidates`'s fresh rollouts byte for
+    byte, and its warnings too."""
+
+    def build(self, cells, termination, budget_s):
+        config = ArchitectureConfig(
+            params=NET, cells=cells, evaluation_horizon=3, gamma=0.8,
+            optimizer=OptimizerConfig(budget_s=budget_s, max_iterations=8,
+                                      termination=termination),
+        )
+        return BaseParallelController(config, mu_init=MU_INIT)
+
+    def both_kinds(self, termination, budget_s):
+        nets = {
+            i: MlpParams(hidden_weights=((0.4, -0.3, 0.2, 0.1),) * 3, hidden_bias=(0.1, -0.2, 0.3),
+                         output_weights=(0.01, -0.02, 0.015), output_bias=0.02,
+                         input_lo=(0.0,) * 4, input_hi=(80.0, 30.0, 4.0, 8.0))
+            for i in NET.metered_cells
+        }
+        return self.build([
+            ParallelCell(FeedbackController(NET, (0.016,) * 3, "ALINEA"), (
+                mpc("CMPC(1)", CONVENTIONAL, 3), mpc("CMPC(2)", CONVENTIONAL, 10))),
+            ParallelCell(FeedbackController(NET, network_gains(NET, nets, (0.0, 1.0)), "ANN"), (
+                mpc("PMPC(1)", PARAMETERIZED, 3), mpc("PMPC(2)", PARAMETERIZED, 10))),
+        ], termination, budget_s)
+
+    @pytest.mark.parametrize("termination", ["best", "all"])
+    @pytest.mark.parametrize("budget_s", [None, 0.0])
+    def test_recorded_costs_equal_evaluate_candidates(self, termination, budget_s):
+        # four closed-loop steps, so the shift starts come into play; each
+        # solved candidate's plan is also its decision's, byte for byte
+        rng = np.random.default_rng(163)
+        arch = self.both_kinds(termination, budget_s)
+        problems = {p.label: p for cell in arch.config.cells for p in cell.controllers}
+        state, o_prev = STATE, O_PREV
+        for _ in range(4):
+            measured = ExogenousInput(rng.uniform(3.0, 6.0), tuple(rng.uniform(0.5, 1.5, size=3)))
+            context = StepContext(NET, state, (measured,), arch.mu_prev, 0.8)
+            record, evaluation = arch.control_step(state, measured, o_prev)
+            want = evaluate_candidates(evaluation.candidates, NET, state, (measured,), 3, 0.8)
+            assert np.array(evaluation.costs).tobytes() == np.array(want.costs).tobytes()
+            assert record.candidate_costs == evaluation.costs
+            for c in evaluation.candidates[2:]:
+                plan = decision_to_metering(problems[c.source], context, c.decision)
+                assert np.array(c.metering).tobytes() == np.array(plan).tobytes()
+            if termination == "all" and budget_s is None:
+                assert len(evaluation.candidates) > 6
+            state, flows, _ = actm.step(state, measured, record.applied, NET, 0.8)
+            o_prev = actm.upstream_inflows(flows, NET)
+
+    def test_a_point_failing_past_the_evaluation_horizon_keeps_its_cost(
+            self, monkeypatch, caplog):
+        # two extra starts: a NaN rate at step 3 costs +inf over the
+        # horizon 10 but is feasible over the evaluation horizon 3, a NaN
+        # rate at step 0 fails within it; termination "all" keeps both
+        late = np.full((10, 3), 0.5)
+        late[3, 1] = math.nan
+        early = np.full((10, 3), 0.5)
+        early[0, 2] = math.nan
+        monkeypatch.setattr(parallel, "make_shift_warm_starts", lambda history: [late, early])
+        arch = self.build([ParallelCell(alinea(), (mpc("CMPC(2)", CONVENTIONAL, 10),))],
+                          "all", None)
+        with caplog.at_level(logging.WARNING, logger="basepar.orchestrator"):
+            _, evaluation = arch.control_step(STATE, MEASURED, O_PREV)
+        got = [r.getMessage() for r in caplog.records if "evaluation rollout" in r.message]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="basepar.orchestrator"):
+            want = evaluate_candidates(evaluation.candidates, NET, STATE, (MEASURED,), 3, 0.8)
+        assert got == [r.getMessage() for r in caplog.records]
+        assert got == ["evaluation rollout failed for candidate 'CMPC(2)'; excluding it"]
+        assert np.array(evaluation.costs).tobytes() == np.array(want.costs).tobytes()
+        plans = [np.array(c.metering) for c in evaluation.candidates]
+        at_late = next(i for i, p in enumerate(plans) if p.tobytes() == late.tobytes())
+        at_early = next(i for i, p in enumerate(plans) if p.tobytes() == early.tobytes())
+        assert evaluation.candidates[at_late].cost == math.inf
+        assert math.isfinite(evaluation.costs[at_late])
+        assert evaluation.costs[at_early] == math.inf
+
+    def test_kept_history_gives_the_list_history_starts(self):
+        # over 180 committed steps, the shift starts from the kept array
+        # equal those from a list of the same decisions at every step
+        rng = np.random.default_rng(167)
+        problems = (mpc("CMPC(1)", CONVENTIONAL, 3), mpc("PMPC(1)", PARAMETERIZED, 3))
+        arch = self.build([ParallelCell(alinea(), problems)], "best", None)
+        lists = {p.label: [] for p in problems}
+        for _ in range(180):
+            results = {}
+            for p in problems:
+                decision = tuple(rng.uniform(0.0, 8.0, size=p.decision_dim).tolist())
+                best = CandidateSequence((), p.label, 0.0, decision)
+                results[p.label] = BudgetedResult(best, (best,), (0.0,), 0.0)
+                lists[p.label].append(np.array(decision).reshape(-1, 3))
+            arch.commit(MU_INIT, results)
+            for p in problems:
+                got = make_shift_warm_starts(arch.histories[p.label])
+                want = make_shift_warm_starts(lists[p.label])
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                assert [g.shape for g in got] == [w.shape for w in want]
+
+
 class TestDeadline:
     """Both cells' solves under one deadline, which a stub check lets expire
     after a fixed number of solver rounds, while every solve still has a
@@ -433,12 +539,13 @@ class TestDeadline:
     def count_kernel_calls(self, monkeypatch):
         calls = []
 
+        roll = actm._roll
+
         def counted(*args, **kwargs):
             calls.append(kwargs.get("gain_rows"))
-            return actm.rollout_batch(*args, **kwargs)
+            return roll(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "rollout_batch", counted)
-        monkeypatch.setattr(orchestrator, "rollout_batch", counted)
+        monkeypatch.setattr(actm, "_roll", counted)
         return calls
 
     def record_rounds(self, monkeypatch):
@@ -480,11 +587,9 @@ class TestDeadline:
         _, evaluation = self.build("all").control_step(STATE, MEASURED, O_PREV)
         assert len(at_expiry) == 1
         after = calls[at_expiry[0]:]
-        # one merged plan conversion of every PMPC iterate, then the evaluation
-        assert len(after) == 2
-        conversion, evaluation_call = after
-        assert conversion is not None and conversion.all()
-        assert evaluation_call is None
+        # no kernel call: every iterate's plan and evaluation cost come from
+        # the round that costed it
+        assert after == []
         sources = {c.source for c in evaluation.candidates}
         assert {"PMPC(1)", "PMPC(2)"} <= sources
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from basepar import parallel
+from basepar import actm, parallel
 from basepar.actm import ExogenousInput, NetworkState, TopologyError
 from basepar.base_controllers import FeedbackController, warm_start_rollout
 from basepar.parallel import (
@@ -16,6 +16,7 @@ from basepar.parallel import (
     MpcProblem,
     OptimizerConfig,
     StepContext,
+    _STEP_LENGTHS,
     _Bounds,
     _gradient_request,
     _line_search,
@@ -363,7 +364,7 @@ class TestSolver:
             direction[0] = 10.0 * (hi[0] - lo[0])  # clipped onto the upper bound
             g = rng.normal(size=x.size)
             search = _line_search(x, math.inf, g, direction, _Bounds(lo, hi), h)
-            x_new, f_new, step_vec, g_new = _lockstep([(0, search)], evaluate, None)[0]
+            x_new, f_new, step_vec, g_new, _ = _lockstep([(0, search)], evaluate, None)[0]
             assert x_new[0] == hi[0]
             assert x_new.tolist() == np.clip(x + direction, lo, hi).tolist()
             request = _gradient_request(x_new, f_new, _Bounds(lo, hi), h)
@@ -385,9 +386,45 @@ class TestSolver:
 
         lo, hi = np.full(3, -10.0), np.full(3, 10.0)
         search = _line_search(np.zeros(3), 1.0, np.zeros(3), np.ones(3), _Bounds(lo, hi), 1e-6)
-        x_new, f_new, _, g_new = _lockstep([(0, search)], evaluate, None)[0]
+        x_new, f_new, _, g_new, _ = _lockstep([(0, search)], evaluate, None)[0]
         assert (x_new.tolist(), f_new, g_new) == ([0.5] * 3, 0.5, None)
         assert sizes == [30 + 3]  # every step length, then the full step's gradient points
+
+    def test_a_full_step_that_does_not_move_ends_the_search_at_once(self):
+        # the search ends before building its grid of step lengths exactly
+        # where the grid's first clipped step is zero, and otherwise
+        # requests the grid's moving points; on random boxes, from points
+        # on the bounds and inside them, along directions that leave the
+        # box, tiny ones and zero
+        rng = np.random.default_rng(151)
+        exits = searches = 0
+        for _ in range(600):
+            dim = int(rng.integers(1, 8))
+            lo = rng.uniform(-2.0, 0.0, size=dim)
+            hi = lo + rng.uniform(0.0, 3.0, size=dim)
+            fixed = rng.random(dim) < 0.2
+            hi[fixed] = lo[fixed]
+            x = rng.uniform(lo, hi)
+            where = rng.random(dim)
+            x[where < 0.35] = lo[where < 0.35]
+            x[where > 0.65] = hi[where > 0.65]
+            direction = rng.normal(size=dim) * rng.choice([1.0, 1e-17, 0.0], p=[0.6, 0.2, 0.2])
+            outward = rng.random(dim) < 0.7
+            direction[outward & (x == hi)] = np.abs(direction[outward & (x == hi)])
+            direction[outward & (x == lo)] = -np.abs(direction[outward & (x == lo)])
+            points = np.clip(x + _STEP_LENGTHS * direction, lo, hi)
+            moving = (points - x).any(axis=1)
+            tried = len(moving) if moving.all() else int(np.argmin(moving))
+            search = _line_search(x, 1.0, np.zeros(dim), direction, _Bounds(lo, hi), None)
+            if tried == 0:
+                with pytest.raises(StopIteration) as stop:
+                    next(search)
+                assert stop.value.value is None
+                exits += 1
+            else:
+                assert next(search).tobytes() == points[:tried].tobytes()
+                searches += 1
+        assert exits >= 100 and searches >= 100, (exits, searches)
 
     def test_starts_round_gradients(self, monkeypatch):
         # every descent begins with the gradient the starts round costed at
@@ -563,8 +600,8 @@ class TestSolver:
     def test_expired_joint_solve_returns_its_zero_budget_result(self, monkeypatch):
         # a conventional and a parameterized problem under a deadline that
         # has expired before the solve: each result is its zero-budget one
-        # (the best start, the starts' costs alone), from two kernel calls,
-        # the first round and the plan round
+        # (the best start, the starts' costs alone), from one kernel call,
+        # the first round, which also gives the kept points' plans
         rng = np.random.default_rng(131)
         conventional, context = make_problem(rng, kind=CONVENTIONAL, horizon=3, label="C")
         parameterized, _ = make_problem(rng, kind=PARAMETERIZED, horizon=4, label="P")
@@ -575,14 +612,14 @@ class TestSolver:
             a = rng.uniform(lo, hi)
             starts.append([a, rng.uniform(lo, hi), a.copy(), hi + 1.0])
         calls = []
-        counted = parallel.rollout_batch
-        monkeypatch.setattr(parallel, "rollout_batch",
+        counted = actm._roll
+        monkeypatch.setattr(actm, "_roll",
                             lambda *args, **kw: calls.append(1) or counted(*args, **kw))
         for termination in ("all", "best"):
             cfg = OptimizerConfig(budget_s=0.0, max_iterations=40, termination=termination)
             calls.clear()
             expired = parallel._solve_jointly(problems, context, starts, cfg)
-            assert len(calls) == 2
+            assert len(calls) == 1
             zero = parallel._solve_jointly(problems, context, starts,
                                            replace(cfg, max_iterations=0))
             for problem, s, got, want in zip(problems, starts, expired, zero):
@@ -714,9 +751,9 @@ class TestHoldBase:
             context = replace(context, mu_prev=tuple(mu_prev.tolist()))
             zeros += int(np.count_nonzero(mu_prev == 0.0))
             hold = FeedbackController(NET, lambda *_: (0.0,) * 3, "hold")
-            warm = warm_start_rollout(hold, context.mu_prev, context.initial_state,
-                                      context.demand_forecast, horizon,
-                                      tuple(rng.uniform(0, 8, size=3)))
+            warm = warm_start_rollout([hold], context.mu_prev, context.initial_state,
+                                      context.demand_forecast, [horizon],
+                                      tuple(rng.uniform(0, 8, size=3)))[0]
             if kind == CONVENTIONAL:
                 want = np.tile(np.asarray(context.mu_prev, dtype=float), horizon)
             else:
@@ -732,8 +769,8 @@ class TestParallelCell:
         measured = ExogenousInput(5.0, (1.5, 1.0, 0.8))
         base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
         warm = warm_start_rollout(
-            base, (0.5, 0.2, 0.4), state, (measured,), 10, (3.8, 3.2, 0.6)
-        )
+            [base], (0.5, 0.2, 0.4), state, (measured,), [10], (3.8, 3.2, 0.6)
+        )[0]
         problems = [
             MpcProblem(label=f"CMPC({i})", kind=CONVENTIONAL, horizon=h,
                        bounds_lo=(0.0,) * (3 * h), bounds_hi=(8.0,) * (3 * h))
@@ -787,8 +824,8 @@ class TestParallelCell:
                 gains = tuple(rng.uniform(0.005, 0.03, size=3))
                 base = FeedbackController(NET, lambda *_, g=gains: g, "ALINEA")
                 warm = warm_start_rollout(
-                    base, mu_prev, state, (measured,), 10, (3.8, 3.2, 0.6)
-                )
+                    [base], mu_prev, state, (measured,), [10], (3.8, 3.2, 0.6)
+                )[0]
                 problems = [
                     make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")[0]
                     for h in (3, 10)
@@ -834,8 +871,8 @@ class TestParallelCell:
         base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
-            base, (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), 3,
+            [base], (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), [3],
             (3.8, 3.2, 0.6),
-        )
+        )[0]
         with pytest.raises(ValueError):
             run_parallel_cell(problems, short, context, {}, OptimizerConfig())

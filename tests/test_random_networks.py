@@ -24,7 +24,12 @@ from basepar.actm import (
     rollout_batch,
     step,
 )
-from basepar.base_controllers import FeedbackController, warm_start_rollout
+from basepar.base_controllers import (
+    FeedbackController,
+    MlpParams,
+    network_gains,
+    warm_start_rollout,
+)
 from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
@@ -262,12 +267,68 @@ class TestRandomTopologies:
             base = FeedbackController(net, lambda *_: (0.02,) * nr, "ALINEA")
             horizon = int(rng.integers(1, 7))
             warm = warm_start_rollout(
-                base, (0.3,) * nr, random_state(rng, net), (random_input(rng, net),),
-                horizon, (0.5,) * nr,
-            )
+                [base], (0.3,) * nr, random_state(rng, net), (random_input(rng, net),),
+                [horizon], (0.5,) * nr,
+            )[0]
             assert len(warm.mu) == horizon
             assert len(warm.theta) == horizon
             assert all(all(m >= 0.0 for m in row) for row in warm.mu)
+            checked += 1
+
+    def test_merged_warm_starts_equal_one_row_calls(self):
+        # constant gains (ALINEA, hold), the same gains through a callable
+        # and a gain network, rolled in one call over lengths of their own:
+        # each warm start equals its base's one-row call byte for byte, and
+        # a base that sets a NaN gain raises its own call's error, naming it
+        rng = np.random.default_rng(283)
+        checked = 0
+        while checked < 12:
+            net = random_network(rng)
+            if not net.metered_cells:
+                continue
+            nr = len(net.metered_cells)
+            theta = tuple(rng.uniform(0.0, 0.05, size=nr).tolist())
+            nets = {
+                i: MlpParams(
+                    hidden_weights=tuple(tuple(rng.normal(0.0, 2.0, size=4)) for _ in range(3)),
+                    hidden_bias=tuple(rng.normal(0.0, 1.0, size=3)),
+                    output_weights=tuple(rng.normal(0.0, 0.01, size=3)),
+                    output_bias=float(rng.uniform(0.0, 0.04)),
+                    input_lo=(0.0,) * 4, input_hi=(120.0, 25.0, 5.0, 12.0),
+                )
+                for i in net.metered_cells
+            }
+            bases = [
+                FeedbackController(net, theta, "ALINEA"),
+                FeedbackController(net, network_gains(net, nets, (0.0, 0.05)), "ANN"),
+                FeedbackController(net, (0.0,) * nr, "hold"),
+                FeedbackController(net, lambda *_, t=theta: t, "callable"),
+            ]
+            lengths = [int(h) for h in rng.integers(1, 11, size=len(bases))]
+            mu_prev = tuple(rng.uniform(0.0, 3.0, size=nr).tolist())
+            o_prev = tuple(rng.uniform(0.0, 8.0, size=nr).tolist())
+            state, forecast = random_state(rng, net), (random_input(rng, net),)
+            merged = warm_start_rollout(bases, mu_prev, state, forecast, lengths, o_prev)
+            for base, length, got in zip(bases, lengths, merged):
+                want = warm_start_rollout([base], mu_prev, state, forecast, [length], o_prev)[0]
+                assert len(got.mu) == len(got.theta) == len(got.running_cost) - 1 == length
+                for name in ("mu", "theta", "running_cost"):
+                    assert (np.array(getattr(got, name)).tobytes()
+                            == np.array(getattr(want, name)).tobytes())
+                assert (np.float64(got.total_cost).tobytes()
+                        == np.float64(want.total_cost).tobytes())
+            # constant gains and the same gains through a callable agree
+            common = min(lengths[0], lengths[3])
+            for name in ("mu", "theta", "running_cost"):
+                assert (np.array(getattr(merged[0], name)[:common]).tobytes()
+                        == np.array(getattr(merged[3], name)[:common]).tobytes())
+            nan = FeedbackController(net, (math.nan,) * nr, "NaN")
+            with pytest.raises(NegativeRateError, match="NaN set") as alone:
+                warm_start_rollout([nan], mu_prev, state, forecast, [3], o_prev)
+            with pytest.raises(NegativeRateError) as together:
+                warm_start_rollout([bases[0], nan, bases[1]], mu_prev, state, forecast,
+                                   [2, 3, 4], o_prev)
+            assert str(together.value) == str(alone.value)
             checked += 1
 
     def test_warm_start_raises_where_the_scalar_loop_raises(self):
@@ -292,10 +353,10 @@ class TestRandomTopologies:
                                                      horizon, ())
             except ModelConsistencyError:
                 with pytest.raises(ModelConsistencyError):
-                    warm_start_rollout(base, mu_prev, state, forecast, horizon, ())
+                    warm_start_rollout([base], mu_prev, state, forecast, [horizon], ())[0]
                 raised += 1
                 continue
-            warm = warm_start_rollout(base, mu_prev, state, forecast, horizon, ())
+            warm = warm_start_rollout([base], mu_prev, state, forecast, [horizon], ())[0]
             assert np.array(warm.mu).tobytes() == np.array(rates).tobytes()
             assert np.float64(warm.total_cost).tobytes() == np.float64(cost).tobytes()
             finished += 1

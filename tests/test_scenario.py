@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basepar import actm, base_controllers
+from basepar import actm
 from basepar.actm import ExogenousInput, rollout
 from basepar.scenario import (
     CONTROLLER_LABELS,
@@ -167,6 +167,12 @@ ERROR_CONTRACT_STRICT = {
                         "o_prev: {2: -5.0, 4: 3.2, 5: 0.6}}", "o_prev_init"),
     "nan-o_prev": ("initial_flows: {mu_prev: {2: 0.5, 4: 0.2, 5: 0.4}, "
                    "o_prev: {2: .nan, 4: 3.2, 5: 0.6}}", "o_prev_init"),
+    "inf-gamma": ("gamma: .inf", "gamma"),
+    "inf-sample-cycle": ("network: {sample_cycle_s: .inf}", "sample_cycle_s"),
+    "inf-rho-crit": ("network: {rho_crit: .inf}", "rho_crit"),
+    "inf-free-flow": ("network: {free_flow_mps: .inf}", "free_flow_mps"),
+    "inf-cell-length": ("network: {cells: [{length: .inf, capacity_nbar: 80.0, "
+                        "sat_mainline_obar: 8.0, sat_offramp_sbar: 6.0}]}", "network.cells[0]"),
 }
 
 
@@ -277,12 +283,14 @@ class TestRunExperiment:
         # evaluated, so its warm start is a one-step kernel call, not one as
         # long as the evaluation horizon
         calls = []
+        roll = actm._roll
 
         def counted(state, inputs, params, horizon, *args, **kwargs):
-            calls.append(horizon)
-            return actm.rollout_batch(state, inputs, params, horizon, *args, **kwargs)
+            if kwargs.get("gains") is not None:  # not the plant
+                calls.append(horizon)
+            return roll(state, inputs, params, horizon, *args, **kwargs)
 
-        monkeypatch.setattr(base_controllers, "rollout_batch", counted)
+        monkeypatch.setattr(actm, "_roll", counted)
         run_experiment(default_scenario(seed=5), "alinea", serial=True, steps_override=7)
         assert calls == [1] * 7
 
