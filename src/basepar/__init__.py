@@ -20,7 +20,6 @@ from .base_controllers import (
     FeedbackController,
     MlpParams,
     WarmStart,
-    alinea_step,
     mlp_forward,
     network_gains,
     warm_start_rollout,

@@ -467,6 +467,8 @@ def rollout_batch(
     ``inputs`` shorter than a horizon hold their last entry.  Returns the
     costs ``[B]`` and the plans ``[B, horizon, ramps]``: as given, with the
     derived rates written into the gain rows over the whole ``horizon``.
+    Without gain rows the returned plans may be the ``plans`` array passed
+    in, not a copy.
 
     Each cost equals ``rollout(...).total_cost`` over the row's horizon, and
     the scalar model's, bit for bit (the module notes say how each ``min``
@@ -717,6 +719,6 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
     total[fail < ends] = math.inf
     last = (h[horizon], flow, e, s, sums[1:, horizon - 1])
     if not derive:
-        return total, plans.copy(), costs, fail, last
-    return total, np.ascontiguousarray(metered.transpose(2, 0, 1)), costs, fail, last
+        return total, plans, costs, fail, last
+    return total, metered.transpose(2, 0, 1), costs, fail, last
 

@@ -21,8 +21,8 @@ To seed the online optimizers every base is rolled forward on the
 prediction model for the largest horizon of its cell, each as one row of
 one :func:`~basepar.actm.rollout_batch` call (:func:`warm_start_rollout`):
 constant gains as a gain row, a gain network as a gain row whose callable
-sets its gains at every step.  :func:`alinea_step` is the same law written
-out scalar by scalar, the reference the tests compare the kernel against.
+sets its gains at every step.  The kernel's gain rows are the one
+implementation of the law; the tests keep a scalar copy as its reference.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .actm import (
 )
 
 __all__ = [
-    "alinea_step",
     "MlpParams",
     "mlp_forward",
     "save_mlp_params",
@@ -67,33 +66,6 @@ __all__ = [
     "WarmStart",
     "warm_start_rollout",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Feedback law
-# ---------------------------------------------------------------------------
-
-def alinea_step(
-    mu_prev: Sequence[float],
-    theta: Sequence[float],
-    rho: Sequence[float],
-    rho_crit: float,
-) -> tuple[float, ...]:
-    """One metering update: ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``.
-
-    ``rho`` holds the measured density downstream of each metered ramp, in
-    the same order as the previous rates ``mu_prev`` and the gains ``theta``.
-    """
-    if not len(mu_prev) == len(theta) == len(rho):
-        raise ValueError("mu_prev, gains and densities must have one entry per metered ramp")
-    # written so that NaN fails too
-    if not all(m >= 0 for m in mu_prev):
-        raise ValueError("mu_prev must be nonnegative")
-    if not all(math.isfinite(t) for t in theta):
-        raise ValueError("gains must be finite")
-    if not all(r >= 0 for r in rho):
-        raise ValueError("densities must be nonnegative")
-    return tuple(max(m + t * (rho_crit - r), 0.0) for m, t, r in zip(mu_prev, theta, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +553,8 @@ def warm_start_rollout(
     params = bases[0].params
     if any(base.params != params for base in bases):
         raise ValueError("bases rolled together must share their network")
-    # alinea_step's checks, which only the first state can fail; NaN fails too
+    # the feedback law's input checks, which only the first state can fail;
+    # NaN fails too
     if not all(m >= 0 for m in mu_prev):
         raise ValueError("mu_prev must be nonnegative")
     if not all(state.n[i] >= 0 for i in params.metered_cells):

@@ -33,23 +33,24 @@ problem of every parallel cell of a control step, whatever their kind and
 horizon, from the step's one :class:`StepContext` (the measured state, the
 forecast, the network, gamma and the previous rates).  A start repeated bit
 for bit lists its first copy's records instead of descending again.  Each
-round evaluates the requests of every live start together: with the
-built-in objective in one kernel call, whose costs equal the point-by-point
-ones bit for bit whatever other rows share it; a substituted
-``objective_fn`` point by point.  Every recorded point keeps the plan its
-round rolled and, when the context has an evaluation horizon, its cost over
-that prefix of its horizon (+inf if it fails within it): the evaluation
-block's score, so no kept point is rolled again.  The first round runs
-whatever the deadline.  The deadline is checked before every later round,
-and before every point of a substituted ``objective_fn``, so every live
-solve takes part in every round until it expires.  There is no thread pool:
-without a deadline (serial mode) the same pass runs until every start has
-finished.  Records are listed start by start as a sequential solver lists
-them, so results depend neither on the interleaving nor on which other
-problems share the rounds.  An :class:`MpcProblem` is fixed for a run, and
-what the solver derives from its bounds (the coordinates with ``lo != hi``,
-where their difference steps go, the width of the box) is derived once,
-when the problem is built.
+round hands the requests of every live start to one evaluator, which
+returns every requested row's cost, its cost over the context's evaluation
+horizon (+inf if it fails within it; None without one) and its plan.  Each
+start is sent the share that belongs to its rows, and records each point
+with its own copy of that point's plan row and its evaluation cost: the
+evaluation block's score, so no kept point is rolled again, and no round
+outlives the next.  The built-in evaluator is one kernel call per round,
+whose costs equal the point-by-point ones bit for bit whatever other rows
+share it; the test suite passes its own to :func:`_solve_jointly`.  The
+first round runs whatever the deadline.  The deadline is checked before
+every later round, so every live solve takes part in every round until it
+expires.  There is no thread pool: without a deadline (serial mode) the
+same pass runs until every start has finished.  Records are listed start
+by start as a sequential solver lists them, so results depend neither on
+the interleaving nor on which other problems share the rounds.  An
+:class:`MpcProblem` is fixed for a run, and what the solver derives from
+its bounds (the coordinates with ``lo != hi``, where their difference steps
+go, the width of the box) is derived once, when the problem is built.
 
 Starting points beyond the base-controller warm start are built by shifting
 previous solutions forward in time (:func:`make_shift_warm_starts`): the
@@ -241,12 +242,12 @@ def objective(problem: MpcProblem, context: StepContext, decision: Sequence[floa
     error propagates.
     """
     x = _decision(problem, decision)[None, :]
-    return float(_MergedRollouts([problem], context).objective([(0, x)])[0])
+    return float(_MergedRollouts([problem], context)([(0, x)])[0][0])
 
 
 class _MergedRollouts:
-    """Decision rows of several problems rolled out together from one
-    step's context.
+    """The solver's built-in evaluator: decision rows of several problems
+    rolled out together from one step's context.
 
     Each call is one kernel call, whatever the problems' kinds and
     horizons: the rows in request order, rolled over the longest requested
@@ -266,18 +267,16 @@ class _MergedRollouts:
                 raise ValueError(f"problem {p.label!r} is shorter than the evaluation horizon")
         self.problems = problems
         self.context = context
-        # the latest round :meth:`objective` costed: where each request's
-        # rows start, by the request's id, the evaluation costs and the plans
-        self.latest: tuple = ({}, None, None)
 
     def __call__(
-        self, requests: Sequence[tuple[int, np.ndarray]]
-    ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """Costs of every requested row, in request order, over its
-        problem's horizon and over the evaluation horizon (None without
-        one), and the plans ``[rows, horizon, ramps]`` over the longest
-        requested horizon; a request is a problem index with its decision
-        rows ``[rows, dim]``."""
+        self, requests: Sequence[tuple[int, np.ndarray]], deadline: Optional[float] = None
+    ) -> Round:
+        """The round of every requested row, in request order: its
+        :func:`objective` over its problem's horizon, its cost over the
+        evaluation horizon (None without one) and the plans ``[rows,
+        horizon, ramps]`` over the longest requested horizon.  A request is
+        a problem index with its decision rows ``[rows, dim]``; no
+        ``deadline`` cuts the one kernel call short."""
         problems = [self.problems[i] for i, _ in requests]
         ctx = self.context
         n_ramps = len(ctx.mu_prev)
@@ -305,22 +304,6 @@ class _MergedRollouts:
             ctx.gamma, plans=rates, gains=gains, mu_prev=ctx.mu_prev,
             gain_rows=gain_rows, horizons=horizons,
         )
-        e = ctx.evaluation_horizon
-        evaluation = None if e is None else np.where(fail < e, math.inf, running[e])
-        return costs, evaluation, plans
-
-    def objective(
-        self, requests: Sequence[tuple[int, np.ndarray]], deadline: Optional[float] = None
-    ) -> np.ndarray:
-        """:func:`objective` of every requested row, in request order; one
-        kernel call, which no ``deadline`` cuts short; the round is kept for
-        :meth:`price` until the next."""
-        costs, evaluation, plans = self(requests)
-        starts, at = {}, 0
-        for _, rows in requests:
-            starts[id(rows)] = at
-            at += len(rows)
-        self.latest = (starts, evaluation, plans)
         finite = np.isfinite(costs)
         if not finite.all():
             failed = costs == math.inf
@@ -334,43 +317,19 @@ class _MergedRollouts:
                     )
                 at += len(rows)
             costs[~finite] = math.inf
-        return costs
-
-    def price(self, request: np.ndarray, i: int) -> tuple[np.ndarray, Optional[float]]:
-        """The plan ``[horizon, ramps]`` over the round's longest horizon
-        and the evaluation cost of row ``i`` of ``request``, a request of
-        the latest round, as that round rolled them."""
-        starts, evaluation, plans = self.latest
-        row = starts[id(request)] + i
-        return plans[row].copy(), None if evaluation is None else float(evaluation[row])
-
-    def plans(
-        self, decisions: Sequence[np.ndarray]
-    ) -> list[list[tuple[tuple[float, ...], ...]]]:
-        """Metering plans of each problem's decision rows (see
-        :func:`decision_to_metering`); the parameterized problems' plans are
-        derived in one merged rollout."""
-        derived = [i for i, p in enumerate(self.problems) if p.kind == PARAMETERIZED]
-        arrays = [p.bounds.clip(x) for x, p in zip(decisions, self.problems)]
-        for i, problem in enumerate(self.problems):
-            if problem.kind == CONVENTIONAL:
-                arrays[i] = arrays[i].reshape(-1, problem.horizon, problem.n_ramps)
-        if derived:
-            _, _, rolled = self([(i, decisions[i]) for i in derived])
-            at = 0
-            for i in derived:
-                arrays[i] = rolled[at:at + len(decisions[i]), :self.problems[i].horizon]
-                at += len(decisions[i])
-        return [[tuple(tuple(row) for row in plan) for plan in a.tolist()] for a in arrays]
+        e = ctx.evaluation_horizon
+        evaluation = None if e is None else np.where(fail < e, math.inf, running[e])
+        return costs, evaluation, plans
 
 
 def decision_to_metering(
     problem: MpcProblem, context: StepContext, decision: Sequence[float]
 ) -> tuple[tuple[float, ...], ...]:
     """Metering plan (horizon x ramps) encoded by a decision vector from the
-    step's context."""
+    step's context: the plan one merged rollout of its clipped row rolls."""
     x = _decision(problem, decision)[None, :]
-    return _MergedRollouts([problem], context).plans([x])[0][0]
+    plan = _MergedRollouts([problem], context)([(0, x)])[2][0, :problem.horizon]
+    return tuple(map(tuple, plan.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +382,24 @@ def _expired(deadline: float) -> bool:
     return time.monotonic() >= deadline
 
 
+# What an evaluator returns for the rows of one round, in request order:
+# their costs ``[k]``, their costs over the evaluation horizon ``[k]`` (None
+# without one) and their plans ``[k, horizon, ramps]``.
+Round = tuple[np.ndarray, Optional[np.ndarray], np.ndarray]
+
 # A coroutine that yields decision rows ``[k, dim]`` to be evaluated, is sent
-# their costs ``[k]`` back, and finally returns its result.
+# their share of the round back, and finally returns its result.
 T = TypeVar("T")
-Evaluation = Generator[np.ndarray, np.ndarray, T]
+Evaluation = Generator[np.ndarray, Round, T]
 
 # backtracking step lengths 1, 1/2, ..., exactly as repeated halving gives
 # them, as a column
 _STEP_LENGTHS = (0.5 ** np.arange(30))[:, None]
 
-# Costs of the requested rows, one ``(key, rows)`` pair per live coroutine,
-# as one array in request order, given the deadline the evaluation may stop
-# at (None for none); None to stop.
-Evaluator = Callable[[list[tuple[object, np.ndarray]], Optional[float]], Optional[np.ndarray]]
+# The round of the requested rows, one ``(key, rows)`` pair per live
+# coroutine, given the deadline the evaluation may stop at (None for none);
+# None to stop.
+Evaluator = Callable[[list[tuple[object, np.ndarray]], Optional[float]], Optional[Round]]
 
 
 def _lockstep(
@@ -447,18 +411,19 @@ def _lockstep(
     ``tasks`` pairs each coroutine with a key naming what its rows belong to
     (a problem).  Each round passes the rows every live coroutine has
     requested, with its key, to one ``evaluate`` call and sends each
-    coroutine its share of the costs.  The first round runs whatever the
-    deadline, and its evaluation is given none.  The deadline is checked
-    before every later round and passed to its evaluation; once it has
-    expired, or ``evaluate`` returns None, the coroutines still running are
-    abandoned and their results are None.
+    coroutine the slice of the round's costs, evaluation costs and plans
+    that belongs to its rows.  The first round runs whatever the deadline,
+    and its evaluation is given none.  The deadline is checked before every
+    later round and passed to its evaluation; once it has expired, or
+    ``evaluate`` returns None, the coroutines still running are abandoned
+    and their results are None.
     """
     results: list = [None] * len(tasks)
     live = []
 
-    def advance(t: int, key: object, coroutine: Evaluation, costs) -> None:
+    def advance(t: int, key: object, coroutine: Evaluation, share) -> None:
         try:
-            rows = next(coroutine) if costs is None else coroutine.send(costs)
+            rows = next(coroutine) if share is None else coroutine.send(share)
         except StopIteration as stop:
             results[t] = stop.value
         else:
@@ -468,15 +433,25 @@ def _lockstep(
         advance(t, key, coroutine, None)
     limit = None  # the first round's
     while live and (limit is None or not _expired(limit)):
-        costs = evaluate([(key, rows) for _, key, _, rows in live], limit)
-        if costs is None:
+        answer = evaluate([(key, rows) for _, key, _, rows in live], limit)
+        if answer is None:
             break
+        costs, evaluation, plans = answer
         pending, live, at = live, [], 0
         for t, key, coroutine, rows in pending:
-            advance(t, key, coroutine, costs[at:at + len(rows)])
-            at += len(rows)
+            rows = slice(at, at + len(rows))
+            evaluated = None if evaluation is None else evaluation[rows]
+            advance(t, key, coroutine, (costs[rows], evaluated, plans[rows]))
+            at = rows.stop
         limit = deadline
     return results
+
+
+def _priced(share: Round, i: int) -> tuple[np.ndarray, Optional[float]]:
+    """Row ``i``'s plan, a copy, so that no round outlives the next, and its
+    evaluation cost."""
+    _, evaluation, plans = share
+    return plans[i].copy(), None if evaluation is None else float(evaluation[i])
 
 
 class _Bounds:
@@ -530,26 +505,8 @@ def _gradient_request(
     backward off upper bounds; coordinates with ``lo == hi`` get 0 and no
     evaluation."""
     differences = _Differences(x, bounds, h)
-    costs = (yield differences.points) if bounds.n_free else np.empty(0)
+    costs = (yield differences.points)[0] if bounds.n_free else np.empty(0)
     return differences.gradient(f, costs)
-
-
-def _pointwise(fun: Callable[[np.ndarray], float]) -> Evaluator:
-    """Evaluator calling ``fun`` row by row, the deadline checked before
-    every row; it returns None once the deadline has expired."""
-
-    def evaluate(
-        requests: list[tuple[object, np.ndarray]], deadline: Optional[float]
-    ) -> Optional[np.ndarray]:
-        rows = np.concatenate([rows for _, rows in requests])
-        costs = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            if deadline is not None and _expired(deadline):
-                return None
-            costs[i] = fun(row)
-        return costs
-
-    return evaluate
 
 
 def _line_search(
@@ -569,9 +526,9 @@ def _line_search(
     request also carries the forward-difference points around the full-step
     point, so that a full step comes with its gradient.  Returns the
     accepted point, its cost, the step taken, the gradient there (None
-    unless the full step was accepted) and where it was costed (the request
-    and its row), or None.  The accepted cost may equal ``f``: the test
-    admits equality where the predicted decrease is zero or lost to
+    unless the full step was accepted) and its plan and evaluation cost
+    (see :func:`_priced`), or None.  The accepted cost may equal ``f``: the
+    test admits equality where the predicted decrease is zero or lost to
     rounding, and :func:`_descent` ends there.
     """
     if not (bounds.clip(x + direction) - x).any():
@@ -582,11 +539,12 @@ def _line_search(
     tried = len(moving) if moving.all() else int(np.argmin(moving))
     ahead = None if h is None else _Differences(points[0], bounds, h)
     request = points[:tried] if ahead is None else np.concatenate([points[:tried], ahead.points])
-    costs = yield request
+    share = yield request
+    costs = share[0]
     for i, cost in enumerate(costs[:tried]):
         if math.isfinite(cost) and cost <= f + 1e-4 * min(0.0, float(g @ moves[i])):
             g_new = None if i or ahead is None else ahead.gradient(float(cost), costs[tried:])
-            return points[i], float(cost), moves[i], g_new, (request, i)
+            return points[i], float(cost), moves[i], g_new, _priced(share, i)
     return None
 
 
@@ -600,8 +558,8 @@ def _descent(
 ) -> Evaluation[None]:
     """Projected BFGS from one start whose gradient ``g0`` is known; every
     point it moves to is recorded onto ``trail`` as ``(x, cost, iterations,
-    converged, where it was costed)`` (the request and its row), and each
-    costs strictly less than the one before it.
+    converged, (plan, evaluation cost))``, and each costs strictly less
+    than the one before it.
 
     The descent ends when the line search accepts no step, or accepts one
     whose cost is not strictly below the current cost (that point is not
@@ -633,13 +591,13 @@ def _descent(
         accepted = yield from _line_search(x, f, g, direction, bounds, h)
         if accepted is None:
             return
-        x_new, f_new, step_vec, g_new, where = accepted
+        x_new, f_new, step_vec, g_new, priced = accepted
         if f_new >= f:  # no decrease: end here, without recording the point
             return
         df = f - f_new
         dx = float(np.maximum.reduce(np.abs(step_vec)))
         converged = bool(df < cfg.function_tolerance and dx < cfg.step_tolerance)
-        trail.append((x_new.copy(), f_new, it, converged, where))
+        trail.append((x_new.copy(), f_new, it, converged, priced))
         if converged or it == cfg.max_iterations:
             return
         if g_new is None:
@@ -672,26 +630,11 @@ def _opening(
     """
     ahead = _Differences(x, bounds, cfg.fd_step) if cfg.max_iterations else None
     request = x[None] if ahead is None else np.vstack([x, ahead.points])
-    costs = yield request
-    f = float(costs[0])
-    trail.append((x.copy(), f, 0, False, (request, 0)))
+    share = yield request
+    f = float(share[0][0])
+    trail.append((x.copy(), f, 0, False, _priced(share, 0)))
     if ahead is not None and math.isfinite(f):
-        yield from _descent(x, f, ahead.gradient(f, costs[1:]), bounds, cfg, trail)
-
-
-class _Trail(list):
-    """One start's records, each priced as it is recorded: ``where it was
-    costed`` becomes its plan and evaluation cost (see
-    :meth:`_MergedRollouts.price`), read off the round that has just costed
-    it, so no round outlives the next."""
-
-    def __init__(self, price: Callable[[np.ndarray, int], tuple]):
-        super().__init__()
-        self.price = price
-
-    def append(self, record: tuple) -> None:
-        *point, (request, i) = record
-        super().append((*point, self.price(request, i)))
+        yield from _descent(x, f, ahead.gradient(f, share[0][1:]), bounds, cfg, trail)
 
 
 def _solve_jointly(
@@ -699,38 +642,34 @@ def _solve_jointly(
     context: StepContext,
     starts: Sequence[Sequence[Sequence[float]]],
     config: OptimizerConfig,
-    objective_fn: Optional[Callable[[np.ndarray], float]] = None,
+    evaluate: Optional[Evaluator] = None,
 ) -> list[BudgetedResult]:
     """Solve every problem from its starts in one lockstep (see
     :func:`solve_budgeted`), against the config budget from the call.
 
     One :func:`_opening` runs from every distinct clipped start of every
-    problem, side by side, and each round evaluates all their requests
-    together: with the built-in objective as one merged rollout, with
-    ``objective_fn`` point by point.  The first round, which costs every
-    start with the forward-difference points around it, runs whatever the
-    deadline.  A start repeated bit for bit lists its first copy's records
-    again.  Each recorded point keeps its plan, and its evaluation cost,
-    from the round that costed it (a :class:`_Trail`); only under
-    ``objective_fn``, which rolls nothing, are the kept points converted to
-    plans, the parameterized ones in one merged rollout.
+    problem, side by side, and each round hands all their requests, keyed
+    by problem index, to ``evaluate``: by default one merged rollout
+    (:class:`_MergedRollouts`); the test suite substitutes closed-form
+    surrogates here.  The first round, which costs every start with the
+    forward-difference points around it, runs whatever the deadline.  A
+    start repeated bit for bit lists its first copy's records again.  Each
+    recorded point keeps its plan, and its evaluation cost, from the round
+    that costed it.
     """
     if any(len(s) == 0 for s in starts):
         raise ValueError("at least one starting point is required")
     t0 = time.monotonic()
     deadline = None if config.budget_s is None else t0 + config.budget_s
-    rollouts = _MergedRollouts(problems, context)
-    if objective_fn is None:
-        evaluate, new_trail = rollouts.objective, lambda: _Trail(rollouts.price)
-    else:
-        evaluate, new_trail = _pointwise(objective_fn), list
+    if evaluate is None:
+        evaluate = _MergedRollouts(problems, context)
 
     # per problem: each clipped start's trail, a start repeated bit for bit
     # sharing its first copy's
     openings, trails = [], []
     for i, (problem, s) in enumerate(zip(problems, starts)):
         x = problem.bounds.clip(np.array([_decision(problem, row) for row in s]))
-        distinct = {row.tobytes(): (row, new_trail()) for row in x}
+        distinct = {row.tobytes(): (row, []) for row in x}
         openings.extend((i, _opening(row, problem.bounds, config, trail))
                         for row, trail in distinct.values())
         trails.append([distinct[row.tobytes()][1] for row in x])
@@ -742,28 +681,18 @@ def _solve_jointly(
         kept = recorded
     else:  # the first point of least cost
         kept = [[min(r, key=lambda item: item[1])] for r in recorded]
-    if objective_fn is None:
-        priced = [[(tuple(map(tuple, plan[:problem.horizon].tolist())), evaluation)
-                   for *_, (plan, evaluation) in items]
-                  for problem, items in zip(problems, kept)]
-    else:
-        plans = rollouts.plans([np.array([item[0] for item in items]) for items in kept])
-        priced = [[(plan, None) for plan in plan_list] for plan_list in plans]
+    iterates = [
+        tuple(CandidateSequence(tuple(map(tuple, plan[:problem.horizon].tolist())), problem.label,
+                                f, tuple(x.tolist()), iterations, converged, evaluation)
+              for x, f, iterations, converged, (plan, evaluation) in items)
+        for problem, items in zip(problems, kept)
+    ]
     elapsed = time.monotonic() - t0
-    results = []
-    for problem, items, plan_list, trail in zip(problems, kept, priced, recorded):
-        iterates = tuple(
-            CandidateSequence(plan, problem.label, f, tuple(x.tolist()), iterations, converged,
-                              evaluation)
-            for (plan, evaluation), (x, f, iterations, converged, _) in zip(plan_list, items)
-        )
-        results.append(BudgetedResult(
-            best=min(iterates, key=lambda c: c.cost),
-            iterates=iterates,
-            cost_trail=tuple(item[1] for item in trail),
-            elapsed_s=elapsed,
-        ))
-    return results
+    return [
+        BudgetedResult(best=min(points, key=lambda c: c.cost), iterates=points,
+                       cost_trail=tuple(item[1] for item in trail), elapsed_s=elapsed)
+        for points, trail in zip(iterates, recorded)
+    ]
 
 
 def solve_budgeted(
@@ -771,7 +700,6 @@ def solve_budgeted(
     context: StepContext,
     starts: Sequence[Sequence[float]],
     config: OptimizerConfig,
-    objective_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> BudgetedResult:
     """Minimize the problem objective from the context and every start
     within the budget.
@@ -784,21 +712,16 @@ def solve_budgeted(
     deadline, the config budget from the call, expires: each round
     evaluates the requests of every live descent together, each request
     being one whole line search (with the gradient points of its full step)
-    or one forward-difference gradient.
-
-    With the built-in objective each round is one batched rollout, and the
-    deadline is checked before every round after the first, so the solve
-    overshoots it by at most one round's batch.  ``objective_fn``
-    substitutes the cost function, which the test suite uses to drive the
-    solver over closed-form surrogates; it is called point by point with
-    the deadline checked before every point after the first round.
+    or one forward-difference gradient.  Each round is one batched rollout,
+    and the deadline is checked before every round after the first, so the
+    solve overshoots it by at most one round's batch.
 
     Records are listed as a sequential solver would list them: the starts,
     then each descent's accepted points, descent by descent in start order.
     This is the one-problem case of the scheduler :func:`run_parallel_cells`
     runs.
     """
-    return _solve_jointly([problem], context, [starts], config, objective_fn)[0]
+    return _solve_jointly([problem], context, [starts], config)[0]
 
 
 def run_parallel_cells(

@@ -1,19 +1,23 @@
 """The scalar cell-transmission model and feedback law, alternated step by
-step, and the solver's gradient evaluated point by point: the references
-the package's batched kernel is compared against.
+step, and the solver's point-by-point evaluator: the references the
+package's batched kernel is compared against, and the harness through
+which the solver runs on closed-form surrogates.
 
 The package runs one model, the kernel ``basepar.actm.rollout_batch``;
 ``basepar.actm.step``, the plant, is one row of it rolled one step.  The
 :func:`step` here evaluates the flow formulas cell by cell in Python floats,
 as the package did before the kernel replaced it.  The kernel performs
 every float operation of this :func:`step` and of
-``base_controllers.alinea_step`` in the same order, so its states, flows,
+:func:`alinea_step` in the same order, so its states, flows,
 costs and derived rates are compared against this model byte for byte; a
 comparison against ``basepar.actm.step`` would compare the kernel with
 itself.
 """
 
+import math
 from typing import Optional, Sequence
+
+import numpy as np
 
 from basepar.actm import (
     STATE_TOL,
@@ -28,8 +32,7 @@ from basepar.actm import (
     TopologyError,
     upstream_inflows,
 )
-from basepar.base_controllers import alinea_step
-from basepar.parallel import _gradient_request, _lockstep, _pointwise
+from basepar.parallel import _expired, _gradient_request, _lockstep, _solve_jointly
 
 
 def _metering_by_cell(
@@ -229,11 +232,60 @@ def rollout(
     )
 
 
+def alinea_step(
+    mu_prev: Sequence[float],
+    theta: Sequence[float],
+    rho: Sequence[float],
+    rho_crit: float,
+) -> tuple[float, ...]:
+    """One metering update: ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``.
+
+    ``rho`` holds the measured density downstream of each metered ramp, in
+    the same order as the previous rates ``mu_prev`` and the gains ``theta``.
+    """
+    if not len(mu_prev) == len(theta) == len(rho):
+        raise ValueError("mu_prev, gains and densities must have one entry per metered ramp")
+    # written so that NaN fails too
+    if not all(m >= 0 for m in mu_prev):
+        raise ValueError("mu_prev must be nonnegative")
+    if not all(math.isfinite(t) for t in theta):
+        raise ValueError("gains must be finite")
+    if not all(r >= 0 for r in rho):
+        raise ValueError("densities must be nonnegative")
+    return tuple(max(m + t * (rho_crit - r), 0.0) for m, t, r in zip(mu_prev, theta, rho))
+
+
+def pointwise(fun, bounds, horizon=1):
+    """A solver evaluator calling ``fun`` row by row, the deadline checked
+    before every row; it returns None once the deadline has expired.  It
+    has no evaluation costs, and its plans are the rows clipped into
+    ``bounds`` and reshaped to ``horizon`` steps, as a conventional
+    problem's are."""
+
+    def evaluate(requests, deadline):
+        rows = np.concatenate([rows for _, rows in requests])
+        costs = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            if deadline is not None and _expired(deadline):
+                return None
+            costs[i] = fun(row)
+        return costs, None, bounds.clip(rows).reshape(len(rows), horizon, -1)
+
+    return evaluate
+
+
+def solve_pointwise(fun, problem, context, starts, config):
+    """``solve_budgeted`` with ``fun`` costing every point in place of the
+    model, through the solver's :func:`pointwise` evaluator."""
+    evaluate = pointwise(fun, problem.bounds, problem.horizon)
+    return _solve_jointly([problem], context, [starts], config, evaluate)[0]
+
+
 def fd_gradient(fun, x, f0, bounds, h):
     """The solver's forward-difference gradient of ``fun`` at ``x`` (whose
     cost is ``f0``) within ``bounds``, evaluated point by point."""
     request = _gradient_request(x, f0, bounds, h)
-    return _lockstep([(None, request)], _pointwise(fun), None)[0]
+    return _lockstep([(None, request)], pointwise(fun, bounds), None)[0]
 
 
 def metered_density(state, params):

@@ -14,11 +14,17 @@ import numpy as np
 import pytest
 
 from basepar import actm, base_controllers, orchestrator, parallel, scenario as scenario_module
-from basepar.actm import ExogenousInput, NetworkState, step
+from basepar.actm import (
+    CellParams,
+    ExogenousInput,
+    NetworkParams,
+    NetworkState,
+    rollout_batch,
+    step,
+)
 from basepar.base_controllers import (
     FeedbackController,
     GenerationRanges,
-    alinea_step,
     generate_training_data,
     optimal_gain_for_sample,
 )
@@ -45,7 +51,7 @@ from basepar.scenario import (
 )
 
 from oracles import central_difference, grid_search_gain, oracle_step
-from scalar_reference import fd_gradient
+from scalar_reference import alinea_step, fd_gradient, metered_density, solve_pointwise
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -85,14 +91,14 @@ def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
 def _count_solver_rounds(monkeypatch) -> list[int]:
     """Record the row count of every solver round from here on."""
     rounds = []
-    objective = parallel._MergedRollouts.objective
+    evaluate = parallel._MergedRollouts.__call__
 
     def counted(self, requests, deadline=None):
-        costs = objective(self, requests, deadline)
-        rounds.append(len(costs))
-        return costs
+        answer = evaluate(self, requests, deadline)
+        rounds.append(len(answer[0]))
+        return answer
 
-    monkeypatch.setattr(parallel._MergedRollouts, "objective", counted)
+    monkeypatch.setattr(parallel._MergedRollouts, "__call__", counted)
     return rounds
 
 
@@ -190,14 +196,37 @@ def test_criterion_1_actm_oracle_equivalence(scenario):
 
 def test_criterion_2_alinea_unit_values():
     """Feedback-law fixed point, zero clamp, and the documented numeric value
-    to 1e-6."""
+    to 1e-6, on the scalar reference law and on the law a run applies: a
+    one-step gain row of the kernel, on a one-ramp network of one 560 m
+    lane, whose rates equal the reference's byte for byte."""
     assert alinea_step([0.7], (0.016,), [0.0335], 0.0335)[0] == 0.7
 
     assert alinea_step([0.0], (0.016,), [0.1], 0.0335)[0] == 0.0
 
     mu = alinea_step([0.5], (0.016,), [36.2 / 560.0], 0.0335)[0]
     assert mu == pytest.approx(0.499502, abs=1e-6)
-    _report(2, f"fixed point, clamp, and rate {mu:.6f} == 0.499502 within 1e-6")
+
+    net = NetworkParams(
+        cells=(CellParams(length=560.0, capacity_nbar=80.0, sat_mainline_obar=8.0,
+                          sat_offramp_sbar=6.0, blend_alpha=0.6, has_onramp=True,
+                          metered=True),),
+        sample_cycle_s=20.0, rho_crit=0.0335,
+    )
+    rates, densities = [], []
+    for mu_prev, n in ((0.7, 18.76), (0.0, 56.0), (0.5, 36.2)):
+        state = NetworkState(n=(n,), q=(2.0,))
+        _, plans = rollout_batch(state, (ExogenousInput(3.0, (1.0,)),), net, 1, 0.8,
+                                 gains=np.array([[0.016]]), mu_prev=(mu_prev,))
+        rho = metered_density(state, net)
+        want = alinea_step((mu_prev,), (0.016,), rho, net.rho_crit)
+        assert plans[0, 0].tobytes() == np.array(want).tobytes()
+        rates.append(float(plans[0, 0, 0]))
+        densities.extend(rho)
+    assert densities == [0.0335, 0.1, 36.2 / 560.0]
+    assert rates[:2] == [0.7, 0.0]
+    assert rates[2] == pytest.approx(0.499502, abs=1e-6)
+    _report(2, f"fixed point, clamp, and rate {mu:.6f} == 0.499502 within 1e-6, "
+               f"on the scalar law and on a kernel gain row")
 
 
 def test_criterion_3_training_oracle_and_fit(scenario, trained):
@@ -262,7 +291,7 @@ def test_criterion_4_solver_correctness(scenario):
     qmat = m.T @ m + np.eye(6)
     fun = lambda x: float((x - a) @ qmat @ (x - a))
     cfg = OptimizerConfig(budget_s=None, max_iterations=300)
-    res = solve_budgeted(dummy(6, -10.0, 10.0), surrogate, [np.zeros(6)], cfg, objective_fn=fun)
+    res = solve_pointwise(fun, dummy(6, -10.0, 10.0), surrogate, [np.zeros(6)], cfg)
     gap = float(np.max(np.abs(np.asarray(res.best.decision) - a)))
     assert gap < 1e-5
 
@@ -338,9 +367,8 @@ def test_criterion_5_budget_compliance(scenario, trained):
     )
     budget = 2.0
     t0 = time.monotonic()
-    solve_budgeted(problem, context, [np.zeros(3)],
-                   OptimizerConfig(budget_s=budget, max_iterations=10_000),
-                   objective_fn=slow)
+    solve_pointwise(slow, problem, context, [np.zeros(3)],
+                    OptimizerConfig(budget_s=budget, max_iterations=10_000))
     solve_elapsed = time.monotonic() - t0
     assert solve_elapsed <= (budget + eval_time) * 1.10
 

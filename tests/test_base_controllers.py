@@ -13,7 +13,6 @@ from basepar.base_controllers import (
     TrainConfig,
     TrainingDivergedError,
     TrainingSample,
-    alinea_step,
     generate_training_data,
     load_mlp_params,
     mlp_forward,
@@ -26,7 +25,7 @@ from basepar.base_controllers import (
 from basepar.scenario import default_scenario
 
 from oracles import grid_search_gain
-from scalar_reference import metered_density, scalar_gain_rollout
+from scalar_reference import alinea_step, metered_density, scalar_gain_rollout
 from scalar_reference import step as scalar_step
 
 

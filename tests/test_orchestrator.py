@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from basepar.actm import ExogenousInput, NetworkState, TopologyError
-from basepar.base_controllers import FeedbackController, MlpParams, alinea_step, network_gains
+from basepar.base_controllers import FeedbackController, MlpParams, network_gains
 from basepar.orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
@@ -30,7 +30,7 @@ from basepar.parallel import (
 from basepar.scenario import build_architecture, default_scenario
 
 from oracles import oracle_rollout_cost
-from scalar_reference import metered_density
+from scalar_reference import alinea_step, metered_density
 from scalar_reference import rollout as scalar_rollout
 
 NET = default_scenario().network
@@ -551,13 +551,13 @@ class TestDeadline:
     def record_rounds(self, monkeypatch):
         """Returns the list that receives the labels of each solver round."""
         rounds = []
-        objective = parallel._MergedRollouts.objective
+        evaluate = parallel._MergedRollouts.__call__
 
         def recorded(self, requests, deadline=None):
             rounds.append(sorted({self.problems[i].label for i, _ in requests}))
-            return objective(self, requests, deadline)
+            return evaluate(self, requests, deadline)
 
-        monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
+        monkeypatch.setattr(parallel._MergedRollouts, "__call__", recorded)
         return rounds
 
     def assert_every_solve_pending_at_expiry(self, termination):

@@ -33,7 +33,7 @@ from basepar.parallel import (
 from basepar.scenario import default_scenario
 
 from oracles import central_difference, oracle_rollout_cost
-from scalar_reference import fd_gradient
+from scalar_reference import fd_gradient, solve_pointwise
 
 
 NET = default_scenario().network
@@ -132,7 +132,7 @@ class TestObjective:
             assert objective(problem, context, one_nan) == math.inf
             assert objective(problem, context, all_nan) == math.inf
             rows = np.array([x, one_nan, all_nan])
-            costs = _MergedRollouts([problem], context).objective([(0, rows)])
+            costs = _MergedRollouts([problem], context)([(0, rows)])[0]
             assert costs.tolist() == [objective(problem, context, x), math.inf, math.inf]
 
     def test_dimension_check(self):
@@ -241,7 +241,7 @@ class TestSolver:
         fun, a = self.quadratic(6, seed=3)
         problem = dummy_problem(6)
         cfg = OptimizerConfig(budget_s=None, max_iterations=300)
-        result = solve_budgeted(problem, SURROGATE, [np.zeros(6)], cfg, objective_fn=fun)
+        result = solve_pointwise(fun, problem, SURROGATE, [np.zeros(6)], cfg)
         x = np.asarray(result.best.decision)
         assert np.max(np.abs(x - a)) < 1e-5
 
@@ -249,7 +249,7 @@ class TestSolver:
         problem = dummy_problem(3, lo=0.0, hi=2.0)
         fun = lambda x: float(np.sum((x - 5.0) ** 2))
         cfg = OptimizerConfig(budget_s=None, max_iterations=100)
-        result = solve_budgeted(problem, SURROGATE, [np.ones(3)], cfg, objective_fn=fun)
+        result = solve_pointwise(fun, problem, SURROGATE, [np.ones(3)], cfg)
         np.testing.assert_allclose(result.best.decision, [2.0, 2.0, 2.0], atol=1e-9)
 
     def test_zero_budget_returns_best_start(self):
@@ -257,7 +257,7 @@ class TestSolver:
         problem = dummy_problem(3)
         starts = [np.zeros(3), np.ones(3), np.full(3, -1.0)]
         cfg = OptimizerConfig(budget_s=0.0, max_iterations=100)
-        result = solve_budgeted(problem, SURROGATE, starts, cfg, objective_fn=fun)
+        result = solve_pointwise(fun, problem, SURROGATE, starts, cfg)
         start_costs = [fun(np.clip(s, -10, 10)) for s in starts]
         assert result.best.cost == min(start_costs)
         assert len(result.cost_trail) == 3
@@ -331,7 +331,7 @@ class TestSolver:
                 want[j] = (fun(point) - f0) / s
             scalar = fd_gradient(fun, x, f0, _Bounds(lo, hi), h)
             request = _gradient_request(x, f0, _Bounds(lo, hi), h)
-            evaluate = _MergedRollouts([problem], context).objective
+            evaluate = _MergedRollouts([problem], context)
             batched = _lockstep([(0, request)], evaluate, None)[0]
             assert scalar.tolist() == want.tolist()
             assert batched.tolist() == want.tolist()
@@ -358,7 +358,7 @@ class TestSolver:
         for i in range(12):
             kind = CONVENTIONAL if i % 2 == 0 else PARAMETERIZED
             problem, context, lo, hi = self.boxed_problem(rng, kind, int(rng.integers(1, 11)))
-            evaluate = _MergedRollouts([problem], context).objective
+            evaluate = _MergedRollouts([problem], context)
             x = rng.uniform(lo, hi)
             direction = rng.normal(size=x.size) * (hi - lo)
             direction[0] = 10.0 * (hi[0] - lo[0])  # clipped onto the upper bound
@@ -382,7 +382,7 @@ class TestSolver:
             sizes.append(len(rows))
             costs = np.full(len(rows), 5.0)
             costs[:2] = 2.0, 0.5  # the full step fails the Armijo test, the half passes
-            return costs
+            return costs, None, rows[:, None]
 
         lo, hi = np.full(3, -10.0), np.full(3, 10.0)
         search = _line_search(np.zeros(3), 1.0, np.zeros(3), np.ones(3), _Bounds(lo, hi), 1e-6)
@@ -453,7 +453,7 @@ class TestSolver:
         parallel._solve_jointly(problems, context, starts, cfg)
         assert len(begun) == 9
         for problem, problem_starts in zip(problems, starts):
-            evaluate = _MergedRollouts([problem], context).objective
+            evaluate = _MergedRollouts([problem], context)
             for x in problem_starts:
                 x0, f0, g0, bounds = begun.pop(0)
                 assert x0.tolist() == x.tolist()
@@ -493,20 +493,20 @@ class TestSolver:
             problems.append(problem)
             starts.append(x)
         rounds, begun = [], []
-        objective_of = parallel._MergedRollouts.objective
+        evaluate = parallel._MergedRollouts.__call__
         descent = parallel._descent
 
         def recorded(self, requests, deadline=None):
-            costs = objective_of(self, requests, deadline)
+            answer = evaluate(self, requests, deadline)
             rounds.append(([(self.problems[i], rows.copy()) for i, rows in requests],
-                           costs.copy()))
-            return costs
+                           answer[0].copy()))
+            return answer
 
         def recorded_descent(x0, f0, g0, bounds, cfg, trail):
             begun.append(g0.copy())
             return descent(x0, f0, g0, bounds, cfg, trail)
 
-        monkeypatch.setattr(parallel._MergedRollouts, "objective", recorded)
+        monkeypatch.setattr(parallel._MergedRollouts, "__call__", recorded)
         monkeypatch.setattr(parallel, "_descent", recorded_descent)
         cfg = OptimizerConfig(budget_s=None, max_iterations=3)
         for together in ([0, 1], [0], [1]):
@@ -589,7 +589,7 @@ class TestSolver:
 
         def evaluate(requests, deadline):
             seen.append(deadline)
-            return _MergedRollouts([problem], context).objective(requests, deadline)
+            return _MergedRollouts([problem], context)(requests, deadline)
 
         expired = time.monotonic() - 1.0
         assert _lockstep([(0, two_gradients())], evaluate, expired) == [None]
@@ -653,6 +653,32 @@ class TestSolver:
             first_best = min(range(len(want_trail)), key=lambda k: (want_trail[k], k))
             assert multi.best.decision == want_iterates[first_best].decision
 
+    def test_the_injection_point_is_no_fork(self):
+        # the test harness's point-by-point evaluator, costing every point
+        # with objective(), gives the built-in solve byte for byte: every
+        # iterate's decision, cost and plan, the cost trail and the best
+        # point (the harness has no evaluation costs)
+        def pinned(c):
+            return tuple(np.array(v).tobytes() for v in (c.decision, c.cost, c.metering))
+
+        rng = np.random.default_rng(181)
+        descended = 0
+        for _ in range(8):
+            problem, context = make_problem(rng, horizon=int(rng.integers(1, 6)))
+            hi = np.asarray(problem.bounds_hi)
+            starts = [rng.uniform(0, 8, size=problem.decision_dim) for _ in range(2)]
+            starts.append(hi + rng.uniform(0, 1, size=hi.size))  # clipped onto hi
+            cfg = OptimizerConfig(budget_s=None, max_iterations=12, termination="all")
+            built_in = solve_budgeted(problem, context, starts, cfg)
+            harness = solve_pointwise(lambda x: objective(problem, context, x),
+                                      problem, context, starts, cfg)
+            assert list(map(pinned, harness.iterates)) == list(map(pinned, built_in.iterates))
+            assert (np.array(harness.cost_trail).tobytes()
+                    == np.array(built_in.cost_trail).tobytes())
+            assert pinned(harness.best) == pinned(built_in.best)
+            descended += len(built_in.iterates) - len(starts)
+        assert descended >= 20, descended  # the descents did work
+
     def test_model_errors_other_than_plan_failures_propagate(self):
         rng = np.random.default_rng(61)
         problem, context = make_problem(rng, horizon=2)
@@ -676,7 +702,7 @@ class TestSolver:
         budget = 0.5
         cfg = OptimizerConfig(budget_s=budget, max_iterations=10_000)
         t0 = time.monotonic()
-        solve_budgeted(problem, SURROGATE, [np.zeros(3)], cfg, objective_fn=slow)
+        solve_pointwise(slow, problem, SURROGATE, [np.zeros(3)], cfg)
         elapsed = time.monotonic() - t0
         assert elapsed <= (budget + eval_time) * 1.10 + 0.05
         assert len(calls) >= 2  # it did work inside the window
