@@ -2,8 +2,8 @@
 
 Each step: every base controller is rolled forward into a warm-start
 sequence, which is also its candidate, all bases in one kernel call; the
-parallel cells solve their budgeted problems seeded by that sequence plus
-the shift starts from their own history
+parallel cells solve their budgeted problems seeded by that sequence and by
+their own previous solution shifted one step
 (:meth:`BaseParallelController.propose`); the evaluation block scores every
 candidate by its cost over a short horizon on the evaluation model, which
 is the plant model, read off the rollout that costed the candidate (the
@@ -217,12 +217,9 @@ class BaseParallelController:
         # evaluation horizon
         self._lengths = [max([p.horizon for p in cell.controllers] + [config.evaluation_horizon])
                         for cell in config.cells]
-        # each controller's best decisions, oldest first: a view of the
-        # first entries of an array whose capacity doubles when it is full
-        self.histories: dict[str, np.ndarray] = {
-            problem.label: np.empty((0,)) for cell in config.cells for problem in cell.controllers
-        }
-        self._kept: dict[str, np.ndarray] = {}
+        # each controller's last best decision, ``[rows, ramps]``, from its
+        # first commit on
+        self.previous: dict[str, np.ndarray] = {}
 
     def propose(
         self,
@@ -249,24 +246,16 @@ class BaseParallelController:
         context = StepContext(cfg.params, measurement, forecast, self.mu_prev, cfg.gamma, e)
         # every solve of every cell, in one lockstep against the one deadline
         cells = [(cell.controllers, w) for cell, w in zip(cfg.cells, warm)]
-        return bases, run_parallel_cells(cells, context, self.histories, cfg.optimizer)
+        return bases, run_parallel_cells(cells, context, self.previous, cfg.optimizer)
 
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
         """Make ``applied`` the previous rates of every base and problem, and
-        add each solve's best decision to its shift-start history."""
+        each solve's best decision its controller's previous solution, the
+        next step's shift start."""
         self.mu_prev = applied
-        n_ramps = len(self.mu_prev)
         for label, result in results.items():
-            decision = np.asarray(result.best.decision, dtype=float).reshape(-1, n_ramps)
-            count = len(self.histories[label])
-            kept = self._kept.get(label)
-            if kept is None or count == len(kept):
-                grown = np.empty((max(2 * count, 1), *decision.shape))
-                if kept is not None:
-                    grown[:count] = kept
-                self._kept[label] = kept = grown
-            kept[count] = decision
-            self.histories[label] = kept[:count + 1]
+            self.previous[label] = np.asarray(result.best.decision, dtype=float).reshape(
+                -1, len(applied))
 
     def control_step(
         self,

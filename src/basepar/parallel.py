@@ -52,11 +52,10 @@ the interleaving nor on which other problems share the rounds.  An
 its bounds (the coordinates with ``lo != hi``, where their difference steps
 go, the width of the box) is derived once, when the problem is built.
 
-Starting points beyond the base-controller warm start are built by shifting
-previous solutions forward in time (:func:`make_shift_warm_starts`): the
-previous solution with its first element dropped and the last repeated, the
-average of the shift-once/shift-twice pair, and the average of all previous
-solutions shifted into the current window.
+Each online controller starts from its base controller's warm start and,
+from its second step on, from its previous solution shifted one step
+forward in time (:func:`make_shift_warm_starts`): its first element
+dropped and the last repeated.
 """
 
 from __future__ import annotations
@@ -336,29 +335,16 @@ def decision_to_metering(
 # Shift-based starting points
 # ---------------------------------------------------------------------------
 
-def make_shift_warm_starts(history: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Up to three starting plans from previous solutions (oldest first),
-    a sequence of equal-shape arrays or one array ``[solutions, rows,
-    ramps]``, which is read in place.
-
-    Shifting a solution by ``k`` drops its ``k`` leading rows and repeats
-    the last row to keep the length.  (a) the previous solution shifted
-    once; (b) the average of the previous solution shifted once and the
-    second-previous shifted twice (needs two entries); (c) the average of
-    all previous solutions, each shifted by its age.  Returns an empty list
-    when there is no history.
+def make_shift_warm_starts(previous: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """The starting plans from a controller's previous solution ``[rows,
+    ramps]``: that solution shifted one step, its first row dropped and the
+    last repeated to keep the length.  Returns an empty list when there is
+    none (an empty sequence).
     """
-    if len(history) == 0:
+    if len(previous) == 0:
         return []
-    stack = np.asarray(history, dtype=float)
-    count, length = stack.shape[:2]
-    ages = np.arange(1, count + 1)[:, None]  # newest first
-    shifted = stack[count - ages, np.minimum(np.arange(length) + ages, length - 1)]
-    starts = [shifted[0]]
-    if count >= 2:
-        starts.append(0.5 * (shifted[0] + shifted[1]))
-    starts.append(np.mean(shifted, axis=0))
-    return starts
+    previous = np.asarray(previous, dtype=float)
+    return [np.concatenate([previous[1:], previous[-1:]])]
 
 
 def base_start_for(problem: MpcProblem, warm: WarmStart) -> np.ndarray:
@@ -727,7 +713,7 @@ def solve_budgeted(
 def run_parallel_cells(
     cells: Sequence[tuple[Sequence[MpcProblem], WarmStart]],
     context: StepContext,
-    histories: dict[str, Sequence[np.ndarray]],
+    previous: dict[str, np.ndarray],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of several parallel cells together, from the one
@@ -735,11 +721,12 @@ def run_parallel_cells(
 
     Each cell pairs its problems with its base controller's warm start.
     Each controller receives the prefix of that warm start that matches its
-    horizon plus the shift starts built from its own solution history.  All
-    solves of all cells run in one lockstep against one deadline, the config
-    budget from when the starts are built, so every solve takes part in
-    every round until it finishes or the deadline expires.  Without a budget
-    the results equal those of separate :func:`solve_budgeted` calls, except
+    horizon, then the shift start of its previous solution, ``previous``
+    keyed by label (none for a controller without one).  All solves of all
+    cells run in one lockstep against one deadline, the config budget from
+    when the starts are built, so every solve takes part in every round
+    until it finishes or the deadline expires.  Without a budget the
+    results equal those of separate :func:`solve_budgeted` calls, except
     ``elapsed_s``: every result reports the wall time of the whole call,
     whose rounds its solves shared.  Results are keyed by controller label.
     """
@@ -750,7 +737,7 @@ def run_parallel_cells(
             problems.append(problem)
             starts.append([base_start_for(problem, base_warm)])
             starts[-1].extend(
-                s.ravel() for s in make_shift_warm_starts(histories.get(problem.label, []))
+                s.ravel() for s in make_shift_warm_starts(previous.get(problem.label, ()))
             )
     results = _solve_jointly(problems, context, starts, config) if problems else []
     return {problem.label: result for problem, result in zip(problems, results)}
@@ -760,9 +747,9 @@ def run_parallel_cell(
     problems: Sequence[MpcProblem],
     base_warm: WarmStart,
     context: StepContext,
-    histories: dict[str, Sequence[np.ndarray]],
+    previous: dict[str, np.ndarray],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of one parallel cell (see
     :func:`run_parallel_cells`)."""
-    return run_parallel_cells([(problems, base_warm)], context, histories, config)
+    return run_parallel_cells([(problems, base_warm)], context, previous, config)

@@ -296,8 +296,8 @@ class TestControlStep:
         expected = alinea_step(record.applied, (0.016,) * 3, metered_density(STATE, NET),
                                NET.rho_crit)
         assert bases[0].metering[0] == expected
-        assert len(arch.histories["CMPC(1)"]) == 1
-        assert arch.histories["CMPC(1)"][0].shape == (3, 3)
+        assert list(arch.previous) == ["CMPC(1)"]
+        assert arch.previous["CMPC(1)"].shape == (3, 3)
 
     def test_shared_base_keeps_architectures_apart(self):
         # one feedback law shared by two architectures stepped alternately
@@ -469,9 +469,14 @@ class TestEvaluationFromTheRollouts:
         assert math.isfinite(evaluation.costs[at_late])
         assert evaluation.costs[at_early] == math.inf
 
-    def test_kept_history_gives_the_list_history_starts(self):
-        # over 180 committed steps, the shift starts from the kept array
-        # equal those from a list of the same decisions at every step
+    def test_previous_decision_is_the_last_committed(self):
+        # over 180 committed steps, each controller holds one decision, the
+        # last committed best, and its shift start is the one the list of
+        # every committed decision gave: the newest shifted one step
+        def shift_once(solution):
+            rows = solution[1:]
+            return np.vstack([rows, solution[-1:]]) if len(rows) else solution.copy()
+
         rng = np.random.default_rng(167)
         problems = (mpc("CMPC(1)", CONVENTIONAL, 3), mpc("PMPC(1)", PARAMETERIZED, 3))
         arch = self.build([ParallelCell(alinea(), problems)], "best", None)
@@ -484,9 +489,13 @@ class TestEvaluationFromTheRollouts:
                 results[p.label] = BudgetedResult(best, (best,), (0.0,), 0.0)
                 lists[p.label].append(np.array(decision).reshape(-1, 3))
             arch.commit(MU_INIT, results)
+            assert list(arch.previous) == [p.label for p in problems]
             for p in problems:
-                got = make_shift_warm_starts(arch.histories[p.label])
-                want = make_shift_warm_starts(lists[p.label])
+                want = np.array(results[p.label].best.decision).reshape(-1, 3)
+                assert arch.previous[p.label].tobytes() == want.tobytes()
+                assert arch.previous[p.label].shape == want.shape
+                got = make_shift_warm_starts(arch.previous[p.label])
+                want = [shift_once(lists[p.label][-1])]
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
                 assert [g.shape for g in got] == [w.shape for w in want]
 

@@ -144,54 +144,20 @@ class TestObjective:
 
 class TestShiftStarts:
     def test_shift_once(self):
-        history = [np.array([[1.0], [2.0], [3.0]])]
-        starts = make_shift_warm_starts(history)
-        assert len(starts) == 2  # (a) and (c)
+        previous = np.array([[1.0], [2.0], [3.0]])
+        starts = make_shift_warm_starts(previous)
+        assert len(starts) == 1  # (a) alone
         np.testing.assert_allclose(starts[0], [[2.0], [3.0], [3.0]])
-        np.testing.assert_allclose(starts[1], starts[0])  # degenerate average
-
-    def test_pairwise_average(self):
-        history = [np.array([[4.0], [5.0], [6.0]]), np.array([[1.0], [2.0], [3.0]])]
-        starts = make_shift_warm_starts(history)
-        assert len(starts) == 3
-        np.testing.assert_allclose(starts[0], [[2.0], [3.0], [3.0]])
-        np.testing.assert_allclose(starts[1], [[4.0], [4.5], [4.5]])
 
     def test_empty_history(self):
         assert make_shift_warm_starts([]) == []
 
-    def test_stacked_starts_equal_list_formula(self):
-        # the list-based formula the stacked one replaced, kept here as the
-        # reference: each solution shifted on its own, then averaged
-        def shift(solution, by):
-            sol = np.atleast_2d(np.asarray(solution, dtype=float))
-            rows = sol[min(by, len(sol) - 1):]
-            pad = np.repeat(rows[-1:], len(sol) - len(rows), axis=0)
-            return np.vstack([rows, pad]) if len(pad) else rows.copy()
-
-        def list_formula(history):
-            starts = [shift(history[-1], 1)]
-            if len(history) >= 2:
-                starts.append(0.5 * (shift(history[-1], 1) + shift(history[-2], 2)))
-            shifted = [shift(sol, age) for age, sol in enumerate(reversed(history), start=1)]
-            starts.append(np.mean(shifted, axis=0))
-            return starts
-
-        rng = np.random.default_rng(71)
-        for shape in ((10, 3), (1, 3)):  # conventional and parameterized solutions
-            history = []
-            for _ in range(200):
-                history.append(rng.uniform(0.0, 8.0, size=shape))
-                got = make_shift_warm_starts(history)
-                want = list_formula(history)
-                assert [g.tolist() for g in got] == [w.tolist() for w in want]
-
-    def test_parameterized_solutions_degenerate(self):
-        history = [np.array([[0.2, 0.4, 0.6]]), np.array([[0.4, 0.6, 0.8]])]
-        starts = make_shift_warm_starts(history)
-        np.testing.assert_allclose(starts[0], [[0.4, 0.6, 0.8]])
-        np.testing.assert_allclose(starts[1], [[0.3, 0.5, 0.7]])
-        np.testing.assert_allclose(starts[2], [[0.3, 0.5, 0.7]])
+    def test_one_row_solution_is_its_own_shift(self):
+        # a parameterized solution, one gain per ramp, holds over the window
+        previous = np.array([[0.2, 0.4, 0.6]])
+        starts = make_shift_warm_starts(previous)
+        assert [s.tobytes() for s in starts] == [previous.tobytes()]
+        assert starts[0].shape == (1, 3)
 
 
 class TestProblem:
@@ -826,7 +792,7 @@ class TestParallelCell:
     def test_serial_determinism_bitwise(self):
         problems, warm, context = self.setup_cell()
         cfg = OptimizerConfig(budget_s=None, max_iterations=12)
-        hist = {"CMPC(1)": [np.full((3, 3), 0.7)], "CMPC(2)": []}
+        hist = {"CMPC(1)": np.full((3, 3), 0.7)}
         a = run_parallel_cell(problems, warm, context, hist, cfg)
         b = run_parallel_cell(problems, warm, context, hist, cfg)
         for label in ("CMPC(1)", "CMPC(2)"):
@@ -861,13 +827,14 @@ class TestParallelCell:
             for problems, _ in cells:
                 for p in problems:
                     rows = p.horizon if p.kind == CONVENTIONAL else 1
-                    hist[p.label] = [rng.uniform(0, 1, size=(rows, 3)) for _ in range(trial)]
+                    if trial:  # none at the first trial, as at a run's first step
+                        hist[p.label] = rng.uniform(0, 1, size=(rows, 3))
             cfg = OptimizerConfig(budget_s=None, max_iterations=12, termination="all")
             together = run_parallel_cells(cells, context, hist, cfg)
             for problems, warm in cells:
                 for p in problems:
                     starts = [base_start_for(p, warm)]
-                    starts.extend(s.ravel() for s in make_shift_warm_starts(hist[p.label]))
+                    starts.extend(s.ravel() for s in make_shift_warm_starts(hist.get(p.label, ())))
                     alone = solve_budgeted(p, context, starts, cfg)
                     got = together[p.label]
                     assert got.cost_trail == alone.cost_trail
