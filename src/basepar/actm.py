@@ -65,10 +65,11 @@ cells run left to right from +0.0 like Python's ``sum``, so the zeros of the
 queues off the on-ramp cells change nothing: adding +0.0 to a partial sum
 that started at +0.0 leaves it as it is.
 
-A callable gain source sets the gains of one gain row among any others.
-It reads that row's metered cells as Python floats, so a gain network keeps
-``math.tanh``'s bits; when it is called, the flow array still holds the
-inflows of the step before.  It is called only within its row's horizon.
+A gain row may hold a :class:`GainNetwork`: before each step within the
+row's horizon the kernel evaluates it ramp by ramp on Python floats, in the
+scalar forward pass's order and with ``math.tanh`` (``np.tanh`` changes some
+last bits), on the counts, queues, ramp demands and upstream inflows of its
+metered cells: the caller's inflows at the first step, then the step before's.
 
 Each call checks the initial state and the inputs once, then rolls every
 row over the call's horizon on one set of arrays of shape ``[cells, rows]``,
@@ -95,7 +96,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from math import isfinite, tanh
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -110,6 +112,7 @@ __all__ = [
     "ExogenousInput",
     "FlowVector",
     "upstream_inflows",
+    "GainNetwork",
     "StageCost",
     "RolloutResult",
     "step",
@@ -344,6 +347,39 @@ def upstream_inflows(flows: FlowVector, params: NetworkParams) -> tuple[float, .
     )
 
 
+@dataclass(frozen=True)
+class GainNetwork:
+    """Gains as data: per metered ramp, in metered-cell order, a network with
+    :class:`~basepar.base_controllers.MlpParams`'s fields, whose output is
+    clipped into ``gain_range``."""
+
+    nets: tuple
+    gain_range: tuple[float, float]
+
+
+def _unpack(net) -> tuple[float, ...]:
+    """The weights of ``net`` in :func:`_forward`'s order: the input offsets
+    and spans, each hidden unit's bias and weights, the output's."""
+    spans = [hi - lo for lo, hi in zip(net.input_lo, net.input_hi)]
+    hidden = [v for bias, row in zip(net.hidden_bias, net.hidden_weights) for v in (bias, *row)]
+    return (*net.input_lo, *spans, *hidden, *net.output_weights, net.output_bias)
+
+
+def _forward(weights, n: float, q: float, d: float, o: float) -> float:
+    """The 4-3-1 network's output on one input (count, queue, ramp demand,
+    upstream inflow), summed in the scalar forward pass's order; a
+    non-finite input raises ``ValueError``."""
+    if not (isfinite(n) and isfinite(q) and isfinite(d) and isfinite(o)):
+        raise ValueError("inputs must be finite")
+    (l0, l1, l2, l3, s0, s1, s2, s3, b0, a0, a1, a2, a3, b1, c0, c1, c2, c3,
+     b2, e0, e1, e2, e3, w0, w1, w2, y) = weights
+    x0, x1, x2, x3 = (n - l0) / s0, (q - l1) / s1, (d - l2) / s2, (o - l3) / s3
+    y += w0 * tanh(b0 + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3)
+    y += w1 * tanh(b1 + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3)
+    y += w2 * tanh(b2 + e0 * x0 + e1 * x1 + e2 * x2 + e3 * x3)
+    return y
+
+
 @dataclass(frozen=True, slots=True)
 class StageCost:
     """Cost contributions of one step."""
@@ -442,7 +478,7 @@ def rollout_batch(
     gamma: float = 0.8,
     *,
     plans: Optional[np.ndarray] = None,
-    gains: Union[np.ndarray, Sequence, Callable[..., Sequence[float]], None] = None,
+    gains: Union[np.ndarray, Sequence, None] = None,
     mu_prev: Optional[Sequence[float]] = None,
     gain_rows: Optional[np.ndarray] = None,
     horizons: Optional[np.ndarray] = None,
@@ -454,16 +490,11 @@ def rollout_batch(
     rates ``mu_prev`` applied before the window, each step then meters at
     ``max(mu_prev + gain * (rho_crit - rho), 0)`` on the predicted density.
     Pass ``plans`` or ``gains`` alone for rows of one kind, or both with the
-    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  A row of
-    ``gains`` may instead be a callable gain source, which sets that row's
-    gains before each step within the row's horizon from the row's metered
-    cells' counts, queues, ramp demands and :func:`upstream_inflows` of the
-    step before (None at the first), each a list over them; a callable
-    ``gains`` alone is one such row.  ``horizons`` ``[B]`` gives each row
-    its own horizon, at most ``horizon`` (default: ``horizon`` for every
-    row).  Every row is rolled over ``horizon``; whatever a plan holds past
-    the row's own horizon is rolled, but it never reaches that row's cost,
-    failure flag or in-horizon plan.
+    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  ``horizons``
+    ``[B]`` gives each row its own horizon, at most ``horizon`` (default:
+    ``horizon`` for every row).  Every row is rolled over ``horizon``;
+    whatever a plan holds past the row's own horizon is rolled, but it never
+    reaches that row's cost, failure flag or in-horizon plan.
     ``inputs`` shorter than a horizon hold their last entry.  Returns the
     costs ``[B]`` and the plans ``[B, horizon, ramps]``: as given, with the
     derived rates written into the gain rows over the whole ``horizon``.
@@ -484,12 +515,14 @@ def rollout_batch(
 
 
 def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev=None,
-          gain_rows=None, horizons=None, strict=False):
-    """:func:`rollout_batch`'s costs and plans, then each row's cost summed
-    over its first ``k`` steps ``[horizon + 1, rows]`` (``k = 0 ...
-    horizon``, whatever the row's own horizon), each row's first failing
-    step ``[rows]`` (the first with a negative or NaN rate or an update out
-    of bounds; ``horizon`` if none), and the state after the last step
+          gain_rows=None, horizons=None, strict=False, o_prev=None):
+    """:func:`rollout_batch`'s costs and plans, a row of ``gains`` also
+    being a :class:`GainNetwork` that reads the inflows ``o_prev`` at the
+    first step; then each row's cost over its first ``k`` steps ``[horizon +
+    1, rows]`` (``k = 0 ... horizon``, whatever the row's own horizon), each
+    row's first failing step ``[rows]`` (a negative or NaN rate or an update
+    out of bounds; ``horizon`` if none), each network row's gains by step
+    within its horizon, by row, and the state after the last step
     ``[2, cells, rows]`` (n, then q at every cell), the admitted inflow and
     the outflows ``[cells + 1, rows]``, the flows ``e`` and ``s`` ``[cells,
     rows]`` and the last step's ``tt`` and ``td_h`` ``[2, rows]``.
@@ -501,15 +534,13 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         raise ValueError("at least one exogenous input is required")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if callable(gains):
-        if plans is not None or gain_rows is not None:
-            raise ValueError("a callable gains rolls one row of its own: no plans or gain_rows")
-        gains = [gains]
-    sources = []
+    networks = {}
     if gains is not None and not isinstance(gains, np.ndarray):
-        sources = [(b, g) for b, g in enumerate(gains) if callable(g)]
-        if sources:  # their gains are set at every step
-            gains = [np.zeros(len(params.metered_cells)) if callable(g) else g for g in gains]
+        networks = {b: g for b, g in enumerate(gains) if isinstance(g, GainNetwork)}
+        # a network's gains are set at every step
+        gains = [np.zeros(len(params.metered_cells)) if b in networks else g
+                 for b, g in enumerate(gains)]
+    trails = {b: [] for b in networks}
     if gain_rows is None:
         if (plans is None) == (gains is None):
             raise ValueError("pass exactly one of plans and gains, or gain_rows with both")
@@ -522,8 +553,6 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         flags = np.asarray(gain_rows, dtype=bool)
         batch = len(flags)
         derive = bool(flags.any())
-        if not all(flags[b] for b, _ in sources):
-            raise ValueError("a callable gains entry must be a gain row")
     state.validate(params)
     ca = params.arrays
     cells = params.n_cells
@@ -546,6 +575,9 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
                 f"gains have {gains.shape[1]} and mu_prev {len(mu_prev)} entries, "
                 f"network has {n_ramps} metered ramps"
             )
+        if networks and not (o_prev is not None and len(o_prev) == n_ramps
+                             and all(len(g.nets) == n_ramps for g in networks.values())):
+            raise TopologyError(f"a gain network needs {n_ramps} networks and o_prev entries")
     ends = np.full(batch, horizon) if horizons is None else np.asarray(horizons)
     if (ends.shape != (batch,) or ends.dtype.kind not in "iu"
             or ((ends < 1) | (ends > horizon)).any()):
@@ -585,9 +617,12 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         cell_gains = np.zeros((cells, batch))
         cell_gains[ca.metered] = gains.T
         mask = None if flags is None or flags.all() else flags
-        # each gain source with its row's metered cells as flat indices
-        # into a [cells, rows] array, and the row's horizon
-        feeds = [(fn, ca.metered * batch + b, int(ends[b])) for b, fn in sources]
+        # each network row's metered cells as flat indices into a [cells,
+        # rows] array, its horizon, each ramp's weights, its gain range and
+        # its trail; and the ramp demands of each input read at those cells
+        forwards = [(ca.metered * batch + b, int(ends[b]), [_unpack(w) for w in net.nets],
+                     *net.gain_range, trails[b]) for b, net in networks.items()]
+        ramp_demands = block[c + 2:, ca.metered, 0].tolist() if forwards else None
 
     # the histories: the state before each step (n, q) with the flow o + s
     # leaving each cell, and the update before clamping (n, then q); they
@@ -614,13 +649,13 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
         at = min(k, last)
         n_next, supply = update
         if derive:
-            for source, row, end in feeds:
+            for row, end, weights, lo, hi, trail in forwards:
                 if k < end:
-                    theta = source(n.take(row).tolist(), q.take(row).tolist(),
-                                   demand[at].take(row).tolist(),
-                                   inflow.take(row).tolist() if k else None)
-                    if len(theta) != n_ramps:
-                        raise TopologyError(f"{len(theta)} gains for {n_ramps} metered ramps")
+                    theta = [min(max(_forward(w, n_i, q_i, d_i, o_i), lo), hi)
+                             for w, n_i, q_i, d_i, o_i in zip(
+                                 weights, n.take(row).tolist(), q.take(row).tolist(),
+                                 ramp_demands[at], inflow.take(row).tolist() if k else o_prev)]
+                    trail.append(tuple(theta))
                     cell_gains.put(row, theta)
             # the feedback law on the predicted density at every cell:
             # +inf + 0 * (rho_crit - rho) stays +inf off the metered cells
@@ -719,6 +754,6 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
     total[fail < ends] = math.inf
     last = (h[horizon], flow, e, s, sums[1:, horizon - 1])
     if not derive:
-        return total, plans, costs, fail, last
-    return total, metered.transpose(2, 0, 1), costs, fail, last
+        return total, plans, costs, fail, trails, last
+    return total, metered.transpose(2, 0, 1), costs, fail, trails, last
 

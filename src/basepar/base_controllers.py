@@ -19,10 +19,10 @@ tests audit it against a brute-force grid search.
 A base controller keeps no state: its caller passes the previous rates in.
 To seed the online optimizers every base is rolled forward on the
 prediction model for the largest horizon of its cell, each as one row of
-one :func:`~basepar.actm.rollout_batch` call (:func:`warm_start_rollout`):
-constant gains as a gain row, a gain network as a gain row whose callable
-sets its gains at every step.  The kernel's gain rows are the one
-implementation of the law; the tests keep a scalar copy as its reference.
+one kernel call (:func:`warm_start_rollout`): constant gains as a gain row,
+a gain network as a gain row whose network the kernel evaluates at every
+step.  The kernel's gain rows are the one implementation of the law and of
+the forward pass; the tests keep scalar copies of both as their reference.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from . import actm
 # perfbench/layers.py wraps it here.
 from .actm import (
     ExogenousInput,
+    GainNetwork,
     ModelConsistencyError,
     NegativeRateError,
     NetworkParams,
@@ -103,23 +104,10 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, inputs: Sequence[float]) -> float:
-    """Deterministic forward pass; rejects non-finite inputs."""
+    """The kernel's forward pass on one input; rejects non-finite inputs."""
     if len(inputs) != 4:
         raise ValueError("expected 4 inputs")
-    if not all(math.isfinite(v) for v in inputs):
-        raise ValueError("inputs must be finite")
-    xs = [
-        (inputs[k] - params.input_lo[k]) / (params.input_hi[k] - params.input_lo[k])
-        for k in range(4)
-    ]
-    y = params.output_bias
-    for j in range(3):
-        pre = params.hidden_bias[j]
-        row = params.hidden_weights[j]
-        for k in range(4):
-            pre += row[k] * xs[k]
-        y += params.output_weights[j] * math.tanh(pre)
-    return y
+    return actm._forward(actm._unpack(params), *inputs)
 
 
 def save_mlp_params(path, nets: dict[int, MlpParams]) -> None:
@@ -466,26 +454,20 @@ def train_mlp(
 # Base-controller objects and their warm starts
 # ---------------------------------------------------------------------------
 
-# A gain source: one feedback gain per metered ramp from the metered cells'
-# counts, queues, ramp demands and upstream inflows, each a list over them.
-GainFn = Callable[[list, list, list, Sequence[float]], Sequence[float]]
-
-
 class FeedbackController:
     """Feedback metering ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``
     with the gains ``theta``, one per metered ramp: constant for ALINEA,
-    zero to hold the previous rates, or drawn from a gain source at every
-    step, a network's output for the implicit controller.  The law keeps no
+    zero to hold the previous rates, or a :class:`~basepar.actm.GainNetwork`
+    evaluated at every step for the implicit controller.  The law keeps no
     state; the caller passes the previous rates in."""
 
-    def __init__(self, params: NetworkParams, gains: Union[Sequence[float], GainFn],
+    def __init__(self, params: NetworkParams, gains: Union[Sequence[float], GainNetwork],
                  label: str):
-        if not callable(gains):
+        if not isinstance(gains, GainNetwork):
+            n_ramps = len(params.metered_cells)
             gains = tuple(float(g) for g in gains)
-            if len(gains) != len(params.metered_cells):
-                raise TopologyError(
-                    f"{len(gains)} gains for {len(params.metered_cells)} metered ramps"
-                )
+            if len(gains) != n_ramps:
+                raise TopologyError(f"{len(gains)} gains for {n_ramps} metered ramps")
         self.params = params
         self.gains = gains
         self.label = label
@@ -493,9 +475,9 @@ class FeedbackController:
 
 def network_gains(
     params: NetworkParams, nets: dict[int, MlpParams], gain_range: tuple[float, float]
-) -> GainFn:
-    """The gain source of the implicit controller: each metered cell's
-    network output, clipped into ``gain_range``.
+) -> GainNetwork:
+    """The gains of the implicit controller: each metered cell's network
+    output, clipped into ``gain_range``.
 
     Network extrapolation outside the range its targets were generated on is
     meaningless, and the clip keeps the controller inside the same gain
@@ -504,14 +486,7 @@ def network_gains(
     missing = [i for i in params.metered_cells if i not in nets]
     if missing:
         raise ValueError(f"missing networks for metered cells {missing}")
-    lo, hi = gain_range
-    ramp_nets = [nets[i] for i in params.metered_cells]
-
-    def gains(n, q, d, o_prev):  # element by element: np.tanh changes bits
-        return [min(max(mlp_forward(net, inputs), lo), hi)
-                for net, *inputs in zip(ramp_nets, n, q, d, o_prev)]
-
-    return gains
+    return GainNetwork(tuple(nets[i] for i in params.metered_cells), tuple(gain_range))
 
 
 @dataclass(frozen=True)
@@ -536,15 +511,14 @@ def warm_start_rollout(
     """Extend every base controller's single-step output into a full
     sequence, base ``i`` over ``horizons[i]`` steps, in one kernel call.
 
-    Each base and the model of its network, one gain row of one
-    :func:`~basepar.actm.rollout_batch` call, alternate from the applied
-    rates ``mu_prev``, each emission on the predicted state; the bases must
-    share their network.  Constant gains are a plain gain row, a gain
-    source a callable row.  ``o_prev`` carries the latest realized upstream
-    mainline inflow per metered ramp, replaced by the model's flows after
-    the first step.  For the first base, in order, whose rollout fails, a
-    NaN rate raises :class:`~basepar.actm.NegativeRateError`, an update out
-    of bounds :class:`~basepar.actm.ModelConsistencyError`, as in the model.
+    Each base and the model of its network, one gain row of one kernel
+    call, alternate from the applied rates ``mu_prev``, each emission on the
+    predicted state; the bases must share their network.  ``o_prev`` carries
+    the latest realized upstream mainline inflow per metered ramp, which a
+    gain network reads at the first step and the model's flows replace after
+    it.  For the first base, in order, whose rollout fails, a NaN rate raises
+    :class:`~basepar.actm.NegativeRateError`, an update out of bounds
+    :class:`~basepar.actm.ModelConsistencyError`, as in the model.
     """
     if len(horizons) != len(bases) or not bases:
         raise ValueError("every base needs one horizon")
@@ -559,21 +533,11 @@ def warm_start_rollout(
         raise ValueError("mu_prev must be nonnegative")
     if not all(state.n[i] >= 0 for i in params.metered_cells):
         raise ValueError("densities must be nonnegative")
-    trails = [[] for _ in bases]
-
-    def source(gains, trail):
-        def recorded(n, q, d, o):
-            trail.append(tuple(gains(n, q, d, o_prev if o is None else o)))
-            return trail[-1]
-        return recorded
-
-    rows = [source(base.gains, trail) if callable(base.gains) else base.gains
-            for base, trail in zip(bases, trails)]
-    costs, plans, running, *_ = actm._roll(state, predicted_inputs, params, max(horizons),
-                                           gamma, gains=rows, mu_prev=mu_prev,
-                                           horizons=np.array(horizons))
+    costs, plans, running, _, trails, _ = actm._roll(
+        state, predicted_inputs, params, max(horizons), gamma, gains=[b.gains for b in bases],
+        mu_prev=mu_prev, horizons=np.array(horizons), o_prev=o_prev)
     warm = []
-    for b, (base, length, trail) in enumerate(zip(bases, horizons, trails)):
+    for b, (base, length) in enumerate(zip(bases, horizons)):
         plan = plans[b, :length]
         if not math.isfinite(costs[b]):
             if not (plan >= 0).all():
@@ -581,7 +545,7 @@ def warm_start_rollout(
             raise ModelConsistencyError(f"{base.label}'s rollout left the admissible states")
         warm.append(WarmStart(
             mu=tuple(map(tuple, plan.tolist())),
-            theta=tuple(trail) if callable(base.gains) else (base.gains,) * length,
+            theta=tuple(trails.get(b, (base.gains,) * length)),
             total_cost=float(costs[b]),
             running_cost=tuple(running[:length + 1, b].tolist()),
         ))

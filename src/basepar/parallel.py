@@ -298,7 +298,7 @@ class _MergedRollouts:
                 gain_rows[rows] = True
             horizons[rows] = problem.horizon
             at = rows.stop
-        costs, plans, running, fail, _ = actm._roll(
+        costs, plans, running, fail, *_ = actm._roll(
             ctx.initial_state, ctx.demand_forecast, ctx.params, horizon,
             ctx.gamma, plans=rates, gains=gains, mu_prev=ctx.mu_prev,
             gain_rows=gain_rows, horizons=horizons,

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -793,10 +793,10 @@ def write_runlog(log: RunLog, path) -> None:
         head = (log.schema, log.scenario_name, log.controller, log.seed, log.sample_cycle_s,
                 list(log.cell_lengths_m), log.lanes, list(log.onramp_cells), len(log.records))
         fh.write(_json_line(dict(zip(_HEADER_FIELDS, head))) + "\n")
-        for r in log.records:
-            fh.write(_json_line({"record": asdict(r)}) + "\n")
-        if log.summary is not None:
-            fh.write(_json_line({"summary": asdict(log.summary)}) + "\n")
+        entries = [("record", r) for r in log.records]
+        entries += [("summary", log.summary)] if log.summary is not None else []
+        for key, e in entries:  # the fields as they are: no deep copy
+            fh.write(_json_line({key: {f.name: getattr(e, f.name) for f in fields(e)}}) + "\n")
 
 
 def _entry(raw, hints: dict, what: str, lineno: int) -> dict:

@@ -1,5 +1,5 @@
-"""The scalar cell-transmission model and feedback law, alternated step by
-step, and the solver's point-by-point evaluator: the references the
+"""The scalar cell-transmission model, feedback law and gain network,
+alternated step by step, and the solver's point-by-point evaluator: the references the
 package's batched kernel is compared against, and the harness through
 which the solver runs on closed-form surrogates.
 
@@ -7,9 +7,9 @@ The package runs one model, the kernel ``basepar.actm.rollout_batch``;
 ``basepar.actm.step``, the plant, is one row of it rolled one step.  The
 :func:`step` here evaluates the flow formulas cell by cell in Python floats,
 as the package did before the kernel replaced it.  The kernel performs
-every float operation of this :func:`step` and of
-:func:`alinea_step` in the same order, so its states, flows,
-costs and derived rates are compared against this model byte for byte; a
+every float operation of this :func:`step`, of :func:`alinea_step` and of
+:func:`mlp_forward` in the same order, so its states, flows, costs, gains
+and derived rates are compared against this model byte for byte; a
 comparison against ``basepar.actm.step`` would compare the kernel with
 itself.
 """
@@ -23,6 +23,7 @@ from basepar.actm import (
     STATE_TOL,
     ExogenousInput,
     FlowVector,
+    GainNetwork,
     ModelConsistencyError,
     NegativeRateError,
     NetworkParams,
@@ -293,10 +294,35 @@ def metered_density(state, params):
     return [state.n[i] / (params.cells[i].length * params.lanes) for i in params.metered_cells]
 
 
+def mlp_forward(params, inputs):
+    """The gain network's forward pass as the package computed it before its
+    kernel evaluated the networks, one input at a time in Python floats:
+    the reference the kernel's forward pass is compared against byte for
+    byte.  Rejects non-finite inputs."""
+    if len(inputs) != 4:
+        raise ValueError("expected 4 inputs")
+    if not all(math.isfinite(v) for v in inputs):
+        raise ValueError("inputs must be finite")
+    xs = [
+        (inputs[k] - params.input_lo[k]) / (params.input_hi[k] - params.input_lo[k])
+        for k in range(4)
+    ]
+    y = params.output_bias
+    for j in range(3):
+        pre = params.hidden_bias[j]
+        row = params.hidden_weights[j]
+        for k in range(4):
+            pre += row[k] * xs[k]
+        y += params.output_weights[j] * math.tanh(pre)
+    return y
+
+
 def scalar_gain_rollout(params, gains, mu_prev, state, inputs, horizon, o_prev, gamma=0.8):
-    """Alternate the gain source ``gains``, :func:`alinea_step`, the scalar
-    :func:`step` and :func:`upstream_inflows` for ``horizon`` steps, starting after the
-    rates ``mu_prev`` with the upstream inflows ``o_prev``.
+    """Alternate the gains ``gains`` (constant gains, or a gain network's
+    :func:`mlp_forward` outputs clipped into its range),
+    :func:`alinea_step`, the scalar :func:`step` and
+    :func:`upstream_inflows` for ``horizon`` steps, starting after the rates
+    ``mu_prev`` with the upstream inflows ``o_prev``.
 
     Returns the rates, the gains and the summed stage cost; raises what the
     scalar model raises.
@@ -305,9 +331,13 @@ def scalar_gain_rollout(params, gains, mu_prev, state, inputs, horizon, o_prev, 
     mu, total, rates, trail = tuple(mu_prev), 0.0, [], []
     for k in range(horizon):
         inp = inputs[min(k, len(inputs) - 1)]
-        theta = tuple(gains([state.n[i] for i in params.metered_cells],
-                            [state.q[j] for j in slots],
-                            [inp.ramp_demands[j] for j in slots], o_prev))
+        if isinstance(gains, GainNetwork):
+            lo, hi = gains.gain_range
+            cells = zip(gains.nets, [state.n[i] for i in params.metered_cells],
+                        [state.q[j] for j in slots], [inp.ramp_demands[j] for j in slots], o_prev)
+            theta = tuple(min(max(mlp_forward(net, x), lo), hi) for net, *x in cells)
+        else:
+            theta = tuple(gains)
         mu = alinea_step(mu, theta, metered_density(state, params), params.rho_crit)
         state, flows, cost = step(state, inp, mu, params, gamma)
         o_prev = upstream_inflows(flows, params)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from basepar import actm
 from basepar.actm import (
     CellParams,
     ExogenousInput,
@@ -15,6 +16,7 @@ from basepar.actm import (
     NegativeRateError,
     NetworkParams,
     FlowVector,
+    GainNetwork,
     NetworkState,
     TopologyError,
     rollout,
@@ -22,6 +24,7 @@ from basepar.actm import (
     step,
     upstream_inflows,
 )
+from basepar.base_controllers import MlpParams, mlp_forward
 from basepar.scenario import default_scenario
 
 from oracles import oracle_gain_plan, oracle_step
@@ -29,7 +32,9 @@ from scalar_reference import (
     compute_mainline_outflow,
     compute_offramp_outflow,
     compute_onramp_inflow,
+    mlp_forward as reference_forward,
     rollout as scalar_rollout,
+    scalar_gain_rollout,
     stage_cost,
 )
 
@@ -518,51 +523,84 @@ def test_a_rows_cost_ignores_its_plan_past_its_horizon(net, init_state):
         assert np.float64(want).tobytes() == costs[b].tobytes()
 
 
-def test_a_callable_gains_rolls_one_row_alone(net, init_state):
-    # a gain source sets the gains of one row of its own: next to plans or
-    # gain rows there would be rows it does not set
-    inputs = (demand(),)
+def random_gain_network(rng, params, scale):
+    """A gain network of random weights of size ``scale`` per metered cell,
+    its inputs scaled over ranges of size ``scale`` too."""
+    hi = tuple((scale * rng.uniform(0.5, 2.0, size=4)).tolist())
+    nets = tuple(
+        MlpParams(hidden_weights=tuple(tuple(rng.normal(0.0, scale, size=4)) for _ in range(3)),
+                  hidden_bias=tuple(rng.normal(0.0, scale, size=3)),
+                  output_weights=tuple(rng.normal(0.0, 0.01, size=3)),
+                  output_bias=float(rng.uniform(0.0, 0.04)),
+                  input_lo=(0.0,) * 4, input_hi=hi)
+        for _ in params.metered_cells
+    )
+    return GainNetwork(nets, (0.0, 0.04))
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_network_rows_equal_the_scalar_forward_pass(net, scale):
+    # two network rows, one over the call's horizon and one over a shorter
+    # horizon of its own, beside a plan row and a constant gain row: each
+    # network row's gain trail, rates and cost equal the scalar loop of
+    # the reference forward pass byte for byte, the other rows those of
+    # their own scalar rollouts; the caller's inflows reach the networks
+    # at step 0, and the package's one-input forward pass is the kernel's
+    rng = np.random.default_rng(59)
+    clipped = interior = moved = 0
+    for trial in range(15):
+        networks = [random_gain_network(rng, net, scale) for _ in range(2)]
+        state = NetworkState(n=tuple(rng.uniform(0.0, 80.0, size=6).tolist()),
+                             q=tuple(rng.uniform(0.0, 15.0, size=3).tolist()))
+        inputs = tuple(demand(float(rng.uniform(0, 7)), tuple(rng.uniform(0, 3, size=3)))
+                       for _ in range(int(rng.integers(1, 4))))
+        mu_prev = tuple(rng.uniform(0.0, 3.0, size=3).tolist())
+        o_prev = tuple(rng.uniform(0.0, 8.0, size=3).tolist())
+        horizon = int(rng.integers(2, 9))
+        short = int(rng.integers(1, horizon))
+        theta = tuple(rng.uniform(0.0, 0.04, size=3).tolist())
+        plans = rng.uniform(0.0, 8.0, size=(4, horizon, 3))
+        rows = [theta, networks[0], theta, networks[1]]
+        costs, rolled, _, _, trails, _ = actm._roll(
+            state, inputs, net, horizon, 0.8, plans=plans, gains=rows, mu_prev=mu_prev,
+            gain_rows=np.array([False, True, True, True]),
+            horizons=np.array([horizon, horizon, horizon, short]), o_prev=o_prev)
+        assert sorted(trails) == [1, 3]
+        for b, end in ((1, horizon), (2, horizon), (3, short)):
+            rates, trail, cost = scalar_gain_rollout(net, rows[b], mu_prev, state, inputs, end,
+                                                     o_prev)
+            if b in trails:
+                assert np.array(trails[b]).tobytes() == np.array(trail).tobytes()
+                clipped += sum(t in (0.0, 0.04) for row in trail for t in row)
+                interior += sum(0.0 < t < 0.04 for row in trail for t in row)
+                other = scalar_gain_rollout(net, rows[b], mu_prev, state, inputs, 1,
+                                            tuple(v + 1.0 for v in o_prev))[1]
+                moved += other[0] != trail[0]
+            assert rolled[b, :end].tobytes() == np.array(rates).tobytes()
+            assert costs[b].tobytes() == np.float64(cost).tobytes()
+        want = scalar_rollout(state, inputs, plans[0].tolist(), net, horizon).total_cost
+        assert costs[0].tobytes() == np.float64(want).tobytes()
+        for w in networks[0].nets:
+            x = tuple(rng.uniform(-2.0 * scale, 2.0 * scale, size=4).tolist())
+            assert np.float64(mlp_forward(w, x)).tobytes() == np.float64(
+                reference_forward(w, x)).tobytes()
+    assert moved >= 10, moved
+    assert clipped >= 10 and interior >= 50, (clipped, interior)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_network_row_rejects_a_non_finite_input(net, init_state, bad):
+    # the forward pass's check: a non-finite upstream inflow at step 0 raises
+    # ValueError, and too few inflows or networks a TopologyError
+    network = random_gain_network(np.random.default_rng(61), net, 1.0)
     mu_prev = (0.5, 0.2, 0.4)
-
-    def source(*_):
-        return (0.016,) * 3
-
-    for kinds in (dict(plans=np.ones((1, 3, 3))), dict(gain_rows=np.array([True])),
-                  dict(plans=np.ones((1, 3, 3)), gain_rows=np.array([True]))):
-        with pytest.raises(ValueError, match="callable gains"):
-            rollout_batch(init_state, inputs, net, 3, 0.8, gains=source, mu_prev=mu_prev,
-                          **kinds)
-    costs, plans = rollout_batch(init_state, inputs, net, 3, 0.8, gains=source, mu_prev=mu_prev)
-    assert costs.shape == (1,) and plans.shape == (1, 3, 3)
-    with pytest.raises(TopologyError):
-        rollout_batch(init_state, inputs, net, 3, 0.8, gains=lambda *_: (0.016,) * 2,
-                      mu_prev=mu_prev)
-
-
-def test_a_callable_gain_row_among_other_rows(net, init_state):
-    # a callable row next to a plan row and a constant gain row, over a
-    # shorter horizon of its own, gives the rates and cost of its row rolled
-    # alone and is called only within its horizon; a callable is refused
-    # at a plan row
-    inputs = (demand(),)
-    mu_prev = (0.5, 0.2, 0.4)
-    seen = []
-
-    def source(n, q, d, o):
-        seen.append(n)
-        return [0.01 + 1e-4 * v for v in n]
-
-    plans = np.full((3, 5, 3), 0.7)
-    gains = [(0.0,) * 3, source, (0.016,) * 3]
-    costs, rolled = rollout_batch(init_state, inputs, net, 5, 0.8, plans=plans, gains=gains,
-                                  mu_prev=mu_prev, gain_rows=np.array([False, True, True]),
-                                  horizons=np.array([5, 3, 5]))
-    calls = len(seen)
-    alone, alone_plan = rollout_batch(init_state, inputs, net, 3, 0.8, gains=source,
-                                      mu_prev=mu_prev)
-    assert calls == 3 and seen[:3] == seen[3:]
-    assert costs[1:2].tobytes() == alone.tobytes()
-    assert rolled[1:2, :3].tobytes() == alone_plan.tobytes()
-    with pytest.raises(ValueError, match="must be a gain row"):
-        rollout_batch(init_state, inputs, net, 5, 0.8, plans=plans, gains=gains,
-                      mu_prev=mu_prev, gain_rows=np.array([True, False, True]))
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        actm._roll(init_state, (demand(),), net, 3, 0.8, gains=[network], mu_prev=mu_prev,
+                   o_prev=(1.0, bad, 2.0))
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        mlp_forward(network.nets[0], (1.0, bad, 2.0, 3.0))
+    short = GainNetwork(network.nets[:2], network.gain_range)
+    for rows, o_prev in (([network], None), ([network], (1.0, 2.0)), ([short], (1.0,) * 3)):
+        with pytest.raises(TopologyError):
+            actm._roll(init_state, (demand(),), net, 3, 0.8, gains=rows, mu_prev=mu_prev,
+                       o_prev=o_prev)

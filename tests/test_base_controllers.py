@@ -339,7 +339,7 @@ MU_PREV = (0.5, 0.2, 0.4)
 
 class TestWarmStartRollout:
     def controller(self, net):
-        return FeedbackController(net, lambda *_: (0.016,) * 3, "ALINEA")
+        return FeedbackController(net, (0.016,) * 3, "ALINEA")
 
     def measured(self):
         return ExogenousInput(4.0, (1.0, 0.8, 0.6))
@@ -372,7 +372,7 @@ class TestWarmStartRollout:
             state, _, _ = scalar_step(state, self.measured(), mu, net)
 
     def test_zero_gain_rollout_constant(self, net):
-        ctrl = FeedbackController(net, lambda *_: (0.0,) * 3, "hold")
+        ctrl = FeedbackController(net, (0.0,) * 3, "hold")
         warm = warm_start_rollout(
             [ctrl], MU_PREV, self.state(), (self.measured(),), [5], (3.8, 3.2, 0.6)
         )[0]
@@ -450,15 +450,14 @@ class TestWarmStartRollout:
         assert clipped >= 20, clipped  # the clip is covered, not only the interior
 
     def test_nan_gains_raise_negative_rate_error(self, net):
-        # a gain source that turns NaN at its third step: the rate it derives
-        # is NaN there, which the model rejects
-        calls = []
-
-        def gains(*_):
-            calls.append(1)
-            return (0.016,) * 3 if len(calls) < 3 else (0.016, math.nan, 0.016)
-
-        with pytest.raises(NegativeRateError):
+        # a network whose output is NaN on one ramp: the clip keeps the NaN,
+        # the rate derived from it is NaN, which the model rejects
+        zero = MlpParams(hidden_weights=((0.0,) * 4,) * 3, hidden_bias=(0.0,) * 3,
+                         output_weights=(0.0,) * 3, output_bias=0.016, input_lo=(0.0,) * 4,
+                         input_hi=(80.0, 30.0, 4.0, 8.0))
+        nets = dict(zip(net.metered_cells, (zero, replace(zero, output_bias=math.nan), zero)))
+        gains = network_gains(net, nets, (0.0, 1.0))
+        with pytest.raises(NegativeRateError, match="NaN set"):
             warm_start_rollout([FeedbackController(net, gains, "NaN")], MU_PREV, self.state(),
                                (self.measured(),), [5], (3.8, 3.2, 0.6))
 

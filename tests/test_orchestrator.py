@@ -41,7 +41,7 @@ MU_INIT = (0.5, 0.2, 0.4)
 
 
 def alinea(label="ALINEA"):
-    return FeedbackController(NET, lambda *_: (0.016,) * 3, label)
+    return FeedbackController(NET, (0.016,) * 3, label)
 
 
 def mpc(label, kind, horizon):

@@ -742,7 +742,7 @@ class TestHoldBase:
             mu_prev = np.where(rng.uniform(size=3) < 0.3, 0.0, context.mu_prev)
             context = replace(context, mu_prev=tuple(mu_prev.tolist()))
             zeros += int(np.count_nonzero(mu_prev == 0.0))
-            hold = FeedbackController(NET, lambda *_: (0.0,) * 3, "hold")
+            hold = FeedbackController(NET, (0.0,) * 3, "hold")
             warm = warm_start_rollout([hold], context.mu_prev, context.initial_state,
                                       context.demand_forecast, [horizon],
                                       tuple(rng.uniform(0, 8, size=3)))[0]
@@ -759,7 +759,7 @@ class TestParallelCell:
         rng = np.random.default_rng(seed)
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         measured = ExogenousInput(5.0, (1.5, 1.0, 0.8))
-        base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
+        base = FeedbackController(NET, (0.016,) * 3, "ALINEA")
         warm = warm_start_rollout(
             [base], (0.5, 0.2, 0.4), state, (measured,), [10], (3.8, 3.2, 0.6)
         )[0]
@@ -814,7 +814,7 @@ class TestParallelCell:
             cells = []
             for c, kind in enumerate((CONVENTIONAL, PARAMETERIZED)):
                 gains = tuple(rng.uniform(0.005, 0.03, size=3))
-                base = FeedbackController(NET, lambda *_, g=gains: g, "ALINEA")
+                base = FeedbackController(NET, gains, "ALINEA")
                 warm = warm_start_rollout(
                     [base], mu_prev, state, (measured,), [10], (3.8, 3.2, 0.6)
                 )[0]
@@ -861,7 +861,7 @@ class TestParallelCell:
 
     def test_short_warm_start_rejected(self):
         problems, _, context = self.setup_cell()
-        base = FeedbackController(NET, lambda *_: (0.016,) * 3, "ALINEA")
+        base = FeedbackController(NET, (0.016,) * 3, "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
             [base], (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), [3],

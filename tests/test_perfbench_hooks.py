@@ -34,7 +34,7 @@ NEVER_IN_A_RUN = {
     "orchestrator.run_parallel_cell", "orchestrator.evaluate_candidates",
     "actm.rollout", "parallel.rollout", "orchestrator.rollout",
     "actm.step", "parallel.step", "base_controllers.step",
-    "ThreadPoolExecutor.submit",
+    "base_controllers.mlp_forward", "ThreadPoolExecutor.submit",
 }
 # set-up that a run given its networks does not reach, and this test does
 # not call
