@@ -26,14 +26,15 @@ receiving term); the last cell discharges freely (no downstream term).
 Unserved mainstream demand is dropped, so conservation accounting uses the
 *admitted* upstream inflow reported in :class:`FlowVector`.
 
-:func:`rollout_batch`, the one model, rolls many plans forward side by
-side for the warm starts, optimizers and evaluation block; the plant
-:func:`step` is one of its rows rolled one step, and :func:`rollout` loops
-over :func:`step`.  The kernel performs every float operation of the
-scalar model the test suite keeps as its reference, in the same order, and
-in the cells a term does not apply to, operations that give the scalar
-value there exactly, so its states, flows and costs equal that model's bit
-for bit.
+:func:`rollout_batch`, the one model and its one entry point, rolls many
+plans forward side by side for the warm starts, optimizers and evaluation
+block; the plant :func:`step` is one of its rows rolled one step, and
+:func:`rollout` loops over :func:`step`.  :func:`raise_failure` types a
+failed row for the plant and the warm starts alike.  The kernel performs
+every float operation of the scalar model the test suite keeps as its
+reference, in the same order, and in the cells a term does not apply to,
+operations that give the scalar value there exactly, so its states, flows
+and costs equal that model's bit for bit.
 
 BATCHED ROLLOUTS
 ----------------
@@ -85,11 +86,12 @@ so nothing it rolls past its end reaches its cost.  The cost of any prefix
 of a row's horizon is read off the same call, bit for bit what a call of
 that horizon would give; the evaluation block's costs are such prefixes.
 
-On the shipped network (6 cells, 3 metered ramps), replaying the 2,416
-calls of a 180-step serial architecture run on 2 shared vCPUs, a
-least-squares fit puts a call at 104 us before its first step, a model
-step at 21 us and a row-step at 0.27 us, so the set-up outweighs the
-steps in the calls of a few rows.
+On the shipped network (6 cells, 3 metered ramps), replaying the 935
+calls of a 180-step serial architecture run (best of 16 rounds per call,
+2 shared vCPUs, Python 3.11, numpy 2.4), a least-squares fit puts a call
+at 61-67 us before its first step, a model step at 20-21 us and a row-step
+at 0.08-0.10 us, so in a call of a few steps the set-up weighs as much as
+the steps.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import isfinite, tanh
-from typing import Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -118,6 +120,7 @@ __all__ = [
     "step",
     "rollout",
     "rollout_batch",
+    "raise_failure",
 ]
 
 # Absolute per-component tolerance for post-step state checks.
@@ -407,21 +410,22 @@ def step(
     params: NetworkParams,
     gamma: float = 0.8,
 ) -> tuple[NetworkState, FlowVector, StageCost]:
-    """Advance the network by one cycle: one row of :func:`rollout_batch`'s
-    kernel, rolled one step.
+    """Advance the network by one cycle: one row of :func:`rollout_batch`,
+    rolled one step.
 
     ``metering`` is ordered like ``params.metered_cells`` (None leaves every
     ramp unmetered).  Returns the successor state, the realized flows and the
     stage cost of the step (computed from the pre-step occupancy).  Raises
-    :class:`NegativeRateError` for a negative or NaN rate and
-    :class:`ModelConsistencyError` if the update leaves the admissible state
-    region by more than ``STATE_TOL``.
+    what :func:`raise_failure` raises if the row fails.
     """
     if metering is None:
         plan = np.full((1, 1, len(params.metered_cells)), math.inf)
     else:
         plan = np.array(metering, dtype=float).reshape(1, 1, -1)
-    *_, (after, flow, e, s, cost) = _roll(state, (inp,), params, 1, gamma, plan, strict=True)
+    *_, fail, _, (after, flow, e, s, cost) = rollout_batch(
+        state, (inp,), params, 1, gamma, plans=plan)
+    if fail[0] < 1:
+        raise_failure(plan[0], "the plan")
     admitted, *o = flow[:, 0].tolist()
     s = s[:, 0].tolist()
     tt, td_h = cost[:, 0].tolist()
@@ -430,6 +434,17 @@ def step(
     flows = FlowVector(e=tuple(e[:, 0].tolist()), o=tuple(o), s=tuple(s), mainstream_in=admitted)
     return nxt, flows, StageCost(tt=tt, td_h=td_h, j=tt - gamma * td_h,
                                  throughput=o[-1] + sum(s))
+
+
+def raise_failure(plan: np.ndarray, label: str) -> NoReturn:
+    """Raise what a row of :func:`rollout_batch` that failed within its own
+    horizon failed on, given its ``plan`` over that horizon and a ``label``
+    naming it: :class:`NegativeRateError` if a rate there is negative or
+    NaN, :class:`ModelConsistencyError` (a state update out of bounds)
+    otherwise."""
+    if not (plan >= 0).all():
+        raise NegativeRateError(f"{label} set a negative or NaN metering rate")
+    raise ModelConsistencyError(f"{label}'s rollout left the admissible states")
 
 
 def rollout(
@@ -482,51 +497,44 @@ def rollout_batch(
     mu_prev: Optional[Sequence[float]] = None,
     gain_rows: Optional[np.ndarray] = None,
     horizons: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total cost of many plans from one initial state, rolled side by side.
+    o_prev: Optional[Sequence[float]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, list], tuple]:
+    """Many plans rolled side by side from one initial state: the one model.
 
     A row is either a metering plan, a row of ``plans`` ``[B, horizon,
     ramps]``, or feedback gains, a row of ``gains`` ``[B, ramps]``: from the
     rates ``mu_prev`` applied before the window, each step then meters at
     ``max(mu_prev + gain * (rho_crit - rho), 0)`` on the predicted density.
-    Pass ``plans`` or ``gains`` alone for rows of one kind, or both with the
-    boolean ``gain_rows`` ``[B]`` flagging the gain rows.  ``horizons``
-    ``[B]`` gives each row its own horizon, at most ``horizon`` (default:
+    A row of ``gains`` may also be a :class:`GainNetwork`, which reads the
+    upstream inflows ``o_prev`` at the first step.  Pass ``plans`` or
+    ``gains`` alone for rows of one kind, or both with the boolean
+    ``gain_rows`` ``[B]`` flagging the gain rows.  ``horizons`` ``[B]``
+    gives each row its own horizon, at most ``horizon`` (default:
     ``horizon`` for every row).  Every row is rolled over ``horizon``;
     whatever a plan holds past the row's own horizon is rolled, but it never
-    reaches that row's cost, failure flag or in-horizon plan.
-    ``inputs`` shorter than a horizon hold their last entry.  Returns the
-    costs ``[B]`` and the plans ``[B, horizon, ramps]``: as given, with the
-    derived rates written into the gain rows over the whole ``horizon``.
-    Without gain rows the returned plans may be the ``plans`` array passed
-    in, not a copy.
+    reaches that row's cost, failure flag or in-horizon plan.  ``inputs``
+    shorter than a horizon hold their last entry; the initial state and the
+    inputs are checked once per call.
 
-    Each cost equals ``rollout(...).total_cost`` over the row's horizon, and
-    the scalar model's, bit for bit (the module notes say how each ``min``
-    and ``max`` stays exact, and why the full-cell layout adds nothing).
-    Where :func:`step` raises for a plan within that horizon (a negative or
-    NaN rate, :class:`NegativeRateError`; a state update out of bounds,
-    :class:`ModelConsistencyError`) that row's cost is +inf instead.  The
-    initial state and the inputs are checked once per call.
-    """
-    total, plans, *_ = _roll(state, inputs, params, horizon, gamma, plans, gains, mu_prev,
-                             gain_rows, horizons)
-    return total, plans
+    Returns, in order:
 
-
-def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev=None,
-          gain_rows=None, horizons=None, strict=False, o_prev=None):
-    """:func:`rollout_batch`'s costs and plans, a row of ``gains`` also
-    being a :class:`GainNetwork` that reads the inflows ``o_prev`` at the
-    first step; then each row's cost over its first ``k`` steps ``[horizon +
-    1, rows]`` (``k = 0 ... horizon``, whatever the row's own horizon), each
-    row's first failing step ``[rows]`` (a negative or NaN rate or an update
-    out of bounds; ``horizon`` if none), each network row's gains by step
-    within its horizon, by row, and the state after the last step
-    ``[2, cells, rows]`` (n, then q at every cell), the admitted inflow and
-    the outflows ``[cells + 1, rows]``, the flows ``e`` and ``s`` ``[cells,
-    rows]`` and the last step's ``tt`` and ``td_h`` ``[2, rows]``.
-    ``strict`` raises what :func:`step` raises where a row would cost +inf.
+    * the costs ``[B]``, each row's over its own horizon: the scalar
+      model's, bit for bit (the module notes say how each ``min`` and
+      ``max`` stays exact, and why the full-cell layout adds nothing), or
+      +inf where the row fails within that horizon (a negative or NaN rate,
+      derived ones included, or a state update out of bounds;
+      :func:`raise_failure` says which);
+    * the plans ``[B, horizon, ramps]``: as given, with the derived rates
+      written into the gain rows over the whole ``horizon``; without gain
+      rows they may be the ``plans`` array passed in, not a copy;
+    * each row's cost over its first ``k`` steps ``[horizon + 1, B]``
+      (``k = 0 ... horizon``, whatever the row's own horizon);
+    * each row's first failing step ``[B]`` (``horizon`` if none);
+    * each network row's gains by step within its horizon, by row;
+    * the state after the last step ``[2, cells, B]`` (n, then q at every
+      cell), the admitted inflow and the outflows ``[cells + 1, B]``, the
+      flows ``e`` and ``s`` ``[cells, B]`` and the last step's ``tt`` and
+      ``td_h`` ``[2, B]``.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -740,14 +748,9 @@ def _roll(state, inputs, params, horizon, gamma, plans=None, gains=None, mu_prev
     fail = np.full(batch, horizon)
     metered = rates[:, ca.metered] if derive else plans.transpose(1, 2, 0)
     if not np.minimum.reduce(metered, axis=None, initial=0.0) >= 0:
-        if strict:
-            raise NegativeRateError("metering rates must be nonnegative numbers")
         bad = ~(metered >= 0).all(axis=1)
         fail = np.where(bad.any(axis=0), bad.argmax(axis=0), fail)
     if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
-        if strict:
-            _, i, _ = np.argwhere((r < -STATE_TOL).any(axis=1) | (r[:, 0] > ca.nbar_tol))[0]
-            raise ModelConsistencyError(f"cell {i}: state update out of bounds")
         bad = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
         fail = np.minimum(fail, np.where(bad.any(axis=0), bad.argmax(axis=0), horizon))
     total = costs[ends, np.arange(batch)]

@@ -41,8 +41,6 @@ from . import actm
 from .actm import (
     ExogenousInput,
     GainNetwork,
-    ModelConsistencyError,
-    NegativeRateError,
     NetworkParams,
     NetworkState,
     TopologyError,
@@ -516,9 +514,8 @@ def warm_start_rollout(
     predicted state; the bases must share their network.  ``o_prev`` carries
     the latest realized upstream mainline inflow per metered ramp, which a
     gain network reads at the first step and the model's flows replace after
-    it.  For the first base, in order, whose rollout fails, a NaN rate raises
-    :class:`~basepar.actm.NegativeRateError`, an update out of bounds
-    :class:`~basepar.actm.ModelConsistencyError`, as in the model.
+    it.  The first base, in order, whose rollout fails raises what
+    :func:`~basepar.actm.raise_failure` raises, as the plant step does.
     """
     if len(horizons) != len(bases) or not bases:
         raise ValueError("every base needs one horizon")
@@ -533,16 +530,14 @@ def warm_start_rollout(
         raise ValueError("mu_prev must be nonnegative")
     if not all(state.n[i] >= 0 for i in params.metered_cells):
         raise ValueError("densities must be nonnegative")
-    costs, plans, running, _, trails, _ = actm._roll(
+    costs, plans, running, _, trails, _ = actm.rollout_batch(
         state, predicted_inputs, params, max(horizons), gamma, gains=[b.gains for b in bases],
         mu_prev=mu_prev, horizons=np.array(horizons), o_prev=o_prev)
     warm = []
     for b, (base, length) in enumerate(zip(bases, horizons)):
         plan = plans[b, :length]
         if not math.isfinite(costs[b]):
-            if not (plan >= 0).all():
-                raise NegativeRateError(f"{base.label} set a negative or NaN metering rate")
-            raise ModelConsistencyError(f"{base.label}'s rollout left the admissible states")
+            actm.raise_failure(plan, base.label)
         warm.append(WarmStart(
             mu=tuple(map(tuple, plan.tolist())),
             theta=tuple(trails.get(b, (base.gains,) * length)),

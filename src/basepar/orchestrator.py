@@ -17,7 +17,7 @@ evaluation model or as the reference the tests check those costs against.
 
 The architecture changes by adding or removing cells and controllers.  A
 standalone approach is the one-cell case, which applies its own plan
-through ``propose`` and ``commit`` without the evaluation block: a
+without the evaluation block (:meth:`BaseParallelController.own_step`): a
 standalone online controller is seeded by a base that holds the previous
 rates and applies its best plan, a standalone base controller has no online
 controller and applies its own rates.
@@ -41,6 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import actm
 # ``rollout`` and ``run_parallel_cell`` are not called here; they stay
 # importable from this module because perfbench/layers.py wraps them here.
 from .actm import (
@@ -49,7 +50,6 @@ from .actm import (
     NetworkState,
     TopologyError,
     rollout,
-    rollout_batch,
 )
 from .base_controllers import FeedbackController, warm_start_rollout
 from .parallel import (
@@ -160,7 +160,7 @@ def evaluate_candidates(
                 f"expected (steps, {n_ramps})"
             )
         plans[b] = rows[np.minimum(np.arange(evaluation_horizon), len(rows) - 1)]
-    costs, _ = rollout_batch(
+    costs, *_ = actm.rollout_batch(
         state, forecast, eval_params, evaluation_horizon, gamma, plans=plans
     )
     return _evaluation(candidates, tuple(costs.tolist()))
@@ -287,3 +287,29 @@ class BaseParallelController:
             ),
         )
         return record, evaluation
+
+    def own_step(
+        self,
+        measurement: NetworkState,
+        measured: ExogenousInput,
+        o_prev: Sequence[float],
+    ) -> tuple[SelectionRecord, None]:
+        """Run one step of a standalone approach, the one-cell architecture,
+        from the measured plant state: :meth:`propose`, apply the cell's own
+        plan with no evaluation block and :meth:`commit` it.  A cell with an
+        online controller applies the controller's best plan (its base holds
+        the previous rates); a cell without one applies its base's rates.
+        Built with evaluation horizon 1, since nothing is evaluated, the
+        base rolls only as far as the controller needs: one step without
+        one."""
+        bases, results = self.propose(measurement, measured, o_prev)
+        cell = self.config.cells[0]
+        label = (cell.controllers[0] if cell.controllers else cell.base).label
+        result = results.get(label)
+        best = bases[0] if result is None else result.best
+        applied = tuple(best.metering[0])
+        self.commit(applied, results)
+        if result is None:
+            return SelectionRecord(applied, label, (), (), ()), None
+        stats = ((label, result.elapsed_s, best.iterations, best.converged),)
+        return SelectionRecord(applied, label, (label,), (best.cost,), stats), None

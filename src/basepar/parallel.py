@@ -298,7 +298,7 @@ class _MergedRollouts:
                 gain_rows[rows] = True
             horizons[rows] = problem.horizon
             at = rows.stop
-        costs, plans, running, fail, *_ = actm._roll(
+        costs, plans, running, fail, *_ = actm.rollout_batch(
             ctx.initial_state, ctx.demand_forecast, ctx.params, horizon,
             ctx.gamma, plans=rates, gains=gains, mu_prev=ctx.mu_prev,
             gain_rows=gain_rows, horizons=horizons,
@@ -335,16 +335,16 @@ def decision_to_metering(
 # Shift-based starting points
 # ---------------------------------------------------------------------------
 
-def make_shift_warm_starts(previous: Sequence[Sequence[float]]) -> list[np.ndarray]:
-    """The starting plans from a controller's previous solution ``[rows,
+def make_shift_warm_starts(previous: Sequence[Sequence[float]]) -> Optional[np.ndarray]:
+    """The shift start from a controller's previous solution ``[rows,
     ramps]``: that solution shifted one step, its first row dropped and the
-    last repeated to keep the length.  Returns an empty list when there is
-    none (an empty sequence).
+    last repeated to keep the length.  Returns None when there is none (an
+    empty sequence).
     """
     if len(previous) == 0:
-        return []
+        return None
     previous = np.asarray(previous, dtype=float)
-    return [np.concatenate([previous[1:], previous[-1:]])]
+    return np.concatenate([previous[1:], previous[-1:]])
 
 
 def base_start_for(problem: MpcProblem, warm: WarmStart) -> np.ndarray:
@@ -736,9 +736,9 @@ def run_parallel_cells(
         for problem in cell_problems:
             problems.append(problem)
             starts.append([base_start_for(problem, base_warm)])
-            starts[-1].extend(
-                s.ravel() for s in make_shift_warm_starts(previous.get(problem.label, ()))
-            )
+            shifted = make_shift_warm_starts(previous.get(problem.label, ()))
+            if shifted is not None:
+                starts[-1].append(shifted.ravel())
     results = _solve_jointly(problems, context, starts, config) if problems else []
     return {problem.label: result for problem, result in zip(problems, results)}
 

@@ -30,6 +30,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from itertools import accumulate
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -57,7 +58,6 @@ from .orchestrator import (
     ArchitectureConfig,
     BaseParallelController,
     ParallelCell,
-    SelectionRecord,
 )
 from .parallel import CONVENTIONAL, PARAMETERIZED, MpcProblem, OptimizerConfig
 
@@ -174,19 +174,13 @@ class ControlSettings:
             raise ValueError("evaluation_horizon must be between 1 and the shortest MPC horizon")
         self.optimizer()  # rejects bad solver settings here, not at the first solve
 
-    def optimizer(
-        self,
-        budget_override: Optional[float] = None,
-        termination_override: Optional[str] = None,
-        serial: bool = False,
-    ) -> OptimizerConfig:
-        budget = self.budget_s if budget_override is None else budget_override
+    def optimizer(self, serial: bool = False) -> OptimizerConfig:
         return OptimizerConfig(
             function_tolerance=self.function_tolerance,
             step_tolerance=self.step_tolerance,
-            budget_s=None if serial else budget,
+            budget_s=None if serial else self.budget_s,
             max_iterations=self.max_iterations,
-            termination=termination_override or self.termination,
+            termination=self.termination,
             fd_step=self.fd_step,
         )
 
@@ -539,8 +533,16 @@ def _online_controller(scenario: ScenarioConfig, key: str) -> MpcProblem:
     return MpcProblem(CONTROLLER_LABELS[key], kind, horizon, (0.0,) * dim, (upper,) * dim)
 
 
+def _overridden(scenario: ScenarioConfig, budget_override: Optional[float],
+                termination: Optional[str]) -> ScenarioConfig:
+    """The scenario with its control budget and termination option replaced
+    where an override is given."""
+    given = {"budget_s": budget_override, "termination": termination}
+    given = {name: value for name, value in given.items() if value is not None}
+    return replace(scenario, control=replace(scenario.control, **given)) if given else scenario
+
+
 def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: bool,
-                  budget_override: Optional[float], termination: Optional[str],
                   evaluation_horizon: Optional[int] = None) -> BaseParallelController:
     """The architecture of ``cells`` under the scenario's control settings,
     by default with the scenario's evaluation horizon."""
@@ -551,7 +553,7 @@ def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: b
         evaluation_horizon=ctl.evaluation_horizon if evaluation_horizon is None
         else evaluation_horizon,
         gamma=scenario.gamma,
-        optimizer=ctl.optimizer(budget_override, termination, serial=serial),
+        optimizer=ctl.optimizer(serial),
     )
     return BaseParallelController(config, mu_init=scenario.mu_prev_init)
 
@@ -565,69 +567,31 @@ def build_architecture(
 ) -> BaseParallelController:
     """Full case-study architecture: ALINEA seeds two conventional MPC
     controllers, the gain network seeds two parameterized ones."""
+    scenario = _overridden(scenario, budget_override, termination)
     cells = [
         ParallelCell(_alinea_controller(scenario),
                      tuple(_online_controller(scenario, k) for k in ("cmpc1", "cmpc2"))),
         ParallelCell(_ann_controller(scenario, nets),
                      tuple(_online_controller(scenario, k) for k in ("pmpc1", "pmpc2"))),
     ]
-    return _architecture(scenario, cells, serial, budget_override, termination)
+    return _architecture(scenario, cells, serial)
 
 
-class _OwnPlanDriver:
-    """One control approach in closed loop: the architecture with one cell,
-    which applies its own plan with no evaluation block.  A cell with an
-    online controller applies the controller's best plan (its base holds
-    the previous rates); a cell without one applies its base's rates.  The
-    architecture has evaluation horizon 1, since nothing is evaluated, so
-    its base rolls only as far as its controllers need: one step without
-    one."""
-
-    def __init__(self, arch: BaseParallelController):
-        self.arch = arch
-        cell = arch.config.cells[0]
-        self.label = (cell.controllers[0] if cell.controllers else cell.base).label
-
-    def decide(self, state, measured, o_prev):
-        bases, results = self.arch.propose(state, measured, o_prev)
-        result = results.get(self.label)
-        best = bases[0] if result is None else result.best
-        applied = tuple(best.metering[0])
-        self.arch.commit(applied, results)
-        if result is None:
-            return SelectionRecord(applied, self.label, (), (), ())
-        stats = ((self.label, result.elapsed_s, best.iterations, best.converged),)
-        return SelectionRecord(applied, self.label, (self.label,), (best.cost,), stats)
-
-
-class _ArchitectureDriver:
-    def __init__(self, arch: BaseParallelController):
-        self.arch = arch
-        self.label = CONTROLLER_LABELS["architecture"]
-
-    def decide(self, state, measured, o_prev):
-        return self.arch.control_step(state, measured, o_prev)[0]
-
-
-def _build_driver(scenario, controller_choice, serial, nets,
-                  budget_override, termination):
-    key = controller_choice.lower()
-    if key not in CONTROLLER_KEYS:
-        raise ValueError(
-            f"unknown controller {controller_choice!r}; pick one of {CONTROLLER_KEYS}"
-        )
+def _controller_step(scenario, key, serial, nets):
+    """The step method of control approach ``key``: the architecture's
+    :meth:`~basepar.orchestrator.BaseParallelController.control_step`, or
+    the :meth:`~basepar.orchestrator.BaseParallelController.own_step` of a
+    one-cell architecture, which evaluates nothing (evaluation horizon
+    1)."""
     if key == "architecture":
-        return _ArchitectureDriver(
-            build_architecture(scenario, nets, serial, budget_override, termination)
-        )
+        return build_architecture(scenario, nets, serial).control_step
     if key == "alinea":
         cell = ParallelCell(_alinea_controller(scenario))
     elif key == "ann":
         cell = ParallelCell(_ann_controller(scenario, nets))
     else:
         cell = ParallelCell(_hold_controller(scenario), (_online_controller(scenario, key),))
-    return _OwnPlanDriver(_architecture(scenario, [cell], serial, budget_override, termination,
-                                        evaluation_horizon=1))
+    return _architecture(scenario, [cell], serial, evaluation_horizon=1).own_step
 
 
 # ---------------------------------------------------------------------------
@@ -698,20 +662,25 @@ def run_experiment(
     the iteration cap, which makes the run fully reproducible for a fixed
     seed.
     """
+    key = controller_choice.lower()
+    if key not in CONTROLLER_KEYS:
+        raise ValueError(
+            f"unknown controller {controller_choice!r}; pick one of {CONTROLLER_KEYS}"
+        )
     params = scenario.network
     steps = scenario.steps if steps_override is None else steps_override
     if steps < 1:
         raise ValueError("step count must be at least 1")
     noise_seed = scenario.noise.seed if scenario.noise.seed is not None else scenario.seed
     rng = np.random.default_rng(noise_seed)
-    driver = _build_driver(scenario, controller_choice, serial, nets,
-                           budget_override, termination)
+    scenario = _overridden(scenario, budget_override, termination)
+    decide = _controller_step(scenario, key, serial, nets)
 
     state = scenario.initial_state
     o_prev = tuple(scenario.o_prev_init)
     log = RunLog(
         scenario_name=scenario.name,
-        controller=driver.label,
+        controller=CONTROLLER_LABELS[key],
         seed=scenario.seed,
         sample_cycle_s=params.sample_cycle_s,
         cell_lengths_m=tuple(c.length for c in params.cells),
@@ -725,7 +694,7 @@ def run_experiment(
         measured = ExogenousInput(float(d_meas[0]), tuple(float(v) for v in d_meas[1:]))
 
         t0 = time.monotonic()
-        selection = driver.decide(state, measured, o_prev)
+        selection, _ = decide(state, measured, o_prev)
         elapsed = time.monotonic() - t0
         stats = selection.solver_stats
         if serial:
@@ -872,50 +841,29 @@ def emit_plot_data(log: RunLog, out_dir) -> list[str]:
         raise ValueError("cannot emit plot data for an empty run log")
     os.makedirs(out_dir, exist_ok=True)
     sources = ["mainstream"] + [f"onramp_{c}" for c in log.onramp_cells]
-    paths = []
-
-    demand_path = os.path.join(out_dir, "demands.csv")
-    with open(demand_path, "w", encoding="utf-8") as fh:
-        fh.write("step,t_s,source,demand_veh_per_step\n")
-        for r in log.records:
-            t_s = r.step * log.sample_cycle_s
-            for src, val in zip(sources, r.true_demand):
-                fh.write(f"{r.step},{_fmt(t_s)},{src},{_fmt(val)}\n")
-    paths.append(demand_path)
-
-    states_path = os.path.join(out_dir, "states.csv")
     queue_pos = {c: j for j, c in enumerate(log.onramp_cells)}
-    with open(states_path, "w", encoding="utf-8") as fh:
-        fh.write("step,cell,n_veh,q_veh,rho_veh_per_m_per_lane\n")
-        for r in log.records:
-            for c, n in enumerate(r.n, start=1):
-                q_field = _fmt(r.q[queue_pos[c]]) if c in queue_pos else ""
-                rho = n / (log.cell_lengths_m[c - 1] * log.lanes)
-                fh.write(f"{r.step},{c},{_fmt(n)},{q_field},{_fmt(rho)}\n")
-    paths.append(states_path)
-
-    cand_path = os.path.join(out_dir, "candidates.csv")
-    with open(cand_path, "w", encoding="utf-8") as fh:
-        fh.write("step,candidate,epsilon\n")
-        for r in log.records:
-            for label, cost in zip(r.candidate_labels, r.candidate_costs):
-                fh.write(f"{r.step},{label},{_fmt(cost)}\n")
-    paths.append(cand_path)
-
-    winners_path = os.path.join(out_dir, "winners.csv")
-    with open(winners_path, "w", encoding="utf-8") as fh:
-        fh.write("step,winner\n")
-        for r in log.records:
-            fh.write(f"{r.step},{r.winner}\n")
-    paths.append(winners_path)
-
-    cum_path = os.path.join(out_dir, "cumulative_cost.csv")
-    with open(cum_path, "w", encoding="utf-8") as fh:
-        fh.write("step,stage_j_h,cumulative_j_h\n")
-        total = 0.0
-        for r in log.records:
-            total += r.cost_j
-            fh.write(f"{r.step},{_fmt(r.cost_j)},{_fmt(total)}\n")
-    paths.append(cum_path)
-
+    cumulative = list(accumulate((r.cost_j for r in log.records), initial=0.0))[1:]
+    tables = [
+        ("demands.csv", "step,t_s,source,demand_veh_per_step",
+         (f"{r.step},{_fmt(r.step * log.sample_cycle_s)},{src},{_fmt(val)}"
+          for r in log.records for src, val in zip(sources, r.true_demand))),
+        ("states.csv", "step,cell,n_veh,q_veh,rho_veh_per_m_per_lane",
+         (f"{r.step},{c},{_fmt(n)},{_fmt(r.q[queue_pos[c]]) if c in queue_pos else ''},"
+          f"{_fmt(n / (log.cell_lengths_m[c - 1] * log.lanes))}"
+          for r in log.records for c, n in enumerate(r.n, start=1))),
+        ("candidates.csv", "step,candidate,epsilon",
+         (f"{r.step},{label},{_fmt(cost)}"
+          for r in log.records for label, cost in zip(r.candidate_labels, r.candidate_costs))),
+        ("winners.csv", "step,winner", (f"{r.step},{r.winner}" for r in log.records)),
+        ("cumulative_cost.csv", "step,stage_j_h,cumulative_j_h",
+         (f"{r.step},{_fmt(r.cost_j)},{_fmt(total)}"
+          for r, total in zip(log.records, cumulative))),
+    ]
+    paths = []
+    for name, header, rows in tables:
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(row + "\n" for row in rows)
+        paths.append(path)
     return paths

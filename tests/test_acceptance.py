@@ -79,14 +79,14 @@ def _count_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
     wherever it is made: the plant, the warm starts, the solver rounds and
     any evaluation."""
     calls = []
-    roll = actm._roll
+    roll = actm.rollout_batch
 
     def counted(state, inputs, params, horizon, *args, **kwargs):
         result = roll(state, inputs, params, horizon, *args, **kwargs)
         calls.append((horizon, len(result[0])))
         return result
 
-    monkeypatch.setattr(actm, "_roll", counted)
+    monkeypatch.setattr(actm, "rollout_batch", counted)
     return calls
 
 
@@ -217,7 +217,7 @@ def test_criterion_2_alinea_unit_values():
     rates, densities = [], []
     for mu_prev, n in ((0.7, 18.76), (0.0, 56.0), (0.5, 36.2)):
         state = NetworkState(n=(n,), q=(2.0,))
-        _, plans = rollout_batch(state, (ExogenousInput(3.0, (1.0,)),), net, 1, 0.8,
+        _, plans, *_ = rollout_batch(state, (ExogenousInput(3.0, (1.0,)),), net, 1, 0.8,
                                  gains=np.array([[0.016]]), mu_prev=(mu_prev,))
         rho = metered_density(state, net)
         want = alinea_step((mu_prev,), (0.016,), rho, net.rho_crit)
@@ -501,6 +501,22 @@ def test_serial_architecture_run_is_pinned(compare_runs, tmp_path):
         write_runlog(log, str(path))
         digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN_LOG_SHA256
+
+
+def test_serial_selections_are_decided_within_4_ulps(compare_runs):
+    """On the serial architecture run, count the steps whose winner's 3-step
+    cost lies within 4 ulps of every other candidate's, and those where it
+    lies within 4 ulps of at least one candidate from another source.  This
+    records a measurement, pinned exactly; it sets no threshold."""
+    records = compare_runs[0]["architecture"].records
+    every = other_source = 0
+    for r in records:
+        w = r.candidate_costs[r.candidate_labels.index(r.winner)]
+        near = [abs(c - w) <= 4 * np.spacing(abs(w)) for c in r.candidate_costs]
+        every += all(near)
+        other_source += any(n and label != r.winner
+                            for n, label in zip(near, r.candidate_labels))
+    assert (every, other_source, len(records)) == (145, 180, 180)
 
 
 def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkeypatch):

@@ -479,7 +479,7 @@ def test_a_nan_rate_leaves_the_other_ramps_derived_rates(net, init_state, gain_r
     inputs = (demand(),)
     kinds = {} if gain_rows is None else dict(plans=np.full((3, 6, 3), 2.0),
                                               gain_rows=np.array(gain_rows))
-    costs, plans = rollout_batch(init_state, inputs, net, 6, 0.8, gains=gains,
+    costs, plans, *_ = rollout_batch(init_state, inputs, net, 6, 0.8, gains=gains,
                                  mu_prev=mu_prev, **kinds)
     flags = [True] * 3 if gain_rows is None else gain_rows
     for theta, plan, cost, derived in zip(gains, plans, costs, flags):
@@ -509,7 +509,7 @@ def test_a_rows_cost_ignores_its_plan_past_its_horizon(net, init_state):
     horizons = np.array([3, 3, 3, 3, 3, 3, 10, 10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        costs, rolled = rollout_batch(init_state, inputs, net, 10, 0.8, plans=plans,
+        costs, rolled, *_ = rollout_batch(init_state, inputs, net, 10, 0.8, plans=plans,
                                       gains=gains, mu_prev=mu_prev, gain_rows=flags,
                                       horizons=horizons)
     for b, (derived, end) in enumerate(zip(flags, horizons)):
@@ -561,7 +561,7 @@ def test_network_rows_equal_the_scalar_forward_pass(net, scale):
         theta = tuple(rng.uniform(0.0, 0.04, size=3).tolist())
         plans = rng.uniform(0.0, 8.0, size=(4, horizon, 3))
         rows = [theta, networks[0], theta, networks[1]]
-        costs, rolled, _, _, trails, _ = actm._roll(
+        costs, rolled, _, _, trails, _ = rollout_batch(
             state, inputs, net, horizon, 0.8, plans=plans, gains=rows, mu_prev=mu_prev,
             gain_rows=np.array([False, True, True, True]),
             horizons=np.array([horizon, horizon, horizon, short]), o_prev=o_prev)
@@ -595,12 +595,12 @@ def test_a_network_row_rejects_a_non_finite_input(net, init_state, bad):
     network = random_gain_network(np.random.default_rng(61), net, 1.0)
     mu_prev = (0.5, 0.2, 0.4)
     with pytest.raises(ValueError, match="inputs must be finite"):
-        actm._roll(init_state, (demand(),), net, 3, 0.8, gains=[network], mu_prev=mu_prev,
-                   o_prev=(1.0, bad, 2.0))
+        rollout_batch(init_state, (demand(),), net, 3, 0.8, gains=[network], mu_prev=mu_prev,
+                      o_prev=(1.0, bad, 2.0))
     with pytest.raises(ValueError, match="inputs must be finite"):
         mlp_forward(network.nets[0], (1.0, bad, 2.0, 3.0))
     short = GainNetwork(network.nets[:2], network.gain_range)
     for rows, o_prev in (([network], None), ([network], (1.0, 2.0)), ([short], (1.0,) * 3)):
         with pytest.raises(TopologyError):
-            actm._roll(init_state, (demand(),), net, 3, 0.8, gains=rows, mu_prev=mu_prev,
-                       o_prev=o_prev)
+            rollout_batch(init_state, (demand(),), net, 3, 0.8, gains=rows, mu_prev=mu_prev,
+                          o_prev=o_prev)

@@ -5,7 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from basepar.actm import ExogenousInput, NegativeRateError, NetworkState, TopologyError
+from basepar.actm import (
+    CellParams,
+    ExogenousInput,
+    ModelConsistencyError,
+    NegativeRateError,
+    NetworkParams,
+    NetworkState,
+    TopologyError,
+    step,
+)
 from basepar.base_controllers import (
     FeedbackController,
     GenerationRanges,
@@ -473,3 +482,63 @@ class TestWarmStartRollout:
             warm_start_rollout([ctrl, other], *args, [3, 3], (3.8, 3.2, 0.6))
         with pytest.raises(TopologyError):
             FeedbackController(net, (0.016,) * 2, "short")
+
+
+class TestFailureTyping:
+    """The plant step and a warm start type a failed row alike.
+
+    The second cell is outside the consistency envelope: its ramp share and
+    its receiving term both see its whole vacant capacity, and it empties
+    slowly, so a ramp admitting 30 vehicles fills it past capacity.  A NaN
+    rate caps nothing, like +inf.  A warm start with zero gains meters at
+    the previous rates, a NaN gain at a NaN rate."""
+
+    NET = NetworkParams(
+        cells=(CellParams(length=500.0, capacity_nbar=80.0, sat_mainline_obar=40.0,
+                          sat_offramp_sbar=0.0),
+               CellParams(length=500.0, capacity_nbar=40.0, sat_mainline_obar=40.0,
+                          sat_offramp_sbar=0.0, eta_moving=0.1, has_onramp=True,
+                          metered=True)),
+        sample_cycle_s=20.0, rho_crit=0.0335,
+    )
+    STATE = NetworkState(n=(2.0, 10.0), q=(0.0,))
+    CALM = ExogenousInput(20.0, (0.0,))   # the ramp has nothing to admit
+    RUSH = ExogenousInput(20.0, (30.0,))  # at rate 30 the ramp overfills the cell
+    MU_PREV, O_PREV = (30.0,), (2.0,)
+
+    @staticmethod
+    def raised(call):
+        try:
+            call()
+        except (NegativeRateError, ModelConsistencyError) as exc:
+            return type(exc)
+        return None
+
+    def warm_start(self, gains, forecast, horizons):
+        bases = [FeedbackController(self.NET, (g,), f"B{i}") for i, g in enumerate(gains)]
+        return warm_start_rollout(bases, self.MU_PREV, self.STATE, forecast, horizons,
+                                  self.O_PREV)
+
+    @pytest.mark.parametrize("gain, inp, want", [
+        (math.nan, CALM, NegativeRateError),
+        (0.0, RUSH, ModelConsistencyError),
+        (math.nan, RUSH, NegativeRateError),  # the update is out of bounds too
+    ])
+    def test_step_and_warm_start_raise_alike(self, gain, inp, want):
+        rate = self.MU_PREV[0] + gain
+        assert self.raised(lambda: step(self.STATE, inp, (rate,), self.NET)) is want
+        assert self.raised(lambda: self.warm_start([gain], (inp,), [1])) is want
+        if gain != gain:
+            # a NaN rate caps nothing: unmetered, the row's own failure shows
+            unmetered = None if inp is self.CALM else ModelConsistencyError
+            assert self.raised(lambda: step(self.STATE, inp, None, self.NET)) is unmetered
+
+    def test_a_failure_past_a_base_horizon_raises_nothing(self):
+        # held at rate 30, the rollout fails at its second step, on RUSH; a
+        # large negative gain shuts the ramp and fails nowhere
+        forecast = (self.CALM, self.RUSH)
+        assert self.raised(lambda: step(self.STATE, self.CALM, self.MU_PREV, self.NET)) is None
+        assert self.raised(lambda: self.warm_start([0.0], forecast, [2])) is ModelConsistencyError
+        held, shut = self.warm_start([0.0, -1e4], forecast, [1, 2])
+        assert held.mu == (self.MU_PREV,) and math.isfinite(held.total_cost)
+        assert shut.mu == ((0.0,), (0.0,)) and math.isfinite(shut.total_cost)

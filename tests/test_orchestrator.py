@@ -172,6 +172,27 @@ class TestControlStep:
         assert record.applied == pytest.approx(expected, abs=1e-15)
         assert record.winner == "ALINEA"
 
+    def test_own_step_applies_the_cells_own_plan_without_evaluation(self):
+        # a standalone base applies its rates, a standalone controller its
+        # best plan, with no evaluation block; both commit what they apply
+        base = make_arch([ParallelCell(base=alinea())], evaluation_horizon=1)
+        record, evaluation = base.own_step(STATE, MEASURED, O_PREV)
+        expected = alinea_step(MU_INIT, (0.016,) * 3, metered_density(STATE, NET), NET.rho_crit)
+        assert evaluation is None
+        assert record.applied == pytest.approx(expected, abs=1e-15)
+        assert (record.winner, record.candidate_labels, record.solver_stats) == ("ALINEA", (), ())
+        assert base.mu_prev == record.applied
+
+        hold = FeedbackController(NET, (0.0,) * 3, "hold")
+        arch = make_arch([ParallelCell(hold, (mpc("CMPC(1)", CONVENTIONAL, 3),))],
+                         evaluation_horizon=1)
+        record, evaluation = arch.own_step(STATE, MEASURED, O_PREV)
+        best = np.array(arch.previous["CMPC(1)"])
+        assert evaluation is None
+        assert record.winner == "CMPC(1)" and record.candidate_labels == ("CMPC(1)",)
+        assert record.applied == tuple(best[0]) == arch.mu_prev
+        assert [stats[0] for stats in record.solver_stats] == ["CMPC(1)"]
+
     def test_all_infinite_applies_the_first_base(self, monkeypatch, caplog):
         # every evaluation rollout fails: the shipped architecture applies its
         # first cell's base candidate, ALINEA's rate
@@ -450,7 +471,13 @@ class TestEvaluationFromTheRollouts:
         late[3, 1] = math.nan
         early = np.full((10, 3), 0.5)
         early[0, 2] = math.nan
-        monkeypatch.setattr(parallel, "make_shift_warm_starts", lambda history: [late, early])
+        solve = parallel._solve_jointly
+
+        def with_extra_starts(problems, context, starts, *args, **kwargs):
+            starts = [[*s, late.ravel(), early.ravel()] for s in starts]
+            return solve(problems, context, starts, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_solve_jointly", with_extra_starts)
         arch = self.build([ParallelCell(alinea(), (mpc("CMPC(2)", CONVENTIONAL, 10),))],
                           "all", None)
         with caplog.at_level(logging.WARNING, logger="basepar.orchestrator"):
@@ -495,9 +522,9 @@ class TestEvaluationFromTheRollouts:
                 assert arch.previous[p.label].tobytes() == want.tobytes()
                 assert arch.previous[p.label].shape == want.shape
                 got = make_shift_warm_starts(arch.previous[p.label])
-                want = [shift_once(lists[p.label][-1])]
-                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-                assert [g.shape for g in got] == [w.shape for w in want]
+                want = shift_once(lists[p.label][-1])
+                assert got.tobytes() == want.tobytes()
+                assert got.shape == want.shape
 
 
 class TestDeadline:
@@ -548,13 +575,13 @@ class TestDeadline:
     def count_kernel_calls(self, monkeypatch):
         calls = []
 
-        roll = actm._roll
+        roll = actm.rollout_batch
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("gain_rows"))
             return roll(*args, **kwargs)
 
-        monkeypatch.setattr(actm, "_roll", counted)
+        monkeypatch.setattr(actm, "rollout_batch", counted)
         return calls
 
     def record_rounds(self, monkeypatch):

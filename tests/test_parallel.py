@@ -145,19 +145,19 @@ class TestObjective:
 class TestShiftStarts:
     def test_shift_once(self):
         previous = np.array([[1.0], [2.0], [3.0]])
-        starts = make_shift_warm_starts(previous)
-        assert len(starts) == 1  # (a) alone
-        np.testing.assert_allclose(starts[0], [[2.0], [3.0], [3.0]])
+        start = make_shift_warm_starts(previous)
+        assert start.shape == (3, 1)  # one start
+        np.testing.assert_allclose(start, [[2.0], [3.0], [3.0]])
 
     def test_empty_history(self):
-        assert make_shift_warm_starts([]) == []
+        assert make_shift_warm_starts([]) is None
 
     def test_one_row_solution_is_its_own_shift(self):
         # a parameterized solution, one gain per ramp, holds over the window
         previous = np.array([[0.2, 0.4, 0.6]])
-        starts = make_shift_warm_starts(previous)
-        assert [s.tobytes() for s in starts] == [previous.tobytes()]
-        assert starts[0].shape == (1, 3)
+        start = make_shift_warm_starts(previous)
+        assert start.tobytes() == previous.tobytes()
+        assert start.shape == (1, 3)
 
 
 class TestProblem:
@@ -578,8 +578,8 @@ class TestSolver:
             a = rng.uniform(lo, hi)
             starts.append([a, rng.uniform(lo, hi), a.copy(), hi + 1.0])
         calls = []
-        counted = actm._roll
-        monkeypatch.setattr(actm, "_roll",
+        counted = actm.rollout_batch
+        monkeypatch.setattr(actm, "rollout_batch",
                             lambda *args, **kw: calls.append(1) or counted(*args, **kw))
         for termination in ("all", "best"):
             cfg = OptimizerConfig(budget_s=0.0, max_iterations=40, termination=termination)
@@ -834,7 +834,8 @@ class TestParallelCell:
             for problems, warm in cells:
                 for p in problems:
                     starts = [base_start_for(p, warm)]
-                    starts.extend(s.ravel() for s in make_shift_warm_starts(hist.get(p.label, ())))
+                    shifted = make_shift_warm_starts(hist.get(p.label, ()))
+                    starts += [] if shifted is None else [shifted.ravel()]
                     alone = solve_budgeted(p, context, starts, cfg)
                     got = together[p.label]
                     assert got.cost_trail == alone.cost_trail

@@ -477,13 +477,13 @@ class TestBatchedRollout:
                                      bounds_lo=(lo,) * dim, bounds_hi=(hi,) * dim)
                 xs = rng.uniform(lo, hi, size=(8, dim))
                 if kind == CONVENTIONAL:
-                    got, plans = rollout_batch(
+                    got, plans, *_ = rollout_batch(
                         state, forecast, net, horizon, 0.8,
                         plans=xs.reshape(8, horizon, nr),
                     )
                     assert plans.tobytes() == xs.reshape(8, horizon, nr).tobytes()
                 else:
-                    got, plans = rollout_batch(
+                    got, plans, *_ = rollout_batch(
                         state, forecast, net, horizon, 0.8, gains=xs, mu_prev=mu_prev,
                     )
                     for x, plan in zip(xs, plans):
@@ -517,7 +517,7 @@ class TestBatchedRollout:
             forecast = (random_input(rng, net),)
             mu_prev = (-0.0,) * nr
             gains = np.array([[0.0] * nr, [-0.0] * nr])
-            costs, plans = rollout_batch(state, forecast, net, 4, 0.8,
+            costs, plans, *_ = rollout_batch(state, forecast, net, 4, 0.8,
                                          gains=gains, mu_prev=mu_prev)
             problem = MpcProblem(label="R", kind=PARAMETERIZED, horizon=4,
                                  bounds_lo=(-1.0,) * nr, bounds_hi=(1.0,) * nr)
@@ -561,7 +561,7 @@ class TestBatchedRollout:
         with pytest.raises(TopologyError, match="ramp demands"):
             run((good, bad), 4)
         # an entry past the horizon is never read
-        costs, _ = run((good, good, bad), 2)
+        costs, *_ = run((good, good, bad), 2)
         assert costs.shape == (2,)
 
     def test_mixed_kinds_and_horizons_in_one_batch(self):
@@ -610,7 +610,7 @@ class TestBatchedRollout:
                     plans[b] = full.reshape(10, nr)  # the tail past p.horizon is padding
                 else:
                     gains[b] = x
-            got, derived = rollout_batch(
+            got, derived, *_ = rollout_batch(
                 state, forecast, net, 10, 0.8, plans=plans, gains=gains, mu_prev=mu_prev,
                 gain_rows=np.array([p.kind == PARAMETERIZED for p, _, _ in rows]),
                 horizons=np.array([p.horizon for p, _, _ in rows]),

@@ -283,14 +283,14 @@ class TestRunExperiment:
         # evaluated, so its warm start is a one-step kernel call, not one as
         # long as the evaluation horizon
         calls = []
-        roll = actm._roll
+        roll = actm.rollout_batch
 
         def counted(state, inputs, params, horizon, *args, **kwargs):
             if kwargs.get("gains") is not None:  # not the plant
                 calls.append(horizon)
             return roll(state, inputs, params, horizon, *args, **kwargs)
 
-        monkeypatch.setattr(actm, "_roll", counted)
+        monkeypatch.setattr(actm, "rollout_batch", counted)
         run_experiment(default_scenario(seed=5), "alinea", serial=True, steps_override=7)
         assert calls == [1] * 7
 
