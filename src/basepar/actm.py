@@ -295,7 +295,6 @@ class NetworkState:
 
     n: tuple[float, ...]          # vehicles per cell
     q: tuple[float, ...]          # vehicles queued, aligned with params.onramp_cells
-    step: int = 0
 
     def validate(self, params: NetworkParams, tol: float = STATE_TOL) -> None:
         if len(self.n) != params.n_cells:
@@ -311,8 +310,8 @@ class NetworkState:
             if not -tol <= ni <= cell.capacity_nbar + tol:
                 raise ValueError(f"n[{i}]={ni} outside [0, {cell.capacity_nbar}]")
         for j, qj in enumerate(self.q):
-            if not qj >= -tol:
-                raise ValueError(f"q[{j}]={qj} negative or NaN")
+            if not -tol <= qj < math.inf:
+                raise ValueError(f"q[{j}]={qj} negative, infinite or NaN")
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,8 +322,9 @@ class ExogenousInput:
     ramp_demands: tuple[float, ...]  # aligned with params.onramp_cells
 
     def __post_init__(self) -> None:
-        if not (self.mainstream_demand >= 0 and all(d >= 0 for d in self.ramp_demands)):
-            raise ValueError("demands must be nonnegative numbers")
+        # written so that NaN fails too
+        if not all(0 <= d < math.inf for d in (self.mainstream_demand, *self.ramp_demands)):
+            raise ValueError("demands must be nonnegative finite numbers")
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,7 +398,6 @@ class RolloutResult:
     """Trajectory produced by :func:`rollout`."""
 
     states: tuple[NetworkState, ...]   # length horizon + 1, includes the initial state
-    flows: tuple[FlowVector, ...]      # length horizon
     costs: tuple[StageCost, ...]       # length horizon
     total_cost: float                  # sum of per-step j
 
@@ -430,7 +429,7 @@ def step(
     s = s[:, 0].tolist()
     tt, td_h = cost[:, 0].tolist()
     nxt = NetworkState(n=tuple(after[0, :, 0].tolist()),
-                       q=tuple(after[1, params.arrays.onramps, 0].tolist()), step=state.step + 1)
+                       q=tuple(after[1, params.arrays.onramps, 0].tolist()))
     flows = FlowVector(e=tuple(e[:, 0].tolist()), o=tuple(o), s=tuple(s), mainstream_in=admitted)
     return nxt, flows, StageCost(tt=tt, td_h=td_h, j=tt - gamma * td_h,
                                  throughput=o[-1] + sum(s))
@@ -468,21 +467,17 @@ def rollout(
         raise ValueError("metering_plan must be None or non-empty")
 
     states = [state]
-    flows: list[FlowVector] = []
     costs: list[StageCost] = []
     for k in range(horizon):
         inp = inputs[k] if k < len(inputs) else inputs[-1]
         mu = None
         if metering_plan is not None:
             mu = metering_plan[k] if k < len(metering_plan) else metering_plan[-1]
-        nxt, fl, c = step(states[-1], inp, mu, params, gamma)
+        nxt, _, c = step(states[-1], inp, mu, params, gamma)
         states.append(nxt)
-        flows.append(fl)
         costs.append(c)
     total = sum(c.j for c in costs)
-    return RolloutResult(
-        states=tuple(states), flows=tuple(flows), costs=tuple(costs), total_cost=total
-    )
+    return RolloutResult(states=tuple(states), costs=tuple(costs), total_cost=total)
 
 
 def rollout_batch(
@@ -548,6 +543,9 @@ def rollout_batch(
         # a network's gains are set at every step
         gains = [np.zeros(len(params.metered_cells)) if b in networks else g
                  for b, g in enumerate(gains)]
+        if any(len(g) != len(params.metered_cells) for g in gains):
+            raise TopologyError(f"a gain row has other than {len(params.metered_cells)} gains, "
+                                "one per metered ramp")
     trails = {b: [] for b in networks}
     if gain_rows is None:
         if (plans is None) == (gains is None):

@@ -16,10 +16,11 @@ cell's expected density closest to the critical density.  That problem is
 piecewise linear and monotone in the gain, so it is solved in closed form;
 tests audit it against a brute-force grid search.
 
-A base controller keeps no state: its caller passes the previous rates in.
-To seed the online optimizers every base is rolled forward on the
-prediction model for the largest horizon of its cell, each as one row of
-one kernel call (:func:`warm_start_rollout`): constant gains as a gain row,
+A base controller is its gains and a label, and keeps no state: its caller
+passes the network and the previous rates in, as to every model call.  To
+seed the online optimizers every base is rolled forward on the prediction
+model for the largest horizon of its cell, each as one row of one kernel
+call (:func:`warm_start_rollout`): constant gains as a gain row,
 a gain network as a gain row whose network the kernel evaluates at every
 step.  The kernel's gain rows are the one implementation of the law and of
 the forward pass; the tests keep scalar copies of both as their reference.
@@ -43,7 +44,6 @@ from .actm import (
     GainNetwork,
     NetworkParams,
     NetworkState,
-    TopologyError,
     step,
 )
 
@@ -211,7 +211,6 @@ class TrainingSample:
     d: float
     o_prev: float
     theta: float
-    clipped: bool  # True when the density target was not exactly attainable
 
     @property
     def inputs(self) -> tuple[float, float, float, float]:
@@ -278,15 +277,11 @@ def generate_training_data(
     samples = []
     for _ in range(count):
         u = rng.uniform(los, his)
-        theta, clipped = optimal_gain_for_sample(
+        theta, _ = optimal_gain_for_sample(
             params, cell_index, u[0], u[1], u[2], u[3], ranges.theta_max
         )
-        samples.append(
-            TrainingSample(
-                n=float(u[0]), q=float(u[1]), d=float(u[2]), o_prev=float(u[3]),
-                theta=theta, clipped=clipped,
-            )
-        )
+        samples.append(TrainingSample(n=float(u[0]), q=float(u[1]), d=float(u[2]),
+                                      o_prev=float(u[3]), theta=theta))
     return samples
 
 
@@ -452,23 +447,19 @@ def train_mlp(
 # Base-controller objects and their warm starts
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class FeedbackController:
     """Feedback metering ``mu = max(mu_prev + theta * (rho_crit - rho), 0)``
     with the gains ``theta``, one per metered ramp: constant for ALINEA,
     zero to hold the previous rates, or a :class:`~basepar.actm.GainNetwork`
-    evaluated at every step for the implicit controller.  The law keeps no
-    state; the caller passes the previous rates in."""
+    evaluated at every step for the implicit controller.  A base is its
+    gains and a label: the law keeps no state, and the network it runs on is
+    the caller's, as are the previous rates.  Gains that do not match the
+    network's metered ramps raise the kernel's
+    :class:`~basepar.actm.TopologyError` at the first warm start."""
 
-    def __init__(self, params: NetworkParams, gains: Union[Sequence[float], GainNetwork],
-                 label: str):
-        if not isinstance(gains, GainNetwork):
-            n_ramps = len(params.metered_cells)
-            gains = tuple(float(g) for g in gains)
-            if len(gains) != n_ramps:
-                raise TopologyError(f"{len(gains)} gains for {n_ramps} metered ramps")
-        self.params = params
-        self.gains = gains
-        self.label = label
+    gains: Union[tuple[float, ...], GainNetwork]
+    label: str
 
 
 def network_gains(
@@ -503,27 +494,24 @@ def warm_start_rollout(
     state: NetworkState,
     predicted_inputs: Sequence[ExogenousInput],
     horizons: Sequence[int],
+    params: NetworkParams,
     o_prev: Sequence[float],
     gamma: float = 0.8,
 ) -> list[WarmStart]:
     """Extend every base controller's single-step output into a full
     sequence, base ``i`` over ``horizons[i]`` steps, in one kernel call.
 
-    Each base and the model of its network, one gain row of one kernel
-    call, alternate from the applied rates ``mu_prev``, each emission on the
-    predicted state; the bases must share their network.  ``o_prev`` carries
-    the latest realized upstream mainline inflow per metered ramp, which a
-    gain network reads at the first step and the model's flows replace after
-    it.  The first base, in order, whose rollout fails raises what
+    Each base and the model ``params``, one gain row of one kernel call,
+    alternate from the applied rates ``mu_prev``, each emission on the
+    predicted state.  ``o_prev`` carries the latest realized upstream
+    mainline inflow per metered ramp, which a gain network reads at the
+    first step and the model's flows replace after it.  The kernel checks
+    the horizons and the gains against the network.  The first base, in
+    order, whose rollout fails raises what
     :func:`~basepar.actm.raise_failure` raises, as the plant step does.
     """
     if len(horizons) != len(bases) or not bases:
         raise ValueError("every base needs one horizon")
-    if min(horizons) < 1:
-        raise ValueError("horizons must be at least 1")
-    params = bases[0].params
-    if any(base.params != params for base in bases):
-        raise ValueError("bases rolled together must share their network")
     # the feedback law's input checks, which only the first state can fail;
     # NaN fails too
     if not all(m >= 0 for m in mu_prev):

@@ -15,17 +15,20 @@ decision are committed (:meth:`BaseParallelController.commit`).
 :func:`evaluate_candidates` rolls candidates out afresh, for a different
 evaluation model or as the reference the tests check those costs against.
 
-The architecture changes by adding or removing cells and controllers.  A
-standalone approach is the one-cell case, which applies its own plan
-without the evaluation block (:meth:`BaseParallelController.own_step`): a
-standalone online controller is seeded by a base that holds the previous
-rates and applies its best plan, a standalone base controller has no online
-controller and applies its own rates.
+The architecture is data, the frozen :class:`ArchitectureConfig`, which
+each step reads afresh: replacing :attr:`BaseParallelController.config`
+between steps (``dataclasses.replace`` runs its checks) adds or eliminates
+cells and controllers online.  A standalone approach is the one-cell case,
+which applies its own plan without the evaluation block
+(:meth:`BaseParallelController.own_step`): a standalone online controller
+is seeded by a base that holds the previous rates and applies its best
+plan, a standalone base controller has no online controller and applies
+its own rates.
 
-Every base is a stateless
-:class:`~basepar.base_controllers.FeedbackController`, and every online
-controller is the :class:`~basepar.parallel.MpcProblem` it solves, built
-once per run.  The architecture owns the previous rates
+Every base is a :class:`~basepar.base_controllers.FeedbackController`, its
+gains and a label, and every online controller is the
+:class:`~basepar.parallel.MpcProblem` it solves, built once per run.  The
+architecture owns the previous rates
 (:attr:`BaseParallelController.mu_prev`), the *applied* ones.  Every
 feedback law starts from them, and every problem from the step's one
 :class:`~basepar.parallel.StepContext`, which holds them with the measured
@@ -75,25 +78,30 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParallelCell:
     """A base controller with the online controllers it seeds."""
 
     base: FeedbackController
     controllers: tuple[MpcProblem, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "controllers", tuple(self.controllers))
 
-@dataclass
+
+@dataclass(frozen=True)
 class ArchitectureConfig:
-    """Static description of the full architecture."""
+    """The full architecture as data, read afresh at every step; replace it
+    (``dataclasses.replace`` runs these checks) to change it online."""
 
     params: NetworkParams
-    cells: list[ParallelCell]
+    cells: tuple[ParallelCell, ...]
     evaluation_horizon: int
     gamma: float
     optimizer: OptimizerConfig
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(self.cells))
         if self.evaluation_horizon < 1:
             raise ValueError("evaluation horizon must be at least 1")
         if not self.cells:
@@ -205,7 +213,8 @@ def select_best(evaluation: EvaluationResult) -> tuple[int, tuple[float, ...]]:
 
 
 class BaseParallelController:
-    """Stateful driver running the full architecture step by step."""
+    """Driver running the architecture step by step from its config, the
+    previous rates and the previous solutions, and nothing derived."""
 
     def __init__(self, config: ArchitectureConfig, mu_init: Sequence[float]):
         self.config = config
@@ -213,12 +222,7 @@ class BaseParallelController:
         if len(mu_init) != nr:
             raise ValueError("mu_init must have one entry per metered ramp")
         self.mu_prev: tuple[float, ...] = tuple(float(m) for m in mu_init)
-        # each cell's warm-start length: its longest horizon, at least the
-        # evaluation horizon
-        self._lengths = [max([p.horizon for p in cell.controllers] + [config.evaluation_horizon])
-                        for cell in config.cells]
-        # each controller's last best decision, ``[rows, ramps]``, from its
-        # first commit on
+        # each controller's best decision at the last commit, ``[rows, ramps]``
         self.previous: dict[str, np.ndarray] = {}
 
     def propose(
@@ -236,10 +240,12 @@ class BaseParallelController:
         first step of a warm start).
         """
         cfg = self.config
-        forecast = (measured,)  # persistence forecast, shared by every block
-        warm = warm_start_rollout([cell.base for cell in cfg.cells], self.mu_prev, measurement,
-                                  forecast, self._lengths, o_prev, cfg.gamma)
         e = cfg.evaluation_horizon
+        forecast = (measured,)  # persistence forecast, shared by every block
+        # a base rolls its cell's longest horizon, at least the evaluation one
+        lengths = [max([e] + [p.horizon for p in cell.controllers]) for cell in cfg.cells]
+        warm = warm_start_rollout([cell.base for cell in cfg.cells], self.mu_prev, measurement,
+                                  forecast, lengths, cfg.params, o_prev, cfg.gamma)
         bases = [CandidateSequence(w.mu, cell.base.label, w.total_cost,
                                    evaluation_cost=w.running_cost[e])
                  for cell, w in zip(cfg.cells, warm)]
@@ -251,11 +257,10 @@ class BaseParallelController:
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
         """Make ``applied`` the previous rates of every base and problem, and
         each solve's best decision its controller's previous solution, the
-        next step's shift start."""
+        next step's shift start; a controller that did not solve keeps none."""
         self.mu_prev = applied
-        for label, result in results.items():
-            self.previous[label] = np.asarray(result.best.decision, dtype=float).reshape(
-                -1, len(applied))
+        self.previous = {label: np.asarray(result.best.decision, dtype=float).reshape(
+            -1, len(applied)) for label, result in results.items()}
 
     def control_step(
         self,

@@ -122,8 +122,8 @@ class DemandProfile:
         times = [t for t, _ in self.breakpoints]
         if not all(a <= b for a, b in zip(times, times[1:] + [math.inf])):
             raise ValueError("breakpoints must be time-sorted numbers")
-        if not all(v >= 0 for _, v in self.breakpoints):
-            raise ValueError("demand values must be nonnegative")
+        if not all(0 <= v < math.inf for _, v in self.breakpoints):
+            raise ValueError("demand values must be nonnegative and finite")
 
     def value(self, step_index: float) -> float:
         xs = [t for t, _ in self.breakpoints]
@@ -505,18 +505,18 @@ def _networks_for(scenario: ScenarioConfig, nets: Optional[dict[int, MlpParams]]
 
 def _alinea_controller(scenario: ScenarioConfig) -> FeedbackController:
     gains = (scenario.control.alinea_gain,) * len(scenario.network.metered_cells)
-    return FeedbackController(scenario.network, gains, "ALINEA")
+    return FeedbackController(gains, "ALINEA")
 
 
 def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
     nets = _networks_for(scenario, nets)
     gains = network_gains(scenario.network, nets, (0.0, scenario.control.gain_upper))
-    return FeedbackController(scenario.network, gains, "ANN")
+    return FeedbackController(gains, "ANN")
 
 
 def _hold_controller(scenario: ScenarioConfig) -> FeedbackController:
     zero = (0.0,) * len(scenario.network.metered_cells)
-    return FeedbackController(scenario.network, zero, "hold")
+    return FeedbackController(zero, "hold")
 
 
 def _online_controller(scenario: ScenarioConfig, key: str) -> MpcProblem:
@@ -542,7 +542,7 @@ def _overridden(scenario: ScenarioConfig, budget_override: Optional[float],
     return replace(scenario, control=replace(scenario.control, **given)) if given else scenario
 
 
-def _architecture(scenario: ScenarioConfig, cells: list[ParallelCell], serial: bool,
+def _architecture(scenario: ScenarioConfig, cells: tuple[ParallelCell, ...], serial: bool,
                   evaluation_horizon: Optional[int] = None) -> BaseParallelController:
     """The architecture of ``cells`` under the scenario's control settings,
     by default with the scenario's evaluation horizon."""
@@ -568,12 +568,12 @@ def build_architecture(
     """Full case-study architecture: ALINEA seeds two conventional MPC
     controllers, the gain network seeds two parameterized ones."""
     scenario = _overridden(scenario, budget_override, termination)
-    cells = [
+    cells = (
         ParallelCell(_alinea_controller(scenario),
                      tuple(_online_controller(scenario, k) for k in ("cmpc1", "cmpc2"))),
         ParallelCell(_ann_controller(scenario, nets),
                      tuple(_online_controller(scenario, k) for k in ("pmpc1", "pmpc2"))),
-    ]
+    )
     return _architecture(scenario, cells, serial)
 
 
@@ -591,7 +591,7 @@ def _controller_step(scenario, key, serial, nets):
         cell = ParallelCell(_ann_controller(scenario, nets))
     else:
         cell = ParallelCell(_hold_controller(scenario), (_online_controller(scenario, key),))
-    return _architecture(scenario, [cell], serial, evaluation_horizon=1).own_step
+    return _architecture(scenario, (cell,), serial, evaluation_horizon=1).own_step
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def step(
 
     flows = FlowVector(e=e, o=o, s=s, mainstream_in=mainstream_in)
     cost = stage_cost(flows, state, params, gamma)
-    nxt = NetworkState(n=tuple(n_next), q=tuple(q_next), step=state.step + 1)
+    nxt = NetworkState(n=tuple(n_next), q=tuple(q_next))
     return nxt, flows, cost
 
 
@@ -216,21 +216,17 @@ def rollout(
         raise ValueError("metering_plan must be None or non-empty")
 
     states = [state]
-    flows: list[FlowVector] = []
     costs: list[StageCost] = []
     for k in range(horizon):
         inp = inputs[k] if k < len(inputs) else inputs[-1]
         mu = None
         if metering_plan is not None:
             mu = metering_plan[k] if k < len(metering_plan) else metering_plan[-1]
-        nxt, fl, c = step(states[-1], inp, mu, params, gamma)
+        nxt, _, c = step(states[-1], inp, mu, params, gamma)
         states.append(nxt)
-        flows.append(fl)
         costs.append(c)
     total = sum(c.j for c in costs)
-    return RolloutResult(
-        states=tuple(states), flows=tuple(flows), costs=tuple(costs), total_cost=total
-    )
+    return RolloutResult(states=tuple(states), costs=tuple(costs), total_cost=total)
 
 
 def alinea_step(

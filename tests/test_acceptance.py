@@ -410,7 +410,7 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
         config = ArchitectureConfig(
             params=scenario.network,
             cells=[ParallelCell(
-                base=FeedbackController(scenario.network, (0.016,) * 3, "ALINEA"),
+                base=FeedbackController((0.016,) * 3, "ALINEA"),
                 controllers=controllers,
             )],
             evaluation_horizon=3,

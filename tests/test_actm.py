@@ -46,7 +46,7 @@ def net():
 
 @pytest.fixture
 def init_state():
-    return NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6), step=0)
+    return NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
 
 
 def demand(d_main=4.0, ramps=(2.0, 0.8, 0.6)):
@@ -379,6 +379,19 @@ class TestValidation:
     def test_nan_or_negative_demand_rejected(self, mainstream, ramps):
         with pytest.raises(ValueError):
             ExogenousInput(mainstream, ramps)
+
+    @pytest.mark.parametrize("mainstream, ramps", [
+        (math.inf, (1.0, 1.0, 1.0)), (1.0, (1.0, math.inf, 1.0)),
+    ])
+    def test_infinite_demand_rejected(self, mainstream, ramps):
+        # an infinite ramp demand would fill its queue to +inf at a finite
+        # stage cost
+        with pytest.raises(ValueError, match="finite"):
+            ExogenousInput(mainstream, ramps)
+
+    def test_infinite_queue_rejected(self, net):
+        with pytest.raises(ValueError, match=r"q\[1\]=inf"):
+            NetworkState(n=(1.0,) * 6, q=(1.0, math.inf, 1.0)).validate(net)
 
     @pytest.mark.parametrize("name", ["sample_cycle_s", "rho_crit", "free_flow_mps"])
     def test_nan_network_constant_rejected(self, net, name):

@@ -306,7 +306,7 @@ class TestGainSolve:
 class TestTraining:
     def test_constant_target_learned(self):
         samples = [
-            TrainingSample(n=float(i), q=0.0, d=0.0, o_prev=0.0, theta=0.3, clipped=False)
+            TrainingSample(n=float(i), q=0.0, d=0.0, o_prev=0.0, theta=0.3)
             for i in range(40)
         ]
         ranges = GenerationRanges(n=(0.0, 40.0), q=(0.0, 1.0), d=(0.0, 1.0), o_prev=(0.0, 1.0))
@@ -325,7 +325,7 @@ class TestTraining:
 
     def test_divergence_reported(self):
         samples = [
-            TrainingSample(n=0.0, q=0.0, d=0.0, o_prev=0.0, theta=math.nan, clipped=False)
+            TrainingSample(n=0.0, q=0.0, d=0.0, o_prev=0.0, theta=math.nan)
             for _ in range(10)
         ]
         ranges = GenerationRanges(n=(0.0, 1.0), q=(0.0, 1.0), d=(0.0, 1.0), o_prev=(0.0, 1.0))
@@ -348,7 +348,7 @@ MU_PREV = (0.5, 0.2, 0.4)
 
 class TestWarmStartRollout:
     def controller(self, net):
-        return FeedbackController(net, (0.016,) * 3, "ALINEA")
+        return FeedbackController((0.016,) * 3, "ALINEA")
 
     def measured(self):
         return ExogenousInput(4.0, (1.0, 0.8, 0.6))
@@ -359,7 +359,7 @@ class TestWarmStartRollout:
     def test_single_step_equals_controller_output(self, net):
         mu_prev = [0.5, 0.2, 0.4]
         warm = warm_start_rollout(
-            [self.controller(net)], mu_prev, self.state(), (self.measured(),), [1],
+            [self.controller(net)], mu_prev, self.state(), (self.measured(),), [1], net,
             (3.8, 3.2, 0.6),
         )[0]
         expected = alinea_step(MU_PREV, (0.016,) * 3, metered_density(self.state(), net),
@@ -370,7 +370,7 @@ class TestWarmStartRollout:
 
     def test_explicit_rollout_is_elementwise_feedback(self, net):
         warm = warm_start_rollout(
-            [self.controller(net)], MU_PREV, self.state(), (self.measured(),), [6],
+            [self.controller(net)], MU_PREV, self.state(), (self.measured(),), [6], net,
             (3.8, 3.2, 0.6),
         )[0]
         # re-derive by hand: alternate the feedback law and the plant model
@@ -381,16 +381,16 @@ class TestWarmStartRollout:
             state, _, _ = scalar_step(state, self.measured(), mu, net)
 
     def test_zero_gain_rollout_constant(self, net):
-        ctrl = FeedbackController(net, (0.0,) * 3, "hold")
+        ctrl = FeedbackController((0.0,) * 3, "hold")
         warm = warm_start_rollout(
-            [ctrl], MU_PREV, self.state(), (self.measured(),), [5], (3.8, 3.2, 0.6)
+            [ctrl], MU_PREV, self.state(), (self.measured(),), [5], net, (3.8, 3.2, 0.6)
         )[0]
         assert all(row == (0.5, 0.2, 0.4) for row in warm.mu)
 
     def test_length_covers_largest_horizon(self, net):
         warm = warm_start_rollout(
             [self.controller(net)], MU_PREV, self.state(), (self.measured(),),
-            [max(3, 10)], (3.8, 3.2, 0.6),
+            [max(3, 10)], net, (3.8, 3.2, 0.6),
         )[0]
         assert len(warm.mu) == 10
         assert len(warm.theta) == 10
@@ -407,9 +407,9 @@ class TestWarmStartRollout:
             )
             for i in net.metered_cells
         }
-        ctrl = FeedbackController(net, network_gains(net, nets, (0.0, 1.0)), "ANN")
+        ctrl = FeedbackController(network_gains(net, nets, (0.0, 1.0)), "ANN")
         warm = warm_start_rollout(
-            [ctrl], MU_PREV, self.state(), (self.measured(),), [4], (3.8, 3.2, 0.6)
+            [ctrl], MU_PREV, self.state(), (self.measured(),), [4], net, (3.8, 3.2, 0.6)
         )[0]
         assert warm.theta is not None
         assert all(row == (0.5, 0.5, 0.5) for row in warm.theta)
@@ -443,8 +443,8 @@ class TestWarmStartRollout:
             mu_prev = tuple(rng.uniform(0.0, 3.0, size=3))
             o_prev = tuple(rng.uniform(0.0, 8.0, size=3))
             horizon = 1 + trial % 10
-            warm = warm_start_rollout([FeedbackController(net, gains, "ANN")], mu_prev, state,
-                                      forecast, [horizon], o_prev)[0]
+            warm = warm_start_rollout([FeedbackController(gains, "ANN")], mu_prev, state,
+                                      forecast, [horizon], net, o_prev)[0]
             rates, trail, cost = scalar_gain_rollout(net, gains, mu_prev, state, forecast,
                                                      horizon, o_prev)
             assert np.array(warm.mu).tobytes() == np.array(rates).tobytes()
@@ -467,21 +467,23 @@ class TestWarmStartRollout:
         nets = dict(zip(net.metered_cells, (zero, replace(zero, output_bias=math.nan), zero)))
         gains = network_gains(net, nets, (0.0, 1.0))
         with pytest.raises(NegativeRateError, match="NaN set"):
-            warm_start_rollout([FeedbackController(net, gains, "NaN")], MU_PREV, self.state(),
-                               (self.measured(),), [5], (3.8, 3.2, 0.6))
+            warm_start_rollout([FeedbackController(gains, "NaN")], MU_PREV, self.state(),
+                               (self.measured(),), [5], net, (3.8, 3.2, 0.6))
 
     def test_bases_rolled_together_must_match_their_horizons_and_network(self, net):
-        ctrl = FeedbackController(net, (0.016,) * 3, "ALINEA")
+        # the network is the caller's; the kernel checks the horizons and
+        # the gains against it at the warm start
+        ctrl = FeedbackController((0.016,) * 3, "ALINEA")
         args = (MU_PREV, self.state(), (self.measured(),))
         with pytest.raises(ValueError, match="one horizon"):
-            warm_start_rollout([ctrl, ctrl], *args, [3], (3.8, 3.2, 0.6))
-        with pytest.raises(ValueError, match="at least 1"):
-            warm_start_rollout([ctrl, ctrl], *args, [3, 0], (3.8, 3.2, 0.6))
-        other = FeedbackController(replace(net, rho_crit=2.0 * net.rho_crit), (0.016,) * 3, "B")
-        with pytest.raises(ValueError, match="share their network"):
-            warm_start_rollout([ctrl, other], *args, [3, 3], (3.8, 3.2, 0.6))
-        with pytest.raises(TopologyError):
-            FeedbackController(net, (0.016,) * 2, "short")
+            warm_start_rollout([ctrl, ctrl], *args, [3], net, (3.8, 3.2, 0.6))
+        with pytest.raises(ValueError, match=r"horizons must be 2 integers in \[1, 3\]"):
+            warm_start_rollout([ctrl, ctrl], *args, [3, 0], net, (3.8, 3.2, 0.6))
+        short = FeedbackController((0.016,) * 2, "short")
+        with pytest.raises(TopologyError, match="other than 3 gains"):
+            warm_start_rollout([short], *args, [3], net, (3.8, 3.2, 0.6))
+        with pytest.raises(TopologyError, match="other than 3 gains"):
+            warm_start_rollout([ctrl, short], *args, [3, 3], net, (3.8, 3.2, 0.6))
 
 
 class TestFailureTyping:
@@ -515,9 +517,9 @@ class TestFailureTyping:
         return None
 
     def warm_start(self, gains, forecast, horizons):
-        bases = [FeedbackController(self.NET, (g,), f"B{i}") for i, g in enumerate(gains)]
+        bases = [FeedbackController((g,), f"B{i}") for i, g in enumerate(gains)]
         return warm_start_rollout(bases, self.MU_PREV, self.STATE, forecast, horizons,
-                                  self.O_PREV)
+                                  self.NET, self.O_PREV)
 
     @pytest.mark.parametrize("gain, inp, want", [
         (math.nan, CALM, NegativeRateError),

@@ -1,9 +1,15 @@
+import glob
+import importlib
 import json
+import os
 
 import pytest
 
+import basepar
 from basepar.cli import main
-from basepar.scenario import read_runlog
+from basepar.scenario import default_scenario_path, read_runlog
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 SMALL_SCENARIO = """\
@@ -21,6 +27,25 @@ def small_scenario(tmp_path):
     path = tmp_path / "small.yaml"
     path.write_text(SMALL_SCENARIO)
     return str(path)
+
+
+def test_the_packaged_entry_point_and_scenario_resolve():
+    # what an install of the package needs, read from pyproject.toml without
+    # a build: the basepar script names the callable cli.main, and the
+    # package data holds the scenario file default_scenario_path() opens
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)
+    target = project["project"]["scripts"]["basepar"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    package = os.path.dirname(os.path.abspath(basepar.__file__))
+    found = project["tool"]["setuptools"]["packages"]["find"]["where"]
+    assert package in [os.path.join(ROOT, where, "basepar") for where in found]
+    shipped = [os.path.abspath(path) for pattern in
+               project["tool"]["setuptools"]["package-data"]["basepar"]
+               for path in glob.glob(os.path.join(package, pattern))]
+    assert os.path.abspath(default_scenario_path()) in shipped
 
 
 class TestValidate:

@@ -1,6 +1,6 @@
 import logging
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -41,7 +41,7 @@ MU_INIT = (0.5, 0.2, 0.4)
 
 
 def alinea(label="ALINEA"):
-    return FeedbackController(NET, (0.016,) * 3, label)
+    return FeedbackController((0.016,) * 3, label)
 
 
 def mpc(label, kind, horizon):
@@ -183,7 +183,7 @@ class TestControlStep:
         assert (record.winner, record.candidate_labels, record.solver_stats) == ("ALINEA", (), ())
         assert base.mu_prev == record.applied
 
-        hold = FeedbackController(NET, (0.0,) * 3, "hold")
+        hold = FeedbackController((0.0,) * 3, "hold")
         arch = make_arch([ParallelCell(hold, (mpc("CMPC(1)", CONVENTIONAL, 3),))],
                          evaluation_horizon=1)
         record, evaluation = arch.own_step(STATE, MEASURED, O_PREV)
@@ -411,6 +411,92 @@ class TestControlStep:
         assert default.costs != swapped.costs
 
 
+class TestOnlineChange:
+    """The architecture changes online when its config is replaced between
+    steps: each step reads the cells, and each cell's warm-start length,
+    from the config it is given, and keeps the previous solutions of the
+    controllers that solved at it."""
+
+    def test_cells_and_controllers_added_and_eliminated_between_steps(self, monkeypatch):
+        nets = {
+            i: MlpParams(hidden_weights=((0.4, -0.3, 0.2, 0.1),) * 3, hidden_bias=(0.1, -0.2, 0.3),
+                         output_weights=(0.01, -0.02, 0.015), output_bias=0.02,
+                         input_lo=(0.0,) * 4, input_hi=(80.0, 30.0, 4.0, 8.0))
+            for i in NET.metered_cells
+        }
+        arch = build_architecture(default_scenario(), nets=nets, serial=True)
+        assert set(vars(arch)) == {"config", "mu_prev", "previous"}
+        lengths = []
+        warm_start = orchestrator.warm_start_rollout
+
+        def recorded(bases, mu_prev, state, inputs, horizons, *args):
+            lengths.append(tuple(horizons))
+            return warm_start(bases, mu_prev, state, inputs, horizons, *args)
+
+        monkeypatch.setattr(orchestrator, "warm_start_rollout", recorded)
+        state, o_prev = STATE, O_PREV
+
+        def step():
+            nonlocal state, o_prev
+            record, _ = arch.control_step(state, MEASURED, o_prev)
+            state, flows, _ = actm.step(state, MEASURED, record.applied, NET, 0.8)
+            o_prev = actm.upstream_inflows(flows, NET)
+            return record
+
+        step()
+        assert lengths == [(10, 10)]
+        alinea_cell, ann_cell = arch.config.cells
+        solved = ("CMPC(1)", "CMPC(2)", "PMPC(1)", "PMPC(2)")
+
+        # (a) a third cell whose base seeds no controller
+        new = ParallelCell(FeedbackController((0.0,) * 3, "hold"))
+        arch.config = replace(arch.config, cells=(alinea_cell, ann_cell, new))
+        record = step()
+        assert lengths[-1] == (10, 10, 3)
+        assert record.candidate_labels == ("ALINEA", "ANN", "hold", *solved)
+        assert tuple(arch.previous) == solved
+
+        # (b) CMPC(2), PMPC(1) and PMPC(2) eliminated: every base rolls the
+        # 3 steps CMPC(1) needs, and only CMPC(1) keeps a previous solution;
+        # the step is that of an architecture built afresh from the new
+        # config, the previous rates and the previous solutions
+        cmpc1 = alinea_cell.controllers[0]
+        arch.config = replace(arch.config, cells=(
+            replace(alinea_cell, controllers=(cmpc1,)), replace(ann_cell, controllers=()), new))
+        fresh = BaseParallelController(arch.config, arch.mu_prev)
+        fresh.previous = dict(arch.previous)
+        want, _ = fresh.control_step(state, MEASURED, o_prev)
+        record = step()
+        assert lengths[-2:] == [(3, 3, 3)] * 2
+        assert record.candidate_labels == ("ALINEA", "ANN", "hold", "CMPC(1)")
+        assert replace(record, solver_stats=()) == replace(want, solver_stats=())
+        assert [s[2:] for s in record.solver_stats] == [s[2:] for s in want.solver_stats]
+        assert list(arch.previous) == ["CMPC(1)"]
+        assert arch.previous["CMPC(1)"].tobytes() == fresh.previous["CMPC(1)"].tobytes()
+
+        # (c) the config and its cells are not edited in place
+        with pytest.raises(FrozenInstanceError):
+            arch.config.cells = (alinea_cell,)
+        with pytest.raises(FrozenInstanceError):
+            arch.config.cells[0].controllers = ()
+        with pytest.raises(FrozenInstanceError):
+            new.base.gains = (0.016,) * 3
+        assert isinstance(arch.config.cells, tuple)
+
+        # (d) a replacement runs the config's checks before any step
+        config = arch.config
+        with pytest.raises(ValueError, match="labels must be unique"):
+            arch.config = replace(config, cells=(
+                *config.cells, ParallelCell(FeedbackController((0.016,) * 3, "ALINEA"))))
+        assert arch.config is config
+
+    def test_lists_given_to_the_config_are_held_as_tuples(self):
+        cell = ParallelCell(alinea(), [mpc("CMPC(1)", CONVENTIONAL, 3)])
+        arch = make_arch([cell])
+        assert isinstance(cell.controllers, tuple) and isinstance(arch.config.cells, tuple)
+        assert [f.name for f in fields(FeedbackController)] == ["gains", "label"]
+
+
 class TestEvaluationFromTheRollouts:
     """The costs ``control_step`` reads off the rollouts that costed each
     candidate equal :func:`evaluate_candidates`'s fresh rollouts byte for
@@ -432,9 +518,9 @@ class TestEvaluationFromTheRollouts:
             for i in NET.metered_cells
         }
         return self.build([
-            ParallelCell(FeedbackController(NET, (0.016,) * 3, "ALINEA"), (
+            ParallelCell(FeedbackController((0.016,) * 3, "ALINEA"), (
                 mpc("CMPC(1)", CONVENTIONAL, 3), mpc("CMPC(2)", CONVENTIONAL, 10))),
-            ParallelCell(FeedbackController(NET, network_gains(NET, nets, (0.0, 1.0)), "ANN"), (
+            ParallelCell(FeedbackController(network_gains(NET, nets, (0.0, 1.0)), "ANN"), (
                 mpc("PMPC(1)", PARAMETERIZED, 3), mpc("PMPC(2)", PARAMETERIZED, 10))),
         ], termination, budget_s)
 

@@ -135,6 +135,31 @@ class TestObjective:
             costs = _MergedRollouts([problem], context)([(0, rows)])[0]
             assert costs.tolist() == [objective(problem, context, x), math.inf, math.inf]
 
+    def test_a_failed_row_is_logged_once_and_leaves_the_other_rows_alone(self, caplog):
+        # one round of two requests: a CMPC request with one NaN row and a
+        # PMPC request with finite rows; the NaN row costs +inf, one warning
+        # names its problem, and every other row costs what it costs in the
+        # same round without the NaN row, byte for byte
+        rng = np.random.default_rng(31)
+        cmpc, context = make_problem(rng, CONVENTIONAL, horizon=3, label="CMPC(1)")
+        pmpc, _ = make_problem(rng, PARAMETERIZED, horizon=10, label="PMPC(2)")
+        context = replace(context, evaluation_horizon=3)
+        rates = rng.uniform(0, 8, size=(5, cmpc.decision_dim))
+        gains = rng.uniform(0, 1, size=(4, pmpc.decision_dim))
+        with_nan = rates.copy()
+        with_nan[2, 4] = math.nan
+        evaluate = _MergedRollouts([cmpc, pmpc], context)
+        with caplog.at_level("WARNING", logger="basepar.parallel"):
+            costs, evaluation, _ = evaluate([(0, with_nan), (1, gains)])
+        assert [r.getMessage() for r in caplog.records] == [
+            "objective evaluation failed for CMPC(1) at 1 of 5 points; returning +inf"]
+        assert costs[2] == evaluation[2] == math.inf
+        kept = [0, 1, 3, 4, 5, 6, 7, 8]
+        want_costs, want_evaluation, _ = evaluate([(0, np.delete(rates, 2, axis=0)), (1, gains)])
+        assert np.isfinite(want_costs).all() and np.isfinite(want_evaluation).all()
+        assert costs[kept].tobytes() == want_costs.tobytes()
+        assert evaluation[kept].tobytes() == want_evaluation.tobytes()
+
     def test_dimension_check(self):
         rng = np.random.default_rng(1)
         problem, context = make_problem(rng)
@@ -742,9 +767,9 @@ class TestHoldBase:
             mu_prev = np.where(rng.uniform(size=3) < 0.3, 0.0, context.mu_prev)
             context = replace(context, mu_prev=tuple(mu_prev.tolist()))
             zeros += int(np.count_nonzero(mu_prev == 0.0))
-            hold = FeedbackController(NET, (0.0,) * 3, "hold")
+            hold = FeedbackController((0.0,) * 3, "hold")
             warm = warm_start_rollout([hold], context.mu_prev, context.initial_state,
-                                      context.demand_forecast, [horizon],
+                                      context.demand_forecast, [horizon], context.params,
                                       tuple(rng.uniform(0, 8, size=3)))[0]
             if kind == CONVENTIONAL:
                 want = np.tile(np.asarray(context.mu_prev, dtype=float), horizon)
@@ -759,9 +784,9 @@ class TestParallelCell:
         rng = np.random.default_rng(seed)
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         measured = ExogenousInput(5.0, (1.5, 1.0, 0.8))
-        base = FeedbackController(NET, (0.016,) * 3, "ALINEA")
+        base = FeedbackController((0.016,) * 3, "ALINEA")
         warm = warm_start_rollout(
-            [base], (0.5, 0.2, 0.4), state, (measured,), [10], (3.8, 3.2, 0.6)
+            [base], (0.5, 0.2, 0.4), state, (measured,), [10], NET, (3.8, 3.2, 0.6)
         )[0]
         problems = [
             MpcProblem(label=f"CMPC({i})", kind=CONVENTIONAL, horizon=h,
@@ -814,9 +839,9 @@ class TestParallelCell:
             cells = []
             for c, kind in enumerate((CONVENTIONAL, PARAMETERIZED)):
                 gains = tuple(rng.uniform(0.005, 0.03, size=3))
-                base = FeedbackController(NET, gains, "ALINEA")
+                base = FeedbackController(gains, "ALINEA")
                 warm = warm_start_rollout(
-                    [base], mu_prev, state, (measured,), [10], (3.8, 3.2, 0.6)
+                    [base], mu_prev, state, (measured,), [10], NET, (3.8, 3.2, 0.6)
                 )[0]
                 problems = [
                     make_problem(rng, kind=kind, horizon=h, label=f"{kind}-{h}")[0]
@@ -862,10 +887,10 @@ class TestParallelCell:
 
     def test_short_warm_start_rejected(self):
         problems, _, context = self.setup_cell()
-        base = FeedbackController(NET, (0.016,) * 3, "ALINEA")
+        base = FeedbackController((0.016,) * 3, "ALINEA")
         state = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
         short = warm_start_rollout(
-            [base], (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), [3],
+            [base], (0.5, 0.2, 0.4), state, (ExogenousInput(5.0, (1.5, 1.0, 0.8)),), [3], NET,
             (3.8, 3.2, 0.6),
         )[0]
         with pytest.raises(ValueError):

@@ -231,7 +231,7 @@ class TestRandomTopologies:
                 break
             assert attempts < 100
         nr = len(net.metered_cells)
-        base = FeedbackController(net, (0.02,) * nr, "ALINEA")
+        base = FeedbackController((0.02,) * nr, "ALINEA")
         config = ArchitectureConfig(
             params=net,
             cells=[ParallelCell(
@@ -264,11 +264,11 @@ class TestRandomTopologies:
             if not net.metered_cells:
                 continue
             nr = len(net.metered_cells)
-            base = FeedbackController(net, (0.02,) * nr, "ALINEA")
+            base = FeedbackController((0.02,) * nr, "ALINEA")
             horizon = int(rng.integers(1, 7))
             warm = warm_start_rollout(
                 [base], (0.3,) * nr, random_state(rng, net), (random_input(rng, net),),
-                [horizon], (0.5,) * nr,
+                [horizon], net, (0.5,) * nr,
             )[0]
             assert len(warm.mu) == horizon
             assert len(warm.theta) == horizon
@@ -299,30 +299,31 @@ class TestRandomTopologies:
                 for i in net.metered_cells
             }
             bases = [
-                FeedbackController(net, theta, "ALINEA"),
-                FeedbackController(net, network_gains(net, nets, (0.0, 0.05)), "ANN"),
-                FeedbackController(net, (0.0,) * nr, "hold"),
-                FeedbackController(net, network_gains(net, nets, (0.01, 0.03)), "ANN narrow"),
+                FeedbackController(theta, "ALINEA"),
+                FeedbackController(network_gains(net, nets, (0.0, 0.05)), "ANN"),
+                FeedbackController((0.0,) * nr, "hold"),
+                FeedbackController(network_gains(net, nets, (0.01, 0.03)), "ANN narrow"),
             ]
             lengths = [int(h) for h in rng.integers(1, 11, size=len(bases))]
             mu_prev = tuple(rng.uniform(0.0, 3.0, size=nr).tolist())
             o_prev = tuple(rng.uniform(0.0, 8.0, size=nr).tolist())
             state, forecast = random_state(rng, net), (random_input(rng, net),)
-            merged = warm_start_rollout(bases, mu_prev, state, forecast, lengths, o_prev)
+            merged = warm_start_rollout(bases, mu_prev, state, forecast, lengths, net, o_prev)
             for base, length, got in zip(bases, lengths, merged):
-                want = warm_start_rollout([base], mu_prev, state, forecast, [length], o_prev)[0]
+                want = warm_start_rollout([base], mu_prev, state, forecast, [length], net,
+                                          o_prev)[0]
                 assert len(got.mu) == len(got.theta) == len(got.running_cost) - 1 == length
                 for name in ("mu", "theta", "running_cost"):
                     assert (np.array(getattr(got, name)).tobytes()
                             == np.array(getattr(want, name)).tobytes())
                 assert (np.float64(got.total_cost).tobytes()
                         == np.float64(want.total_cost).tobytes())
-            nan = FeedbackController(net, (math.nan,) * nr, "NaN")
+            nan = FeedbackController((math.nan,) * nr, "NaN")
             with pytest.raises(NegativeRateError, match="NaN set") as alone:
-                warm_start_rollout([nan], mu_prev, state, forecast, [3], o_prev)
+                warm_start_rollout([nan], mu_prev, state, forecast, [3], net, o_prev)
             with pytest.raises(NegativeRateError) as together:
                 warm_start_rollout([bases[0], nan, bases[1]], mu_prev, state, forecast,
-                                   [2, 3, 4], o_prev)
+                                   [2, 3, 4], net, o_prev)
             assert str(together.value) == str(alone.value)
             checked += 1
 
@@ -342,16 +343,16 @@ class TestRandomTopologies:
             mu_prev = tuple(rng.uniform(0.0, 5.0, size=nr).tolist())
             state, forecast = random_state(rng, net), (random_input(rng, net),)
             horizon = int(rng.integers(1, 11))
-            base = FeedbackController(net, theta, "R")
+            base = FeedbackController(theta, "R")
             try:
                 rates, _, cost = scalar_gain_rollout(net, base.gains, mu_prev, state, forecast,
                                                      horizon, ())
             except ModelConsistencyError:
                 with pytest.raises(ModelConsistencyError):
-                    warm_start_rollout([base], mu_prev, state, forecast, [horizon], ())[0]
+                    warm_start_rollout([base], mu_prev, state, forecast, [horizon], net, ())[0]
                 raised += 1
                 continue
-            warm = warm_start_rollout([base], mu_prev, state, forecast, [horizon], ())[0]
+            warm = warm_start_rollout([base], mu_prev, state, forecast, [horizon], net, ())[0]
             assert np.array(warm.mu).tobytes() == np.array(rates).tobytes()
             assert np.float64(warm.total_cost).tobytes() == np.float64(cost).tobytes()
             finished += 1
@@ -367,7 +368,7 @@ class TestStepIsTheReferenceStep:
         state, flows, cost = result
         values = (state.n, state.q, flows.e, flows.o, flows.s, flows.mainstream_in,
                   cost.tt, cost.td_h, cost.j, cost.throughput)
-        return [np.array(v, dtype=float).tobytes() for v in values], state.step
+        return [np.array(v, dtype=float).tobytes() for v in values]
 
     def test_step_equals_the_reference_step_byte_for_byte(self):
         rng = np.random.default_rng(277)

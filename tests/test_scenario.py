@@ -81,6 +81,10 @@ class TestDefaultScenario:
         with pytest.raises(ValueError):
             DemandProfile(breakpoints=((10.0, 1.0), (0.0, 2.0)))
 
+    def test_infinite_demand_value_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DemandProfile(breakpoints=((0.0, 1.0), (60.0, float("inf"))))
+
     @pytest.mark.parametrize("field", ["value", "time"])
     def test_nan_breakpoint_rejected(self, field):
         point = (0.0, float("nan")) if field == "value" else (float("nan"), 1.0)
@@ -171,6 +175,9 @@ ERROR_CONTRACT_STRICT = {
     "inf-sample-cycle": ("network: {sample_cycle_s: .inf}", "sample_cycle_s"),
     "inf-rho-crit": ("network: {rho_crit: .inf}", "rho_crit"),
     "inf-free-flow": ("network: {free_flow_mps: .inf}", "free_flow_mps"),
+    "inf-onramp-breakpoint": (
+        f"demand: {{mainstream: {P}, onramps: {{2: {{breakpoints: [[0, 1.0], [60, .inf]]}}, "
+        f"4: {P}, 5: {P}}}}}", "demand.onramps.2"),
     "inf-cell-length": ("network: {cells: [{length: .inf, capacity_nbar: 80.0, "
                         "sat_mainline_obar: 8.0, sat_offramp_sbar: 6.0}]}", "network.cells[0]"),
 }
