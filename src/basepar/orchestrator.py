@@ -17,13 +17,14 @@ evaluation model or as the reference the tests check those costs against.
 
 The architecture is data, the frozen :class:`ArchitectureConfig`, which
 each step reads afresh: replacing :attr:`BaseParallelController.config`
-between steps (``dataclasses.replace`` runs its checks) adds or eliminates
-cells and controllers online.  A standalone approach is the one-cell case,
-which applies its own plan without the evaluation block
-(:meth:`BaseParallelController.own_step`): a standalone online controller
-is seeded by a base that holds the previous rates and applies its best
-plan, a standalone base controller has no online controller and applies
-its own rates.
+between steps (``dataclasses.replace`` runs its checks) adds, eliminates
+or changes cells and controllers online; a controller whose problem has
+changed starts from its base alone, as one added back does.  A standalone
+approach is the one-cell case, which applies its own plan without the
+evaluation block (:meth:`BaseParallelController.own_step`): a standalone
+online controller is seeded by a base that holds the previous rates and
+applies its best plan, a standalone base controller has no online
+controller and applies its own rates.
 
 Every base is a :class:`~basepar.base_controllers.FeedbackController`, its
 gains and a label, and every online controller is the
@@ -222,8 +223,9 @@ class BaseParallelController:
         if len(mu_init) != nr:
             raise ValueError("mu_init must have one entry per metered ramp")
         self.mu_prev: tuple[float, ...] = tuple(float(m) for m in mu_init)
-        # each controller's best decision at the last commit, ``[rows, ramps]``
-        self.previous: dict[str, np.ndarray] = {}
+        # each controller's best decision at the last commit, ``[rows, ramps]``,
+        # keyed by the problem it solved
+        self.previous: dict[MpcProblem, np.ndarray] = {}
 
     def propose(
         self,
@@ -257,9 +259,12 @@ class BaseParallelController:
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
         """Make ``applied`` the previous rates of every base and problem, and
         each solve's best decision its controller's previous solution, the
-        next step's shift start; a controller that did not solve keeps none."""
+        next step's shift start, keyed by the config's problem of that
+        label, so that it seeds only that problem; a controller that did not
+        solve keeps none."""
         self.mu_prev = applied
-        self.previous = {label: np.asarray(result.best.decision, dtype=float).reshape(
+        problems = {p.label: p for cell in self.config.cells for p in cell.controllers}
+        self.previous = {problems[label]: np.asarray(result.best.decision, dtype=float).reshape(
             -1, len(applied)) for label, result in results.items()}
 
     def control_step(

@@ -160,12 +160,12 @@ class StepContext:
 class OptimizerConfig:
     """Termination and budget settings for one budgeted solve."""
 
-    function_tolerance: float = 1e-3
-    step_tolerance: float = 1e-7
-    budget_s: Optional[float] = 2.0   # None disables the deadline (serial mode)
-    max_iterations: int = 40          # per starting point
-    termination: str = "best"         # "best" or "all"
-    fd_step: float = 1e-6
+    function_tolerance: float
+    step_tolerance: float
+    budget_s: Optional[float]   # None disables the deadline (serial mode)
+    max_iterations: int         # per starting point
+    termination: str            # "best" or "all"
+    fd_step: float
 
     def __post_init__(self) -> None:
         # written so that NaN fails too: a NaN budget would never expire
@@ -207,14 +207,13 @@ class BudgetedResult:
     """Outcome of one budgeted solve.
 
     ``iterates`` holds every recorded point (starts plus accepted descent
-    steps) when the solve ran with termination option "all", and just the
-    best point under "best"; ``cost_trail`` always lists the recorded costs
-    in evaluation order.
+    steps), in the order :func:`solve_budgeted` lists them, when the solve
+    ran with termination option "all", and just the best point under
+    "best".
     """
 
     best: CandidateSequence
     iterates: tuple[CandidateSequence, ...]
-    cost_trail: tuple[float, ...]
     elapsed_s: float
 
 
@@ -674,11 +673,8 @@ def _solve_jointly(
         for problem, items in zip(problems, kept)
     ]
     elapsed = time.monotonic() - t0
-    return [
-        BudgetedResult(best=min(points, key=lambda c: c.cost), iterates=points,
-                       cost_trail=tuple(item[1] for item in trail), elapsed_s=elapsed)
-        for points, trail in zip(iterates, recorded)
-    ]
+    return [BudgetedResult(best=min(points, key=lambda c: c.cost), iterates=points,
+                           elapsed_s=elapsed) for points in iterates]
 
 
 def solve_budgeted(
@@ -713,7 +709,7 @@ def solve_budgeted(
 def run_parallel_cells(
     cells: Sequence[tuple[Sequence[MpcProblem], WarmStart]],
     context: StepContext,
-    previous: dict[str, np.ndarray],
+    previous: dict[MpcProblem, np.ndarray],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of several parallel cells together, from the one
@@ -722,13 +718,15 @@ def run_parallel_cells(
     Each cell pairs its problems with its base controller's warm start.
     Each controller receives the prefix of that warm start that matches its
     horizon, then the shift start of its previous solution, ``previous``
-    keyed by label (none for a controller without one).  All solves of all
-    cells run in one lockstep against one deadline, the config budget from
-    when the starts are built, so every solve takes part in every round
-    until it finishes or the deadline expires.  Without a budget the
-    results equal those of separate :func:`solve_budgeted` calls, except
-    ``elapsed_s``: every result reports the wall time of the whole call,
-    whose rounds its solves shared.  Results are keyed by controller label.
+    keyed by the problem it solved (none for a controller without one, or
+    whose problem has changed since: that one starts from its base alone).
+    All solves of all cells run in one lockstep against one deadline, the
+    config budget from when the starts are built, so every solve takes part
+    in every round until it finishes or the deadline expires.  Without a
+    budget the results equal those of separate :func:`solve_budgeted`
+    calls, except ``elapsed_s``: every result reports the wall time of the
+    whole call, whose rounds its solves shared.  Results are keyed by
+    controller label.
     """
     problems: list[MpcProblem] = []
     starts: list[list[np.ndarray]] = []
@@ -736,7 +734,7 @@ def run_parallel_cells(
         for problem in cell_problems:
             problems.append(problem)
             starts.append([base_start_for(problem, base_warm)])
-            shifted = make_shift_warm_starts(previous.get(problem.label, ()))
+            shifted = make_shift_warm_starts(previous.get(problem, ()))
             if shifted is not None:
                 starts[-1].append(shifted.ravel())
     results = _solve_jointly(problems, context, starts, config) if problems else []
@@ -747,7 +745,7 @@ def run_parallel_cell(
     problems: Sequence[MpcProblem],
     base_warm: WarmStart,
     context: StepContext,
-    previous: dict[str, np.ndarray],
+    previous: dict[MpcProblem, np.ndarray],
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of one parallel cell (see

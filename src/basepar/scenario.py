@@ -135,8 +135,8 @@ class DemandProfile:
 class NoiseModel:
     """Symmetric-uniform multiplicative demand-measurement noise."""
 
-    fraction: float = 0.10
-    seed: Optional[int] = None  # defaults to the scenario seed
+    fraction: float
+    seed: Optional[int]  # None: the scenario seed
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
@@ -149,17 +149,17 @@ class NoiseModel:
 class ControlSettings:
     """Controller and solver parameters shared by every control approach."""
 
-    evaluation_horizon: int = 3
-    horizons: tuple[int, int] = (3, 10)          # short and long MPC horizons
-    budget_s: float = 2.0
-    function_tolerance: float = 1e-3
-    step_tolerance: float = 1e-7
-    max_iterations: int = 40
-    fd_step: float = 1e-6
-    termination: str = "best"
-    metering_upper: float = 8.0                  # per-ramp rate bound, veh/cycle
-    gain_upper: float = 1.0
-    alinea_gain: float = 0.016                   # SI units
+    evaluation_horizon: int
+    horizons: tuple[int, int]          # short and long MPC horizons
+    budget_s: float
+    function_tolerance: float
+    step_tolerance: float
+    max_iterations: int
+    fd_step: float
+    termination: str
+    metering_upper: float              # per-ramp rate bound, veh/cycle
+    gain_upper: float
+    alinea_gain: float                 # SI units
 
     def __post_init__(self) -> None:
         # written so that NaN fails too
@@ -189,10 +189,10 @@ class ControlSettings:
 class AnnSettings:
     """How the gain-network base controller gets its parameters."""
 
-    params_file: Optional[str] = None   # load when set, train from seed otherwise
-    sample_count: int = 500
-    validation_count: int = 100
-    train_seed: Optional[int] = None    # defaults to the scenario seed
+    params_file: Optional[str]   # load when set, train from seed otherwise
+    sample_count: int
+    validation_count: int
+    train_seed: Optional[int]    # None: the scenario seed
 
     def __post_init__(self) -> None:
         # checked even with a parameter file, which train-ann and compare
@@ -419,9 +419,14 @@ def default_scenario_path() -> str:
 
 
 def default_scenario(seed: Optional[int] = None) -> ScenarioConfig:
-    """The shipped case, read from ``default.yaml`` with every field
-    required: six 560 m cells, metered on-ramps at cells 2, 4 and 5.
-    ``seed`` replaces the file's seed when given."""
+    """The shipped case, read from ``default.yaml`` with no base to fill
+    omissions: six 560 m cells, metered on-ramps at cells 2, 4 and 5.
+    Such a file must state every field except the schema line and the
+    model defaults: a network's ``lanes`` and ``free_flow_mps`` and a
+    cell's ramp, split and exit fields (those of
+    :class:`~basepar.actm.NetworkParams` and
+    :class:`~basepar.actm.CellParams` that have defaults).  ``seed``
+    replaces the file's seed when given."""
     cfg = _parse(default_scenario_path(), None)
     return cfg if seed is None else replace(cfg, seed=seed)
 
@@ -505,13 +510,13 @@ def _networks_for(scenario: ScenarioConfig, nets: Optional[dict[int, MlpParams]]
 
 def _alinea_controller(scenario: ScenarioConfig) -> FeedbackController:
     gains = (scenario.control.alinea_gain,) * len(scenario.network.metered_cells)
-    return FeedbackController(gains, "ALINEA")
+    return FeedbackController(gains, CONTROLLER_LABELS["alinea"])
 
 
 def _ann_controller(scenario: ScenarioConfig, nets) -> FeedbackController:
     nets = _networks_for(scenario, nets)
     gains = network_gains(scenario.network, nets, (0.0, scenario.control.gain_upper))
-    return FeedbackController(gains, "ANN")
+    return FeedbackController(gains, CONTROLLER_LABELS["ann"])
 
 
 def _hold_controller(scenario: ScenarioConfig) -> FeedbackController:

@@ -9,6 +9,7 @@ session and shared.
 import hashlib
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
     MpcProblem,
-    OptimizerConfig,
     StepContext,
     _Bounds,
     base_start_for,
@@ -54,6 +54,7 @@ from basepar.scenario import (
 from oracles import central_difference, grid_search_gain, oracle_step
 from scalar_reference import alinea_step, fd_gradient, metered_density, solve_pointwise
 from seed_panel import panel
+from shipped import optimizer
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -292,7 +293,7 @@ def test_criterion_4_solver_correctness(scenario):
     m = rng.normal(size=(6, 6))
     qmat = m.T @ m + np.eye(6)
     fun = lambda x: float((x - a) @ qmat @ (x - a))
-    cfg = OptimizerConfig(budget_s=None, max_iterations=300)
+    cfg = optimizer(budget_s=None, max_iterations=300)
     res = solve_pointwise(fun, dummy(6, -10.0, 10.0), surrogate, [np.zeros(6)], cfg)
     gap = float(np.max(np.abs(np.asarray(res.best.decision) - a)))
     assert gap < 1e-5
@@ -323,11 +324,14 @@ def test_criterion_4_solver_correctness(scenario):
         width = problem.bounds_hi[0]
         starts = [rng.uniform(0, width, size=problem.decision_dim)
                   for _ in range(int(rng.integers(1, 5)))]
-        result = solve_budgeted(problem, context, starts,
-                                OptimizerConfig(budget_s=None, max_iterations=15))
-        trail_best = np.minimum.accumulate(result.cost_trail)
+        cfg = optimizer(budget_s=None, max_iterations=15)
+        result = solve_budgeted(problem, context, starts, cfg)
+        # the recorded costs, read off the solve of the same inputs under "all"
+        every = solve_budgeted(problem, context, starts, replace(cfg, termination="all"))
+        costs = [c.cost for c in every.iterates]
+        trail_best = np.minimum.accumulate(costs)
         assert all(b <= c + 1e-15 for c, b in zip(trail_best, trail_best[1:]))
-        assert result.best.cost == min(result.cost_trail)
+        assert result.best.cost == min(costs)
         for s in starts:
             assert result.best.cost <= objective(problem, context, s) + 1e-12
         dominated += 1
@@ -370,7 +374,7 @@ def test_criterion_5_budget_compliance(scenario, trained):
     budget = 2.0
     t0 = time.monotonic()
     solve_pointwise(slow, problem, context, [np.zeros(3)],
-                    OptimizerConfig(budget_s=budget, max_iterations=10_000))
+                    optimizer(budget_s=budget, max_iterations=10_000))
     solve_elapsed = time.monotonic() - t0
     assert solve_elapsed <= (budget + eval_time) * 1.10
 
@@ -415,7 +419,7 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
             )],
             evaluation_horizon=3,
             gamma=scenario.gamma,
-            optimizer=OptimizerConfig(budget_s=None, max_iterations=8),
+            optimizer=optimizer(budget_s=None, max_iterations=8),
         )
         return BaseParallelController(config, mu_init=(0.5, 0.2, 0.4))
 

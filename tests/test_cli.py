@@ -6,7 +6,9 @@ import os
 import pytest
 
 import basepar
+from basepar import scenario as sc
 from basepar.cli import main
+from basepar.parallel import OptimizerConfig
 from basepar.scenario import default_scenario_path, read_runlog
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -152,6 +154,23 @@ class TestRun:
             assert code == 0
             outs.append((out / "run_architecture.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_solver_flags_reach_the_solver(self, tmp_path, monkeypatch):
+        # the four flags replace the scenario's values; the iteration cap
+        # and the difference step are the scenario's
+        scenario = tmp_path / "solver.yaml"
+        scenario.write_text(SMALL_SCENARIO + "control: {max_iterations: 7, fd_step: 2.0e-6}\n")
+        built = []
+        build = sc.build_architecture
+        monkeypatch.setattr(sc, "build_architecture",
+                            lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
+        assert main(["run", "--ftol", "0.0125", "--xtol", "3e-5", "--budget-s", "0.05",
+                     "--termination", "all", "--steps", "1", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 0
+        (arch,) = built
+        assert arch.config.optimizer == OptimizerConfig(
+            function_tolerance=0.0125, step_tolerance=3e-5, budget_s=0.05, max_iterations=7,
+            termination="all", fd_step=2.0e-6)
 
     def test_seed_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BASEPAR_SEED", "99")

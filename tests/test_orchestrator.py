@@ -22,7 +22,6 @@ from basepar.parallel import (
     BudgetedResult,
     CandidateSequence,
     MpcProblem,
-    OptimizerConfig,
     StepContext,
     decision_to_metering,
     make_shift_warm_starts,
@@ -32,6 +31,7 @@ from basepar.scenario import build_architecture, default_scenario
 from oracles import oracle_rollout_cost
 from scalar_reference import alinea_step, metered_density
 from scalar_reference import rollout as scalar_rollout
+from shipped import optimizer
 
 NET = default_scenario().network
 STATE = NetworkState(n=(32.6, 36.2, 5.1, 25.3, 3.9, 0.0), q=(5.5, 9.6, 1.6))
@@ -57,7 +57,7 @@ def make_arch(cells, evaluation_horizon=3, max_iterations=8):
         cells=cells,
         evaluation_horizon=evaluation_horizon,
         gamma=0.8,
-        optimizer=OptimizerConfig(budget_s=None, max_iterations=max_iterations),
+        optimizer=optimizer(budget_s=None, max_iterations=max_iterations),
     )
     return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -187,7 +187,7 @@ class TestControlStep:
         arch = make_arch([ParallelCell(hold, (mpc("CMPC(1)", CONVENTIONAL, 3),))],
                          evaluation_horizon=1)
         record, evaluation = arch.own_step(STATE, MEASURED, O_PREV)
-        best = np.array(arch.previous["CMPC(1)"])
+        best = np.array(arch.previous[arch.config.cells[0].controllers[0]])
         assert evaluation is None
         assert record.winner == "CMPC(1)" and record.candidate_labels == ("CMPC(1)",)
         assert record.applied == tuple(best[0]) == arch.mu_prev
@@ -317,8 +317,9 @@ class TestControlStep:
         expected = alinea_step(record.applied, (0.016,) * 3, metered_density(STATE, NET),
                                NET.rho_crit)
         assert bases[0].metering[0] == expected
-        assert list(arch.previous) == ["CMPC(1)"]
-        assert arch.previous["CMPC(1)"].shape == (3, 3)
+        (cmpc1,) = arch.config.cells[0].controllers
+        assert list(arch.previous) == [cmpc1] and cmpc1.label == "CMPC(1)"
+        assert arch.previous[cmpc1].shape == (3, 3)
 
     def test_shared_base_keeps_architectures_apart(self):
         # one feedback law shared by two architectures stepped alternately
@@ -374,8 +375,8 @@ class TestControlStep:
                 )],
                 evaluation_horizon=3,
                 gamma=0.8,
-                optimizer=OptimizerConfig(budget_s=None, max_iterations=8,
-                                          termination=termination),
+                optimizer=optimizer(budget_s=None, max_iterations=8,
+                                    termination=termination),
             )
             return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -415,16 +416,17 @@ class TestOnlineChange:
     """The architecture changes online when its config is replaced between
     steps: each step reads the cells, and each cell's warm-start length,
     from the config it is given, and keeps the previous solutions of the
-    controllers that solved at it."""
+    controllers that solved at it, each with the problem it solved."""
+
+    NETS = {
+        i: MlpParams(hidden_weights=((0.4, -0.3, 0.2, 0.1),) * 3, hidden_bias=(0.1, -0.2, 0.3),
+                     output_weights=(0.01, -0.02, 0.015), output_bias=0.02,
+                     input_lo=(0.0,) * 4, input_hi=(80.0, 30.0, 4.0, 8.0))
+        for i in NET.metered_cells
+    }
 
     def test_cells_and_controllers_added_and_eliminated_between_steps(self, monkeypatch):
-        nets = {
-            i: MlpParams(hidden_weights=((0.4, -0.3, 0.2, 0.1),) * 3, hidden_bias=(0.1, -0.2, 0.3),
-                         output_weights=(0.01, -0.02, 0.015), output_bias=0.02,
-                         input_lo=(0.0,) * 4, input_hi=(80.0, 30.0, 4.0, 8.0))
-            for i in NET.metered_cells
-        }
-        arch = build_architecture(default_scenario(), nets=nets, serial=True)
+        arch = build_architecture(default_scenario(), nets=self.NETS, serial=True)
         assert set(vars(arch)) == {"config", "mu_prev", "previous"}
         lengths = []
         warm_start = orchestrator.warm_start_rollout
@@ -454,7 +456,8 @@ class TestOnlineChange:
         record = step()
         assert lengths[-1] == (10, 10, 3)
         assert record.candidate_labels == ("ALINEA", "ANN", "hold", *solved)
-        assert tuple(arch.previous) == solved
+        assert tuple(arch.previous) == alinea_cell.controllers + ann_cell.controllers
+        assert tuple(p.label for p in arch.previous) == solved
 
         # (b) CMPC(2), PMPC(1) and PMPC(2) eliminated: every base rolls the
         # 3 steps CMPC(1) needs, and only CMPC(1) keeps a previous solution;
@@ -471,8 +474,8 @@ class TestOnlineChange:
         assert record.candidate_labels == ("ALINEA", "ANN", "hold", "CMPC(1)")
         assert replace(record, solver_stats=()) == replace(want, solver_stats=())
         assert [s[2:] for s in record.solver_stats] == [s[2:] for s in want.solver_stats]
-        assert list(arch.previous) == ["CMPC(1)"]
-        assert arch.previous["CMPC(1)"].tobytes() == fresh.previous["CMPC(1)"].tobytes()
+        assert list(arch.previous) == [cmpc1]
+        assert arch.previous[cmpc1].tobytes() == fresh.previous[cmpc1].tobytes()
 
         # (c) the config and its cells are not edited in place
         with pytest.raises(FrozenInstanceError):
@@ -490,6 +493,32 @@ class TestOnlineChange:
                 *config.cells, ParallelCell(FeedbackController((0.016,) * 3, "ALINEA"))))
         assert arch.config is config
 
+    def test_a_problem_replaced_under_its_label_starts_from_its_base(self):
+        # CMPC(1) replaced by a horizon-5 problem that keeps the label: its
+        # 3-step previous solution seeds nothing, and the step is that of an
+        # architecture built afresh from the new config, the previous rates
+        # and the other three controllers' previous solutions
+        arch = build_architecture(default_scenario(), nets=self.NETS, serial=True)
+        record, _ = arch.control_step(STATE, MEASURED, O_PREV)
+        state, flows, _ = actm.step(STATE, MEASURED, record.applied, NET, 0.8)
+        o_prev = actm.upstream_inflows(flows, NET)
+        alinea_cell, ann_cell = arch.config.cells
+        old, cmpc2 = alinea_cell.controllers
+        new = mpc("CMPC(1)", CONVENTIONAL, 5)
+        arch.config = replace(arch.config, cells=(
+            replace(alinea_cell, controllers=(new, cmpc2)), ann_cell))
+        mu_prev, previous = arch.mu_prev, dict(arch.previous)
+        record, _ = arch.control_step(state, MEASURED, o_prev)
+
+        fresh = BaseParallelController(arch.config, mu_prev)
+        fresh.previous = {p: d for p, d in previous.items() if p != old}
+        assert [p.label for p in fresh.previous] == ["CMPC(2)", "PMPC(1)", "PMPC(2)"]
+        want, _ = fresh.control_step(state, MEASURED, o_prev)
+        assert replace(record, solver_stats=()) == replace(want, solver_stats=())
+        assert [s[2:] for s in record.solver_stats] == [s[2:] for s in want.solver_stats]
+        assert list(arch.previous) == [new, cmpc2, *ann_cell.controllers]
+        assert arch.previous[new].shape == (5, 3)
+
     def test_lists_given_to_the_config_are_held_as_tuples(self):
         cell = ParallelCell(alinea(), [mpc("CMPC(1)", CONVENTIONAL, 3)])
         arch = make_arch([cell])
@@ -505,8 +534,8 @@ class TestEvaluationFromTheRollouts:
     def build(self, cells, termination, budget_s):
         config = ArchitectureConfig(
             params=NET, cells=cells, evaluation_horizon=3, gamma=0.8,
-            optimizer=OptimizerConfig(budget_s=budget_s, max_iterations=8,
-                                      termination=termination),
+            optimizer=optimizer(budget_s=budget_s, max_iterations=8,
+                                termination=termination),
         )
         return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -599,15 +628,15 @@ class TestEvaluationFromTheRollouts:
             for p in problems:
                 decision = tuple(rng.uniform(0.0, 8.0, size=p.decision_dim).tolist())
                 best = CandidateSequence((), p.label, 0.0, decision)
-                results[p.label] = BudgetedResult(best, (best,), (0.0,), 0.0)
+                results[p.label] = BudgetedResult(best, (best,), 0.0)
                 lists[p.label].append(np.array(decision).reshape(-1, 3))
             arch.commit(MU_INIT, results)
-            assert list(arch.previous) == [p.label for p in problems]
+            assert list(arch.previous) == list(problems)
             for p in problems:
                 want = np.array(results[p.label].best.decision).reshape(-1, 3)
-                assert arch.previous[p.label].tobytes() == want.tobytes()
-                assert arch.previous[p.label].shape == want.shape
-                got = make_shift_warm_starts(arch.previous[p.label])
+                assert arch.previous[p].tobytes() == want.tobytes()
+                assert arch.previous[p].shape == want.shape
+                got = make_shift_warm_starts(arch.previous[p])
                 want = shift_once(lists[p.label][-1])
                 assert got.tobytes() == want.tobytes()
                 assert got.shape == want.shape
@@ -636,8 +665,8 @@ class TestDeadline:
             ],
             evaluation_horizon=3,
             gamma=0.8,
-            optimizer=OptimizerConfig(budget_s=60.0, max_iterations=1000,
-                                      termination=termination),
+            optimizer=optimizer(budget_s=60.0, max_iterations=1000,
+                                termination=termination),
         )
         return BaseParallelController(config, mu_init=MU_INIT)
 
@@ -736,7 +765,7 @@ class TestConfigValidation:
                 )],
                 evaluation_horizon=4,
                 gamma=0.8,
-                optimizer=OptimizerConfig(),
+                optimizer=optimizer(),
             )
 
     def test_duplicate_labels_rejected(self):
@@ -749,5 +778,5 @@ class TestConfigValidation:
                 ],
                 evaluation_horizon=1,
                 gamma=0.8,
-                optimizer=OptimizerConfig(),
+                optimizer=optimizer(),
             )

@@ -14,7 +14,6 @@ from basepar.parallel import (
     PARAMETERIZED,
     BudgetedResult,
     MpcProblem,
-    OptimizerConfig,
     StepContext,
     _STEP_LENGTHS,
     _Bounds,
@@ -34,6 +33,7 @@ from basepar.scenario import default_scenario
 
 from oracles import central_difference, oracle_rollout_cost
 from scalar_reference import fd_gradient, solve_pointwise
+from shipped import optimizer
 
 
 NET = default_scenario().network
@@ -70,6 +70,12 @@ SURROGATE = StepContext(
     params=NET, initial_state=NetworkState(n=(10.0,) * 6, q=(1.0,) * 3),
     demand_forecast=(ExogenousInput(1.0, (0.5, 0.5, 0.5)),), mu_prev=(0.5, 0.5, 0.5), gamma=0.8,
 )
+
+
+def recorded_costs(result):
+    """The costs a solve recorded, in the order it recorded them: its
+    iterates' costs, for a solve under termination option "all"."""
+    return tuple(c.cost for c in result.iterates)
 
 
 def dummy_problem(dim, lo=-10.0, hi=10.0):
@@ -217,7 +223,7 @@ class TestOptimizerConfig:
     def test_nan_setting_rejected(self, name):
         # a NaN budget would give a deadline that never expires
         with pytest.raises(ValueError):
-            OptimizerConfig(**{name: math.nan})
+            optimizer(**{name: math.nan})
 
 
 class TestSolver:
@@ -231,7 +237,7 @@ class TestSolver:
     def test_reaches_quadratic_minimizer(self):
         fun, a = self.quadratic(6, seed=3)
         problem = dummy_problem(6)
-        cfg = OptimizerConfig(budget_s=None, max_iterations=300)
+        cfg = optimizer(budget_s=None, max_iterations=300)
         result = solve_pointwise(fun, problem, SURROGATE, [np.zeros(6)], cfg)
         x = np.asarray(result.best.decision)
         assert np.max(np.abs(x - a)) < 1e-5
@@ -239,7 +245,7 @@ class TestSolver:
     def test_bound_optimum_projected(self):
         problem = dummy_problem(3, lo=0.0, hi=2.0)
         fun = lambda x: float(np.sum((x - 5.0) ** 2))
-        cfg = OptimizerConfig(budget_s=None, max_iterations=100)
+        cfg = optimizer(budget_s=None, max_iterations=100)
         result = solve_pointwise(fun, problem, SURROGATE, [np.ones(3)], cfg)
         np.testing.assert_allclose(result.best.decision, [2.0, 2.0, 2.0], atol=1e-9)
 
@@ -247,23 +253,28 @@ class TestSolver:
         fun, _ = self.quadratic(3, seed=5)
         problem = dummy_problem(3)
         starts = [np.zeros(3), np.ones(3), np.full(3, -1.0)]
-        cfg = OptimizerConfig(budget_s=0.0, max_iterations=100)
+        cfg = optimizer(budget_s=0.0, max_iterations=100)
         result = solve_pointwise(fun, problem, SURROGATE, starts, cfg)
         start_costs = [fun(np.clip(s, -10, 10)) for s in starts]
         assert result.best.cost == min(start_costs)
-        assert len(result.cost_trail) == 3
+        every = solve_pointwise(fun, problem, SURROGATE, starts, replace(cfg, termination="all"))
+        assert len(recorded_costs(every)) == 3
 
     def test_anytime_best_so_far_non_increasing(self):
         rng = np.random.default_rng(31)
         problem, context = make_problem(rng, horizon=3)
-        cfg = OptimizerConfig(budget_s=None, max_iterations=40, termination="all")
+        cfg = optimizer(budget_s=None, max_iterations=40, termination="all")
         hold = np.tile(context.mu_prev, problem.horizon)  # the previous rates, held
         starts = [hold, rng.uniform(0, 8, size=problem.decision_dim)]
         result = solve_budgeted(problem, context, starts, cfg)
-        best_so_far = np.minimum.accumulate(result.cost_trail)
+        costs = recorded_costs(result)
+        best_so_far = np.minimum.accumulate(costs)
         assert all(b <= a + 1e-15 for a, b in zip(best_so_far, best_so_far[1:]))
-        assert result.best.cost == min(result.cost_trail)
-        assert len(result.iterates) == len(result.cost_trail)
+        assert result.best.cost == min(costs)
+        # the solve under "best" keeps the first recorded point of least cost
+        first = costs.index(min(costs))
+        best = solve_budgeted(problem, context, starts, replace(cfg, termination="best"))
+        assert best.iterates == (result.iterates[first],)
 
     def test_final_never_worse_than_any_start(self):
         rng = np.random.default_rng(37)
@@ -275,7 +286,7 @@ class TestSolver:
                 starts = [rng.uniform(0, 8, size=problem.decision_dim) for _ in range(k)]
             else:
                 starts = [rng.uniform(0, 1, size=problem.decision_dim) for _ in range(k)]
-            cfg = OptimizerConfig(budget_s=None, max_iterations=15)
+            cfg = optimizer(budget_s=None, max_iterations=15)
             result = solve_budgeted(problem, context, starts, cfg)
             for s in starts:
                 assert result.best.cost <= objective(problem, context, s) + 1e-12
@@ -439,7 +450,7 @@ class TestSolver:
             x[0][0] = hi[0]  # on the upper bound
             x[1][:] = hi     # on the upper bound everywhere
             starts.append(x)
-        cfg = OptimizerConfig(budget_s=None, max_iterations=2)
+        cfg = optimizer(budget_s=None, max_iterations=2)
         context = contexts[0]  # one context for the joint solve
         parallel._solve_jointly(problems, context, starts, cfg)
         assert len(begun) == 9
@@ -499,7 +510,7 @@ class TestSolver:
 
         monkeypatch.setattr(parallel._MergedRollouts, "__call__", recorded)
         monkeypatch.setattr(parallel, "_descent", recorded_descent)
-        cfg = OptimizerConfig(budget_s=None, max_iterations=3)
+        cfg = optimizer(budget_s=None, max_iterations=3)
         for together in ([0, 1], [0], [1]):
             rounds.clear()
             begun.clear()
@@ -534,7 +545,7 @@ class TestSolver:
             above = hi + 1.0  # clips onto hi
             starts = [a, b, a.copy(), hi, c, b, above]
             for termination in ("all", "best"):
-                cfg = OptimizerConfig(budget_s=None, max_iterations=8, termination=termination)
+                cfg = optimizer(budget_s=None, max_iterations=8, termination=termination)
                 singles = [solve_budgeted(problem, context, [s], cfg) for s in starts]
                 begun = []
                 descent = parallel._descent
@@ -549,16 +560,14 @@ class TestSolver:
                     solve_budgeted(problem, context, [s], replace(cfg, termination="all"))
                     for s in starts
                 ]
-                trail = [r.cost_trail[0] for r in every]
                 iterates = [r.iterates[0] for r in every]
                 for r in every:
-                    trail.extend(r.cost_trail[1:])
                     iterates.extend(r.iterates[1:])
+                trail = [c.cost for c in iterates]
                 best = iterates[min(range(len(trail)), key=lambda k: (trail[k], k))]
                 want = BudgetedResult(
                     best=best,
                     iterates=tuple(iterates) if termination == "all" else (best,),
-                    cost_trail=tuple(trail),
                     elapsed_s=0.0,
                 )
                 assert got == want
@@ -607,15 +616,19 @@ class TestSolver:
         monkeypatch.setattr(actm, "rollout_batch",
                             lambda *args, **kw: calls.append(1) or counted(*args, **kw))
         for termination in ("all", "best"):
-            cfg = OptimizerConfig(budget_s=0.0, max_iterations=40, termination=termination)
+            cfg = optimizer(budget_s=0.0, max_iterations=40, termination=termination)
             calls.clear()
             expired = parallel._solve_jointly(problems, context, starts, cfg)
             assert len(calls) == 1
             zero = parallel._solve_jointly(problems, context, starts,
                                            replace(cfg, max_iterations=0))
-            for problem, s, got, want in zip(problems, starts, expired, zero):
+            # the recorded costs of both, read off the same solves under "all"
+            every = [parallel._solve_jointly(problems, context, starts,
+                                             replace(c, termination="all"))
+                     for c in (cfg, replace(cfg, max_iterations=0))]
+            for problem, s, got, want, *alls in zip(problems, starts, expired, zero, *every):
                 costs = tuple(objective(problem, context, x) for x in s)
-                assert got.cost_trail == want.cost_trail == costs
+                assert tuple(map(recorded_costs, alls)) == (costs, costs)
                 assert got.iterates == want.iterates
                 assert got.best == want.best
                 assert got.best.cost == min(costs)
@@ -631,15 +644,14 @@ class TestSolver:
             problem, context = make_problem(rng, kind=kind, horizon=int(rng.integers(1, 6)))
             lo, hi = np.asarray(problem.bounds_lo), np.asarray(problem.bounds_hi)
             starts = [rng.uniform(lo, hi) for _ in range(int(rng.integers(2, 5)))]
-            cfg = OptimizerConfig(budget_s=None, max_iterations=15, termination="all")
+            cfg = optimizer(budget_s=None, max_iterations=15, termination="all")
             multi = solve_budgeted(problem, context, starts, cfg)
             singles = [solve_budgeted(problem, context, [s], cfg) for s in starts]
-            want_trail = [r.cost_trail[0] for r in singles]
             want_iterates = [r.iterates[0] for r in singles]
             for r in singles:
-                want_trail.extend(r.cost_trail[1:])
                 want_iterates.extend(r.iterates[1:])
-            assert multi.cost_trail == tuple(want_trail)
+            want_trail = [c.cost for c in want_iterates]
+            assert recorded_costs(multi) == tuple(want_trail)
             assert [c.decision for c in multi.iterates] == [c.decision for c in want_iterates]
             first_best = min(range(len(want_trail)), key=lambda k: (want_trail[k], k))
             assert multi.best.decision == want_iterates[first_best].decision
@@ -659,13 +671,13 @@ class TestSolver:
             hi = np.asarray(problem.bounds_hi)
             starts = [rng.uniform(0, 8, size=problem.decision_dim) for _ in range(2)]
             starts.append(hi + rng.uniform(0, 1, size=hi.size))  # clipped onto hi
-            cfg = OptimizerConfig(budget_s=None, max_iterations=12, termination="all")
+            cfg = optimizer(budget_s=None, max_iterations=12, termination="all")
             built_in = solve_budgeted(problem, context, starts, cfg)
             harness = solve_pointwise(lambda x: objective(problem, context, x),
                                       problem, context, starts, cfg)
             assert list(map(pinned, harness.iterates)) == list(map(pinned, built_in.iterates))
-            assert (np.array(harness.cost_trail).tobytes()
-                    == np.array(built_in.cost_trail).tobytes())
+            assert (np.array(recorded_costs(harness)).tobytes()
+                    == np.array(recorded_costs(built_in)).tobytes())
             assert pinned(harness.best) == pinned(built_in.best)
             descended += len(built_in.iterates) - len(starts)
         assert descended >= 20, descended  # the descents did work
@@ -678,7 +690,7 @@ class TestSolver:
         with pytest.raises(TopologyError):
             objective(problem, bad, x)
         with pytest.raises(TopologyError):
-            solve_budgeted(problem, bad, [x], OptimizerConfig(budget_s=None, max_iterations=2))
+            solve_budgeted(problem, bad, [x], optimizer(budget_s=None, max_iterations=2))
 
     def test_budget_compliance_with_slow_objective(self):
         eval_time = 0.02
@@ -691,7 +703,7 @@ class TestSolver:
 
         problem = dummy_problem(3)
         budget = 0.5
-        cfg = OptimizerConfig(budget_s=budget, max_iterations=10_000)
+        cfg = optimizer(budget_s=budget, max_iterations=10_000)
         t0 = time.monotonic()
         solve_pointwise(slow, problem, SURROGATE, [np.zeros(3)], cfg)
         elapsed = time.monotonic() - t0
@@ -721,7 +733,7 @@ class TestSolver:
                 hi.append(max(a, b))
             par = MpcProblem(label="P", kind=PARAMETERIZED, horizon=1,
                              bounds_lo=tuple(lo), bounds_hi=tuple(hi))
-            cfg = OptimizerConfig(budget_s=None, max_iterations=150)
+            cfg = optimizer(budget_s=None, max_iterations=150)
             c_starts = [np.zeros(3), np.full(3, 8.0), np.asarray(mu_prev)]
             p_starts = [np.asarray(lo), np.asarray(hi), np.zeros(3)]
             jc = solve_budgeted(conv, context, c_starts, cfg).best.cost
@@ -733,7 +745,7 @@ class TestSolver:
     def test_requires_a_start(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            solve_budgeted(*make_problem(rng), [], OptimizerConfig())
+            solve_budgeted(*make_problem(rng), [], optimizer())
 
 
 class TestBoundsClip:
@@ -808,21 +820,26 @@ class TestParallelCell:
 
     def test_single_controller_cell_equals_solve_budgeted(self):
         problems, warm, context = self.setup_cell()
-        cfg = OptimizerConfig(budget_s=None, max_iterations=10)
+        cfg = optimizer(budget_s=None, max_iterations=10)
         cell = run_parallel_cell(problems[:1], warm, context, {}, cfg)
         direct = solve_budgeted(problems[0], context, [base_start_for(problems[0], warm)], cfg)
         assert cell["CMPC(1)"].best.decision == direct.best.decision
-        assert cell["CMPC(1)"].cost_trail == direct.cost_trail
+        every = replace(cfg, termination="all")
+        cell = run_parallel_cell(problems[:1], warm, context, {}, every)
+        direct = solve_budgeted(problems[0], context, [base_start_for(problems[0], warm)], every)
+        assert recorded_costs(cell["CMPC(1)"]) == recorded_costs(direct)
 
     def test_serial_determinism_bitwise(self):
         problems, warm, context = self.setup_cell()
-        cfg = OptimizerConfig(budget_s=None, max_iterations=12)
-        hist = {"CMPC(1)": np.full((3, 3), 0.7)}
+        cfg = optimizer(budget_s=None, max_iterations=12)
+        hist = {problems[0]: np.full((3, 3), 0.7)}
         a = run_parallel_cell(problems, warm, context, hist, cfg)
         b = run_parallel_cell(problems, warm, context, hist, cfg)
+        every = replace(cfg, termination="all")
+        a_all, b_all = (run_parallel_cell(problems, warm, context, hist, every) for _ in "ab")
         for label in ("CMPC(1)", "CMPC(2)"):
             assert a[label].best.decision == b[label].best.decision
-            assert a[label].cost_trail == b[label].cost_trail
+            assert recorded_costs(a_all[label]) == recorded_costs(b_all[label])
 
     def test_cells_solved_together_equal_separate_solves(self):
         # conventional and parameterized problems of horizons 3 and 10, from
@@ -853,17 +870,17 @@ class TestParallelCell:
                 for p in problems:
                     rows = p.horizon if p.kind == CONVENTIONAL else 1
                     if trial:  # none at the first trial, as at a run's first step
-                        hist[p.label] = rng.uniform(0, 1, size=(rows, 3))
-            cfg = OptimizerConfig(budget_s=None, max_iterations=12, termination="all")
+                        hist[p] = rng.uniform(0, 1, size=(rows, 3))
+            cfg = optimizer(budget_s=None, max_iterations=12, termination="all")
             together = run_parallel_cells(cells, context, hist, cfg)
             for problems, warm in cells:
                 for p in problems:
                     starts = [base_start_for(p, warm)]
-                    shifted = make_shift_warm_starts(hist.get(p.label, ()))
+                    shifted = make_shift_warm_starts(hist.get(p, ()))
                     starts += [] if shifted is None else [shifted.ravel()]
                     alone = solve_budgeted(p, context, starts, cfg)
                     got = together[p.label]
-                    assert got.cost_trail == alone.cost_trail
+                    assert recorded_costs(got) == recorded_costs(alone)
                     assert [c.decision for c in got.iterates] == [
                         c.decision for c in alone.iterates
                     ]
@@ -872,14 +889,14 @@ class TestParallelCell:
                     ]
                     assert got.best.decision == alone.best.decision
                     assert got.best.cost == alone.best.cost
-                    assert len(got.cost_trail) > len(starts)  # the descents did work
+                    assert len(recorded_costs(got)) > len(starts)  # the descents did work
 
     def test_problem_of_another_ramp_count_rejected(self):
         # a box of two ramps per step against the network's three
         problems, warm, context = self.setup_cell()
         two_ramps = MpcProblem(label="two", kind=CONVENTIONAL, horizon=3,
                                bounds_lo=(0.0,) * 6, bounds_hi=(8.0,) * 6)
-        cfg = OptimizerConfig(budget_s=None, max_iterations=2)
+        cfg = optimizer(budget_s=None, max_iterations=2)
         with pytest.raises(ValueError, match="'two' has 2 ramps"):
             run_parallel_cells([(problems, warm), ([two_ramps], warm)], context, {}, cfg)
         with pytest.raises(ValueError, match="'two' has 2 ramps"):
@@ -894,4 +911,4 @@ class TestParallelCell:
             (3.8, 3.2, 0.6),
         )[0]
         with pytest.raises(ValueError):
-            run_parallel_cell(problems, short, context, {}, OptimizerConfig())
+            run_parallel_cell(problems, short, context, {}, optimizer())

@@ -39,7 +39,6 @@ from basepar.parallel import (
     CONVENTIONAL,
     PARAMETERIZED,
     MpcProblem,
-    OptimizerConfig,
     StepContext,
     objective,
     solve_budgeted,
@@ -49,6 +48,7 @@ from oracles import oracle_gain_plan, oracle_rollout_cost
 from scalar_reference import rollout as scalar_rollout
 from scalar_reference import scalar_gain_rollout
 from scalar_reference import step as scalar_step
+from shipped import optimizer
 
 
 def random_network(rng, allow_beta_one=False):
@@ -215,7 +215,7 @@ class TestRandomTopologies:
             )
             starts = [rng.uniform(0, 10, size=problem.decision_dim) for _ in range(3)]
             result = solve_budgeted(
-                problem, context, starts, OptimizerConfig(budget_s=None, max_iterations=12)
+                problem, context, starts, optimizer(budget_s=None, max_iterations=12)
             )
             for s in starts:
                 assert result.best.cost <= objective(problem, context, s) + 1e-12
@@ -241,7 +241,7 @@ class TestRandomTopologies:
             )],
             evaluation_horizon=2,
             gamma=0.8,
-            optimizer=OptimizerConfig(budget_s=None, max_iterations=6),
+            optimizer=optimizer(budget_s=None, max_iterations=6),
         )
         arch = BaseParallelController(config, mu_init=(0.5,) * nr)
         state = random_state(rng, net)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import yaml
 
-from basepar import actm
+from basepar import actm, scenario as scenario_module
 from basepar.actm import ExogenousInput, rollout
 from basepar.scenario import (
     CONTROLLER_LABELS,
@@ -195,33 +198,58 @@ def test_scenario_error_names_the_field(tmp_path, text, field):
     assert field in str(exc.value)
 
 
+def shipped_file() -> dict:
+    with open(default_scenario_path(), encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+SETTINGS = [(section, name) for section in ("noise", "control", "ann")
+            for name in shipped_file()[section]]
+
+
+@pytest.mark.parametrize("section, name", SETTINGS, ids=[f"{s}.{n}" for s, n in SETTINGS])
+def test_a_file_without_a_base_states_every_setting(tmp_path, monkeypatch, section, name):
+    # the shipped file is read with no base: no control, ANN or noise
+    # setting has a default to fall back on
+    shipped, raw = default_scenario(), shipped_file()
+    path = tmp_path / "copy.yaml"
+    monkeypatch.setattr(scenario_module, "default_scenario_path", lambda: str(path))
+    path.write_text(yaml.safe_dump(raw))
+    assert default_scenario() == shipped
+    del raw[section][name]
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ScenarioError) as exc:
+        default_scenario()
+    assert str(exc.value) == f"missing required field '{section}.{name}'"
+
+
 class TestNoise:
     def test_zero_fraction_is_identity(self):
         rng = np.random.default_rng(0)
         d = np.array([3.0, 1.0, 0.5])
-        out = perturb_demand(d, NoiseModel(fraction=0.0), rng)
+        out = perturb_demand(d, NoiseModel(fraction=0.0, seed=None), rng)
         np.testing.assert_array_equal(out, d)
 
     def test_bounded_and_unbiased(self):
         rng = np.random.default_rng(1)
         d = 2.0
-        draws = perturb_demand(np.full(100_000, d), NoiseModel(fraction=0.10), rng)
+        draws = perturb_demand(np.full(100_000, d), NoiseModel(fraction=0.10, seed=None), rng)
         assert np.all(draws >= d * 0.9 - 1e-12)
         assert np.all(draws <= d * 1.1 + 1e-12)
         assert abs(draws.mean() - d) < 0.005 * d
 
     def test_zero_demand_stays_zero(self):
         rng = np.random.default_rng(2)
-        assert perturb_demand(0.0, NoiseModel(fraction=0.10), rng) == 0.0
+        assert perturb_demand(0.0, NoiseModel(fraction=0.10, seed=None), rng) == 0.0
 
     def test_never_negative(self):
         rng = np.random.default_rng(3)
-        draws = perturb_demand(np.full(1000, 0.001), NoiseModel(fraction=0.9999999e-1), rng)
+        draws = perturb_demand(np.full(1000, 0.001), NoiseModel(fraction=0.9999999e-1, seed=None), rng)
         assert np.all(draws >= 0.0)
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
-            NoiseModel(fraction=1.0)
+            NoiseModel(fraction=1.0, seed=None)
 
 
 def zero_demand_scenario():
@@ -311,9 +339,9 @@ class TestRunExperiment:
 
     def test_noise_seed_override_decouples_from_scenario_seed(self):
         base = default_scenario(seed=21)
-        pinned_a = type(base)(**{**base.__dict__, "noise": NoiseModel(seed=555)})
+        pinned_a = type(base)(**{**base.__dict__, "noise": replace(base.noise, seed=555)})
         other = default_scenario(seed=22)
-        pinned_b = type(other)(**{**other.__dict__, "noise": NoiseModel(seed=555)})
+        pinned_b = type(other)(**{**other.__dict__, "noise": replace(other.noise, seed=555)})
         a = run_experiment(pinned_a, "alinea", serial=True, steps_override=15)
         b = run_experiment(pinned_b, "alinea", serial=True, steps_override=15)
         for ra, rb in zip(a.records, b.records):
