@@ -71,27 +71,45 @@ row's horizon the kernel evaluates it ramp by ramp on Python floats, in the
 scalar forward pass's order and with ``math.tanh`` (``np.tanh`` changes some
 last bits), on the counts, queues, ramp demands and upstream inflows of its
 metered cells: the caller's inflows at the first step, then the step before's.
+Each network's weights are unpacked into that order once, when the
+:class:`GainNetwork` is built, not by every call that rolls it.
 
 Each call checks the initial state and the inputs once, then rolls every
 row over the call's horizon on one set of arrays of shape ``[cells, rows]``,
 allocated once, the per-cell coefficients copied out to that shape because
 such an operand costs numpy less than a ``[cells, 1]`` one to broadcast.
-The call keeps the pre-step state and the flows of every step, sums them
-over the cells once, and checks the updates for bounds once; the stage
-costs are then added up in step order by one ``np.add.accumulate``, which
-keeps every row's cost after every step, and each row's first failing step
-is found once.  A row with a shorter horizon of its own keeps rolling past
+The call keeps the pre-step state and the flows of every step, and the
+updates before clamping, quantity by quantity (``[3, horizon + 1, cells,
+rows]`` and ``[2, horizon, cells, rows]``), so that the travelled distance,
+the sums over the cells and the bounds check each read whole blocks.  It
+sums them over the cells once, as a loop of ``np.add`` calls:
+``np.add.reduce`` over the cell axis gives the same bits on the shipped
+network, but it sums pairwise when that axis is the innermost one (one row
+and eight cells or more), and then differs from Python's ``sum`` in its
+last bit.  It checks the updates for bounds once; the stage costs are then
+added up in step order by one ``np.add.accumulate``, which keeps every
+row's cost after every step, and each row's first failing step is found
+once.  A row with a shorter horizon of its own keeps rolling past
 it: its cost is read at its own end, and only a failure within it counts,
 so nothing it rolls past its end reaches its cost.  The cost of any prefix
 of a row's horizon is read off the same call, bit for bit what a call of
 that horizon would give; the evaluation block's costs are such prefixes.
 
+A step is about 30 numpy calls on small arrays, so what numpy costs per
+call matters more than the data.  With numpy 2.4.6, ``add``, ``subtract``,
+``multiply`` and ``divide`` take their output faster as a positional
+argument than as ``out=`` (0.33-0.49 against 0.38-0.53 us on ``[6, 49]``
+arrays), and ``less`` takes it either way in 0.38 us, so these five pass
+it positionally.  ``minimum`` and ``maximum`` keep ``out=``: numpy 2.4
+deprecates a positional output for them, and raising the warning makes
+such a call about three times as slow (1.06-1.10 against 0.35-0.36 us).
+
 On the shipped network (6 cells, 3 metered ramps), replaying the 935
 calls of a 180-step serial architecture run (best of 16 rounds per call,
-2 shared vCPUs, Python 3.11, numpy 2.4), a least-squares fit puts a call
-at 61-67 us before its first step, a model step at 20-21 us and a row-step
-at 0.08-0.10 us, so in a call of a few steps the set-up weighs as much as
-the steps.
+2 shared vCPUs, Python 3.11, numpy 2.4.6), a least-squares fit puts a
+call at 61-63 us before its first step, a model step at 18 us and a
+row-step at 0.08 us (two fits; the median residual is 28-29 us), so in a
+call of a few steps the set-up weighs as much as the steps.
 """
 
 from __future__ import annotations
@@ -354,10 +372,15 @@ def upstream_inflows(flows: FlowVector, params: NetworkParams) -> tuple[float, .
 class GainNetwork:
     """Gains as data: per metered ramp, in metered-cell order, a network with
     :class:`~basepar.base_controllers.MlpParams`'s fields, whose output is
-    clipped into ``gain_range``."""
+    clipped into ``gain_range``; :attr:`weights` holds each network's
+    weights in :func:`_forward`'s order, unpacked once."""
 
     nets: tuple
     gain_range: tuple[float, float]
+    weights: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(_unpack(net) for net in self.nets))
 
 
 def _unpack(net) -> tuple[float, ...]:
@@ -612,6 +635,9 @@ def rollout_batch(
      split_ratio, split_pad, lane_length, rho_crit, zero, _, *demand) = block
     zeros = block[c:c + 2]
     zero_flow = zeros.reshape(-1)[:(cells + 1) * batch].reshape(cells + 1, batch)
+    # step k reads input min(k, last)
+    demand += demand[-1:] * (horizon - last - 1)
+    mainstream += mainstream[-1:] * (horizon - last - 1)
     rates = np.empty((horizon, cells, batch))
     rates.fill(math.inf)
     rates[:, ca.metered] = plans.transpose(1, 2, 0)
@@ -626,49 +652,54 @@ def rollout_batch(
         # each network row's metered cells as flat indices into a [cells,
         # rows] array, its horizon, each ramp's weights, its gain range and
         # its trail; and the ramp demands of each input read at those cells
-        forwards = [(ca.metered * batch + b, int(ends[b]), [_unpack(w) for w in net.nets],
-                     *net.gain_range, trails[b]) for b, net in networks.items()]
+        forwards = [(ca.metered * batch + b, int(ends[b]), net.weights, *net.gain_range,
+                     trails[b]) for b, net in networks.items()]
         ramp_demands = block[c + 2:, ca.metered, 0].tolist() if forwards else None
 
-    # the histories: the state before each step (n, q) with the flow o + s
-    # leaving each cell, and the update before clamping (n, then q); they
-    # are summed over the cells and checked for bounds once per call; the
-    # initial state is n, then q at the on-ramp cells and 0 elsewhere
-    h = np.empty((horizon + 1, 3, cells, batch))
+    # the histories, quantity by quantity: the state before each step (n,
+    # q) and the flow o + s leaving each cell, and the update before
+    # clamping (n, then q); they are summed over the cells and checked for
+    # bounds once per call; the initial state is n, then q at the on-ramp
+    # cells and 0 elsewhere
+    h = np.empty((3, horizon + 1, cells, batch))
     h[0, 0] = np.array(state.n)[:, None]
-    h[0, 1] = 0.0
-    h[0, 1, ca.onramps] = np.array(state.q)[:, None]
-    r = np.empty((horizon, 2, cells, batch))
+    h[1, 0] = 0.0
+    h[1, 0, ca.onramps] = np.array(state.q)[:, None]
+    r = np.empty((2, horizon, cells, batch))
     vacant, space, e, s, blended, receiving, derived = np.empty((7, cells, batch))
     below = np.empty((cells, batch), dtype=bool)
     # the admitted mainstream inflow, then the mainline outflow o of each
     # cell: row i is the inflow of cell i, bounded by its receiving term
     flow = np.empty((cells + 1, batch))
     admitted, inflow, o = flow[0], flow[:-1], flow[1:]
+    # numpy 2.4 takes the output of add, subtract, multiply and divide
+    # faster as a positional argument, that of minimum and maximum faster
+    # as out= (module notes)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     minimum, maximum, less, copyto = np.minimum, np.maximum, np.less, np.copyto
     split_all = ca.split_all if ca.split_all.size else None
     # each step's views: the state before it (n, q and the flows leaving the
-    # cells), its update before clamping (n, then q), the state after it and
-    # its rates
-    for k, (n, q, flows), update, after, mu in zip(range(horizon), h, r, h[1:], rates):
-        at = min(k, last)
-        n_next, supply = update
+    # cells), its update before clamping (n and q, both), the state after
+    # it (n and q, then n), its rates and its inputs
+    for k, n, q, flows, n_next, supply, update, after, n_after, mu, d, m in zip(
+            range(horizon), *h[:, :horizon], *r, r.swapaxes(0, 1),
+            h[:2, 1:].swapaxes(0, 1), h[0, 1:], rates, demand, mainstream):
         if derive:
             for row, end, weights, lo, hi, trail in forwards:
                 if k < end:
                     theta = [min(max(_forward(w, n_i, q_i, d_i, o_i), lo), hi)
                              for w, n_i, q_i, d_i, o_i in zip(
                                  weights, n.take(row).tolist(), q.take(row).tolist(),
-                                 ramp_demands[at], inflow.take(row).tolist() if k else o_prev)]
+                                 ramp_demands[min(k, last)],
+                                 inflow.take(row).tolist() if k else o_prev)]
                     trail.append(tuple(theta))
                     cell_gains.put(row, theta)
             # the feedback law on the predicted density at every cell:
             # +inf + 0 * (rho_crit - rho) stays +inf off the metered cells
-            divide(n, lane_length, out=derived)
-            subtract(rho_crit, derived, out=derived)
-            multiply(cell_gains, derived, out=derived)
-            add(prev, derived, out=derived)
+            divide(n, lane_length, derived)
+            subtract(rho_crit, derived, derived)
+            multiply(cell_gains, derived, derived)
+            add(prev, derived, derived)
             if mask is None:
                 maximum(zero, derived, out=mu)
             else:
@@ -678,24 +709,24 @@ def rollout_batch(
 
         # on-ramp inflow: min of supply and space, capped at the rate and
         # floored at 0; the supply becomes the queue update
-        add(q, demand[at], out=supply)
-        subtract(nbar, n, out=vacant)
-        multiply(xi, vacant, out=space)
+        add(q, d, supply)
+        subtract(nbar, n, vacant)
+        multiply(xi, vacant, space)
         minimum(space, supply, out=e)
-        less(mu, e, out=below)
+        less(mu, e, below)
         copyto(e, mu, where=below)
         maximum(zero, e, out=e)
 
         # mainline outflow: min of sending, saturation, receiving downstream
         # and the off-ramp-coupled bound, floored at 0; the admitted
         # mainstream inflow: min of demand and receiving, floored at 0
-        multiply(alpha, e, out=blended)
-        subtract(vacant, blended, out=receiving)
-        multiply(receiving, eta_idling, out=receiving)
-        admitted.fill(mainstream[at])
-        add(n, blended, out=o)
-        multiply(send, o, out=o)
-        multiply(o, eta_moving, out=o)
+        multiply(alpha, e, blended)
+        subtract(vacant, blended, receiving)
+        multiply(receiving, eta_idling, receiving)
+        admitted.fill(m)
+        add(n, blended, o)
+        multiply(send, o, o)
+        multiply(o, eta_moving, o)
         minimum(obar, o, out=o)
         minimum(receiving, inflow, out=inflow)
         minimum(offramp_bound, o, out=o)
@@ -703,42 +734,43 @@ def rollout_batch(
 
         # off-ramp outflow; 0 * o plus the pad +0.0 is 0.0 itself where no
         # share beta < 1 leaves, and the pad -0.0 leaves s unchanged
-        multiply(split_ratio, o, out=s)
-        add(s, split_pad, out=s)
+        multiply(split_ratio, o, s)
+        add(s, split_pad, s)
         if split_all is not None:
             moving = (n[split_all] + blended[split_all]) * eta_moving[split_all]
             s[split_all] = np.where(moving < ca.split_all_sbar, moving, ca.split_all_sbar)
 
         # the update, then the next state: clamped into bounds
-        add(o, s, out=flows)
-        add(n, inflow, out=n_next)
-        add(n_next, e, out=n_next)
-        subtract(n_next, o, out=n_next)
-        subtract(n_next, s, out=n_next)
-        subtract(supply, e, out=supply)
-        maximum(zeros, update, out=after[:2])
-        minimum(nbar, after[0], out=after[0])
+        add(o, s, flows)
+        add(n, inflow, n_next)
+        add(n_next, e, n_next)
+        subtract(n_next, o, n_next)
+        subtract(n_next, s, n_next)
+        subtract(supply, e, supply)
+        maximum(zeros, update, out=after)
+        minimum(nbar, n_after, out=n_after)
 
     # the flows leaving the cells times their lengths, the travelled
     # distance; then the sums over the cells of n, q and (o + s) * length
     # before each step, left to right from 0.0 like Python's sum (the zeros
     # of q off the on-ramp cells leave its sums unchanged)
-    multiply(h[:horizon, 2], ca.length, out=h[:horizon, 2])
+    before = h[:, :horizon]
+    multiply(before[2], ca.length, before[2])
     sums = np.empty((3, horizon, batch))
-    add(0.0, h[:horizon, :, 0].transpose(1, 0, 2), out=sums)
+    add(0.0, before[:, :, 0], sums)
     for i in range(1, cells):
-        add(sums, h[:horizon, :, i].transpose(1, 0, 2), out=sums)
+        add(sums, before[:, :, i], sums)
 
     # stage costs on the pre-step occupancy: tt (in place of the sums of q)
     # minus gamma times td_h (in place of the distances), added up in step
     # order from 0.0; each row's cost is read at its own end
     n_sum, tt, td_h = sums
-    add(n_sum, tt, out=tt)
-    multiply(params.sample_cycle_s / 3600.0, tt, out=tt)
-    divide(td_h, params.free_flow_mps * 3600.0, out=td_h)
-    multiply(gamma, td_h, out=n_sum)
+    add(n_sum, tt, tt)
+    multiply(params.sample_cycle_s / 3600.0, tt, tt)
+    divide(td_h, params.free_flow_mps * 3600.0, td_h)
+    multiply(gamma, td_h, n_sum)
     costs = np.zeros((horizon + 1, batch))
-    subtract(tt, n_sum, out=costs[1:])
+    subtract(tt, n_sum, costs[1:])
     add.accumulate(costs, out=costs)
     # each row's first step with a negative or NaN rate, derived ones
     # included, or with an update out of bounds (a NaN is never flagged);
@@ -748,12 +780,12 @@ def rollout_batch(
     if not np.minimum.reduce(metered, axis=None, initial=0.0) >= 0:
         bad = ~(metered >= 0).all(axis=1)
         fail = np.where(bad.any(axis=0), bad.argmax(axis=0), fail)
-    if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[:, 0] > ca.nbar_tol).any():
-        bad = (r < -STATE_TOL).any(axis=(1, 2)) | (r[:, 0] > ca.nbar_tol).any(axis=1)
+    if np.fmin.reduce(r, axis=None) < -STATE_TOL or (r[0] > ca.nbar_tol).any():
+        bad = (r < -STATE_TOL).any(axis=(0, 2)) | (r[0] > ca.nbar_tol).any(axis=1)
         fail = np.minimum(fail, np.where(bad.any(axis=0), bad.argmax(axis=0), horizon))
     total = costs[ends, np.arange(batch)]
     total[fail < ends] = math.inf
-    last = (h[horizon], flow, e, s, sums[1:, horizon - 1])
+    last = (h[:2, horizon], flow, e, s, sums[1:, horizon - 1])
     if not derive:
         return total, plans, costs, fail, trails, last
     return total, metered.transpose(2, 0, 1), costs, fail, trails, last

@@ -442,20 +442,21 @@ def _priced(share: Round, i: int) -> tuple[np.ndarray, Optional[float]]:
 class _Bounds:
     """A problem's box ``[lo, hi]`` and what the solver derives from it
     once per problem, read-only since every solve shares them: the
-    coordinates with ``lo != hi``, where each one's difference step goes
-    among the flattened difference points, the width of the finite box and
-    its identity matrix."""
+    coordinates with ``lo != hi`` and their upper bounds, where each one's
+    difference step goes among the flattened difference points, the width
+    of the finite box and its identity matrix."""
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
         self.lo = np.array(lo, dtype=float)
         self.hi = np.array(hi, dtype=float)
         self.free = np.flatnonzero(self.hi - self.lo != 0.0)
+        self.hi_free = self.hi[self.free]
         dim, self.n_free = self.lo.size, self.free.size
         self.diagonal = np.arange(self.n_free) * dim + self.free
         finite = np.isfinite(self.hi) & np.isfinite(self.lo)
         self.width = float(np.max(self.hi[finite] - self.lo[finite], initial=1.0))
         self.eye = np.eye(dim)
-        for array in (self.lo, self.hi, self.free, self.diagonal, self.eye):
+        for array in (self.lo, self.hi, self.free, self.hi_free, self.diagonal, self.eye):
             array.flags.writeable = False
 
     def clip(self, x: np.ndarray) -> np.ndarray:
@@ -465,20 +466,26 @@ class _Bounds:
 
 
 class _Differences:
-    """The forward-difference points around ``x``, stepping backward off
-    upper bounds; coordinates with ``lo == hi`` get no point."""
+    """The forward-difference points around ``x``, the first of the rows
+    ``head``, stepping backward off upper bounds; coordinates with ``lo ==
+    hi`` get no point.  :attr:`rows` holds ``head`` and then
+    :attr:`points` in one array, ready to be requested together."""
 
-    def __init__(self, x: np.ndarray, bounds: _Bounds, h: float):
-        self.x, self.free = x, bounds.free
-        self.steps = np.where(x[self.free] + h <= bounds.hi[self.free], h, -h)
-        self.points = np.empty((bounds.n_free, x.size))
+    def __init__(self, head: np.ndarray, bounds: _Bounds, h: float):
+        x = head[0]
+        self.size, self.free = x.size, bounds.free
+        at = x[self.free]
+        self.steps = np.where(at + h <= bounds.hi_free, h, -h)
+        self.rows = np.empty((len(head) + bounds.n_free, x.size))
+        self.rows[:len(head)] = head
+        self.points = self.rows[len(head):]
         self.points[...] = x
-        self.points.reshape(-1)[bounds.diagonal] += self.steps
+        self.points.reshape(-1)[bounds.diagonal] = at + self.steps
 
     def gradient(self, f: float, costs: np.ndarray) -> np.ndarray:
         """The gradient at ``x`` (whose cost is ``f``) from the costs of
         :attr:`points`; 0 in the coordinates with ``lo == hi``."""
-        g = np.zeros_like(self.x)
+        g = np.zeros(self.size)
         g[self.free] = (costs - f) / self.steps
         return g
 
@@ -489,7 +496,7 @@ def _gradient_request(
     """Forward-difference gradient at ``x`` (whose cost is ``f``), stepping
     backward off upper bounds; coordinates with ``lo == hi`` get 0 and no
     evaluation."""
-    differences = _Differences(x, bounds, h)
+    differences = _Differences(x[None], bounds, h)
     costs = (yield differences.points)[0] if bounds.n_free else np.empty(0)
     return differences.gradient(f, costs)
 
@@ -522,8 +529,8 @@ def _line_search(
     moves = points - x
     moving = moves.any(axis=1)
     tried = len(moving) if moving.all() else int(np.argmin(moving))
-    ahead = None if h is None else _Differences(points[0], bounds, h)
-    request = points[:tried] if ahead is None else np.concatenate([points[:tried], ahead.points])
+    ahead = None if h is None else _Differences(points[:tried], bounds, h)
+    request = points[:tried] if ahead is None else ahead.rows
     share = yield request
     costs = share[0]
     for i, cost in enumerate(costs[:tried]):
@@ -613,8 +620,8 @@ def _opening(
     recorded onto ``trail`` first, as :func:`_descent` records its points;
     from a finite cost the descent follows, beginning with that gradient.
     """
-    ahead = _Differences(x, bounds, cfg.fd_step) if cfg.max_iterations else None
-    request = x[None] if ahead is None else np.vstack([x, ahead.points])
+    ahead = _Differences(x[None], bounds, cfg.fd_step) if cfg.max_iterations else None
+    request = x[None] if ahead is None else ahead.rows
     share = yield request
     f = float(share[0][0])
     trail.append((x.copy(), f, 0, False, _priced(share, 0)))

@@ -410,7 +410,12 @@ def _parse(path, base: Optional[ScenarioConfig]) -> ScenarioConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must hold a mapping at the top level")
-    return _scenario(raw, base)
+    cfg = _scenario(raw, base)
+    if not cfg.ann.params_file:
+        return cfg
+    # a relative parameter file is named from the scenario file's directory
+    located = os.path.join(os.path.dirname(path), cfg.ann.params_file)
+    return replace(cfg, ann=replace(cfg.ann, params_file=located))
 
 
 def default_scenario_path() -> str:

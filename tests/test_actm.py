@@ -536,6 +536,24 @@ def test_a_rows_cost_ignores_its_plan_past_its_horizon(net, init_state):
         assert np.float64(want).tobytes() == costs[b].tobytes()
 
 
+def test_the_final_state_is_each_rows_counts_and_queues(net, init_state):
+    # the state after the last step is [2, cells, rows]: each row's counts,
+    # then its queues at the on-ramp cells and 0.0 elsewhere, byte for byte
+    # the scalar model's last state
+    rng = np.random.default_rng(67)
+    inputs = (demand(), demand(5.0, (1.5, 1.0, 0.4)))
+    plans = rng.uniform(0.0, 8.0, size=(5, 7, 3))
+    *_, (after, *_) = rollout_batch(init_state, inputs, net, 7, 0.8, plans=plans)
+    assert after.shape == (2, net.n_cells, 5)
+    onramps = list(net.onramp_cells)
+    others = [i for i in range(net.n_cells) if i not in onramps]
+    for b, plan in enumerate(plans):
+        want = scalar_rollout(init_state, inputs, plan.tolist(), net, 7).states[-1]
+        assert after[0, :, b].tobytes() == np.array(want.n).tobytes()
+        assert after[1, onramps, b].tobytes() == np.array(want.q).tobytes()
+        assert after[1, others, b].tobytes() == np.zeros(len(others)).tobytes()
+
+
 def random_gain_network(rng, params, scale):
     """A gain network of random weights of size ``scale`` per metered cell,
     its inputs scaled over ranges of size ``scale`` too."""

@@ -247,6 +247,19 @@ class TestTrainAnn:
         b = (trained_out / "run_ann.jsonl").read_bytes()
         assert a == b
 
+    def test_a_relative_parameter_file_is_read_beside_its_scenario(
+            self, tmp_path, small_scenario, monkeypatch):
+        # the scenario pf/s.yaml names its parameter file relative to its
+        # own directory, and the run starts from the directory above it
+        assert main(["train-ann", "--scenario", small_scenario, "--out",
+                     str(tmp_path / "pf")]) == 0
+        (tmp_path / "pf" / "s.yaml").write_text(SMALL_SCENARIO + "  params_file: ann_params.json\n")
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--controller", "ann", "--serial", "--scenario", "pf/s.yaml",
+                     "--out", "run"])
+        assert code == 0
+        assert (tmp_path / "run" / "run_ann.jsonl").exists()
+
 
 class TestMalformedParameterFile:
     @pytest.mark.parametrize("cells, named", [
