@@ -47,7 +47,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-s", type=float, default=None,
-                     help="wall-clock budget per control step, seconds (not with --serial)")
+                     help="wall-clock budget per whole control step, seconds (not with --serial)")
     sub.add_argument("--ftol", type=float, default=None, help="function tolerance")
     sub.add_argument("--xtol", type=float, default=None, help="step tolerance")
     sub.add_argument("--termination", choices=["best", "all"], default=None,

@@ -1,10 +1,13 @@
 """One control step of the base-parallel architecture.
 
-Each step: every base controller is rolled forward into a warm-start
+Each step runs on one clock, read once at its start, so the budget covers
+the whole step.  Every base controller is rolled forward into a warm-start
 sequence, which is also its candidate, all bases in one kernel call; the
-parallel cells solve their budgeted problems seeded by that sequence and by
-their own previous solution shifted one step
-(:meth:`BaseParallelController.propose`); the evaluation block scores every
+parallel cells solve their budgeted problems seeded by that sequence and
+by their own previous solution shifted one step, in solver rounds that
+stop once the step's deadline has passed, though the first, which costs
+the starts, always runs (:meth:`BaseParallelController.propose`); the
+evaluation block scores every
 candidate by its cost over a short horizon on the evaluation model, which
 is the plant model, read off the rollout that costed the candidate (the
 warm-start call or the solver round that recorded it), a prefix of that
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -232,16 +236,18 @@ class BaseParallelController:
         measurement: NetworkState,
         measured: ExogenousInput,
         o_prev: Sequence[float],
-    ) -> tuple[list[CandidateSequence], dict[str, BudgetedResult]]:
-        """Roll every base forward and solve every cell's problems together.
+    ) -> tuple[list[CandidateSequence], dict[str, BudgetedResult], float]:
+        """Roll every base forward and solve every cell's problems together,
+        within the config budget counted from before the warm starts.
 
-        Returns the base candidates, one per cell in cell order, and the
-        result of every solve keyed by controller label, in cell order.
-        ``o_prev`` carries the realized upstream mainline inflow per metered
-        ramp from the previous plant step (the network gains read it at the
-        first step of a warm start).
+        Returns the base candidates, one per cell in cell order, the result
+        of every solve keyed by controller label, in cell order, and the
+        joint solve's wall time.  ``o_prev`` carries the realized upstream
+        mainline inflow per metered ramp from the previous plant step (the
+        network gains read it at the first step of a warm start).
         """
         cfg = self.config
+        t0 = time.monotonic()  # the step's clock: the budget covers the warm starts too
         e = cfg.evaluation_horizon
         forecast = (measured,)  # persistence forecast, shared by every block
         # a base rolls its cell's longest horizon, at least the evaluation one
@@ -252,9 +258,11 @@ class BaseParallelController:
                                    evaluation_cost=w.running_cost[e])
                  for cell, w in zip(cfg.cells, warm)]
         context = StepContext(cfg.params, measurement, forecast, self.mu_prev, cfg.gamma, e)
-        # every solve of every cell, in one lockstep against the one deadline
+        # every solve of every cell, in one lockstep against the step's deadline
         cells = [(cell.controllers, w) for cell, w in zip(cfg.cells, warm)]
-        return bases, run_parallel_cells(cells, context, self.previous, cfg.optimizer)
+        solving = time.monotonic()
+        results = run_parallel_cells(cells, context, self.previous, cfg.optimizer, t0)
+        return bases, results, time.monotonic() - solving
 
     def commit(self, applied: tuple[float, ...], results: dict[str, BudgetedResult]) -> None:
         """Make ``applied`` the previous rates of every base and problem, and
@@ -280,7 +288,7 @@ class BaseParallelController:
         bit), apply the best and :meth:`commit` it.  If the evaluation
         excludes every candidate, the first cell's base candidate is
         applied."""
-        candidates, results = self.propose(measurement, measured, o_prev)
+        candidates, results, elapsed = self.propose(measurement, measured, o_prev)
         for result in results.values():
             candidates.extend(result.iterates)
         evaluation = _evaluation(candidates, tuple(c.evaluation_cost for c in candidates))
@@ -292,7 +300,7 @@ class BaseParallelController:
             candidate_labels=tuple(c.source for c in evaluation.candidates),
             candidate_costs=evaluation.costs,
             solver_stats=tuple(
-                (label, r.elapsed_s, r.best.iterations, r.best.converged)
+                (label, elapsed, r.best.iterations, r.best.converged)
                 for label, r in results.items()
             ),
         )
@@ -312,7 +320,7 @@ class BaseParallelController:
         Built with evaluation horizon 1, since nothing is evaluated, the
         base rolls only as far as the controller needs: one step without
         one."""
-        bases, results = self.propose(measurement, measured, o_prev)
+        bases, results, elapsed = self.propose(measurement, measured, o_prev)
         cell = self.config.cells[0]
         label = (cell.controllers[0] if cell.controllers else cell.base).label
         result = results.get(label)
@@ -321,5 +329,5 @@ class BaseParallelController:
         self.commit(applied, results)
         if result is None:
             return SelectionRecord(applied, label, (), (), ()), None
-        stats = ((label, result.elapsed_s, best.iterations, best.converged),)
+        stats = ((label, elapsed, best.iterations, best.converged),)
         return SelectionRecord(applied, label, (label,), (best.cost,), stats), None

@@ -16,7 +16,7 @@ recorded point of a descent costs less than the one before it.  It also
 ends when no step length passes the line search, or when both the cost
 change and the step size fall below their tolerances, mirroring the usual
 NLP solver semantics.  The solve as a whole additionally stops when the
-deadline expires or when the per-start iteration cap is reached.  With a
+deadline passes or when the per-start iteration cap is reached.  With a
 zero budget the result degenerates to the best starting point by objective
 value.
 
@@ -42,12 +42,20 @@ evaluation block's score, so no kept point is rolled again, and no round
 outlives the next.  The built-in evaluator is one kernel call per round,
 whose costs equal the point-by-point ones bit for bit whatever other rows
 share it; the test suite passes its own to :func:`_solve_jointly`.  The
-first round runs whatever the deadline.  The deadline is checked before
-every later round, so every live solve takes part in every round until it
-expires.  There is no thread pool: without a deadline (serial mode) the
-same pass runs until every start has finished.  Records are listed start
-by start as a sequential solver lists them, so results depend neither on
-the interleaving nor on which other problems share the rounds.  An
+scheduler knows no clock: it stops when the evaluator returns None.  The
+deadline lives in the evaluator alone (:func:`_until`), which runs the
+first round, the starts', whatever the deadline and returns None for any
+later round once the deadline has passed, so every live solve takes part
+in every round until then.  A control step counts its deadline from its
+own start, before its warm starts (:mod:`basepar.orchestrator`);
+:func:`solve_budgeted` counts it from its call.  There is no thread pool:
+without a deadline (serial mode) the same pass runs until every start has
+finished.  Every requested row already lies in its problem's box: the
+starts are clipped, the line-search points are clipped, and a
+forward-difference point that would leave the box stops at its bound
+(:class:`_Differences`).  Records are listed start by start as a
+sequential solver lists them, so results depend neither on the
+interleaving nor on which other problems share the rounds.  An
 :class:`MpcProblem` is fixed for a run, and what the solver derives from
 its bounds (the coordinates with ``lo != hi``, where their difference steps
 go, the width of the box) is derived once, when the problem is built.
@@ -60,6 +68,7 @@ dropped and the last repeated.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -214,7 +223,6 @@ class BudgetedResult:
 
     best: CandidateSequence
     iterates: tuple[CandidateSequence, ...]
-    elapsed_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +230,21 @@ class BudgetedResult:
 # ---------------------------------------------------------------------------
 
 def _decision(problem: MpcProblem, decision: Sequence[float]) -> np.ndarray:
+    """The decision as a flat array, clipped into the problem's box."""
     x = np.asarray(decision, dtype=float).ravel()
     if x.size != problem.decision_dim:
-        raise ValueError(
-            f"decision has {x.size} entries, problem expects {problem.decision_dim}"
-        )
-    return x
+        raise ValueError(f"decision has {x.size} entries, problem expects {problem.decision_dim}")
+    return problem.bounds.clip(x)
 
 
 def objective(problem: MpcProblem, context: StepContext, decision: Sequence[float]) -> float:
     """Predicted cost of a decision vector over the problem horizon, from
     the step's context.
 
-    One merged rollout of one row, clipped into the bounds.  The two failures a plan can
-    cause (a negative or NaN rate, a state update out of bounds) surface as
-    +inf (logged) so the solver simply avoids the offending point; any other
-    error propagates.
+    One merged rollout of the decision clipped into the bounds.  The two
+    failures a plan can cause (a negative or NaN rate, a state update out
+    of bounds) surface as +inf (logged) so the solver simply avoids the
+    offending point; any other error propagates.
     """
     x = _decision(problem, decision)[None, :]
     return float(_MergedRollouts([problem], context)([(0, x)])[0][0])
@@ -251,9 +258,10 @@ class _MergedRollouts:
     horizons: the rows in request order, rolled over the longest requested
     horizon, each row costed over its own problem's horizon and, if the
     context has one, over the evaluation horizon, a prefix of its own.
-    Rows are clipped into their problem's bounds first.  Every problem must
-    have as many ramps as the context's network, and a horizon no shorter
-    than the evaluation horizon; ``ValueError`` otherwise.
+    Rows are rolled as they come, so each must lie in its problem's box
+    already.  Every problem must have as many ramps as the context's
+    network, and a horizon no shorter than the evaluation horizon;
+    ``ValueError`` otherwise.
     """
 
     def __init__(self, problems: Sequence[MpcProblem], context: StepContext):
@@ -266,15 +274,12 @@ class _MergedRollouts:
         self.problems = problems
         self.context = context
 
-    def __call__(
-        self, requests: Sequence[tuple[int, np.ndarray]], deadline: Optional[float] = None
-    ) -> Round:
+    def __call__(self, requests: Sequence[tuple[int, np.ndarray]]) -> Round:
         """The round of every requested row, in request order: its
         :func:`objective` over its problem's horizon, its cost over the
         evaluation horizon (None without one) and the plans ``[rows,
         horizon, ramps]`` over the longest requested horizon.  A request is
-        a problem index with its decision rows ``[rows, dim]``; no
-        ``deadline`` cuts the one kernel call short."""
+        a problem index with its decision rows ``[rows, dim]``."""
         problems = [self.problems[i] for i, _ in requests]
         ctx = self.context
         n_ramps = len(ctx.mu_prev)
@@ -288,7 +293,6 @@ class _MergedRollouts:
         horizons = np.empty(batch, dtype=int)
         at = 0
         for (i, x), problem in zip(requests, problems):
-            x = problem.bounds.clip(x)
             rows = slice(at, at + len(x))
             if problem.kind == CONVENTIONAL:
                 rates[rows, : problem.horizon] = x.reshape(len(x), problem.horizon, -1)
@@ -363,10 +367,6 @@ def base_start_for(problem: MpcProblem, warm: WarmStart) -> np.ndarray:
 # Budgeted projected quasi-Newton solver
 # ---------------------------------------------------------------------------
 
-def _expired(deadline: float) -> bool:
-    return time.monotonic() >= deadline
-
-
 # What an evaluator returns for the rows of one round, in request order:
 # their costs ``[k]``, their costs over the evaluation horizon ``[k]`` (None
 # without one) and their plans ``[k, horizon, ramps]``.
@@ -382,26 +382,34 @@ Evaluation = Generator[np.ndarray, Round, T]
 _STEP_LENGTHS = (0.5 ** np.arange(30))[:, None]
 
 # The round of the requested rows, one ``(key, rows)`` pair per live
-# coroutine, given the deadline the evaluation may stop at (None for none);
-# None to stop.
-Evaluator = Callable[[list[tuple[object, np.ndarray]], Optional[float]], Optional[Round]]
+# coroutine; None to stop.
+Evaluator = Callable[[list[tuple[object, np.ndarray]]], Optional[Round]]
 
 
-def _lockstep(
-    tasks: Sequence[tuple[object, Evaluation]], evaluate: Evaluator,
-    deadline: Optional[float],
-) -> list:
+def _until(evaluate: Evaluator, budget_s: Optional[float], t0: Optional[float] = None):
+    """``evaluate`` for one solve, held to the deadline ``budget_s`` after
+    ``t0``, a :func:`time.monotonic` reading (now by default; no deadline
+    without a budget): its first round, the starts', runs whatever the
+    deadline, and every later round returns None once the deadline has
+    passed.  The one place a deadline is enforced."""
+    if budget_s is None:
+        return evaluate
+    deadline = (time.monotonic() if t0 is None else t0) + budget_s
+    later = itertools.count()  # 0, falsy, at the first round
+    return lambda requests: (None if next(later) and time.monotonic() >= deadline
+                             else evaluate(requests))
+
+
+def _lockstep(tasks: Sequence[tuple[object, Evaluation]], evaluate: Evaluator) -> list:
     """Run evaluation coroutines side by side and return what each returned.
 
     ``tasks`` pairs each coroutine with a key naming what its rows belong to
     (a problem).  Each round passes the rows every live coroutine has
     requested, with its key, to one ``evaluate`` call and sends each
     coroutine the slice of the round's costs, evaluation costs and plans
-    that belongs to its rows.  The first round runs whatever the deadline,
-    and its evaluation is given none.  The deadline is checked before every
-    later round and passed to its evaluation; once it has expired, or
-    ``evaluate`` returns None, the coroutines still running are abandoned
-    and their results are None.
+    that belongs to its rows.  Once ``evaluate`` returns None (see
+    :func:`_until`), the coroutines still running are abandoned and their
+    results are None.
     """
     results: list = [None] * len(tasks)
     live = []
@@ -416,9 +424,8 @@ def _lockstep(
 
     for t, (key, coroutine) in enumerate(tasks):
         advance(t, key, coroutine, None)
-    limit = None  # the first round's
-    while live and (limit is None or not _expired(limit)):
-        answer = evaluate([(key, rows) for _, key, _, rows in live], limit)
+    while live:
+        answer = evaluate([(key, rows) for _, key, _, rows in live])
         if answer is None:
             break
         costs, evaluation, plans = answer
@@ -428,7 +435,6 @@ def _lockstep(
             evaluated = None if evaluation is None else evaluation[rows]
             advance(t, key, coroutine, (costs[rows], evaluated, plans[rows]))
             at = rows.stop
-        limit = deadline
     return results
 
 
@@ -442,7 +448,7 @@ def _priced(share: Round, i: int) -> tuple[np.ndarray, Optional[float]]:
 class _Bounds:
     """A problem's box ``[lo, hi]`` and what the solver derives from it
     once per problem, read-only since every solve shares them: the
-    coordinates with ``lo != hi`` and their upper bounds, where each one's
+    coordinates with ``lo != hi`` and their bounds, where each one's
     difference step goes among the flattened difference points, the width
     of the finite box and its identity matrix."""
 
@@ -450,13 +456,14 @@ class _Bounds:
         self.lo = np.array(lo, dtype=float)
         self.hi = np.array(hi, dtype=float)
         self.free = np.flatnonzero(self.hi - self.lo != 0.0)
-        self.hi_free = self.hi[self.free]
+        self.lo_free, self.hi_free = self.lo[self.free], self.hi[self.free]
         dim, self.n_free = self.lo.size, self.free.size
         self.diagonal = np.arange(self.n_free) * dim + self.free
         finite = np.isfinite(self.hi) & np.isfinite(self.lo)
         self.width = float(np.max(self.hi[finite] - self.lo[finite], initial=1.0))
         self.eye = np.eye(dim)
-        for array in (self.lo, self.hi, self.free, self.hi_free, self.diagonal, self.eye):
+        for array in (self.lo, self.hi, self.free, self.lo_free, self.hi_free, self.diagonal,
+                      self.eye):
             array.flags.writeable = False
 
     def clip(self, x: np.ndarray) -> np.ndarray:
@@ -468,23 +475,33 @@ class _Bounds:
 class _Differences:
     """The forward-difference points around ``x``, the first of the rows
     ``head``, stepping backward off upper bounds; coordinates with ``lo ==
-    hi`` get no point.  :attr:`rows` holds ``head`` and then
+    hi`` get no point.  Where the box is narrower than ``2h`` and neither
+    step fits, the point goes only as far as the box allows, to the bound
+    with more room, and :attr:`steps` holds the step actually taken; every
+    point thus lies in the box.  :attr:`rows` holds ``head`` and then
     :attr:`points` in one array, ready to be requested together."""
 
     def __init__(self, head: np.ndarray, bounds: _Bounds, h: float):
         x = head[0]
         self.size, self.free = x.size, bounds.free
         at = x[self.free]
-        self.steps = np.where(at + h <= bounds.hi_free, h, -h)
+        lo, hi = bounds.lo_free, bounds.hi_free
+        self.steps = np.where(at + h <= hi, h, -h)
+        moved = at + self.steps
+        out = moved < lo
+        if out.any():
+            moved = np.where(out, np.where(hi - at >= at - lo, hi, lo), moved)
+            self.steps = np.where(out, moved - at, self.steps)
         self.rows = np.empty((len(head) + bounds.n_free, x.size))
         self.rows[:len(head)] = head
         self.points = self.rows[len(head):]
         self.points[...] = x
-        self.points.reshape(-1)[bounds.diagonal] = at + self.steps
+        self.points.reshape(-1)[bounds.diagonal] = moved
 
     def gradient(self, f: float, costs: np.ndarray) -> np.ndarray:
         """The gradient at ``x`` (whose cost is ``f``) from the costs of
-        :attr:`points`; 0 in the coordinates with ``lo == hi``."""
+        :attr:`points`, each divided by its step; 0 in the coordinates with
+        ``lo == hi``."""
         g = np.zeros(self.size)
         g[self.free] = (costs - f) / self.steps
         return g
@@ -493,9 +510,9 @@ class _Differences:
 def _gradient_request(
     x: np.ndarray, f: float, bounds: _Bounds, h: float
 ) -> Evaluation[np.ndarray]:
-    """Forward-difference gradient at ``x`` (whose cost is ``f``), stepping
-    backward off upper bounds; coordinates with ``lo == hi`` get 0 and no
-    evaluation."""
+    """Forward-difference gradient at ``x`` (whose cost is ``f``) from the
+    points of :class:`_Differences`; coordinates with ``lo == hi`` get 0 and
+    no evaluation."""
     differences = _Differences(x[None], bounds, h)
     costs = (yield differences.points)[0] if bounds.n_free else np.empty(0)
     return differences.gradient(f, costs)
@@ -631,41 +648,36 @@ def _opening(
 
 def _solve_jointly(
     problems: Sequence[MpcProblem],
-    context: StepContext,
     starts: Sequence[Sequence[Sequence[float]]],
     config: OptimizerConfig,
-    evaluate: Optional[Evaluator] = None,
+    evaluate: Evaluator,
 ) -> list[BudgetedResult]:
     """Solve every problem from its starts in one lockstep (see
-    :func:`solve_budgeted`), against the config budget from the call.
+    :func:`solve_budgeted`), until ``evaluate`` returns None.
 
     One :func:`_opening` runs from every distinct clipped start of every
     problem, side by side, and each round hands all their requests, keyed
-    by problem index, to ``evaluate``: by default one merged rollout
-    (:class:`_MergedRollouts`); the test suite substitutes closed-form
-    surrogates here.  The first round, which costs every start with the
-    forward-difference points around it, runs whatever the deadline.  A
-    start repeated bit for bit lists its first copy's records again.  Each
-    recorded point keeps its plan, and its evaluation cost, from the round
-    that costed it.
+    by problem index, to ``evaluate``: the merged rollouts
+    (:class:`_MergedRollouts`) of the step's context held to the caller's
+    deadline (:func:`_until`), or the test suite's closed-form surrogates.
+    The config's budget is not read here.  The first round costs every
+    start with the forward-difference points around it.  A start repeated
+    bit for bit lists its first copy's records again.  Each recorded point
+    keeps its plan, and its evaluation cost, from the round that costed it.
     """
     if any(len(s) == 0 for s in starts):
         raise ValueError("at least one starting point is required")
-    t0 = time.monotonic()
-    deadline = None if config.budget_s is None else t0 + config.budget_s
-    if evaluate is None:
-        evaluate = _MergedRollouts(problems, context)
 
     # per problem: each clipped start's trail, a start repeated bit for bit
     # sharing its first copy's
     openings, trails = [], []
     for i, (problem, s) in enumerate(zip(problems, starts)):
-        x = problem.bounds.clip(np.array([_decision(problem, row) for row in s]))
+        x = np.array([_decision(problem, row) for row in s])
         distinct = {row.tobytes(): (row, []) for row in x}
         openings.extend((i, _opening(row, problem.bounds, config, trail))
                         for row, trail in distinct.values())
         trails.append([distinct[row.tobytes()][1] for row in x])
-    _lockstep(openings, evaluate, deadline)
+    _lockstep(openings, evaluate)
 
     # the starts, then each start's descent in start order
     recorded = [[t[0] for t in ts] + [item for t in ts for item in t[1:]] for ts in trails]
@@ -679,9 +691,7 @@ def _solve_jointly(
               for x, f, iterations, converged, (plan, evaluation) in items)
         for problem, items in zip(problems, kept)
     ]
-    elapsed = time.monotonic() - t0
-    return [BudgetedResult(best=min(points, key=lambda c: c.cost), iterates=points,
-                           elapsed_s=elapsed) for points in iterates]
+    return [BudgetedResult(min(points, key=lambda c: c.cost), points) for points in iterates]
 
 
 def solve_budgeted(
@@ -698,19 +708,21 @@ def solve_budgeted(
     (this defines the zero-budget result and guarantees the solver never
     returns worse than a provided start).  The descents from all distinct
     finite starts then go on in the same lockstep until they finish or the
-    deadline, the config budget from the call, expires: each round
+    deadline, the config budget counted from this call, passes: each round
     evaluates the requests of every live descent together, each request
     being one whole line search (with the gradient points of its full step)
     or one forward-difference gradient.  Each round is one batched rollout,
-    and the deadline is checked before every round after the first, so the
-    solve overshoots it by at most one round's batch.
+    and the deadline is checked before every round after the first
+    (:func:`_until`), so the solve overshoots it by at most one round's
+    batch.
 
     Records are listed as a sequential solver would list them: the starts,
     then each descent's accepted points, descent by descent in start order.
     This is the one-problem case of the scheduler :func:`run_parallel_cells`
     runs.
     """
-    return _solve_jointly([problem], context, [starts], config)[0]
+    evaluate = _until(_MergedRollouts([problem], context), config.budget_s)
+    return _solve_jointly([problem], [starts], config, evaluate)[0]
 
 
 def run_parallel_cells(
@@ -718,33 +730,34 @@ def run_parallel_cells(
     context: StepContext,
     previous: dict[MpcProblem, np.ndarray],
     config: OptimizerConfig,
+    t0: Optional[float] = None,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of several parallel cells together, from the one
-    context of the control step.
+    context of the control step, within the config budget counted from
+    ``t0``.
 
     Each cell pairs its problems with its base controller's warm start.
     Each controller receives the prefix of that warm start that matches its
     horizon, then the shift start of its previous solution, ``previous``
     keyed by the problem it solved (none for a controller without one, or
     whose problem has changed since: that one starts from its base alone).
-    All solves of all cells run in one lockstep against one deadline, the
-    config budget from when the starts are built, so every solve takes part
-    in every round until it finishes or the deadline expires.  Without a
-    budget the results equal those of separate :func:`solve_budgeted`
-    calls, except ``elapsed_s``: every result reports the wall time of the
-    whole call, whose rounds its solves shared.  Results are keyed by
-    controller label.
+    All solves of all cells run in one lockstep, every round through one
+    evaluator, the merged rollouts held to the deadline (:func:`_until`):
+    the budget after ``t0``, a :func:`time.monotonic` reading that the
+    control step takes at its own start, before its warm starts (this
+    call's start by default).  So every solve takes part in every round
+    until it finishes or the deadline passes.  Without a budget the
+    results equal those of separate :func:`solve_budgeted` calls.  Results
+    are keyed by controller label.
     """
-    problems: list[MpcProblem] = []
-    starts: list[list[np.ndarray]] = []
-    for cell_problems, base_warm in cells:
-        for problem in cell_problems:
-            problems.append(problem)
-            starts.append([base_start_for(problem, base_warm)])
-            shifted = make_shift_warm_starts(previous.get(problem, ()))
-            if shifted is not None:
-                starts[-1].append(shifted.ravel())
-    results = _solve_jointly(problems, context, starts, config) if problems else []
+    problems = [problem for cell_problems, _ in cells for problem in cell_problems]
+    starts = [[base_start_for(problem, warm)] for ps, warm in cells for problem in ps]
+    for problem, own in zip(problems, starts):
+        shifted = make_shift_warm_starts(previous.get(problem, ()))
+        if shifted is not None:
+            own.append(shifted.ravel())
+    evaluate = _until(_MergedRollouts(problems, context), config.budget_s, t0)
+    results = _solve_jointly(problems, starts, config, evaluate)
     return {problem.label: result for problem, result in zip(problems, results)}
 
 
@@ -756,5 +769,5 @@ def run_parallel_cell(
     config: OptimizerConfig,
 ) -> dict[str, BudgetedResult]:
     """Solve every problem of one parallel cell (see
-    :func:`run_parallel_cells`)."""
+    :func:`run_parallel_cells`), within the config budget from the call."""
     return run_parallel_cells([(problems, base_warm)], context, previous, config)

@@ -14,7 +14,9 @@ comparison against ``basepar.actm.step`` would compare the kernel with
 itself.
 """
 
+import itertools
 import math
+import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +35,7 @@ from basepar.actm import (
     TopologyError,
     upstream_inflows,
 )
-from basepar.parallel import _expired, _gradient_request, _lockstep, _solve_jointly
+from basepar.parallel import _gradient_request, _lockstep, _solve_jointly
 
 
 def _metering_by_cell(
@@ -252,18 +254,21 @@ def alinea_step(
     return tuple(max(m + t * (rho_crit - r), 0.0) for m, t, r in zip(mu_prev, theta, rho))
 
 
-def pointwise(fun, bounds, horizon=1):
-    """A solver evaluator calling ``fun`` row by row, the deadline checked
-    before every row; it returns None once the deadline has expired.  It
-    has no evaluation costs, and its plans are the rows clipped into
-    ``bounds`` and reshaped to ``horizon`` steps, as a conventional
-    problem's are."""
+def pointwise(fun, bounds, horizon=1, deadline=None):
+    """A solver evaluator calling ``fun`` row by row.  Its first round runs
+    whatever the deadline; in every later round it reads the solver's
+    clock, ``time.monotonic``, before every row and returns None once
+    ``deadline`` (None for none) has passed.  It has no evaluation costs,
+    and its plans are the rows clipped into ``bounds`` and reshaped to
+    ``horizon`` steps, as a conventional problem's are."""
+    later = itertools.count()  # 0 at the first round
 
-    def evaluate(requests, deadline):
+    def evaluate(requests):
         rows = np.concatenate([rows for _, rows in requests])
         costs = np.empty(len(rows))
+        checked = deadline is not None and next(later) > 0
         for i, row in enumerate(rows):
-            if deadline is not None and _expired(deadline):
+            if checked and time.monotonic() >= deadline:
                 return None
             costs[i] = fun(row)
         return costs, None, bounds.clip(rows).reshape(len(rows), horizon, -1)
@@ -273,16 +278,19 @@ def pointwise(fun, bounds, horizon=1):
 
 def solve_pointwise(fun, problem, context, starts, config):
     """``solve_budgeted`` with ``fun`` costing every point in place of the
-    model, through the solver's :func:`pointwise` evaluator."""
-    evaluate = pointwise(fun, problem.bounds, problem.horizon)
-    return _solve_jointly([problem], context, [starts], config, evaluate)[0]
+    model, through the solver's :func:`pointwise` evaluator, within the
+    config budget counted from the call.  ``context`` is not read."""
+    budget = config.budget_s
+    deadline = None if budget is None else time.monotonic() + budget
+    evaluate = pointwise(fun, problem.bounds, problem.horizon, deadline)
+    return _solve_jointly([problem], [starts], config, evaluate)[0]
 
 
 def fd_gradient(fun, x, f0, bounds, h):
     """The solver's forward-difference gradient of ``fun`` at ``x`` (whose
     cost is ``f0``) within ``bounds``, evaluated point by point."""
     request = _gradient_request(x, f0, bounds, h)
-    return _lockstep([(None, request)], pointwise(fun, bounds), None)[0]
+    return _lockstep([(None, request)], pointwise(fun, bounds))[0]
 
 
 def metered_density(state, params):

@@ -96,8 +96,8 @@ def _count_solver_rounds(monkeypatch) -> list[int]:
     rounds = []
     evaluate = parallel._MergedRollouts.__call__
 
-    def counted(self, requests, deadline=None):
-        answer = evaluate(self, requests, deadline)
+    def counted(self, requests):
+        answer = evaluate(self, requests)
         rounds.append(len(answer[0]))
         return answer
 
@@ -570,8 +570,8 @@ def test_serial_controllers_start_from_the_base_and_their_previous_solution(
         steps.append([cells])
         return run_cells(cells, *args, **kwargs)
 
-    def solve_recorded(problems, context, starts, *args, **kwargs):
-        results = solve(problems, context, starts, *args, **kwargs)
+    def solve_recorded(problems, starts, *args, **kwargs):
+        results = solve(problems, starts, *args, **kwargs)
         steps[-1].append((problems, starts, results))
         return results
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -313,7 +314,7 @@ class TestControlStep:
         record, _ = arch.control_step(STATE, MEASURED, O_PREV)
         assert arch.mu_prev == record.applied
         # the next step's base starts from the applied rates
-        bases, _ = arch.propose(STATE, MEASURED, O_PREV)
+        bases, *_ = arch.propose(STATE, MEASURED, O_PREV)
         expected = alinea_step(record.applied, (0.016,) * 3, metered_density(STATE, NET),
                                NET.rho_crit)
         assert bases[0].metering[0] == expected
@@ -588,9 +589,9 @@ class TestEvaluationFromTheRollouts:
         early[0, 2] = math.nan
         solve = parallel._solve_jointly
 
-        def with_extra_starts(problems, context, starts, *args, **kwargs):
+        def with_extra_starts(problems, starts, *args, **kwargs):
             starts = [[*s, late.ravel(), early.ravel()] for s in starts]
-            return solve(problems, context, starts, *args, **kwargs)
+            return solve(problems, starts, *args, **kwargs)
 
         monkeypatch.setattr(parallel, "_solve_jointly", with_extra_starts)
         arch = self.build([ParallelCell(alinea(), (mpc("CMPC(2)", CONVENTIONAL, 10),))],
@@ -628,7 +629,7 @@ class TestEvaluationFromTheRollouts:
             for p in problems:
                 decision = tuple(rng.uniform(0.0, 8.0, size=p.decision_dim).tolist())
                 best = CandidateSequence((), p.label, 0.0, decision)
-                results[p.label] = BudgetedResult(best, (best,), 0.0)
+                results[p.label] = BudgetedResult(best, (best,))
                 lists[p.label].append(np.array(decision).reshape(-1, 3))
             arch.commit(MU_INIT, results)
             assert list(arch.previous) == list(problems)
@@ -643,7 +644,7 @@ class TestEvaluationFromTheRollouts:
 
 
 class TestDeadline:
-    """Both cells' solves under one deadline, which a stub check lets expire
+    """Both cells' solves under one deadline, which a stub clock lets pass
     after a fixed number of solver rounds, while every solve still has a
     request pending."""
 
@@ -671,20 +672,33 @@ class TestDeadline:
         return BaseParallelController(config, mu_init=MU_INIT)
 
     def expire_after_rounds(self, monkeypatch, kernel_calls, rounds=ROUNDS):
-        """The deadline check passes ``rounds`` times, then reports expiry;
-        returns the list that receives the kernel call count at expiry."""
-        checks = []
-        at_expiry = []
+        """The step's clock stands still through the starts round and
+        ``rounds`` more, then passes every deadline, so the deadline check
+        passes ``rounds`` times and then reports expiry; returns the list
+        that receives the kernel call count each time the step's evaluator
+        reports expiry."""
+        now, admitted, at_expiry = [0.0], [], []
+        until = parallel._until
 
-        def expired(deadline):
-            assert deadline is not None
-            checks.append(deadline)
-            if len(checks) > rounds:
-                at_expiry.append(len(kernel_calls))
-                return True
-            return False
+        def held(evaluate, budget_s, t0=None):
+            # the step's deadline: its budget, counted from its clock
+            assert budget_s is not None and t0 is not None
+            bounded = until(evaluate, budget_s, t0)
 
-        monkeypatch.setattr(parallel, "_expired", expired)
+            def observed(requests):
+                answer = bounded(requests)
+                if answer is None:
+                    at_expiry.append(len(kernel_calls))
+                else:
+                    admitted.append(len(requests))
+                    if len(admitted) == 1 + rounds:
+                        now[0] = math.inf
+                return answer
+
+            return observed
+
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(parallel, "_until", held)
         return at_expiry
 
     def count_kernel_calls(self, monkeypatch):
@@ -704,9 +718,9 @@ class TestDeadline:
         rounds = []
         evaluate = parallel._MergedRollouts.__call__
 
-        def recorded(self, requests, deadline=None):
+        def recorded(self, requests):
             rounds.append(sorted({self.problems[i].label for i, _ in requests}))
-            return evaluate(self, requests, deadline)
+            return evaluate(self, requests)
 
         monkeypatch.setattr(parallel._MergedRollouts, "__call__", recorded)
         return rounds
@@ -743,6 +757,45 @@ class TestDeadline:
         assert after == []
         sources = {c.source for c in evaluation.candidates}
         assert {"PMPC(1)", "PMPC(2)"} <= sources
+
+    def test_the_budget_covers_the_warm_starts(self, monkeypatch):
+        """A clock that passes the budget inside the warm-start kernel call
+        leaves a step its starts round alone: control_step and a standalone
+        CMPC own_step each make one solver round and return their
+        zero-budget result."""
+        def architecture(budget_s):
+            arch = self.build()
+            optimizer_config = replace(arch.config.optimizer, budget_s=budget_s)
+            arch.config = replace(arch.config, optimizer=optimizer_config)
+            return arch.control_step
+
+        def standalone(budget_s):
+            hold = FeedbackController((0.0,) * 3, "hold")
+            config = ArchitectureConfig(
+                NET, [ParallelCell(hold, (mpc("CMPC(1)", CONVENTIONAL, 3),))], 1, 0.8,
+                optimizer(budget_s=budget_s, max_iterations=1000))
+            return BaseParallelController(config, MU_INIT).own_step
+
+        budget = 60.0
+        zero = [step(0.0)(STATE, MEASURED, O_PREV)[0] for step in (architecture, standalone)]
+        now = [0.0]
+        roll = actm.rollout_batch
+
+        def passing(*args, **kwargs):
+            now[0] = budget  # the first call of a step is its warm starts
+            return roll(*args, **kwargs)
+
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(actm, "rollout_batch", passing)
+        rounds = self.record_rounds(monkeypatch)
+        for step, want in zip((architecture, standalone), zero):
+            now[0] = 0.0
+            rounds.clear()
+            record, _ = step(budget)(STATE, MEASURED, O_PREV)
+            assert len(rounds) == 1  # the starts round alone
+            assert replace(record, solver_stats=()) == replace(want, solver_stats=())
+            assert [s[2:] for s in record.solver_stats] == [s[2:] for s in want.solver_stats]
+            assert [s[2] for s in record.solver_stats] == [0] * len(record.solver_stats)
 
 
 class TestConfigValidation:

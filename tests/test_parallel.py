@@ -1,7 +1,6 @@
 import math
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from basepar.parallel import (
     StepContext,
     _STEP_LENGTHS,
     _Bounds,
+    _Differences,
     _gradient_request,
     _line_search,
     _lockstep,
@@ -334,7 +334,7 @@ class TestSolver:
             scalar = fd_gradient(fun, x, f0, _Bounds(lo, hi), h)
             request = _gradient_request(x, f0, _Bounds(lo, hi), h)
             evaluate = _MergedRollouts([problem], context)
-            batched = _lockstep([(0, request)], evaluate, None)[0]
+            batched = _lockstep([(0, request)], evaluate)[0]
             assert scalar.tolist() == want.tolist()
             assert batched.tolist() == want.tolist()
 
@@ -366,20 +366,20 @@ class TestSolver:
             direction[0] = 10.0 * (hi[0] - lo[0])  # clipped onto the upper bound
             g = rng.normal(size=x.size)
             search = _line_search(x, math.inf, g, direction, _Bounds(lo, hi), h)
-            x_new, f_new, step_vec, g_new, _ = _lockstep([(0, search)], evaluate, None)[0]
+            x_new, f_new, step_vec, g_new, _ = _lockstep([(0, search)], evaluate)[0]
             assert x_new[0] == hi[0]
             assert x_new.tolist() == np.clip(x + direction, lo, hi).tolist()
             request = _gradient_request(x_new, f_new, _Bounds(lo, hi), h)
-            want = _lockstep([(0, request)], evaluate, None)[0]
+            want = _lockstep([(0, request)], evaluate)[0]
             assert g_new.tolist() == want.tolist()
             # without a difference step nothing extra is costed or returned
             search = _line_search(x, math.inf, g, direction, _Bounds(lo, hi), None)
-            assert _lockstep([(0, search)], evaluate, None)[0][3] is None
+            assert _lockstep([(0, search)], evaluate)[0][3] is None
 
     def test_shorter_step_carries_no_gradient(self):
         sizes = []
 
-        def evaluate(requests, deadline):
+        def evaluate(requests):
             (_, rows), = requests
             sizes.append(len(rows))
             costs = np.full(len(rows), 5.0)
@@ -388,7 +388,7 @@ class TestSolver:
 
         lo, hi = np.full(3, -10.0), np.full(3, 10.0)
         search = _line_search(np.zeros(3), 1.0, np.zeros(3), np.ones(3), _Bounds(lo, hi), 1e-6)
-        x_new, f_new, _, g_new, _ = _lockstep([(0, search)], evaluate, None)[0]
+        x_new, f_new, _, g_new, _ = _lockstep([(0, search)], evaluate)[0]
         assert (x_new.tolist(), f_new, g_new) == ([0.5] * 3, 0.5, None)
         assert sizes == [30 + 3]  # every step length, then the full step's gradient points
 
@@ -452,7 +452,7 @@ class TestSolver:
             starts.append(x)
         cfg = optimizer(budget_s=None, max_iterations=2)
         context = contexts[0]  # one context for the joint solve
-        parallel._solve_jointly(problems, context, starts, cfg)
+        parallel._solve_jointly(problems, starts, cfg, _MergedRollouts(problems, context))
         assert len(begun) == 9
         for problem, problem_starts in zip(problems, starts):
             evaluate = _MergedRollouts([problem], context)
@@ -461,7 +461,7 @@ class TestSolver:
                 assert x0.tolist() == x.tolist()
                 assert f0 == objective(problem, context, x)
                 request = _gradient_request(x, f0, bounds, h)
-                assert g0.tolist() == _lockstep([(0, request)], evaluate, None)[0].tolist()
+                assert g0.tolist() == _lockstep([(0, request)], evaluate)[0].tolist()
 
     @staticmethod
     def fresh_differences(x, lo, hi, h):
@@ -498,8 +498,8 @@ class TestSolver:
         evaluate = parallel._MergedRollouts.__call__
         descent = parallel._descent
 
-        def recorded(self, requests, deadline=None):
-            answer = evaluate(self, requests, deadline)
+        def recorded(self, requests):
+            answer = evaluate(self, requests)
             rounds.append(([(self.problems[i], rows.copy()) for i, rows in requests],
                            answer[0].copy()))
             return answer
@@ -514,8 +514,9 @@ class TestSolver:
         for together in ([0, 1], [0], [1]):
             rounds.clear()
             begun.clear()
-            parallel._solve_jointly([problems[i] for i in together], contexts[0],
-                                    [starts[i] for i in together], cfg)
+            chosen = [problems[i] for i in together]
+            parallel._solve_jointly(chosen, [starts[i] for i in together], cfg,
+                                    _MergedRollouts(chosen, contexts[0]))
             requests, costs = rounds[0]  # the first round
             owners = [(problems[i], x) for i in together for x in starts[i]]
             assert len(requests) == len(owners)  # one request per start
@@ -533,10 +534,53 @@ class TestSolver:
             for got, want in zip(begun, gradients):
                 assert got.tobytes() == want.tobytes()
 
+    def test_difference_points_stay_in_a_box_narrower_than_two_steps(self):
+        # box [0, 1.5h] in the first coordinate: from inside (h/2, h), where
+        # neither +h nor -h fits, the point goes to the bound with more room
+        # (the upper one on a tie) and the gradient divides by the step
+        # actually taken, so it equals the model's slope to that bound and a
+        # linear cost's slope; from elsewhere the step is the usual +-h
+        rng = np.random.default_rng(191)
+        h = 1e-6
+        problem, _ = make_problem(rng, kind=CONVENTIONAL, horizon=3)
+        problem = replace(problem, bounds_hi=(1.5 * h,) + problem.bounds_hi[1:])
+        # uncongested, so the first ramp's first rate moves the cost
+        context = StepContext(NET, NetworkState(n=(10.0,) * 6, q=(5.0,) * 3),
+                              (ExogenousInput(3.0, (1.5,) * 3),), (1.0,) * 3, 0.8)
+        bounds = problem.bounds
+        fun = lambda y: objective(problem, context, y)
+        for first, bound in ((0.75 * h, 1.5 * h), (0.6 * h, 1.5 * h), (0.9 * h, 0.0),
+                             (0.2 * h, None), (1.2 * h, None)):
+            x = np.full(problem.decision_dim, 2.0)
+            x[0] = first
+            differences = _Differences(x[None], bounds, h)
+            assert (differences.points >= bounds.lo).all()
+            assert (differences.points <= bounds.hi).all()
+            step = (h if first + h <= 1.5 * h else -h) if bound is None else bound - first
+            assert differences.steps[0] == step
+            assert differences.points[0, 0] == (first + step if bound is None else bound)
+            f0 = fun(x)
+            point = x.copy()
+            point[0] = differences.points[0, 0]
+            g = _lockstep([(0, _gradient_request(x, f0, bounds, h))],
+                          _MergedRollouts([problem], context))[0]
+            assert g[0] == (fun(point) - f0) / step and g[0] != 0.0
+            linear = lambda y: 3.0 * y[0] + y[1]
+            slope = fd_gradient(linear, x, linear(x), bounds, h)[0]
+            assert slope == pytest.approx(3.0, rel=1e-9)
+        # a box at least 2h wide keeps every point and step bit for bit
+        for _ in range(200):
+            lo = rng.uniform(-1.0, 1.0, size=4)
+            hi = lo + rng.choice([2 * h, 3 * h, 1.0], size=4)
+            x = np.where(rng.random(4) < 0.5, hi, rng.uniform(lo, hi))
+            differences = _Differences(x[None], _Bounds(lo, hi), h)
+            _, steps, points = self.fresh_differences(x, lo, hi, h)
+            assert differences.steps.tobytes() == steps.tobytes()
+            assert differences.points.tobytes() == points.tobytes()
+
     def test_repeated_starts_descend_once(self, monkeypatch):
         # a start repeated bit for bit (here also after clipping) lists its
         # twin's records again instead of replaying its descent
-        monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=lambda: 0.0))
         rng = np.random.default_rng(97)
         for kind in (CONVENTIONAL, PARAMETERIZED):
             problem, context = make_problem(rng, kind=kind, horizon=3)
@@ -568,14 +612,13 @@ class TestSolver:
                 want = BudgetedResult(
                     best=best,
                     iterates=tuple(iterates) if termination == "all" else (best,),
-                    elapsed_s=0.0,
                 )
                 assert got == want
 
     def test_batched_gradient_stops_at_deadline(self):
-        # the first round runs whatever the deadline and its evaluation is
-        # given none: a coroutine with two requests gets its first round
-        # under an expired deadline, and is then cut off
+        # the first round runs whatever the deadline: a coroutine with two
+        # requests gets its first round from an evaluator held to an
+        # expired deadline, and is then cut off
         rng = np.random.default_rng(59)
         problem, context = make_problem(rng, horizon=3)
         bounds = _Bounds(problem.bounds_lo, problem.bounds_hi)
@@ -587,13 +630,13 @@ class TestSolver:
             seen.append((yield from _gradient_request(x, f0, bounds, 1e-6)))
             return (yield from _gradient_request(x, f0, bounds, 1e-6))
 
-        def evaluate(requests, deadline):
-            seen.append(deadline)
-            return _MergedRollouts([problem], context)(requests, deadline)
+        def evaluate(requests):
+            seen.append(len(requests))
+            return _MergedRollouts([problem], context)(requests)
 
-        expired = time.monotonic() - 1.0
-        assert _lockstep([(0, two_gradients())], evaluate, expired) == [None]
-        assert seen[0] is None and len(seen) == 2
+        expired = parallel._until(evaluate, 0.0, time.monotonic() - 1.0)
+        assert _lockstep([(0, two_gradients())], expired) == [None]
+        assert seen[0] == 1 and len(seen) == 2
         want = fd_gradient(lambda y: objective(problem, context, y), x, f0, bounds, 1e-6)
         assert seen[1].tobytes() == want.tobytes()
 
@@ -615,16 +658,19 @@ class TestSolver:
         counted = actm.rollout_batch
         monkeypatch.setattr(actm, "rollout_batch",
                             lambda *args, **kw: calls.append(1) or counted(*args, **kw))
+        def solve(cfg):
+            # the merged rollouts held to the config budget from the call
+            evaluate = parallel._until(_MergedRollouts(problems, context), cfg.budget_s)
+            return parallel._solve_jointly(problems, starts, cfg, evaluate)
+
         for termination in ("all", "best"):
             cfg = optimizer(budget_s=0.0, max_iterations=40, termination=termination)
             calls.clear()
-            expired = parallel._solve_jointly(problems, context, starts, cfg)
+            expired = solve(cfg)
             assert len(calls) == 1
-            zero = parallel._solve_jointly(problems, context, starts,
-                                           replace(cfg, max_iterations=0))
+            zero = solve(replace(cfg, max_iterations=0))
             # the recorded costs of both, read off the same solves under "all"
-            every = [parallel._solve_jointly(problems, context, starts,
-                                             replace(c, termination="all"))
+            every = [solve(replace(c, termination="all"))
                      for c in (cfg, replace(cfg, max_iterations=0))]
             for problem, s, got, want, *alls in zip(problems, starts, expired, zero, *every):
                 costs = tuple(objective(problem, context, x) for x in s)
