@@ -53,29 +53,20 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--termination", choices=["best", "all"], default=None,
                      help="candidate handling when the budget cuts a solve short")
     sub.add_argument("--serial", action="store_true",
-                     help="deterministic mode: no deadline, solves run to the iteration cap")
+                     help="deterministic mode: no deadline, as control.budget_s: null in a "
+                          "scenario file; solves run to the iteration cap")
     sub.add_argument("--steps", type=int, default=None,
                      help="override the scenario's run length")
 
 
-def _apply_tolerances(cfg: sc.ScenarioConfig, args) -> sc.ScenarioConfig:
-    if args.ftol is None and args.xtol is None:
-        return cfg
-    updates = {}
-    if args.ftol is not None:
-        updates["function_tolerance"] = args.ftol
-    if args.xtol is not None:
-        updates["step_tolerance"] = args.xtol
-    return replace(cfg, control=replace(cfg.control, **updates))
+def _run_scenario(args) -> sc.ScenarioConfig:
+    return sc.overridden(_load(args), serial=args.serial, budget_s=args.budget_s,
+                         termination=args.termination, steps=args.steps,
+                         function_tolerance=args.ftol, step_tolerance=args.xtol)
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_tolerances(_load(args), args)
-    log = sc.run_experiment(
-        cfg, args.controller, serial=args.serial,
-        budget_override=args.budget_s, termination=args.termination,
-        steps_override=args.steps,
-    )
+    log = sc.run_experiment(_run_scenario(args), args.controller)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, f"run_{args.controller}.jsonl")
     sc.write_runlog(log, log_path)
@@ -90,16 +81,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _apply_tolerances(_load(args), args)
+    cfg = _run_scenario(args)
     os.makedirs(args.out, exist_ok=True)
     nets, _ = sc.train_networks(cfg)
     rows = []
     for key in sc.CONTROLLER_KEYS:
-        log = sc.run_experiment(
-            cfg, key, serial=args.serial, nets=nets,
-            budget_override=args.budget_s, termination=args.termination,
-            steps_override=args.steps,
-        )
+        log = sc.run_experiment(cfg, key, nets=nets)
         sc.write_runlog(log, os.path.join(args.out, f"run_{key}.jsonl"))
         rows.append((key, log.summary))
 

@@ -76,6 +76,7 @@ __all__ = [
     "default_scenario",
     "default_scenario_path",
     "load_scenario",
+    "overridden",
     "perturb_demand",
     "train_networks",
     "build_architecture",
@@ -151,7 +152,7 @@ class ControlSettings:
 
     evaluation_horizon: int
     horizons: tuple[int, int]          # short and long MPC horizons
-    budget_s: float
+    budget_s: Optional[float]          # per control step; None: no deadline
     function_tolerance: float
     step_tolerance: float
     max_iterations: int
@@ -174,11 +175,11 @@ class ControlSettings:
             raise ValueError("evaluation_horizon must be between 1 and the shortest MPC horizon")
         self.optimizer()  # rejects bad solver settings here, not at the first solve
 
-    def optimizer(self, serial: bool = False) -> OptimizerConfig:
+    def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(
             function_tolerance=self.function_tolerance,
             step_tolerance=self.step_tolerance,
-            budget_s=None if serial else self.budget_s,
+            budget_s=self.budget_s,
             max_iterations=self.max_iterations,
             termination=self.termination,
             fd_step=self.fd_step,
@@ -442,6 +443,21 @@ def load_scenario(path) -> ScenarioConfig:
     return _parse(path, default_scenario())
 
 
+def overridden(scenario: ScenarioConfig, *, serial: bool = False,
+               budget_s: Optional[float] = None, termination: Optional[str] = None,
+               steps: Optional[int] = None, function_tolerance: Optional[float] = None,
+               step_tolerance: Optional[float] = None) -> ScenarioConfig:
+    """The scenario of one run: each setting that is not None replaces the
+    scenario's, and ``serial`` sets no budget, whatever budget is given."""
+    control = {"budget_s": budget_s, "termination": termination,
+               "function_tolerance": function_tolerance, "step_tolerance": step_tolerance}
+    control = {name: value for name, value in control.items() if value is not None}
+    if serial:
+        control["budget_s"] = None
+    return replace(scenario, steps=scenario.steps if steps is None else steps,
+                   control=replace(scenario.control, **control))
+
+
 # ---------------------------------------------------------------------------
 # Demand noise
 # ---------------------------------------------------------------------------
@@ -543,16 +559,7 @@ def _online_controller(scenario: ScenarioConfig, key: str) -> MpcProblem:
     return MpcProblem(CONTROLLER_LABELS[key], kind, horizon, (0.0,) * dim, (upper,) * dim)
 
 
-def _overridden(scenario: ScenarioConfig, budget_override: Optional[float],
-                termination: Optional[str]) -> ScenarioConfig:
-    """The scenario with its control budget and termination option replaced
-    where an override is given."""
-    given = {"budget_s": budget_override, "termination": termination}
-    given = {name: value for name, value in given.items() if value is not None}
-    return replace(scenario, control=replace(scenario.control, **given)) if given else scenario
-
-
-def _architecture(scenario: ScenarioConfig, cells: tuple[ParallelCell, ...], serial: bool,
+def _architecture(scenario: ScenarioConfig, cells: tuple[ParallelCell, ...],
                   evaluation_horizon: Optional[int] = None) -> BaseParallelController:
     """The architecture of ``cells`` under the scenario's control settings,
     by default with the scenario's evaluation horizon."""
@@ -563,7 +570,7 @@ def _architecture(scenario: ScenarioConfig, cells: tuple[ParallelCell, ...], ser
         evaluation_horizon=ctl.evaluation_horizon if evaluation_horizon is None
         else evaluation_horizon,
         gamma=scenario.gamma,
-        optimizer=ctl.optimizer(serial),
+        optimizer=ctl.optimizer(),
     )
     return BaseParallelController(config, mu_init=scenario.mu_prev_init)
 
@@ -576,32 +583,34 @@ def build_architecture(
     termination: Optional[str] = None,
 ) -> BaseParallelController:
     """Full case-study architecture: ALINEA seeds two conventional MPC
-    controllers, the gain network seeds two parameterized ones."""
-    scenario = _overridden(scenario, budget_override, termination)
+    controllers, the gain network seeds two parameterized ones.  The
+    overrides are applied by :func:`overridden`."""
+    scenario = overridden(scenario, serial=serial, budget_s=budget_override,
+                          termination=termination)
     cells = (
         ParallelCell(_alinea_controller(scenario),
                      tuple(_online_controller(scenario, k) for k in ("cmpc1", "cmpc2"))),
         ParallelCell(_ann_controller(scenario, nets),
                      tuple(_online_controller(scenario, k) for k in ("pmpc1", "pmpc2"))),
     )
-    return _architecture(scenario, cells, serial)
+    return _architecture(scenario, cells)
 
 
-def _controller_step(scenario, key, serial, nets):
+def _controller_step(scenario, key, nets):
     """The step method of control approach ``key``: the architecture's
     :meth:`~basepar.orchestrator.BaseParallelController.control_step`, or
     the :meth:`~basepar.orchestrator.BaseParallelController.own_step` of a
     one-cell architecture, which evaluates nothing (evaluation horizon
     1)."""
     if key == "architecture":
-        return build_architecture(scenario, nets, serial).control_step
+        return build_architecture(scenario, nets).control_step
     if key == "alinea":
         cell = ParallelCell(_alinea_controller(scenario))
     elif key == "ann":
         cell = ParallelCell(_ann_controller(scenario, nets))
     else:
         cell = ParallelCell(_hold_controller(scenario), (_online_controller(scenario, key),))
-    return _architecture(scenario, (cell,), serial, evaluation_horizon=1).own_step
+    return _architecture(scenario, (cell,), evaluation_horizon=1).own_step
 
 
 # ---------------------------------------------------------------------------
@@ -662,29 +671,27 @@ def run_experiment(
     nets: Optional[dict[int, MlpParams]] = None,
     budget_override: Optional[float] = None,
     termination: Optional[str] = None,
-    steps_override: Optional[int] = None,
 ) -> RunLog:
     """Run the closed loop for one control approach.
 
     The plant advances under the true demand profiles; the controller sees
     the noisy measured demands.  ``controller_choice`` is one of
-    ``CONTROLLER_KEYS``.  ``serial=True`` replaces the wall-clock budget by
-    the iteration cap, which makes the run fully reproducible for a fixed
-    seed.
+    ``CONTROLLER_KEYS``.  The overrides are applied by :func:`overridden`.
+    A run whose budget is None, as with ``serial=True``, solves to the
+    iteration cap and logs no wall time, so it is fully reproducible for a
+    fixed seed.
     """
     key = controller_choice.lower()
     if key not in CONTROLLER_KEYS:
         raise ValueError(
             f"unknown controller {controller_choice!r}; pick one of {CONTROLLER_KEYS}"
         )
+    scenario = overridden(scenario, serial=serial, budget_s=budget_override,
+                          termination=termination)
     params = scenario.network
-    steps = scenario.steps if steps_override is None else steps_override
-    if steps < 1:
-        raise ValueError("step count must be at least 1")
     noise_seed = scenario.noise.seed if scenario.noise.seed is not None else scenario.seed
     rng = np.random.default_rng(noise_seed)
-    scenario = _overridden(scenario, budget_override, termination)
-    decide = _controller_step(scenario, key, serial, nets)
+    decide = _controller_step(scenario, key, nets)
 
     state = scenario.initial_state
     o_prev = tuple(scenario.o_prev_init)
@@ -697,7 +704,7 @@ def run_experiment(
         lanes=params.lanes,
         onramp_cells=tuple(i + 1 for i in params.onramp_cells),
     )
-    for k in range(steps):
+    for k in range(scenario.steps):
         d_true = np.asarray(scenario.true_demand(k))
         d_meas = perturb_demand(d_true, scenario.noise, rng)
         true_inp = ExogenousInput(float(d_true[0]), tuple(float(v) for v in d_true[1:]))
@@ -707,7 +714,7 @@ def run_experiment(
         selection, _ = decide(state, measured, o_prev)
         elapsed = time.monotonic() - t0
         stats = selection.solver_stats
-        if serial:
+        if scenario.control.budget_s is None:
             # reproducible logs: wall-clock observations are not recorded
             elapsed = 0.0
             stats = tuple((lbl, 0.0, iters, conv) for lbl, _, iters, conv in stats)

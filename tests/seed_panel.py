@@ -1,11 +1,18 @@
 """Closed-loop runs of the shipped scenario over a panel of demand-noise seeds.
 
 For each seed and approach this prints one JSON object per line: the
-approach, the seed, the budget (null for a serial run with no budget, 0 for
-a zero wall budget, whose first solver round is the whole solve), J_total
-and n_total.  n_total counts the vehicles that exited the network, so a run
-that refuses demand (fixed open rates admit about 79% of it, at about
-135.16 h) shows as a low n_total, not only as a low J.
+approach, the seed, the budget (null for a run with no deadline, 0 for a
+zero wall budget, whose first solver round is the whole solve), J_total,
+n_total, the admitted share of mainstream demand and, for the architecture,
+the tie count.  n_total counts the vehicles that exited the network, and
+the admitted share is the admitted mainstream flow over the true mainstream
+demand, so a run that refuses demand (fixed open rates admit about 79% of
+it, at about 135.16 h) shows as a low share, not only as a low J.  The tie
+count is the number of steps at which the winner's evaluation cost lies
+within 4 ulps of every other candidate's (null for a standalone approach,
+which evaluates no candidates).  ALINEA and ANN solve nothing, so their
+result does not depend on the budget: each runs once per seed, and its row
+repeats under every budget.
 
 Every seed sees the same gain networks: trained once at the shipped seed,
 or loaded from a ``gain-net/1`` file (``basepar train-ann`` writes one).
@@ -24,10 +31,34 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from basepar.base_controllers import load_mlp_params
-from basepar.scenario import CONTROLLER_KEYS, default_scenario, run_experiment, train_networks
+from basepar.scenario import (
+    CONTROLLER_KEYS,
+    default_scenario,
+    overridden,
+    run_experiment,
+    train_networks,
+)
 
 BUDGETS = {"none": None, "0": 0.0}
+
+
+SOLVES_NOTHING = ("alinea", "ann")
+
+
+def near_winner(record) -> list[bool]:
+    """Whether each candidate's evaluation cost lies within 4 ulps of the
+    winner's."""
+    w = record.candidate_costs[record.candidate_labels.index(record.winner)]
+    return [abs(c - w) <= 4 * np.spacing(abs(w)) for c in record.candidate_costs]
+
+
+def tie_steps(log) -> int:
+    """The steps whose winner's evaluation cost lies within 4 ulps of every
+    candidate's."""
+    return sum(all(near_winner(r)) for r in log.records)
 
 
 def panel(seeds, approaches, budgets, nets=None):
@@ -37,11 +68,17 @@ def panel(seeds, approaches, budgets, nets=None):
     for seed in seeds:
         scenario = default_scenario(seed)
         for approach in approaches:
+            result = None
             for budget in budgets:
-                summary = run_experiment(scenario, approach, serial=budget is None, nets=nets,
-                                         budget_override=budget).summary
-                yield {"approach": approach, "seed": seed, "budget": budget,
-                       "j_total": summary.j_total, "n_total": summary.n_total}
+                if result is None or approach not in SOLVES_NOTHING:
+                    run = overridden(scenario, serial=budget is None, budget_s=budget)
+                    log = run_experiment(run, approach, nets=nets)
+                    demand = sum(r.true_demand[0] for r in log.records)
+                    result = {
+                        "j_total": log.summary.j_total, "n_total": log.summary.n_total,
+                        "admitted": sum(r.mainstream_in for r in log.records) / demand,
+                        "ties": tie_steps(log) if approach == "architecture" else None}
+                yield {"approach": approach, "seed": seed, "budget": budget, **result}
 
 
 def main(argv=None) -> int:
@@ -50,9 +87,9 @@ def main(argv=None) -> int:
                         default=[default_scenario().seed, *range(10)],
                         help="demand-noise seeds (default: the shipped seed and 0-9)")
     parser.add_argument("--approaches", nargs="+", choices=CONTROLLER_KEYS,
-                        default=["architecture", "cmpc1", "cmpc2", "pmpc1", "pmpc2"])
+                        default=list(CONTROLLER_KEYS))
     parser.add_argument("--budgets", nargs="+", choices=list(BUDGETS), default=list(BUDGETS),
-                        help="'none' for a serial run, '0' for a zero wall budget")
+                        help="'none' for no deadline, '0' for a zero wall budget")
     parser.add_argument("--nets", default=None,
                         help="gain-net/1 file to load instead of training at the shipped seed")
     args = parser.parse_args(argv)

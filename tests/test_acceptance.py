@@ -46,6 +46,7 @@ from basepar.scenario import (
     build_architecture,
     default_scenario_path,
     load_scenario,
+    overridden,
     run_experiment,
     train_networks,
     write_runlog,
@@ -53,7 +54,7 @@ from basepar.scenario import (
 
 from oracles import central_difference, grid_search_gain, oracle_step
 from scalar_reference import alinea_step, fd_gradient, metered_density, solve_pointwise
-from seed_panel import panel
+from seed_panel import near_winner, panel, tie_steps
 from shipped import optimizer
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -440,7 +441,11 @@ def test_criterion_6_selector_exactness(scenario, compare_runs):
 def test_criterion_7_qualitative_ordering(compare_runs):
     """Average cost per vehicle: frozen-gain feedback >= gain network >= every
     online MPC variant; the architecture's total cost is within 0.5% of the
-    best standalone controller; the whole comparison stays under 10 min."""
+    best standalone controller; the whole comparison stays under 10 min.
+    The architecture's wins on the shipped case are decided by the
+    tie-break at 145 of its 180 serial steps, where every candidate's
+    3-step cost lies within 4 ulps of the winner's
+    (``test_serial_selections_are_decided_within_4_ulps``)."""
     logs, elapsed = compare_runs[:2]
     avg = {k: logs[k].summary.avg_cost_per_vehicle for k in logs}
     j = {k: logs[k].summary.j_total for k in logs}
@@ -512,15 +517,25 @@ def test_serial_selections_are_decided_within_4_ulps(compare_runs):
     cost lies within 4 ulps of every other candidate's, and those where it
     lies within 4 ulps of at least one candidate from another source.  This
     records a measurement, pinned exactly; it sets no threshold."""
-    records = compare_runs[0]["architecture"].records
-    every = other_source = 0
-    for r in records:
-        w = r.candidate_costs[r.candidate_labels.index(r.winner)]
-        near = [abs(c - w) <= 4 * np.spacing(abs(w)) for c in r.candidate_costs]
-        every += all(near)
-        other_source += any(n and label != r.winner
-                            for n, label in zip(near, r.candidate_labels))
-    assert (every, other_source, len(records)) == (145, 180, 180)
+    log = compare_runs[0]["architecture"]
+    other_source = sum(any(n and label != r.winner
+                           for n, label in zip(near_winner(r), r.candidate_labels))
+                       for r in log.records)
+    assert (tie_steps(log), other_source, len(log.records)) == (145, 180, 180)
+
+
+def test_standalone_cmpc_stage_costs_agree_while_their_rates_differ(compare_runs):
+    """The shipped case is flat: over the first 90 serial steps, standalone
+    CMPC(1)'s and CMPC(2)'s stage costs agree within 3e-15 h at every step,
+    while the rates they apply differ at every step, by up to more than 2
+    veh/cycle.  This records a measurement; the first larger gap is at step
+    173."""
+    logs = compare_runs[0]
+    pairs = list(zip(logs["cmpc1"].records, logs["cmpc2"].records))[:90]
+    assert len(pairs) == 90
+    assert all(abs(a.cost_j - b.cost_j) <= 3e-15 for a, b in pairs)
+    moved = [max(abs(x - y) for x, y in zip(a.applied, b.applied)) for a, b in pairs]
+    assert min(moved) > 0 and max(moved) > 2.0
 
 
 def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkeypatch):
@@ -530,7 +545,7 @@ def test_serial_work_counters_are_pinned(scenario, trained, compare_runs, monkey
     to convert plans or evaluate candidates, so extra rounds show here, and
     the solver rounds alone show that the solver does the same work."""
     calls = _count_kernel_calls(monkeypatch)
-    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    run_experiment(overridden(scenario, steps=20), "architecture", serial=True, nets=trained[0])
     assert len(calls) == 207
     assert sum(h for h, _ in calls) == 1862
     calls, rounds = compare_runs[2], compare_runs[4]
@@ -554,7 +569,7 @@ def test_serial_run_builds_each_problem_once(scenario, trained, monkeypatch):
     monkeypatch.setattr(MpcProblem, "__post_init__",
                         counting("MpcProblem", MpcProblem.__post_init__))
     monkeypatch.setattr(_Bounds, "__init__", counting("_Bounds", _Bounds.__init__))
-    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    run_experiment(overridden(scenario, steps=20), "architecture", serial=True, nets=trained[0])
     assert built == Counter({"MpcProblem": 4, "_Bounds": 4})
 
 
@@ -577,7 +592,7 @@ def test_serial_controllers_start_from_the_base_and_their_previous_solution(
 
     monkeypatch.setattr(orchestrator, "run_parallel_cells", cells_recorded)
     monkeypatch.setattr(parallel, "_solve_jointly", solve_recorded)
-    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    run_experiment(overridden(scenario, steps=20), "architecture", serial=True, nets=trained[0])
     assert len(steps) == 20
     previous = {}
     for cells, (problems, starts, results) in steps:
@@ -614,7 +629,7 @@ def test_serial_descents_strictly_decrease(scenario, trained, monkeypatch):
         return descent(x0, f0, g0, bounds, cfg, trail)
 
     monkeypatch.setattr(parallel, "_descent", traced)
-    run_experiment(scenario, "architecture", serial=True, nets=trained[0], steps_override=20)
+    run_experiment(overridden(scenario, steps=20), "architecture", serial=True, nets=trained[0])
     trails = [[f for _, f, *_ in trail] for trail in trails]
     assert sum(len(trail) > 1 for trail in trails) > 20
     for trail in trails:

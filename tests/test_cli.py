@@ -172,6 +172,28 @@ class TestRun:
             function_tolerance=0.0125, step_tolerance=3e-5, budget_s=0.05, max_iterations=7,
             termination="all", fd_step=2.0e-6)
 
+    def test_a_null_budget_runs_as_serial_mode_does(self, tmp_path, small_scenario):
+        # control.budget_s: null is no deadline, which is what --serial sets
+        nulled = tmp_path / "no_budget.yaml"
+        nulled.write_text(SMALL_SCENARIO + "control: {budget_s: null}\n")
+        assert main(["validate-scenario", "--scenario", str(nulled)]) == 0
+        logs = []
+        for name, flags in (("null", ["--scenario", str(nulled)]),
+                            ("serial", ["--scenario", small_scenario, "--serial"])):
+            out = tmp_path / name
+            assert main(["run", "--controller", "architecture", "--steps", "4",
+                         "--out", str(out), *flags]) == 0
+            logs.append((out / "run_architecture.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_zero_steps_fail_cleanly(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--serial", "--steps", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step" in err
+        assert not out.exists()
+
     def test_seed_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BASEPAR_SEED", "99")
         out = tmp_path / "out"

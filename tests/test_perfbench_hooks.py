@@ -73,8 +73,8 @@ def test_hooks_a_serial_run_never_reaches_are_pinned(monkeypatch, tmp_path):
                          input_hi=(80.0, 30.0, 4.0, 8.0))
             for i in config.network.metered_cells
         }
-        log = scenario.run_experiment(config, "architecture", serial=True, nets=nets,
-                                      steps_override=3)
+        log = scenario.run_experiment(scenario.overridden(config, steps=3), "architecture",
+                                      serial=True, nets=nets)
         scenario.write_runlog(log, tmp_path / "run.jsonl")
     finally:
         recorder.uninstall()

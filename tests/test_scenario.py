@@ -15,6 +15,7 @@ from basepar.scenario import (
     default_scenario_path,
     emit_plot_data,
     load_scenario,
+    overridden,
     perturb_demand,
     read_runlog,
     run_experiment,
@@ -276,29 +277,29 @@ class TestRunExperiment:
 
     def test_alinea_run_deterministic(self):
         cfg = default_scenario(seed=5)
-        a = run_experiment(cfg, "alinea", serial=True, steps_override=40)
-        b = run_experiment(cfg, "alinea", serial=True, steps_override=40)
+        a = run_experiment(overridden(cfg, steps=40), "alinea", serial=True)
+        b = run_experiment(overridden(cfg, steps=40), "alinea", serial=True)
         assert a.records == b.records
 
     def test_trajectory_deterministic_without_serial(self):
         cfg = default_scenario(seed=5)
-        a = run_experiment(cfg, "alinea", steps_override=20)
-        b = run_experiment(cfg, "alinea", steps_override=20)
+        a = run_experiment(overridden(cfg, steps=20), "alinea")
+        b = run_experiment(overridden(cfg, steps=20), "alinea")
         # wall-clock timings differ; the control trajectory must not
         assert [r.applied for r in a.records] == [r.applied for r in b.records]
         assert [r.n for r in a.records] == [r.n for r in b.records]
 
     def test_noise_stream_identical_across_controllers(self):
         cfg = default_scenario(seed=6)
-        a = run_experiment(cfg, "alinea", steps_override=15)
-        b = run_experiment(cfg, "cmpc1", serial=True, steps_override=15)
+        a = run_experiment(overridden(cfg, steps=15), "alinea")
+        b = run_experiment(overridden(cfg, steps=15), "cmpc1", serial=True)
         for ra, rb in zip(a.records, b.records):
             assert ra.true_demand == rb.true_demand
             assert ra.measured_demand == rb.measured_demand
 
     def test_run_length_and_labels(self):
         cfg = default_scenario(seed=7)
-        log = run_experiment(cfg, "alinea", steps_override=12)
+        log = run_experiment(overridden(cfg, steps=12), "alinea")
         assert len(log.records) == 12
         assert log.controller == CONTROLLER_LABELS["alinea"]
         assert all(r.winner == "ALINEA" for r in log.records)
@@ -306,12 +307,27 @@ class TestRunExperiment:
     def test_gamma_zero_cost_nonnegative(self):
         base = default_scenario(seed=8)
         cfg = type(base)(**{**base.__dict__, "gamma": 0.0})
-        log = run_experiment(cfg, "alinea", steps_override=30)
+        log = run_experiment(overridden(cfg, steps=30), "alinea")
         assert log.summary.j_total >= 0.0
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(default_scenario(), "prophet")
+
+    def test_overridden_applies_each_setting_given(self):
+        base = default_scenario()
+        assert overridden(base) == base
+        cfg = overridden(base, budget_s=0.5, termination="all", steps=9,
+                         function_tolerance=0.0125, step_tolerance=3e-5)
+        assert cfg == replace(base, steps=9, control=replace(
+            base.control, budget_s=0.5, termination="all", function_tolerance=0.0125,
+            step_tolerance=3e-5))
+        # serial mode sets no budget, and wins over a budget given with it
+        assert overridden(base, serial=True) == replace(
+            base, control=replace(base.control, budget_s=None))
+        assert overridden(base, serial=True, budget_s=0.5) == overridden(base, serial=True)
+        with pytest.raises(ValueError, match="steps"):
+            overridden(base, steps=0)
 
     def test_standalone_base_rolls_one_model_step_per_control_step(self, monkeypatch):
         # a standalone base applies only its first rate and nothing is
@@ -326,12 +342,12 @@ class TestRunExperiment:
             return roll(state, inputs, params, horizon, *args, **kwargs)
 
         monkeypatch.setattr(actm, "rollout_batch", counted)
-        run_experiment(default_scenario(seed=5), "alinea", serial=True, steps_override=7)
+        run_experiment(overridden(default_scenario(seed=5), steps=7), "alinea", serial=True)
         assert calls == [1] * 7
 
     def test_standalone_mpc_reports_solver_stats(self):
         cfg = default_scenario(seed=9)
-        log = run_experiment(cfg, "cmpc1", serial=True, steps_override=3)
+        log = run_experiment(overridden(cfg, steps=3), "cmpc1", serial=True)
         for r in log.records:
             assert r.winner == "CMPC(1)"
             assert len(r.solver_stats) == 1
@@ -342,8 +358,8 @@ class TestRunExperiment:
         pinned_a = type(base)(**{**base.__dict__, "noise": replace(base.noise, seed=555)})
         other = default_scenario(seed=22)
         pinned_b = type(other)(**{**other.__dict__, "noise": replace(other.noise, seed=555)})
-        a = run_experiment(pinned_a, "alinea", serial=True, steps_override=15)
-        b = run_experiment(pinned_b, "alinea", serial=True, steps_override=15)
+        a = run_experiment(overridden(pinned_a, steps=15), "alinea", serial=True)
+        b = run_experiment(overridden(pinned_b, steps=15), "alinea", serial=True)
         for ra, rb in zip(a.records, b.records):
             assert ra.measured_demand == rb.measured_demand
             assert ra.applied == rb.applied
@@ -373,8 +389,7 @@ class TestRunExperiment:
                                  "sample_count": 80, "validation_count": 16})
         cfg = type(cfg)(**{**cfg.__dict__, "ann": small})
         nets, _ = train_networks(cfg)
-        log = run_experiment(cfg, "architecture", serial=True, nets=nets,
-                             steps_override=6)
+        log = run_experiment(overridden(cfg, steps=6), "architecture", serial=True, nets=nets)
         assert log.summary.win_counts
         known = {"ALINEA", "ANN", "CMPC(1)", "CMPC(2)", "PMPC(1)", "PMPC(2)"}
         assert all(label in known for label, _ in log.summary.win_counts)
@@ -402,14 +417,14 @@ class TestDefaultScenarioProperties:
 class TestSummary:
     def test_single_step_summary(self):
         cfg = default_scenario(seed=11)
-        log = run_experiment(cfg, "alinea", steps_override=1)
+        log = run_experiment(overridden(cfg, steps=1), "alinea")
         r = log.records[0]
         assert log.summary.j_total == pytest.approx(r.cost_j)
         assert log.summary.n_total == pytest.approx(r.throughput)
 
     def test_metric_identity(self):
         cfg = default_scenario(seed=12)
-        log = run_experiment(cfg, "alinea", steps_override=25)
+        log = run_experiment(overridden(cfg, steps=25), "alinea")
         s = log.summary
         assert s.avg_cost_per_vehicle * s.n_total == pytest.approx(
             s.j_total * 3600.0, rel=1e-12
@@ -417,7 +432,7 @@ class TestSummary:
 
     def test_independent_recomputation_matches(self):
         cfg = default_scenario(seed=13)
-        log = run_experiment(cfg, "alinea", steps_override=25)
+        log = run_experiment(overridden(cfg, steps=25), "alinea")
         j = sum(r.cost_j for r in log.records)
         n = sum(r.throughput for r in log.records)
         assert log.summary.j_total == pytest.approx(j, abs=1e-9)
@@ -434,7 +449,7 @@ class TestSummary:
 class TestPersistence:
     def test_runlog_round_trip(self, tmp_path):
         cfg = default_scenario(seed=14)
-        log = run_experiment(cfg, "alinea", steps_override=8)
+        log = run_experiment(overridden(cfg, steps=8), "alinea")
         path = tmp_path / "run.jsonl"
         write_runlog(log, path)
         back = read_runlog(path)
@@ -445,8 +460,8 @@ class TestPersistence:
     def test_identical_runs_identical_bytes(self, tmp_path):
         cfg = default_scenario(seed=15)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_runlog(run_experiment(cfg, "alinea", serial=True, steps_override=10), p1)
-        write_runlog(run_experiment(cfg, "alinea", serial=True, steps_override=10), p2)
+        write_runlog(run_experiment(overridden(cfg, steps=10), "alinea", serial=True), p1)
+        write_runlog(run_experiment(overridden(cfg, steps=10), "alinea", serial=True), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_schema_checked(self, tmp_path):
@@ -459,7 +474,7 @@ class TestPersistence:
 class TestPlotData:
     @pytest.fixture
     def log(self):
-        return run_experiment(default_scenario(seed=16), "alinea", steps_override=6)
+        return run_experiment(overridden(default_scenario(seed=16), steps=6), "alinea")
 
     def test_demand_table_shape(self, tmp_path, log):
         paths = emit_plot_data(log, tmp_path)
